@@ -23,7 +23,7 @@
 /// The capability is a role, not a lock: acquiring it performs no
 /// synchronization (the pipeline's serial phases are already
 /// single-threaded by construction), and nested GridWriteScope objects
-/// are harmless no-ops. tools/analyze_effects.py enforces the read side
+/// are harmless no-ops. `tools/mrlg_lint.py effects` enforces the read side
 /// of the same contract statically, without clang (docs/ANALYSIS.md).
 
 #include "util/annotations.hpp"

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <string>
 
 #include "check/audit.hpp"
 #include "check/audit_plan.hpp"
@@ -219,9 +221,9 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
     plan_opts.num_threads = 1;
     FootprintLedger ledger;
     std::vector<PlanTask> tasks;
-    std::vector<std::size_t> pending;
-    std::vector<std::size_t> batch;
-    std::vector<std::size_t> deferred;
+    std::vector<std::uint32_t> levels;    // per task, 1-based wave in round
+    std::vector<std::size_t> wave_begin;  // wave k: order[begin[k], begin[k+1])
+    std::vector<std::size_t> order;       // task indices, wave-major
 
     // Re-emits the per-attempt mll.* counters a serial mll_place would
     // have produced for this (final) plan. The plan pass runs with the
@@ -297,34 +299,51 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                 compute_attempt_footprint(window, t.fitted, max_cell_width);
             tasks.push_back(std::move(t));
         }
-        pending.resize(tasks.size());
-        for (std::size_t i = 0; i < pending.size(); ++i) {
-            pending[i] = i;
+        // The round's wave schedule, computed once in queue order
+        // (pipeline.hpp): a task's level is its wave, and a counting sort
+        // lists each wave's tasks in queue order.
+        std::uint32_t num_waves = 0;
+        {
+            MRLG_OBS_PHASE("partition");
+            obs::TimelineSpan partition_span(
+                timeline, "partition",
+                {static_cast<std::uint32_t>(stats.waves + 1), 0, 0});
+            ledger.reset(static_cast<std::size_t>(db.floorplan().num_rows()),
+                         die_x);
+            levels.resize(tasks.size());
+            for (std::size_t i = 0; i < tasks.size(); ++i) {
+                levels[i] = ledger.claim(tasks[i].footprint);
+                num_waves = std::max(num_waves, levels[i]);
+                // Deferred past waves 1..level-1, one requeue per wave.
+                stats.conflict_requeues += levels[i] - 1;
+            }
+            wave_begin.assign(num_waves + 2, 0);
+            for (const std::uint32_t level : levels) {
+                ++wave_begin[level + 1];
+            }
+            for (std::size_t k = 1; k < wave_begin.size(); ++k) {
+                wave_begin[k] += wave_begin[k - 1];
+            }
+            std::vector<std::size_t> cursor = wave_begin;
+            order.resize(tasks.size());
+            for (std::size_t i = 0; i < tasks.size(); ++i) {
+                order[cursor[levels[i]]++] = i;
+            }
         }
-        const std::size_t num_rows =
-            static_cast<std::size_t>(db.floorplan().num_rows());
 
-        while (!pending.empty()) {
+        for (std::uint32_t level = 1; level <= num_waves; ++level) {
             MRLG_OBS_PHASE("wave");
             ++stats.waves;
             // Timeline keys: the global wave sequence number is the stable
-            // major key; slot/task come from the (deterministic) partition.
+            // major key; slot/task come from the (deterministic) schedule.
             const std::uint32_t wave_id =
                 static_cast<std::uint32_t>(stats.waves);
             obs::TimelineSpan wave_span(timeline, "wave", {wave_id, 0, 0});
-            {
-                MRLG_OBS_PHASE("partition");
-                obs::TimelineSpan partition_span(timeline, "partition",
-                                                 {wave_id, 0, 0});
-                ledger.reset(num_rows, die_x);
-                partition_wave(tasks, pending, ledger, batch, deferred);
-            }
-            stats.conflict_requeues += deferred.size();
+            const std::span<const std::size_t> batch(
+                order.data() + wave_begin[level],
+                wave_begin[level + 1] - wave_begin[level]);
             MRLG_OBS_OBSERVE("legalize.batch_size",
                              static_cast<double>(batch.size()));
-            for (const std::size_t idx : batch) {
-                tasks[idx].state = PlanTask::State::kInBatch;
-            }
 
             {
                 MRLG_OBS_PHASE("plan");
@@ -369,7 +388,7 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
             }
 
             if (audit >= AuditLevel::kCheap) {
-                // The partition promised these footprints are pairwise
+                // The schedule promised these footprints are pairwise
                 // disjoint; re-derive that from scratch before trusting
                 // the plans (check/audit_plan.hpp).
                 std::vector<PlannedFootprint> fps;
@@ -385,7 +404,14 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                 MRLG_OBS_PHASE("commit");
                 obs::TimelineSpan commit_span(timeline, "commit",
                                               {wave_id, 0, 0});
-                std::size_t resolved = 0;
+                // A stale plan means the schedule let two overlapping
+                // footprints share a wave: fail loudly, never requeue.
+                auto stale = [&](const PlanTask& t, const char* what) {
+                    return std::string("region-parallel ") + what +
+                           " of cell " + std::to_string(t.cell.value()) +
+                           " went stale before its commit in wave " +
+                           std::to_string(wave_id);
+                };
                 for (std::size_t slot = 0; slot < batch.size(); ++slot) {
                     const std::size_t idx = batch[slot];
                     obs::TimelineSpan commit_task_span(
@@ -395,34 +421,19 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                     PlanTask& t = tasks[idx];
                     const Cell& cell = db.cell(t.cell);
                     if (t.direct) {
-                        // Revalidate against the live grid (defensive:
-                        // batch disjointness makes staleness impossible).
-                        if (grid.placeable(db, t.fitted, CellId{},
-                                           cell.region())) {
-                            grid.place(db, t.cell, t.fitted.x, t.fitted.y);
-                            ++stats.direct_placements;
-                            t.state = PlanTask::State::kPlaced;
-                            ++resolved;
-                            audit_grid(AuditLevel::kFull);
-                        } else {
-                            t.state = PlanTask::State::kPending;
-                            ++stats.conflict_requeues;
-                            MRLG_OBS_COUNT("legalize.plan_invalidated", 1);
-                        }
+                        MRLG_ASSERT(grid.placeable(db, t.fitted, CellId{},
+                                                   cell.region()),
+                                    stale(t, "direct slot"));
+                        grid.place(db, t.cell, t.fitted.x, t.fitted.y);
+                        ++stats.direct_placements;
+                        t.state = PlanTask::State::kPlaced;
+                        audit_grid(AuditLevel::kFull);
                         continue;
                     }
                     if (t.plan.success()) {
                         const MllResult r =
                             mll_commit(db, grid, t.cell, t.plan);
-                        if (r.status == MllStatus::kPlanInvalidated) {
-                            // Counters for this attempt stay unemitted —
-                            // the cell re-plans next wave and only the
-                            // final attempt is accounted, like serial.
-                            t.state = PlanTask::State::kPending;
-                            ++stats.conflict_requeues;
-                            MRLG_OBS_COUNT("legalize.plan_invalidated", 1);
-                            continue;
-                        }
+                        MRLG_ASSERT(r.success(), stale(t, "MLL plan"));
                         emit_attempt_counters(t.plan);
                         stats.mll_points_evaluated += t.plan.num_points;
                         ++stats.mll_successes;
@@ -452,31 +463,15 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                                                       writes));
                         }
                         t.state = PlanTask::State::kPlaced;
-                        ++resolved;
                         audit_grid(AuditLevel::kFull);
                     } else {
                         emit_attempt_counters(t.plan);
                         stats.mll_points_evaluated += t.plan.num_points;
                         ++stats.mll_failures;
                         t.state = PlanTask::State::kFailed;
-                        ++resolved;
                     }
                 }
-                MRLG_ASSERT(resolved > 0,
-                            "plan/commit wave made no progress");
             }
-
-            // Next wave: everything still pending (partition deferrals and
-            // the defensive invalidation requeues), in queue order.
-            std::vector<std::size_t> next;
-            for (std::size_t i = 0; i < tasks.size(); ++i) {
-                if (tasks[i].state == PlanTask::State::kPending) {
-                    next.push_back(i);
-                }
-            }
-            MRLG_ASSERT(next.size() < pending.size(),
-                        "plan/commit waves must shrink the pending queue");
-            pending = std::move(next);
         }
 
         // Round-level exactness: every insertion point the final plans

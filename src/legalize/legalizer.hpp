@@ -103,11 +103,11 @@ struct LegalizerStats {
     /// Pipeline::kSerial). A round with no footprint conflicts is one
     /// wave; a fully-conflicting round degrades to one wave per cell.
     std::size_t waves = 0;
-    /// Cells pushed to a later wave because their footprint overlapped an
-    /// earlier pending cell's claim (plus the — by construction
-    /// unreachable — commit-time invalidation requeues). Pipeline-health
-    /// signal: high values mean the batches are thin and the round is
-    /// effectively serial.
+    /// Σ(level − 1) over every pipelined task (legalize/pipeline.hpp):
+    /// each wave a cell waits for because its footprint overlaps an
+    /// earlier queue entry's counts once. Pipeline-health signal: high
+    /// values mean the batches are thin and the round is effectively
+    /// serial.
     std::size_t conflict_requeues = 0;
     int rounds = 0;
     double runtime_s = 0.0;

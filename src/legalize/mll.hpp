@@ -67,9 +67,10 @@ enum class MllStatus {
     kNoRegion,          ///< Window contains no usable rows.
     /// Commit-time validation found the grid changed since the plan was
     /// computed (stale move base or occupied target slot). Nothing was
-    /// modified; the caller re-plans from live state. Unreachable when
-    /// plans are confined to pairwise-disjoint footprints (the pipeline's
-    /// partition rule), so this is a defensive status, not a normal path.
+    /// modified. Unreachable when plans are confined to pairwise-disjoint
+    /// footprints (the pipeline's level schedule), so the legalizer treats
+    /// it as a broken invariant and fails with an AssertionError naming
+    /// the cell and wave.
     kPlanInvalidated,
 };
 

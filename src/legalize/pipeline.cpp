@@ -2,15 +2,7 @@
 
 #include <algorithm>
 
-#include "util/assert.hpp"
-
 namespace mrlg {
-
-namespace {
-
-constexpr std::size_t kWordBits = 64;
-
-}  // namespace
 
 void FootprintLedger::reset(std::size_t num_rows, Span x_extent) {
     x_extent_ = x_extent;
@@ -19,21 +11,19 @@ void FootprintLedger::reset(std::size_t num_rows, Span x_extent) {
         x_extent.hi > x_extent.lo
             ? static_cast<std::size_t>(x_extent.hi - x_extent.lo)
             : 0;
-    const std::size_t buckets =
-        (extent + static_cast<std::size_t>(kBucketSites) - 1) /
-        static_cast<std::size_t>(kBucketSites);
-    words_per_row_ = (buckets + kWordBits - 1) / kWordBits;
-    bits_.assign(num_rows_ * words_per_row_, 0);
+    buckets_per_row_ = (extent + static_cast<std::size_t>(kBucketSites) - 1) /
+                       static_cast<std::size_t>(kBucketSites);
+    levels_.assign(num_rows_ * buckets_per_row_, 0);
 }
 
-bool FootprintLedger::conflicts(const AttemptFootprint& fp) const {
+std::uint32_t FootprintLedger::claim(const AttemptFootprint& fp) {
     const SiteCoord row_lo = std::max<SiteCoord>(fp.rows.lo, 0);
     const SiteCoord row_hi = std::min<SiteCoord>(
         fp.rows.hi, static_cast<SiteCoord>(num_rows_));
     const SiteCoord x_lo = std::max(fp.x.lo, x_extent_.lo);
     const SiteCoord x_hi = std::min(fp.x.hi, x_extent_.hi);
     if (row_lo >= row_hi || x_lo >= x_hi) {
-        return false;
+        return 1;
     }
     // Buckets touched by [x_lo, x_hi), rounded outward (conservative).
     const std::size_t b_lo =
@@ -43,82 +33,20 @@ bool FootprintLedger::conflicts(const AttemptFootprint& fp) const {
         (static_cast<std::size_t>(x_hi - x_extent_.lo) +
          static_cast<std::size_t>(kBucketSites) - 1) /
         static_cast<std::size_t>(kBucketSites);
-    const std::size_t w_lo = b_lo / kWordBits;
-    const std::size_t w_hi = (b_hi - 1) / kWordBits;
-    for (SiteCoord r = row_lo; r < row_hi; ++r) {
-        const std::uint64_t* row =
-            bits_.data() + static_cast<std::size_t>(r) * words_per_row_;
-        for (std::size_t w = w_lo; w <= w_hi; ++w) {
-            std::uint64_t mask = ~std::uint64_t{0};
-            if (w == w_lo) {
-                mask &= ~std::uint64_t{0} << (b_lo % kWordBits);
-            }
-            if (w == w_hi && (b_hi % kWordBits) != 0) {
-                mask &= ~std::uint64_t{0} >>
-                        (kWordBits - (b_hi % kWordBits));
-            }
-            if ((row[w] & mask) != 0) {
-                return true;
-            }
-        }
+    std::uint32_t* const first =
+        levels_.data() + static_cast<std::size_t>(row_lo) * buckets_per_row_;
+    const std::size_t rows = static_cast<std::size_t>(row_hi - row_lo);
+    std::uint32_t level = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+        const std::uint32_t* row = first + r * buckets_per_row_;
+        level = std::max(level, *std::max_element(row + b_lo, row + b_hi));
     }
-    return false;
-}
-
-void FootprintLedger::claim(const AttemptFootprint& fp) {
-    const SiteCoord row_lo = std::max<SiteCoord>(fp.rows.lo, 0);
-    const SiteCoord row_hi = std::min<SiteCoord>(
-        fp.rows.hi, static_cast<SiteCoord>(num_rows_));
-    const SiteCoord x_lo = std::max(fp.x.lo, x_extent_.lo);
-    const SiteCoord x_hi = std::min(fp.x.hi, x_extent_.hi);
-    if (row_lo >= row_hi || x_lo >= x_hi) {
-        return;
+    ++level;
+    for (std::size_t r = 0; r < rows; ++r) {
+        std::uint32_t* row = first + r * buckets_per_row_;
+        std::fill(row + b_lo, row + b_hi, level);
     }
-    const std::size_t b_lo =
-        static_cast<std::size_t>(x_lo - x_extent_.lo) /
-        static_cast<std::size_t>(kBucketSites);
-    const std::size_t b_hi =
-        (static_cast<std::size_t>(x_hi - x_extent_.lo) +
-         static_cast<std::size_t>(kBucketSites) - 1) /
-        static_cast<std::size_t>(kBucketSites);
-    const std::size_t w_lo = b_lo / kWordBits;
-    const std::size_t w_hi = (b_hi - 1) / kWordBits;
-    for (SiteCoord r = row_lo; r < row_hi; ++r) {
-        std::uint64_t* row =
-            bits_.data() + static_cast<std::size_t>(r) * words_per_row_;
-        for (std::size_t w = w_lo; w <= w_hi; ++w) {
-            std::uint64_t mask = ~std::uint64_t{0};
-            if (w == w_lo) {
-                mask &= ~std::uint64_t{0} << (b_lo % kWordBits);
-            }
-            if (w == w_hi && (b_hi % kWordBits) != 0) {
-                mask &= ~std::uint64_t{0} >>
-                        (kWordBits - (b_hi % kWordBits));
-            }
-            row[w] |= mask;
-        }
-    }
-}
-
-void partition_wave(const std::vector<PlanTask>& tasks,
-                    const std::vector<std::size_t>& pending,
-                    FootprintLedger& ledger, std::vector<std::size_t>& batch,
-                    std::vector<std::size_t>& deferred) {
-    batch.clear();
-    deferred.clear();
-    for (const std::size_t idx : pending) {
-        const PlanTask& t = tasks[idx];
-        MRLG_DCHECK(t.state == PlanTask::State::kPending,
-                    "partition input must be pending");
-        if (ledger.conflicts(t.footprint)) {
-            deferred.push_back(idx);
-        } else {
-            batch.push_back(idx);
-        }
-        // Claim either way: later queue entries must wait for this cell's
-        // serial turn even when it could not join the batch itself.
-        ledger.claim(t.footprint);
-    }
+    return level;
 }
 
 }  // namespace mrlg

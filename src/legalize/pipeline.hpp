@@ -3,33 +3,45 @@
 /// Region-parallel plan/commit pipeline support for the legalizer.
 ///
 /// The legalizer's retry rounds process a pending-cell queue. In the
-/// region-parallel pipeline each round runs as a sequence of *waves*:
+/// region-parallel pipeline each round is scheduled once and then runs as
+/// a sequence of *waves*:
 ///
-///   1. partition — walk the queue in order; each cell claims its
-///      conservative AttemptFootprint in a FootprintLedger. A cell joins
-///      the wave's batch iff its footprint is disjoint from every claim
-///      made by *earlier* queue entries (batched or deferred); otherwise
-///      it defers to the next wave, keeping its queue position.
-///   2. plan — the batch's MLL problems are solved concurrently, read-only
+///   1. schedule — walk the queue in order; each cell's *level* is 1 + the
+///      highest level already stored in the FootprintLedger buckets its
+///      conservative AttemptFootprint covers (1 when none is claimed), and
+///      the cell stores its level in those buckets. Wave k is the level-k
+///      cells, in queue order (one counting sort).
+///   2. plan — a wave's MLL problems are solved concurrently, read-only
 ///      against the wave-start grid (mll_plan, per-thread scratch).
 ///   3. commit — plans are applied serially in queue order (mll_commit).
 ///
-/// Serial equivalence, by induction over the queue: a batched cell's
-/// footprint is disjoint from every earlier pending cell's claim, and a
-/// serial attempt only mutates state inside its own footprint (failed
-/// attempts mutate nothing), so the state a batched cell's plan reads
-/// equals the state its serial turn would have seen, and its commit writes
-/// exactly what the serial attempt would have written. Deferred cells
-/// re-enter the next wave against a grid identical to their serial-turn
-/// state for the same reason. The outcome is therefore bit-identical to
-/// the one-cell-at-a-time loop at every thread count — including the
-/// degenerate dense case where every footprint conflicts and each wave
-/// batches exactly one cell (serial order, serial speed).
+/// Worked example (queue order a, b, c, d; rows ↓, x →):
 ///
-/// Determinism contract: the partition walks the queue in index order and
-/// the ledger is a fixed-layout bitmap — nothing here may iterate an
+///   row 3   ·······[ d ]····          a: level 1 (nothing claimed yet)
+///   row 2   [ a ]··[ d ]····          b: overlaps a           → level 2
+///   row 1   [ a ][b]·······[ c ]      c: overlaps neither a nor b → 1
+///   row 0   ·····[b]·······[ c ]      d: rows 2-3 clear of a, b, c → 1
+///           wave 1 = {a, c, d}, wave 2 = {b}
+///
+/// Serial equivalence, by induction over the queue: every earlier cell
+/// whose footprint overlaps a level-k cell's has a lower level, so it has
+/// committed (or failed) before wave k plans; every cell committed before
+/// wave k that is *later* in the queue has a footprint disjoint from this
+/// one. A serial attempt only mutates state inside its own footprint
+/// (failed attempts mutate nothing), so the state a wave-k plan reads
+/// equals the state its serial turn would have seen, and its commit
+/// writes exactly what the serial attempt would have written. The outcome
+/// is therefore bit-identical to the one-cell-at-a-time loop at every
+/// thread count — including the degenerate dense case where every
+/// footprint overlaps its predecessor and each wave holds one cell.
+/// The levels reproduce the greedy wave-by-wave partition exactly (a cell
+/// defers past wave j iff an earlier overlapping cell is still pending
+/// there), so a round defers Σ(level − 1) cells in total.
+///
+/// Determinism contract: the schedule walks the queue in index order and
+/// the ledger is a fixed-layout array — nothing here may iterate an
 /// unordered container or depend on thread scheduling
-/// (tools/lint_determinism.py pins this file down).
+/// (`tools/mrlg_lint.py determinism` pins this file down).
 
 #include <cstdint>
 #include <vector>
@@ -39,39 +51,34 @@
 
 namespace mrlg {
 
-/// Bitmask ledger of claimed footprints: per die row, one bit per
-/// kBucketSites-wide x bucket. Claims round *outward* to bucket
-/// boundaries, so the ledger is conservative — it may report a conflict
-/// for footprints up to kBucketSites-1 sites apart, which only defers a
-/// cell by a wave, never lets a real overlap through. The payoff is that
-/// conflict tests and claims are a handful of word-wide AND/OR operations;
-/// the partition runs once per wave over every pending cell, so per-claim
-/// cost dominates the pipeline's serial overhead.
+/// Per-bucket wave levels of the footprints claimed so far: per die row,
+/// one level per kBucketSites-wide x bucket. Claims round *outward* to
+/// bucket boundaries, so the ledger is conservative — footprints up to
+/// kBucketSites-1 sites apart may land in different waves, which only
+/// costs parallelism, never lets a real overlap share a wave.
 class FootprintLedger {
 public:
-    /// Sites per conflict bucket (power of two; one bit per bucket).
+    /// Sites per bucket.
     static constexpr SiteCoord kBucketSites = 8;
 
-    /// Prepares the ledger for `num_rows` die rows spanning `x_extent`
+    /// Clears the ledger for `num_rows` die rows spanning `x_extent`
     /// sites. Claims are clamped to the die on both axes: a footprint
     /// slice outside the rows or the x extent can hold no cell or segment,
     /// so two footprints overlapping only out there cannot interact.
     void reset(std::size_t num_rows, Span x_extent);
 
-    /// True when `fp` overlaps any claimed footprint (bucket-conservative).
-    bool conflicts(const AttemptFootprint& fp) const;
-
-    /// Claims `fp`. Claimed even for deferred cells — later queue entries
-    /// must yield to earlier ones regardless of whether those made it into
-    /// the batch.
-    void claim(const AttemptFootprint& fp);
+    /// Claims `fp` and returns its level: 1 + the highest level stored in
+    /// the buckets it covers (1 when they are all unclaimed, or when `fp`
+    /// lies wholly outside the die). That level is stored in every one of
+    /// those buckets.
+    std::uint32_t claim(const AttemptFootprint& fp);
 
 private:
     Span x_extent_{0, 0};
     std::size_t num_rows_ = 0;
-    std::size_t words_per_row_ = 0;
-    /// Row-major bucket bitmap, words_per_row_ words per row.
-    std::vector<std::uint64_t> bits_;
+    std::size_t buckets_per_row_ = 0;
+    /// Row-major bucket levels, buckets_per_row_ per row; 0 = unclaimed.
+    std::vector<std::uint32_t> levels_;
 };
 
 /// One pending cell's state across the waves of a round.
@@ -84,8 +91,7 @@ struct PlanTask {
     AttemptFootprint footprint;
 
     enum class State {
-        kPending,   ///< Waiting for a wave.
-        kInBatch,   ///< Selected by the current wave's partition.
+        kPending,   ///< Waiting for its wave.
         kPlaced,    ///< Committed (direct or MLL).
         kFailed,    ///< MLL failed this round; retry next round.
     };
@@ -95,15 +101,5 @@ struct PlanTask {
     bool direct = false;  ///< fitted slot was free; no MLL plan needed.
     MllPlan plan;
 };
-
-/// Deterministic greedy interval-conflict partition: appends to `batch`
-/// the indices (into `tasks`) of `pending` entries whose footprints are
-/// pairwise disjoint *and* disjoint from every earlier pending claim, and
-/// to `deferred` the rest, both in `pending` order. `ledger` must be
-/// reset by the caller; on return it holds every pending claim.
-void partition_wave(const std::vector<PlanTask>& tasks,
-                    const std::vector<std::size_t>& pending,
-                    FootprintLedger& ledger, std::vector<std::size_t>& batch,
-                    std::vector<std::size_t>& deferred);
 
 }  // namespace mrlg

@@ -27,6 +27,18 @@ struct LaneCache {
 };
 thread_local LaneCache t_lane_cache;
 
+/// Per-wave schedule accounting, aggregated from the merged events.
+struct WaveSchedule {
+    std::uint32_t wave = 0;
+    std::uint64_t wall_ns = 0;       ///< "wave" span (orchestrator).
+    std::uint64_t partition_ns = 0;  ///< "partition" span keyed to it.
+    std::uint64_t plan_ns = 0;       ///< "plan" span (the fan-out window).
+    std::uint64_t commit_ns = 0;     ///< "commit" span (serial applies).
+    std::uint64_t task_sum_ns = 0;   ///< Σ "plan.task" durations.
+    std::uint64_t task_max_ns = 0;   ///< Longest "plan.task" (critical path).
+    std::uint32_t tasks = 0;         ///< "plan.task" spans in this wave.
+};
+
 }  // namespace
 
 Timeline* current_timeline() {
@@ -227,10 +239,6 @@ ScheduleReport derive_schedule_report(const Timeline& timeline, int threads) {
         }
     }
     report.waves_total = waves.size();
-    if (waves.size() > ScheduleReport::kMaxWaveDetail) {
-        waves.resize(ScheduleReport::kMaxWaveDetail);
-    }
-    report.waves = std::move(waves);
 
     if (report.plan_ns > 0) {
         const double plan = static_cast<double>(report.plan_ns);
@@ -238,8 +246,12 @@ ScheduleReport derive_schedule_report(const Timeline& timeline, int threads) {
             static_cast<double>(report.task_sum_ns) / (plan * t), 0.0, 1.0);
         report.straggler_share = std::clamp(straggler_ns / plan, 0.0, 1.0);
     }
-    if (report.wave_wall_ns > 0) {
-        const double wall = static_cast<double>(report.wave_wall_ns);
+    // The round's partition span sits outside its waves, so pipeline
+    // time is wave wall plus partition.
+    const std::uint64_t pipeline_ns =
+        report.wave_wall_ns + report.partition_ns;
+    if (pipeline_ns > 0) {
+        const double wall = static_cast<double>(pipeline_ns);
         report.commit_serial_share = std::clamp(
             static_cast<double>(report.commit_ns) / wall, 0.0, 1.0);
         report.partition_share = std::clamp(
@@ -267,21 +279,6 @@ Json schedule_report_json(const ScheduleReport& report) {
     j.set("partition_share", Json::num(report.partition_share));
     j.set("task_us", histogram_json(report.task_us));
     j.set("wave_idle_pct", histogram_json(report.wave_idle_pct));
-
-    Json waves = Json::array();
-    for (const WaveSchedule& w : report.waves) {
-        Json wj = Json::object();
-        wj.set("wave", Json::num(static_cast<std::size_t>(w.wave)));
-        wj.set("wall_ns", Json::num(w.wall_ns));
-        wj.set("partition_ns", Json::num(w.partition_ns));
-        wj.set("plan_ns", Json::num(w.plan_ns));
-        wj.set("commit_ns", Json::num(w.commit_ns));
-        wj.set("task_sum_ns", Json::num(w.task_sum_ns));
-        wj.set("task_max_ns", Json::num(w.task_max_ns));
-        wj.set("tasks", Json::num(static_cast<std::size_t>(w.tasks)));
-        waves.push(std::move(wj));
-    }
-    j.set("waves", std::move(waves));
     return j;
 }
 

@@ -21,7 +21,7 @@
 ///   * Timeline timestamps are wall-clock *by design* and never feed any
 ///     deterministic output. What IS deterministic is the merged event
 ///     *sequence*: events carry a stable `{wave, slot, task}` key assigned
-///     by the (deterministic) partition, and `merge()` orders by that key
+///     by the (deterministic) wave schedule, and `merge()` orders by that key
 ///     — never by timestamp, lane, or registration order — so two runs
 ///     with arbitrarily different thread interleavings merge to the same
 ///     ordered sequence of (name, kind, key) tuples.
@@ -186,34 +186,19 @@ private:
 // Derived scheduling metrics (the run report's `timeline` block and the
 // mrlg_profile bottleneck analysis).
 
-/// Per-wave schedule accounting, aggregated from the merged events.
-struct WaveSchedule {
-    std::uint32_t wave = 0;
-    std::uint64_t wall_ns = 0;       ///< "wave" span (orchestrator).
-    std::uint64_t partition_ns = 0;  ///< "partition" span.
-    std::uint64_t plan_ns = 0;       ///< "plan" span (the fan-out window).
-    std::uint64_t commit_ns = 0;     ///< "commit" span (serial applies).
-    std::uint64_t task_sum_ns = 0;   ///< Σ "plan.task" durations.
-    std::uint64_t task_max_ns = 0;   ///< Longest "plan.task" (critical path).
-    std::uint32_t tasks = 0;         ///< "plan.task" spans in this wave.
-};
-
 /// Whole-run schedule report. Shares (utilization, straggler, commit
-/// serialization) are in [0, 1]; see docs/REPORT.md for the exact
-/// definitions. `waves` carries per-wave detail capped at
-/// `kMaxWaveDetail` entries (`waves_total` always counts all of them —
-/// truncation is explicit, never silent).
+/// and partition serialization) are in [0, 1]; see docs/REPORT.md for
+/// the exact definitions. Per-wave detail is not kept here — it lives in
+/// the Chrome trace export (`--trace`).
 struct ScheduleReport {
-    static constexpr std::size_t kMaxWaveDetail = 128;
-
     int threads = 0;  ///< Thread budget the shares are computed against.
     std::size_t lanes = 0;
     std::uint64_t dropped_events = 0;
     std::size_t waves_total = 0;
-    std::vector<WaveSchedule> waves;  ///< First kMaxWaveDetail waves.
 
-    // Aggregates over ALL waves (not just the detailed ones).
+    // Aggregates over all waves.
     std::uint64_t wave_wall_ns = 0;
+    /// Σ "partition" spans: one per round, outside its waves.
     std::uint64_t partition_ns = 0;
     std::uint64_t plan_ns = 0;
     std::uint64_t commit_ns = 0;
@@ -228,17 +213,19 @@ struct ScheduleReport {
     /// wall time attributable to the longest task overhanging a perfectly
     /// balanced schedule.
     double straggler_share = 0.0;
-    /// Σ commit / Σ wave wall: serial commit's share of pipeline time.
+    /// Σ commit / (Σ wave wall + Σ partition): serial commit's share of
+    /// pipeline time.
     double commit_serial_share = 0.0;
-    /// Σ partition / Σ wave wall: serial partition's share.
+    /// Σ partition / (Σ wave wall + Σ partition): the serial schedule
+    /// pass's share of pipeline time.
     double partition_share = 0.0;
 
     Histogram task_us;        ///< Per-task plan durations (µs).
     Histogram wave_idle_pct;  ///< Per-wave pool idle percentage (0-100).
 };
 
-/// Folds the timeline's merged events into per-wave and aggregate
-/// scheduling metrics. `threads` is the configured thread budget of the
+/// Folds the timeline's merged events into aggregate scheduling
+/// metrics. `threads` is the configured thread budget of the
 /// run (used for utilization/straggler math; <= 0 is treated as 1).
 ScheduleReport derive_schedule_report(const Timeline& timeline, int threads);
 

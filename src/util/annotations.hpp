@@ -13,7 +13,7 @@
 ///    from code that explicitly holds the GridWriteCap capability — which
 ///    only the serial construction and commit/retry paths acquire
 ///    (db/write_cap.hpp).
-///  * tools/analyze_effects.py checks the *read side*: the transitive
+///  * `tools/mrlg_lint.py effects` checks the *read side*: the transitive
 ///    closure of mll_plan (and everything the region-parallel plan stage
 ///    dispatches) must never reach one of those mutators, const_cast, a
 ///    mutable member of the shared classes, or an unsynchronized global.
@@ -91,6 +91,6 @@
 /// shared placement state (Database / SegmentGrid / Cell) and touches no
 /// unsynchronized global — i.e. it is safe to run on pool threads during
 /// the region-parallel plan phase. Expands to nothing for every compiler;
-/// tools/analyze_effects.py cross-checks each marked function against the
+/// `tools/mrlg_lint.py effects` cross-checks each marked function against the
 /// proven read-only closure, so the marker cannot silently rot.
-#define MRLG_EFFECT_READONLY /* checked by tools/analyze_effects.py */
+#define MRLG_EFFECT_READONLY /* checked by tools/mrlg_lint.py effects */

@@ -1,4 +1,4 @@
-// Known-bad fixture for tools/analyze_effects.py (never compiled). The
+// Known-bad fixture for `tools/mrlg_lint.py effects` (never compiled). The
 // marked function launders the const contract with const_cast and then
 // calls a setter — the analyzer must report const-cast (and the setter
 // call as plan-mutation).

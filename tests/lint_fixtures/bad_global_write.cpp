@@ -1,4 +1,4 @@
-// Known-bad fixture for tools/analyze_effects.py (never compiled). The
+// Known-bad fixture for `tools/mrlg_lint.py effects` (never compiled). The
 // marked function mutates a namespace-scope global and keeps mutable
 // function-local static state — both race under the concurrent plan
 // fan-out; the analyzer must report global-state for each.

@@ -1,5 +1,5 @@
-// Known-bad fixture for tools/analyze_effects.py (never compiled; see
-// tests/test_analyze_effects.py). A function marked MRLG_EFFECT_READONLY
+// Known-bad fixture for `tools/mrlg_lint.py effects` (never compiled;
+// see tests/test_lint_fixtures.py). A function marked MRLG_EFFECT_READONLY
 // reaches mll_commit through a helper — the analyzer must report a
 // plan-mutation finding with the two-hop witness chain.
 

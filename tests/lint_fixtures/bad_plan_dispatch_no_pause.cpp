@@ -1,4 +1,4 @@
-// Known-bad fixture for tools/analyze_effects.py (never compiled). A
+// Known-bad fixture for `tools/mrlg_lint.py effects` (never compiled). A
 // plan-phase parallel_for dispatch without obs::TracerPause: the workers
 // would race on the ambient tracer. The analyzer must report
 // tracer-pause.

@@ -1,4 +1,4 @@
-// Known-good fixture for tools/analyze_effects.py (never compiled). A
+// Known-good fixture for `tools/mrlg_lint.py effects` (never compiled). A
 // well-behaved planning closure: const receivers everywhere, scratch
 // passed explicitly, thread_local allowed, dispatch pauses the tracer.
 // The analyzer must report nothing.

@@ -2,7 +2,7 @@
 // worker-visible timeline file reaching for the serial Tracer. The
 // Tracer is single-threaded by contract; calling it from code that pool
 // workers execute is a data race. The linter must flag every access
-// token below (tests/test_analyze_effects.py asserts it does).
+// token below (tests/test_lint_fixtures.py asserts it does).
 
 namespace mrlg::obs {
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "eval/legality.hpp"
@@ -16,6 +18,7 @@
 #include "obs/timeline.hpp"
 #include "qa/generators.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 
 namespace mrlg::test {
 namespace {
@@ -50,7 +53,7 @@ TEST(AttemptFootprint, OverlapNeedsBothAxes) {
 }
 
 // ---------------------------------------------------------------------------
-// Ledger / partition unit tests.
+// Ledger / level-schedule unit tests.
 
 AttemptFootprint fp(SiteCoord row_lo, SiteCoord row_hi, SiteCoord x_lo,
                     SiteCoord x_hi) {
@@ -60,47 +63,123 @@ AttemptFootprint fp(SiteCoord row_lo, SiteCoord row_hi, SiteCoord x_lo,
     return f;
 }
 
-TEST(FootprintLedger, ClaimAndConflict) {
+TEST(FootprintLedger, LevelsStackOnOverlapAndClampToTheDie) {
     FootprintLedger ledger;
     ledger.reset(8, Span{0, 1024});
-    EXPECT_FALSE(ledger.conflicts(fp(0, 2, 16, 30)));
-    ledger.claim(fp(0, 2, 16, 30));
-    EXPECT_TRUE(ledger.conflicts(fp(1, 3, 24, 48)));   // real overlap
-    EXPECT_FALSE(ledger.conflicts(fp(2, 4, 24, 48)));  // rows disjoint
+    EXPECT_EQ(ledger.claim(fp(0, 2, 16, 30)), 1u);  // empty ledger
+    EXPECT_EQ(ledger.claim(fp(1, 3, 24, 48)), 2u);  // real overlap
+    EXPECT_EQ(ledger.claim(fp(3, 5, 24, 48)), 1u);  // rows disjoint
     // The ledger is bucket-conservative (kBucketSites granularity): a
-    // footprint sharing a bucket with a claim conflicts even when the
-    // exact spans only touch. That defers a cell by a wave; never wrong.
-    EXPECT_TRUE(ledger.conflicts(fp(0, 2, 30, 48)));
+    // footprint sharing a bucket with a claim stacks on it even when the
+    // exact spans only touch. That delays a cell by a wave; never wrong.
+    EXPECT_EQ(ledger.claim(fp(0, 1, 30, 32)), 2u);
     // From the next bucket boundary onward it is clean again.
-    EXPECT_FALSE(ledger.conflicts(fp(0, 2, 32, 48)));
-    // Spans straddling word boundaries (bucket 64 = word 1) still track.
-    ledger.claim(fp(4, 6, 500, 560));
-    EXPECT_TRUE(ledger.conflicts(fp(5, 6, 520, 530)));
-    EXPECT_FALSE(ledger.conflicts(fp(4, 6, 320, 420)));
+    EXPECT_EQ(ledger.claim(fp(0, 1, 32, 40)), 1u);
+    // A level is 1 + the *highest* level under the footprint, whichever
+    // of its rows holds it.
+    EXPECT_EQ(ledger.claim(fp(0, 3, 28, 34)), 3u);
+    EXPECT_EQ(ledger.claim(fp(0, 3, 40, 48)), 3u);  // row 0 free, 1-2 at 2
+    EXPECT_EQ(ledger.claim(fp(4, 6, 500, 560)), 1u);
+    EXPECT_EQ(ledger.claim(fp(5, 6, 520, 530)), 2u);
     // Rows and x outside the die are clamped away, not tracked.
-    ledger.claim(fp(-3, 0, 0, 16));
-    EXPECT_FALSE(ledger.conflicts(fp(0, 1, 0, 16)));
-    ledger.claim(fp(6, 8, -200, 0));
-    EXPECT_FALSE(ledger.conflicts(fp(6, 8, 0, 40)));
+    EXPECT_EQ(ledger.claim(fp(-3, 0, 0, 16)), 1u);
+    EXPECT_EQ(ledger.claim(fp(0, 1, 0, 16)), 1u);
+    EXPECT_EQ(ledger.claim(fp(6, 8, -200, 0)), 1u);
+    EXPECT_EQ(ledger.claim(fp(6, 8, 0, 40)), 1u);
+    // A footprint straddling the die edge keeps its inside part.
+    EXPECT_EQ(ledger.claim(fp(7, 12, 1000, 1100)), 1u);
+    EXPECT_EQ(ledger.claim(fp(7, 8, 1016, 1024)), 2u);
 }
 
-TEST(PartitionWave, EarlierClaimsWinDeferredKeepOrder) {
-    std::vector<PlanTask> tasks(4);
-    tasks[0].footprint = fp(0, 2, 0, 10);
-    tasks[1].footprint = fp(0, 2, 5, 15);    // conflicts with 0 → defer
-    tasks[2].footprint = fp(0, 2, 12, 20);   // conflicts with 1's *claim*
-    tasks[3].footprint = fp(4, 6, 0, 10);    // independent rows → batch
-    const std::vector<std::size_t> pending{0, 1, 2, 3};
+TEST(LevelSchedule, EarlierClaimsRaiseLaterLevels) {
+    const std::vector<AttemptFootprint> fps{
+        fp(0, 2, 0, 10),
+        fp(0, 2, 5, 15),   // overlaps 0 → wave 2
+        fp(0, 2, 12, 20),  // overlaps 1 → wave 3, after 1 commits
+        fp(4, 6, 0, 10),   // independent rows → wave 1
+    };
     FootprintLedger ledger;
     ledger.reset(8, Span{0, 256});
-    std::vector<std::size_t> batch;
-    std::vector<std::size_t> deferred;
-    partition_wave(tasks, pending, ledger, batch, deferred);
-    EXPECT_EQ(batch, (std::vector<std::size_t>{0, 3}));
-    // Task 2 defers because the *deferred* task 1 claimed its interval —
-    // the serial-equivalence rule: later cells yield to every earlier
-    // pending cell, batched or not.
-    EXPECT_EQ(deferred, (std::vector<std::size_t>{1, 2}));
+    std::vector<std::uint32_t> levels;
+    for (const AttemptFootprint& f : fps) {
+        levels.push_back(ledger.claim(f));
+    }
+    // Task 2 does not overlap task 0, but it must wait for task 1 — the
+    // serial-equivalence rule: later cells yield to every earlier
+    // overlapping cell, whatever wave that cell itself lands in.
+    EXPECT_EQ(levels, (std::vector<std::uint32_t>{1, 2, 3, 1}));
+}
+
+/// Wave-by-wave greedy reference for the level schedule: each wave walks
+/// the still-pending footprints in queue order; one joins the wave iff
+/// its bucket-rounded, die-clamped extent misses every earlier pending
+/// footprint of that walk (joined or not). O(n²) per wave.
+std::vector<std::uint32_t> greedy_waves(
+    const std::vector<AttemptFootprint>& fps, SiteCoord num_rows,
+    Span x_extent) {
+    const SiteCoord b = FootprintLedger::kBucketSites;
+    std::vector<AttemptFootprint> buckets;
+    for (const AttemptFootprint& f : fps) {
+        AttemptFootprint c;
+        c.rows = Span{std::max<SiteCoord>(f.rows.lo, 0),
+                      std::min(f.rows.hi, num_rows)};
+        const SiteCoord lo = std::max(f.x.lo, x_extent.lo) - x_extent.lo;
+        const SiteCoord hi = std::min(f.x.hi, x_extent.hi) - x_extent.lo;
+        c.x = lo < hi ? Span{lo / b, (hi + b - 1) / b} : Span{0, 0};
+        buckets.push_back(c);
+    }
+    std::vector<std::uint32_t> wave(fps.size(), 0);
+    std::vector<std::size_t> pending(fps.size());
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+        pending[i] = i;
+    }
+    for (std::uint32_t w = 1; !pending.empty(); ++w) {
+        std::vector<std::size_t> deferred;
+        for (std::size_t k = 0; k < pending.size(); ++k) {
+            const AttemptFootprint& f = buckets[pending[k]];
+            bool conflict = false;
+            for (std::size_t j = 0; j < k && !conflict; ++j) {
+                const AttemptFootprint& e = buckets[pending[j]];
+                conflict = !f.rows.empty() && !f.x.empty() &&
+                           !e.rows.empty() && !e.x.empty() && f.overlaps(e);
+            }
+            if (conflict) {
+                deferred.push_back(pending[k]);
+            } else {
+                wave[pending[k]] = w;
+            }
+        }
+        pending = std::move(deferred);
+    }
+    return wave;
+}
+
+TEST(LevelSchedule, LevelsEqualGreedyWaveByWavePartition) {
+    const SiteCoord num_rows = 16;
+    const Span x_extent{5, 405};
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+        Rng rng(seed);
+        std::vector<AttemptFootprint> fps;
+        for (int i = 0; i < 300; ++i) {
+            const auto row = static_cast<SiteCoord>(rng.uniform(-3, 17));
+            const auto rows = static_cast<SiteCoord>(rng.uniform(1, 6));
+            const auto x = static_cast<SiteCoord>(rng.uniform(-20, 420));
+            const auto w = static_cast<SiteCoord>(rng.uniform(1, 60));
+            fps.push_back(fp(row, row + rows, x, x + w));
+        }
+        FootprintLedger ledger;
+        ledger.reset(static_cast<std::size_t>(num_rows), x_extent);
+        std::vector<std::uint32_t> levels;
+        for (const AttemptFootprint& f : fps) {
+            levels.push_back(ledger.claim(f));
+        }
+        const std::vector<std::uint32_t> expected =
+            greedy_waves(fps, num_rows, x_extent);
+        EXPECT_EQ(levels, expected) << "seed " << seed;
+        // Dense enough that the schedule actually stacks.
+        EXPECT_GT(*std::max_element(levels.begin(), levels.end()), 3u)
+            << "seed " << seed;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -238,7 +317,7 @@ TEST(RegionParallel, SaturatedDesignsDegradeGracefully) {
             total_requeues += rp.stats.conflict_requeues;
         }
     }
-    // At ~90% density the partition must actually be deferring work.
+    // At ~90% density the schedule must actually be deferring work.
     EXPECT_GT(total_requeues, 0u);
 }
 

@@ -4,10 +4,8 @@ Two rule families share one framework (findings, suppressions, baseline,
 reporting — see framework.py):
 
   determinism  line-level lint rejecting ambient nondeterminism
-               (tools/lint_determinism.py is a thin wrapper)
   effects      whole-program phase-effect analysis proving the plan
                phase of the region-parallel pipeline read-only
-               (tools/analyze_effects.py is a thin wrapper)
 
 Entry point: tools/mrlg_lint.py {effects|determinism|all}.
 """

@@ -1,5 +1,4 @@
-"""Determinism lint rules (the former tools/lint_determinism.py body,
-rehomed onto the shared framework so effects and determinism share one
+"""Determinism lint rules (`tools/mrlg_lint.py determinism`), built on the shared framework so effects and determinism share one
 suppression syntax, one reporter, and one CI stage).
 
 PR 1 made the parallel evaluation layer bit-identical at any thread

@@ -161,11 +161,11 @@ std::vector<Limiter> rank_limiters(const ProfiledRun& run,
     }
     out.push_back({"commit_serialization", s.commit_serial_share,
                    format_fixed(100.0 * s.commit_serial_share, 1) +
-                       "% of wave wall time is the serial commit phase"});
+                       "% of pipeline time is the serial commit phase"});
     out.push_back({"partition_serialization", s.partition_share,
                    format_fixed(100.0 * s.partition_share, 1) +
-                       "% of wave wall time is the serial region "
-                       "partition"});
+                       "% of pipeline time is the serial wave "
+                       "schedule"});
     out.push_back({"straggler_imbalance", s.straggler_share,
                    format_fixed(100.0 * s.straggler_share, 1) +
                        "% of plan wall time is the longest task "
