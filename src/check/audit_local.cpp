@@ -13,6 +13,23 @@ std::string lr_who(const Database& db, CellId id) {
     return os.str();
 }
 
+/// True when the present rows' [begin, end) slices tile [0, pool_size) in
+/// row order and every absent row's slice is empty.
+template <typename Header>
+bool csr_rows_ok(const std::vector<Header>& rows, std::size_t pool_size) {
+    int next = 0;
+    for (const Header& h : rows) {
+        if (h.begin > h.end || (!h.present && h.begin != h.end) ||
+            (h.present && h.begin != next)) {
+            return false;
+        }
+        if (h.present) {
+            next = h.end;
+        }
+    }
+    return static_cast<std::size_t>(next) == pool_size;
+}
+
 }  // namespace
 
 AuditReport audit_local_region(const Database& db, const SegmentGrid& grid,
@@ -30,12 +47,31 @@ AuditReport audit_local_region(const Database& db, const SegmentGrid& grid,
         return std::binary_search(locals.begin(), locals.end(), c);
     };
 
+    // CSR layout first: every other check reads rows through it.
+    if (!csr_rows_ok(region.row_headers(), region.row_cell_pool().size()) ||
+        region.row_local_pool().size() != region.row_cell_pool().size()) {
+        r.add("lr-csr",
+              "row headers do not tile the flat cell arrays in row order");
+        return r;
+    }
+    for (std::size_t i = 0; i < region.row_cell_pool().size(); ++i) {
+        const int li = region.row_local_pool()[i];
+        if (li < 0 || static_cast<std::size_t>(li) >= locals.size() ||
+            locals[static_cast<std::size_t>(li)] !=
+                region.row_cell_pool()[i]) {
+            std::ostringstream os;
+            os << "row slot " << i << " local index " << li
+               << " does not name " << lr_who(db, region.row_cell_pool()[i]);
+            r.add("lr-local-index", os.str());
+        }
+    }
+
     std::size_t listed = 0;
     for (int k = 0; k < region.height(); ++k) {
         if (!region.has_row(k)) {
             continue;
         }
-        const LocalRow& row = region.row(k);
+        const LocalRow row = region.row(k);
         const SiteCoord y = region.y0() + static_cast<SiteCoord>(k);
         if (row.y != y) {
             std::ostringstream os;
@@ -143,7 +179,7 @@ AuditReport audit_local_region(const Database& db, const SegmentGrid& grid,
                 r.add("lr-cell-rows", os.str());
                 continue;
             }
-            const auto& cells = region.row(k).cells;
+            const std::span<const CellId> cells = region.row(k).cells;
             if (std::find(cells.begin(), cells.end(), cid) == cells.end()) {
                 std::ostringstream os;
                 os << lr_who(db, cid) << " missing from local row " << k
@@ -167,11 +203,50 @@ AuditReport audit_local_problem(const LocalProblem& lp, bool minmax_filled) {
     r.scope = "local-problem";
     const int n = lp.num_cells();
 
+    // CSR layout first: every other check reads rows and row positions
+    // through it.
+    if (!csr_rows_ok(lp.row_headers(), lp.row_cell_pool().size())) {
+        r.add("lp-csr",
+              "row headers do not tile the flat cell array in row order");
+        return r;
+    }
+    // pos_in_row pool: cell i owns the h slots starting at the sum of the
+    // heights before it, and each slot holds the cell's position in that
+    // row's list.
+    bool pool_ok = true;
+    int next_slot = 0;
+    for (int i = 0; i < n && pool_ok; ++i) {
+        const LpCell& c = lp.cell(i);
+        pool_ok = c.pos0 == next_slot && c.h >= 0;
+        next_slot += static_cast<int>(c.h);
+    }
+    pool_ok = pool_ok &&
+              static_cast<std::size_t>(next_slot) == lp.pos_pool().size();
+    if (!pool_ok) {
+        r.add("lp-pos-pool", "cells' pos_in_row slots do not tile the pool "
+                             "in cell order");
+    }
+    for (int i = 0; i < n && pool_ok; ++i) {
+        const LpCell& c = lp.cell(i);
+        for (int j = 0; j < c.h; ++j) {
+            const int k = c.k0 + j;
+            const int pos = lp.pos_in_row(i, j);
+            if (!lp.has_row(k) || pos < 0 ||
+                static_cast<std::size_t>(pos) >= lp.row(k).cells.size() ||
+                lp.row(k).cells[static_cast<std::size_t>(pos)] != i) {
+                std::ostringstream os;
+                os << "lp cell " << i << " pos_in_row slot " << j
+                   << " is unfilled or names another cell";
+                r.add("lp-pos-pool", os.str());
+            }
+        }
+    }
+
     for (int k = 0; k < lp.num_rows(); ++k) {
         if (!lp.has_row(k)) {
             continue;
         }
-        const LpRow& row = lp.row(k);
+        const LpRow row = lp.row(k);
         if (row.y != lp.y0() + static_cast<SiteCoord>(k)) {
             std::ostringstream os;
             os << "lp row " << k << " claims absolute row " << row.y;
@@ -207,9 +282,8 @@ AuditReport audit_local_problem(const LocalProblem& lp, bool minmax_filled) {
             }
             prev_end = c.x + c.w;
             const int j = k - c.k0;
-            if (j < 0 || j >= static_cast<int>(c.pos_in_row.size()) ||
-                c.pos_in_row[static_cast<std::size_t>(j)] !=
-                    static_cast<int>(pos)) {
+            if (j < 0 || j >= c.h ||
+                (pool_ok && lp.pos_in_row(i, j) != static_cast<int>(pos))) {
                 std::ostringstream os;
                 os << "lp cell " << i << " pos_in_row inconsistent on lp row "
                    << k;
@@ -231,12 +305,6 @@ AuditReport audit_local_problem(const LocalProblem& lp, bool minmax_filled) {
             os << "lp cell " << i << " k0 " << c.k0
                << " disagrees with its row " << c.y;
             r.add("lp-cell-row", os.str());
-        }
-        if (static_cast<SiteCoord>(c.pos_in_row.size()) != c.h) {
-            std::ostringstream os;
-            os << "lp cell " << i << " has " << c.pos_in_row.size()
-               << " row positions for height " << c.h;
-            r.add("lp-pos-size", os.str());
         }
         for (SiteCoord j = 0; j < c.h; ++j) {
             if (!lp.has_row(c.k0 + static_cast<int>(j))) {
@@ -280,7 +348,7 @@ AuditReport audit_local_problem(const LocalProblem& lp, bool minmax_filled) {
             if (!lp.has_row(k)) {
                 continue;
             }
-            const auto& cells = lp.row(k).cells;
+            const std::span<const int> cells = lp.row(k).cells;
             for (std::size_t pos = 1; pos < cells.size(); ++pos) {
                 const LpCell& a = lp.cell(cells[pos - 1]);
                 const LpCell& b = lp.cell(cells[pos]);

@@ -13,6 +13,9 @@
 namespace mrlg {
 
 /// Post-conditions of extract_local_region (§2.1.3):
+///  * the CSR layout holds: present rows' slices tile the flat cell arrays
+///    in row order, absent rows are empty, and every row slot's local
+///    index names that slot's cell in local_cells();
 ///  * row k describes absolute row y0+k with a non-empty span contained in
 ///    both the window and its enclosing SegmentGrid segment (of the
 ///    requested fence region);
@@ -26,7 +29,10 @@ AuditReport audit_local_region(const Database& db, const SegmentGrid& grid,
                                const LocalRegion& region,
                                int fence_region = 0);
 
-/// Structural invariants of a built LocalProblem, plus (when
+/// Structural invariants of a built LocalProblem — including its CSR
+/// layout: row slices tile the flat cell array, cells' pos_in_row slots
+/// tile the flat pool in cell order, and every slot is filled and agrees
+/// with the row lists — plus (when
 /// `minmax_filled`) the §5.1.1 bounds: xl <= x <= xr for every cell, both
 /// packings inside the row spans, and each packing preserving the per-row
 /// cell order without overlap.

@@ -4,19 +4,6 @@
 
 namespace mrlg {
 
-std::size_t Database::check(CellId id) const {
-    MRLG_ASSERT(id.valid() && id.index() < cells_.size(), "bad CellId");
-    return id.index();
-}
-std::size_t Database::check(NetId id) const {
-    MRLG_ASSERT(id.valid() && id.index() < nets_.size(), "bad NetId");
-    return id.index();
-}
-std::size_t Database::check(PinId id) const {
-    MRLG_ASSERT(id.valid() && id.index() < pins_.size(), "bad PinId");
-    return id.index();
-}
-
 CellId Database::add_cell(Cell cell) {
     MRLG_ASSERT(cell.width() > 0 && cell.height() > 0,
                 "cell dimensions must be positive");

@@ -15,6 +15,7 @@
 #include "db/floorplan.hpp"
 #include "db/net.hpp"
 #include "db/write_cap.hpp"
+#include "util/assert.hpp"
 
 namespace mrlg {
 
@@ -75,9 +76,20 @@ public:
     std::vector<ArenaUsage> memory_breakdown() const;
 
 private:
-    std::size_t check(CellId id) const;
-    std::size_t check(NetId id) const;
-    std::size_t check(PinId id) const;
+    // Inline: cell(id) sits on every hot path, and the always-on check
+    // must not cost a call.
+    std::size_t check(CellId id) const {
+        MRLG_ASSERT(id.valid() && id.index() < cells_.size(), "bad CellId");
+        return id.index();
+    }
+    std::size_t check(NetId id) const {
+        MRLG_ASSERT(id.valid() && id.index() < nets_.size(), "bad NetId");
+        return id.index();
+    }
+    std::size_t check(PinId id) const {
+        MRLG_ASSERT(id.valid() && id.index() < pins_.size(), "bad PinId");
+        return id.index();
+    }
 
     Floorplan fp_;
     std::vector<Cell> cells_;

@@ -1,6 +1,7 @@
 #include "legalize/enumeration.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "eval/legality.hpp"
 #include "util/assert.hpp"
@@ -10,20 +11,20 @@ namespace mrlg {
 namespace {
 
 /// Multi-row cells only; single-row cells can never be straddled.
-std::vector<int> multi_row_cells(const LocalProblem& lp) {
-    std::vector<int> out;
+void multi_row_cells(const LocalProblem& lp, std::vector<int>& out) {
+    out.clear();
     for (int i = 0; i < lp.num_cells(); ++i) {
         if (lp.cell(i).h > 1) {
             out.push_back(i);
         }
     }
-    return out;
 }
 
-bool consistent_impl(const LocalProblem& lp, const InsertionPoint& p,
+/// True when gaps[j] (row t + j) leaves no multi-row cell straddled.
+bool consistent_impl(const LocalProblem& lp, int t,
+                     std::span<const int> gaps,
                      const std::vector<int>& multi_cells) {
-    const int t = p.k0;
-    const int top = t + static_cast<int>(p.gaps.size());  // exclusive
+    const int top = t + static_cast<int>(gaps.size());  // exclusive
     for (const int ci : multi_cells) {
         const LpCell& c = lp.cell(ci);
         const int c_lo = std::max(c.k0, t);
@@ -33,9 +34,8 @@ bool consistent_impl(const LocalProblem& lp, const InsertionPoint& p,
         }
         int side = 0;  // -1 left of gap, +1 right of gap
         for (int k = c_lo; k < c_hi; ++k) {
-            const int pos =
-                c.pos_in_row[static_cast<std::size_t>(k - c.k0)];
-            const int gap = p.gaps[static_cast<std::size_t>(k - t)];
+            const int pos = lp.pos_in_row(ci, k - c.k0);
+            const int gap = gaps[static_cast<std::size_t>(k - t)];
             const int s = pos < gap ? -1 : 1;
             if (side == 0) {
                 side = s;
@@ -68,37 +68,58 @@ bool base_row_ok(const LocalProblem& lp, int t, const TargetSpec& target,
 
 bool insertion_point_consistent(const LocalProblem& lp,
                                 const InsertionPoint& point) {
-    return consistent_impl(lp, point, multi_row_cells(lp));
+    std::vector<int> multi_cells;
+    multi_row_cells(lp, multi_cells);
+    return consistent_impl(lp, point.k0, point.gaps, multi_cells);
 }
 
 EnumerationResult enumerate_insertion_points(
     const LocalProblem& lp, const std::vector<InsertionInterval>& intervals,
     const TargetSpec& target, const EnumerationOptions& opts) {
-    EnumerationResult result;
+    // Filled in per-thread buffers that keep their capacity across calls,
+    // then returned as one exactly-sized copy.
+    thread_local EnumerationScratch scratch;
+    thread_local EnumerationResult filled;
+    enumerate_insertion_points(lp, intervals, target, opts, scratch, filled);
+    return filled;
+}
+
+void enumerate_insertion_points(const LocalProblem& lp,
+                                const std::vector<InsertionInterval>& intervals,
+                                const TargetSpec& target,
+                                const EnumerationOptions& opts,
+                                EnumerationScratch& s,
+                                EnumerationResult& result) {
+    using EvType = EnumerationScratch::EvType;
+    using Event = EnumerationScratch::Event;
+    result.points.clear();
+    result.truncated = false;
     const int H = lp.num_rows();
     const int ht = static_cast<int>(target.h);
     MRLG_ASSERT(ht >= 1, "target height must be positive");
     if (H < ht) {
-        return result;
+        return;
     }
-    const std::vector<int> multi_cells = multi_row_cells(lp);
+    multi_row_cells(lp, s.multi_cells);
+    const std::vector<int>& multi_cells = s.multi_cells;
 
     // Q[a][s]: open intervals of row s that may combine with row-a
-    // intervals; only pairs with |a-s| <= ht-1 are ever touched.
-    std::vector<std::vector<std::vector<int>>> Q(
-        static_cast<std::size_t>(H),
-        std::vector<std::vector<int>>(static_cast<std::size_t>(H)));
-
-    enum class EvType : int { kClear = 0, kLeft = 1, kRight = 2 };
-    struct Event {
-        SiteCoord x;
-        EvType type;
-        int payload;  // interval index, or cell index for kClear
-        int row;      // row a owning the event (kClear: the gap's row)
+    // intervals; only pairs with |a-s| <= ht-1 are ever touched, so each
+    // row a owns a band of 2·ht - 1 queues.
+    const int band = 2 * ht - 1;
+    const auto num_queues = static_cast<std::size_t>(H * band);
+    if (s.queues.size() < num_queues) {
+        s.queues.resize(num_queues);
+    }
+    for (std::size_t i = 0; i < num_queues; ++i) {
+        s.queues[i].clear();
+    }
+    const auto Q = [&](int a, int b) -> std::vector<int>& {
+        return s.queues[static_cast<std::size_t>(a * band + (b - a) + ht - 1)];
     };
-    std::vector<Event> events;
-    events.reserve(intervals.size() * 2 + multi_cells.size() * 4);
 
+    std::vector<Event>& events = s.events;
+    events.clear();
     for (std::size_t i = 0; i < intervals.size(); ++i) {
         const InsertionInterval& iv = intervals[i];
         events.push_back(
@@ -130,7 +151,8 @@ EnumerationResult enumerate_insertion_points(
     });
 
     // Recursive cartesian product over the ht-1 partner queues.
-    std::vector<int> combo_gaps(static_cast<std::size_t>(ht));
+    std::vector<int>& combo_gaps = s.combo_gaps;
+    combo_gaps.resize(static_cast<std::size_t>(ht));
     auto emit_products = [&](int a, const InsertionInterval& iv, int t,
                              auto&& self, int k, SiteCoord lo,
                              SiteCoord hi) -> void {
@@ -138,17 +160,17 @@ EnumerationResult enumerate_insertion_points(
             return;
         }
         if (k == t + ht) {
-            InsertionPoint p;
-            p.k0 = t;
-            p.gaps.assign(combo_gaps.begin(), combo_gaps.end());
-            p.lo = lo;
-            p.hi = hi;
-            if (lo <= hi && consistent_impl(lp, p, multi_cells)) {
+            if (lo <= hi &&
+                consistent_impl(lp, t, combo_gaps, multi_cells)) {
                 if (result.points.size() >= opts.max_points) {
                     result.truncated = true;
                     return;
                 }
-                result.points.push_back(std::move(p));
+                InsertionPoint& p = result.points.emplace_back();
+                p.k0 = t;
+                p.gaps.assign(combo_gaps);
+                p.lo = lo;
+                p.hi = hi;
             }
             return;
         }
@@ -157,8 +179,7 @@ EnumerationResult enumerate_insertion_points(
             self(a, iv, t, self, k + 1, lo, hi);
             return;
         }
-        for (const int other_idx : Q[static_cast<std::size_t>(a)]
-                                    [static_cast<std::size_t>(k)]) {
+        for (const int other_idx : Q(a, k)) {
             const InsertionInterval& ov =
                 intervals[static_cast<std::size_t>(other_idx)];
             combo_gaps[static_cast<std::size_t>(k - t)] = ov.gap;
@@ -176,13 +197,12 @@ EnumerationResult enumerate_insertion_points(
         }
         switch (ev.type) {
             case EvType::kClear: {
+                // Rows further than ht - 1 apart never share a queue.
                 const LpCell& c = lp.cell(ev.payload);
                 for (SiteCoord j = 0; j < c.h; ++j) {
-                    const int s = c.k0 + j;
-                    if (s != ev.row) {
-                        Q[static_cast<std::size_t>(ev.row)]
-                         [static_cast<std::size_t>(s)]
-                             .clear();
+                    const int r = c.k0 + j;
+                    if (r != ev.row && std::abs(r - ev.row) < ht) {
+                        Q(ev.row, r).clear();
                     }
                 }
                 break;
@@ -202,9 +222,7 @@ EnumerationResult enumerate_insertion_points(
                 for (int r = std::max(0, a - ht + 1);
                      r <= std::min(H - 1, a + ht - 1); ++r) {
                     if (r != a) {
-                        Q[static_cast<std::size_t>(r)]
-                         [static_cast<std::size_t>(a)]
-                            .push_back(ev.payload);
+                        Q(r, a).push_back(ev.payload);
                     }
                 }
                 break;
@@ -216,8 +234,7 @@ EnumerationResult enumerate_insertion_points(
                     if (r == a) {
                         continue;
                     }
-                    auto& q = Q[static_cast<std::size_t>(r)]
-                               [static_cast<std::size_t>(a)];
+                    std::vector<int>& q = Q(r, a);
                     q.erase(std::remove(q.begin(), q.end(), ev.payload),
                             q.end());
                 }
@@ -225,7 +242,6 @@ EnumerationResult enumerate_insertion_points(
             }
         }
     }
-    return result;
 }
 
 EnumerationResult naive_enumerate_insertion_points(
@@ -237,7 +253,8 @@ EnumerationResult naive_enumerate_insertion_points(
     if (H < ht) {
         return result;
     }
-    const std::vector<int> multi_cells = multi_row_cells(lp);
+    std::vector<int> multi_cells;
+    multi_row_cells(lp, multi_cells);
 
     // Bucket intervals per row.
     std::vector<std::vector<int>> per_row(static_cast<std::size_t>(H));
@@ -280,7 +297,7 @@ EnumerationResult naive_enumerate_insertion_points(
             }
             p.lo = lo;
             p.hi = hi;
-            if (lo <= hi && consistent_impl(lp, p, multi_cells)) {
+            if (lo <= hi && consistent_impl(lp, p.k0, p.gaps, multi_cells)) {
                 if (result.points.size() >= opts.max_points) {
                     result.truncated = true;
                     return result;

@@ -15,9 +15,8 @@ namespace {
 /// target, or -1 when there is none (segment wall).
 int right_neighbor(const LocalProblem& lp, const InsertionPoint& p, int ci,
                    int k) {
-    const LpCell& c = lp.cell(ci);
-    const int pos = c.pos_in_row[static_cast<std::size_t>(k - c.k0)];
-    const auto& row_cells = lp.row(k).cells;
+    const int pos = lp.pos_in_row(ci, k - lp.cell(ci).k0);
+    const std::span<const int> row_cells = lp.row(k).cells;
     const bool comb_row =
         k >= p.k0 && k < p.k0 + static_cast<int>(p.gaps.size());
     if (comb_row && pos + 1 == p.gaps[static_cast<std::size_t>(k - p.k0)]) {
@@ -32,9 +31,8 @@ int right_neighbor(const LocalProblem& lp, const InsertionPoint& p, int ci,
 /// Post-insertion left neighbour; same encoding as right_neighbor.
 int left_neighbor(const LocalProblem& lp, const InsertionPoint& p, int ci,
                   int k) {
-    const LpCell& c = lp.cell(ci);
-    const int pos = c.pos_in_row[static_cast<std::size_t>(k - c.k0)];
-    const auto& row_cells = lp.row(k).cells;
+    const int pos = lp.pos_in_row(ci, k - lp.cell(ci).k0);
+    const std::span<const int> row_cells = lp.row(k).cells;
     const bool comb_row =
         k >= p.k0 && k < p.k0 + static_cast<int>(p.gaps.size());
     if (comb_row && pos == p.gaps[static_cast<std::size_t>(k - p.k0)]) {
@@ -164,14 +162,15 @@ Evaluation evaluate_insertion_point_approx(const LocalProblem& lp,
     // moves only once, so per-row hinges would double-count its
     // displacement (and the estimate would stop being a lower bound on
     // the realized cost). ht is tiny; linear membership checks suffice.
-    std::vector<int> seen_left;
-    std::vector<int> seen_right;
+    std::vector<int>& seen_left = scratch.seen_left;
+    std::vector<int>& seen_right = scratch.seen_right;
+    seen_left.clear();
+    seen_right.clear();
     for (int j = 0; j < ht; ++j) {
-        const int k = point.k0 + j;
-        const LpRow& row = lp.row(k);
+        const std::span<const int> row_cells = lp.row(point.k0 + j).cells;
         const int gap = point.gaps[static_cast<std::size_t>(j)];
         if (gap > 0) {
-            const int li = row.cells[static_cast<std::size_t>(gap - 1)];
+            const int li = row_cells[static_cast<std::size_t>(gap - 1)];
             if (std::find(seen_left.begin(), seen_left.end(), li) ==
                 seen_left.end()) {
                 seen_left.push_back(li);
@@ -179,8 +178,8 @@ Evaluation evaluate_insertion_point_approx(const LocalProblem& lp,
                 hinges.a.push_back(left.x + left.w);
             }
         }
-        if (gap < static_cast<int>(row.cells.size())) {
-            const int ri = row.cells[static_cast<std::size_t>(gap)];
+        if (gap < static_cast<int>(row_cells.size())) {
+            const int ri = row_cells[static_cast<std::size_t>(gap)];
             if (std::find(seen_right.begin(), seen_right.end(), ri) ==
                 seen_right.end()) {
                 seen_right.push_back(ri);

@@ -60,6 +60,9 @@ struct CriticalPositions {
 struct EvalScratch {
     HingeSet hinges;
     CriticalPositions cp;
+    // approximate evaluator: neighbours already hinged
+    std::vector<int> seen_left;
+    std::vector<int> seen_right;
     // minimize_hinge_cost internals
     std::vector<SiteCoord> a_sorted;
     std::vector<SiteCoord> b_sorted;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "eval/legality.hpp"
 #include "ilp/branch_bound.hpp"
@@ -85,7 +86,7 @@ std::optional<BaseRowSolution> solve_for_base_row(
         if (!lp.has_row(k)) {
             continue;
         }
-        const auto& cells = lp.row(k).cells;
+        const std::span<const int> cells = lp.row(k).cells;
         for (std::size_t p = 1; p < cells.size(); ++p) {
             const LpCell& a = lp.cell(cells[p - 1]);
             m.add_constraint(
@@ -98,7 +99,7 @@ std::optional<BaseRowSolution> solve_for_base_row(
     // Gap binaries + big-M activation per combination row.
     std::vector<std::vector<int>> row_bvars;
     for (int k = t; k < t + ht; ++k) {
-        const auto& cells = lp.row(k).cells;
+        const std::span<const int> cells = lp.row(k).cells;
         const int ngaps = static_cast<int>(cells.size()) + 1;
         std::vector<int> bvars(static_cast<std::size_t>(ngaps));
         std::vector<ilp::Term> sum;

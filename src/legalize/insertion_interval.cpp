@@ -4,12 +4,20 @@ namespace mrlg {
 
 std::vector<InsertionInterval> build_insertion_intervals(
     const LocalProblem& lp, SiteCoord target_w) {
-    std::vector<InsertionInterval> out;
+    // Filled in a per-thread buffer, returned as an exactly-sized copy.
+    thread_local std::vector<InsertionInterval> filled;
+    build_insertion_intervals(lp, target_w, filled);
+    return filled;
+}
+
+void build_insertion_intervals(const LocalProblem& lp, SiteCoord target_w,
+                               std::vector<InsertionInterval>& out) {
+    out.clear();
     for (int k = 0; k < lp.num_rows(); ++k) {
         if (!lp.has_row(k)) {
             continue;
         }
-        const LpRow& row = lp.row(k);
+        const LpRow row = lp.row(k);
         const int n = static_cast<int>(row.cells.size());
         for (int gap = 0; gap <= n; ++gap) {
             InsertionInterval iv;
@@ -34,11 +42,10 @@ std::vector<InsertionInterval> build_insertion_intervals(
             }
         }
     }
-    return out;
 }
 
 bool bind_point_to_intervals(const std::vector<InsertionInterval>& intervals,
-                             int k0, const std::vector<int>& gaps,
+                             int k0, std::span<const int> gaps,
                              SiteCoord& lo, SiteCoord& hi) {
     lo = kSiteCoordMin;
     hi = kSiteCoordMax;

@@ -8,6 +8,7 @@
 ///   gap at the right segment wall:    [xl_i + w_i , span.hi − w_t]
 /// Negative-length intervals (hi < lo) are discarded (Fig. 7(f)).
 
+#include <span>
 #include <vector>
 
 #include "legalize/local_problem.hpp"
@@ -28,7 +29,7 @@ struct InsertionInterval {
     }
     /// Local-cell index right of the gap, or -1 at the segment wall.
     int right_cell(const LocalProblem& lp) const {
-        const auto& cells = lp.row(k).cells;
+        const std::span<const int> cells = lp.row(k).cells;
         return gap < static_cast<int>(cells.size())
                    ? cells[static_cast<std::size_t>(gap)]
                    : -1;
@@ -40,6 +41,10 @@ struct InsertionInterval {
 MRLG_EFFECT_READONLY
 std::vector<InsertionInterval> build_insertion_intervals(
     const LocalProblem& lp, SiteCoord target_w);
+/// In-place variant refilling `out` (keeps its capacity).
+MRLG_EFFECT_READONLY
+void build_insertion_intervals(const LocalProblem& lp, SiteCoord target_w,
+                               std::vector<InsertionInterval>& out);
 
 /// Intersects the per-row feasible x ranges of the intervals matching the
 /// chosen gaps (row k0+j must have an interval with gap == gaps[j]) into
@@ -49,7 +54,7 @@ std::vector<InsertionInterval> build_insertion_intervals(
 /// realized. Callers (the MIP decode path) treat false as a hard error
 /// rather than silently keeping the kSiteCoordMin/Max sentinels.
 bool bind_point_to_intervals(const std::vector<InsertionInterval>& intervals,
-                             int k0, const std::vector<int>& gaps,
+                             int k0, std::span<const int> gaps,
                              SiteCoord& lo, SiteCoord& hi);
 
 }  // namespace mrlg

@@ -22,6 +22,17 @@
 
 namespace mrlg {
 
+namespace {
+
+/// The calling thread's MLL scratch. The serial loop and the plan fan-out
+/// share it, so each thread keeps one set of high-water buffers.
+MllScratch& thread_mll_scratch() {
+    thread_local MllScratch scratch;
+    return scratch;
+}
+
+}  // namespace
+
 Point nearest_aligned_position(const Database& db, CellId cell_id, double px,
                                double py, bool check_rail) {
     const Cell& cell = db.cell(cell_id);
@@ -89,7 +100,7 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
     if (mll_opts.audit < opts.audit) {
         mll_opts.audit = opts.audit;
     }
-    MllScratch scratch;  // reused by every MLL attempt of this run
+    MllScratch& scratch = thread_mll_scratch();
 
     // Invariant-audit hook (MRLG_VALIDATE / LegalizerOptions::audit):
     // structural grid audit at phase boundaries, and after every commit
@@ -363,7 +374,7 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                 parallel_for(
                     batch.size(), /*grain=*/1, opts.num_threads,
                     [&](std::size_t begin, std::size_t end) {
-                        thread_local MllScratch plan_scratch;
+                        MllScratch& plan_scratch = thread_mll_scratch();
                         for (std::size_t i = begin; i < end; ++i) {
                             // The wall-clock Timeline (NOT the paused
                             // Tracer) is the one observer workers may

@@ -5,6 +5,12 @@
 /// evaluation, realization) operate on this structure; the Database is only
 /// touched when a chosen solution is committed.
 ///
+/// Layout: CSR, like LocalRegion. One flat array holds every row's cell
+/// indices back to back (row k's header names its slice), and one flat
+/// pool holds every cell's per-row positions (cell i's h entries start at
+/// LpCell::pos0). Cells, rows and views refer to each other by index only,
+/// so copies and moves are deep and never alias their source.
+///
 /// Concurrency contract: build() reads the Database/SegmentGrid without
 /// mutating them, and every buffer it fills lives in the LocalProblem or
 /// the caller-supplied scratch. The legalizer's region-parallel plan phase
@@ -12,7 +18,8 @@
 /// shared grid — one LocalProblem + scratch per worker thread, never
 /// shared across threads.
 
-#include <unordered_map>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "db/database.hpp"
@@ -23,7 +30,9 @@ namespace mrlg {
 
 /// Reusable buffers for LocalProblem::build (one build per MLL attempt).
 struct LocalProblemScratch {
-    std::unordered_map<CellId, int> index_of;
+    /// (x, index) sort keys for by_x(), packed so one integer sort orders
+    /// them.
+    std::vector<std::uint64_t> by_x_keys;
 };
 
 /// A local cell, indexed 0..num_cells-1 within the problem.
@@ -36,31 +45,52 @@ struct LpCell {
     SiteCoord xl = 0;  ///< Leftmost feasible x (filled by compute_minmax).
     SiteCoord xr = 0;  ///< Rightmost feasible x (filled by compute_minmax).
     int k0 = 0;        ///< Local row index of the bottom row.
-    /// pos_in_row[j] = index of this cell in row (k0+j)'s cell list.
-    std::vector<int> pos_in_row;
+    /// Offset of this cell's h row positions in the pos_in_row pool.
+    int pos0 = 0;
 };
 
-/// A local row: its span and the local cells crossing it, in x order.
+/// A local row: its span and the local cells crossing it, in x order. A
+/// view into its LocalProblem, made on demand by LocalProblem::row().
 struct LpRow {
-    bool present = false;
     SiteCoord y = 0;  ///< Absolute row index.
     Span span;        ///< Usable x range (walls at both ends).
-    std::vector<int> cells;  ///< Local-cell indices, ordered by x.
+    std::span<const int> cells;  ///< Local-cell indices, ordered by x.
 };
 
 /// The extracted local problem. Row k corresponds to absolute row y0 + k.
 class LocalProblem {
 public:
+    /// Row k's span and its slice of the flat cell array.
+    struct RowHeader {
+        bool present = false;
+        SiteCoord y = 0;
+        Span span;
+        int begin = 0;
+        int end = 0;
+    };
+
     MRLG_EFFECT_READONLY
     static LocalProblem build(const Database& db, const LocalRegion& region,
                               LocalProblemScratch* scratch = nullptr);
+
+    /// In-place build: refills this problem from `region`, reusing the
+    /// capacity of its arrays and of `scratch` (the MLL hot path).
+    MRLG_EFFECT_READONLY
+    void rebuild(const Database& db, const LocalRegion& region,
+                 LocalProblemScratch& scratch);
 
     int num_rows() const { return static_cast<int>(rows_.size()); }
     bool has_row(int k) const {
         return k >= 0 && k < num_rows() &&
                rows_[static_cast<std::size_t>(k)].present;
     }
-    const LpRow& row(int k) const { return rows_[static_cast<std::size_t>(k)]; }
+    LpRow row(int k) const {
+        const RowHeader& h = rows_[static_cast<std::size_t>(k)];
+        return LpRow{h.y, h.span,
+                     std::span<const int>(
+                         row_cells_.data() + h.begin,
+                         static_cast<std::size_t>(h.end - h.begin))};
+    }
     SiteCoord y0() const { return y0_; }
 
     const std::vector<LpCell>& cells() const { return cells_; }
@@ -70,6 +100,11 @@ public:
     }
     int num_cells() const { return static_cast<int>(cells_.size()); }
 
+    /// Index of cell `i` in the cell list of row (k0 + j), 0 <= j < h.
+    int pos_in_row(int i, int j) const {
+        return pos_pool_[static_cast<std::size_t>(cell(i).pos0 + j)];
+    }
+
     /// Cell indices sorted by current x ascending (ties by index). Shared
     /// by min/max placement and realization.
     const std::vector<int>& by_x() const { return by_x_; }
@@ -77,10 +112,17 @@ public:
     double site_w_um() const { return site_w_um_; }
     double site_h_um() const { return site_h_um_; }
 
+    /// The CSR arrays themselves, for the invariant auditor.
+    const std::vector<RowHeader>& row_headers() const { return rows_; }
+    const std::vector<int>& row_cell_pool() const { return row_cells_; }
+    const std::vector<int>& pos_pool() const { return pos_pool_; }
+
 private:
     SiteCoord y0_ = 0;
-    std::vector<LpRow> rows_;
+    std::vector<RowHeader> rows_;
+    std::vector<int> row_cells_;
     std::vector<LpCell> cells_;
+    std::vector<int> pos_pool_;
     std::vector<int> by_x_;
     double site_w_um_ = 1.0;
     double site_h_um_ = 1.0;

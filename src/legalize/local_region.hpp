@@ -5,8 +5,8 @@
 /// closest to the window centre) and classify cells into local (free to
 /// shift in x during MLL) and non-local (frozen, acting as obstacles).
 
-#include <optional>
-#include <unordered_set>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "db/database.hpp"
@@ -15,32 +15,65 @@
 
 namespace mrlg {
 
-/// One row's selected local segment.
+/// One row's selected local segment. A view into its LocalRegion: valid
+/// while the region lives and is not refilled.
 struct LocalRow {
     SiteCoord y = 0;           ///< Absolute row index.
     Span span;                 ///< Absolute x range of the local segment.
     SegmentId global_segment;  ///< Enclosing SegmentGrid segment.
     /// Local cells whose footprint crosses this row, ordered by x.
-    std::vector<CellId> cells;
+    std::span<const CellId> cells;
+    /// local[i] = index of cells[i] in LocalRegion::local_cells().
+    std::span<const int> local;
 };
 
-/// Extracted localized placement problem. Row k of the region corresponds
-/// to absolute row y0() + k; a row may be absent (no usable segment).
+class LocalRegion;
+struct LocalRegionScratch;
+
+/// Extracts the localized problem inside `window` into `out`, reusing the
+/// capacity of `out` and `scratch` (the MLL hot path; see the by-value
+/// overload below for the contract).
+MRLG_EFFECT_READONLY
+void extract_local_region(const Database& db, const SegmentGrid& grid,
+                          const Rect& window, int fence_region,
+                          LocalRegionScratch& scratch, LocalRegion& out);
+
+/// Extracted localized placement problem, stored CSR: one flat cell array
+/// holds every row's x-ordered local cells back to back, and row k's
+/// header names its [begin, end) slice. Row k corresponds to absolute row
+/// y0() + k; a row may be absent (no usable segment). Copies and moves are
+/// deep — LocalRow views are made on demand and never stored.
 class LocalRegion {
 public:
-    LocalRegion(Rect window, SiteCoord y0, std::size_t height)
-        : window_(window), y0_(y0), rows_(height) {}
+    /// Row k's segment and its slice of the flat cell arrays.
+    struct RowHeader {
+        bool present = false;
+        SiteCoord y = 0;
+        Span span;
+        SegmentId global_segment;
+        int begin = 0;  ///< First index into the flat cell arrays.
+        int end = 0;    ///< One past the last.
+    };
 
     const Rect& window() const { return window_; }
     SiteCoord y0() const { return y0_; }
     int height() const { return static_cast<int>(rows_.size()); }
 
     bool has_row(int k) const {
-        return k >= 0 && k < height() && rows_[static_cast<std::size_t>(k)];
+        return k >= 0 && k < height() &&
+               rows_[static_cast<std::size_t>(k)].present;
     }
-    const LocalRow& row(int k) const { return *rows_[static_cast<std::size_t>(k)]; }
+    LocalRow row(int k) const {
+        const RowHeader& h = rows_[static_cast<std::size_t>(k)];
+        const auto n = static_cast<std::size_t>(h.end - h.begin);
+        const auto b = static_cast<std::size_t>(h.begin);
+        return LocalRow{h.y, h.span, h.global_segment,
+                        std::span<const CellId>(row_cells_.data() + b, n),
+                        std::span<const int>(row_local_.data() + b, n)};
+    }
 
-    /// All distinct local cells (a multi-row cell is listed once).
+    /// All distinct local cells, sorted by id (a multi-row cell is listed
+    /// once). A local cell's index in this list is its LocalProblem index.
     const std::vector<CellId>& local_cells() const { return local_cells_; }
 
     /// Local row index for absolute row y, or -1 when outside the region.
@@ -51,37 +84,84 @@ public:
                    : -1;
     }
 
-    // Builder access (used by extract_local_region).
-    std::optional<LocalRow>& mutable_row(int k) {
+    /// The CSR arrays themselves, for the invariant auditor.
+    const std::vector<RowHeader>& row_headers() const { return rows_; }
+    const std::vector<CellId>& row_cell_pool() const { return row_cells_; }
+    const std::vector<int>& row_local_pool() const { return row_local_; }
+
+    /// Fault injection for the audit tests ONLY. Never call from library
+    /// code.
+    RowHeader& mutable_row_for_test(int k) {
         return rows_[static_cast<std::size_t>(k)];
     }
-    void set_local_cells(std::vector<CellId> cells) {
-        local_cells_ = std::move(cells);
-    }
+    std::vector<int>& mutable_local_pool_for_test() { return row_local_; }
 
 private:
+    friend void extract_local_region(const Database&, const SegmentGrid&,
+                                     const Rect&, int, LocalRegionScratch&,
+                                     LocalRegion&);
+
+    /// Empties the region for a new window, keeping every capacity.
+    void reset(Rect window, SiteCoord y0, std::size_t height) {
+        window_ = window;
+        y0_ = y0;
+        rows_.assign(height, RowHeader{});
+        row_cells_.clear();
+        row_local_.clear();
+        local_cells_.clear();
+    }
+
     Rect window_;
-    SiteCoord y0_;
-    std::vector<std::optional<LocalRow>> rows_;
+    SiteCoord y0_ = 0;
+    std::vector<RowHeader> rows_;
+    std::vector<CellId> row_cells_;
+    std::vector<int> row_local_;
     std::vector<CellId> local_cells_;
 };
 
 /// Reusable buffers for extract_local_region. The legalizer extracts one
 /// region per MLL attempt (thousands per run); passing the same scratch to
-/// every call keeps the per-row piece vectors, the blocker set and the
-/// local-cell list at their high-water capacity instead of reallocating
-/// them each time. A default-constructed scratch is always valid.
+/// every call keeps the window snapshot at its high-water capacity instead
+/// of reallocating it each time. A default-constructed scratch is always
+/// valid. Nothing here is sized by the design — only by the window.
 struct LocalRegionScratch {
-    struct RowScratch {
-        std::vector<Span> pieces;
-        std::vector<SegmentId> piece_segment;
-        std::optional<std::size_t> chosen;
+    /// One placed cell on one window row, copied from the grid once per
+    /// extraction so the later passes never re-walk segment lists or read
+    /// the Database.
+    struct Entry {
+        CellId id;
+        SiteCoord x = 0;
+        SiteCoord w = 0;
+        SiteCoord y = 0;
+        SiteCoord h = 0;
+        /// Entry of the same cell on its lowest snapshotted row: a cell's
+        /// per-cell state (blocker mark, local index) lives there.
+        int canon = 0;
     };
-    std::vector<RowScratch> rows;
-    std::unordered_set<CellId> blockers;
-    std::vector<CellId> locals;
-    std::vector<Span> seg_pieces;  ///< per-segment piece accumulator.
-    std::vector<Span> span_tmp;    ///< subtract() double-buffer.
+    /// One row-segment of the window: its sites clipped to the window and
+    /// the entries of grid.cells_overlapping(base), in x order.
+    struct Slice {
+        SegmentId sid;
+        Span base;
+        int begin = 0;
+        int end = 0;
+    };
+    /// A row's chosen local piece and the slice it was cut from.
+    struct Pick {
+        Span piece;
+        int slice = -1;  ///< -1: no usable piece on this row.
+    };
+
+    std::vector<Entry> entries;
+    std::vector<Slice> slices;
+    std::vector<int> row_entries;  ///< Per row: first entry; height + 1.
+    std::vector<int> row_slices;   ///< Per row: first slice; height + 1.
+    std::vector<Pick> picks;
+    std::vector<std::uint8_t> blocked;  ///< Per entry; read at `canon`.
+    std::vector<int> local_of;          ///< Per entry; set at `canon`.
+    std::vector<std::pair<CellId, int>> locals;  ///< (id, canon) pairs.
+    std::vector<Span> pieces;    ///< per-segment piece accumulator.
+    std::vector<Span> span_tmp;  ///< subtract() double-buffer.
 };
 
 /// Conservative bound on everything one legalization attempt (direct
@@ -128,7 +208,9 @@ AttemptFootprint compute_attempt_footprint(const Rect& window,
 /// chosen local segments). A cell of the second kind that overlaps a chosen
 /// local segment must additionally *cut* it (it will not move, so its sites
 /// are unusable). We run the selection to a fixpoint: blockers accumulate
-/// monotonically, so this terminates.
+/// monotonically, so this terminates. All of it runs on a snapshot of the
+/// window's row-segment slices, taken with one
+/// SegmentGrid::cells_overlapping per row-segment.
 MRLG_EFFECT_READONLY
 LocalRegion extract_local_region(const Database& db, const SegmentGrid& grid,
                                  const Rect& window, int fence_region = 0,

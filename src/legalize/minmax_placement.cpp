@@ -8,49 +8,47 @@ namespace mrlg {
 
 void compute_minmax_placement(LocalProblem& lp) {
     auto& cells = lp.mutable_cells();
-    const int num_rows = lp.num_rows();
 
-    // Leftmost: sweep cells in ascending x; each row keeps the frontier
-    // (first free site). A cell's leftmost x is the max frontier over the
-    // rows it spans.
-    std::vector<SiteCoord> frontier(static_cast<std::size_t>(num_rows), 0);
-    for (int k = 0; k < num_rows; ++k) {
-        if (lp.has_row(k)) {
-            frontier[static_cast<std::size_t>(k)] = lp.row(k).span.lo;
-        }
-    }
+    // Leftmost: sweep cells in ascending x. A row's frontier (first free
+    // site) is its span start or the packed right edge of the cell's left
+    // neighbour in that row — the last cell of the row the sweep packed,
+    // since row lists are x-ordered. A cell's leftmost x is the max
+    // frontier over the rows it spans.
     for (const int ci : lp.by_x()) {
         LpCell& c = cells[static_cast<std::size_t>(ci)];
         SiteCoord xl = kSiteCoordMin;
-        for (SiteCoord j = 0; j < c.h; ++j) {
-            xl = std::max(frontier[static_cast<std::size_t>(c.k0 + j)], xl);
+        for (int j = 0; j < c.h; ++j) {
+            const int pos = lp.pos_in_row(ci, j);
+            if (pos > 0) {
+                const LpCell& l = cells[static_cast<std::size_t>(
+                    lp.row(c.k0 + j).cells[static_cast<std::size_t>(pos - 1)])];
+                xl = std::max<SiteCoord>(l.xl + l.w, xl);
+            } else {
+                xl = std::max(lp.row(c.k0 + j).span.lo, xl);
+            }
         }
         c.xl = xl;
         MRLG_ASSERT(c.xl <= c.x, "leftmost packing exceeds current position "
                                  "(input placement not legal?)");
-        for (SiteCoord j = 0; j < c.h; ++j) {
-            frontier[static_cast<std::size_t>(c.k0 + j)] = c.xl + c.w;
-        }
     }
 
     // Rightmost: mirror sweep in descending x.
-    for (int k = 0; k < num_rows; ++k) {
-        if (lp.has_row(k)) {
-            frontier[static_cast<std::size_t>(k)] = lp.row(k).span.hi;
-        }
-    }
     for (auto it = lp.by_x().rbegin(); it != lp.by_x().rend(); ++it) {
-        LpCell& c = cells[static_cast<std::size_t>(*it)];
+        const int ci = *it;
+        LpCell& c = cells[static_cast<std::size_t>(ci)];
         SiteCoord hi = kSiteCoordMax;
-        for (SiteCoord j = 0; j < c.h; ++j) {
-            hi = std::min(frontier[static_cast<std::size_t>(c.k0 + j)], hi);
+        for (int j = 0; j < c.h; ++j) {
+            const std::span<const int> row = lp.row(c.k0 + j).cells;
+            const auto next = static_cast<std::size_t>(lp.pos_in_row(ci, j) + 1);
+            if (next < row.size()) {
+                hi = std::min(cells[static_cast<std::size_t>(row[next])].xr, hi);
+            } else {
+                hi = std::min(lp.row(c.k0 + j).span.hi, hi);
+            }
         }
         c.xr = hi - c.w;
         MRLG_ASSERT(c.xr >= c.x, "rightmost packing below current position "
                                  "(input placement not legal?)");
-        for (SiteCoord j = 0; j < c.h; ++j) {
-            frontier[static_cast<std::size_t>(c.k0 + j)] = c.xr;
-        }
     }
 }
 

@@ -77,11 +77,9 @@ ScanBest scan_insertion_points(const LocalProblem& lp,
                            ScanBest{}, map, combine);
 }
 
-}  // namespace
-
-MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
-                 CellId target_cell, double pref_x, double pref_y,
-                 const MllOptions& opts, MllScratch* scratch) {
+MllPlan plan_with(const Database& db, const SegmentGrid& grid,
+                  CellId target_cell, double pref_x, double pref_y,
+                  const MllOptions& opts, MllScratch& s) {
     MRLG_OBS_PHASE("mll");
     MRLG_OBS_COUNT("mll.attempts", 1);
     MllPlan res;
@@ -106,9 +104,8 @@ MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
                       static_cast<SiteCoord>(2 * opts.rx + target.w),
                       static_cast<SiteCoord>(2 * opts.ry + target.h)};
 
-    const LocalRegion region = extract_local_region(
-        db, grid, window, cell.region(),
-        scratch != nullptr ? &scratch->region : nullptr);
+    LocalRegion& region = s.local_region;
+    extract_local_region(db, grid, window, cell.region(), s.region, region);
     if (region.height() == 0) {
         MRLG_OBS_COUNT("mll.no_region", 1);
         return res;
@@ -116,16 +113,16 @@ MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
     if (opts.audit >= AuditLevel::kFull) {
         enforce(audit_local_region(db, grid, region, cell.region()));
     }
-    LocalProblem lp = LocalProblem::build(
-        db, region, scratch != nullptr ? &scratch->problem : nullptr);
+    LocalProblem& lp = s.local_problem;
+    lp.rebuild(db, region, s.problem);
     res.num_local_cells = static_cast<std::size_t>(lp.num_cells());
 
     compute_minmax_placement(lp);
     if (opts.audit >= AuditLevel::kFull) {
         enforce(audit_local_problem(lp, /*minmax_filled=*/true));
     }
-    const std::vector<InsertionInterval> intervals =
-        build_insertion_intervals(lp, target.w);
+    const std::vector<InsertionInterval>& intervals = s.intervals;
+    build_insertion_intervals(lp, target.w, s.intervals);
 
     EnumerationOptions eopts;
     eopts.check_rail = opts.check_rail;
@@ -134,7 +131,7 @@ MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
     // Select the insertion point: MIP search, or enumeration + (exact |
     // approximate) evaluation.
     InsertionPoint mip_point;
-    EnumerationResult enumr;  // must outlive best_point, which aliases it
+    const EnumerationResult& enumr = s.enumerated;
     const InsertionPoint* best_point = nullptr;
     Evaluation best_eval;
     best_eval.cost_um = std::numeric_limits<double>::max();
@@ -147,7 +144,7 @@ MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
         }
         res.num_points = 1;
         mip_point.k0 = mip.base_row_k;
-        mip_point.gaps = mip.gaps;
+        mip_point.gaps.assign(mip.gaps);
         // Feasible x range from the per-row intervals of the chosen gaps.
         // Every row of the chosen combination must match an interval: a row
         // without one means the MIP picked a gap that interval construction
@@ -163,7 +160,8 @@ MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
         MRLG_ASSERT(best_eval.feasible, "MIP point fails exact evaluation");
         best_point = &mip_point;
     } else {
-        enumr = enumerate_insertion_points(lp, intervals, target, eopts);
+        enumerate_insertion_points(lp, intervals, target, eopts,
+                                   s.enumeration, s.enumerated);
         res.enumeration_truncated = enumr.truncated;
         if (enumr.truncated) {
             MRLG_OBS_COUNT("mll.enumerations_truncated", 1);
@@ -193,17 +191,27 @@ MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
         best_point = &enumr.points[best.index];
     }
 
-    const Realization real =
-        realize_insertion(lp, *best_point, best_eval.xt, target.w);
+    Realization& real = s.realization;
+    realize_insertion(lp, *best_point, best_eval.xt, target.w, real,
+                      s.realize_left);
     MRLG_ASSERT(real.ok, "realization failed for an enumerated point");
 
     // Record the would-be commit: shifted local cells (row lists keep
-    // their order) and the target slot. Nothing is mutated here.
+    // their order) and the target slot. Nothing is mutated here. Counted
+    // first so the move list is the attempt's only allocation.
+    const auto shifted = [&](int i) {
+        return real.new_x[static_cast<std::size_t>(i)] != lp.cell(i).x;
+    };
+    std::size_t num_moves = 0;
     for (int i = 0; i < lp.num_cells(); ++i) {
-        const LpCell& c = lp.cell(i);
-        const SiteCoord nx = real.new_x[static_cast<std::size_t>(i)];
-        if (nx != c.x) {
-            res.moves.push_back(MllPlan::Move{c.id, c.x, nx});
+        num_moves += shifted(i) ? 1 : 0;
+    }
+    res.moves.reserve(num_moves);
+    for (int i = 0; i < lp.num_cells(); ++i) {
+        if (shifted(i)) {
+            const LpCell& c = lp.cell(i);
+            res.moves.push_back(MllPlan::Move{
+                c.id, c.x, real.new_x[static_cast<std::size_t>(i)]});
         }
     }
     const SiteCoord y_abs = lp.y0() + best_point->k0;
@@ -217,6 +225,19 @@ MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
         std::abs(static_cast<double>(real.xt) - pref_x) * lp.site_w_um() +
         std::abs(static_cast<double>(y_abs) - pref_y) * lp.site_h_um();
     return res;
+}
+
+}  // namespace
+
+MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
+                 CellId target_cell, double pref_x, double pref_y,
+                 const MllOptions& opts, MllScratch* scratch) {
+    if (scratch != nullptr) {
+        return plan_with(db, grid, target_cell, pref_x, pref_y, opts,
+                         *scratch);
+    }
+    MllScratch fresh;
+    return plan_with(db, grid, target_cell, pref_x, pref_y, opts, fresh);
 }
 
 MllResult mll_result_from_plan(const MllPlan& plan) {

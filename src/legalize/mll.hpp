@@ -19,6 +19,9 @@
 #include "db/database.hpp"
 #include "db/segment.hpp"
 #include "legalize/enumeration.hpp"
+#include "legalize/local_problem.hpp"
+#include "legalize/local_region.hpp"
+#include "legalize/realization.hpp"
 
 namespace mrlg {
 
@@ -54,11 +57,26 @@ struct MllOptions {
     int num_threads = 0;
 };
 
-/// Reusable buffers shared by successive mll_place calls (the legalizer
-/// holds one for its whole run). Optional — pass nullptr for one-off calls.
+/// The buffers one MLL attempt builds its problem in: the window snapshot,
+/// the CSR region and problem, the intervals, the enumeration queues and
+/// points, and realization's sweep arrays. Each attempt refills them in
+/// place, so they stay at their high-water capacity. The evaluator's
+/// EvalScratch is not here: the candidate scan may fan out over pool
+/// workers, so each evaluating thread keeps a thread_local one (mll.cpp).
+/// With both warm, an attempt allocates nothing but the returned plan's
+/// move list. One scratch per thread (the legalizer keeps a thread_local
+/// one per thread); never share one across threads. Optional — pass
+/// nullptr for one-off calls.
 struct MllScratch {
     LocalRegionScratch region;
     LocalProblemScratch problem;
+    LocalRegion local_region;
+    LocalProblem local_problem;
+    std::vector<InsertionInterval> intervals;
+    EnumerationScratch enumeration;
+    EnumerationResult enumerated;
+    Realization realization;
+    std::vector<SiteCoord> realize_left;
 };
 
 enum class MllStatus {

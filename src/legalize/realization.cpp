@@ -17,15 +17,28 @@ bool is_comb_row(const InsertionPoint& p, int k) {
 Realization realize_insertion(const LocalProblem& lp,
                               const InsertionPoint& point, SiteCoord xt,
                               SiteCoord target_w) {
+    // Filled in per-thread buffers that keep their capacity across calls,
+    // then returned as one exactly-sized copy.
+    thread_local Realization filled;
+    thread_local std::vector<SiteCoord> left;
+    realize_insertion(lp, point, xt, target_w, filled, left);
+    return filled;
+}
+
+void realize_insertion(const LocalProblem& lp, const InsertionPoint& point,
+                       SiteCoord xt, SiteCoord target_w, Realization& r,
+                       std::vector<SiteCoord>& L) {
     MRLG_ASSERT(xt >= point.lo && xt <= point.hi,
                 "target x outside the insertion point's feasible range");
-    Realization r;
+    r.ok = false;
     r.xt = xt;
+    r.moved_sites = 0.0;
     const std::size_t n = static_cast<std::size_t>(lp.num_cells());
 
     // Right side: ascending x. R starts at the current position; pushes
-    // only ever increase it.
-    std::vector<SiteCoord> R(n);
+    // only ever increase it. R lives in r.new_x and is merged in place.
+    std::vector<SiteCoord>& R = r.new_x;
+    R.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
         R[i] = lp.cell(static_cast<int>(i)).x;
     }
@@ -34,12 +47,13 @@ Realization realize_insertion(const LocalProblem& lp,
         SiteCoord x = R[static_cast<std::size_t>(ci)];
         for (SiteCoord j = 0; j < c.h; ++j) {
             const int k = c.k0 + j;
-            const int pos = c.pos_in_row[static_cast<std::size_t>(j)];
+            const int pos = lp.pos_in_row(ci, j);
             if (is_comb_row(point, k) &&
                 pos == point.gaps[static_cast<std::size_t>(k - point.k0)]) {
                 x = std::max<SiteCoord>(x, xt + target_w);
             } else if (pos > 0) {
-                const int l = lp.row(k).cells[static_cast<std::size_t>(pos - 1)];
+                const int l =
+                    lp.row(k).cells[static_cast<std::size_t>(pos - 1)];
                 const LpCell& lc = lp.cell(l);
                 x = std::max<SiteCoord>(
                     x, R[static_cast<std::size_t>(l)] + lc.w);
@@ -49,7 +63,7 @@ Realization realize_insertion(const LocalProblem& lp,
     }
 
     // Left side: descending x.
-    std::vector<SiteCoord> L(n);
+    L.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
         L[i] = lp.cell(static_cast<int>(i)).x;
     }
@@ -59,8 +73,8 @@ Realization realize_insertion(const LocalProblem& lp,
         SiteCoord x = L[static_cast<std::size_t>(ci)];
         for (SiteCoord j = 0; j < c.h; ++j) {
             const int k = c.k0 + j;
-            const int pos = c.pos_in_row[static_cast<std::size_t>(j)];
-            const auto& row_cells = lp.row(k).cells;
+            const int pos = lp.pos_in_row(ci, j);
+            const std::span<const int> row_cells = lp.row(k).cells;
             if (is_comb_row(point, k) &&
                 pos + 1 ==
                     point.gaps[static_cast<std::size_t>(k - point.k0)]) {
@@ -76,7 +90,6 @@ Realization realize_insertion(const LocalProblem& lp,
 
     // Merge: a cell may move left or right, never both (valid insertion
     // points have disjoint push sets).
-    r.new_x.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
         const LpCell& c = lp.cell(static_cast<int>(i));
         const bool moved_left = L[i] < c.x;
@@ -91,7 +104,6 @@ Realization realize_insertion(const LocalProblem& lp,
         r.moved_sites += static_cast<double>(std::abs(nx - c.x));
     }
     r.ok = true;
-    return r;
 }
 
 }  // namespace mrlg

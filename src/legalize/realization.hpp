@@ -38,5 +38,11 @@ MRLG_EFFECT_READONLY
 Realization realize_insertion(const LocalProblem& lp,
                               const InsertionPoint& point, SiteCoord xt,
                               SiteCoord target_w);
+/// In-place variant refilling `out`; `left` is the descending sweep's
+/// buffer. Both keep their capacity across calls.
+MRLG_EFFECT_READONLY
+void realize_insertion(const LocalProblem& lp, const InsertionPoint& point,
+                       SiteCoord xt, SiteCoord target_w, Realization& out,
+                       std::vector<SiteCoord>& left);
 
 }  // namespace mrlg

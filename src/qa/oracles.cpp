@@ -113,7 +113,8 @@ bool same_point_set(std::vector<InsertionPoint> a,
                     std::vector<InsertionPoint> b) {
     const auto key = [](const InsertionPoint& p) {
         return std::tuple<int, std::vector<int>, SiteCoord, SiteCoord>(
-            p.k0, p.gaps, p.lo, p.hi);
+            p.k0, std::vector<int>(p.gaps.begin(), p.gaps.end()), p.lo,
+            p.hi);
     };
     const auto less = [&](const InsertionPoint& x, const InsertionPoint& y) {
         return key(x) < key(y);

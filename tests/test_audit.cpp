@@ -213,7 +213,7 @@ TEST(AuditLocal, CorruptedRegionRowIsCaught) {
         extract_local_region(f.db, f.grid, Rect{0, 0, 40, 2});
     ASSERT_TRUE(region.has_row(0));
     // Stretch the chosen local span beyond its enclosing segment.
-    region.mutable_row(0)->span.hi += 500;
+    region.mutable_row_for_test(0).span.hi += 500;
     const AuditReport r = audit_local_region(f.db, f.grid, region);
     EXPECT_FALSE(r.ok());
     EXPECT_TRUE(r.has("lr-span") || r.has("lr-segment"))
@@ -229,6 +229,60 @@ TEST(AuditLocal, CorruptedProblemCellIsCaught) {
     const AuditReport r = audit_local_problem(lp, false);
     EXPECT_FALSE(r.ok());
     EXPECT_TRUE(r.has("lp-cell-geometry")) << r.to_string();
+}
+
+TEST(AuditLocal, CorruptedRegionOffsetsAreCaught) {
+    Fixture f = make_fixture();
+    LocalRegion region =
+        extract_local_region(f.db, f.grid, Rect{0, 0, 40, 2});
+    ASSERT_TRUE(region.has_row(0));
+    ASSERT_TRUE(region.has_row(1));
+    // Row 1's slice starts inside row 0's: the rows no longer tile the
+    // flat cell array.
+    region.mutable_row_for_test(1).begin -= 1;
+    const AuditReport r = audit_local_region(f.db, f.grid, region);
+    EXPECT_TRUE(r.has("lr-csr")) << r.to_string();
+}
+
+TEST(AuditLocal, SwappedRegionLocalIndicesAreCaughtOnlyByTheIndexCheck) {
+    Fixture f = make_fixture();
+    LocalRegion region =
+        extract_local_region(f.db, f.grid, Rect{0, 0, 40, 2});
+    ASSERT_GE(region.row(0).cells.size(), 2u);
+    // Swap the local indices of row 0's first two slots. The CellId lists
+    // are untouched, so every check that reads cells by id still passes.
+    std::vector<int>& local = region.mutable_local_pool_for_test();
+    std::swap(local[0], local[1]);
+    const AuditReport r = audit_local_region(f.db, f.grid, region);
+    EXPECT_TRUE(r.has("lr-local-index")) << r.to_string();
+    EXPECT_EQ(r.issues.size(), 2u) << r.to_string();
+}
+
+TEST(AuditLocal, AliasedPosInRowSlotIsCaughtOnlyByThePoolCheck) {
+    Fixture f = make_fixture();
+    LocalProblem lp =
+        make_local_problem(f.db, f.grid, Rect{0, 0, 40, 2});
+    // Cells a, b, d in id order; d (2 rows) is first on row 1, so its
+    // second slot holds 0 — the same position a has on row 0.
+    ASSERT_EQ(lp.num_cells(), 3);
+    const int d = 2;
+    ASSERT_EQ(lp.pos_in_row(d, 1), 0);
+    ASSERT_EQ(lp.pos_in_row(0, 0), 0);
+    // Point a at d's slot: a still reads the right position...
+    lp.mutable_cells()[0].pos0 = lp.cell(d).pos0 + 1;
+    for (int k = 0; k < lp.num_rows(); ++k) {
+        const std::span<const int> row = lp.row(k).cells;
+        for (std::size_t pos = 0; pos < row.size(); ++pos) {
+            const LpCell& c = lp.cell(row[pos]);
+            ASSERT_EQ(lp.pos_in_row(row[pos], k - c.k0),
+                      static_cast<int>(pos));
+        }
+    }
+    // ...so only the pool-tiling check sees that two cells share a slot
+    // and a's own slot is orphaned.
+    const AuditReport r = audit_local_problem(lp, false);
+    EXPECT_TRUE(r.has("lp-pos-pool")) << r.to_string();
+    EXPECT_EQ(r.issues.size(), 1u) << r.to_string();
 }
 
 TEST(AuditLocal, MinmaxBoundViolationIsCaught) {

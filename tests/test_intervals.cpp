@@ -147,7 +147,8 @@ TEST(Intervals, BindPointToIntervalsIntersectsMatchedRows) {
     ivs.push_back(InsertionInterval{1, 0, 5, 14});
     SiteCoord lo = 0;
     SiteCoord hi = 0;
-    ASSERT_TRUE(bind_point_to_intervals(ivs, 0, {0, 0}, lo, hi));
+    ASSERT_TRUE(
+        bind_point_to_intervals(ivs, 0, std::vector<int>{0, 0}, lo, hi));
     EXPECT_EQ(lo, 5);
     EXPECT_EQ(hi, 10);
 }
@@ -163,11 +164,13 @@ TEST(Intervals, BindPointToIntervalsRejectsUnmatchedRow) {
     ivs.push_back(InsertionInterval{1, 0, 5, 14});
     SiteCoord lo = 0;
     SiteCoord hi = 0;
-    EXPECT_FALSE(bind_point_to_intervals(ivs, 0, {0, 1}, lo, hi));
+    EXPECT_FALSE(
+        bind_point_to_intervals(ivs, 0, std::vector<int>{0, 1}, lo, hi));
     // A combination with no rows at all is equally unrealizable.
     EXPECT_FALSE(bind_point_to_intervals(ivs, 0, {}, lo, hi));
     // Matching only via out-of-window rows must not succeed either.
-    EXPECT_FALSE(bind_point_to_intervals(ivs, 5, {0}, lo, hi));
+    EXPECT_FALSE(
+        bind_point_to_intervals(ivs, 5, std::vector<int>{0}, lo, hi));
 }
 
 }  // namespace

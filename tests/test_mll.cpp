@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
+#include "check/audit_local.hpp"
 #include "eval/legality.hpp"
+#include "legalize/evaluation.hpp"
+#include "legalize/minmax_placement.hpp"
 #include "legalize/mll.hpp"
 #include "test_helpers.hpp"
 
@@ -191,6 +197,184 @@ TEST(Mll, ManySequentialInsertionsStayLegal) {
     LegalityOptions lopts;
     lopts.require_all_placed = false;
     EXPECT_TRUE(check_legality(db, grid, lopts).legal);
+}
+
+// --- scratch reuse and buffer lifetimes ------------------------------------
+
+void expect_same_plan(const MllPlan& a, const MllPlan& b,
+                      const std::string& what) {
+    EXPECT_EQ(a.status, b.status) << what;
+    EXPECT_EQ(a.x, b.x) << what;
+    EXPECT_EQ(a.y, b.y) << what;
+    EXPECT_EQ(a.est_cost_um, b.est_cost_um) << what;
+    EXPECT_EQ(a.real_cost_um, b.real_cost_um) << what;
+    EXPECT_EQ(a.num_points, b.num_points) << what;
+    EXPECT_EQ(a.num_local_cells, b.num_local_cells) << what;
+    EXPECT_EQ(a.enumeration_truncated, b.enumeration_truncated) << what;
+    ASSERT_EQ(a.moves.size(), b.moves.size()) << what;
+    for (std::size_t i = 0; i < a.moves.size(); ++i) {
+        EXPECT_EQ(a.moves[i].id, b.moves[i].id) << what;
+        EXPECT_EQ(a.moves[i].old_x, b.moves[i].old_x) << what;
+        EXPECT_EQ(a.moves[i].new_x, b.moves[i].new_x) << what;
+    }
+}
+
+/// Plans the re-insertion of every cell of `d` at its global placement,
+/// one at a time, lifting it out of the grid and putting it back.
+/// `scratch == nullptr` plans each attempt with a fresh scratch.
+std::vector<MllPlan> plan_every_cell(RandomDesign& d, const MllOptions& opts,
+                                     MllScratch* scratch) {
+    std::vector<MllPlan> plans;
+    for (const CellId c : d.db.movable_cells()) {
+        const Cell& cell = d.db.cell(c);
+        const SiteCoord x = cell.x();
+        const SiteCoord y = cell.y();
+        d.grid.remove(d.db, c);
+        plans.push_back(mll_plan(d.db, d.grid, c, cell.gp_x(), cell.gp_y(),
+                                 opts, scratch));
+        d.grid.place(d.db, c, x, y);
+    }
+    return plans;
+}
+
+TEST(MllScratch, ReuseAcrossDesignSizesMatchesFreshScratch) {
+    Rng rng(17);
+    // A large design, and a small one whose cells up to 6 rows tall take
+    // the insertion points' spilled-gap path.
+    RandomDesign large = random_legal_design(rng, 40, 400, 2000, 0.2, 4);
+    RandomDesign small = random_legal_design(rng, 8, 60, 40, 0.3, 6);
+    for (const bool exact : {false, true}) {
+        MllOptions opts;
+        opts.num_threads = 1;
+        opts.exact_evaluation = exact;
+        const std::vector<MllPlan> fresh_large =
+            plan_every_cell(large, opts, nullptr);
+        const std::vector<MllPlan> fresh_small =
+            plan_every_cell(small, opts, nullptr);
+        const auto expect_same = [](const std::vector<MllPlan>& got,
+                                    const std::vector<MllPlan>& want,
+                                    const char* order) {
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                expect_same_plan(got[i], want[i],
+                                 std::string(order) + " plan " +
+                                     std::to_string(i));
+            }
+        };
+        MllScratch large_first;
+        expect_same(plan_every_cell(large, opts, &large_first), fresh_large,
+                    "large->small");
+        expect_same(plan_every_cell(small, opts, &large_first), fresh_small,
+                    "large->small");
+        MllScratch small_first;
+        expect_same(plan_every_cell(small, opts, &small_first), fresh_small,
+                    "small->large");
+        expect_same(plan_every_cell(large, opts, &small_first), fresh_large,
+                    "small->large");
+    }
+}
+
+/// Everything MLL derives from one problem: the points and both
+/// evaluations of each, and the realization of the first feasible point.
+struct StageOutcome {
+    std::vector<InsertionPoint> points;
+    std::vector<SiteCoord> xt;
+    std::vector<double> cost;
+    std::vector<SiteCoord> realized;
+};
+
+StageOutcome run_stages(LocalProblem lp, const TargetSpec& target) {
+    StageOutcome out;
+    compute_minmax_placement(lp);
+    EXPECT_TRUE(audit_local_problem(lp, true).ok());
+    const std::vector<InsertionInterval> intervals =
+        build_insertion_intervals(lp, target.w);
+    out.points = enumerate_insertion_points(lp, intervals, target).points;
+    for (const InsertionPoint& p : out.points) {
+        for (const Evaluation& ev :
+             {evaluate_insertion_point_approx(lp, p, target),
+              evaluate_insertion_point_exact(lp, p, target)}) {
+            out.xt.push_back(ev.xt);
+            out.cost.push_back(ev.cost_um);
+        }
+    }
+    if (!out.points.empty()) {
+        out.realized = realize_insertion(lp, out.points[0], out.xt[0],
+                                         target.w)
+                           .new_x;
+    }
+    return out;
+}
+
+void expect_same_outcome(const StageOutcome& a, const StageOutcome& b) {
+    EXPECT_EQ(a.points, b.points);
+    EXPECT_EQ(a.xt, b.xt);
+    EXPECT_EQ(a.cost, b.cost);
+    EXPECT_EQ(a.realized, b.realized);
+}
+
+struct LifetimeFixture {
+    RandomDesign d;
+    Rect window{30, 1, 70, 9};
+    TargetSpec target;
+
+    LifetimeFixture() : d(make()) {
+        target.w = 3;
+        target.h = 2;
+        target.pref_x = 62.5;
+        target.pref_y = 4.0;
+        target.rail_phase = RailPhase::kOdd;
+    }
+    static RandomDesign make() {
+        Rng rng(29);
+        return random_legal_design(rng, 12, 140, 220, 0.3, 3);
+    }
+};
+
+TEST(MllScratch, CopiedOrMovedProblemOutlivesItsSource) {
+    LifetimeFixture f;
+    const StageOutcome want = run_stages(
+        make_local_problem(f.d.db, f.d.grid, f.window), f.target);
+    ASSERT_GT(want.points.size(), 10u);
+
+    auto copy_src = std::make_unique<LocalProblem>(
+        make_local_problem(f.d.db, f.d.grid, f.window));
+    const LocalProblem copied = *copy_src;
+    copy_src.reset();
+    expect_same_outcome(run_stages(copied, f.target), want);
+
+    auto move_src = std::make_unique<LocalProblem>(
+        make_local_problem(f.d.db, f.d.grid, f.window));
+    const LocalProblem moved = std::move(*move_src);
+    move_src.reset();
+    expect_same_outcome(run_stages(moved, f.target), want);
+}
+
+TEST(MllScratch, CopiedOrMovedRegionOutlivesItsSource) {
+    LifetimeFixture f;
+    const StageOutcome want = run_stages(
+        make_local_problem(f.d.db, f.d.grid, f.window), f.target);
+
+    // Extracted through a scratch that is refilled right after, so a
+    // region that kept pointing into it would change under us too.
+    LocalRegionScratch scratch;
+    auto copy_src = std::make_unique<LocalRegion>(
+        extract_local_region(f.d.db, f.d.grid, f.window, 0, &scratch));
+    const LocalRegion copied = *copy_src;
+    copy_src.reset();
+    auto move_src = std::make_unique<LocalRegion>(
+        extract_local_region(f.d.db, f.d.grid, f.window, 0, &scratch));
+    const LocalRegion moved = std::move(*move_src);
+    move_src.reset();
+    static_cast<void>(extract_local_region(
+        f.d.db, f.d.grid, Rect{0, 0, 20, 3}, 0, &scratch));
+
+    for (const LocalRegion* region : {&copied, &moved}) {
+        EXPECT_TRUE(audit_local_region(f.d.db, f.d.grid, *region).ok());
+        expect_same_outcome(
+            run_stages(LocalProblem::build(f.d.db, *region), f.target),
+            want);
+    }
 }
 
 }  // namespace

@@ -78,7 +78,7 @@ TEST(Walkthrough, Stage3IntervalsAndStage4Points) {
     // exact agree at 0.20 um (docs/ALGORITHM.md stage 4).
     bool found = false;
     for (const auto& p : en.points) {
-        if (p.k0 == 0 && p.gaps == std::vector<int>{1, 1}) {
+        if (p.k0 == 0 && p.gaps == GapList{1, 1}) {
             found = true;
             EXPECT_EQ(p.lo, 4);
             EXPECT_EQ(p.hi, 10);
