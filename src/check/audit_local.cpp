@@ -394,4 +394,53 @@ AuditReport audit_local_problem(const LocalProblem& lp, bool minmax_filled) {
     return r;
 }
 
+AuditReport audit_point_scan(const LocalProblem& lp,
+                             std::span<const InsertionPoint> points,
+                             const TargetSpec& target,
+                             PointEvaluator evaluate,
+                             const PointScan& chosen) {
+    AuditReport r;
+    r.scope = "point-scan";
+    EvalScratch scratch;
+    PointScan full;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const Evaluation ev = evaluate(lp, points[i], target, scratch);
+        if (!ev.feasible) {
+            continue;
+        }
+        const double bound = cost_lower_bound_um(lp, points[i], target);
+        if (bound > ev.cost_um) {
+            std::ostringstream os;
+            os.precision(17);
+            os << "point " << i << " bound " << bound << " exceeds its cost "
+               << ev.cost_um;
+            r.add("scan-bound", os.str());
+        }
+        if (!full.found() || ev.cost_um < full.eval.cost_um) {
+            full.eval = ev;
+            full.index = i;
+        }
+    }
+    const auto describe = [](const PointScan& s) {
+        std::ostringstream os;
+        os.precision(17);
+        if (!s.found()) {
+            os << "none";
+        } else {
+            os << "point " << s.index << " (xt " << s.eval.xt << ", cost "
+               << s.eval.cost_um << ")";
+        }
+        return os.str();
+    };
+    const bool same =
+        full.index == chosen.index &&
+        (!full.found() || (full.eval.xt == chosen.eval.xt &&
+                           full.eval.cost_um == chosen.eval.cost_um));
+    if (!same) {
+        r.add("scan-winner", "pruned scan chose " + describe(chosen) +
+                                 ", exhaustive scan " + describe(full));
+    }
+    return r;
+}
+
 }  // namespace mrlg

@@ -1,12 +1,16 @@
 #pragma once
 /// \file audit_local.hpp
 /// Auditors for the extracted local problem: window extraction
-/// pre/post-conditions of §2.1.3 and the min/max placement bounds of
-/// §5.1.1. Split from audit.hpp so that the core auditors do not pull the
-/// legalize headers into every client (mrlg_check uses only inline members
-/// of LocalRegion/LocalProblem and therefore does not link mrlg_legalize).
+/// pre/post-conditions of §2.1.3, the min/max placement bounds of §5.1.1
+/// and the bound-pruned insertion-point scan. Split from audit.hpp so that
+/// the core auditors do not pull the legalize headers into every client
+/// (mrlg_check uses only inline members of the legalize types, and gets
+/// evaluators as function pointers, so it does not link mrlg_legalize).
+
+#include <span>
 
 #include "check/audit.hpp"
+#include "legalize/evaluation.hpp"
 #include "legalize/local_problem.hpp"
 #include "legalize/local_region.hpp"
 
@@ -37,5 +41,18 @@ AuditReport audit_local_region(const Database& db, const SegmentGrid& grid,
 /// packings inside the row spans, and each packing preserving the per-row
 /// cell order without overlap.
 AuditReport audit_local_problem(const LocalProblem& lp, bool minmax_filled);
+
+/// The bound-pruned scan (scan_insertion_points, DESIGN.md §2f) against
+/// the exhaustive one: re-scores every point with `evaluate`, serially and
+/// without the bound, and requires
+///  * cost_lower_bound_um <= cost_um at every feasible point (scan-bound);
+///  * `chosen` to be the first point of least cost: the same index
+///    (PointScan::kNone when no point is feasible), the same xt and a
+///    bit-equal cost (scan-winner).
+AuditReport audit_point_scan(const LocalProblem& lp,
+                             std::span<const InsertionPoint> points,
+                             const TargetSpec& target,
+                             PointEvaluator evaluate,
+                             const PointScan& chosen);
 
 }  // namespace mrlg

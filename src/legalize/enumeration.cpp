@@ -1,6 +1,7 @@
 #include "legalize/enumeration.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 
 #include "eval/legality.hpp"
@@ -90,6 +91,51 @@ void enumerate_insertion_points(const LocalProblem& lp,
                                 const EnumerationOptions& opts,
                                 EnumerationScratch& s,
                                 EnumerationResult& result) {
+    if (target.h != 1) {
+        enumerate_insertion_points_scanline(lp, intervals, target, opts, s,
+                                            result);
+        return;
+    }
+    // A single-row point is one interval on a usable base row. The
+    // scanline emits it at the interval's left-endpoint event, and those
+    // events are ordered by (lo, interval index); clear and right events
+    // never emit for h_t = 1, and every combination is consistent.
+    result.points.clear();
+    result.truncated = false;
+    std::vector<std::uint64_t>& keys = s.single_row_keys;
+    keys.clear();
+    for (std::size_t i = 0; i < intervals.size(); ++i) {
+        const InsertionInterval& iv = intervals[i];
+        if (iv.lo <= iv.hi && base_row_ok(lp, iv.k, target, opts)) {
+            // Biasing lo by 2^31 makes the unsigned key order the signed
+            // order of lo.
+            const std::uint32_t lo_key =
+                static_cast<std::uint32_t>(iv.lo) ^ 0x80000000u;
+            keys.push_back((static_cast<std::uint64_t>(lo_key) << 32) |
+                           static_cast<std::uint32_t>(i));
+        }
+    }
+    std::sort(keys.begin(), keys.end());
+    for (const std::uint64_t key : keys) {
+        if (result.points.size() >= opts.max_points) {
+            result.truncated = true;
+            return;
+        }
+        const InsertionInterval& iv =
+            intervals[static_cast<std::size_t>(key & 0xffffffffu)];
+        InsertionPoint& p = result.points.emplace_back();
+        p.k0 = iv.k;
+        p.gaps.resize(1);
+        p.gaps[0] = iv.gap;
+        p.lo = iv.lo;
+        p.hi = iv.hi;
+    }
+}
+
+void enumerate_insertion_points_scanline(
+    const LocalProblem& lp, const std::vector<InsertionInterval>& intervals,
+    const TargetSpec& target, const EnumerationOptions& opts,
+    EnumerationScratch& s, EnumerationResult& result) {
     using EvType = EnumerationScratch::EvType;
     using Event = EnumerationScratch::Event;
     result.points.clear();

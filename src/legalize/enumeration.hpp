@@ -13,6 +13,10 @@
 /// {I} × Π_s Q[a][s] for every window of h_t consecutive rows containing a
 /// (Eq. (2)); gaps whose left cell is a multi-row cell clear the queues
 /// Q[a][s] for every row s that cell occupies.
+///
+/// A single-row target's points are just its intervals on usable base
+/// rows, so for h_t = 1 they are emitted directly, in the order the
+/// scanline would emit them: by (lo, interval index).
 
 #include <algorithm>
 #include <array>
@@ -111,12 +115,16 @@ struct EnumerationScratch {
     };
     std::vector<int> multi_cells;
     std::vector<Event> events;
+    /// h_t = 1: (lo, interval index) sort keys of the usable intervals.
+    std::vector<std::uint64_t> single_row_keys;
     /// Q[a][s] for |a - s| < h_t, row-major by a: (2·h_t - 1) per row.
     std::vector<std::vector<int>> queues;
     std::vector<int> combo_gaps;
 };
 
-/// Scanline enumeration — O(#points) after sorting the endpoints.
+/// Enumerates every valid insertion point, at most opts.max_points of
+/// them (truncated = true when more exist): the scanline for h_t >= 2,
+/// the direct single-row emission for h_t = 1. O(#points) after sorting.
 MRLG_EFFECT_READONLY
 EnumerationResult enumerate_insertion_points(
     const LocalProblem& lp, const std::vector<InsertionInterval>& intervals,
@@ -129,6 +137,15 @@ void enumerate_insertion_points(const LocalProblem& lp,
                                 const EnumerationOptions& opts,
                                 EnumerationScratch& scratch,
                                 EnumerationResult& out);
+
+/// The event scanline itself, for any h_t. enumerate_insertion_points
+/// runs it for h_t >= 2; tests also run it for h_t = 1 to check that the
+/// direct path emits the same sequence (the order decides cost ties).
+MRLG_EFFECT_READONLY
+void enumerate_insertion_points_scanline(
+    const LocalProblem& lp, const std::vector<InsertionInterval>& intervals,
+    const TargetSpec& target, const EnumerationOptions& opts,
+    EnumerationScratch& scratch, EnumerationResult& out);
 
 /// Reference implementation: all interval combinations per base row,
 /// filtered. Exponential in the worst case; used by tests and the

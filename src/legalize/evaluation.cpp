@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "util/assert.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mrlg {
 
@@ -44,10 +45,12 @@ int left_neighbor(const LocalProblem& lp, const InsertionPoint& p, int ci,
     return -1;
 }
 
-double y_cost_um(const LocalProblem& lp, const InsertionPoint& p,
-                 const TargetSpec& target) {
-    const double y_abs = static_cast<double>(lp.y0() + p.k0);
-    return std::abs(y_abs - target.pref_y) * lp.site_h_um();
+/// The calling thread's evaluator buffers: the scan's seed and every
+/// chunk a thread runs reuse them, so steady-state evaluation allocates
+/// nothing. Cleared by each evaluate call before use.
+EvalScratch& thread_eval_scratch() {
+    thread_local EvalScratch scratch;
+    return scratch;
 }
 
 }  // namespace
@@ -92,7 +95,7 @@ std::pair<SiteCoord, double> minimize_hinge_cost(const HingeSet& hinges,
         const std::size_t ib = static_cast<std::size_t>(itb - b.begin());
         const double cb =
             static_cast<double>(ib) * static_cast<double>(x) - b_prefix[ib];
-        return ca + cb + std::abs(static_cast<double>(x) - hinges.pref);
+        return ca + cb + target_x_distance_sites(x, hinges.pref);
     };
 
     // Candidate positions: every breakpoint clamped into [lo, hi].
@@ -123,9 +126,9 @@ std::pair<SiteCoord, double> minimize_hinge_cost(const HingeSet& hinges,
             continue;
         }
         const double c = cost_at(x);
-        const double d_pref = std::abs(static_cast<double>(x) - hinges.pref);
+        const double d_pref = target_x_distance_sites(x, hinges.pref);
         const double best_d_pref =
-            std::abs(static_cast<double>(best_x) - hinges.pref);
+            target_x_distance_sites(best_x, hinges.pref);
         if (c < best_cost - 1e-9 ||
             (std::abs(c - best_cost) <= 1e-9 &&
              (d_pref < best_d_pref - 1e-9 ||
@@ -192,7 +195,7 @@ Evaluation evaluate_insertion_point_approx(const LocalProblem& lp,
         minimize_hinge_cost(hinges, point.lo, point.hi, scratch);
     ev.feasible = true;
     ev.xt = xt;
-    ev.cost_um = cost_sites * lp.site_w_um() + y_cost_um(lp, point, target);
+    ev.cost_um = point_cost_um(lp, point, target, cost_sites);
     return ev;
 }
 
@@ -303,8 +306,91 @@ Evaluation evaluate_insertion_point_exact(const LocalProblem& lp,
         minimize_hinge_cost(hinges, point.lo, point.hi, scratch);
     ev.feasible = true;
     ev.xt = xt;
-    ev.cost_um = cost_sites * lp.site_w_um() + y_cost_um(lp, point, target);
+    ev.cost_um = point_cost_um(lp, point, target, cost_sites);
     return ev;
+}
+
+PointEvaluator point_evaluator(bool exact) {
+    if (exact) {
+        return &evaluate_insertion_point_exact;
+    }
+    return &evaluate_insertion_point_approx;
+}
+
+PointScan scan_insertion_points(const LocalProblem& lp,
+                                std::span<const InsertionPoint> points,
+                                const TargetSpec& target, bool exact,
+                                int num_threads) {
+    if (points.empty()) {
+        return {};
+    }
+    const PointEvaluator evaluate = point_evaluator(exact);
+    // Every point's bound, and the seed: the first point of least bound.
+    // The buffer is the calling thread's; chunks on other threads read it
+    // through `bound`, never by its thread_local name.
+    thread_local std::vector<double> bounds;
+    bounds.resize(points.size());
+    std::size_t seed = 0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        bounds[i] = cost_lower_bound_um(lp, points[i], target);
+        if (bounds[i] < bounds[seed]) {
+            seed = i;
+        }
+    }
+    const std::span<const double> bound(bounds);
+    const Evaluation seed_eval =
+        evaluate(lp, points[seed], target, thread_eval_scratch());
+    const double seed_cost = seed_eval.feasible
+                                 ? seed_eval.cost_um
+                                 : std::numeric_limits<double>::infinity();
+
+    // A chunk scores its points in index order and keeps the first of
+    // least cost. The winner W is never skipped: bound(W) <= cost(W) <=
+    // the seed's cost, and every point scored before W in its chunk costs
+    // strictly more than W (it precedes W, so it would otherwise win).
+    const auto map = [&](std::size_t begin, std::size_t end) {
+        EvalScratch& scratch = thread_eval_scratch();
+        PointScan best;
+        for (std::size_t i = begin; i < end; ++i) {
+            Evaluation ev;
+            if (i == seed) {
+                ev = seed_eval;
+            } else if (bound[i] > seed_cost ||
+                       (best.found() && bound[i] >= best.eval.cost_um)) {
+                ++best.skipped;
+                continue;
+            } else {
+                ev = evaluate(lp, points[i], target, scratch);
+            }
+            ++best.scored;
+            if (ev.feasible &&
+                (!best.found() || ev.cost_um < best.eval.cost_um)) {
+                best.eval = ev;
+                best.index = i;
+            }
+        }
+        return best;
+    };
+    // Chunk-local bests combine in ascending chunk order by (cost, index),
+    // which reproduces the serial first-strictly-lower rule exactly.
+    const auto combine = [](PointScan acc, const PointScan& part) {
+        acc.scored += part.scored;
+        acc.skipped += part.skipped;
+        if (part.found() &&
+            (!acc.found() || part.eval.cost_um < acc.eval.cost_um ||
+             (part.eval.cost_um == acc.eval.cost_um &&
+              part.index < acc.index))) {
+            acc.eval = part.eval;
+            acc.index = part.index;
+        }
+        return acc;
+    };
+    // Fixed grain: chunk boundaries must not depend on the thread count
+    // (see thread_pool.hpp). Exact evaluation is O(|C_W|) per point, so it
+    // amortizes the dispatch overhead at a finer grain.
+    const std::size_t grain = exact ? 16 : 128;
+    return parallel_reduce(points.size(), grain, num_threads, PointScan{},
+                           map, combine);
 }
 
 }  // namespace mrlg

@@ -10,6 +10,8 @@
 ///     positions of the <= 2·h_t immediate neighbours only, O(h_t);
 ///   * evaluate_insertion_point_exact  — critical positions of every local
 ///     cell via the push-chain recursion over the neighbour DAG, O(|C_W|).
+/// scan_insertion_points picks MLL's point with either one, fully scoring
+/// only the points that cost_lower_bound_um cannot exclude.
 ///
 /// Concurrency contract: both evaluators are pure functions of the
 /// LocalProblem plus their scratch argument — no globals, no Database
@@ -18,7 +20,11 @@
 /// pipeline, across whole problems on distinct worker threads; each thread
 /// must bring its own scratch.
 
-#include <optional>
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "legalize/enumeration.hpp"
@@ -107,5 +113,81 @@ CriticalPositions compute_critical_positions(const LocalProblem& lp,
 void compute_critical_positions(const LocalProblem& lp,
                                 const InsertionPoint& point,
                                 SiteCoord target_w, CriticalPositions& cp);
+
+/// The target's x distance from its preferred x, in sites: the |x − pref|
+/// term of the hinge cost (minimize_hinge_cost) and of the bound below.
+inline double target_x_distance_sites(SiteCoord x, double pref_x) {
+    return std::abs(static_cast<double>(x) - pref_x);
+}
+
+/// A point's cost in microns from its x cost in sites: x cost × site
+/// width plus the target's own y move. Both evaluators and
+/// cost_lower_bound_um end in this one expression.
+inline double point_cost_um(const LocalProblem& lp,
+                            const InsertionPoint& point,
+                            const TargetSpec& target, double x_cost_sites) {
+    const double y_abs = static_cast<double>(lp.y0() + point.k0);
+    return x_cost_sites * lp.site_w_um() +
+           std::abs(y_abs - target.pref_y) * lp.site_h_um();
+}
+
+/// A lower bound on both evaluators' cost_um at `point`: the target's own
+/// move alone, i.e. its y cost plus the smallest |x − pref_x| over the
+/// integers of [lo, hi]. Every hinge term is >= 0 and rounding is
+/// monotone, so bound <= cost_um holds exactly in floating point
+/// (DESIGN.md §2f). +infinity when lo > hi (no evaluator accepts the
+/// point).
+inline double cost_lower_bound_um(const LocalProblem& lp,
+                                  const InsertionPoint& point,
+                                  const TargetSpec& target) {
+    if (point.lo > point.hi) {
+        return std::numeric_limits<double>::infinity();
+    }
+    // The nearest integers to pref_x within [lo, hi]: the two neighbours
+    // of the clamped preference (x − pref_x rounds monotonically in x).
+    const double c =
+        std::clamp(target.pref_x, static_cast<double>(point.lo),
+                   static_cast<double>(point.hi));
+    const double d = std::min(
+        target_x_distance_sites(static_cast<SiteCoord>(std::floor(c)),
+                                target.pref_x),
+        target_x_distance_sites(static_cast<SiteCoord>(std::ceil(c)),
+                                target.pref_x));
+    return point_cost_um(lp, point, target, d);
+}
+
+/// An insertion-point evaluator: evaluate_insertion_point_approx or
+/// evaluate_insertion_point_exact (the scratch-taking forms).
+using PointEvaluator = Evaluation (*)(const LocalProblem&,
+                                      const InsertionPoint&,
+                                      const TargetSpec&, EvalScratch&);
+PointEvaluator point_evaluator(bool exact);
+
+/// The outcome of scanning a problem's enumerated insertion points.
+struct PointScan {
+    static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    Evaluation eval;            ///< The winner's evaluation.
+    std::size_t index = kNone;  ///< Winner; kNone when no point is feasible.
+    std::size_t scored = 0;     ///< Points whose full evaluation ran.
+    std::size_t skipped = 0;    ///< Points the cost bound excluded.
+
+    bool found() const { return index != kNone; }
+};
+
+/// MLL's choice (paper §4): the feasible point of least cost, the first
+/// one on ties, under the approximate or `exact` evaluator — exactly the
+/// winner of scoring every point in index order. Only points that can
+/// still win are scored (DESIGN.md §2f): the point of smallest
+/// cost_lower_bound_um (first on ties) is scored first as the seed, then
+/// each fixed-size chunk skips a point whose bound is > the seed's cost
+/// or >= the chunk's best so far. Chunks run on up to `num_threads`
+/// threads (0 = the MRLG_THREADS default) and merge by (cost, index), so
+/// the winner, its evaluation and the scored count are the same at every
+/// thread count. scored + skipped == points.size().
+MRLG_EFFECT_READONLY
+PointScan scan_insertion_points(const LocalProblem& lp,
+                                std::span<const InsertionPoint> points,
+                                const TargetSpec& target, bool exact,
+                                int num_threads);
 
 }  // namespace mrlg

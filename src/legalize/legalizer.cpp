@@ -114,21 +114,54 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
         }
     };
 
+    // Footprint padding of the region-parallel pipeline must cover any
+    // movable cell a plan might read (see compute_attempt_footprint);
+    // fixed cells are frozen into the segments and never appear in the
+    // lists, so the movable maximum suffices.
+    SiteCoord max_cell_width = 1;
     std::vector<CellId> unplaced;
     {
         MRLG_OBS_PHASE("setup");
-        std::vector<CellId> order = db.movable_cells();
-        stats.num_cells = order.size();
+        // The cells to place are queued in input order and only they are
+        // ordered. Every order is a stable sort, and a stable sort
+        // commutes with filtering, so the queue equals sorting every
+        // movable cell and keeping the unplaced ones. The queue is counted
+        // first and allocated once at its exact size: growing it by
+        // doubling measurably raised the legalizer's peak memory.
+        std::size_t num_unplaced = 0;
+        for (std::size_t i = 0; i < db.num_cells(); ++i) {
+            const CellId c{static_cast<CellId::underlying>(i)};
+            const Cell& cell = db.cell(c);
+            if (cell.fixed()) {
+                continue;
+            }
+            ++stats.num_cells;
+            max_cell_width = std::max(max_cell_width, cell.width());
+            if (cell.placed() && opts.unplace_first) {
+                grid.remove(db, c);
+            }
+            num_unplaced += cell.placed() ? 0 : 1;
+        }
+        unplaced.reserve(num_unplaced);
+        for (std::size_t i = 0; i < db.num_cells(); ++i) {
+            const CellId c{static_cast<CellId::underlying>(i)};
+            const Cell& cell = db.cell(c);
+            if (!cell.fixed() && !cell.placed()) {
+                unplaced.push_back(c);
+            }
+        }
         switch (opts.order) {
             case LegalizerOptions::Order::kInputOrder:
                 break;
             case LegalizerOptions::Order::kLeftToRight:
-                std::sort(order.begin(), order.end(), [&](CellId a, CellId b) {
-                    return db.cell(a).gp_x() < db.cell(b).gp_x();
-                });
+                std::stable_sort(unplaced.begin(), unplaced.end(),
+                                 [&](CellId a, CellId b) {
+                                     return db.cell(a).gp_x() <
+                                            db.cell(b).gp_x();
+                                 });
                 break;
             case LegalizerOptions::Order::kAreaDescending:
-                std::stable_sort(order.begin(), order.end(),
+                std::stable_sort(unplaced.begin(), unplaced.end(),
                                  [&](CellId a, CellId b) {
                                      const auto& ca = db.cell(a);
                                      const auto& cb = db.cell(b);
@@ -137,26 +170,12 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                                  });
                 break;
             case LegalizerOptions::Order::kMultiRowFirst:
-                std::stable_sort(order.begin(), order.end(),
+                std::stable_sort(unplaced.begin(), unplaced.end(),
                                  [&](CellId a, CellId b) {
                                      return db.cell(a).height() >
                                             db.cell(b).height();
                                  });
                 break;
-        }
-
-        if (opts.unplace_first) {
-            for (const CellId c : order) {
-                if (db.cell(c).placed()) {
-                    grid.remove(db, c);
-                }
-            }
-        }
-
-        for (const CellId c : order) {
-            if (!db.cell(c).placed()) {
-                unplaced.push_back(c);
-            }
         }
         audit_grid(AuditLevel::kCheap);  // post-setup pre-condition
     }
@@ -179,6 +198,7 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
         const MllResult r =
             mll_place(db, grid, c, px, py, mll_opts, &scratch);
         stats.mll_points_evaluated += r.num_points;
+        stats.audits_run += r.audits_run;
         if (r.success()) {
             ++stats.mll_successes;
             MRLG_OBS_OBSERVE("legalize.mll_real_cost_um", r.real_cost_um);
@@ -215,13 +235,6 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
     };
 
     // ---- region-parallel plan/commit pipeline state -----------------------
-    // Footprint padding must cover any movable cell a plan might read (see
-    // compute_attempt_footprint); fixed cells are frozen into the segments
-    // and never appear in the lists, so the movable maximum suffices.
-    SiteCoord max_cell_width = 1;
-    for (const CellId c : db.movable_cells()) {
-        max_cell_width = std::max(max_cell_width, db.cell(c).width());
-    }
     // Ledger claims are clamped to the die: no cell or segment exists
     // outside it, so footprint slices out there cannot carry conflicts.
     const Rect die = db.floorplan().die();
@@ -447,6 +460,7 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                         MRLG_ASSERT(r.success(), stale(t, "MLL plan"));
                         emit_attempt_counters(t.plan);
                         stats.mll_points_evaluated += t.plan.num_points;
+                        stats.audits_run += t.plan.audits_run;
                         ++stats.mll_successes;
                         MRLG_OBS_OBSERVE("legalize.mll_real_cost_um",
                                          r.real_cost_um);
@@ -478,6 +492,7 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                     } else {
                         emit_attempt_counters(t.plan);
                         stats.mll_points_evaluated += t.plan.num_points;
+                        stats.audits_run += t.plan.audits_run;
                         ++stats.mll_failures;
                         t.state = PlanTask::State::kFailed;
                     }

@@ -25,8 +25,8 @@ struct LegalizerOptions {
     int max_rounds = 64;
     enum class Order {
         kInputOrder,   ///< Paper: "arbitrary order".
-        kLeftToRight,  ///< Sort by gp x.
-        kAreaDescending,
+        kLeftToRight,  ///< By gp x (input order on ties).
+        kAreaDescending,  ///< Largest area first (input order on ties).
         /// Multi-row cells first (input order within each group). Single-
         /// row cells can always squeeze into leftover gaps, but a late
         /// multi-row cell can be starved when earlier single-row cells
@@ -93,11 +93,13 @@ struct LegalizerStats {
     std::size_t fallback_placements = 0;  ///< Free-slot fallback hits.
     std::size_t ripup_placements = 0;     ///< Rip-up transactions applied.
     std::size_t unplaced = 0;      ///< Cells still unplaced at the end.
-    /// Insertion points evaluated across all direct MLL attempts (the
-    /// parallel scan's per-point count, summed; rip-up internals excluded).
+    /// Insertion points enumerated across all direct MLL attempts, summed
+    /// (MllPlan::num_points; rip-up internals excluded). Each one was
+    /// either scored or excluded by the scan's cost bound.
     std::size_t mll_points_evaluated = 0;
-    /// Invariant audits executed by this run's hooks (0 when auditing is
-    /// off); lets callers and tests confirm the hooks actually fired.
+    /// Invariant audits executed by this run's hooks, the per-attempt MLL
+    /// audits included (0 when auditing is off); lets callers and tests
+    /// confirm the hooks actually fired.
     std::size_t audits_run = 0;
     /// Plan/commit waves executed by the region-parallel pipeline (0 under
     /// Pipeline::kSerial). A round with no footprint conflicts is one

@@ -12,70 +12,10 @@
 #include "legalize/realization.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mrlg {
 
 namespace {
-
-constexpr std::size_t kNoPoint = static_cast<std::size_t>(-1);
-
-/// Chunk-local (and final) state of the parallel candidate scan. Combined
-/// in ascending chunk order with the deterministic tie-break
-/// (cost, point index), which reproduces the serial "first strictly lower
-/// cost wins" rule exactly.
-struct ScanBest {
-    Evaluation eval;
-    std::size_t index = kNoPoint;
-    std::size_t evaluated = 0;  ///< Points actually evaluated (not chunks).
-};
-
-/// Evaluates every enumerated point and returns the best feasible one.
-/// Read-only over `lp`; evaluation order never affects the winner.
-ScanBest scan_insertion_points(const LocalProblem& lp,
-                               const EnumerationResult& enumr,
-                               const TargetSpec& target,
-                               const MllOptions& opts) {
-    const auto map = [&](std::size_t begin, std::size_t end) {
-        // One scratch per worker thread: steady-state evaluation allocates
-        // nothing. Cleared by each evaluate call before use.
-        thread_local EvalScratch scratch;
-        ScanBest best;
-        for (std::size_t i = begin; i < end; ++i) {
-            const InsertionPoint& p = enumr.points[i];
-            const Evaluation ev =
-                opts.exact_evaluation
-                    ? evaluate_insertion_point_exact(lp, p, target, scratch)
-                    : evaluate_insertion_point_approx(lp, p, target,
-                                                      scratch);
-            ++best.evaluated;
-            if (ev.feasible && (best.index == kNoPoint ||
-                                ev.cost_um < best.eval.cost_um)) {
-                best.eval = ev;
-                best.index = i;
-            }
-        }
-        return best;
-    };
-    const auto combine = [](ScanBest acc, ScanBest part) {
-        acc.evaluated += part.evaluated;
-        if (part.index != kNoPoint &&
-            (acc.index == kNoPoint ||
-             part.eval.cost_um < acc.eval.cost_um ||
-             (part.eval.cost_um == acc.eval.cost_um &&
-              part.index < acc.index))) {
-            acc.eval = part.eval;
-            acc.index = part.index;
-        }
-        return acc;
-    };
-    // Fixed grain: chunk boundaries must not depend on the thread count
-    // (see thread_pool.hpp). Exact evaluation is O(|C_W|) per point, so it
-    // amortizes the dispatch overhead at a finer grain.
-    const std::size_t grain = opts.exact_evaluation ? 16 : 128;
-    return parallel_reduce(enumr.points.size(), grain, opts.num_threads,
-                           ScanBest{}, map, combine);
-}
 
 MllPlan plan_with(const Database& db, const SegmentGrid& grid,
                   CellId target_cell, double pref_x, double pref_y,
@@ -111,6 +51,7 @@ MllPlan plan_with(const Database& db, const SegmentGrid& grid,
         return res;
     }
     if (opts.audit >= AuditLevel::kFull) {
+        ++res.audits_run;
         enforce(audit_local_region(db, grid, region, cell.region()));
     }
     LocalProblem& lp = s.local_problem;
@@ -119,6 +60,7 @@ MllPlan plan_with(const Database& db, const SegmentGrid& grid,
 
     compute_minmax_placement(lp);
     if (opts.audit >= AuditLevel::kFull) {
+        ++res.audits_run;
         enforce(audit_local_problem(lp, /*minmax_filled=*/true));
     }
     const std::vector<InsertionInterval>& intervals = s.intervals;
@@ -143,6 +85,7 @@ MllPlan plan_with(const Database& db, const SegmentGrid& grid,
             return res;
         }
         res.num_points = 1;
+        res.num_scored = 1;
         mip_point.k0 = mip.base_row_k;
         mip_point.gaps.assign(mip.gaps);
         // Feasible x range from the per-row intervals of the chosen gaps.
@@ -171,18 +114,27 @@ MllPlan plan_with(const Database& db, const SegmentGrid& grid,
             res.status = MllStatus::kNoInsertionPoint;
             return res;
         }
-        ScanBest best;
+        PointScan best;
         {
             MRLG_OBS_PHASE("scan");
-            best = scan_insertion_points(lp, enumr, target, opts);
+            best = scan_insertion_points(lp, enumr.points, target,
+                                         opts.exact_evaluation,
+                                         opts.num_threads);
         }
-        // Per-point accounting: sum of points each chunk evaluated, exact
-        // under any chunking (== points.size(); never the chunk count).
-        res.num_points = best.evaluated;
-        MRLG_OBS_COUNT("mll.points_evaluated", best.evaluated);
-        MRLG_ASSERT(best.evaluated == enumr.points.size(),
-                    "parallel scan must evaluate every enumerated point");
-        if (best.index == kNoPoint) {
+        // Per-point accounting: every enumerated point is either scored or
+        // excluded by the cost bound, under any chunking.
+        MRLG_ASSERT(best.scored + best.skipped == enumr.points.size(),
+                    "scan must score or exclude every enumerated point");
+        res.num_points = enumr.points.size();
+        res.num_scored = static_cast<std::uint32_t>(best.scored);
+        MRLG_OBS_COUNT("mll.points_evaluated", res.num_points);
+        if (opts.audit >= AuditLevel::kFull) {
+            ++res.audits_run;
+            enforce(audit_point_scan(lp, enumr.points, target,
+                                     point_evaluator(opts.exact_evaluation),
+                                     best));
+        }
+        if (!best.found()) {
             MRLG_OBS_COUNT("mll.no_insertion_point", 1);
             res.status = MllStatus::kNoInsertionPoint;
             return res;
@@ -250,6 +202,7 @@ MllResult mll_result_from_plan(const MllPlan& plan) {
     res.num_points = plan.num_points;
     res.num_local_cells = plan.num_local_cells;
     res.enumeration_truncated = plan.enumeration_truncated;
+    res.audits_run = plan.audits_run;
     res.moved.reserve(plan.moves.size());
     for (const MllPlan::Move& m : plan.moves) {
         res.moved.emplace_back(m.id, m.old_x);
@@ -296,6 +249,7 @@ MllResult mll_commit(Database& db, SegmentGrid& grid, CellId target_cell,
     res.num_points = plan.num_points;
     res.num_local_cells = plan.num_local_cells;
     res.enumeration_truncated = plan.enumeration_truncated;
+    res.audits_run = plan.audits_run;
     return res;
 }
 

@@ -4,9 +4,10 @@
 /// near a preferred position, shifting local cells minimally in x.
 ///
 /// Pipeline: window → local region extraction → leftmost/rightmost packing
-/// → insertion intervals → scanline enumeration → per-point evaluation
-/// (neighbour approximation by default, exact optionally) → realization of
-/// the best point → commit to the database/segment grid.
+/// → insertion intervals → enumeration → per-point evaluation (neighbour
+/// approximation by default, exact optionally; only points a cost bound
+/// cannot exclude are scored) → realization of the best point → commit to
+/// the database/segment grid.
 /// On failure nothing is modified (the paper's abort semantics).
 ///
 /// The operation is split into a read-only planning half (mll_plan) and a
@@ -14,6 +15,8 @@
 /// pipeline can compute many plans concurrently against a frozen grid and
 /// apply them serially in queue order. mll_place composes the two and is
 /// the drop-in serial entry point.
+
+#include <cstdint>
 
 #include "check/audit.hpp"
 #include "db/database.hpp"
@@ -42,8 +45,9 @@ struct MllOptions {
     bool use_mip = false;
     std::size_t max_points = 1u << 20;
     /// Invariant-audit level for this attempt. At kFull every extraction
-    /// is checked against the §2.1.3 post-conditions and every min/max
-    /// packing against the §5.1.1 bounds (audit_local.hpp) before the
+    /// is checked against the §2.1.3 post-conditions, every min/max
+    /// packing against the §5.1.1 bounds, and every bound-pruned scan
+    /// against a re-scan of all its points (audit_local.hpp) before the
     /// result is trusted; violations throw AssertionError. kOff/kCheap
     /// skip the per-attempt audits (the legalizer still audits the grid
     /// at phase boundaries).
@@ -60,9 +64,9 @@ struct MllOptions {
 /// The buffers one MLL attempt builds its problem in: the window snapshot,
 /// the CSR region and problem, the intervals, the enumeration queues and
 /// points, and realization's sweep arrays. Each attempt refills them in
-/// place, so they stay at their high-water capacity. The evaluator's
-/// EvalScratch is not here: the candidate scan may fan out over pool
-/// workers, so each evaluating thread keeps a thread_local one (mll.cpp).
+/// place, so they stay at their high-water capacity. The scan's buffers
+/// are not here: it may fan out over pool workers, so each thread keeps
+/// thread_local ones (evaluation.cpp).
 /// With both warm, an attempt allocates nothing but the returned plan's
 /// move list. One scratch per thread (the legalizer keeps a thread_local
 /// one per thread); never share one across threads. Optional — pass
@@ -98,9 +102,10 @@ struct MllResult {
     SiteCoord y = 0;
     double est_cost_um = 0.0;   ///< Evaluator cost of the chosen point.
     double real_cost_um = 0.0;  ///< Realized displacement cost, microns.
-    std::size_t num_points = 0;
+    std::size_t num_points = 0;  ///< As MllPlan::num_points.
     std::size_t num_local_cells = 0;
     bool enumeration_truncated = false;
+    std::uint8_t audits_run = 0;  ///< As MllPlan::audits_run.
     /// Local cells the commit shifted, with their pre-move x. MLL only
     /// ever changes x (rows and orders are invariant), so an exact undo is
     /// "restore these x values and remove the target".
@@ -124,9 +129,19 @@ struct MllPlan {
     SiteCoord y = 0;
     double est_cost_um = 0.0;
     double real_cost_um = 0.0;
+    /// Enumerated insertion points: each one was either scored or
+    /// excluded by the cost bound (1 for the MIP path). This is what the
+    /// mll.points_evaluated counter sums.
     std::size_t num_points = 0;
     std::size_t num_local_cells = 0;
     bool enumeration_truncated = false;
+    // The next two are narrow so that they fill the padding after the
+    // flag: the pipeline holds one plan per queued cell, so a larger plan
+    // raises the legalizer's peak memory.
+    /// Per-attempt invariant audits run (MllOptions::audit at kFull).
+    std::uint8_t audits_run = 0;
+    /// The enumerated points whose full evaluation ran (<= num_points).
+    std::uint32_t num_scored = 0;
     /// One shifted local cell. `old_x` is the position the plan was
     /// computed against; commit validates it before applying `new_x`.
     struct Move {

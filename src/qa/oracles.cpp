@@ -70,13 +70,15 @@ std::string pair_names(const Database& db,
            ")";
 }
 
-/// Serial insertion-point scan with mll.cpp's tie-break (first strictly
-/// lower cost wins, index order) — the reference the parallel scan and the
-/// whole-problem solvers are compared against.
+/// Exhaustive serial insertion-point scan with MLL's tie-break (first
+/// strictly lower cost wins, index order) — the reference the bound-pruned
+/// scan and the whole-problem solvers are compared against. Also counts
+/// the points whose cost_lower_bound_um exceeds their cost.
 struct ScanResult {
     bool feasible = false;
     std::size_t index = 0;
     Evaluation eval;
+    std::size_t bound_violations = 0;
 };
 
 ScanResult scan_points(const LocalProblem& lp, const EnumerationResult& er,
@@ -88,6 +90,10 @@ ScanResult scan_points(const LocalProblem& lp, const EnumerationResult& er,
                   : evaluate_insertion_point_approx(lp, er.points[i],
                                                     target);
         if (ev.feasible &&
+            cost_lower_bound_um(lp, er.points[i], target) > ev.cost_um) {
+            ++out.bound_violations;
+        }
+        if (ev.feasible &&
             (!out.feasible || ev.cost_um < out.eval.cost_um)) {
             out.feasible = true;
             out.index = i;
@@ -95,6 +101,40 @@ ScanResult scan_points(const LocalProblem& lp, const EnumerationResult& er,
         }
     }
     return out;
+}
+
+/// The bound-pruned scan mll_plan runs vs the exhaustive `full` scan: the
+/// same winner index, xt and bit-equal cost, every point scored or
+/// excluded, and the bound never above a point's cost.
+void diff_pruned_scan(const LocalProblem& lp, const EnumerationResult& er,
+                      const TargetSpec& target, bool exact,
+                      const ScanResult& full, std::ostringstream& os) {
+    const char* name = exact ? "exact" : "approx";
+    if (full.bound_violations > 0) {
+        os << name << " cost bound exceeds the cost at "
+           << full.bound_violations << " points; ";
+    }
+    const PointScan pruned = scan_insertion_points(lp, er.points, target,
+                                                   exact, /*num_threads=*/1);
+    if (pruned.scored + pruned.skipped != er.points.size()) {
+        os << name << " pruned scan accounted for "
+           << pruned.scored + pruned.skipped << " of " << er.points.size()
+           << " points; ";
+    }
+    const bool same =
+        pruned.found() == full.feasible &&
+        (!full.feasible || (pruned.index == full.index &&
+                            pruned.eval.xt == full.eval.xt &&
+                            pruned.eval.cost_um == full.eval.cost_um));
+    if (!same) {
+        os << name << " pruned scan chose "
+           << (pruned.found() ? std::to_string(pruned.index) : "none")
+           << " (xt=" << pruned.eval.xt << ", cost=" << pruned.eval.cost_um
+           << "), exhaustive "
+           << (full.feasible ? std::to_string(full.index) : "none")
+           << " (xt=" << full.eval.xt << ", cost=" << full.eval.cost_um
+           << "); ";
+    }
 }
 
 /// Realized displacement cost (microns) of placing the target at
@@ -282,6 +322,8 @@ std::string diff_local_solvers(const Database& db, const SegmentGrid& grid,
 
     const ScanResult approx = scan_points(lp, enumr, t, /*exact=*/false);
     const ScanResult exact = scan_points(lp, enumr, t, /*exact=*/true);
+    diff_pruned_scan(lp, enumr, t, /*exact=*/false, approx, os);
+    diff_pruned_scan(lp, enumr, t, /*exact=*/true, exact, os);
     if (approx.feasible != exact.feasible) {
         os << "feasibility mismatch: approx "
            << (approx.feasible ? "yes" : "no") << ", exact "

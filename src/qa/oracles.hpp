@@ -13,6 +13,9 @@
 ///                             exact == ILP cost, approx within its proven
 ///                             lower-bound relation, identical winner
 ///                             under the deterministic tie-break);
+///   bound-pruned scan     vs  the exhaustive serial scan, per evaluator
+///                             (same winner, xt and bit-equal cost; the
+///                             cost bound never above a point's cost);
 ///   scanline enumeration  vs  the naive exponential enumeration (small
 ///                             problems only);
 ///   mll_place + mll_undo  vs  a full before snapshot (byte-identical
@@ -75,9 +78,10 @@ struct LocalDiffOptions {
 
 /// Cross-checks every independent local-problem solver on the window
 /// around (pref_x, pref_y) for inserting `target` (an unplaced movable
-/// cell): approx vs exact evaluation, scanline vs naive enumeration,
-/// solve_local_exact vs solve_local_ilp, evaluation estimates vs realized
-/// displacement. Read-only: the database is never modified.
+/// cell): approx vs exact evaluation, the bound-pruned scan vs the
+/// exhaustive one, scanline vs naive enumeration, solve_local_exact vs
+/// solve_local_ilp, evaluation estimates vs realized displacement.
+/// Read-only: the database is never modified.
 std::string diff_local_solvers(const Database& db, const SegmentGrid& grid,
                                CellId target, double pref_x, double pref_y,
                                const Rect& window,

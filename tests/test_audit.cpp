@@ -4,6 +4,9 @@
 
 #include "check/audit.hpp"
 #include "check/audit_local.hpp"
+#include "legalize/enumeration.hpp"
+#include "legalize/evaluation.hpp"
+#include "legalize/insertion_interval.hpp"
 #include "legalize/legalizer.hpp"
 #include "legalize/minmax_placement.hpp"
 #include "test_helpers.hpp"
@@ -296,6 +299,40 @@ TEST(AuditLocal, MinmaxBoundViolationIsCaught) {
     const AuditReport r = audit_local_problem(lp, true);
     EXPECT_FALSE(r.ok());
     EXPECT_TRUE(r.has("lp-minmax")) << r.to_string();
+}
+
+TEST(AuditLocal, OffByOneScanWinnerIsCaught) {
+    Fixture f = make_fixture();
+    LocalProblem lp =
+        make_local_problem(f.db, f.grid, Rect{0, 0, 40, 2});
+    compute_minmax_placement(lp);
+    TargetSpec t;
+    t.w = 3;
+    t.h = 1;
+    t.pref_x = 12.0;
+    t.pref_y = 0.0;
+    const EnumerationResult er =
+        enumerate_insertion_points(lp, build_insertion_intervals(lp, t.w), t);
+    ASSERT_GE(er.points.size(), 2u);
+    for (const bool exact : {false, true}) {
+        const PointScan scan =
+            scan_insertion_points(lp, er.points, t, exact, 1);
+        ASSERT_TRUE(scan.found());
+        const PointEvaluator evaluate = point_evaluator(exact);
+        const AuditReport clean =
+            audit_point_scan(lp, er.points, t, evaluate, scan);
+        EXPECT_TRUE(clean.ok()) << clean.to_string();
+
+        // The winner's neighbour, with the winner's own evaluation: only
+        // the index is wrong.
+        PointScan off = scan;
+        off.index = scan.index + 1 < er.points.size() ? scan.index + 1
+                                                      : scan.index - 1;
+        const AuditReport r =
+            audit_point_scan(lp, er.points, t, evaluate, off);
+        EXPECT_TRUE(r.has("scan-winner")) << r.to_string();
+        EXPECT_EQ(r.issues.size(), 1u) << r.to_string();
+    }
 }
 
 // --- end-to-end: legalizer with in-run audits ----------------------------

@@ -263,5 +263,79 @@ TEST(Enumeration, TripleRowTargetAcrossMultiRowCells) {
     }
 }
 
+TEST(Enumeration, SingleRowSequenceEqualsScanline) {
+    // For h_t = 1 the points are emitted directly; the sequence — not just
+    // the set — must be the scanline's, because the order breaks cost ties.
+    // Rows may be fully blocked or outside the die (absent local rows),
+    // and max_points may cut the sequence short.
+    Rng rng(59);
+    std::size_t compared = 0;
+    std::size_t missing_rows = 0;
+    std::size_t truncated = 0;
+    const SiteCoord rows = 8;
+    const SiteCoord sites = 80;
+    for (int trial = 0; trial < 40; ++trial) {
+        Database db = empty_design(rows, sites);
+        db.floorplan().add_blockage(Rect{
+            0, static_cast<SiteCoord>(rng.uniform(0, rows - 1)), sites, 1});
+        db.floorplan().add_blockage(
+            Rect{static_cast<SiteCoord>(rng.uniform(0, sites - 10)),
+                 static_cast<SiteCoord>(rng.uniform(0, rows - 1)), 10, 1});
+        SegmentGrid grid = SegmentGrid::build(db);
+        for (int i = 0; i < 90; ++i) {
+            const SiteCoord w = static_cast<SiteCoord>(rng.uniform(1, 6));
+            const SiteCoord h = rng.chance(0.25) ? 2 : 1;
+            const Rect r{static_cast<SiteCoord>(rng.uniform(0, sites - w)),
+                         static_cast<SiteCoord>(rng.uniform(0, rows - h)), w,
+                         h};
+            if (grid.placeable(db, r, CellId{}, 0)) {
+                add_placed(db, grid, "c" + std::to_string(i), r.x, r.y, w,
+                           h);
+            }
+        }
+        const Rect window{static_cast<SiteCoord>(rng.uniform(0, 40)),
+                          static_cast<SiteCoord>(rng.uniform(-2, rows - 4)),
+                          static_cast<SiteCoord>(rng.uniform(20, 80)),
+                          static_cast<SiteCoord>(rng.uniform(4, 8))};
+        LocalProblem lp = make_local_problem(db, grid, window);
+        compute_minmax_placement(lp);
+        for (int k = 0; k < lp.num_rows(); ++k) {
+            missing_rows += lp.has_row(k) ? 0 : 1;
+        }
+        for (const RailPhase phase : {RailPhase::kEven, RailPhase::kOdd}) {
+            const TargetSpec t =
+                make_target(static_cast<SiteCoord>(rng.uniform(1, 5)), 1,
+                            phase);
+            const auto intervals = build_insertion_intervals(lp, t.w);
+            for (const bool rail : {true, false}) {
+                EnumerationOptions opts;
+                opts.check_rail = rail;
+                const std::size_t n = intervals.size();
+                for (const std::size_t cap :
+                     {opts.max_points, std::size_t{0}, n / 2, n}) {
+                    opts.max_points = cap;
+                    EnumerationScratch s1;
+                    EnumerationScratch s2;
+                    EnumerationResult direct;
+                    EnumerationResult scan;
+                    enumerate_insertion_points(lp, intervals, t, opts, s1,
+                                               direct);
+                    enumerate_insertion_points_scanline(lp, intervals, t,
+                                                        opts, s2, scan);
+                    EXPECT_EQ(direct.points, scan.points)
+                        << "trial " << trial << " cap " << cap;
+                    EXPECT_EQ(direct.truncated, scan.truncated)
+                        << "trial " << trial << " cap " << cap;
+                    truncated += scan.truncated ? 1 : 0;
+                    ++compared;
+                }
+            }
+        }
+    }
+    EXPECT_GT(compared, 0u);
+    EXPECT_GT(missing_rows, 0u);
+    EXPECT_GT(truncated, 0u);
+}
+
 }  // namespace
 }  // namespace mrlg::test
