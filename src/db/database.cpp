@@ -8,9 +8,9 @@ CellId Database::add_cell(Cell cell) {
     MRLG_ASSERT(cell.width() > 0 && cell.height() > 0,
                 "cell dimensions must be positive");
     const CellId id{static_cast<CellId::underlying>(cells_.size())};
-    auto [it, inserted] = cell_by_name_.emplace(cell.name(), id);
+    const bool inserted =
+        cell_index_.insert(cell.name(), id.value(), NamesOf<Cell>{cells_});
     MRLG_ASSERT(inserted, "duplicate cell name: " + cell.name());
-    static_cast<void>(it);
     cells_.push_back(std::move(cell));
     return id;
 }
@@ -26,18 +26,32 @@ std::vector<CellId> Database::movable_cells() const {
     return out;
 }
 
-CellId Database::find_cell(const std::string& name) const {
-    const auto it = cell_by_name_.find(name);
-    return it == cell_by_name_.end() ? CellId{} : it->second;
+void Database::find_cells(std::span<const std::string_view> names,
+                          std::span<CellId> out) const {
+    MRLG_ASSERT(out.size() == names.size(), "find_cells: size mismatch");
+    cell_index_.find_batch(names, out, NamesOf<Cell>{cells_},
+                           [this](std::int32_t id) {
+                               __builtin_prefetch(
+                                   &cells_[static_cast<std::size_t>(id)]);
+                           });
 }
 
 NetId Database::add_net(std::string name) {
     const NetId id{static_cast<NetId::underlying>(nets_.size())};
-    auto [it, inserted] = net_by_name_.emplace(name, id);
+    const bool inserted =
+        net_index_.insert(name, id.value(), NamesOf<Net>{nets_});
     MRLG_ASSERT(inserted, "duplicate net name: " + name);
-    static_cast<void>(it);
     nets_.emplace_back(std::move(name));
     return id;
+}
+
+void Database::presize(std::size_t cells, std::size_t nets,
+                       std::size_t pins) {
+    cells_.reserve(cells);
+    nets_.reserve(nets);
+    pins_.reserve(pins);
+    cell_index_.presize(cells);
+    net_index_.presize(nets);
 }
 
 PinId Database::add_pin(CellId cell_id, NetId net_id, double offset_x,
@@ -49,11 +63,6 @@ PinId Database::add_pin(CellId cell_id, NetId net_id, double offset_x,
     cells_[cell_id.index()].add_pin(id);
     nets_[net_id.index()].add_pin(id);
     return id;
-}
-
-NetId Database::find_net(const std::string& name) const {
-    const auto it = net_by_name_.find(name);
-    return it == net_by_name_.end() ? NetId{} : it->second;
 }
 
 double Database::density() const {
@@ -98,20 +107,6 @@ std::size_t string_heap_bytes(const std::string& s) {
     return s.capacity() + 1 > sizeof(std::string) ? s.capacity() + 1 : 0;
 }
 
-/// Rough per-entry footprint of one unordered_map node plus the bucket
-/// array. Implementation-defined in detail, but capacity-proportional and
-/// stable enough for trend tracking, which is all the memory block claims.
-template <typename Map>
-std::size_t name_map_bytes(const Map& map) {
-    std::size_t bytes = map.bucket_count() * sizeof(void*);
-    for (const auto& [name, id] : map) {
-        bytes += sizeof(typename Map::value_type) + 2 * sizeof(void*) +
-                 string_heap_bytes(name);
-        static_cast<void>(id);
-    }
-    return bytes;
-}
-
 }  // namespace
 
 std::vector<ArenaUsage> Database::memory_breakdown() const {
@@ -140,9 +135,8 @@ std::vector<ArenaUsage> Database::memory_breakdown() const {
     arenas.push_back({"floorplan", fp_bytes, fp_.rows().size()});
 
     arenas.push_back({"name_maps",
-                      name_map_bytes(cell_by_name_) +
-                          name_map_bytes(net_by_name_),
-                      cell_by_name_.size() + net_by_name_.size()});
+                      cell_index_.bytes() + net_index_.bytes(),
+                      cell_index_.size() + net_index_.size()});
     return arenas;
 }
 

@@ -6,13 +6,15 @@
 /// bookkeeping (which cells sit where) lives in SegmentGrid, and all
 /// algorithmic logic lives in mrlg::legalize / mrlg::gp.
 
+#include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "db/arena_stats.hpp"
 #include "db/cell.hpp"
 #include "db/floorplan.hpp"
+#include "db/name_index.hpp"
 #include "db/net.hpp"
 #include "db/write_cap.hpp"
 #include "util/assert.hpp"
@@ -43,7 +45,14 @@ public:
     /// Ids of all non-fixed cells, in id order.
     std::vector<CellId> movable_cells() const;
     /// Lookup by instance name; returns invalid id when absent.
-    CellId find_cell(const std::string& name) const;
+    CellId find_cell(std::string_view name) const {
+        return CellId{cell_index_.find(name, NamesOf<Cell>{cells_})};
+    }
+    /// out[i] = find_cell(names[i]) for every i (`out` is as long as
+    /// `names`), resolved kBatch names at a time with their slots and
+    /// candidate cells prefetched (NameIndex::find_batch).
+    void find_cells(std::span<const std::string_view> names,
+                    std::span<CellId> out) const;
 
     // --- nets / pins ---------------------------------------------------------
     NetId add_net(std::string name) MRLG_REQUIRES(grid_write_cap());
@@ -56,7 +65,18 @@ public:
     const std::vector<Net>& nets() const { return nets_; }
     const Pin& pin(PinId id) const { return pins_[check(id)]; }
     const std::vector<Pin>& pins() const { return pins_; }
-    NetId find_net(const std::string& name) const;
+    NetId find_net(std::string_view name) const {
+        return NetId{net_index_.find(name, NamesOf<Net>{nets_})};
+    }
+
+    /// Makes room for at least this many cells, nets and pins in total,
+    /// name indices included, so a reader that knows the counts loads
+    /// without regrowing. Changes no content.
+    void presize(std::size_t cells, std::size_t nets, std::size_t pins)
+        MRLG_REQUIRES(grid_write_cap());
+    /// The name indices themselves (memory accounting, tests).
+    const NameIndex& cell_index() const { return cell_index_; }
+    const NameIndex& net_index() const { return net_index_; }
 
     // --- derived stats -------------------------------------------------------
     /// Movable cell area divided by non-blocked row area ("Density", Table 1).
@@ -71,8 +91,9 @@ public:
 
     /// Capacity-based bytes per storage arena (cells/nets/pins/name maps,
     /// including per-element heap like names and pin lists) for the obs
-    /// memory-telemetry block. O(n) walk; call it at report time, not in
-    /// hot loops.
+    /// memory-telemetry block. The name_maps entry is exact: the two
+    /// index tables' bytes. O(n) walk; call it at report time, not in hot
+    /// loops.
     std::vector<ArenaUsage> memory_breakdown() const;
 
 private:
@@ -90,13 +111,22 @@ private:
         MRLG_ASSERT(id.valid() && id.index() < pins_.size(), "bad PinId");
         return id.index();
     }
+    /// The indices' name_of: reads the names cells_ or nets_ own, so the
+    /// indices store no strings.
+    template <typename T>
+    struct NamesOf {
+        const std::vector<T>& items;
+        std::string_view operator()(std::int32_t id) const {
+            return items[static_cast<std::size_t>(id)].name();
+        }
+    };
 
     Floorplan fp_;
     std::vector<Cell> cells_;
     std::vector<Net> nets_;
     std::vector<Pin> pins_;
-    std::unordered_map<std::string, CellId> cell_by_name_;
-    std::unordered_map<std::string, NetId> net_by_name_;
+    NameIndex cell_index_;
+    NameIndex net_index_;
 };
 
 }  // namespace mrlg

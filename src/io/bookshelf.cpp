@@ -1,13 +1,19 @@
 #include "io/bookshelf.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <optional>
+#include <memory>
+#include <system_error>
+#include <utility>
 
-#include "util/str.hpp"
 #include "db/write_cap.hpp"
+#include "util/geometry.hpp"
+#include "util/str.hpp"
 
 namespace mrlg {
 
@@ -15,50 +21,462 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Reads all meaningful lines (comments '#' stripped, blanks dropped).
-std::vector<std::string> read_lines(const fs::path& path) {
-    std::ifstream in(path);
-    if (!in) {
-        throw ParseError("cannot open " + path.string());
-    }
-    std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(in, line)) {
-        const std::size_t hash = line.find('#');
-        if (hash != std::string::npos) {
-            line.resize(hash);
-        }
-        const auto t = trim(line);
-        if (!t.empty()) {
-            lines.emplace_back(t);
-        }
-    }
-    return lines;
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+[[noreturn]] void fail_at(const std::string& path, std::size_t line,
+                          const std::string& what) {
+    throw ParseError(path + ":" + std::to_string(line) + ": " + what);
 }
 
-double to_double(std::string_view tok, const std::string& ctx) {
-    try {
-        return std::stod(std::string(tok));
-    } catch (const std::exception&) {
-        throw ParseError("bad number '" + std::string(tok) + "' in " + ctx);
+/// Parses the whole of `tok` as a finite double. std::from_chars rounds
+/// correctly, as strtod does, so the value is bit-equal to strtod's. It
+/// takes no leading '+', so one is stripped first; hex, "inf" and "nan"
+/// are refused.
+bool parse_finite(std::string_view tok, double& out) {
+    if (tok.starts_with('+')) {
+        tok.remove_prefix(1);
+        if (tok.starts_with('-')) {
+            return false;
+        }
     }
+    const char* end = tok.data() + tok.size();
+    const auto [ptr, ec] = std::from_chars(tok.data(), end, out);
+    return ec == std::errc{} && ptr == end && std::isfinite(out);
 }
 
-long to_long(std::string_view tok, const std::string& ctx) {
-    try {
-        return std::stol(std::string(tok));
-    } catch (const std::exception&) {
-        throw ParseError("bad integer '" + std::string(tok) + "' in " + ctx);
-    }
+/// True when [lo, lo + extent] lies strictly inside the coordinate range
+/// the legalizer keeps below its ±∞ sentinels (kSiteCoordMin/Max), so any
+/// edge it computes fits SiteCoord. False for NaN.
+bool fits_coord(double lo, double extent) {
+    return lo > kSiteCoordMin && lo + extent < kSiteCoordMax;
 }
+
+/// A size in sites or rows that rounds to at least 1 and fits SiteCoord.
+bool fits_size(double v) {
+    return std::round(v) >= 1 && v < kSiteCoordMax;
+}
+
+/// One input file, read whole into a buffer sized from the file and
+/// walked line by line in place. Tokens are views into the buffer, so no
+/// line or token is copied.
+class InputFile {
+public:
+    explicit InputFile(const fs::path& path) : path_(path.string()) {
+        std::error_code ec;
+        const std::uintmax_t size = fs::file_size(path, ec);
+        std::ifstream in(path, std::ios::binary);
+        if (ec || !in) {
+            throw ParseError("cannot open " + path_);
+        }
+        buf_ = std::make_unique_for_overwrite<char[]>(size);
+        in.read(buf_.get(), static_cast<std::streamsize>(size));
+        size_ = static_cast<std::size_t>(in.gcount());
+    }
+
+    const std::string& path() const { return path_; }
+    std::size_t line() const { return line_; }
+    /// The current line, '#' comment cut.
+    std::string_view text() const { return text_; }
+
+    /// Advances to the next line that holds a token once its '#' comment
+    /// is cut; false at the end of the file.
+    bool next_line() {
+        while (pos_ < size_) {
+            const char* begin = buf_.get() + pos_;
+            const void* nl = std::memchr(begin, '\n', size_ - pos_);
+            const std::size_t len =
+                nl != nullptr ? static_cast<const char*>(nl) - begin
+                              : size_ - pos_;
+            pos_ += len + 1;
+            ++line_;
+            text_ = std::string_view(begin, len);
+            text_ = text_.substr(0, text_.find('#'));
+            rest_ = text_;
+            skip_space();
+            if (!rest_.empty()) {
+                return true;
+            }
+        }
+        return false;
+    }
+
+    /// The current line's next whitespace-separated token; empty at its
+    /// end.
+    std::string_view token() {
+        skip_space();
+        std::size_t n = 0;
+        while (n < rest_.size() && !is_space(rest_[n])) {
+            ++n;
+        }
+        const std::string_view tok = rest_.substr(0, n);
+        rest_.remove_prefix(n);
+        return tok;
+    }
+
+    [[noreturn]] void fail(const std::string& what) const {
+        fail_at(path_, line_, what);
+    }
+
+    double number(std::string_view tok) const {
+        double v = 0;
+        if (!parse_finite(tok, v)) {
+            fail("bad number '" + std::string(tok) + "'");
+        }
+        return v;
+    }
+
+    /// An integer field: any number with no fractional part.
+    double integer(std::string_view tok) const {
+        const double v = number(tok);
+        if (std::trunc(v) != v) {
+            fail("bad integer '" + std::string(tok) + "'");
+        }
+        return v;
+    }
+
+    /// The count a "NumNodes : n" style header gives, as a pre-sizing hint
+    /// only: 0 when it does not parse, and never more than the file's
+    /// lines, since every node, net and pin has a line of its own.
+    std::size_t count_hint() {
+        std::string_view tok = token();
+        if (tok == ":") {
+            tok = token();
+        }
+        double n = 0;
+        if (!parse_finite(tok, n) || n < 0) {
+            return 0;
+        }
+        if (lines_ == 0) {
+            lines_ = static_cast<std::size_t>(
+                std::count(buf_.get(), buf_.get() + size_, '\n') + 1);
+        }
+        return static_cast<std::size_t>(
+            std::min(n, static_cast<double>(lines_)));
+    }
+
+private:
+    void skip_space() {
+        std::size_t n = 0;
+        while (n < rest_.size() && is_space(rest_[n])) {
+            ++n;
+        }
+        rest_.remove_prefix(n);
+    }
+
+    std::string path_;
+    std::unique_ptr<char[]> buf_;
+    std::size_t size_ = 0;
+    std::size_t pos_ = 0;   ///< Start of the next line.
+    std::size_t line_ = 0;  ///< 1-based number of the current line.
+    std::size_t lines_ = 0;  ///< Lines in the file; counted on first use.
+    std::string_view text_;
+    std::string_view rest_;  ///< The current line's untokenized rest.
+};
 
 struct SclRow {
     double coord_y = 0;
     double height = 0;
     double site_width = 1;
     double subrow_origin = 0;
-    long num_sites = 0;
+    double num_sites = 0;
+    std::size_t line = 0;  ///< Line of the row's CoreRow keyword.
 };
+
+/// What the .scl fixes for the other files: the site and row size in
+/// bookshelf units, the lowest row's y, and the row count.
+struct Frame {
+    double site_w = 1;
+    double row_h = 1;
+    double y0 = 0;
+    SiteCoord num_rows = 0;
+};
+
+std::vector<SclRow> read_scl_rows(InputFile& f) {
+    std::vector<SclRow> rows;
+    SclRow cur;
+    bool in_row = false;
+    while (f.next_line()) {
+        std::string_view a = f.token();
+        if (iequals(a, "CoreRow")) {
+            in_row = true;
+            cur = SclRow{};
+            cur.line = f.line();
+            continue;
+        }
+        if (!in_row) {
+            continue;
+        }
+        if (iequals(a, "End")) {
+            rows.push_back(cur);
+            in_row = false;
+            continue;
+        }
+        // "Key : value" pairs; a line may hold several. The window
+        // (a, b, c) slides one token at a time.
+        std::string_view b = f.token();
+        for (std::string_view c = f.token(); !c.empty();
+             a = b, b = c, c = f.token()) {
+            if (b != ":") {
+                continue;
+            }
+            if (iequals(a, "Coordinate")) {
+                cur.coord_y = f.number(c);
+            } else if (iequals(a, "Height")) {
+                cur.height = f.number(c);
+            } else if (iequals(a, "Sitewidth")) {
+                cur.site_width = f.number(c);
+            } else if (iequals(a, "SubrowOrigin")) {
+                cur.subrow_origin = f.number(c);
+            } else if (iequals(a, "NumSites")) {
+                cur.num_sites = f.integer(c);
+            }
+        }
+    }
+    if (rows.empty()) {
+        throw ParseError("no rows in " + f.path());
+    }
+    return rows;
+}
+
+/// Reads the .scl into a floorplan and the frame the other files use.
+Floorplan read_scl(const fs::path& path, Frame& frame) {
+    InputFile f(path);
+    std::vector<SclRow> rows = read_scl_rows(f);
+    std::stable_sort(rows.begin(), rows.end(),
+                     [](const SclRow& a, const SclRow& b) {
+                         return a.coord_y < b.coord_y;
+                     });
+    frame.row_h = rows[0].height;
+    frame.site_w = rows[0].site_width;
+    frame.y0 = rows[0].coord_y;
+    frame.num_rows = static_cast<SiteCoord>(rows.size());
+    if (!(frame.row_h > 0 && frame.site_w > 0)) {
+        fail_at(f.path(), rows[0].line,
+                "row height and site width must be positive");
+    }
+    Floorplan fp;
+    fp.set_site_dims_um(frame.site_w, frame.row_h);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const SclRow& r = rows[i];
+        if (std::abs(r.height - frame.row_h) > 1e-6 ||
+            std::abs(r.site_width - frame.site_w) > 1e-6) {
+            fail_at(f.path(), r.line, "non-uniform row height / site width");
+        }
+        const double expect_y =
+            frame.y0 + static_cast<double>(i) * frame.row_h;
+        if (std::abs(r.coord_y - expect_y) > 1e-6) {
+            fail_at(f.path(), r.line, "rows are not contiguous");
+        }
+        const double origin = r.subrow_origin / frame.site_w;
+        if (r.num_sites < 0 || !fits_coord(origin, r.num_sites)) {
+            fail_at(f.path(), r.line,
+                    "row origin or NumSites out of range");
+        }
+        fp.add_row(Row{static_cast<SiteCoord>(i),
+                       static_cast<SiteCoord>(std::llround(origin)),
+                       static_cast<SiteCoord>(r.num_sites)});
+    }
+    return fp;
+}
+
+/// Reads the .nodes into `db`. Returns each terminal with its line, so a
+/// terminal the .pl never places can be named.
+std::vector<std::pair<CellId, std::size_t>> read_nodes(const fs::path& path,
+                                                       const Frame& frame,
+                                                       Database& db)
+    MRLG_REQUIRES(grid_write_cap()) {
+    InputFile f(path);
+    std::vector<std::pair<CellId, std::size_t>> terminals;
+    while (f.next_line()) {
+        const std::string_view name = f.token();
+        if (name.starts_with("UCLA") || iequals(name, "NumTerminals")) {
+            continue;
+        }
+        if (iequals(name, "NumNodes")) {
+            db.presize(f.count_hint(), 0, 0);
+            continue;
+        }
+        const std::string_view w_tok = f.token();
+        const std::string_view h_tok = f.token();
+        if (h_tok.empty()) {
+            f.fail("bad node line '" + std::string(f.text()) + "'");
+        }
+        const double w_sites = f.number(w_tok) / frame.site_w;
+        const double h_rows = f.number(h_tok) / frame.row_h;
+        const std::string_view kind = f.token();
+        const bool terminal =
+            iequals(kind, "terminal") || iequals(kind, "terminal_NI");
+        const auto fail_node = [&](const std::string& what) {
+            f.fail("node " + std::string(name) + " " + what);
+        };
+        if (std::abs(w_sites - std::round(w_sites)) > 1e-6 ||
+            std::abs(h_rows - std::round(h_rows)) > 1e-6) {
+            fail_node("is not site/row aligned in size");
+        }
+        if (!fits_size(w_sites) || !fits_size(h_rows)) {
+            fail_node("must be at least one site wide and one row tall, "
+                      "and fit the coordinate range");
+        }
+        if (!terminal && std::round(h_rows) > frame.num_rows) {
+            fail_node("is movable and taller than the core's " +
+                      std::to_string(frame.num_rows) + " rows");
+        }
+        if (db.find_cell(name).valid()) {
+            f.fail("duplicate node name " + std::string(name));
+        }
+        const CellId id = db.add_cell(
+            Cell(std::string(name),
+                 static_cast<SiteCoord>(std::llround(w_sites)),
+                 static_cast<SiteCoord>(std::llround(h_rows)),
+                 RailPhase::kEven, terminal));
+        if (terminal) {
+            terminals.emplace_back(id, f.line());
+        }
+    }
+    return terminals;
+}
+
+void read_pl(const fs::path& path, const Frame& frame, Database& db)
+    MRLG_REQUIRES(grid_write_cap()) {
+    InputFile f(path);
+    while (f.next_line()) {
+        const std::string_view name = f.token();
+        if (name.starts_with("UCLA")) {
+            continue;
+        }
+        const std::string_view x_tok = f.token();
+        const std::string_view y_tok = f.token();
+        if (y_tok.empty()) {
+            f.fail("bad pl line '" + std::string(f.text()) + "'");
+        }
+        const CellId id = db.find_cell(name);
+        if (!id.valid()) {
+            f.fail("pl references unknown node " + std::string(name));
+        }
+        const double x = f.number(x_tok) / frame.site_w;
+        const double y = (f.number(y_tok) - frame.y0) / frame.row_h;
+        Cell& cell = db.cell(id);
+        if (!fits_coord(x, cell.width()) || !fits_coord(y, cell.height())) {
+            f.fail("node " + std::string(name) +
+                   " lies outside the coordinate range");
+        }
+        cell.set_gp(x, y);
+        bool fixed_marker = false;
+        for (std::string_view t = f.token(); !t.empty(); t = f.token()) {
+            if (iequals(t, "/FIXED") || iequals(t, "/FIXED_NI")) {
+                fixed_marker = true;
+            }
+        }
+        if (cell.fixed() || fixed_marker) {
+            cell.set_pos(static_cast<SiteCoord>(std::llround(x)),
+                         static_cast<SiteCoord>(std::llround(y)));
+        }
+    }
+}
+
+/// Reads the .nets. Pin lines are resolved NameIndex::kBatch at a time
+/// (Database::find_cells) and added in file order, so pin ids and every
+/// cell's and net's pin order are those of a line-by-line read.
+void read_nets(const fs::path& path, const Frame& frame, Database& db)
+    MRLG_REQUIRES(grid_write_cap()) {
+    InputFile f(path);
+    struct PendingPin {
+        NetId net;
+        double dx = 0;
+        double dy = 0;
+        std::size_t line = 0;
+    };
+    std::array<std::string_view, NameIndex::kBatch> names{};
+    std::array<PendingPin, NameIndex::kBatch> pins{};
+    std::array<CellId, NameIndex::kBatch> ids{};
+    std::size_t pending = 0;
+    const auto flush = [&] {
+        assert_grid_write_cap();
+        const std::size_t n = std::exchange(pending, 0);
+        db.find_cells({names.data(), n}, {ids.data(), n});
+        for (std::size_t i = 0; i < n; ++i) {
+            const PendingPin& p = pins[i];
+            if (!ids[i].valid()) {
+                fail_at(f.path(), p.line,
+                        "nets references unknown node " +
+                            std::string(names[i]));
+            }
+            // "nodename I/O/B : dx dy" — offsets from the node centre.
+            const Cell& cell = db.cell(ids[i]);
+            const double ox =
+                static_cast<double>(cell.width()) / 2.0 + p.dx / frame.site_w;
+            const double oy = static_cast<double>(cell.height()) / 2.0 +
+                              p.dy / frame.row_h;
+            if (!std::isfinite(ox) || !std::isfinite(oy)) {
+                fail_at(f.path(), p.line, "pin offset overflows");
+            }
+            db.add_pin(ids[i], p.net, ox, oy);
+        }
+    };
+
+    NetId cur_net;
+    int net_counter = 0;
+    try {
+        while (f.next_line()) {
+            const std::string_view first = f.token();
+            if (first.starts_with("UCLA")) {
+                continue;
+            }
+            if (iequals(first, "NumNets")) {
+                db.presize(0, f.count_hint(), 0);
+                continue;
+            }
+            if (iequals(first, "NumPins")) {
+                db.presize(0, 0, f.count_hint());
+                continue;
+            }
+            if (iequals(first, "NetDegree")) {
+                // "NetDegree : k [name]": the degree is not needed, the pin
+                // lines that follow are the net's pins.
+                f.token();
+                f.token();
+                const std::string_view tok = f.token();
+                std::string name = tok.empty()
+                                       ? "net_" + std::to_string(net_counter)
+                                       : std::string(tok);
+                ++net_counter;
+                if (db.find_net(name).valid()) {
+                    f.fail("duplicate net name " + name);
+                }
+                cur_net = db.add_net(std::move(name));
+                continue;
+            }
+            if (!cur_net.valid()) {
+                f.fail("pin line before NetDegree '" + std::string(f.text()) +
+                       "'");
+            }
+            double dx = 0;
+            double dy = 0;
+            for (std::string_view t = f.token(); !t.empty(); t = f.token()) {
+                if (t == ":") {
+                    if (const std::string_view tx = f.token(); !tx.empty()) {
+                        dx = f.number(tx);
+                    }
+                    if (const std::string_view ty = f.token(); !ty.empty()) {
+                        dy = f.number(ty);
+                    }
+                    break;
+                }
+            }
+            names[pending] = first;
+            pins[pending] = PendingPin{cur_net, dx, dy, f.line()};
+            if (++pending == NameIndex::kBatch) {
+                flush();
+            }
+        }
+    } catch (const ParseError&) {
+        // A pending pin on an earlier line may name an unknown node:
+        // resolve those first, so the error reported is the file's first.
+        flush();
+        throw;
+    }
+    flush();
+}
 
 }  // namespace
 
@@ -67,25 +485,25 @@ BookshelfReadResult read_bookshelf(const std::string& aux_path) {
     const fs::path aux(aux_path);
     const fs::path dir = aux.parent_path();
 
-    // ---- .aux -------------------------------------------------------------
-    const auto aux_lines = read_lines(aux);
-    if (aux_lines.empty()) {
-        throw ParseError("empty aux file: " + aux_path);
-    }
     std::string nodes_file;
     std::string nets_file;
     std::string pl_file;
     std::string scl_file;
-    for (const auto tok_view : split_ws(aux_lines[0])) {
-        const std::string tok(tok_view);
-        if (tok.ends_with(".nodes")) {
-            nodes_file = tok;
-        } else if (tok.ends_with(".nets")) {
-            nets_file = tok;
-        } else if (tok.ends_with(".pl")) {
-            pl_file = tok;
-        } else if (tok.ends_with(".scl")) {
-            scl_file = tok;
+    {
+        InputFile f(aux);
+        if (!f.next_line()) {
+            throw ParseError("empty aux file: " + aux_path);
+        }
+        for (std::string_view tok = f.token(); !tok.empty(); tok = f.token()) {
+            if (tok.ends_with(".nodes")) {
+                nodes_file = tok;
+            } else if (tok.ends_with(".nets")) {
+                nets_file = tok;
+            } else if (tok.ends_with(".pl")) {
+                pl_file = tok;
+            } else if (tok.ends_with(".scl")) {
+                scl_file = tok;
+            }
         }
     }
     if (nodes_file.empty() || pl_file.empty() || scl_file.empty()) {
@@ -93,199 +511,21 @@ BookshelfReadResult read_bookshelf(const std::string& aux_path) {
                          aux_path);
     }
 
-    // ---- .scl -------------------------------------------------------------
-    std::vector<SclRow> scl_rows;
-    {
-        const auto lines = read_lines(dir / scl_file);
-        SclRow cur;
-        bool in_row = false;
-        for (const auto& line : lines) {
-            const auto toks = split_ws(line);
-            if (toks.empty()) {
-                continue;
-            }
-            if (iequals(toks[0], "CoreRow")) {
-                in_row = true;
-                cur = SclRow{};
-                continue;
-            }
-            if (!in_row) {
-                continue;
-            }
-            if (iequals(toks[0], "End")) {
-                scl_rows.push_back(cur);
-                in_row = false;
-                continue;
-            }
-            // "Key : value" pairs; a line may hold several.
-            for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-                if (toks[i + 1] != ":") {
-                    continue;
-                }
-                const std::string_view key = toks[i];
-                const std::string_view val = toks[i + 2];
-                if (iequals(key, "Coordinate")) {
-                    cur.coord_y = to_double(val, "scl");
-                } else if (iequals(key, "Height")) {
-                    cur.height = to_double(val, "scl");
-                } else if (iequals(key, "Sitewidth")) {
-                    cur.site_width = to_double(val, "scl");
-                } else if (iequals(key, "SubrowOrigin")) {
-                    cur.subrow_origin = to_double(val, "scl");
-                } else if (iequals(key, "NumSites")) {
-                    cur.num_sites = to_long(val, "scl");
-                }
-            }
+    Frame frame;
+    Database db(read_scl(dir / scl_file, frame));
+    const auto terminals = read_nodes(dir / nodes_file, frame, db);
+    read_pl(dir / pl_file, frame, db);
+    for (const auto& [id, line] : terminals) {
+        if (!db.cell(id).placed()) {
+            fail_at((dir / nodes_file).string(), line,
+                    "terminal " + db.cell(id).name() + " has no position in " +
+                        (dir / pl_file).string());
         }
     }
-    if (scl_rows.empty()) {
-        throw ParseError("no rows in scl");
+    std::error_code ec;
+    if (!nets_file.empty() && fs::exists(dir / nets_file, ec)) {
+        read_nets(dir / nets_file, frame, db);
     }
-    std::sort(scl_rows.begin(), scl_rows.end(),
-              [](const SclRow& a, const SclRow& b) {
-                  return a.coord_y < b.coord_y;
-              });
-    const double row_h = scl_rows[0].height;
-    const double site_w = scl_rows[0].site_width;
-    const double y0 = scl_rows[0].coord_y;
-    for (std::size_t i = 0; i < scl_rows.size(); ++i) {
-        const SclRow& r = scl_rows[i];
-        if (std::abs(r.height - row_h) > 1e-6 ||
-            std::abs(r.site_width - site_w) > 1e-6) {
-            throw ParseError("non-uniform row height / site width");
-        }
-        const double expect_y = y0 + static_cast<double>(i) * row_h;
-        if (std::abs(r.coord_y - expect_y) > 1e-6) {
-            throw ParseError("rows are not contiguous in scl");
-        }
-    }
-
-    Floorplan fp;
-    fp.set_site_dims_um(site_w, row_h);
-    for (std::size_t i = 0; i < scl_rows.size(); ++i) {
-        const SclRow& r = scl_rows[i];
-        fp.add_row(Row{static_cast<SiteCoord>(i),
-                       static_cast<SiteCoord>(
-                           std::llround(r.subrow_origin / site_w)),
-                       static_cast<SiteCoord>(r.num_sites)});
-    }
-    Database db(std::move(fp));
-
-    // ---- .nodes -----------------------------------------------------------
-    {
-        const auto lines = read_lines(dir / nodes_file);
-        for (const auto& line : lines) {
-            const auto toks = split_ws(line);
-            if (toks.empty() || starts_with(line, "UCLA") ||
-                iequals(toks[0], "NumNodes") ||
-                iequals(toks[0], "NumTerminals")) {
-                continue;
-            }
-            if (toks.size() < 3) {
-                throw ParseError("bad node line: " + line);
-            }
-            const std::string name(toks[0]);
-            const double wd = to_double(toks[1], "nodes");
-            const double hd = to_double(toks[2], "nodes");
-            const bool terminal =
-                toks.size() > 3 && (iequals(toks[3], "terminal") ||
-                                    iequals(toks[3], "terminal_NI"));
-            const double w_sites = wd / site_w;
-            const double h_rows = hd / row_h;
-            if (std::abs(w_sites - std::round(w_sites)) > 1e-6 ||
-                std::abs(h_rows - std::round(h_rows)) > 1e-6) {
-                throw ParseError("node " + name +
-                                 " is not site/row aligned in size");
-            }
-            db.add_cell(Cell(name,
-                             static_cast<SiteCoord>(std::llround(w_sites)),
-                             static_cast<SiteCoord>(std::llround(h_rows)),
-                             RailPhase::kEven, terminal));
-        }
-    }
-
-    // ---- .pl --------------------------------------------------------------
-    {
-        const auto lines = read_lines(dir / pl_file);
-        for (const auto& line : lines) {
-            const auto toks = split_ws(line);
-            if (toks.empty() || starts_with(line, "UCLA")) {
-                continue;
-            }
-            if (toks.size() < 3) {
-                throw ParseError("bad pl line: " + line);
-            }
-            const std::string name(toks[0]);
-            const CellId id = db.find_cell(name);
-            if (!id.valid()) {
-                throw ParseError("pl references unknown node " + name);
-            }
-            const double x = to_double(toks[1], "pl") / site_w;
-            const double y = (to_double(toks[2], "pl") - y0) / row_h;
-            Cell& cell = db.cell(id);
-            cell.set_gp(x, y);
-            bool fixed_marker = false;
-            for (const auto& t : toks) {
-                if (iequals(t, "/FIXED") || iequals(t, "/FIXED_NI")) {
-                    fixed_marker = true;
-                }
-            }
-            if (cell.fixed() || fixed_marker) {
-                cell.set_pos(static_cast<SiteCoord>(std::llround(x)),
-                             static_cast<SiteCoord>(std::llround(y)));
-            }
-        }
-    }
-
-    // ---- .nets ------------------------------------------------------------
-    if (!nets_file.empty() && fs::exists(dir / nets_file)) {
-        const auto lines = read_lines(dir / nets_file);
-        NetId cur_net;
-        int net_counter = 0;
-        for (const auto& line : lines) {
-            const auto toks = split_ws(line);
-            if (toks.empty() || starts_with(line, "UCLA") ||
-                iequals(toks[0], "NumNets") || iequals(toks[0], "NumPins")) {
-                continue;
-            }
-            if (iequals(toks[0], "NetDegree")) {
-                std::string net_name =
-                    toks.size() >= 4 ? std::string(toks[3])
-                                     : "net_" + std::to_string(net_counter);
-                ++net_counter;
-                cur_net = db.add_net(std::move(net_name));
-                continue;
-            }
-            if (!cur_net.valid()) {
-                throw ParseError("pin line before NetDegree: " + line);
-            }
-            // "nodename I/O/B : dx dy" — offsets from the node centre.
-            const std::string name(toks[0]);
-            const CellId id = db.find_cell(name);
-            if (!id.valid()) {
-                throw ParseError("nets references unknown node " + name);
-            }
-            double dx = 0;
-            double dy = 0;
-            for (std::size_t i = 0; i < toks.size(); ++i) {
-                if (toks[i] == ":") {
-                    if (i + 1 < toks.size()) {
-                        dx = to_double(toks[i + 1], "nets");
-                    }
-                    if (i + 2 < toks.size()) {
-                        dy = to_double(toks[i + 2], "nets");
-                    }
-                    break;
-                }
-            }
-            const Cell& cell = db.cell(id);
-            db.add_pin(id, cur_net,
-                       static_cast<double>(cell.width()) / 2.0 + dx / site_w,
-                       static_cast<double>(cell.height()) / 2.0 +
-                           dy / row_h);
-        }
-    }
-
     return BookshelfReadResult{std::move(db), aux.stem().string()};
 }
 

@@ -5,36 +5,6 @@
 
 namespace mrlg {
 
-namespace {
-bool is_ws(char c) {
-    return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\f' ||
-           c == '\v';
-}
-}  // namespace
-
-std::string_view trim(std::string_view s) {
-    std::size_t b = 0;
-    std::size_t e = s.size();
-    while (b < e && is_ws(s[b])) ++b;
-    while (e > b && is_ws(s[e - 1])) --e;
-    return s.substr(b, e - b);
-}
-
-std::vector<std::string_view> split_ws(std::string_view s) {
-    std::vector<std::string_view> out;
-    std::size_t i = 0;
-    while (i < s.size()) {
-        while (i < s.size() && is_ws(s[i])) ++i;
-        std::size_t j = i;
-        while (j < s.size() && !is_ws(s[j])) ++j;
-        if (j > i) {
-            out.push_back(s.substr(i, j - i));
-        }
-        i = j;
-    }
-    return out;
-}
-
 std::vector<std::string_view> split(std::string_view s, char delim) {
     std::vector<std::string_view> out;
     std::size_t start = 0;
@@ -45,10 +15,6 @@ std::vector<std::string_view> split(std::string_view s, char delim) {
         }
     }
     return out;
-}
-
-bool starts_with(std::string_view s, std::string_view prefix) {
-    return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
 bool iequals(std::string_view a, std::string_view b) {

@@ -8,17 +8,8 @@
 
 namespace mrlg {
 
-/// Strip leading/trailing ASCII whitespace.
-std::string_view trim(std::string_view s);
-
-/// Split on any run of whitespace; no empty tokens.
-std::vector<std::string_view> split_ws(std::string_view s);
-
 /// Split on a single delimiter character; keeps empty fields.
 std::vector<std::string_view> split(std::string_view s, char delim);
-
-/// True when `s` starts with `prefix`.
-bool starts_with(std::string_view s, std::string_view prefix);
 
 /// Case-insensitive equality (ASCII).
 bool iequals(std::string_view a, std::string_view b);

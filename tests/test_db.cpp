@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "db/database.hpp"
+#include "db/name_index.hpp"
 #include "test_helpers.hpp"
 #include "util/assert.hpp"
 
@@ -152,6 +158,149 @@ TEST(Database, BadIdAccessAsserts) {
     EXPECT_NO_THROW(db.cell(CellId{0}));
     EXPECT_THROW(db.cell(CellId{1}), AssertionError);
     EXPECT_THROW(db.cell(CellId{}), AssertionError);
+}
+
+// ---- name index ----------------------------------------------------------
+
+TEST(NameIndex, FindsASliceOfALargerBuffer) {
+    Database db(Floorplan(4, 50));
+    const CellId id = db.add_cell(Cell("cell42", 2, 1));
+    const std::string buffer = "xxcell42 yy";
+    EXPECT_EQ(db.find_cell(std::string_view(buffer).substr(2, 6)), id);
+    const NetId n = db.add_net("net7");
+    EXPECT_EQ(db.find_net(std::string_view(buffer.data() + 1, 1)),
+              NetId{});
+    EXPECT_EQ(db.find_net(std::string_view("anet7b").substr(1, 4)), n);
+}
+
+TEST(NameIndex, AbsentNamesAreNotFound) {
+    Database db(Floorplan(4, 50));
+    db.add_cell(Cell("cell42", 2, 1));
+    db.add_net("net7");
+    for (const std::string_view name : {"cell4", "cell421", "", "Cell42"}) {
+        EXPECT_FALSE(db.find_cell(name).valid()) << name;
+    }
+    for (const std::string_view name : {"net", "net77", ""}) {
+        EXPECT_FALSE(db.find_net(name).valid()) << name;
+    }
+    EXPECT_FALSE(Database().find_cell("").valid());
+}
+
+TEST(NameIndex, LookupsHoldAcrossEveryGrowth) {
+    // Names come from the ids through `names`, as Database provides them.
+    std::vector<std::string> names;
+    const auto name_of = [&names](std::int32_t id) -> std::string_view {
+        return names[static_cast<std::size_t>(id)];
+    };
+    NameIndex index;
+    constexpr int kNames = 200000;
+    names.reserve(kNames);
+    int growths = 0;
+    for (int i = 0; i < kNames; ++i) {
+        const std::size_t before = index.capacity();
+        names.push_back("s" + std::to_string(i));
+        ASSERT_TRUE(index.insert(names.back(), i, name_of));
+        if (index.capacity() == before) {
+            continue;
+        }
+        ++growths;
+        for (int j = 0; j <= i; ++j) {
+            ASSERT_EQ(index.find(names[static_cast<std::size_t>(j)], name_of),
+                      j);
+        }
+        ASSERT_EQ(index.find("s" + std::to_string(i + 1), name_of), -1);
+    }
+    EXPECT_GE(growths, 15);
+    EXPECT_EQ(index.size(), static_cast<std::size_t>(kNames));
+    EXPECT_LE(2 * index.size(), index.capacity());
+}
+
+TEST(NameIndex, CopiedAndMovedDatabasesFindEveryName) {
+    Database db(Floorplan(4, 50));
+    for (int i = 0; i < 100; ++i) {
+        db.add_cell(Cell("c" + std::to_string(i), 1, 1));
+        db.add_net("n" + std::to_string(i));
+    }
+    const Database copy = db;
+    const Database moved = std::move(db);
+    for (const Database* d : {&copy, &moved}) {
+        for (int i = 0; i < 100; ++i) {
+            EXPECT_EQ(d->find_cell("c" + std::to_string(i)), CellId{i});
+            EXPECT_EQ(d->find_net("n" + std::to_string(i)), NetId{i});
+        }
+    }
+}
+
+TEST(NameIndex, DuplicateNamesStillAssert) {
+    Database db(Floorplan(4, 50));
+    db.add_cell(Cell("a", 2, 1));
+    db.add_net("n");
+    EXPECT_THROW(db.add_cell(Cell("a", 1, 1)), AssertionError);
+    EXPECT_THROW(db.add_net("n"), AssertionError);
+    EXPECT_EQ(db.num_cells(), 1u);
+    EXPECT_EQ(db.nets().size(), 1u);
+    EXPECT_EQ(db.find_cell("a"), CellId{0});
+}
+
+TEST(NameIndex, BatchedLookupEqualsSingleLookup) {
+    Database db(Floorplan(4, 50));
+    std::vector<std::string> storage;
+    for (int i = 0; i < 300; ++i) {
+        db.add_cell(Cell("c" + std::to_string(i), 1, 1));
+        storage.push_back("c" + std::to_string((i * 7) % 400));
+    }
+    storage.emplace_back("");
+    storage.emplace_back("c");
+    const std::vector<std::string_view> names(storage.begin(),
+                                              storage.end());
+    // Batches of every size across the kBatch boundary, 0 and 1 included.
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2},
+          NameIndex::kBatch - 1, NameIndex::kBatch, NameIndex::kBatch + 1,
+          names.size()}) {
+        std::vector<CellId> out(n, CellId{12345});
+        db.find_cells({names.data(), n}, out);
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(out[i], db.find_cell(names[i])) << names[i];
+        }
+    }
+    const std::string_view absent[] = {"zz"};
+    CellId one{0};
+    Database().find_cells(absent, {&one, 1});
+    EXPECT_FALSE(one.valid());
+}
+
+TEST(NameIndex, MemoryBreakdownReportsExactIndexBytes) {
+    Database db(Floorplan(4, 50));
+    for (int i = 0; i < 1000; ++i) {
+        db.add_cell(Cell("c" + std::to_string(i), 1, 1));
+    }
+    db.add_net("n");
+    std::size_t name_maps = 0;
+    for (const ArenaUsage& a : db.memory_breakdown()) {
+        if (a.name == "name_maps") {
+            name_maps = a.bytes;
+            EXPECT_EQ(a.entries, 1001u);
+        }
+    }
+    EXPECT_EQ(name_maps, (db.cell_index().capacity() +
+                          db.net_index().capacity()) *
+                             sizeof(NameIndex::Slot));
+    EXPECT_EQ(sizeof(NameIndex::Slot), 8u);
+}
+
+TEST(NameIndex, PresizeAvoidsRegrowthAndChangesNoLookup) {
+    Database db(Floorplan(4, 50));
+    db.add_cell(Cell("a", 1, 1));
+    db.presize(5000, 10, 20);
+    const std::size_t capacity = db.cell_index().capacity();
+    EXPECT_GE(capacity, 10000u);
+    for (int i = 0; i < 4999; ++i) {
+        db.add_cell(Cell("c" + std::to_string(i), 1, 1));
+    }
+    EXPECT_EQ(db.cell_index().capacity(), capacity);
+    EXPECT_EQ(db.find_cell("a"), CellId{0});
+    EXPECT_EQ(db.find_cell("c4998"), CellId{4999});
 }
 
 }  // namespace

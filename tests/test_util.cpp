@@ -179,33 +179,12 @@ TEST(Rng, UniformEmptyRangeAsserts) {
 
 // ---------------- strings ----------------
 
-TEST(Str, Trim) {
-    EXPECT_EQ(trim("  hi \t"), "hi");
-    EXPECT_EQ(trim(""), "");
-    EXPECT_EQ(trim(" \n "), "");
-    EXPECT_EQ(trim("x"), "x");
-}
-
-TEST(Str, SplitWs) {
-    const auto v = split_ws("  a\tbb   c ");
-    ASSERT_EQ(v.size(), 3u);
-    EXPECT_EQ(v[0], "a");
-    EXPECT_EQ(v[1], "bb");
-    EXPECT_EQ(v[2], "c");
-    EXPECT_TRUE(split_ws("   ").empty());
-}
-
 TEST(Str, SplitDelim) {
     const auto v = split("a,,b", ',');
     ASSERT_EQ(v.size(), 3u);
     EXPECT_EQ(v[0], "a");
     EXPECT_EQ(v[1], "");
     EXPECT_EQ(v[2], "b");
-}
-
-TEST(Str, StartsWith) {
-    EXPECT_TRUE(starts_with("NetDegree : 3", "NetDegree"));
-    EXPECT_FALSE(starts_with("Net", "NetDegree"));
 }
 
 TEST(Str, IEquals) {
