@@ -1,17 +1,12 @@
-/// bench_parallel — thread-scaling sweep of the parallel layers.
+/// bench_parallel — thread-scaling sweep of the legalizer's plan fan-out.
 /// For each synthesized design and evaluation mode, legalizes the same
-/// global placement at 1/2/4/8 threads under both parallelization series:
-///
-///   intra_window    — Pipeline::kSerial: one cell at a time, parallelism
-///                     only inside each MLL's insertion-point scan;
-///   region_parallel — the plan/commit pipeline over disjoint local-region
-///                     footprints (legalize/pipeline.hpp, the default).
-///
-/// Every run is verified bit-identical to the serial baseline of its
-/// series AND to the other series (the pipeline's serial-equivalence
-/// contract), then emitted into a machine-readable JSON trajectory
-/// together with the real machine configuration — speedup numbers are
-/// meaningless without the hardware_threads that produced them.
+/// global placement at 1/2/4/8 threads. Every run must reproduce the
+/// first thread count's placement bit for bit, and that placement must
+/// equal qa::reference_legalize's, the serial Algorithm 1 loop (the
+/// pipeline's serial-equivalence contract, legalize/pipeline.hpp). The
+/// runs are emitted into a machine-readable JSON trajectory together with
+/// the real machine configuration — speedup numbers are meaningless
+/// without the hardware_threads that produced them.
 ///
 /// Flags:
 ///   --json PATH    output file (default BENCH_parallel.json)
@@ -32,6 +27,7 @@
 #include "eval/metrics.hpp"
 #include "io/profiles.hpp"
 #include "obs/timeline.hpp"
+#include "qa/oracles.hpp"
 #include "util/logging.hpp"
 #include "util/str.hpp"
 #include "util/thread_pool.hpp"
@@ -73,11 +69,6 @@ std::vector<std::pair<SiteCoord, SiteCoord>> snapshot(const Database& db) {
     return pos;
 }
 
-struct Series {
-    const char* name;
-    LegalizerOptions::Pipeline pipeline;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -106,10 +97,6 @@ int main(int argc, char** argv) {
     if (!args.has_flag("--approx-only")) {
         modes.push_back(true);
     }
-    const Series series[] = {
-        {"intra_window", LegalizerOptions::Pipeline::kSerial},
-        {"region_parallel", LegalizerOptions::Pipeline::kRegionParallel},
-    };
 
     Json root = Json::object();
     root.set("bench", Json::str("bench_parallel"));
@@ -130,92 +117,88 @@ int main(int argc, char** argv) {
         const std::size_t num_cells = db.num_cells();
 
         for (const bool exact : modes) {
-            // Reference placement: the serial path at 1 thread. Every run
-            // of every series must reproduce it bit for bit.
+            // Every run must reproduce the first thread count's placement.
             std::vector<std::pair<SiteCoord, SiteCoord>> reference_pos;
-            for (const Series& s : series) {
-                double baseline_time = 0.0;
-                for (const int t : threads) {
+            double baseline_time = 0.0;
+            for (const int t : threads) {
+                reset_placement(db, grid);
+                if (!trace_path.empty()) {
+                    // Fresh timeline per run; the last run's events are
+                    // what ends up in the trace file.
+                    timeline_guard.reset();
+                    timeline = std::make_unique<obs::Timeline>();
+                    timeline_guard =
+                        std::make_unique<obs::ScopedTimeline>(*timeline);
+                }
+                LegalizerOptions opts;
+                opts.seed = profile.seed;
+                opts.num_threads = t;
+                opts.mll.exact_evaluation = exact;
+                const RunMetrics m = run_legalization(db, grid, opts);
+                const auto pos = snapshot(db);
+                if (reference_pos.empty()) {
+                    reference_pos = pos;
+                    baseline_time = m.runtime_s;
+                    // Once per design and mode: the serial reference loop
+                    // must land every cell on the same site.
                     reset_placement(db, grid);
-                    if (!trace_path.empty()) {
-                        // Fresh timeline per run; the last run's events are
-                        // what ends up in the trace file.
-                        timeline_guard.reset();
-                        timeline = std::make_unique<obs::Timeline>();
-                        timeline_guard =
-                            std::make_unique<obs::ScopedTimeline>(*timeline);
-                    }
-                    LegalizerOptions opts;
-                    opts.seed = profile.seed;
-                    opts.num_threads = t;
-                    opts.pipeline = s.pipeline;
-                    opts.mll.exact_evaluation = exact;
-                    const RunMetrics m = run_legalization(db, grid, opts);
-                    const auto pos = snapshot(db);
-                    if (reference_pos.empty()) {
-                        reference_pos = pos;
-                    }
-                    if (t == threads.front()) {
-                        baseline_time = m.runtime_s;
-                    }
-                    const bool identical = pos == reference_pos;
-                    const double speedup =
-                        m.runtime_s > 0.0 ? baseline_time / m.runtime_s
-                                          : 0.0;
-                    std::cerr << design_name << " ["
-                              << (exact ? "exact" : "approx") << "/"
-                              << s.name << "] t=" << t << ": "
-                              << format_fixed(m.runtime_s, 3) << "s"
-                              << " speedup=" << format_fixed(speedup, 2)
-                              << (identical ? "" : "  MISMATCH") << "\n";
-
-                    // Sanity guard: no run can legitimately beat linear
-                    // scaling. A speedup above the thread count (plus
-                    // timer-noise slack) means the baseline, the clock, or
-                    // the recorded environment is lying — exactly the class
-                    // of bug behind a hardware_threads:1 machine reporting
-                    // 7 pool workers.
-                    if (speedup > static_cast<double>(t) + 0.25) {
-                        std::cerr << "FATAL: speedup_vs_serial "
-                                  << format_fixed(speedup, 2)
-                                  << " exceeds the thread count " << t
-                                  << " (series=" << s.name
-                                  << " design=" << design_name
-                                  << ") - baseline or clock is broken\n";
+                    qa::reference_legalize(db, grid, opts);
+                    if (snapshot(db) != reference_pos) {
+                        std::cerr << "FATAL: placement differs from "
+                                     "qa::reference_legalize (design="
+                                  << design_name << " mode="
+                                  << (exact ? "exact" : "approx") << ")\n";
                         return 1;
                     }
+                }
+                const bool identical = pos == reference_pos;
+                const double speedup =
+                    m.runtime_s > 0.0 ? baseline_time / m.runtime_s : 0.0;
+                std::cerr << design_name << " ["
+                          << (exact ? "exact" : "approx") << "] t=" << t
+                          << ": " << format_fixed(m.runtime_s, 3) << "s"
+                          << " speedup=" << format_fixed(speedup, 2)
+                          << (identical ? "" : "  MISMATCH") << "\n";
 
-                    const ThreadPoolConfig tp_now = ThreadPool::config();
-                    Json run = Json::object();
-                    run.set("design", Json::str(design_name));
-                    run.set("cells", Json::num(num_cells));
-                    run.set("mode", Json::str(exact ? "exact" : "approx"));
-                    run.set("series", Json::str(s.name));
-                    run.set("threads",
-                            Json::num(static_cast<std::int64_t>(t)));
-                    run.set("threads_effective",
-                            Json::num(static_cast<std::int64_t>(std::min(
-                                t, tp_now.pool_workers + 1))));
-                    run.set("legalize_s", Json::num(m.runtime_s));
-                    run.set("success", Json::boolean(m.success));
-                    run.set("points_evaluated",
-                            Json::num(m.points_evaluated));
-                    run.set("waves", Json::num(m.waves));
-                    run.set("conflict_requeues",
-                            Json::num(m.conflict_requeues));
-                    run.set("disp_avg_sites", Json::num(m.disp_avg_sites));
-                    run.set("dhpwl_pct", Json::num(m.dhpwl_pct));
-                    run.set("speedup_vs_serial", Json::num(speedup));
-                    run.set("identical_to_serial",
-                            Json::boolean(identical));
-                    runs.push(std::move(run));
-                    if (!identical) {
-                        std::cerr << "FATAL: run diverged from the serial "
-                                     "placement (design=" << design_name
-                                  << " series=" << s.name
-                                  << " threads=" << t << ")\n";
-                        return 1;
-                    }
+                // Sanity guard: no run can legitimately beat linear
+                // scaling. A speedup above the thread count (plus
+                // timer-noise slack) means the baseline, the clock, or
+                // the recorded environment is lying — exactly the class
+                // of bug behind a hardware_threads:1 machine reporting
+                // 7 pool workers.
+                if (speedup > static_cast<double>(t) + 0.25) {
+                    std::cerr << "FATAL: speedup_vs_t1 "
+                              << format_fixed(speedup, 2)
+                              << " exceeds the thread count " << t
+                              << " (design=" << design_name
+                              << ") - baseline or clock is broken\n";
+                    return 1;
+                }
+
+                const ThreadPoolConfig tp_now = ThreadPool::config();
+                Json run = Json::object();
+                run.set("design", Json::str(design_name));
+                run.set("cells", Json::num(num_cells));
+                run.set("mode", Json::str(exact ? "exact" : "approx"));
+                run.set("threads", Json::num(static_cast<std::int64_t>(t)));
+                run.set("threads_effective",
+                        Json::num(static_cast<std::int64_t>(
+                            std::min(t, tp_now.pool_workers + 1))));
+                run.set("legalize_s", Json::num(m.runtime_s));
+                run.set("success", Json::boolean(m.success));
+                run.set("points_evaluated", Json::num(m.points_evaluated));
+                run.set("waves", Json::num(m.waves));
+                run.set("conflict_requeues", Json::num(m.conflict_requeues));
+                run.set("disp_avg_sites", Json::num(m.disp_avg_sites));
+                run.set("dhpwl_pct", Json::num(m.dhpwl_pct));
+                run.set("speedup_vs_t1", Json::num(speedup));
+                run.set("identical_to_serial", Json::boolean(identical));
+                runs.push(std::move(run));
+                if (!identical) {
+                    std::cerr << "FATAL: run diverged from the serial "
+                                 "placement (design=" << design_name
+                              << " threads=" << t << ")\n";
+                    return 1;
                 }
             }
         }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -24,8 +25,9 @@ namespace mrlg {
 
 namespace {
 
-/// The calling thread's MLL scratch. The serial loop and the plan fan-out
-/// share it, so each thread keeps one set of high-water buffers.
+/// The calling thread's MLL scratch. Plans and the commit's rip-up
+/// re-insertions share it, so each thread keeps one set of high-water
+/// buffers.
 MllScratch& thread_mll_scratch() {
     thread_local MllScratch scratch;
     return scratch;
@@ -91,16 +93,17 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
     // single branch.
     obs::Timeline* const timeline = obs::current_timeline();
 
-    // Effective MLL options: LegalizerOptions::num_threads fills the MLL
-    // thread count unless the caller pinned it explicitly.
+    // The run's one set of MLL options, for plans and rip-up alike. Cells
+    // are the unit of parallelism (the plan fan-out), so each attempt
+    // scans its insertion points on one thread.
     MllOptions mll_opts = opts.mll;
-    if (mll_opts.num_threads == 0) {
-        mll_opts.num_threads = opts.num_threads;
-    }
+    mll_opts.num_threads = 1;
     if (mll_opts.audit < opts.audit) {
         mll_opts.audit = opts.audit;
     }
-    MllScratch& scratch = thread_mll_scratch();
+    RipupOptions ripup_opts;
+    ripup_opts.mll = mll_opts;
+    ripup_opts.audit = opts.audit;
 
     // Invariant-audit hook (MRLG_VALIDATE / LegalizerOptions::audit):
     // structural grid audit at phase boundaries, and after every commit
@@ -180,95 +183,16 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
         audit_grid(AuditLevel::kCheap);  // post-setup pre-condition
     }
 
-    auto try_place = [&](CellId c, double px, double py,
-                         bool allow_fallback, bool allow_ripup) -> bool {
-        assert_grid_write_cap();  // serial path of the enclosing scope
-        const Point p =
-            nearest_aligned_position(db, c, px, py, mll_opts.check_rail);
-        const Cell& cell = db.cell(c);
-        const Rect fitted{p.x, p.y, cell.width(), cell.height()};
-        if ((!mll_opts.check_rail ||
-             rail_compatible(p.y, cell.height(), cell.rail_phase())) &&
-            grid.placeable(db, fitted, CellId{}, cell.region())) {
-            grid.place(db, c, p.x, p.y);
-            ++stats.direct_placements;
-            audit_grid(AuditLevel::kFull);
-            return true;
-        }
-        const MllResult r =
-            mll_place(db, grid, c, px, py, mll_opts, &scratch);
-        stats.mll_points_evaluated += r.num_points;
-        stats.audits_run += r.audits_run;
-        if (r.success()) {
-            ++stats.mll_successes;
-            MRLG_OBS_OBSERVE("legalize.mll_real_cost_um", r.real_cost_um);
-            audit_grid(AuditLevel::kFull);  // post-realization/commit
-            return true;
-        }
-        ++stats.mll_failures;
-        if (allow_fallback) {
-            // Deterministic tail handling: snap to the nearest free slot
-            // around the *original* gp position (not the jittered one).
-            const auto slot = find_nearest_free_position(
-                db, grid, c, cell.gp_x(), cell.gp_y(),
-                mll_opts.check_rail);
-            if (slot) {
-                grid.place(db, c, slot->x, slot->y);
-                ++stats.fallback_placements;
-                audit_grid(AuditLevel::kFull);
-                return true;
-            }
-        }
-        if (allow_ripup) {
-            RipupOptions ropts;
-            ropts.mll = mll_opts;
-            ropts.audit = audit;
-            const RipupResult rr = ripup_place(db, grid, c, cell.gp_x(),
-                                               cell.gp_y(), ropts, &scratch);
-            if (rr.success) {
-                ++stats.ripup_placements;
-                audit_grid(AuditLevel::kFull);  // post-transaction
-                return true;
-            }
-        }
-        return false;
-    };
-
-    // ---- region-parallel plan/commit pipeline state -----------------------
+    // ---- plan/commit round state -------------------------------------------
     // Ledger claims are clamped to the die: no cell or segment exists
     // outside it, so footprint slices out there cannot carry conflicts.
     const Rect die = db.floorplan().die();
     const Span die_x{die.x, static_cast<SiteCoord>(die.x + die.w)};
-    // Planning runs many MLL problems concurrently, so each one scans its
-    // insertion points serially — fan-out lives at the cell level here.
-    MllOptions plan_opts = mll_opts;
-    plan_opts.num_threads = 1;
     FootprintLedger ledger;
     std::vector<PlanTask> tasks;
     std::vector<std::uint32_t> levels;    // per task, 1-based wave in round
     std::vector<std::size_t> wave_begin;  // wave k: order[begin[k], begin[k+1])
     std::vector<std::size_t> order;       // task indices, wave-major
-
-    // Re-emits the per-attempt mll.* counters a serial mll_place would
-    // have produced for this (final) plan. The plan pass runs with the
-    // tracer paused (workers must not touch it — see obs::TracerPause), so
-    // the orchestrator replays the aggregate in commit order.
-    auto emit_attempt_counters = [&](const MllPlan& plan) {
-        MRLG_OBS_COUNT("mll.attempts", 1);
-        if (plan.status == MllStatus::kNoRegion) {
-            MRLG_OBS_COUNT("mll.no_region", 1);
-            return;
-        }
-        if (plan.enumeration_truncated) {
-            MRLG_OBS_COUNT("mll.enumerations_truncated", 1);
-        }
-        if (!plan_opts.use_mip && plan.num_points > 0) {
-            MRLG_OBS_COUNT("mll.points_evaluated", plan.num_points);
-        }
-        if (plan.status == MllStatus::kNoInsertionPoint) {
-            MRLG_OBS_COUNT("mll.no_insertion_point", 1);
-        }
-    };
 
     auto task_footprint = [](const PlanTask& t) {
         return PlannedFootprint{t.cell.value(), t.footprint.rows,
@@ -277,14 +201,18 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
 
     // One retry round run as plan/commit waves (pipeline.hpp documents the
     // serial-equivalence argument). Returns the cells the round failed to
-    // place, in queue order — exactly the serial loop's still_unplaced.
-    auto run_pipelined_round = [&](int round,
+    // place, in queue order. In a round that enables the free-slot
+    // fallback or rip-up every task is a barrier: a failed plan may then
+    // write anywhere on the die, so each task plans and commits alone, in
+    // queue order.
+    auto run_pipelined_round = [&](int round, bool allow_fallback,
+                                   bool allow_ripup,
                                    const std::vector<CellId>& queue) {
         assert_grid_write_cap();  // commit waves run on this serial thread
+        const bool barrier = allow_fallback || allow_ripup;
         const std::size_t points_before = stats.mll_points_evaluated;
-        // Build the round's tasks in queue order. This draws the round's
-        // jitter exactly as the serial loop would: two uniforms per cell,
-        // queue order, so the Rng stream stays bit-identical.
+        // Build the round's tasks in queue order, drawing the round's
+        // jitter as Algorithm 1 does: two uniforms per cell, queue order.
         tasks.clear();
         tasks.reserve(queue.size());
         for (const CellId c : queue) {
@@ -325,7 +253,8 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
         }
         // The round's wave schedule, computed once in queue order
         // (pipeline.hpp): a task's level is its wave, and a counting sort
-        // lists each wave's tasks in queue order.
+        // lists each wave's tasks in queue order. A barrier task's level
+        // is its queue position + 1, so its waves hold one task each.
         std::uint32_t num_waves = 0;
         {
             MRLG_OBS_PHASE("partition");
@@ -336,7 +265,8 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                          die_x);
             levels.resize(tasks.size());
             for (std::size_t i = 0; i < tasks.size(); ++i) {
-                levels[i] = ledger.claim(tasks[i].footprint);
+                levels[i] = barrier ? static_cast<std::uint32_t>(i + 1)
+                                    : ledger.claim(tasks[i].footprint);
                 num_waves = std::max(num_waves, levels[i]);
                 // Deferred past waves 1..level-1, one requeue per wave.
                 stats.conflict_requeues += levels[i] - 1;
@@ -404,7 +334,7 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                                                     CellId{}, cell.region());
                             if (!t.direct) {
                                 t.plan = mll_plan(plan_db, plan_grid, t.cell,
-                                                  t.px, t.py, plan_opts,
+                                                  t.px, t.py, mll_opts,
                                                   &plan_scratch);
                             }
                         }
@@ -454,20 +384,21 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                         audit_grid(AuditLevel::kFull);
                         continue;
                     }
+                    count_attempt(t.plan);  // replayed: plan ran paused
+                    stats.mll_points_evaluated += t.plan.num_points;
+                    stats.audits_run += t.plan.audits_run;
                     if (t.plan.success()) {
                         const MllResult r =
                             mll_commit(db, grid, t.cell, t.plan);
                         MRLG_ASSERT(r.success(), stale(t, "MLL plan"));
-                        emit_attempt_counters(t.plan);
-                        stats.mll_points_evaluated += t.plan.num_points;
-                        stats.audits_run += t.plan.audits_run;
                         ++stats.mll_successes;
                         MRLG_OBS_OBSERVE("legalize.mll_real_cost_um",
                                          r.real_cost_um);
-                        if (audit >= AuditLevel::kFull) {
+                        if (audit >= AuditLevel::kFull && !barrier) {
                             // Commit writes must stay inside the claimed
                             // footprint (the other half of the pipeline's
-                            // correctness argument).
+                            // correctness argument). A barrier task's
+                            // footprint is the whole die.
                             std::vector<Rect> writes;
                             writes.push_back(Rect{r.x, r.y, cell.width(),
                                                   cell.height()});
@@ -489,13 +420,33 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                         }
                         t.state = PlanTask::State::kPlaced;
                         audit_grid(AuditLevel::kFull);
-                    } else {
-                        emit_attempt_counters(t.plan);
-                        stats.mll_points_evaluated += t.plan.num_points;
-                        stats.audits_run += t.plan.audits_run;
-                        ++stats.mll_failures;
-                        t.state = PlanTask::State::kFailed;
+                        continue;
                     }
+                    ++stats.mll_failures;
+                    // Tail handling, around the *original* gp position (not
+                    // the jittered one): snap to the nearest free slot,
+                    // then rip up single-row cells.
+                    const std::optional<Point> free_slot =
+                        allow_fallback
+                            ? find_nearest_free_position(
+                                  db, grid, t.cell, cell.gp_x(), cell.gp_y(),
+                                  mll_opts.check_rail)
+                            : std::nullopt;
+                    if (free_slot) {
+                        grid.place(db, t.cell, free_slot->x, free_slot->y);
+                        ++stats.fallback_placements;
+                    } else if (allow_ripup &&
+                               ripup_place(db, grid, t.cell, cell.gp_x(),
+                                           cell.gp_y(), ripup_opts,
+                                           &thread_mll_scratch())
+                                   .success) {
+                        ++stats.ripup_placements;
+                    } else {
+                        t.state = PlanTask::State::kFailed;
+                        continue;
+                    }
+                    t.state = PlanTask::State::kPlaced;
+                    audit_grid(AuditLevel::kFull);  // post-placement
                 }
             }
         }
@@ -522,11 +473,8 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
         return still;
     };
 
-    // Round 1: input positions (Algorithm 1 lines 2-7). Later rounds:
-    // growing random offsets (lines 9-17). Early rounds run as
-    // region-parallel plan/commit waves; once the free-slot fallback (and
-    // later rip-up) engages, footprints become unbounded and the round
-    // falls back to the one-cell-at-a-time loop.
+    // Algorithm 1: round 1 tries every cell at its input position (lines
+    // 2-7), later rounds at growing random offsets (lines 9-17).
     for (int round = 1; !unplaced.empty() && round <= opts.max_rounds;
          ++round) {
         MRLG_OBS_PHASE("round");
@@ -535,33 +483,8 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
         const bool allow_ripup =
             opts.enable_ripup &&
             round >= opts.free_slot_fallback_round + 2;
-        const bool pipelined =
-            opts.pipeline == LegalizerOptions::Pipeline::kRegionParallel &&
-            !allow_fallback && !allow_ripup;
-        std::vector<CellId> still_unplaced;
-        if (pipelined) {
-            still_unplaced = run_pipelined_round(round, unplaced);
-        } else {
-            for (const CellId c : unplaced) {
-                const Cell& cell = db.cell(c);
-                double px = cell.gp_x();
-                double py = cell.gp_y();
-                if (round > 1) {
-                    const SiteCoord range_x =
-                        static_cast<SiteCoord>(opts.mll.rx) * (round - 1);
-                    const SiteCoord range_y =
-                        static_cast<SiteCoord>(opts.mll.ry) * (round - 1);
-                    px +=
-                        static_cast<double>(rng.uniform(-range_x, range_x));
-                    py +=
-                        static_cast<double>(rng.uniform(-range_y, range_y));
-                }
-                if (!try_place(c, px, py, allow_fallback, allow_ripup)) {
-                    still_unplaced.push_back(c);
-                }
-            }
-        }
-        unplaced = std::move(still_unplaced);
+        unplaced =
+            run_pipelined_round(round, allow_fallback, allow_ripup, unplaced);
         audit_grid(AuditLevel::kCheap);  // post-round invariants
     }
 

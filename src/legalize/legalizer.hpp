@@ -49,26 +49,13 @@ struct LegalizerOptions {
     /// re-insert the evicted cells (transactional — see ripup.hpp).
     /// Rescues multi-row cells whose paired-row capacity was starved.
     bool enable_ripup = true;
-    /// Worker threads for the parallel evaluation hot paths. Fills
-    /// mll.num_threads when that is 0; 0 here means the MRLG_THREADS
-    /// environment default. Results are bit-identical for any value (see
-    /// thread_pool.hpp's determinism contract).
+    /// Worker threads for the plan fan-out: each wave's MLL problems are
+    /// planned concurrently (legalize/pipeline.hpp), and every attempt
+    /// scans its insertion points on one thread, whatever mll.num_threads
+    /// says. 0 means the MRLG_THREADS environment default. Results are
+    /// bit-identical for any value (see thread_pool.hpp's determinism
+    /// contract).
     int num_threads = 0;
-    /// Main-loop parallelization strategy.
-    enum class Pipeline {
-        /// One cell at a time; parallelism only inside each MLL's
-        /// insertion-point scan (the PR-1 intra-window layer).
-        kSerial,
-        /// Plan/commit waves over disjoint local-region footprints
-        /// (legalize/pipeline.hpp): cells whose conservative footprints
-        /// don't overlap are planned concurrently and committed serially
-        /// in queue order. Bit-identical to kSerial at every thread count
-        /// by construction; rounds that enable the free-slot fallback or
-        /// rip-up (both have unbounded footprints) fall back to the
-        /// serial loop automatically.
-        kRegionParallel,
-    };
-    Pipeline pipeline = Pipeline::kRegionParallel;
     /// Invariant-audit level for the run; defaults to the MRLG_VALIDATE
     /// environment level (off when unset, so production runs pay nothing).
     /// kCheap audits the database and segment grid after setup, after
@@ -101,15 +88,17 @@ struct LegalizerStats {
     /// audits included (0 when auditing is off); lets callers and tests
     /// confirm the hooks actually fired.
     std::size_t audits_run = 0;
-    /// Plan/commit waves executed by the region-parallel pipeline (0 under
-    /// Pipeline::kSerial). A round with no footprint conflicts is one
-    /// wave; a fully-conflicting round degrades to one wave per cell.
+    /// Plan/commit waves executed across all rounds (never 0 once a round
+    /// ran). A round with no footprint conflicts is one wave; a
+    /// fully-conflicting round degrades to one wave per cell, and so does
+    /// every round with the free-slot fallback or rip-up enabled, whose
+    /// tasks are barriers (legalize/pipeline.hpp).
     std::size_t waves = 0;
-    /// Σ(level − 1) over every pipelined task (legalize/pipeline.hpp):
-    /// each wave a cell waits for because its footprint overlaps an
-    /// earlier queue entry's counts once. Pipeline-health signal: high
-    /// values mean the batches are thin and the round is effectively
-    /// serial.
+    /// Σ(level − 1) over every task (legalize/pipeline.hpp): each wave a
+    /// cell waits for because its footprint overlaps an earlier queue
+    /// entry's counts once, so an n-task barrier round adds n(n−1)/2.
+    /// Pipeline-health signal: high values mean the batches are thin and
+    /// the round is effectively serial.
     std::size_t conflict_requeues = 0;
     int rounds = 0;
     double runtime_s = 0.0;

@@ -21,7 +21,6 @@ MllPlan plan_with(const Database& db, const SegmentGrid& grid,
                   CellId target_cell, double pref_x, double pref_y,
                   const MllOptions& opts, MllScratch& s) {
     MRLG_OBS_PHASE("mll");
-    MRLG_OBS_COUNT("mll.attempts", 1);
     MllPlan res;
     const Cell& cell = db.cell(target_cell);
     MRLG_ASSERT(!cell.placed(), "MLL target must be unplaced");
@@ -47,7 +46,6 @@ MllPlan plan_with(const Database& db, const SegmentGrid& grid,
     LocalRegion& region = s.local_region;
     extract_local_region(db, grid, window, cell.region(), s.region, region);
     if (region.height() == 0) {
-        MRLG_OBS_COUNT("mll.no_region", 1);
         return res;
     }
     if (opts.audit >= AuditLevel::kFull) {
@@ -106,11 +104,7 @@ MllPlan plan_with(const Database& db, const SegmentGrid& grid,
         enumerate_insertion_points(lp, intervals, target, eopts,
                                    s.enumeration, s.enumerated);
         res.enumeration_truncated = enumr.truncated;
-        if (enumr.truncated) {
-            MRLG_OBS_COUNT("mll.enumerations_truncated", 1);
-        }
         if (enumr.points.empty()) {
-            MRLG_OBS_COUNT("mll.no_insertion_point", 1);
             res.status = MllStatus::kNoInsertionPoint;
             return res;
         }
@@ -127,7 +121,6 @@ MllPlan plan_with(const Database& db, const SegmentGrid& grid,
                     "scan must score or exclude every enumerated point");
         res.num_points = enumr.points.size();
         res.num_scored = static_cast<std::uint32_t>(best.scored);
-        MRLG_OBS_COUNT("mll.points_evaluated", res.num_points);
         if (opts.audit >= AuditLevel::kFull) {
             ++res.audits_run;
             enforce(audit_point_scan(lp, enumr.points, target,
@@ -135,7 +128,6 @@ MllPlan plan_with(const Database& db, const SegmentGrid& grid,
                                      best));
         }
         if (!best.found()) {
-            MRLG_OBS_COUNT("mll.no_insertion_point", 1);
             res.status = MllStatus::kNoInsertionPoint;
             return res;
         }
@@ -181,15 +173,34 @@ MllPlan plan_with(const Database& db, const SegmentGrid& grid,
 
 }  // namespace
 
+void count_attempt(const MllPlan& plan) {
+    MRLG_OBS_COUNT("mll.attempts", 1);
+    if (plan.status == MllStatus::kNoRegion) {
+        MRLG_OBS_COUNT("mll.no_region", 1);
+        return;
+    }
+    if (plan.enumeration_truncated) {
+        MRLG_OBS_COUNT("mll.enumerations_truncated", 1);
+    }
+    if (plan.num_points > 0) {
+        MRLG_OBS_COUNT("mll.points_evaluated", plan.num_points);
+    }
+    if (plan.status == MllStatus::kNoInsertionPoint) {
+        MRLG_OBS_COUNT("mll.no_insertion_point", 1);
+    }
+}
+
 MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
                  CellId target_cell, double pref_x, double pref_y,
                  const MllOptions& opts, MllScratch* scratch) {
-    if (scratch != nullptr) {
-        return plan_with(db, grid, target_cell, pref_x, pref_y, opts,
-                         *scratch);
+    if (scratch == nullptr) {
+        MllScratch fresh;
+        return mll_plan(db, grid, target_cell, pref_x, pref_y, opts, &fresh);
     }
-    MllScratch fresh;
-    return plan_with(db, grid, target_cell, pref_x, pref_y, opts, fresh);
+    MllPlan plan =
+        plan_with(db, grid, target_cell, pref_x, pref_y, opts, *scratch);
+    count_attempt(plan);
+    return plan;
 }
 
 MllResult mll_result_from_plan(const MllPlan& plan) {

@@ -164,6 +164,13 @@ MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
                  CellId target_cell, double pref_x, double pref_y,
                  const MllOptions& opts = {}, MllScratch* scratch = nullptr);
 
+/// Emits the per-attempt `mll.*` counters (attempts, no_region,
+/// enumerations_truncated, points_evaluated, no_insertion_point) for one
+/// plan. mll_plan calls it on every result; a caller that plans with the
+/// tracer paused (the legalizer's plan fan-out) replays it at commit, so
+/// this is the counters' only source.
+void count_attempt(const MllPlan& plan);
+
 /// Applies a successful plan: validates it against the live grid (every
 /// move base unchanged, target slot placeable after the shifts), then
 /// shifts the moved cells and registers the target. On stale state nothing

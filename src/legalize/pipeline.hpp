@@ -14,6 +14,13 @@
 ///   2. plan — a wave's MLL problems are solved concurrently, read-only
 ///      against the wave-start grid (mll_plan, per-thread scratch).
 ///   3. commit — plans are applied serially in queue order (mll_commit).
+///      In a round with the free-slot fallback or rip-up enabled, a failed
+///      plan then tries find_nearest_free_position and then ripup_place.
+///
+/// Those two may write anywhere on the die, so in such a round every task
+/// is a *barrier*: its level is its queue position + 1 (no ledger claim),
+/// it plans alone, and the round's waves replay the serial order one task
+/// at a time.
 ///
 /// Worked example (queue order a, b, c, d; rows ↓, x →):
 ///
@@ -33,7 +40,8 @@
 /// writes exactly what the serial attempt would have written. The outcome
 /// is therefore bit-identical to the one-cell-at-a-time loop at every
 /// thread count — including the degenerate dense case where every
-/// footprint overlaps its predecessor and each wave holds one cell.
+/// footprint overlaps its predecessor and each wave holds one cell, which
+/// is what a barrier round is (its footprints are the whole die).
 /// The levels reproduce the greedy wave-by-wave partition exactly (a cell
 /// defers past wave j iff an earlier overlapping cell is still pending
 /// there), so a round defers Σ(level − 1) cells in total.
@@ -92,8 +100,8 @@ struct PlanTask {
 
     enum class State {
         kPending,   ///< Waiting for its wave.
-        kPlaced,    ///< Committed (direct or MLL).
-        kFailed,    ///< MLL failed this round; retry next round.
+        kPlaced,    ///< Committed (direct, MLL, free slot or rip-up).
+        kFailed,    ///< Every attempt failed this round; retry next round.
     };
     State state = State::kPending;
 

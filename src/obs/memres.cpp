@@ -1,6 +1,5 @@
 #include "obs/memres.hpp"
 
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -8,13 +7,6 @@
 
 #if defined(__linux__)
 #include <sys/resource.h>
-#include <unistd.h>
-#if __has_include(<linux/perf_event.h>)
-#include <linux/perf_event.h>
-#include <sys/ioctl.h>
-#include <sys/syscall.h>
-#define MRLG_HAVE_PERF_EVENT 1
-#endif
 #endif
 
 #if defined(__GLIBC__)
@@ -108,115 +100,6 @@ Json memory_report_json(const MemorySample& sample,
         j.set("grid_arena_bytes",
               Json::num(total_arena_bytes(grid_arenas)));
     }
-    return j;
-}
-
-// ---------------------------------------------------------------------------
-// perf_event_open counters.
-
-bool PerfCounters::requested() {
-    const char* env = std::getenv("MRLG_PERF_COUNTERS");
-    return env != nullptr && std::strcmp(env, "0") != 0;
-}
-
-#if defined(MRLG_HAVE_PERF_EVENT)
-
-namespace {
-
-int open_perf_event(std::uint32_t type, std::uint64_t config, int group_fd) {
-    struct perf_event_attr attr {};
-    attr.size = sizeof(attr);
-    attr.type = type;
-    attr.config = config;
-    attr.disabled = group_fd == -1 ? 1 : 0;
-    attr.exclude_kernel = 1;
-    attr.exclude_hv = 1;
-    return static_cast<int>(syscall(SYS_perf_event_open, &attr, 0, -1,
-                                    group_fd, 0));
-}
-
-}  // namespace
-
-PerfCounters::PerfCounters() {
-    if (!requested()) {
-        return;
-    }
-    static constexpr std::uint64_t kConfigs[kNumEvents] = {
-        PERF_COUNT_HW_INSTRUCTIONS, PERF_COUNT_HW_CPU_CYCLES,
-        PERF_COUNT_HW_CACHE_REFERENCES, PERF_COUNT_HW_CACHE_MISSES};
-    for (int i = 0; i < kNumEvents; ++i) {
-        fds_[i] = open_perf_event(PERF_TYPE_HARDWARE, kConfigs[i],
-                                  i == 0 ? -1 : fds_[0]);
-        if (fds_[i] == -1) {
-            // EPERM/ENOENT/EACCES: counters unavailable in this
-            // container/kernel — report unavailable, never fail.
-            for (int k = 0; k < i; ++k) {
-                close(fds_[k]);
-                fds_[k] = -1;
-            }
-            return;
-        }
-    }
-    available_ = true;
-}
-
-PerfCounters::~PerfCounters() {
-    for (int fd : fds_) {
-        if (fd != -1) {
-            close(fd);
-        }
-    }
-}
-
-void PerfCounters::start() {
-    if (available_) {
-        ioctl(fds_[0], PERF_EVENT_IOC_RESET, PERF_IOC_FLAG_GROUP);
-        ioctl(fds_[0], PERF_EVENT_IOC_ENABLE, PERF_IOC_FLAG_GROUP);
-    }
-}
-
-void PerfCounters::stop() {
-    if (available_) {
-        ioctl(fds_[0], PERF_EVENT_IOC_DISABLE, PERF_IOC_FLAG_GROUP);
-    }
-}
-
-PerfCounters::Values PerfCounters::read() const {
-    Values values;
-    if (!available_) {
-        return values;
-    }
-    std::uint64_t raw[kNumEvents] = {};
-    for (int i = 0; i < kNumEvents; ++i) {
-        if (::read(fds_[i], &raw[i], sizeof(raw[i])) !=
-            static_cast<ssize_t>(sizeof(raw[i]))) {
-            return values;
-        }
-    }
-    values.instructions = raw[0];
-    values.cycles = raw[1];
-    values.cache_references = raw[2];
-    values.cache_misses = raw[3];
-    values.valid = true;
-    return values;
-}
-
-#else  // !MRLG_HAVE_PERF_EVENT: stubs keeping the call sites unconditional.
-
-PerfCounters::PerfCounters() = default;
-PerfCounters::~PerfCounters() = default;
-void PerfCounters::start() {}
-void PerfCounters::stop() {}
-PerfCounters::Values PerfCounters::read() const { return {}; }
-
-#endif  // MRLG_HAVE_PERF_EVENT
-
-Json perf_counters_json(const PerfCounters::Values& values) {
-    Json j = Json::object();
-    j.set("instructions", Json::num(values.instructions));
-    j.set("cycles", Json::num(values.cycles));
-    j.set("cache_references", Json::num(values.cache_references));
-    j.set("cache_misses", Json::num(values.cache_misses));
     return j;
 }
 

@@ -10,15 +10,6 @@ namespace mrlg::obs {
 
 namespace {
 
-const char* to_string(LegalizerOptions::Pipeline pipeline) {
-    switch (pipeline) {
-        case LegalizerOptions::Pipeline::kSerial: return "serial";
-        case LegalizerOptions::Pipeline::kRegionParallel:
-            return "region_parallel";
-    }
-    return "unknown";
-}
-
 const char* to_string(LegalizerOptions::Order order) {
     switch (order) {
         case LegalizerOptions::Order::kInputOrder: return "input";
@@ -36,7 +27,6 @@ Json options_json(const LegalizerOptions& o, bool check_rail,
     Json j = Json::object();
     j.set("seed", Json::num(static_cast<std::int64_t>(o.seed)));
     j.set("num_threads", Json::num(num_threads));
-    j.set("pipeline", Json::str(to_string(o.pipeline)));
     j.set("order", Json::str(to_string(o.order)));
     j.set("max_rounds", Json::num(o.max_rounds));
     j.set("free_slot_fallback_round", Json::num(o.free_slot_fallback_round));

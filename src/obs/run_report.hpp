@@ -51,9 +51,9 @@ struct RunReportSpec {
 };
 
 /// Current report schema (docs/REPORT.md). v2 adds the wall-clock-only
-/// `timeline` and `memory` blocks and `environment.pool_workers_active`;
-/// every v1 field is unchanged, so v1 consumers read v2 reports as-is.
-inline constexpr int kRunReportSchemaVersion = 2;
+/// `timeline` and `memory` blocks and `environment.pool_workers_active`.
+/// v3 removes `options.pipeline` (the legalizer has one round loop).
+inline constexpr int kRunReportSchemaVersion = 3;
 
 /// Assembles the report. Runs the legality checker and quality metrics
 /// over `db`/`grid` when present (read-only).

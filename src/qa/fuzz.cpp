@@ -101,7 +101,11 @@ std::string ripup_battery(Database& db, SegmentGrid& grid, int num_threads) {
 std::string design_battery(Database& db, SegmentGrid& grid,
                            int num_threads) {
     LegalizerOptions lopts;
-    lopts.mll.num_threads = num_threads;
+    lopts.num_threads = num_threads;
+    const std::string serial = diff_legalizer(db, grid, lopts);
+    if (!serial.empty()) {
+        return "legalizer vs serial reference: " + serial;
+    }
     const LegalizerStats stats = legalize_placement(db, grid, lopts);
     const std::string audit = grid.audit(db);
     if (!audit.empty()) {

@@ -22,9 +22,10 @@ struct FuzzOptions {
     std::uint64_t seed = 1;
     /// Iterations per scenario battery round-robin.
     int iters = 50;
-    /// Worker threads for MLL evaluation scans (0 = MRLG_THREADS env
-    /// default, 1 = serial). Results are identical either way — that is
-    /// one of the properties under test.
+    /// Worker threads: the MLL evaluation scans of the mll and ripup
+    /// batteries, and the legalizer's plan fan-out in the design battery
+    /// (0 = MRLG_THREADS env default, 1 = serial). Results are identical
+    /// either way — that is one of the properties under test.
     int num_threads = 0;
     /// Cross-check the MIP solver on small local problems.
     bool exercise_ilp = true;

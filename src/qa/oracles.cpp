@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <sstream>
 
 #include "legalize/enumeration.hpp"
 #include "legalize/evaluation.hpp"
 #include "legalize/exact_local.hpp"
+#include "legalize/greedy.hpp"
 #include "legalize/ilp_local.hpp"
 #include "legalize/insertion_interval.hpp"
 #include "legalize/local_problem.hpp"
@@ -15,6 +17,7 @@
 #include "legalize/realization.hpp"
 #include "qa/snapshot.hpp"
 #include "db/write_cap.hpp"
+#include "util/rng.hpp"
 
 namespace mrlg::qa {
 
@@ -488,6 +491,142 @@ std::string diff_ripup_rollback(Database& db, SegmentGrid& grid,
             os << "rip-up committed an illegal state: "
                << (rep.messages.empty() ? "?" : rep.messages[0]) << "; ";
         }
+    }
+    return os.str();
+}
+
+LegalizerStats reference_legalize(Database& db, SegmentGrid& grid,
+                                  const LegalizerOptions& opts) {
+    GridWriteScope grid_write;
+    LegalizerStats stats;
+    std::vector<CellId> queue;
+    for (const CellId c : db.movable_cells()) {
+        ++stats.num_cells;
+        if (db.cell(c).placed() && opts.unplace_first) {
+            grid.remove(db, c);
+        }
+        if (!db.cell(c).placed()) {
+            queue.push_back(c);
+        }
+    }
+    // Smaller key first, input order on ties.
+    const auto key = [&](CellId c) {
+        const Cell& cell = db.cell(c);
+        switch (opts.order) {
+            case LegalizerOptions::Order::kInputOrder: return 0.0;
+            case LegalizerOptions::Order::kLeftToRight: return cell.gp_x();
+            case LegalizerOptions::Order::kAreaDescending:
+                return -static_cast<double>(cell.width() * cell.height());
+            case LegalizerOptions::Order::kMultiRowFirst:
+                return -static_cast<double>(cell.height());
+        }
+        return 0.0;
+    };
+    std::stable_sort(queue.begin(), queue.end(),
+                     [&](CellId a, CellId b) { return key(a) < key(b); });
+
+    const MllOptions& mopts = opts.mll;
+    RipupOptions ropts;
+    ropts.mll = mopts;
+    MllScratch scratch;
+    Rng rng(opts.seed);
+    for (int round = 1; !queue.empty() && round <= opts.max_rounds;
+         ++round) {
+        stats.rounds = round;
+        const SiteCoord range_x = mopts.rx * (round - 1);
+        const SiteCoord range_y = mopts.ry * (round - 1);
+        std::vector<CellId> failed;
+        for (const CellId c : queue) {
+            const Cell& cell = db.cell(c);
+            double px = cell.gp_x();
+            double py = cell.gp_y();
+            if (round > 1) {
+                px += static_cast<double>(rng.uniform(-range_x, range_x));
+                py += static_cast<double>(rng.uniform(-range_y, range_y));
+            }
+            const Point p =
+                nearest_aligned_position(db, c, px, py, mopts.check_rail);
+            if ((!mopts.check_rail ||
+                 rail_compatible(p.y, cell.height(), cell.rail_phase())) &&
+                grid.placeable(db, Rect{p.x, p.y, cell.width(), cell.height()},
+                               CellId{}, cell.region())) {
+                grid.place(db, c, p.x, p.y);
+                ++stats.direct_placements;
+                continue;
+            }
+            const MllResult r = mll_place(db, grid, c, px, py, mopts, &scratch);
+            stats.mll_points_evaluated += r.num_points;
+            if (r.success()) {
+                ++stats.mll_successes;
+                continue;
+            }
+            ++stats.mll_failures;
+            const std::optional<Point> slot =
+                round >= opts.free_slot_fallback_round
+                    ? find_nearest_free_position(db, grid, c, cell.gp_x(),
+                                                 cell.gp_y(), mopts.check_rail)
+                    : std::nullopt;
+            if (slot) {
+                grid.place(db, c, slot->x, slot->y);
+                ++stats.fallback_placements;
+            } else if (opts.enable_ripup &&
+                       round >= opts.free_slot_fallback_round + 2 &&
+                       ripup_place(db, grid, c, cell.gp_x(), cell.gp_y(),
+                                   ropts, &scratch)
+                           .success) {
+                ++stats.ripup_placements;
+            } else {
+                failed.push_back(c);
+            }
+        }
+        queue = std::move(failed);
+    }
+    stats.unplaced = queue.size();
+    stats.success = queue.empty();
+    return stats;
+}
+
+std::string diff_legalizer(const Database& db, const SegmentGrid& grid,
+                           const LegalizerOptions& opts) {
+    Database ref_db = db;
+    SegmentGrid ref_grid = grid;
+    const LegalizerStats ref = reference_legalize(ref_db, ref_grid, opts);
+    Database got_db = db;
+    SegmentGrid got_grid = grid;
+    const LegalizerStats got = legalize_placement(got_db, got_grid, opts);
+    std::ostringstream os;
+    const auto field = [&](const char* name, auto a, auto b) {
+        if (a != b) {
+            os << name << " " << a << " != reference " << b << "; ";
+        }
+    };
+    field("success", got.success, ref.success);
+    field("num_cells", got.num_cells, ref.num_cells);
+    field("direct_placements", got.direct_placements, ref.direct_placements);
+    field("mll_successes", got.mll_successes, ref.mll_successes);
+    field("mll_failures", got.mll_failures, ref.mll_failures);
+    field("fallback_placements", got.fallback_placements,
+          ref.fallback_placements);
+    field("ripup_placements", got.ripup_placements, ref.ripup_placements);
+    field("unplaced", got.unplaced, ref.unplaced);
+    field("mll_points_evaluated", got.mll_points_evaluated,
+          ref.mll_points_evaluated);
+    field("rounds", got.rounds, ref.rounds);
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < db.num_cells(); ++i) {
+        const Cell& a = got_db.cells()[i];
+        const Cell& b = ref_db.cells()[i];
+        if (a.placed() != b.placed() || (a.placed() && a.pos() != b.pos())) {
+            if (differing++ == 0) {
+                os << "cell " << a.name() << " at (" << a.x() << "," << a.y()
+                   << ") placed=" << a.placed() << " != reference ("
+                   << b.x() << "," << b.y() << ") placed=" << b.placed()
+                   << "; ";
+            }
+        }
+    }
+    if (differing > 1) {
+        os << differing << " cells differ; ";
     }
     return os.str();
 }

@@ -20,7 +20,10 @@
 ///                             problems only);
 ///   mll_place + mll_undo  vs  a full before snapshot (byte-identical
 ///                             restore);
-///   ripup_place rollback  vs  a full before snapshot.
+///   ripup_place rollback  vs  a full before snapshot;
+///   legalize_placement    vs  reference_legalize, Algorithm 1 as a
+///                             serial per-cell loop (same positions and
+///                             stats at any thread count).
 ///
 /// Every diff_* function returns "" when the implementations agree and a
 /// human-readable mismatch description otherwise. All are deterministic:
@@ -32,6 +35,7 @@
 #include "db/database.hpp"
 #include "db/segment.hpp"
 #include "eval/legality.hpp"
+#include "legalize/legalizer.hpp"
 #include "legalize/mll.hpp"
 #include "legalize/ripup.hpp"
 #include "legalize/target.hpp"
@@ -105,6 +109,23 @@ std::string diff_mll_roundtrip(Database& db, SegmentGrid& grid,
 std::string diff_ripup_rollback(Database& db, SegmentGrid& grid,
                                 CellId target, double pref_x, double pref_y,
                                 const RipupOptions& opts = {});
+
+/// Algorithm 1 as a plain serial loop over the public API: each round
+/// tries every still-unplaced cell once, in queue order, at its jittered
+/// position — the direct slot, then mll_place, then (from
+/// free_slot_fallback_round) the nearest free slot, then (two rounds
+/// later, when enabled) rip-up. legalize_placement's plan/commit waves
+/// must reproduce it exactly. Fills every LegalizerStats field except
+/// waves, conflict_requeues, audits_run and runtime_s.
+LegalizerStats reference_legalize(Database& db, SegmentGrid& grid,
+                                  const LegalizerOptions& opts = {});
+
+/// legalize_placement vs reference_legalize, each on its own copy of
+/// `db` and `grid`: every cell must end at the same position and every
+/// stat but waves, conflict_requeues, audits_run and runtime_s must
+/// agree.
+std::string diff_legalizer(const Database& db, const SegmentGrid& grid,
+                           const LegalizerOptions& opts = {});
 
 /// Canonicalizes a pair list to (min,max), sorted, unique — shared by the
 /// legality diff and its tests.

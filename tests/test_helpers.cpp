@@ -28,6 +28,19 @@ CellId add_unplaced(Database& db, const std::string& name, double gp_x,
     return id;
 }
 
+Database ripup_starved_design() {
+    Database db = empty_design(4, 40);
+    for (int i = 0; i < 8; ++i) {
+        db.cell(db.add_cell(Cell("r1_" + std::to_string(i), 5, 1)))
+            .set_gp(i * 5.0, 1.0);
+        db.cell(db.add_cell(Cell("r2_" + std::to_string(i), 5, 1)))
+            .set_gp(i * 5.0, 2.0);
+    }
+    db.cell(db.add_cell(Cell("dbl", 4, 2, RailPhase::kOdd)))
+        .set_gp(18.0, 1.0);
+    return db;
+}
+
 RandomDesign random_legal_design(Rng& rng, SiteCoord rows, SiteCoord sites,
                                  int num_cells, double multi_frac,
                                  SiteCoord max_h) {

@@ -25,6 +25,13 @@ CellId add_unplaced(Database& db, const std::string& name, double gp_x,
                     double gp_y, SiteCoord w, SiteCoord h,
                     RailPhase phase = RailPhase::kEven);
 
+/// A 4-row × 40-site die that needs rip-up under Order::kInputOrder:
+/// sixteen 5-site single-row cells fill rows 1-2 exactly before, in
+/// input order, a double-height odd-phase cell that wants rows 1-2. Free
+/// rows 0 and 3 are not paired, so only rip-up can place it. All cells
+/// are unplaced.
+Database ripup_starved_design();
+
 /// Randomized legal design: packs `num_cells` cells (multi_frac of them
 /// double-height) into the die; every cell placed. Densities ~0.3-0.8.
 struct RandomDesign {

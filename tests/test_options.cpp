@@ -7,6 +7,7 @@
 #include "eval/legality.hpp"
 #include "legalize/legalizer.hpp"
 #include "legalize/mll.hpp"
+#include "obs/trace.hpp"
 #include "test_helpers.hpp"
 #include "util/str.hpp"
 
@@ -57,21 +58,9 @@ TEST(Options, MllWindowRadiiChangeRegionSize) {
 TEST(Options, LegalizerFallbackCanBeDisabled) {
     // With fallback and rip-up pushed past max_rounds, a design that needs
     // them fails — proving the flags gate the mechanisms.
-    auto build = [](Database& db) {
-        SegmentGrid grid = SegmentGrid::build(db);
-        for (int i = 0; i < 8; ++i) {
-            db.cell(db.add_cell(Cell("r1_" + std::to_string(i), 5, 1)))
-                .set_gp(i * 5.0, 1.0);
-            db.cell(db.add_cell(Cell("r2_" + std::to_string(i), 5, 1)))
-                .set_gp(i * 5.0, 2.0);
-        }
-        db.cell(db.add_cell(Cell("dbl", 4, 2, RailPhase::kOdd)))
-            .set_gp(18.0, 1.0);
-        return grid;
-    };
     for (const bool enable : {false, true}) {
-        Database db = empty_design(4, 40);
-        SegmentGrid grid = build(db);
+        Database db = ripup_starved_design();
+        SegmentGrid grid = SegmentGrid::build(db);
         LegalizerOptions opts;
         opts.order = LegalizerOptions::Order::kInputOrder;  // adversarial
         opts.max_rounds = 12;
@@ -83,6 +72,59 @@ TEST(Options, LegalizerFallbackCanBeDisabled) {
         if (enable) {
             EXPECT_GE(s.ripup_placements, 1u);
         }
+    }
+}
+
+TEST(Options, MllOutcomeCountersAgreeWithAndWithoutMip) {
+    // The per-attempt mll.* counters come from one function for every
+    // solver: the MIP and the enumeration record the same attempts and
+    // outcomes (points_evaluated differs by design — the MIP path counts
+    // its one point).
+    const char* const outcomes[] = {
+        "mll.attempts", "mll.no_region", "mll.enumerations_truncated",
+        "mll.no_insertion_point", "mll.commits", "mll.cells_shifted"};
+    std::vector<std::uint64_t> counts[2];
+    std::size_t failures[2] = {0, 0};
+    for (const bool mip : {false, true}) {
+        Database db = ripup_starved_design();
+        SegmentGrid grid = SegmentGrid::build(db);
+        LegalizerOptions opts;
+        opts.order = LegalizerOptions::Order::kInputOrder;
+        opts.max_rounds = 12;
+        opts.mll.use_mip = mip;
+        obs::Tracer tracer;
+        obs::ScopedTracer install(tracer);
+        const LegalizerStats s = legalize_placement(db, grid, opts);
+        EXPECT_TRUE(s.success);
+        failures[mip ? 1 : 0] = s.mll_failures;
+        for (const char* name : outcomes) {
+            counts[mip ? 1 : 0].push_back(tracer.counter(name));
+        }
+        EXPECT_GT(tracer.counter("mll.no_insertion_point"), 0u);
+    }
+    EXPECT_EQ(counts[0], counts[1]);
+    EXPECT_EQ(failures[0], failures[1]);
+}
+
+TEST(Options, MipWithoutFeasiblePointCountsNoInsertionPoint) {
+    // A full row: the region exists, but no insertion point fits.
+    for (const bool mip : {false, true}) {
+        Database db = empty_design(1, 20);
+        SegmentGrid grid = SegmentGrid::build(db);
+        for (int i = 0; i < 4; ++i) {
+            add_placed(db, grid, "c" + std::to_string(i),
+                       static_cast<SiteCoord>(5 * i), 0, 5, 1);
+        }
+        const CellId t = add_unplaced(db, "t", 8.0, 0.0, 3, 1);
+        MllOptions opts;
+        opts.use_mip = mip;
+        obs::Tracer tracer;
+        obs::ScopedTracer install(tracer);
+        const MllResult r = mll_place(db, grid, t, 8.0, 0.0, opts);
+        EXPECT_EQ(r.status, MllStatus::kNoInsertionPoint) << "mip=" << mip;
+        EXPECT_EQ(tracer.counter("mll.attempts"), 1u) << "mip=" << mip;
+        EXPECT_EQ(tracer.counter("mll.no_insertion_point"), 1u)
+            << "mip=" << mip;
     }
 }
 

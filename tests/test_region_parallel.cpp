@@ -1,8 +1,9 @@
 /// \file test_region_parallel.cpp
-/// Determinism and unit coverage for the region-parallel plan/commit
-/// pipeline (legalize/pipeline.hpp): the pipeline must be byte-identical
-/// to the serial cell-at-a-time loop on every design, at every thread
-/// count — that is its entire correctness contract.
+/// Determinism and unit coverage for the plan/commit pipeline
+/// (legalize/pipeline.hpp): the legalizer must be byte-identical to the
+/// serial cell-at-a-time loop of Algorithm 1 (qa::reference_legalize) on
+/// every design, at every thread count, fallback and rip-up rounds
+/// included — that is its entire correctness contract.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "legalize/pipeline.hpp"
 #include "obs/timeline.hpp"
 #include "qa/generators.hpp"
+#include "qa/oracles.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 
@@ -183,13 +185,14 @@ TEST(LevelSchedule, LevelsEqualGreedyWaveByWavePartition) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-flow bit-identity: region-parallel vs serial pipeline.
+// Whole-flow bit-identity: plan/commit waves vs the serial reference loop.
 
+/// Every cell's position; unplaced cells read (-1, -1).
 std::vector<std::pair<SiteCoord, SiteCoord>> positions(const Database& db) {
     std::vector<std::pair<SiteCoord, SiteCoord>> pos;
     pos.reserve(db.num_cells());
     for (const Cell& c : db.cells()) {
-        pos.emplace_back(c.x(), c.y());
+        pos.emplace_back(c.placed() ? c.x() : -1, c.placed() ? c.y() : -1);
     }
     return pos;
 }
@@ -207,12 +210,9 @@ struct RunOutcome {
     LegalizerStats stats;
 };
 
-RunOutcome run(Database& db, SegmentGrid& grid,
-               LegalizerOptions::Pipeline pipeline, int threads) {
+RunOutcome run(Database& db, SegmentGrid& grid, LegalizerOptions opts,
+               int threads) {
     unplace_all(db, grid);
-    LegalizerOptions opts;
-    opts.seed = 5;
-    opts.pipeline = pipeline;
     opts.num_threads = threads;
     // Every run records a wall-clock timeline: this test sits in the
     // `parallel` tier that CI re-runs under TSan, so the Timeline's
@@ -225,10 +225,22 @@ RunOutcome run(Database& db, SegmentGrid& grid,
     return out;
 }
 
+RunOutcome run_reference(Database& db, SegmentGrid& grid,
+                         const LegalizerOptions& opts) {
+    unplace_all(db, grid);
+    RunOutcome out;
+    out.stats = qa::reference_legalize(db, grid, opts);
+    out.pos = positions(db);
+    return out;
+}
+
+/// Positions and every stat except waves, conflict_requeues, audits_run
+/// and runtime_s, which the reference loop does not produce.
 void expect_equal(const RunOutcome& a, const RunOutcome& b,
-                  const char* what) {
+                  const std::string& what) {
     EXPECT_EQ(a.pos, b.pos) << what;
     EXPECT_EQ(a.stats.success, b.stats.success) << what;
+    EXPECT_EQ(a.stats.num_cells, b.stats.num_cells) << what;
     EXPECT_EQ(a.stats.direct_placements, b.stats.direct_placements) << what;
     EXPECT_EQ(a.stats.mll_successes, b.stats.mll_successes) << what;
     EXPECT_EQ(a.stats.mll_failures, b.stats.mll_failures) << what;
@@ -265,41 +277,112 @@ GenProfile golden_profile(int flavour) {
     return p;
 }
 
-void expect_pipeline_identity(Database& db, SegmentGrid& grid,
-                              const char* what) {
-    const RunOutcome serial =
-        run(db, grid, LegalizerOptions::Pipeline::kSerial, 1);
-    EXPECT_EQ(serial.stats.waves, 0u) << what;   // serial runs no waves
+const char* golden_name(int flavour) {
+    return flavour == 0   ? "uniform_small"
+           : flavour == 1 ? "blocked_mixed"
+                          : "fenced_dense";
+}
+
+/// Runs the legalizer at 1, 2 and 8 threads and the reference loop once;
+/// all must agree. Returns the 1-thread stats so callers can assert that
+/// a case really reaches the fallback or rip-up rounds.
+LegalizerStats expect_pipeline_identity(Database& db, SegmentGrid& grid,
+                                        const LegalizerOptions& opts,
+                                        const std::string& what) {
+    const RunOutcome reference = run_reference(db, grid, opts);
+    RunOutcome first;
     for (const int threads : {1, 2, 8}) {
-        const RunOutcome rp = run(
-            db, grid, LegalizerOptions::Pipeline::kRegionParallel, threads);
-        expect_equal(rp, serial, what);
+        const RunOutcome rp = run(db, grid, opts, threads);
+        expect_equal(rp, reference, what);
         EXPECT_GT(rp.stats.waves, 0u) << what;
+        if (threads == 1) {
+            first = rp;
+        }
+        // And the wave structure itself is thread-count independent.
+        EXPECT_EQ(rp.stats.waves, first.stats.waves) << what;
+        EXPECT_EQ(rp.stats.conflict_requeues, first.stats.conflict_requeues)
+            << what;
     }
-    // And the wave structure itself is thread-count independent.
-    const RunOutcome rp1 =
-        run(db, grid, LegalizerOptions::Pipeline::kRegionParallel, 1);
-    const RunOutcome rp8 =
-        run(db, grid, LegalizerOptions::Pipeline::kRegionParallel, 8);
-    EXPECT_EQ(rp1.stats.waves, rp8.stats.waves) << what;
-    EXPECT_EQ(rp1.stats.conflict_requeues, rp8.stats.conflict_requeues)
-        << what;
+    return first.stats;
+}
+
+LegalizerOptions default_options() {
+    LegalizerOptions opts;
+    opts.seed = 5;
+    return opts;
 }
 
 TEST(RegionParallel, GoldenProfilesBitIdenticalToSerial) {
     for (int flavour = 0; flavour < 3; ++flavour) {
         GenResult gen = generate_benchmark(golden_profile(flavour));
         SegmentGrid grid = SegmentGrid::build(gen.db);
-        expect_pipeline_identity(gen.db, grid,
-                                 flavour == 0   ? "uniform_small"
-                                 : flavour == 1 ? "blocked_mixed"
-                                                : "fenced_dense");
+        expect_pipeline_identity(gen.db, grid, default_options(),
+                                 golden_name(flavour));
     }
+}
+
+TEST(RegionParallel, FallbackRoundsBitIdenticalToSerial) {
+    // Tiny windows and an early fallback push the golden profiles into
+    // the barrier rounds, where a failed plan falls back to the nearest
+    // free slot at commit.
+    for (int flavour = 0; flavour < 3; ++flavour) {
+        for (const bool exact : {false, true}) {
+            GenResult gen = generate_benchmark(golden_profile(flavour));
+            SegmentGrid grid = SegmentGrid::build(gen.db);
+            LegalizerOptions opts = default_options();
+            opts.mll.rx = 2;
+            opts.mll.ry = 1;
+            opts.mll.exact_evaluation = exact;
+            opts.free_slot_fallback_round = 2;
+            const std::string what = std::string(golden_name(flavour)) +
+                                     (exact ? " exact" : " approx") +
+                                     " fallback";
+            const LegalizerStats s =
+                expect_pipeline_identity(gen.db, grid, opts, what);
+            EXPECT_GT(s.fallback_placements, 0u) << what;
+        }
+    }
+}
+
+TEST(RegionParallel, RipupRoundBitIdenticalToSerial) {
+    Database db = ripup_starved_design();
+    SegmentGrid grid = SegmentGrid::build(db);
+    LegalizerOptions opts = default_options();
+    opts.order = LegalizerOptions::Order::kInputOrder;
+    opts.max_rounds = 12;
+    const LegalizerStats s =
+        expect_pipeline_identity(db, grid, opts, "ripup_starved");
+    EXPECT_GT(s.ripup_placements, 0u);
+    EXPECT_TRUE(s.success);
+}
+
+TEST(RegionParallel, FallbackIntoALaterTasksSlotKeepsSerialOrder) {
+    // One 80-site row, blocked but for sites [48, 52). Cell a wants
+    // x = 2, where MLL finds no row, so the fallback moves it into the
+    // gap — the very slot that cell b, later in the queue and far from a,
+    // wants. Planned in one wave, b would commit into an occupied slot;
+    // as barriers, b plans after a's fallback and stays unplaced, as in
+    // the serial loop.
+    Database db = empty_design(1, 80);
+    db.floorplan().add_blockage(Rect{0, 0, 48, 1});
+    db.floorplan().add_blockage(Rect{52, 0, 28, 1});
+    add_unplaced(db, "a", 2.0, 0.0, 4, 1);
+    add_unplaced(db, "b", 48.0, 0.0, 4, 1);
+    SegmentGrid grid = SegmentGrid::build(db);
+    LegalizerOptions opts = default_options();
+    opts.free_slot_fallback_round = 1;
+    opts.mll.rx = 2;
+    opts.mll.ry = 0;
+    const LegalizerStats s =
+        expect_pipeline_identity(db, grid, opts, "fallback into b's slot");
+    EXPECT_EQ(s.fallback_placements, 1u);
+    EXPECT_EQ(s.unplaced, 1u);
 }
 
 TEST(RegionParallel, SaturatedDesignsDegradeGracefully) {
     // Adversarial high-density cases (qa fuzz generator): footprints
-    // conflict constantly, so waves thin out toward serial order — the
+    // conflict constantly, so waves thin out toward serial order, and
+    // the cells left over run every barrier round up to max_rounds — the
     // result must stay bit-identical and the conflicts must be visible in
     // the stats.
     std::size_t total_requeues = 0;
@@ -307,15 +390,11 @@ TEST(RegionParallel, SaturatedDesignsDegradeGracefully) {
         Rng rng(seed);
         Database db = qa::gen_saturated_case(rng, /*num_targets=*/3);
         SegmentGrid grid = qa::materialize_case(db);
-        const RunOutcome serial =
-            run(db, grid, LegalizerOptions::Pipeline::kSerial, 1);
-        for (const int threads : {1, 2, 8}) {
-            const RunOutcome rp =
-                run(db, grid, LegalizerOptions::Pipeline::kRegionParallel,
-                    threads);
-            expect_equal(rp, serial, "saturated");
-            total_requeues += rp.stats.conflict_requeues;
-        }
+        const LegalizerStats s = expect_pipeline_identity(
+            db, grid, default_options(),
+            "saturated " + std::to_string(seed));
+        EXPECT_EQ(s.rounds, default_options().max_rounds);
+        total_requeues += s.conflict_requeues;
     }
     // At ~90% density the schedule must actually be deferring work.
     EXPECT_GT(total_requeues, 0u);
@@ -324,12 +403,34 @@ TEST(RegionParallel, SaturatedDesignsDegradeGracefully) {
 TEST(RegionParallel, WavesAccountedInStats) {
     GenResult gen = generate_benchmark(golden_profile(0));
     SegmentGrid grid = SegmentGrid::build(gen.db);
-    const RunOutcome rp =
-        run(gen.db, grid, LegalizerOptions::Pipeline::kRegionParallel, 2);
+    const RunOutcome rp = run(gen.db, grid, default_options(), 2);
     // Every round runs at least one wave; requeued cells appear in the
     // requeue counter, and a wave can never batch zero cells.
     EXPECT_GE(rp.stats.waves, static_cast<std::size_t>(rp.stats.rounds));
     EXPECT_TRUE(rp.stats.success);
+}
+
+TEST(RegionParallel, BarrierRoundRunsOneWavePerTask) {
+    // From the fallback round on every task is a barrier: n tasks run n
+    // one-task waves and add n(n-1)/2 requeues (Σ(level − 1)), even when
+    // their footprints are far apart.
+    Database db = empty_design(2, 400);
+    for (int i = 0; i < 5; ++i) {
+        add_unplaced(db, "c" + std::to_string(i), 80.0 * i, 0.0, 4, 1);
+    }
+    SegmentGrid grid = SegmentGrid::build(db);
+    LegalizerOptions opts = default_options();
+    opts.free_slot_fallback_round = 1;
+    const RunOutcome barrier = run(db, grid, opts, 2);
+    EXPECT_EQ(barrier.stats.rounds, 1);
+    EXPECT_EQ(barrier.stats.direct_placements, 5u);
+    EXPECT_EQ(barrier.stats.waves, 5u);
+    EXPECT_EQ(barrier.stats.conflict_requeues, 10u);
+    // Without the fallback the same round is one wave.
+    const RunOutcome plain = run(db, grid, default_options(), 2);
+    EXPECT_EQ(plain.pos, barrier.pos);
+    EXPECT_EQ(plain.stats.waves, 1u);
+    EXPECT_EQ(plain.stats.conflict_requeues, 0u);
 }
 
 }  // namespace

@@ -183,7 +183,6 @@ Signature legalize_with_timeline(Database& db, SegmentGrid& grid) {
     obs::ScopedTimeline install(tl);
     LegalizerOptions opts;
     opts.seed = 5;
-    opts.pipeline = LegalizerOptions::Pipeline::kRegionParallel;
     opts.num_threads = 8;
     const LegalizerStats stats = legalize_placement(db, grid, opts);
     EXPECT_TRUE(stats.success);
@@ -237,8 +236,7 @@ TEST(Timeline, DeterministicReportIsByteIdenticalWithTimelineInstalled) {
         }
         LegalizerOptions opts;
         opts.seed = 5;
-        opts.pipeline = LegalizerOptions::Pipeline::kRegionParallel;
-        opts.num_threads = 4;
+            opts.num_threads = 4;
         const LegalizerStats stats = legalize_placement(gen.db, grid, opts);
         obs::RunReportSpec spec;
         spec.tool = "test_timeline";
@@ -279,7 +277,6 @@ TEST(Timeline, WallClockReportCarriesTimelineAndMemoryBlocks) {
     obs::ScopedTimeline install_tl(tl);
     LegalizerOptions opts;
     opts.seed = 5;
-    opts.pipeline = LegalizerOptions::Pipeline::kRegionParallel;
     const LegalizerStats stats = legalize_placement(gen.db, grid, opts);
     obs::RunReportSpec spec;
     spec.tool = "test_timeline";

@@ -19,7 +19,9 @@
 #   7. End-to-end invariant audit: mrlg_audit --gen --legalize at
 #      MRLG_VALIDATE=full must report zero audit failures
 #   8. Differential fuzz smoke: mrlg_fuzz with fixed seeds (~10 s); all
-#      oracle batteries must agree. MRLG_FUZZ_ITERS scales it up.
+#      oracle batteries must agree, and the whole-design battery runs
+#      again with a 4-thread plan fan-out against the serial reference
+#      loop. MRLG_FUZZ_ITERS scales it up.
 #   8b. Scheduling profile: mrlg_profile thread-sweep on the small
 #      parallel design; its bottleneck report must name a top limiter and
 #      its Perfetto trace must pass tools/validate_trace.py.
@@ -176,9 +178,14 @@ fuzz_smoke_stage() {
     # Two fixed seeds, small budget (~10 s): the point is catching oracle
     # divergences on every CI run, not deep exploration. Opt into longer
     # campaigns with MRLG_FUZZ_ITERS (iterations per scenario).
-    ./build/tools/mrlg_fuzz --seed 1 --iters "${MRLG_FUZZ_ITERS:-4}" &&
-        ./build/tools/mrlg_fuzz --seed 20260806 \
-            --iters "${MRLG_FUZZ_ITERS:-4}"
+    local seed
+    for seed in 1 20260806; do
+        ./build/tools/mrlg_fuzz --seed "$seed" \
+            --iters "${MRLG_FUZZ_ITERS:-4}" &&
+            ./build/tools/mrlg_fuzz --seed "$seed" --scenario design \
+                --threads 4 --iters "${MRLG_FUZZ_ITERS:-4}" ||
+            return 1
+    done
 }
 run_stage "fuzz-smoke (differential oracles)" fuzz_smoke_stage
 

@@ -12,7 +12,9 @@
 ///     --seed S          master seed                    (default 1)
 ///     --iters N         iterations per scenario        (default 50,
 ///                       or the MRLG_FUZZ_ITERS environment variable)
-///     --threads T       MLL scan threads, 0 = env default (default 0)
+///     --threads T       worker threads (MLL scans; the legalizer's
+///                       plan fan-out in the design scenario),
+///                       0 = env default (default 0)
 ///     --scenario NAME   restrict to one scenario:
 ///                       legality|local|mll|ripup|design (default: all)
 ///     --out DIR         dump shrunk repros under DIR

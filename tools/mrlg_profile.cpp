@@ -20,10 +20,6 @@
 ///     --trace PATH    write the LAST run's Chrome trace-event / Perfetto
 ///                     JSON timeline to PATH
 ///     --quiet         suppress the per-run progress lines
-/// With MRLG_PERF_COUNTERS set, each run also samples the hardware
-/// counters (instructions/cycles/cache misses via perf_event_open,
-/// obs/memres.hpp) around legalization and attaches them to the run's
-/// JSON entry — silently skipped when the kernel refuses the counters.
 /// Exit code: 0 on success, 1 when any run fails to legalize, 2 on usage
 /// errors.
 
@@ -39,7 +35,6 @@
 #include "io/benchmark_gen.hpp"
 #include "io/profiles.hpp"
 #include "legalize/legalizer.hpp"
-#include "obs/memres.hpp"
 #include "obs/timeline.hpp"
 #include "util/str.hpp"
 #include "util/thread_pool.hpp"
@@ -130,7 +125,6 @@ struct ProfiledRun {
     double wall_s = 0.0;
     double speedup = 0.0;
     obs::ScheduleReport sched;
-    obs::PerfCounters::Values perf;  ///< valid only under MRLG_PERF_COUNTERS.
 };
 
 /// One candidate scaling limiter with a comparable score in [0, 1].
@@ -268,14 +262,9 @@ int main(int argc, char** argv) {
                 LegalizerOptions opts;
                 opts.seed = profile.seed;
                 opts.num_threads = t;
-                opts.pipeline =
-                    LegalizerOptions::Pipeline::kRegionParallel;
                 opts.mll.exact_evaluation = exact;
-                obs::PerfCounters counters;
-                counters.start();
                 const LegalizerStats stats =
                     legalize_placement(db, grid, opts);
-                counters.stop();
                 if (!stats.success) {
                     std::cerr << "FATAL: legalization failed (design="
                               << design << " threads=" << t << ")\n";
@@ -293,7 +282,6 @@ int main(int argc, char** argv) {
                                   ? baseline_s / stats.runtime_s
                                   : 0.0;
                 run.sched = obs::derive_schedule_report(*timeline, t);
-                run.perf = counters.read();
                 if (!quiet) {
                     std::cerr
                         << "  [" << (exact ? "exact" : "approx")
@@ -305,17 +293,8 @@ int main(int argc, char** argv) {
                         << " straggler="
                         << format_fixed(run.sched.straggler_share, 2)
                         << " commit="
-                        << format_fixed(run.sched.commit_serial_share, 2);
-                    if (run.perf.valid && run.perf.cycles > 0) {
-                        std::cerr
-                            << " ipc="
-                            << format_fixed(
-                                   static_cast<double>(
-                                       run.perf.instructions) /
-                                       static_cast<double>(run.perf.cycles),
-                                   2);
-                    }
-                    std::cerr << "\n";
+                        << format_fixed(run.sched.commit_serial_share, 2)
+                        << "\n";
                 }
                 runs.push_back(std::move(run));
             }
@@ -333,9 +312,6 @@ int main(int argc, char** argv) {
             j.set("wall_s", Json::num(r.wall_s));
             j.set("speedup_vs_t1", Json::num(r.speedup));
             j.set("schedule", obs::schedule_report_json(r.sched));
-            if (r.perf.valid) {
-                j.set("perf", obs::perf_counters_json(r.perf));
-            }
             runs_json.push(std::move(j));
         }
         dj.set("runs", std::move(runs_json));
