@@ -70,6 +70,7 @@ RunMetrics run_legalization(Database& db, SegmentGrid& grid,
     m.runtime_s = stats.runtime_s;
     m.direct = stats.direct_placements;
     m.mll = stats.mll_successes;
+    m.mll_failures = stats.mll_failures;
     m.points_evaluated = stats.mll_points_evaluated;
     m.waves = stats.waves;
     m.conflict_requeues = stats.conflict_requeues;

@@ -43,6 +43,7 @@ struct RunMetrics {
     double gp_hpwl_m = 0.0;
     std::size_t direct = 0;
     std::size_t mll = 0;
+    std::size_t mll_failures = 0;      ///< Failed MLL attempts (retried).
     std::size_t points_evaluated = 0;  ///< Insertion points scored by MLL.
     std::size_t waves = 0;             ///< Plan/commit waves.
     std::size_t conflict_requeues = 0; ///< Footprint-conflict deferrals.

@@ -32,10 +32,11 @@ struct Table1Entry {
 /// 400 single / 40 double cells so small scales stay meaningful.
 std::vector<Table1Entry> table1_benchmarks(double scale = 1.0);
 
-/// The synthetic thread-scaling design family shared by bench_parallel
-/// and tools/mrlg_profile: parallel_s (2.2k cells), parallel_m (8.8k),
-/// parallel_l (26.4k), generator seed 11 + `seed_offset`. Returns false
-/// when `name` is not one of the family (out is untouched).
+/// The synthetic thread-scaling design family that bench_parallel sweeps
+/// (two bench_suite workloads also build on parallel_l): parallel_s
+/// (2.2k cells), parallel_m (8.8k), parallel_l (26.4k), generator seed
+/// 11 + `seed_offset`. Returns false when `name` is not one of the
+/// family (out is untouched).
 bool parallel_profile(const std::string& name, double scale,
                       int seed_offset, GenProfile& out);
 

@@ -237,18 +237,9 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
             t.rail_ok =
                 !mll_opts.check_rail ||
                 rail_compatible(p.y, cell.height(), cell.rail_phase());
-            // The MLL window of paper §3, anchored like mll_plan's.
-            const SiteCoord ax =
-                static_cast<SiteCoord>(std::lround(t.px));
-            const SiteCoord ay =
-                static_cast<SiteCoord>(std::lround(t.py));
-            const Rect window{
-                static_cast<SiteCoord>(ax - mll_opts.rx),
-                static_cast<SiteCoord>(ay - mll_opts.ry),
-                static_cast<SiteCoord>(2 * mll_opts.rx + cell.width()),
-                static_cast<SiteCoord>(2 * mll_opts.ry + cell.height())};
-            t.footprint =
-                compute_attempt_footprint(window, t.fitted, max_cell_width);
+            t.footprint = compute_attempt_footprint(
+                mll_window(cell, t.px, t.py, mll_opts), t.fitted,
+                max_cell_width);
             tasks.push_back(std::move(t));
         }
         // The round's wave schedule, computed once in queue order
@@ -358,14 +349,6 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                 MRLG_OBS_PHASE("commit");
                 obs::TimelineSpan commit_span(timeline, "commit",
                                               {wave_id, 0, 0});
-                // A stale plan means the schedule let two overlapping
-                // footprints share a wave: fail loudly, never requeue.
-                auto stale = [&](const PlanTask& t, const char* what) {
-                    return std::string("region-parallel ") + what +
-                           " of cell " + std::to_string(t.cell.value()) +
-                           " went stale before its commit in wave " +
-                           std::to_string(wave_id);
-                };
                 for (std::size_t slot = 0; slot < batch.size(); ++slot) {
                     const std::size_t idx = batch[slot];
                     obs::TimelineSpan commit_task_span(
@@ -375,9 +358,17 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                     PlanTask& t = tasks[idx];
                     const Cell& cell = db.cell(t.cell);
                     if (t.direct) {
-                        MRLG_ASSERT(grid.placeable(db, t.fitted, CellId{},
-                                                   cell.region()),
-                                    stale(t, "direct slot"));
+                        // A taken slot means the schedule let two
+                        // overlapping footprints share a wave: fail
+                        // loudly, never requeue (mll_commit does the same
+                        // for a stale plan).
+                        MRLG_ASSERT(
+                            grid.placeable(db, t.fitted, CellId{},
+                                           cell.region()),
+                            "region-parallel direct slot of cell " +
+                                std::to_string(t.cell.value()) +
+                                " went stale before its commit in wave " +
+                                std::to_string(wave_id));
                         grid.place(db, t.cell, t.fitted.x, t.fitted.y);
                         ++stats.direct_placements;
                         t.state = PlanTask::State::kPlaced;
@@ -390,7 +381,6 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                     if (t.plan.success()) {
                         const MllResult r =
                             mll_commit(db, grid, t.cell, t.plan);
-                        MRLG_ASSERT(r.success(), stale(t, "MLL plan"));
                         ++stats.mll_successes;
                         MRLG_OBS_OBSERVE("legalize.mll_real_cost_um",
                                          r.real_cost_um);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "check/audit_local.hpp"
 #include "legalize/evaluation.hpp"
@@ -34,17 +35,9 @@ MllPlan plan_with(const Database& db, const SegmentGrid& grid,
     target.pref_y = pref_y;
     target.rail_phase = cell.rail_phase();
 
-    // Window of paper §3: lower-left (x - Rx, y - Ry), size
-    // (2Rx + w) x (2Ry + h), anchored at the rounded preferred position.
-    const SiteCoord ax = static_cast<SiteCoord>(std::lround(pref_x));
-    const SiteCoord ay = static_cast<SiteCoord>(std::lround(pref_y));
-    const Rect window{static_cast<SiteCoord>(ax - opts.rx),
-                      static_cast<SiteCoord>(ay - opts.ry),
-                      static_cast<SiteCoord>(2 * opts.rx + target.w),
-                      static_cast<SiteCoord>(2 * opts.ry + target.h)};
-
     LocalRegion& region = s.local_region;
-    extract_local_region(db, grid, window, cell.region(), s.region, region);
+    extract_local_region(db, grid, mll_window(cell, pref_x, pref_y, opts),
+                         cell.region(), s.region, region);
     if (region.height() == 0) {
         return res;
     }
@@ -173,6 +166,16 @@ MllPlan plan_with(const Database& db, const SegmentGrid& grid,
 
 }  // namespace
 
+Rect mll_window(const Cell& cell, double pref_x, double pref_y,
+                const MllOptions& opts) {
+    const SiteCoord ax = static_cast<SiteCoord>(std::lround(pref_x));
+    const SiteCoord ay = static_cast<SiteCoord>(std::lround(pref_y));
+    return Rect{static_cast<SiteCoord>(ax - opts.rx),
+                static_cast<SiteCoord>(ay - opts.ry),
+                static_cast<SiteCoord>(2 * opts.rx + cell.width()),
+                static_cast<SiteCoord>(2 * opts.ry + cell.height())};
+}
+
 void count_attempt(const MllPlan& plan) {
     MRLG_OBS_COUNT("mll.attempts", 1);
     if (plan.status == MllStatus::kNoRegion) {
@@ -226,41 +229,40 @@ MllResult mll_commit(Database& db, SegmentGrid& grid, CellId target_cell,
     MRLG_ASSERT(plan.success(), "can only commit a successful MLL plan");
     const Cell& target = db.cell(target_cell);
     MRLG_ASSERT(!target.placed(), "MLL commit target must be unplaced");
+    // A stale plan means another commit touched this plan's footprint,
+    // which the pipeline's schedule rules out: a broken invariant, raised
+    // only once the grid is back in its pre-commit state.
+    const auto stale = [&](const std::string& why) {
+        return "stale MLL plan for cell " +
+               std::to_string(target_cell.value()) + " (" + target.name() +
+               "): " + why;
+    };
 
-    // Validation pass 1: every move base must still hold (a shifted base
-    // means another commit touched this plan's footprint).
-    bool stale = false;
+    // Validation pass 1: every move base must still hold.
     for (const MllPlan::Move& m : plan.moves) {
         const Cell& c = db.cell(m.id);
-        if (!c.placed() || c.x() != m.old_x) {
-            stale = true;
-            break;
-        }
+        MRLG_ASSERT(c.placed() && c.x() == m.old_x,
+                    stale("moved cell " + std::to_string(m.id.value()) +
+                          " left its planned base x"));
     }
-    if (!stale) {
-        // Apply the shifts, then validation pass 2: the target slot must
-        // be free. Shifts restore exactly on failure (set_x only).
-        for (const MllPlan::Move& m : plan.moves) {
-            db.cell(m.id).set_x(m.new_x);
-        }
-        const Rect slot{plan.x, plan.y, target.width(), target.height()};
-        if (grid.placeable(db, slot, CellId{}, target.region())) {
-            grid.place(db, target_cell, plan.x, plan.y);
-            MllResult res = mll_result_from_plan(plan);
-            MRLG_OBS_COUNT("mll.commits", 1);
-            MRLG_OBS_COUNT("mll.cells_shifted", res.moved.size());
-            return res;
-        }
+    // Apply the shifts, then validation pass 2: the target slot must be
+    // free. Shifts restore exactly on failure (set_x only).
+    for (const MllPlan::Move& m : plan.moves) {
+        db.cell(m.id).set_x(m.new_x);
+    }
+    const Rect slot{plan.x, plan.y, target.width(), target.height()};
+    const bool slot_free =
+        grid.placeable(db, slot, CellId{}, target.region());
+    if (!slot_free) {
         for (const MllPlan::Move& m : plan.moves) {
             db.cell(m.id).set_x(m.old_x);
         }
     }
-    MllResult res;
-    res.status = MllStatus::kPlanInvalidated;
-    res.num_points = plan.num_points;
-    res.num_local_cells = plan.num_local_cells;
-    res.enumeration_truncated = plan.enumeration_truncated;
-    res.audits_run = plan.audits_run;
+    MRLG_ASSERT(slot_free, stale("its target slot is occupied"));
+    grid.place(db, target_cell, plan.x, plan.y);
+    MllResult res = mll_result_from_plan(plan);
+    MRLG_OBS_COUNT("mll.commits", 1);
+    MRLG_OBS_COUNT("mll.cells_shifted", res.moved.size());
     return res;
 }
 
@@ -272,11 +274,7 @@ MllResult mll_place(Database& db, SegmentGrid& grid, CellId target_cell,
     if (!plan.success()) {
         return mll_result_from_plan(plan);
     }
-    MllResult res = mll_commit(db, grid, target_cell, plan);
-    // With no interleaved mutation a plan can never be stale.
-    MRLG_ASSERT(res.status != MllStatus::kPlanInvalidated,
-                "mll plan invalidated immediately after planning");
-    return res;
+    return mll_commit(db, grid, target_cell, plan);
 }
 
 void mll_undo(Database& db, SegmentGrid& grid, CellId target_cell,

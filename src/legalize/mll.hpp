@@ -87,13 +87,6 @@ enum class MllStatus {
     kSuccess,
     kNoInsertionPoint,  ///< Region extracted but no feasible point.
     kNoRegion,          ///< Window contains no usable rows.
-    /// Commit-time validation found the grid changed since the plan was
-    /// computed (stale move base or occupied target slot). Nothing was
-    /// modified. Unreachable when plans are confined to pairwise-disjoint
-    /// footprints (the pipeline's level schedule), so the legalizer treats
-    /// it as a broken invariant and fails with an AssertionError naming
-    /// the cell and wave.
-    kPlanInvalidated,
 };
 
 struct MllResult {
@@ -154,6 +147,13 @@ struct MllPlan {
     bool success() const { return status == MllStatus::kSuccess; }
 };
 
+/// The MLL window of paper §3: lower-left (x − Rx, y − Ry), size
+/// (2Rx + w) × (2Ry + h), anchored at the rounded preferred position.
+/// mll_plan extracts its local region from it and the legalizer's attempt
+/// footprint covers it (pipeline.hpp), so both use this one definition.
+Rect mll_window(const Cell& cell, double pref_x, double pref_y,
+                const MllOptions& opts);
+
 /// Read-only planning half of MLL: computes where `target_cell` (must be
 /// unplaced) would be inserted near (pref_x, pref_y) and which local cells
 /// would shift, without mutating `db` or `grid`. Safe to run concurrently
@@ -173,8 +173,11 @@ void count_attempt(const MllPlan& plan);
 
 /// Applies a successful plan: validates it against the live grid (every
 /// move base unchanged, target slot placeable after the shifts), then
-/// shifts the moved cells and registers the target. On stale state nothing
-/// is modified and the result carries MllStatus::kPlanInvalidated.
+/// shifts the moved cells and registers the target. A stale plan is
+/// unreachable when plans are confined to pairwise-disjoint footprints
+/// (the pipeline's level schedule), so it is a broken invariant: commit
+/// restores any shift it applied and throws AssertionError naming the
+/// cell.
 MllResult mll_commit(Database& db, SegmentGrid& grid, CellId target_cell,
                      const MllPlan& plan) MRLG_REQUIRES(grid_write_cap());
 

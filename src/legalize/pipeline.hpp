@@ -14,8 +14,12 @@
 ///   2. plan — a wave's MLL problems are solved concurrently, read-only
 ///      against the wave-start grid (mll_plan, per-thread scratch).
 ///   3. commit — plans are applied serially in queue order (mll_commit).
-///      In a round with the free-slot fallback or rip-up enabled, a failed
-///      plan then tries find_nearest_free_position and then ripup_place.
+///      A stale plan or a taken direct slot would mean two overlapping
+///      footprints shared a wave, so it throws AssertionError naming the
+///      cell (mll_commit, after restoring the grid) or the cell and wave
+///      (a direct slot) instead of requeueing. In a round with the
+///      free-slot fallback or rip-up enabled, a failed plan then tries
+///      find_nearest_free_position and then ripup_place.
 ///
 /// Those two may write anywhere on the die, so in such a round every task
 /// is a *barrier*: its level is its queue position + 1 (no ledger claim),

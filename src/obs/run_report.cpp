@@ -117,6 +117,17 @@ Json quality_json(const Database& db, const SegmentGrid& grid,
 
 }  // namespace
 
+Json environment_json() {
+    const ThreadPoolConfig tp = ThreadPool::config();
+    Json env = Json::object();
+    env.set("hardware_threads", Json::num(tp.hardware_threads));
+    env.set("default_threads", Json::num(tp.default_threads));
+    env.set("pool_workers", Json::num(tp.pool_workers));
+    env.set("pool_workers_active", Json::num(tp.pool_workers_active));
+    env.set("mrlg_threads_env", Json::boolean(tp.env_override));
+    return env;
+}
+
 Json make_run_report(const RunReportSpec& spec) {
     Json j = Json::object();
     j.set("schema_version", Json::num(kRunReportSchemaVersion));
@@ -142,17 +153,9 @@ Json make_run_report(const RunReportSpec& spec) {
               quality_json(*spec.db, *spec.grid, spec.check_rail));
     }
     if (!deterministic) {
-        // Machine facts behind any wall-clock numbers in this report.
         // Omitted in deterministic mode for the same reason runtime_s is:
         // tick-clock reports must be byte-identical across machines.
-        const ThreadPoolConfig tp = ThreadPool::config();
-        Json env = Json::object();
-        env.set("hardware_threads", Json::num(tp.hardware_threads));
-        env.set("default_threads", Json::num(tp.default_threads));
-        env.set("pool_workers", Json::num(tp.pool_workers));
-        env.set("pool_workers_active", Json::num(tp.pool_workers_active));
-        env.set("mrlg_threads_env", Json::boolean(tp.env_override));
-        j.set("environment", std::move(env));
+        j.set("environment", environment_json());
 
         // Wall-clock-only schema-v2 blocks. Excluded from deterministic
         // reports so goldens stay byte-identical with a timeline
@@ -166,15 +169,13 @@ Json make_run_report(const RunReportSpec& spec) {
                       *timeline,
                       ThreadPool::resolve_threads(spec.num_threads))));
         }
-        if (spec.include_memory) {
-            j.set("memory",
-                  memory_report_json(
-                      sample_memory(),
-                      spec.db != nullptr ? spec.db->memory_breakdown()
-                                         : std::vector<ArenaUsage>{},
-                      spec.grid != nullptr ? spec.grid->memory_breakdown()
-                                           : std::vector<ArenaUsage>{}));
-        }
+        j.set("memory",
+              memory_report_json(
+                  sample_memory(),
+                  spec.db != nullptr ? spec.db->memory_breakdown()
+                                     : std::vector<ArenaUsage>{},
+                  spec.grid != nullptr ? spec.grid->memory_breakdown()
+                                       : std::vector<ArenaUsage>{}));
     }
     if (tracer != nullptr) {
         j.set("metrics", tracer->to_json());

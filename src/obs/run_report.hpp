@@ -45,15 +45,17 @@ struct RunReportSpec {
     /// derived `timeline` block (schema v2) is excluded from
     /// deterministic reports, like `environment`.
     const Timeline* timeline = nullptr;
-    /// Emit the wall-clock-only `memory` block (process RSS/heap plus the
-    /// db/grid arena breakdowns when db/grid are present).
-    bool include_memory = true;
 };
 
 /// Current report schema (docs/REPORT.md). v2 adds the wall-clock-only
 /// `timeline` and `memory` blocks and `environment.pool_workers_active`.
 /// v3 removes `options.pipeline` (the legalizer has one round loop).
 inline constexpr int kRunReportSchemaVersion = 3;
+
+/// The machine facts behind any wall-clock number, from a
+/// ThreadPool::config() snapshot (docs/REPORT.md `environment`). Take it
+/// after the timed work, so that `pool_workers_active` says what ran.
+Json environment_json();
 
 /// Assembles the report. Runs the legality checker and quality metrics
 /// over `db`/`grid` when present (read-only).

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "util/assert.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mrlg::obs {
 
@@ -59,6 +60,15 @@ struct alignas(64) Timeline::Lane {
     /// min(count, ring.size()) of them.
     std::uint64_t count = 0;
 };
+
+std::size_t Timeline::default_max_lanes() {
+    // The pool may have been built under a different MRLG_THREADS than
+    // the one config() reads now, so cover whichever is larger.
+    const ThreadPoolConfig tp = ThreadPool::config();
+    return static_cast<std::size_t>(
+               std::max(tp.pool_workers, tp.pool_workers_active)) +
+           1;
+}
 
 Timeline::Timeline(std::size_t max_lanes, std::size_t lane_capacity)
     : lane_capacity_(std::max<std::size_t>(1, lane_capacity)),
@@ -260,7 +270,7 @@ ScheduleReport derive_schedule_report(const Timeline& timeline, int threads) {
     return report;
 }
 
-Json schedule_report_json(const ScheduleReport& report) {
+Json schedule_summary_json(const ScheduleReport& report) {
     Json j = Json::object();
     j.set("threads", Json::num(report.threads));
     j.set("lanes", Json::num(report.lanes));
@@ -277,6 +287,11 @@ Json schedule_report_json(const ScheduleReport& report) {
     j.set("straggler_share", Json::num(report.straggler_share));
     j.set("commit_serial_share", Json::num(report.commit_serial_share));
     j.set("partition_share", Json::num(report.partition_share));
+    return j;
+}
+
+Json schedule_report_json(const ScheduleReport& report) {
+    Json j = schedule_summary_json(report);
     j.set("task_us", histogram_json(report.task_us));
     j.set("wave_idle_pct", histogram_json(report.wave_idle_pct));
     return j;

@@ -76,13 +76,16 @@ struct TimelineEvent {
 
 class Timeline {
 public:
-    static constexpr std::size_t kDefaultMaxLanes = 64;
     static constexpr std::size_t kDefaultLaneCapacity = 1u << 15;
+
+    /// One lane per thread that can record: the global pool's helper
+    /// threads plus the calling thread.
+    static std::size_t default_max_lanes();
 
     /// `max_lanes` bounds the number of distinct recording threads;
     /// `lane_capacity` is the per-lane ring size in events. Both are
     /// fixed at construction — recording never allocates.
-    explicit Timeline(std::size_t max_lanes = kDefaultMaxLanes,
+    explicit Timeline(std::size_t max_lanes = default_max_lanes(),
                       std::size_t lane_capacity = kDefaultLaneCapacity);
     Timeline(const Timeline&) = delete;
     Timeline& operator=(const Timeline&) = delete;
@@ -184,7 +187,7 @@ private:
 
 // ---------------------------------------------------------------------------
 // Derived scheduling metrics (the run report's `timeline` block and the
-// mrlg_profile bottleneck analysis).
+// bench_parallel schedule summaries and bottleneck ranking).
 
 /// Whole-run schedule report. Shares (utilization, straggler, commit
 /// and partition serialization) are in [0, 1]; see docs/REPORT.md for
@@ -229,7 +232,12 @@ struct ScheduleReport {
 /// run (used for utilization/straggler math; <= 0 is treated as 1).
 ScheduleReport derive_schedule_report(const Timeline& timeline, int threads);
 
-/// Serializes a ScheduleReport (the run report's `timeline` block).
+/// Serializes a ScheduleReport's scalar fields (bench_parallel's per-run
+/// `schedule` block): everything but the histograms.
+Json schedule_summary_json(const ScheduleReport& report);
+
+/// The summary plus the `task_us` and `wave_idle_pct` histograms (the run
+/// report's `timeline` block).
 Json schedule_report_json(const ScheduleReport& report);
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include "legalize/evaluation.hpp"
 #include "legalize/minmax_placement.hpp"
 #include "legalize/mll.hpp"
+#include "qa/snapshot.hpp"
 #include "test_helpers.hpp"
 
 namespace mrlg::test {
@@ -100,6 +101,67 @@ TEST(Mll, PlacedTargetAsserts) {
     SegmentGrid grid = SegmentGrid::build(db);
     const CellId t = add_placed(db, grid, "t", 10, 0, 4, 1);
     EXPECT_THROW(mll_place(db, grid, t, 10.0, 0.0), AssertionError);
+}
+
+/// One packed row 5: a at [20, 40), a 2-site gap, b at [42, 62). With
+/// ry = 0 the 4-site target wanting x = 40 fits only by shifting b right
+/// by 2, so its plan has one move (b: 42 -> 44) and target slot [40, 44).
+struct StalePlanFixture {
+    Database db = empty_design(12, 100);
+    SegmentGrid grid = SegmentGrid::build(db);
+    CellId b;
+    CellId filler;
+    CellId t;
+    MllPlan plan;
+
+    StalePlanFixture() {
+        add_placed(db, grid, "a", 20, 5, 20, 1);
+        b = add_placed(db, grid, "b", 42, 5, 20, 1);
+        filler = add_unplaced(db, "filler", 40.0, 5.0, 2, 1);
+        t = add_unplaced(db, "t", 40.0, 5.0, 4, 1);
+        MllOptions opts;
+        opts.ry = 0;
+        plan = mll_plan(db, grid, t, 40.0, 5.0, opts);
+    }
+
+    /// A stale commit must throw naming the target and leave the
+    /// placement exactly as it found it.
+    void expect_checked_failure() {
+        const qa::PlacementSnapshot before = qa::capture_snapshot(db, grid);
+        try {
+            mll_commit(db, grid, t, plan);
+            ADD_FAILURE() << "a stale plan committed";
+        } catch (const AssertionError& e) {
+            EXPECT_NE(std::string(e.what()).find("stale MLL plan for cell " +
+                                                 std::to_string(t.value())),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_TRUE(before == qa::capture_snapshot(db, grid))
+            << qa::describe_snapshot_diff(
+                   before, qa::capture_snapshot(db, grid), db);
+    }
+};
+
+TEST(MllCommit, MovedBaseIsACheckedFailure) {
+    StalePlanFixture f;
+    ASSERT_TRUE(f.plan.success());
+    ASSERT_EQ(f.plan.moves.size(), 1u);
+    ASSERT_EQ(f.plan.moves[0].id, f.b);
+    f.grid.remove(f.db, f.b);
+    f.grid.place(f.db, f.b, 60, 5);
+    f.expect_checked_failure();
+}
+
+TEST(MllCommit, OccupiedTargetSlotIsACheckedFailure) {
+    StalePlanFixture f;
+    ASSERT_TRUE(f.plan.success());
+    ASSERT_EQ(f.plan.moves.size(), 1u);
+    ASSERT_EQ(f.plan.x, 40);
+    // The gap stays free before the shift, so only validation pass 2 (the
+    // slot after the shift) can catch it, with b already shifted.
+    f.grid.place(f.db, f.filler, 40, 5);
+    f.expect_checked_failure();
 }
 
 TEST(Mll, Figure5Scenario) {

@@ -214,6 +214,53 @@ TEST(Timeline, LegalizerMergeIdenticalUnderForcedInterleavings) {
 }
 
 // ---------------------------------------------------------------------------
+// Completeness: the schedule counts equal the legalizer's own counts.
+
+/// One wave per LegalizerStats::waves and one plan task per direct,
+/// successful or failed attempt — the cross-check bench_parallel makes on
+/// every run. Checked on a one-round run and on a six-round run whose
+/// barrier round places cells through the free-slot fallback.
+TEST(Timeline, ScheduleCountsEqualLegalizerStats) {
+    GenProfile p;
+    p.num_single = 300;
+    p.num_double = 30;
+    p.density = 0.8;
+    p.seed = 11;
+    for (const bool tail : {false, true}) {
+        GenResult gen = generate_benchmark(p);
+        SegmentGrid grid = SegmentGrid::build(gen.db);
+        LegalizerOptions opts;
+        opts.seed = 5;
+        opts.num_threads = 4;
+        if (tail) {
+            // Windows too small for most cells: the run reaches the
+            // free-slot fallback round.
+            opts.mll.rx = 1;
+            opts.mll.ry = 0;
+        }
+        Timeline tl;
+        LegalizerStats stats;
+        {
+            obs::ScopedTimeline install(tl);
+            stats = legalize_placement(gen.db, grid, opts);
+        }
+        ASSERT_TRUE(stats.success);
+        if (tail) {
+            EXPECT_GE(stats.rounds, opts.free_slot_fallback_round);
+            EXPECT_GT(stats.fallback_placements, 0u);
+        } else {
+            EXPECT_EQ(stats.rounds, 1);
+        }
+        const ScheduleReport r = obs::derive_schedule_report(tl, 4);
+        EXPECT_EQ(r.dropped_events, 0u);
+        EXPECT_EQ(r.waves_total, stats.waves);
+        EXPECT_EQ(r.tasks_total, stats.direct_placements +
+                                     stats.mll_successes +
+                                     stats.mll_failures);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Report integration: the two-tracer split.
 
 TEST(Timeline, DeterministicReportIsByteIdenticalWithTimelineInstalled) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # mrlg CI pipeline: one entry point for every check this repo ships.
 #
-#   1. Release build + full ctest suite
+#   1. Release build + full ctest suite (it includes the bench_parallel
+#      thread-sweep smoke and the trace-schema check on its output)
 #   2. Static checks (tools/mrlg_lint.py all): the phase-effect analyzer
 #      proving the mll_plan closure read-only, plus the determinism lint
 #      — one stage, one baseline, one exit code
@@ -22,9 +23,6 @@
 #      oracle batteries must agree, and the whole-design battery runs
 #      again with a 4-thread plan fan-out against the serial reference
 #      loop. MRLG_FUZZ_ITERS scales it up.
-#   8b. Scheduling profile: mrlg_profile thread-sweep on the small
-#      parallel design; its bottleneck report must name a top limiter and
-#      its Perfetto trace must pass tools/validate_trace.py.
 #   9. Coverage: gcovr over a --coverage build running the fast unit
 #      tier (ctest -L unit); SKIPped when gcovr is not installed.
 #
@@ -188,20 +186,6 @@ fuzz_smoke_stage() {
     done
 }
 run_stage "fuzz-smoke (differential oracles)" fuzz_smoke_stage
-
-# --------------------------------------------------------------- stage 8b
-profile_stage() {
-    # Thread-sweep scheduling profile of the region-parallel pipeline on
-    # the small design. Fails when legalization fails, when the
-    # bottleneck report cannot name a top limiter, or when the emitted
-    # Perfetto JSON stops matching the Chrome trace-event schema.
-    ./build/tools/mrlg_profile --design parallel_s --threads 1,2,4 \
-        --scale 0.5 --json build/profile_ci.json \
-        --trace build/profile_ci_trace.json &&
-        grep -q '"top_limiter"' build/profile_ci.json &&
-        python3 tools/validate_trace.py build/profile_ci_trace.json
-}
-run_stage "scheduling profile + Perfetto trace validation" profile_stage
 
 # ---------------------------------------------------------------- stage 9
 if command -v gcovr >/dev/null 2>&1; then
