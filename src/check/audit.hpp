@@ -87,7 +87,7 @@ AuditReport audit_segment_grid(const Database& db, const SegmentGrid& grid,
                                AuditLevel level = AuditLevel::kCheap,
                                bool check_rail = true);
 
-/// Umbrella audit used by the legalizer hooks and the mrlg_audit CLI:
+/// Umbrella audit used by the legalizer hooks (its final audit included):
 /// audit_database + audit_segment_grid at the given level. kOff returns an
 /// empty (ok) report.
 AuditReport audit_placement(const Database& db, const SegmentGrid& grid,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -26,34 +25,6 @@ bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 [[noreturn]] void fail_at(const std::string& path, std::size_t line,
                           const std::string& what) {
     throw ParseError(path + ":" + std::to_string(line) + ": " + what);
-}
-
-/// Parses the whole of `tok` as a finite double. std::from_chars rounds
-/// correctly, as strtod does, so the value is bit-equal to strtod's. It
-/// takes no leading '+', so one is stripped first; hex, "inf" and "nan"
-/// are refused.
-bool parse_finite(std::string_view tok, double& out) {
-    if (tok.starts_with('+')) {
-        tok.remove_prefix(1);
-        if (tok.starts_with('-')) {
-            return false;
-        }
-    }
-    const char* end = tok.data() + tok.size();
-    const auto [ptr, ec] = std::from_chars(tok.data(), end, out);
-    return ec == std::errc{} && ptr == end && std::isfinite(out);
-}
-
-/// True when [lo, lo + extent] lies strictly inside the coordinate range
-/// the legalizer keeps below its ±∞ sentinels (kSiteCoordMin/Max), so any
-/// edge it computes fits SiteCoord. False for NaN.
-bool fits_coord(double lo, double extent) {
-    return lo > kSiteCoordMin && lo + extent < kSiteCoordMax;
-}
-
-/// A size in sites or rows that rounds to at least 1 and fits SiteCoord.
-bool fits_size(double v) {
-    return std::round(v) >= 1 && v < kSiteCoordMax;
 }
 
 /// One input file, read whole into a buffer sized from the file and

@@ -19,6 +19,7 @@
 #include <string>
 
 #include "db/database.hpp"
+#include "io/parse.hpp"
 
 namespace mrlg {
 
@@ -37,10 +38,5 @@ BookshelfReadResult read_bookshelf(const std::string& aux_path);
 void write_bookshelf(const Database& db, const std::string& dir,
                      const std::string& design,
                      bool use_gp_positions = false);
-
-class ParseError : public std::runtime_error {
-public:
-    explicit ParseError(const std::string& msg) : std::runtime_error(msg) {}
-};
 
 }  // namespace mrlg

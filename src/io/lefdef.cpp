@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <fstream>
-#include <sstream>
 
 #include "util/assert.hpp"
 #include "util/str.hpp"
@@ -14,14 +13,16 @@ namespace mrlg {
 
 namespace {
 
+[[noreturn]] void fail_in(const std::string& path, const std::string& what) {
+    throw ParseError(path + ": " + what);
+}
+
 /// Whitespace tokenizer with ';', '(' and ')' as standalone tokens and
 /// '#'-to-end-of-line comments stripped.
-std::vector<std::string> tokenize_file(const std::string& path,
-                                       const char* what) {
+std::vector<std::string> tokenize_file(const std::string& path) {
     std::ifstream in(path);
     if (!in) {
-        throw LefDefError(std::string("cannot open ") + what + " file: " +
-                          path);
+        throw ParseError("cannot open " + path);
     }
     std::vector<std::string> tokens;
     std::string line;
@@ -55,8 +56,8 @@ std::vector<std::string> tokenize_file(const std::string& path,
 /// Cursor over the token stream with checked accessors.
 class Cursor {
 public:
-    Cursor(std::vector<std::string> tokens, const char* what)
-        : tokens_(std::move(tokens)), what_(what) {}
+    explicit Cursor(const std::string& path)
+        : tokens_(tokenize_file(path)), path_(path) {}
 
     bool done() const { return pos_ >= tokens_.size(); }
     const std::string& peek() const {
@@ -69,11 +70,9 @@ public:
     }
     double next_num() {
         const std::string t = next();
-        try {
-            return std::stod(t);
-        } catch (const std::exception&) {
-            fail("expected a number, got '" + t + "'");
-        }
+        double v = 0;
+        check(parse_finite(t, v), "expected a number, got '" + t + "'");
+        return v;
     }
     void expect(const std::string& tok) {
         const std::string t = next();
@@ -90,15 +89,13 @@ public:
         }
     }
     [[noreturn]] void fail(const std::string& msg) const {
-        std::ostringstream oss;
-        oss << what_ << " parse error near token " << pos_ << ": " << msg;
-        throw LefDefError(oss.str());
+        fail_in(path_, "near token " + std::to_string(pos_) + ": " + msg);
     }
 
 private:
     std::vector<std::string> tokens_;
     std::size_t pos_ = 0;
-    const char* what_;
+    std::string path_;
 };
 
 /// Simple glob: '*' matches any suffix (the form ISPD GROUPS use).
@@ -111,19 +108,12 @@ bool pattern_matches(const std::string& pattern, const std::string& name) {
            name.compare(0, star, pattern, 0, star) == 0;
 }
 
-SiteCoord to_sites(double um, double site_um, const char* ctx) {
-    const double v = um / site_um;
-    if (std::abs(v - std::round(v)) > 1e-4) {
-        throw LefDefError(std::string(ctx) +
-                          " is not an integral number of sites");
-    }
-    return static_cast<SiteCoord>(std::llround(v));
-}
+bool is_whole(double v) { return std::abs(v - std::round(v)) <= 1e-4; }
 
 }  // namespace
 
 LefLibrary read_lef(const std::string& path) {
-    Cursor cur(tokenize_file(path, "LEF"), "LEF");
+    Cursor cur(path);
     LefLibrary lib;
     while (!cur.done()) {
         const std::string tok = cur.next();
@@ -198,14 +188,14 @@ LefLibrary read_lef(const std::string& path) {
         // Unknown top-level tokens are skipped token-by-token.
     }
     if (lib.site_w_um <= 0 || lib.site_h_um <= 0) {
-        throw LefDefError("LEF defines no SITE with a SIZE");
+        fail_in(path, "LEF defines no SITE with a SIZE");
     }
     return lib;
 }
 
 DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
     GridWriteScope grid_write;
-    Cursor cur(tokenize_file(path, "DEF"), "DEF");
+    Cursor cur(path);
     DefReadResult result;
     double dbu = lef.dbu_per_micron;
     const double site_w = lef.site_w_um;
@@ -213,7 +203,7 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
 
     struct DefRow {
         double x_dbu, y_dbu;
-        long num_sites;
+        double num_sites;
     };
     std::vector<DefRow> rows;
     struct DefComp {
@@ -257,7 +247,7 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
             r.num_sites = 1;
             if (cur.peek() == "DO") {
                 cur.next();
-                r.num_sites = static_cast<long>(cur.next_num());
+                r.num_sites = cur.next_num();
                 cur.expect("BY");
                 cur.next_num();  // rows in y (1)
             }
@@ -359,7 +349,10 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
 
     // ---- build the floorplan ------------------------------------------------
     if (rows.empty()) {
-        throw LefDefError("DEF has no ROW statements");
+        fail_in(path, "DEF has no ROW statements");
+    }
+    if (!(dbu > 0)) {
+        fail_in(path, "UNITS DISTANCE MICRONS must be positive");
     }
     std::sort(rows.begin(), rows.end(),
               [](const DefRow& a, const DefRow& b) {
@@ -373,12 +366,16 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const double expect_y = y0 + static_cast<double>(i) * site_h_dbu;
         if (std::abs(rows[i].y_dbu - expect_y) > 0.5) {
-            throw LefDefError("DEF rows are not contiguous/uniform");
+            fail_in(path, "DEF rows are not contiguous/uniform");
+        }
+        const double origin = rows[i].x_dbu / site_w_dbu;
+        const double n = rows[i].num_sites;
+        if (std::trunc(n) != n || n < 0 || !fits_coord(origin, n)) {
+            fail_in(path, "ROW origin or DO count out of range");
         }
         fp.add_row(Row{static_cast<SiteCoord>(i),
-                       static_cast<SiteCoord>(
-                           std::llround(rows[i].x_dbu / site_w_dbu)),
-                       static_cast<SiteCoord>(rows[i].num_sites)});
+                       static_cast<SiteCoord>(std::llround(origin)),
+                       static_cast<SiteCoord>(n)});
     }
 
     // Fence regions.
@@ -387,46 +384,87 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
         const int id = next_region++;
         result.region_ids.emplace(r.name, id);
         for (const auto& q : r.rects) {
-            const SiteCoord x1 = static_cast<SiteCoord>(
-                std::llround(q[0] / site_w_dbu));
-            const SiteCoord y1 = static_cast<SiteCoord>(
-                std::llround((q[1] - y0) / site_h_dbu));
-            const SiteCoord x2 = static_cast<SiteCoord>(
-                std::llround(q[2] / site_w_dbu));
-            const SiteCoord y2 = static_cast<SiteCoord>(
-                std::llround((q[3] - y0) / site_h_dbu));
-            fp.add_fence(id, Rect{x1, y1, static_cast<SiteCoord>(x2 - x1),
-                                  static_cast<SiteCoord>(y2 - y1)});
+            const double x1 = std::round(q[0] / site_w_dbu);
+            const double y1 = std::round((q[1] - y0) / site_h_dbu);
+            const double x2 = std::round(q[2] / site_w_dbu);
+            const double y2 = std::round((q[3] - y0) / site_h_dbu);
+            if (!(x2 > x1 && y2 > y1) || !fits_coord(x1, x2 - x1) ||
+                !fits_coord(y1, y2 - y1)) {
+                fail_in(path, "region " + r.name +
+                                  " has an empty or out-of-range rectangle");
+            }
+            const Rect rect{static_cast<SiteCoord>(x1),
+                            static_cast<SiteCoord>(y1),
+                            static_cast<SiteCoord>(x2 - x1),
+                            static_cast<SiteCoord>(y2 - y1)};
+            for (const Floorplan::Fence& f : fp.fences()) {
+                if (f.region != id && f.rect.overlaps(rect)) {
+                    fail_in(path, "region " + r.name +
+                                      " overlaps another region");
+                }
+            }
+            fp.add_fence(id, rect);
         }
     }
 
     Database db(std::move(fp));
 
-    // Components.
+    // Components: the node checks of the Bookshelf reader. Each one adds
+    // exactly one cell, in file order, so a component's index in `comps`
+    // is its CellId.
+    const double num_rows = static_cast<double>(rows.size());
     for (const DefComp& c : comps) {
         const LefMacro* macro = lef.find_macro(c.macro);
         if (macro == nullptr) {
-            throw LefDefError("DEF references unknown macro " + c.macro);
+            fail_in(path, "component " + c.inst +
+                              " references unknown macro " + c.macro);
         }
-        const SiteCoord w = to_sites(macro->w_um, site_w, "macro width");
-        const SiteCoord h = to_sites(macro->h_um, site_h, "macro height");
-        Cell cell(c.inst, w, h, RailPhase::kEven,
-                  c.status == "FIXED");
+        const double w = macro->w_um / site_w;
+        const double h = macro->h_um / site_h;
+        if (!is_whole(w) || !is_whole(h)) {
+            fail_in(path,
+                    "macro " + c.macro + " is not site/row aligned in size");
+        }
+        if (!fits_size(w) || !fits_size(h)) {
+            fail_in(path, "macro " + c.macro +
+                              " must be at least one site wide and one row "
+                              "tall, and fit the coordinate range");
+        }
+        const bool fixed = c.status == "FIXED";
+        if (!fixed && std::round(h) > num_rows) {
+            fail_in(path, "component " + c.inst +
+                              " is movable and taller than the core's " +
+                              std::to_string(rows.size()) + " rows");
+        }
+        if (db.find_cell(c.inst).valid()) {
+            fail_in(path, "duplicate component name " + c.inst);
+        }
         const double gx = c.x_dbu / site_w_dbu;
         const double gy = (c.y_dbu - y0) / site_h_dbu;
+        if (!fits_coord(gx, w) || !fits_coord(gy, h)) {
+            fail_in(path, "component " + c.inst +
+                              " lies outside the coordinate range");
+        }
+        Cell cell(c.inst, static_cast<SiteCoord>(std::llround(w)),
+                  static_cast<SiteCoord>(std::llround(h)), RailPhase::kEven,
+                  fixed);
         cell.set_gp(gx, gy);
-        if (c.status == "FIXED") {
+        if (fixed) {
             cell.set_pos(static_cast<SiteCoord>(std::llround(gx)),
                          static_cast<SiteCoord>(std::llround(gy)));
         }
         db.add_cell(std::move(cell));
     }
 
-    // Group membership → cell regions.
+    // Group membership → cell regions. A group without `+ REGION` places
+    // no constraint on its members.
     for (const DefGroup& g : groups) {
+        if (g.region.empty()) {
+            continue;
+        }
         const auto rit = result.region_ids.find(g.region);
         if (rit == result.region_ids.end()) {
-            continue;
+            fail_in(path, "GROUPS references unknown region " + g.region);
         }
         for (std::size_t i = 0; i < db.num_cells(); ++i) {
             Cell& cell = db.cell(CellId{static_cast<CellId::underlying>(i)});
@@ -441,31 +479,26 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
 
     // Nets.
     for (const DefNet& n : nets) {
+        if (db.find_net(n.name).valid()) {
+            fail_in(path, "duplicate net name " + n.name);
+        }
         const NetId net = db.add_net(n.name);
         for (const auto& [inst, pin_name] : n.pins) {
             const CellId cid = db.find_cell(inst);
             if (!cid.valid()) {
-                throw LefDefError("NET " + n.name +
+                fail_in(path, "NET " + n.name +
                                   " references unknown component " + inst);
             }
             // Pin offset from the LEF macro (centre of the cell if the
-            // pin is unknown — robust to trimmed libraries).
+            // pin is unknown — robust to trimmed libraries). The component
+            // loop above resolved every macro.
             double ox = db.cell(cid).width() / 2.0;
             double oy = db.cell(cid).height() / 2.0;
-            // Re-find the macro via the cell's dimensions is ambiguous, so
-            // look the component's macro up again by name.
-            for (const DefComp& c : comps) {
-                if (c.inst == inst) {
-                    const LefMacro* macro = lef.find_macro(c.macro);
-                    if (macro != nullptr) {
-                        const auto pit = macro->pins.find(pin_name);
-                        if (pit != macro->pins.end()) {
-                            ox = pit->second.offset_x_um / site_w;
-                            oy = pit->second.offset_y_um / site_h;
-                        }
-                    }
-                    break;
-                }
+            const auto& pins = lef.find_macro(comps[cid.index()].macro)->pins;
+            const auto pit = pins.find(pin_name);
+            if (pit != pins.end()) {
+                ox = pit->second.offset_x_um / site_w;
+                oy = pit->second.offset_y_um / site_h;
             }
             db.add_pin(cid, net, ox, oy);
         }

@@ -13,11 +13,18 @@
 ///
 /// Geometry is converted to mrlg's site units on load: LEF sizes must be
 /// integral multiples of the site; DEF placements snap from DBU.
+///
+/// Malformed input throws ParseError (io/parse.hpp), as the Bookshelf
+/// reader does: every number must be a whole finite token, and a
+/// component gets the Bookshelf node checks (a unique name, a size of at
+/// least one site and row in range, a movable cell no taller than the
+/// core, a position in range).
 
 #include <string>
 #include <unordered_map>
 
 #include "db/database.hpp"
+#include "io/parse.hpp"
 
 namespace mrlg {
 
@@ -47,14 +54,7 @@ struct LefLibrary {
     }
 };
 
-/// Parses the LEF subset. Throws ParseError (from bookshelf.hpp's family —
-/// re-declared here to avoid the include) on malformed input.
-class LefDefError : public std::runtime_error {
-public:
-    explicit LefDefError(const std::string& msg)
-        : std::runtime_error(msg) {}
-};
-
+/// Parses the LEF subset. Throws ParseError on malformed input.
 LefLibrary read_lef(const std::string& path);
 
 struct DefReadResult {
@@ -66,7 +66,8 @@ struct DefReadResult {
 
 /// Parses the DEF subset against `lef`. Component positions become gp
 /// positions (and fixed cells are frozen); REGIONS/GROUPS become fence
-/// regions. The caller still runs Database::freeze_fixed_cells().
+/// regions. The caller still runs Database::freeze_fixed_cells(). Throws
+/// ParseError on malformed input.
 DefReadResult read_def(const std::string& path, const LefLibrary& lef);
 
 /// Writes the current placement as DEF (components PLACED at legalized

@@ -7,10 +7,10 @@
 /// Schema: docs/REPORT.md (`schema_version` gates golden compatibility).
 ///
 /// Every reporting surface emits this one shape: `tools/mrlg_legalize
-/// --report`, `mrlg_audit --report`, `mrlg_fuzz --report`, and the golden
-/// regression suite (tests/test_golden.cpp). With a deterministic clock
-/// (obs/clock.hpp TickClock) a report is byte-for-byte reproducible across
-/// runs and thread counts; wall-clock reports add physical `runtime_s`.
+/// --report`, `mrlg_fuzz --report`, and the golden regression suite
+/// (tests/test_golden.cpp). With a deterministic clock (obs/clock.hpp
+/// TickClock) a report is byte-for-byte reproducible across runs and
+/// thread counts; wall-clock reports add physical `runtime_s`.
 
 #include <string>
 
@@ -32,7 +32,9 @@ struct RunReportSpec {
     const SegmentGrid* grid = nullptr;
     /// Rail mode the run used (quality block re-checks legality with it).
     bool check_rail = true;
-    /// Resolved evaluation thread count (0 = environment default).
+    /// Plan fan-out threads the run was given (0 = the MRLG_THREADS
+    /// environment default). `options.num_threads` records it as given;
+    /// the timeline block resolves it.
     int num_threads = 0;
     /// Options/stats of the legalization run; null omits their blocks.
     const LegalizerOptions* options = nullptr;

@@ -1,7 +1,6 @@
 #include "qa/fuzz.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -35,17 +34,15 @@ std::string legality_battery(Database& db, const SegmentGrid& grid) {
 
 std::string local_battery(Database& db, const SegmentGrid& grid,
                           const LocalDiffOptions& lopts) {
+    MllOptions wopts;
+    wopts.rx = kFuzzRx;
+    wopts.ry = kFuzzRy;
     for (const CellId id : db.movable_cells()) {
         const Cell& c = db.cell(id);
         if (c.placed()) {
             continue;
         }
-        const SiteCoord ax = static_cast<SiteCoord>(std::lround(c.gp_x()));
-        const SiteCoord ay = static_cast<SiteCoord>(std::lround(c.gp_y()));
-        const Rect window{static_cast<SiteCoord>(ax - kFuzzRx),
-                          static_cast<SiteCoord>(ay - kFuzzRy),
-                          static_cast<SiteCoord>(2 * kFuzzRx + c.width()),
-                          static_cast<SiteCoord>(2 * kFuzzRy + c.height())};
+        const Rect window = mll_window(c, c.gp_x(), c.gp_y(), wopts);
         const std::string diff = diff_local_solvers(db, grid, id, c.gp_x(),
                                                     c.gp_y(), window, lopts);
         if (!diff.empty()) {

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "eval/legality.hpp"
 #include "io/lefdef.hpp"
@@ -12,6 +13,17 @@ namespace mrlg::test {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// tests/fixtures/top.{lef,def}, the pair that the mrlg_legalize flag
+/// smoke test (tests/CMakeLists.txt) legalizes too.
+const std::string kLefPath = std::string(MRLG_FIXTURE_DIR) + "/top.lef";
+const std::string kDefPath = std::string(MRLG_FIXTURE_DIR) + "/top.def";
+
+std::string read_text(const std::string& path) {
+    std::ifstream in(path);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
 
 class LefDefTest : public ::testing::Test {
 protected:
@@ -30,76 +42,32 @@ protected:
         std::ofstream(p) << text;
         return p.string();
     }
+
+    /// Reads the fixture pair with `from` replaced by `to` in the file
+    /// `path`, and requires a ParseError whose message holds `what`.
+    void expect_parse_error(const std::string& path, const std::string& from,
+                            const std::string& to, const std::string& what) {
+        std::string lef = read_text(kLefPath);
+        std::string def = read_text(kDefPath);
+        std::string& text = path == kLefPath ? lef : def;
+        const std::size_t at = text.find(from);
+        ASSERT_NE(at, std::string::npos) << from;
+        text.replace(at, from.size(), to);
+        try {
+            const LefLibrary lib = read_lef(write("t.lef", lef));
+            read_def(write("t.def", def), lib);
+            ADD_FAILURE() << to << ": no ParseError";
+        } catch (const ParseError& e) {
+            EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+                << to << ": " << e.what();
+        }
+    }
+
     fs::path dir_;
 };
 
-const char* kLef = R"(
-# minimal ISPD-flavoured LEF
-UNITS DATABASE MICRONS 1000 ; END UNITS
-SITE core
-  CLASS CORE ;
-  SIZE 0.2 BY 1.6 ;
-END core
-MACRO INV
-  CLASS CORE ;
-  SIZE 0.6 BY 1.6 ;
-  PIN A DIRECTION INPUT ;
-    PORT
-      LAYER metal1 ;
-      RECT 0.0 0.6 0.2 1.0 ;
-    END
-  END A
-  PIN Z DIRECTION OUTPUT ;
-    PORT
-      RECT 0.4 0.6 0.6 1.0 ;
-    END
-  END Z
-END INV
-MACRO FF2
-  CLASS CORE ;
-  SIZE 0.8 BY 3.2 ;
-  PIN D ;
-    PORT
-      RECT 0.0 1.4 0.2 1.8 ;
-    END
-  END D
-END FF2
-)";
-
-const char* kDef = R"(
-VERSION 5.8 ;
-DESIGN top ;
-UNITS DISTANCE MICRONS 1000 ;
-DIEAREA ( 0 0 ) ( 8000 12800 ) ;
-ROW r0 core 0 0 N DO 40 BY 1 STEP 200 0 ;
-ROW r1 core 0 1600 N DO 40 BY 1 STEP 200 0 ;
-ROW r2 core 0 3200 N DO 40 BY 1 STEP 200 0 ;
-ROW r3 core 0 4800 N DO 40 BY 1 STEP 200 0 ;
-ROW r4 core 0 6400 N DO 40 BY 1 STEP 200 0 ;
-ROW r5 core 0 8000 N DO 40 BY 1 STEP 200 0 ;
-ROW r6 core 0 9600 N DO 40 BY 1 STEP 200 0 ;
-ROW r7 core 0 11200 N DO 40 BY 1 STEP 200 0 ;
-REGIONS 1 ;
-- fence1 ( 4000 0 ) ( 8000 12800 ) ;
-END REGIONS
-GROUPS 1 ;
-- grp1 u_f* + REGION fence1 ;
-END GROUPS
-COMPONENTS 4 ;
-- u1 INV + PLACED ( 410 30 ) N ;
-- u2 INV + PLACED ( 1000 1650 ) N ;
-- u_f1 FF2 + PLACED ( 5010 3205 ) N ;
-- blk INV + FIXED ( 2000 4800 ) N ;
-END COMPONENTS
-NETS 2 ;
-- n1 ( u1 Z ) ( u2 A ) ;
-- n2 ( u2 Z ) ( u_f1 D ) ( PIN io1 ) ;
-END NETS
-END DESIGN
-)";
-
 TEST_F(LefDefTest, LefParsesSitesMacrosPins) {
-    const LefLibrary lef = read_lef(write("a.lef", kLef));
+    const LefLibrary lef = read_lef(kLefPath);
     EXPECT_NEAR(lef.site_w_um, 0.2, 1e-9);
     EXPECT_NEAR(lef.site_h_um, 1.6, 1e-9);
     EXPECT_NEAR(lef.dbu_per_micron, 1000.0, 1e-9);
@@ -117,8 +85,8 @@ TEST_F(LefDefTest, LefParsesSitesMacrosPins) {
 }
 
 TEST_F(LefDefTest, DefBuildsDatabase) {
-    const LefLibrary lef = read_lef(write("a.lef", kLef));
-    DefReadResult r = read_def(write("a.def", kDef), lef);
+    const LefLibrary lef = read_lef(kLefPath);
+    DefReadResult r = read_def(kDefPath, lef);
     EXPECT_EQ(r.design_name, "top");
     Database& db = r.db;
     EXPECT_EQ(db.floorplan().num_rows(), 8);
@@ -154,8 +122,8 @@ TEST_F(LefDefTest, DefBuildsDatabase) {
 }
 
 TEST_F(LefDefTest, EndToEndLegalizeFromDef) {
-    const LefLibrary lef = read_lef(write("a.lef", kLef));
-    DefReadResult r = read_def(write("a.def", kDef), lef);
+    const LefLibrary lef = read_lef(kLefPath);
+    DefReadResult r = read_def(kDefPath, lef);
     r.db.freeze_fixed_cells();
     SegmentGrid grid = SegmentGrid::build(r.db);
     const LegalizerStats stats = legalize_placement(r.db, grid);
@@ -167,8 +135,8 @@ TEST_F(LefDefTest, EndToEndLegalizeFromDef) {
 }
 
 TEST_F(LefDefTest, DefRoundTripThroughWriter) {
-    const LefLibrary lef = read_lef(write("a.lef", kLef));
-    DefReadResult r = read_def(write("a.def", kDef), lef);
+    const LefLibrary lef = read_lef(kLefPath);
+    DefReadResult r = read_def(kDefPath, lef);
     r.db.freeze_fixed_cells();
     SegmentGrid grid = SegmentGrid::build(r.db);
     ASSERT_TRUE(legalize_placement(r.db, grid).success);
@@ -187,11 +155,11 @@ TEST_F(LefDefTest, DefRoundTripThroughWriter) {
 }
 
 TEST_F(LefDefTest, MissingFileThrows) {
-    EXPECT_THROW(read_lef((dir_ / "nope.lef").string()), LefDefError);
+    EXPECT_THROW(read_lef((dir_ / "nope.lef").string()), ParseError);
 }
 
 TEST_F(LefDefTest, UnknownMacroThrows) {
-    const LefLibrary lef = read_lef(write("a.lef", kLef));
+    const LefLibrary lef = read_lef(kLefPath);
     const std::string def = write("bad.def", R"(
 DESIGN top ;
 UNITS DISTANCE MICRONS 1000 ;
@@ -201,11 +169,11 @@ COMPONENTS 1 ;
 END COMPONENTS
 END DESIGN
 )");
-    EXPECT_THROW(read_def(def, lef), LefDefError);
+    EXPECT_THROW(read_def(def, lef), ParseError);
 }
 
 TEST_F(LefDefTest, NonUniformRowsThrow) {
-    const LefLibrary lef = read_lef(write("a.lef", kLef));
+    const LefLibrary lef = read_lef(kLefPath);
     const std::string def = write("gap.def", R"(
 DESIGN top ;
 UNITS DISTANCE MICRONS 1000 ;
@@ -213,7 +181,7 @@ ROW r0 core 0 0 N DO 10 BY 1 STEP 200 0 ;
 ROW r1 core 0 4800 N DO 10 BY 1 STEP 200 0 ;
 END DESIGN
 )");
-    EXPECT_THROW(read_def(def, lef), LefDefError);
+    EXPECT_THROW(read_def(def, lef), ParseError);
 }
 
 TEST_F(LefDefTest, MisalignedMacroThrows) {
@@ -235,7 +203,61 @@ COMPONENTS 1 ;
 END COMPONENTS
 END DESIGN
 )");
-    EXPECT_THROW(read_def(def, lef), LefDefError);
+    EXPECT_THROW(read_def(def, lef), ParseError);
+}
+
+// Malformed input: each case is one mutation of the fixture pair.
+
+TEST_F(LefDefTest, TrailingJunkInPositionThrows) {
+    expect_parse_error(kDefPath, "( 410 30 )", "( 410xyz 30 )",
+                       "expected a number, got '410xyz'");
+}
+
+TEST_F(LefDefTest, NanPositionThrows) {
+    expect_parse_error(kDefPath, "( 410 30 )", "( nan 30 )",
+                       "expected a number, got 'nan'");
+}
+
+TEST_F(LefDefTest, HugeRowCountThrows) {
+    expect_parse_error(kDefPath, "core 0 0 N DO 40", "core 0 0 N DO 4e30",
+                       "DO count out of range");
+}
+
+TEST_F(LefDefTest, TrailingJunkInMacroSizeThrows) {
+    expect_parse_error(kLefPath, "SIZE 0.6 BY", "SIZE 0.6abc BY",
+                       "expected a number, got '0.6abc'");
+}
+
+TEST_F(LefDefTest, DuplicateComponentThrows) {
+    expect_parse_error(kDefPath, "- u2 INV", "- u1 INV",
+                       "duplicate component name u1");
+}
+
+TEST_F(LefDefTest, ZeroSizeMacroThrows) {
+    expect_parse_error(kLefPath, "SIZE 0.6 BY", "SIZE 0 BY",
+                       "must be at least one site wide");
+}
+
+TEST_F(LefDefTest, OtherNodeAndRangeChecksThrow) {
+    expect_parse_error(kDefPath, "( 410 30 )", "( 4e30 30 )",
+                       "component u1 lies outside the coordinate range");
+    expect_parse_error(kDefPath, "core 0 0 N DO 40", "core 0 0 N DO 40.5",
+                       "DO count out of range");
+    expect_parse_error(kLefPath, "SIZE 0.8 BY 3.2", "SIZE 0.8 BY 16",
+                       "component u_f1 is movable and taller than the core");
+    expect_parse_error(kDefPath, "MICRONS 1000", "MICRONS 0",
+                       "UNITS DISTANCE MICRONS must be positive");
+    expect_parse_error(kDefPath, "( 4000 0 ) ( 8000 12800 )",
+                       "( 4000 0 ) ( 4000 12800 )",
+                       "region fence1 has an empty or out-of-range rectangle");
+    expect_parse_error(kDefPath, "- fence1 ( 4000 0 ) ( 8000 12800 ) ;",
+                       "- fence1 ( 4000 0 ) ( 8000 12800 ) ;\n"
+                       "- fence2 ( 6000 0 ) ( 8000 1600 ) ;",
+                       "region fence2 overlaps another region");
+    expect_parse_error(kDefPath, "+ REGION fence1", "+ REGION fence9",
+                       "GROUPS references unknown region fence9");
+    expect_parse_error(kDefPath, "- n2 ( u2 Z )", "- n1 ( u2 Z )",
+                       "duplicate net name n1");
 }
 
 }  // namespace

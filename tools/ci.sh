@@ -2,7 +2,10 @@
 # mrlg CI pipeline: one entry point for every check this repo ships.
 #
 #   1. Release build + full ctest suite (it includes the bench_parallel
-#      thread-sweep smoke and the trace-schema check on its output)
+#      thread-sweep smoke and the trace-schema check on its output, and
+#      the mrlg_legalize runs: an end-to-end MRLG_VALIDATE=full
+#      legalization that must pass every in-run audit, the LEF/DEF flag
+#      smoke and the parse-error exits)
 #   2. Static checks (tools/mrlg_lint.py all): the phase-effect analyzer
 #      proving the mll_plan closure read-only, plus the determinism lint
 #      — one stage, one baseline, one exit code
@@ -17,13 +20,11 @@
 #      (the thread-count determinism properties, incl. the region-parallel
 #      plan/commit pipeline and the lock-free Timeline lanes, with real
 #      worker threads racing)
-#   7. End-to-end invariant audit: mrlg_audit --gen --legalize at
-#      MRLG_VALIDATE=full must report zero audit failures
-#   8. Differential fuzz smoke: mrlg_fuzz with fixed seeds (~10 s); all
+#   7. Differential fuzz smoke: mrlg_fuzz with fixed seeds (~10 s); all
 #      oracle batteries must agree, and the whole-design battery runs
 #      again with a 4-thread plan fan-out against the serial reference
 #      loop. MRLG_FUZZ_ITERS scales it up.
-#   9. Coverage: gcovr over a --coverage build running the fast unit
+#   8. Coverage: gcovr over a --coverage build running the fast unit
 #      tier (ctest -L unit); SKIPped when gcovr is not installed.
 #
 # The test suite is partitioned by ctest labels
@@ -88,9 +89,9 @@ run_stage "build + ctest (Release)" build_and_test
 
 # ---------------------------------------------------------------- stage 2
 # Phase-effect analysis + determinism lint through the unified CLI.
-# Proves (with the built-in frontend; libclang when available) that the
-# transitive closure of mll_plan and the plan-stage dispatch never
-# mutates the grid, launders const, or touches unsynchronized globals.
+# Proves that the transitive closure of mll_plan and the plan-stage
+# dispatch never mutates the grid, launders const, or touches
+# unsynchronized globals.
 run_stage "static checks (effects + determinism)" \
     python3 tools/mrlg_lint.py all src
 
@@ -165,13 +166,6 @@ else
 fi
 
 # ---------------------------------------------------------------- stage 7
-audit_stage() {
-    MRLG_VALIDATE=full ./build/tools/mrlg_audit --gen --singles 800 \
-        --doubles 120 --seed 7 --legalize --level full
-}
-run_stage "end-to-end invariant audit (MRLG_VALIDATE=full)" audit_stage
-
-# ---------------------------------------------------------------- stage 8
 fuzz_smoke_stage() {
     # Two fixed seeds, small budget (~10 s): the point is catching oracle
     # divergences on every CI run, not deep exploration. Opt into longer
@@ -187,7 +181,7 @@ fuzz_smoke_stage() {
 }
 run_stage "fuzz-smoke (differential oracles)" fuzz_smoke_stage
 
-# ---------------------------------------------------------------- stage 9
+# ---------------------------------------------------------------- stage 8
 if command -v gcovr >/dev/null 2>&1; then
     coverage_stage() {
         # Instrumented build of the unit tier only: coverage is a trend

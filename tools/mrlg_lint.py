@@ -21,8 +21,6 @@ Options:
                         (default: tools/effects_baseline.txt under root;
                         pass --baseline '' to disable)
   --update-baseline     rewrite the baseline with the current findings
-  --compile-commands F  compilation database for the libclang frontend
-                        (optional; the built-in scanner needs none)
 
 Default paths: src/ under --root.
 Exit: 0 clean, 1 findings, 2 usage error.
@@ -47,7 +45,6 @@ def main(argv):
     parser.add_argument("--root", default=None)
     parser.add_argument("--baseline", default=None)
     parser.add_argument("--update-baseline", action="store_true")
-    parser.add_argument("--compile-commands", default=None)
     try:
         args = parser.parse_args(argv[1:])
     except SystemExit as e:
@@ -69,12 +66,8 @@ def main(argv):
     rel = lambda p: os.path.relpath(p, root) if os.path.isabs(p) else p  # noqa: E731
 
     findings = []
-    frontend = None
     if args.mode in ("effects", "all"):
-        eff_findings, frontend, _n = effects.analyze(
-            files, root=root, compile_commands=args.compile_commands
-        )
-        findings.extend(eff_findings)
+        findings.extend(effects.analyze(files, root=root))
     if args.mode in ("determinism", "all"):
         det = determinism.analyze(files)
         for fi in det:
@@ -96,10 +89,7 @@ def main(argv):
         print(f"mrlg_lint: baseline written to {rel(baseline_path)}")
 
     baseline = framework.load_baseline(baseline_path if baseline_path else None)
-    label = f"mrlg_lint[{args.mode}"
-    if frontend:
-        label += f", {frontend}"
-    label += "]"
+    label = f"mrlg_lint[{args.mode}]"
     return framework.report(
         findings, baseline, label, len(files), sys.stdout, sys.stderr
     )

@@ -1,10 +1,8 @@
 """Self-contained C++ source model for the effects analyzer.
 
-This is the fallback frontend: a heuristic scanner that extracts function
-definitions and an over-approximate name-based call graph from stripped
-source text, with no compiler installed. When libclang is available the
-effects analyzer prefers it (effects.py builds the same structures from
-the AST); the two frontends feed identical rule code.
+This is the analyzer's one frontend: a heuristic scanner that extracts
+function definitions and an over-approximate name-based call graph from
+stripped source text, with no compiler installed.
 
 Scope of the heuristics — and why they are safe here:
 

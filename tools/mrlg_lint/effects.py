@@ -22,10 +22,9 @@ pause the ambient tracer before fanning out            -> tracer-pause
 and every MRLG_EFFECT_READONLY marker must name a
 function the analyzer can find                          -> marker-unknown
 
-Frontends: libclang over compile_commands.json when importable (exact
-AST), otherwise the built-in scanner (cpp_model.py). Both feed the same
-rule code; this container has no clang, so the scanner is the tested
-default.
+The C++ model comes from one frontend, the dependency-free scanner in
+cpp_model.py, which the fixture suite (tests/test_lint_fixtures.py)
+tests.
 """
 
 import os
@@ -360,82 +359,8 @@ class EffectsAnalyzer:
         )
 
 
-def _try_libclang(paths, compile_commands):
-    """Builds a cpp_model.Program from libclang when available.
-
-    Returns None when clang bindings or the compilation database are
-    missing or fail — the caller falls back to the built-in scanner.
-    """
-    try:
-        from clang import cindex  # noqa: F401
-    except Exception:
-        return None
-    try:
-        index = cindex.Index.create()
-    except Exception:
-        return None
-    try:
-        from . import framework
-
-        prog = cpp_model.Program()
-        args = ["-std=c++20", "-xc++"]
-        db = None
-        if compile_commands and os.path.exists(compile_commands):
-            db = cindex.CompilationDatabase.fromDirectory(
-                os.path.dirname(compile_commands)
-            )
-        for path in paths:
-            if not path.endswith((".cpp", ".cc")):
-                continue
-            file_args = list(args)
-            if db is not None:
-                cmds = db.getCompileCommands(path)
-                if cmds:
-                    file_args = [a for a in list(cmds[0].arguments)[1:-1]]
-            tu = index.parse(path, args=file_args)
-            sf = framework.SourceFile.load(path)
-            prog.files[path] = sf
-            for cur in tu.cursor.walk_preorder():
-                if cur.kind in (
-                    cindex.CursorKind.FUNCTION_DECL,
-                    cindex.CursorKind.CXX_METHOD,
-                ) and cur.is_definition():
-                    if not cur.location.file or cur.location.file.name != path:
-                        continue
-                    extent = cur.extent
-                    body = "\n".join(
-                        sf.code_lines[
-                            extent.start.line - 1 : extent.end.line
-                        ]
-                    )
-                    fn = cpp_model.Function(
-                        name=cur.spelling,
-                        qualified=cur.spelling,
-                        cls=cur.semantic_parent.spelling
-                        if cur.semantic_parent
-                        else "",
-                        path=path,
-                        line=extent.start.line,
-                        head="",
-                        body=body,
-                    )
-                    for arg in cur.get_arguments():
-                        t = arg.type.spelling
-                        for tracked in cpp_model.TRACKED_TYPES:
-                            if tracked in t and "&" in t:
-                                fn.receivers[arg.spelling] = "const" in t
-                    prog.functions.append(fn)
-                    prog.by_name.setdefault(fn.name, []).append(fn)
-        return prog if prog.functions else None
-    except Exception:
-        return None
-
-
-def analyze(paths, root=None, compile_commands=None):
-    """Runs the effects analysis over `paths`.
-
-    Returns (findings, frontend_name, num_files).
-    """
+def analyze(paths, root=None):
+    """Runs the effects analysis over `paths`; returns its findings."""
     root = root or os.getcwd()
 
     def rel(p):
@@ -444,11 +369,5 @@ def analyze(paths, root=None, compile_commands=None):
         except ValueError:
             return p
 
-    prog = _try_libclang(paths, compile_commands)
-    frontend = "libclang"
-    if prog is None:
-        prog = cpp_model.Program.load(paths)
-        frontend = "builtin-scanner"
-    analyzer = EffectsAnalyzer(prog, rel=rel)
-    findings = analyzer.run()
-    return findings, frontend, len(prog.files)
+    prog = cpp_model.Program.load(paths)
+    return EffectsAnalyzer(prog, rel=rel).run()
