@@ -28,9 +28,8 @@ int main() {
     Database& db = gen.db;
 
     // 2. Our own global placement from the netlist.
-    gp::QuadraticOptions qopts;
-    qopts.iterations = 10;
-    const gp::QuadraticStats qstats = gp::quadratic_place(db, qopts);
+    const gp::QuadraticStats qstats =
+        gp::quadratic_place(db, /*iterations=*/10);
     std::cout << "quadratic GP: HPWL "
               << qstats.hpwl_um * 1e-6 << " m, max bin util "
               << qstats.final_max_util << "\n";

@@ -17,6 +17,13 @@ namespace mrlg {
 
 namespace {
 
+/// Accept a move or swap only if it improves total HPWL by at least this
+/// much (um).
+constexpr double kMinGainUm = 1e-9;
+/// detailed_place skips cells whose preferred spot is within this many
+/// sites of the current position (saves useless churn).
+constexpr double kMinMoveSites = 1.0;
+
 /// Median of the other pins of the cell's nets; nullopt when unconnected.
 std::optional<std::pair<double, double>> median_target(const Database& db,
                                                        CellId c) {
@@ -104,7 +111,7 @@ DetailedPlacementStats detailed_place(Database& db, SegmentGrid& grid,
             }
             const double dx = std::abs(med->first - cell.x());
             const double dy = std::abs(med->second - cell.y());
-            if (dx + dy < opts.min_move_sites) {
+            if (dx + dy < kMinMoveSites) {
                 continue;
             }
             cands.push_back(Candidate{c, dx * sw + dy * sh, med->first,
@@ -148,7 +155,7 @@ DetailedPlacementStats detailed_place(Database& db, SegmentGrid& grid,
             for (const NetId n : nets) {
                 delta += cache.net_hpwl(n) - cache.cached(n);
             }
-            if (delta <= -opts.min_gain_um) {
+            if (delta <= -kMinGainUm) {
                 for (const NetId n : nets) {
                     cache.refresh(n);
                 }
@@ -173,8 +180,7 @@ DetailedPlacementStats detailed_place(Database& db, SegmentGrid& grid,
     return stats;
 }
 
-SwapStats swap_pass(Database& db, SegmentGrid& grid,
-                    const SwapOptions& opts) {
+SwapStats swap_pass(Database& db, SegmentGrid& grid, SiteCoord radius) {
     GridWriteScope grid_write;
     Timer timer;
     SwapStats stats;
@@ -210,104 +216,91 @@ SwapStats swap_pass(Database& db, SegmentGrid& grid,
     };
 
     MRLG_OBS_PHASE("dp.swap");
-    for (int pass = 0; pass < opts.max_passes; ++pass) {
-        std::unordered_map<Key, std::vector<CellId>, KeyHash> buckets;
-        for (const CellId c : db.movable_cells()) {
-            const Cell& cell = db.cell(c);
-            if (cell.placed()) {
-                buckets[Key{cell.width(), cell.height()}].push_back(c);
+    std::unordered_map<Key, std::vector<CellId>, KeyHash> buckets;
+    for (const CellId c : db.movable_cells()) {
+        const Cell& cell = db.cell(c);
+        if (cell.placed()) {
+            buckets[Key{cell.width(), cell.height()}].push_back(c);
+        }
+    }
+    for (const CellId a : db.movable_cells()) {
+        const Cell& ca = db.cell(a);
+        if (!ca.placed() || ca.pins().empty()) {
+            continue;
+        }
+        const auto med = median_target(db, a);
+        if (!med) {
+            continue;
+        }
+        // Skip cells already near their optimal region.
+        if (std::abs(med->first - ca.x()) + std::abs(med->second - ca.y()) <
+            2.0) {
+            continue;
+        }
+        // Best same-footprint candidate near the target region.
+        const auto it = buckets.find(Key{ca.width(), ca.height()});
+        if (it == buckets.end()) {
+            continue;
+        }
+        CellId best;
+        double best_gain_est = 0.0;
+        for (const CellId b : it->second) {
+            if (b == a) {
+                continue;
+            }
+            const Cell& cb = db.cell(b);
+            if (!cb.placed() || cb.region() != ca.region()) {
+                continue;
+            }
+            if (std::abs(cb.x() - med->first) > radius ||
+                std::abs(static_cast<double>(cb.y()) - med->second) * sh / sw >
+                    static_cast<double>(radius)) {
+                continue;
+            }
+            // Rail compatibility in both directions.
+            if (!rail_compatible(cb.y(), ca.height(), ca.rail_phase()) ||
+                !rail_compatible(ca.y(), cb.height(), cb.rail_phase())) {
+                continue;
+            }
+            // Cheap estimate: how much closer a gets to its median.
+            const double now =
+                std::abs(ca.x() - med->first) * sw +
+                std::abs(static_cast<double>(ca.y()) - med->second) * sh;
+            const double then =
+                std::abs(cb.x() - med->first) * sw +
+                std::abs(static_cast<double>(cb.y()) - med->second) * sh;
+            if (now - then > best_gain_est) {
+                best_gain_est = now - then;
+                best = b;
             }
         }
-        std::size_t accepted_this_pass = 0;
-        for (const CellId a : db.movable_cells()) {
-            const Cell& ca = db.cell(a);
-            if (!ca.placed() || ca.pins().empty()) {
-                continue;
-            }
-            const auto med = median_target(db, a);
-            if (!med) {
-                continue;
-            }
-            // Skip cells already near their optimal region.
-            if (std::abs(med->first - ca.x()) +
-                    std::abs(med->second - ca.y()) <
-                2.0) {
-                continue;
-            }
-            // Best same-footprint candidate near the target region.
-            const auto it = buckets.find(Key{ca.width(), ca.height()});
-            if (it == buckets.end()) {
-                continue;
-            }
-            CellId best;
-            double best_gain_est = 0.0;
-            for (const CellId b : it->second) {
-                if (b == a) {
-                    continue;
-                }
-                const Cell& cb = db.cell(b);
-                if (!cb.placed() || cb.region() != ca.region()) {
-                    continue;
-                }
-                if (std::abs(cb.x() - med->first) > opts.radius ||
-                    std::abs(static_cast<double>(cb.y()) - med->second) *
-                            sh / sw >
-                        static_cast<double>(opts.radius)) {
-                    continue;
-                }
-                // Rail compatibility in both directions.
-                if (!rail_compatible(cb.y(), ca.height(),
-                                     ca.rail_phase()) ||
-                    !rail_compatible(ca.y(), cb.height(),
-                                     cb.rail_phase())) {
-                    continue;
-                }
-                // Cheap estimate: how much closer a gets to its median.
-                const double now =
-                    std::abs(ca.x() - med->first) * sw +
-                    std::abs(static_cast<double>(ca.y()) - med->second) *
-                        sh;
-                const double then =
-                    std::abs(cb.x() - med->first) * sw +
-                    std::abs(static_cast<double>(cb.y()) - med->second) *
-                        sh;
-                if (now - then > best_gain_est) {
-                    best_gain_est = now - then;
-                    best = b;
-                }
-            }
-            if (!best.valid()) {
-                continue;
-            }
-            ++stats.swaps_attempted;
-            swap_cells(a, best);
-            // Exact delta over both cells' nets, in sorted order so the
-            // float fold (and thus the accept decision) is reproducible.
-            std::vector<NetId> nets;
-            for (const PinId pid : db.cell(a).pins()) {
-                nets.push_back(db.pin(pid).net);
-            }
-            for (const PinId pid : db.cell(best).pins()) {
-                nets.push_back(db.pin(pid).net);
-            }
-            std::sort(nets.begin(), nets.end());
-            nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
-            double delta = 0.0;
+        if (!best.valid()) {
+            continue;
+        }
+        ++stats.swaps_attempted;
+        swap_cells(a, best);
+        // Exact delta over both cells' nets, in sorted order so the float
+        // fold (and thus the accept decision) is reproducible.
+        std::vector<NetId> nets;
+        for (const PinId pid : db.cell(a).pins()) {
+            nets.push_back(db.pin(pid).net);
+        }
+        for (const PinId pid : db.cell(best).pins()) {
+            nets.push_back(db.pin(pid).net);
+        }
+        std::sort(nets.begin(), nets.end());
+        nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
+        double delta = 0.0;
+        for (const NetId n : nets) {
+            delta += cache.net_hpwl(n) - cache.cached(n);
+        }
+        if (delta <= -kMinGainUm) {
             for (const NetId n : nets) {
-                delta += cache.net_hpwl(n) - cache.cached(n);
+                cache.refresh(n);
             }
-            if (delta <= -opts.min_gain_um) {
-                for (const NetId n : nets) {
-                    cache.refresh(n);
-                }
-                ++stats.swaps_accepted;
-                ++accepted_this_pass;
-            } else {
-                swap_cells(a, best);  // swap back
-            }
-        }
-        if (accepted_this_pass == 0) {
-            break;
+            ++stats.swaps_accepted;
+        } else {
+            swap_cells(a, best);  // swap back
         }
     }
     stats.hpwl_after_um = cache.total();

@@ -24,11 +24,6 @@ struct DetailedPlacementOptions {
     MllOptions mll;
     /// Improvement passes over all cells.
     int max_passes = 2;
-    /// Skip cells whose preferred spot is within this many sites of the
-    /// current position (saves useless churn).
-    double min_move_sites = 1.0;
-    /// Accept a move only if it improves total HPWL by at least this (um).
-    double min_gain_um = 1e-9;
     /// Process cells in descending estimated gain (distance to median)
     /// instead of id order.
     bool gain_ordered = true;
@@ -57,13 +52,6 @@ DetailedPlacementStats detailed_place(Database& db, SegmentGrid& grid,
                                       const DetailedPlacementOptions& opts
                                       = {});
 
-struct SwapOptions {
-    /// Candidate search radius around a cell's preferred region (sites).
-    SiteCoord radius = 40;
-    int max_passes = 1;
-    double min_gain_um = 1e-9;
-};
-
 struct SwapStats {
     std::size_t swaps_attempted = 0;
     std::size_t swaps_accepted = 0;
@@ -76,8 +64,8 @@ struct SwapStats {
 /// footprint (width, height), compatible rail phases and the same fence
 /// region when it lowers HPWL. A swap of identical footprints cannot
 /// create overlap, so the placement stays legal trivially — the classic
-/// companion operator to the median-move pass.
-SwapStats swap_pass(Database& db, SegmentGrid& grid,
-                    const SwapOptions& opts = {});
+/// companion operator to the median-move pass. Candidates lie within
+/// `radius` sites of a cell's preferred region.
+SwapStats swap_pass(Database& db, SegmentGrid& grid, SiteCoord radius = 40);
 
 }  // namespace mrlg

@@ -12,6 +12,11 @@ namespace mrlg {
 
 namespace {
 
+constexpr int kMaxPasses = 2;
+/// Accept a segment's new placement only if it improves total HPWL by at
+/// least this much (um).
+constexpr double kMinGainUm = 1e-9;
+
 /// L1 isotonic regression by pool-adjacent-violators with block medians.
 /// Returns non-decreasing y minimizing Σ|y_i - q_i|.
 std::vector<double> pava_l1(const std::vector<double>& q) {
@@ -121,15 +126,14 @@ std::vector<SiteCoord> solve_fixed_order_row(
     return out;
 }
 
-RowPolishStats row_polish(Database& db, SegmentGrid& grid,
-                          const RowPolishOptions& opts) {
+RowPolishStats row_polish(Database& db, SegmentGrid& grid) {
     GridWriteScope grid_write;
     RowPolishStats stats;
     NetHpwlCache cache(db);
     stats.hpwl_before_um = cache.total();
     stats.segments_total = grid.num_segments();
 
-    for (int pass = 0; pass < opts.max_passes; ++pass) {
+    for (int pass = 0; pass < kMaxPasses; ++pass) {
         stats.passes = pass + 1;
         std::size_t accepted_this_pass = 0;
         for (const Segment& seg : grid.segments()) {
@@ -192,7 +196,7 @@ RowPolishStats row_polish(Database& db, SegmentGrid& grid,
             for (const NetId n : nets) {
                 delta += cache.net_hpwl(n) - cache.cached(n);
             }
-            if (delta <= -opts.min_gain_um) {
+            if (delta <= -kMinGainUm) {
                 for (const NetId n : nets) {
                     cache.refresh(n);
                 }

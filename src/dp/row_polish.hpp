@@ -18,13 +18,6 @@
 
 namespace mrlg {
 
-struct RowPolishOptions {
-    /// Accept a segment's new placement only if it improves total HPWL by
-    /// at least this much (um).
-    double min_gain_um = 1e-9;
-    int max_passes = 2;
-};
-
 struct RowPolishStats {
     std::size_t segments_total = 0;
     std::size_t segments_polished = 0;
@@ -43,10 +36,10 @@ struct RowPolishStats {
     }
 };
 
-/// Polishes every eligible segment. Placement must be legal on entry and
-/// stays legal (cells only shift within their segment, order preserved).
-RowPolishStats row_polish(Database& db, SegmentGrid& grid,
-                          const RowPolishOptions& opts = {});
+/// Polishes every eligible segment, in up to two passes. Placement must be
+/// legal on entry and stays legal (cells only shift within their segment,
+/// order preserved).
+RowPolishStats row_polish(Database& db, SegmentGrid& grid);
 
 /// Exact fixed-order 1-D solve, exposed for testing: given widths, the
 /// segment span, and each cell's preferred position, returns the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "gp/cg.hpp"
@@ -13,6 +14,12 @@
 namespace mrlg::gp {
 
 namespace {
+
+constexpr int kCgMaxIters = 200;          ///< PCG iterations per solve.
+constexpr double kAnchorWeight0 = 0.02;  ///< Spreading anchor weight, round 1.
+constexpr double kAnchorGrowth = 1.35;   ///< Multiplied each round.
+constexpr double kBinRows = 4.0;         ///< Spreading bin height in rows.
+constexpr std::uint64_t kSeed = 7;       ///< Scatter of cells with gp (0, 0).
 
 struct PinPos {
     int cell_idx;   ///< Movable index, or -1 for fixed.
@@ -48,7 +55,7 @@ void connect(SpdMatrix& a, std::vector<double>& b, const PinPos& p,
 
 }  // namespace
 
-QuadraticStats quadratic_place(Database& db, const QuadraticOptions& opts) {
+QuadraticStats quadratic_place(Database& db, int iterations) {
     GridWriteScope grid_write;
     MRLG_OBS_PHASE("gp.place");
     QuadraticStats stats;
@@ -72,7 +79,7 @@ QuadraticStats quadratic_place(Database& db, const QuadraticOptions& opts) {
     // Current positions (cell origins).
     std::vector<double> x(n);
     std::vector<double> y(n);
-    Rng rng(opts.seed);
+    Rng rng(kSeed);
     for (std::size_t i = 0; i < n; ++i) {
         const Cell& c = db.cell(movable[i]);
         // Start from existing gp if sensible, else a centre-biased scatter.
@@ -89,7 +96,7 @@ QuadraticStats quadratic_place(Database& db, const QuadraticOptions& opts) {
     // that cell area is uniform along the axis, then blend with the current
     // position. Cheap, stable, good enough to de-cluster a quadratic
     // solution.
-    const double bin_w = std::max(4.0, opts.bin_rows *
+    const double bin_w = std::max(4.0, kBinRows *
                                            db.floorplan().site_h_um() /
                                            db.floorplan().site_w_um());
     auto flatten_targets = [&](const std::vector<double>& pos, double lo,
@@ -132,8 +139,8 @@ QuadraticStats quadratic_place(Database& db, const QuadraticOptions& opts) {
         }
     };
 
-    double anchor_w = opts.anchor_weight0;
-    for (int iter = 0; iter < opts.iterations; ++iter) {
+    double anchor_w = kAnchorWeight0;
+    for (int iter = 0; iter < iterations; ++iter) {
         MRLG_OBS_PHASE("gp.iteration");
         MRLG_OBS_COUNT("gp.iterations", 1);
         for (int dim = 0; dim < 2; ++dim) {
@@ -207,7 +214,7 @@ QuadraticStats quadratic_place(Database& db, const QuadraticOptions& opts) {
             }
 
             a.finalize();
-            solve_pcg(a, b, pos, opts.cg_max_iters);
+            solve_pcg(a, b, pos, kCgMaxIters);
             for (std::size_t i = 0; i < n; ++i) {
                 const Cell& c = db.cell(movable[i]);
                 const double extent =
@@ -216,7 +223,7 @@ QuadraticStats quadratic_place(Database& db, const QuadraticOptions& opts) {
                 pos[i] = std::clamp(pos[i], lo, hi - extent);
             }
         }
-        anchor_w *= opts.anchor_growth;
+        anchor_w *= kAnchorGrowth;
         stats.iterations_run = iter + 1;
     }
 

@@ -14,25 +14,15 @@
 
 namespace mrlg::gp {
 
-struct QuadraticOptions {
-    int iterations = 12;          ///< Outer placement/spreading rounds.
-    int cg_max_iters = 200;
-    double anchor_weight0 = 0.02; ///< Spreading anchor weight, first round.
-    double anchor_growth = 1.35;  ///< Multiplied each round.
-    double bin_rows = 4.0;        ///< Bin height in rows.
-    double target_util = 0.9;     ///< Bin utilization ceiling for spreading.
-    std::uint64_t seed = 7;       ///< Initial scatter when no fixed pins.
-};
-
 struct QuadraticStats {
     int iterations_run = 0;
     double final_max_util = 0.0;  ///< Max bin utilization at exit.
     double hpwl_um = 0.0;         ///< HPWL of the produced GP.
 };
 
-/// Runs the placer over all movable cells of `db`, using nets for
-/// attraction and fixed cells as anchors. Overwrites gp positions.
-QuadraticStats quadratic_place(Database& db,
-                               const QuadraticOptions& opts = {});
+/// Runs `iterations` outer placement/spreading rounds over all movable
+/// cells of `db`, using nets for attraction and fixed cells as anchors.
+/// Overwrites gp positions.
+QuadraticStats quadratic_place(Database& db, int iterations = 12);
 
 }  // namespace mrlg::gp

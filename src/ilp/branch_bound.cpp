@@ -8,6 +8,10 @@ namespace mrlg::ilp {
 
 namespace {
 
+constexpr std::size_t kMaxNodes = 100000;
+/// A value within this distance of an integer counts as integral.
+constexpr double kIntTol = 1e-6;
+
 struct Node {
     std::vector<double> lb;
     std::vector<double> ub;
@@ -15,7 +19,7 @@ struct Node {
 
 }  // namespace
 
-MipResult solve_mip(const Model& model, const MipOptions& opts) {
+MipResult solve_mip(const Model& model) {
     MipResult result;
     const int n = model.num_vars();
     Node root;
@@ -33,7 +37,7 @@ MipResult solve_mip(const Model& model, const MipOptions& opts) {
 
     std::vector<Node> stack{std::move(root)};
     while (!stack.empty()) {
-        if (result.nodes >= opts.max_nodes) {
+        if (result.nodes >= kMaxNodes) {
             result.status = best_x.empty() ? MipStatus::kNodeLimit
                                            : MipStatus::kNodeLimit;
             result.x = best_x;
@@ -44,7 +48,7 @@ MipResult solve_mip(const Model& model, const MipOptions& opts) {
         stack.pop_back();
         ++result.nodes;
 
-        const LpResult lp = solve_lp(model, opts.lp, &node.lb, &node.ub);
+        const LpResult lp = solve_lp(model, &node.lb, &node.ub);
         if (lp.status != LpStatus::kOptimal) {
             continue;  // infeasible or pathological node — prune
         }
@@ -53,7 +57,7 @@ MipResult solve_mip(const Model& model, const MipOptions& opts) {
         }
         // Find the most fractional integer variable.
         int frac_var = -1;
-        double frac_dist = opts.int_tol;
+        double frac_dist = kIntTol;
         for (int i = 0; i < n; ++i) {
             if (!model.vars()[static_cast<std::size_t>(i)].integer) {
                 continue;

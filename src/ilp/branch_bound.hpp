@@ -16,14 +16,8 @@ struct MipResult {
     std::size_t nodes = 0;
 };
 
-struct MipOptions {
-    std::size_t max_nodes = 100000;
-    double int_tol = 1e-6;
-    LpOptions lp;
-};
-
 /// Solves min cᵀx s.t. the model's constraints with the integrality flags
-/// respected.
-MipResult solve_mip(const Model& model, const MipOptions& opts = {});
+/// respected. Gives up with kNodeLimit after 100 000 nodes.
+MipResult solve_mip(const Model& model);
 
 }  // namespace mrlg::ilp

@@ -10,6 +10,11 @@ namespace mrlg::ilp {
 
 namespace {
 
+/// Pivot budget per phase; past it the solve reports kIterLimit.
+constexpr int kMaxIters = 20000;
+/// Tolerance of the reduced-cost, pivot and ratio tests.
+constexpr double kEps = 1e-9;
+
 /// Dense tableau; row 0..m-1 are constraints, objective handled separately.
 class Tableau {
 public:
@@ -67,7 +72,7 @@ struct StdForm {
 
 }  // namespace
 
-LpResult solve_lp(const Model& model, const LpOptions& opts,
+LpResult solve_lp(const Model& model,
                   const std::vector<double>* lb_override,
                   const std::vector<double>* ub_override) {
     LpResult result;
@@ -82,7 +87,7 @@ LpResult solve_lp(const Model& model, const LpOptions& opts,
             ub_override ? (*ub_override)[static_cast<std::size_t>(i)]
                         : model.vars()[static_cast<std::size_t>(i)].ub;
         if (lb[static_cast<std::size_t>(i)] >
-            ub[static_cast<std::size_t>(i)] + opts.eps) {
+            ub[static_cast<std::size_t>(i)] + kEps) {
             return result;  // empty domain
         }
     }
@@ -194,7 +199,7 @@ LpResult solve_lp(const Model& model, const LpOptions& opts,
 
     const int obj_row = m;
     auto run_simplex = [&](int phase) -> LpStatus {
-        for (int iter = 0; iter < opts.max_iters; ++iter) {
+        for (int iter = 0; iter < kMaxIters; ++iter) {
             // Bland: entering = lowest-index column with negative reduced
             // cost. In phase 1, artificial columns may not re-enter.
             int pc = -1;
@@ -203,7 +208,7 @@ LpResult solve_lp(const Model& model, const LpOptions& opts,
                 if (phase == 1 && c >= ny + ns) {
                     continue;
                 }
-                if (t.at(obj_row, c) < -opts.eps) {
+                if (t.at(obj_row, c) < -kEps) {
                     pc = c;
                     break;
                 }
@@ -215,10 +220,10 @@ LpResult solve_lp(const Model& model, const LpOptions& opts,
             double best_ratio = std::numeric_limits<double>::max();
             for (int r = 0; r < m; ++r) {
                 const double a = t.at(r, pc);
-                if (a > opts.eps) {
+                if (a > kEps) {
                     const double ratio = t.at(r, ncols) / a;
-                    if (ratio < best_ratio - opts.eps ||
-                        (std::abs(ratio - best_ratio) <= opts.eps &&
+                    if (ratio < best_ratio - kEps ||
+                        (std::abs(ratio - best_ratio) <= kEps &&
                          (pr < 0 ||
                           basis_col[static_cast<std::size_t>(r)] <
                               basis_col[static_cast<std::size_t>(pr)]))) {

@@ -18,15 +18,10 @@ struct LpResult {
     double obj = 0.0;
 };
 
-struct LpOptions {
-    int max_iters = 20000;
-    double eps = 1e-9;
-};
-
 /// Solves the LP relaxation (integrality flags ignored). Variable bound
 /// overrides (for branch & bound) can be supplied; entries with
 /// lb > ub mark an empty domain and yield kInfeasible immediately.
-LpResult solve_lp(const Model& model, const LpOptions& opts = {},
+LpResult solve_lp(const Model& model,
                   const std::vector<double>* lb_override = nullptr,
                   const std::vector<double>* ub_override = nullptr);
 

@@ -154,9 +154,7 @@ LefLibrary read_lef(const std::string& path) {
                     cur.next();
                     break;
                 }
-                if (t == "CLASS") {
-                    macro.is_core = cur.next() == "CORE";
-                } else if (t == "SIZE") {
+                if (t == "SIZE") {
                     macro.w_um = cur.next_num();
                     cur.expect("BY");
                     macro.h_um = cur.next_num();

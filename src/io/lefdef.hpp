@@ -38,7 +38,6 @@ struct LefMacro {
     std::string name;
     double w_um = 0.0;
     double h_um = 0.0;
-    bool is_core = true;
     std::unordered_map<std::string, LefPin> pins;
 };
 

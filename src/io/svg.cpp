@@ -6,6 +6,9 @@ namespace mrlg {
 
 namespace {
 
+constexpr double kPxPerSite = 4.0;
+constexpr double kPxPerRow = 14.0;
+
 /// Fill colour per row height (colour-blind-safe-ish qualitative set).
 const char* height_color(SiteCoord h) {
     switch (h) {
@@ -26,8 +29,8 @@ bool write_svg(const Database& db, const std::string& path,
     }
     const Floorplan& fp = db.floorplan();
     const Rect die = fp.die();
-    const double sx = opts.px_per_site;
-    const double sy = opts.px_per_row;
+    const double sx = kPxPerSite;
+    const double sy = kPxPerRow;
     const double width = (die.w + 2) * sx;
     const double height = (die.h + 2) * sy;
     // SVG y grows downward; flip so row 0 is at the bottom.

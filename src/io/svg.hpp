@@ -12,16 +12,14 @@
 namespace mrlg {
 
 struct SvgOptions {
-    double px_per_site = 4.0;   ///< Horizontal pixels per site.
-    double px_per_row = 14.0;   ///< Vertical pixels per row.
     bool draw_gp_arrows = false;
     bool label_cells = false;   ///< Cell names (readable only when few).
     std::size_t max_cells = 200000;  ///< Refuse absurd files.
 };
 
-/// Writes the current placement to `path`. Unplaced movable cells are
-/// drawn hollow at their gp position. Returns false when the design
-/// exceeds max_cells (nothing is written).
+/// Writes the current placement to `path` at 4 px per site and 14 px per
+/// row. Unplaced movable cells are drawn hollow at their gp position.
+/// Returns false when the design exceeds max_cells (nothing is written).
 bool write_svg(const Database& db, const std::string& path,
                const SvgOptions& opts = {});
 

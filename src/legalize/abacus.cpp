@@ -12,6 +12,9 @@ namespace mrlg {
 
 namespace {
 
+/// How many rows above/below the gp row to examine per cell.
+constexpr SiteCoord kRowSearchRadius = 16;
+
 /// One Abacus cluster: cells glued together, optimal position q/e.
 struct Cluster {
     double e = 0.0;   ///< Total weight (Σ e_i).
@@ -104,8 +107,7 @@ struct SegmentState {
 
 }  // namespace
 
-AbacusStats abacus_legalize(Database& db, SegmentGrid& grid,
-                            const AbacusOptions& opts) {
+AbacusStats abacus_legalize(Database& db, SegmentGrid& grid) {
     GridWriteScope grid_write;
     Timer timer;
     AbacusStats stats;
@@ -153,7 +155,7 @@ AbacusStats abacus_legalize(Database& db, SegmentGrid& grid,
             std::lround(std::clamp(cell.gp_y(), 0.0,
                                    static_cast<double>(
                                        db.floorplan().num_rows() - 1))));
-        for (SiteCoord dy = 0; dy <= opts.row_search_radius; ++dy) {
+        for (SiteCoord dy = 0; dy <= kRowSearchRadius; ++dy) {
             bool improved_possible = false;
             for (const SiteCoord y : {static_cast<SiteCoord>(y0 - dy),
                                       static_cast<SiteCoord>(y0 + dy)}) {

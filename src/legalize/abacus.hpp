@@ -15,11 +15,6 @@
 
 namespace mrlg {
 
-struct AbacusOptions {
-    /// How many rows above/below the gp row to examine per cell.
-    SiteCoord row_search_radius = 16;
-};
-
 struct AbacusStats {
     bool success = false;
     bool rejected_multi_row = false;  ///< Design contained multi-row cells.
@@ -29,7 +24,6 @@ struct AbacusStats {
 };
 
 /// Legalizes a single-row-height design row by row with cluster collapse.
-AbacusStats abacus_legalize(Database& db, SegmentGrid& grid,
-                            const AbacusOptions& opts = {});
+AbacusStats abacus_legalize(Database& db, SegmentGrid& grid);
 
 }  // namespace mrlg

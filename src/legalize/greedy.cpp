@@ -156,8 +156,6 @@ GreedyStats greedy_legalize(Database& db, SegmentGrid& grid,
                                  return db.cell(a).gp_x() < db.cell(b).gp_x();
                              });
             break;
-        case GreedyOptions::Order::kInputOrder:
-            break;
         case GreedyOptions::Order::kAreaDescending:
             std::stable_sort(order.begin(), order.end(),
                              [&](CellId a, CellId b) {

@@ -18,7 +18,6 @@ struct GreedyOptions {
     bool check_rail = true;
     enum class Order {
         kLeftToRight,    ///< Classic Tetris order (by gp x).
-        kInputOrder,
         kAreaDescending, ///< Big cells first — helps multi-row cells fit.
     };
     Order order = Order::kLeftToRight;

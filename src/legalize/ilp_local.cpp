@@ -136,8 +136,7 @@ std::optional<BaseRowSolution> solve_for_base_row(
         row_bvars.push_back(std::move(bvars));
     }
 
-    ilp::MipOptions mo;
-    const ilp::MipResult r = ilp::solve_mip(m, mo);
+    const ilp::MipResult r = ilp::solve_mip(m);
     nodes += r.nodes;
     if (r.status != ilp::MipStatus::kOptimal) {
         return std::nullopt;

@@ -153,32 +153,12 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                 unplaced.push_back(c);
             }
         }
-        switch (opts.order) {
-            case LegalizerOptions::Order::kInputOrder:
-                break;
-            case LegalizerOptions::Order::kLeftToRight:
-                std::stable_sort(unplaced.begin(), unplaced.end(),
-                                 [&](CellId a, CellId b) {
-                                     return db.cell(a).gp_x() <
-                                            db.cell(b).gp_x();
-                                 });
-                break;
-            case LegalizerOptions::Order::kAreaDescending:
-                std::stable_sort(unplaced.begin(), unplaced.end(),
-                                 [&](CellId a, CellId b) {
-                                     const auto& ca = db.cell(a);
-                                     const auto& cb = db.cell(b);
-                                     return ca.width() * ca.height() >
-                                            cb.width() * cb.height();
-                                 });
-                break;
-            case LegalizerOptions::Order::kMultiRowFirst:
-                std::stable_sort(unplaced.begin(), unplaced.end(),
-                                 [&](CellId a, CellId b) {
-                                     return db.cell(a).height() >
-                                            db.cell(b).height();
-                                 });
-                break;
+        if (opts.order == LegalizerOptions::Order::kMultiRowFirst) {
+            std::stable_sort(unplaced.begin(), unplaced.end(),
+                             [&](CellId a, CellId b) {
+                                 return db.cell(a).height() >
+                                        db.cell(b).height();
+                             });
         }
         audit_grid(AuditLevel::kCheap);  // post-setup pre-condition
     }

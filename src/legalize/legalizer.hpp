@@ -25,8 +25,6 @@ struct LegalizerOptions {
     int max_rounds = 64;
     enum class Order {
         kInputOrder,   ///< Paper: "arbitrary order".
-        kLeftToRight,  ///< By gp x (input order on ties).
-        kAreaDescending,  ///< Largest area first (input order on ties).
         /// Multi-row cells first (input order within each group). Single-
         /// row cells can always squeeze into leftover gaps, but a late
         /// multi-row cell can be starved when earlier single-row cells

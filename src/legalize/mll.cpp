@@ -164,6 +164,25 @@ MllPlan plan_with(const Database& db, const SegmentGrid& grid,
     return res;
 }
 
+/// Converts a plan (typically a failed one) to the equivalent MllResult.
+MllResult mll_result_from_plan(const MllPlan& plan) {
+    MllResult res;
+    res.status = plan.status;
+    res.x = plan.x;
+    res.y = plan.y;
+    res.est_cost_um = plan.est_cost_um;
+    res.real_cost_um = plan.real_cost_um;
+    res.num_points = plan.num_points;
+    res.num_local_cells = plan.num_local_cells;
+    res.enumeration_truncated = plan.enumeration_truncated;
+    res.audits_run = plan.audits_run;
+    res.moved.reserve(plan.moves.size());
+    for (const MllPlan::Move& m : plan.moves) {
+        res.moved.emplace_back(m.id, m.old_x);
+    }
+    return res;
+}
+
 }  // namespace
 
 Rect mll_window(const Cell& cell, double pref_x, double pref_y,
@@ -204,24 +223,6 @@ MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
         plan_with(db, grid, target_cell, pref_x, pref_y, opts, *scratch);
     count_attempt(plan);
     return plan;
-}
-
-MllResult mll_result_from_plan(const MllPlan& plan) {
-    MllResult res;
-    res.status = plan.status;
-    res.x = plan.x;
-    res.y = plan.y;
-    res.est_cost_um = plan.est_cost_um;
-    res.real_cost_um = plan.real_cost_um;
-    res.num_points = plan.num_points;
-    res.num_local_cells = plan.num_local_cells;
-    res.enumeration_truncated = plan.enumeration_truncated;
-    res.audits_run = plan.audits_run;
-    res.moved.reserve(plan.moves.size());
-    for (const MllPlan::Move& m : plan.moves) {
-        res.moved.emplace_back(m.id, m.old_x);
-    }
-    return res;
 }
 
 MllResult mll_commit(Database& db, SegmentGrid& grid, CellId target_cell,

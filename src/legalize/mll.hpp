@@ -114,8 +114,8 @@ void mll_undo(Database& db, SegmentGrid& grid, CellId target_cell,
 
 /// A fully-computed MLL solution that has not touched the database or the
 /// segment grid. Produced by mll_plan (read-only over db/grid), applied by
-/// mll_commit. Plans carry everything MllResult reports so a failed plan
-/// converts losslessly (mll_result_from_plan).
+/// mll_commit. Plans carry everything MllResult reports, so a failed plan
+/// converts losslessly into one (as mll_place does).
 struct MllPlan {
     MllStatus status = MllStatus::kNoRegion;
     SiteCoord x = 0;  ///< Planned target position (success only).
@@ -180,9 +180,6 @@ void count_attempt(const MllPlan& plan);
 /// cell.
 MllResult mll_commit(Database& db, SegmentGrid& grid, CellId target_cell,
                      const MllPlan& plan) MRLG_REQUIRES(grid_write_cap());
-
-/// Converts a plan (typically a failed one) to the equivalent MllResult.
-MllResult mll_result_from_plan(const MllPlan& plan);
 
 /// Places `target_cell` (must be unplaced) as close as possible to the
 /// preferred fractional position (pref_x, pref_y), legalizing the local

@@ -13,9 +13,6 @@ namespace {
 const char* to_string(LegalizerOptions::Order order) {
     switch (order) {
         case LegalizerOptions::Order::kInputOrder: return "input";
-        case LegalizerOptions::Order::kLeftToRight: return "left_to_right";
-        case LegalizerOptions::Order::kAreaDescending:
-            return "area_descending";
         case LegalizerOptions::Order::kMultiRowFirst:
             return "multi_row_first";
     }

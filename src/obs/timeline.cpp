@@ -294,6 +294,20 @@ Json schedule_report_json(const ScheduleReport& report) {
     Json j = schedule_summary_json(report);
     j.set("task_us", histogram_json(report.task_us));
     j.set("wave_idle_pct", histogram_json(report.wave_idle_pct));
+    // A lane that wrapped lost events the merge needed, so every figure
+    // derived from merged events is a partial sample: null, never a
+    // number that reads as measured.
+    const bool truncated = report.dropped_events > 0;
+    j.set("truncated", Json::boolean(truncated));
+    if (truncated) {
+        for (const char* key :
+             {"waves_total", "tasks_total", "wave_wall_ns", "partition_ns",
+              "plan_ns", "commit_ns", "task_sum_ns", "critical_path_ns",
+              "pool_utilization", "straggler_share", "commit_serial_share",
+              "partition_share", "task_us", "wave_idle_pct"}) {
+            j.set(key, Json());
+        }
+    }
     return j;
 }
 

@@ -36,7 +36,8 @@
 /// Overflow: a lane that outgrows its fixed capacity wraps around and
 /// overwrites its oldest events; nothing is silently truncated — the
 /// overwritten count is surfaced as `dropped_events()` and lands in the
-/// run report / trace metadata.
+/// run report (whose `timeline` block then reads truncated) and the trace
+/// metadata.
 
 #include <atomic>
 #include <cstdint>
@@ -236,8 +237,11 @@ ScheduleReport derive_schedule_report(const Timeline& timeline, int threads);
 /// `schedule` block): everything but the histograms.
 Json schedule_summary_json(const ScheduleReport& report);
 
-/// The summary plus the `task_us` and `wave_idle_pct` histograms (the run
-/// report's `timeline` block).
+/// The summary plus the `task_us` and `wave_idle_pct` histograms and a
+/// `truncated` flag (the run report's `timeline` block). When the
+/// timeline dropped events, `truncated` is true and every field derived
+/// from merged events is null; `threads`, `lanes` and `dropped_events`
+/// keep their values.
 Json schedule_report_json(const ScheduleReport& report);
 
 // ---------------------------------------------------------------------------

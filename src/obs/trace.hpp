@@ -7,10 +7,7 @@
 /// Activation model: instrumented code calls the MRLG_OBS_* macros, which
 /// consult an ambient "current tracer" pointer. With no tracer installed
 /// (the default) every macro is a single pointer load and branch, so
-/// production hot paths pay nothing measurable; defining MRLG_NO_OBS
-/// compiles the bodies out entirely while keeping the operands parsed and
-/// name-resolved (the MRLG_DCHECK no-op idiom — instrumentation cannot
-/// rot in an untraced build).
+/// production hot paths pay nothing measurable.
 ///
 /// Determinism contract: a Tracer is single-threaded by design. Instrument
 /// only from the orchestrating thread — worker-pool lambdas must never
@@ -144,8 +141,6 @@ private:
 #define MRLG_OBS_CONCAT_IMPL(a, b) a##b
 #define MRLG_OBS_CONCAT(a, b) MRLG_OBS_CONCAT_IMPL(a, b)
 
-#ifndef MRLG_NO_OBS
-
 /// Times the enclosing scope as a phase (nested under the innermost open
 /// phase of the ambient tracer).
 #define MRLG_OBS_PHASE(name) \
@@ -168,25 +163,3 @@ private:
             mrlg_obs_t->observe((name), static_cast<double>(v));            \
         }                                                                   \
     } while (false)
-
-#else  // MRLG_NO_OBS: compiled out, operands still parse and name-resolve
-       // (the MRLG_DCHECK idiom — see util/assert.hpp).
-
-#define MRLG_OBS_PHASE(name)                                                \
-    do {                                                                    \
-        static_cast<void>(sizeof(name));                                    \
-    } while (false)
-
-#define MRLG_OBS_COUNT(name, n)                                             \
-    do {                                                                    \
-        static_cast<void>(sizeof(name));                                    \
-        static_cast<void>(sizeof(n));                                       \
-    } while (false)
-
-#define MRLG_OBS_OBSERVE(name, v)                                           \
-    do {                                                                    \
-        static_cast<void>(sizeof(name));                                    \
-        static_cast<void>(sizeof(v));                                       \
-    } while (false)
-
-#endif  // MRLG_NO_OBS

@@ -5,6 +5,7 @@
 #include <optional>
 #include <sstream>
 
+#include "check/audit_local.hpp"
 #include "legalize/enumeration.hpp"
 #include "legalize/evaluation.hpp"
 #include "legalize/exact_local.hpp"
@@ -22,6 +23,14 @@
 namespace mrlg::qa {
 
 namespace {
+
+/// Problem-size gates of diff_local_solvers: the ILP and the naive
+/// exponential enumeration are only consulted up to these bounds.
+constexpr int kMaxIlpCells = 8;
+constexpr std::size_t kMaxIlpPoints = 64;
+constexpr int kMaxNaiveCells = 10;
+/// Tolerance of diff_local_solvers' cost comparisons (um).
+constexpr double kEpsUm = 1e-6;
 
 /// Fence region of one site, straight off the floorplan (fences of
 /// distinct regions are disjoint, so the first hit is the answer).
@@ -74,14 +83,12 @@ std::string pair_names(const Database& db,
 }
 
 /// Exhaustive serial insertion-point scan with MLL's tie-break (first
-/// strictly lower cost wins, index order) — the reference the bound-pruned
-/// scan and the whole-problem solvers are compared against. Also counts
-/// the points whose cost_lower_bound_um exceeds their cost.
+/// strictly lower cost wins, index order) — the reference the
+/// whole-problem solvers are compared against.
 struct ScanResult {
     bool feasible = false;
     std::size_t index = 0;
     Evaluation eval;
-    std::size_t bound_violations = 0;
 };
 
 ScanResult scan_points(const LocalProblem& lp, const EnumerationResult& er,
@@ -93,10 +100,6 @@ ScanResult scan_points(const LocalProblem& lp, const EnumerationResult& er,
                   : evaluate_insertion_point_approx(lp, er.points[i],
                                                     target);
         if (ev.feasible &&
-            cost_lower_bound_um(lp, er.points[i], target) > ev.cost_um) {
-            ++out.bound_violations;
-        }
-        if (ev.feasible &&
             (!out.feasible || ev.cost_um < out.eval.cost_um)) {
             out.feasible = true;
             out.index = i;
@@ -106,17 +109,13 @@ ScanResult scan_points(const LocalProblem& lp, const EnumerationResult& er,
     return out;
 }
 
-/// The bound-pruned scan mll_plan runs vs the exhaustive `full` scan: the
-/// same winner index, xt and bit-equal cost, every point scored or
-/// excluded, and the bound never above a point's cost.
+/// The bound-pruned scan mll_plan runs: every point scored or excluded,
+/// and audit_point_scan's exhaustive check (the bound never above a
+/// point's cost; the same winner index, xt and bit-equal cost).
 void diff_pruned_scan(const LocalProblem& lp, const EnumerationResult& er,
                       const TargetSpec& target, bool exact,
-                      const ScanResult& full, std::ostringstream& os) {
+                      std::ostringstream& os) {
     const char* name = exact ? "exact" : "approx";
-    if (full.bound_violations > 0) {
-        os << name << " cost bound exceeds the cost at "
-           << full.bound_violations << " points; ";
-    }
     const PointScan pruned = scan_insertion_points(lp, er.points, target,
                                                    exact, /*num_threads=*/1);
     if (pruned.scored + pruned.skipped != er.points.size()) {
@@ -124,19 +123,10 @@ void diff_pruned_scan(const LocalProblem& lp, const EnumerationResult& er,
            << pruned.scored + pruned.skipped << " of " << er.points.size()
            << " points; ";
     }
-    const bool same =
-        pruned.found() == full.feasible &&
-        (!full.feasible || (pruned.index == full.index &&
-                            pruned.eval.xt == full.eval.xt &&
-                            pruned.eval.cost_um == full.eval.cost_um));
-    if (!same) {
-        os << name << " pruned scan chose "
-           << (pruned.found() ? std::to_string(pruned.index) : "none")
-           << " (xt=" << pruned.eval.xt << ", cost=" << pruned.eval.cost_um
-           << "), exhaustive "
-           << (full.feasible ? std::to_string(full.index) : "none")
-           << " (xt=" << full.eval.xt << ", cost=" << full.eval.cost_um
-           << "); ";
+    const AuditReport audit = audit_point_scan(
+        lp, er.points, target, point_evaluator(exact), pruned);
+    if (!audit.ok()) {
+        os << name << " " << audit.to_string() << "; ";
     }
 }
 
@@ -306,7 +296,7 @@ std::string diff_local_solvers(const Database& db, const SegmentGrid& grid,
     std::ostringstream os;
 
     // Enumeration vs the exponential reference (small problems only).
-    if (lp.num_cells() <= opts.max_naive_cells) {
+    if (lp.num_cells() <= kMaxNaiveCells) {
         const EnumerationResult naive =
             naive_enumerate_insertion_points(lp, intervals, t, eopts);
         if (!naive.truncated &&
@@ -325,8 +315,8 @@ std::string diff_local_solvers(const Database& db, const SegmentGrid& grid,
 
     const ScanResult approx = scan_points(lp, enumr, t, /*exact=*/false);
     const ScanResult exact = scan_points(lp, enumr, t, /*exact=*/true);
-    diff_pruned_scan(lp, enumr, t, /*exact=*/false, approx, os);
-    diff_pruned_scan(lp, enumr, t, /*exact=*/true, exact, os);
+    diff_pruned_scan(lp, enumr, t, /*exact=*/false, os);
+    diff_pruned_scan(lp, enumr, t, /*exact=*/true, os);
     if (approx.feasible != exact.feasible) {
         os << "feasibility mismatch: approx "
            << (approx.feasible ? "yes" : "no") << ", exact "
@@ -346,7 +336,7 @@ std::string diff_local_solvers(const Database& db, const SegmentGrid& grid,
         // Identical winner under the deterministic tie-break.
         const InsertionPoint& win = enumr.points[exact.index];
         if (!(win == sol.point) || exact.eval.xt != sol.xt ||
-            std::abs(exact.eval.cost_um - sol.cost_um) > opts.eps_um) {
+            std::abs(exact.eval.cost_um - sol.cost_um) > kEpsUm) {
             os << "exact-scan winner (k0=" << win.k0
                << ", xt=" << exact.eval.xt << ", cost=" << exact.eval.cost_um
                << ") != solve_local_exact (k0=" << sol.point.k0
@@ -361,7 +351,7 @@ std::string diff_local_solvers(const Database& db, const SegmentGrid& grid,
         } else {
             const double rc =
                 realized_cost_um(lp, win, exact.eval.xt, t, real_exact);
-            if (std::abs(rc - exact.eval.cost_um) > opts.eps_um) {
+            if (std::abs(rc - exact.eval.cost_um) > kEpsUm) {
                 os << "exact est " << exact.eval.cost_um
                    << " != realized " << rc << "; ";
             }
@@ -374,29 +364,28 @@ std::string diff_local_solvers(const Database& db, const SegmentGrid& grid,
         } else {
             const double rc =
                 realized_cost_um(lp, awin, approx.eval.xt, t, real_approx);
-            if (approx.eval.cost_um > rc + opts.eps_um) {
+            if (approx.eval.cost_um > rc + kEpsUm) {
                 os << "approx est " << approx.eval.cost_um
                    << " exceeds realized " << rc
                    << " (the neighbour approximation must be a lower "
                       "bound); ";
             }
-            if (exact.eval.cost_um > rc + opts.eps_um) {
+            if (exact.eval.cost_um > rc + kEpsUm) {
                 os << "exact optimum " << exact.eval.cost_um
                    << " exceeds approx realized " << rc << "; ";
             }
         }
     }
 
-    if (opts.run_ilp && lp.num_cells() <= opts.max_ilp_cells &&
-        enumr.points.size() <= opts.max_ilp_points) {
+    if (opts.run_ilp && lp.num_cells() <= kMaxIlpCells &&
+        enumr.points.size() <= kMaxIlpPoints) {
         const IlpLocalResult mip = solve_local_ilp(lp, t, eopts);
         if (mip.feasible != exact.feasible) {
             os << "ILP feasibility " << (mip.feasible ? "yes" : "no")
                << " vs enumeration " << (exact.feasible ? "yes" : "no")
                << "; ";
         } else if (mip.feasible &&
-                   std::abs(mip.cost_um - exact.eval.cost_um) >
-                       opts.eps_um) {
+                   std::abs(mip.cost_um - exact.eval.cost_um) > kEpsUm) {
             os << "ILP cost " << mip.cost_um << " != exact optimum "
                << exact.eval.cost_um << "; ";
         }
@@ -509,21 +498,12 @@ LegalizerStats reference_legalize(Database& db, SegmentGrid& grid,
             queue.push_back(c);
         }
     }
-    // Smaller key first, input order on ties.
-    const auto key = [&](CellId c) {
-        const Cell& cell = db.cell(c);
-        switch (opts.order) {
-            case LegalizerOptions::Order::kInputOrder: return 0.0;
-            case LegalizerOptions::Order::kLeftToRight: return cell.gp_x();
-            case LegalizerOptions::Order::kAreaDescending:
-                return -static_cast<double>(cell.width() * cell.height());
-            case LegalizerOptions::Order::kMultiRowFirst:
-                return -static_cast<double>(cell.height());
-        }
-        return 0.0;
-    };
-    std::stable_sort(queue.begin(), queue.end(),
-                     [&](CellId a, CellId b) { return key(a) < key(b); });
+    // Multi-row first: taller cells first, input order on ties.
+    if (opts.order == LegalizerOptions::Order::kMultiRowFirst) {
+        std::stable_sort(queue.begin(), queue.end(), [&](CellId a, CellId b) {
+            return db.cell(a).height() > db.cell(b).height();
+        });
+    }
 
     const MllOptions& mopts = opts.mll;
     RipupOptions ropts;

@@ -70,14 +70,9 @@ std::string diff_legality(const Database& db, const SegmentGrid& grid,
 /// Knobs for the local-problem cross-check.
 struct LocalDiffOptions {
     bool check_rail = true;
-    /// Run the MIP cross-check when the problem is small enough.
+    /// Run the MIP cross-check when the problem is small enough (at most
+    /// 8 local cells and 64 insertion points).
     bool run_ilp = true;
-    /// Problem-size gates: the ILP and the naive exponential enumeration
-    /// are only consulted below these bounds.
-    int max_ilp_cells = 8;
-    std::size_t max_ilp_points = 64;
-    int max_naive_cells = 10;
-    double eps_um = 1e-6;
 };
 
 /// Cross-checks every independent local-problem solver on the window

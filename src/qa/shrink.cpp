@@ -1,12 +1,23 @@
 #include "qa/shrink.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "db/write_cap.hpp"
 
 namespace mrlg::qa {
 
+namespace {
+
+/// Upper bound on oracle re-runs; the shrinker returns its best result so
+/// far when exhausted.
+constexpr std::size_t kMaxChecks = 2000;
+
+/// Copies `db` keeping only the cells with keep[i] == true (i indexes the
+/// cell id space). Floorplan, blockages and fences are copied verbatim;
+/// nets and pins are dropped. Cell names, sizes, rail phases, regions, gp
+/// and placement state are preserved.
 Database subset_design(const Database& db, const std::vector<bool>& keep) {
     GridWriteScope grid_write;
     MRLG_ASSERT(keep.size() == db.num_cells(),
@@ -30,8 +41,6 @@ Database subset_design(const Database& db, const std::vector<bool>& keep) {
     return out;
 }
 
-namespace {
-
 std::string run_on_subset(const Database& db, const std::vector<bool>& keep,
                           const CaseCheck& check) {
     Database candidate = subset_design(db, keep);
@@ -40,8 +49,7 @@ std::string run_on_subset(const Database& db, const std::vector<bool>& keep,
 
 }  // namespace
 
-ShrinkResult shrink_case(const Database& db, const CaseCheck& check,
-                         const ShrinkOptions& opts) {
+ShrinkResult shrink_case(const Database& db, const CaseCheck& check) {
     const std::size_t n = db.num_cells();
     std::vector<bool> keep(n, true);
 
@@ -70,7 +78,7 @@ ShrinkResult shrink_case(const Database& db, const CaseCheck& check,
         const std::size_t chunk =
             (kept.size() + granularity - 1) / granularity;
         for (std::size_t start = 0;
-             start < kept.size() && result.checks < opts.max_checks;
+             start < kept.size() && result.checks < kMaxChecks;
              start += chunk) {
             const std::size_t end = std::min(start + chunk, kept.size());
             std::vector<bool> trial = keep;
@@ -86,7 +94,7 @@ ShrinkResult shrink_case(const Database& db, const CaseCheck& check,
                 break;  // re-partition against the smaller kept set
             }
         }
-        if (result.checks >= opts.max_checks) {
+        if (result.checks >= kMaxChecks) {
             break;
         }
         if (reduced) {

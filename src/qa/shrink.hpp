@@ -12,29 +12,16 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "db/database.hpp"
 
 namespace mrlg::qa {
-
-/// Copies `db` keeping only the cells with keep[i] == true (i indexes the
-/// cell id space). Floorplan, blockages and fences are copied verbatim;
-/// nets and pins are dropped (no oracle consults them). Cell names, sizes,
-/// rail phases, regions, gp and placement state are preserved.
-Database subset_design(const Database& db, const std::vector<bool>& keep);
 
 /// Re-runs the oracle battery on a candidate case; returns "" when it
 /// passes and a mismatch description when it fails. The callback owns any
 /// scenario-specific setup (materialize_case etc.) and must be
 /// deterministic. It receives a fresh copy it may freely mutate.
 using CaseCheck = std::function<std::string(Database&)>;
-
-struct ShrinkOptions {
-    /// Upper bound on oracle re-runs; the shrinker returns its best
-    /// result so far when exhausted.
-    std::size_t max_checks = 2000;
-};
 
 struct ShrinkResult {
     Database db;          ///< Minimal failing case found.
@@ -46,9 +33,10 @@ struct ShrinkResult {
 
 /// ddmin over the cell set: repeatedly tries dropping chunks of cells,
 /// keeping any reduction that still fails `check`, refining the chunk
-/// granularity until single-cell removals no longer help. `db` itself is
+/// granularity until single-cell removals no longer help, or until 2000
+/// oracle re-runs are spent (then the best result so far is returned).
+/// Nets and pins are dropped (no oracle consults them). `db` itself is
 /// not modified. Requires that check(copy of db) fails (asserts).
-ShrinkResult shrink_case(const Database& db, const CaseCheck& check,
-                         const ShrinkOptions& opts = {});
+ShrinkResult shrink_case(const Database& db, const CaseCheck& check);
 
 }  // namespace mrlg::qa

@@ -18,7 +18,6 @@ public:
     void add_row(std::vector<std::string> cells);
 
     std::size_t num_rows() const { return rows_.size(); }
-    std::size_t num_cols() const { return header_.size(); }
 
     /// Render to `os` with a separator line under the header.
     void print(std::ostream& os) const;

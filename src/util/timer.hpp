@@ -10,14 +10,10 @@ class Timer {
 public:
     Timer() : start_(Clock::now()) {}
 
-    void restart() { start_ = Clock::now(); }
-
-    /// Seconds elapsed since construction / last restart.
+    /// Seconds elapsed since construction.
     double elapsed_s() const {
         return std::chrono::duration<double>(Clock::now() - start_).count();
     }
-
-    double elapsed_ms() const { return elapsed_s() * 1e3; }
 
 private:
     using Clock = std::chrono::steady_clock;

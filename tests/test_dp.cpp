@@ -152,9 +152,7 @@ TEST(SwapPass, SwapsTwoCellsInEachOthersSpot) {
     const NetId nb = db.add_net("nb");
     db.add_pin(b, nb, 2.0, 0.5);
     db.add_pin(pl, nb, 1.0, 0.5);  // b wants to be left
-    SwapOptions opts;
-    opts.radius = 100;
-    const SwapStats s = swap_pass(db, grid, opts);
+    const SwapStats s = swap_pass(db, grid, /*radius=*/100);
     EXPECT_GE(s.swaps_accepted, 1u);
     EXPECT_EQ(db.cell(a).x(), 80);
     EXPECT_EQ(db.cell(b).x(), 10);

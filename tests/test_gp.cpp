@@ -183,9 +183,8 @@ TEST(QuadraticPlacer, KeepsCellsInsideDie) {
 TEST(QuadraticPlacer, SpreadingLimitsPeakUtilization) {
     Rng rng(409);
     Database db = clustered_design(rng, 40);
-    gp::QuadraticOptions opts;
-    opts.iterations = 16;
-    const gp::QuadraticStats stats = gp::quadratic_place(db, opts);
+    const gp::QuadraticStats stats =
+        gp::quadratic_place(db, /*iterations=*/16);
     // Without spreading everything would collapse onto two points; the
     // CDF-flattening must keep peak bin utilization bounded.
     EXPECT_LT(stats.final_max_util, 60.0);

@@ -96,12 +96,12 @@ TEST(Simplex, BoundOverridesForBranching) {
     static_cast<void>(x);
     std::vector<double> lb{0.0};
     std::vector<double> ub{4.0};
-    const auto r = ilp::solve_lp(m, {}, &lb, &ub);
+    const auto r = ilp::solve_lp(m, &lb, &ub);
     ASSERT_EQ(r.status, ilp::LpStatus::kOptimal);
     EXPECT_NEAR(r.x[0], 4.0, 1e-6);
     lb[0] = 6.0;
     ub[0] = 5.0;
-    EXPECT_EQ(ilp::solve_lp(m, {}, &lb, &ub).status,
+    EXPECT_EQ(ilp::solve_lp(m, &lb, &ub).status,
               ilp::LpStatus::kInfeasible);
 }
 

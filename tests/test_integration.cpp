@@ -82,9 +82,7 @@ TEST(Integration, QuadraticGpFeedsLegalizer) {
     p.num_double = 40;
     p.density = 0.45;
     GenResult gen = generate_benchmark(p);
-    gp::QuadraticOptions qopts;
-    qopts.iterations = 8;
-    gp::quadratic_place(gen.db, qopts);
+    gp::quadratic_place(gen.db, /*iterations=*/8);
     SegmentGrid grid = SegmentGrid::build(gen.db);
     LegalizerOptions opts;
     opts.max_rounds = 128;  // quadratic GP can be denser locally

@@ -162,9 +162,7 @@ TEST(Legalizer, InfeasibleDesignReportsFailure) {
 
 TEST(Legalizer, OrderingOptionsAllSucceed) {
     for (const auto order : {LegalizerOptions::Order::kInputOrder,
-                             LegalizerOptions::Order::kMultiRowFirst,
-                             LegalizerOptions::Order::kLeftToRight,
-                             LegalizerOptions::Order::kAreaDescending}) {
+                             LegalizerOptions::Order::kMultiRowFirst}) {
         Rng rng(107);
         Database db = scattered_design(rng, 10, 120, 100, 15);
         SegmentGrid grid = SegmentGrid::build(db);

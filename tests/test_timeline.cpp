@@ -6,7 +6,8 @@
 ///     different thread interleavings (forced here through the pool's
 ///     test-only chunk hook) merge to the identical event sequence;
 ///   * ring overflow and lane exhaustion are *reported* as
-///     dropped_events, never silent;
+///     dropped_events, never silent, and a run report whose timeline
+///     dropped events marks its `timeline` block truncated;
 ///   * the derived schedule metrics match their documented formulas;
 ///   * deterministic (tick-clock) run reports stay byte-identical whether
 ///     or not a timeline is installed — the golden-tier guarantee;
@@ -344,6 +345,47 @@ TEST(Timeline, WallClockReportCarriesTimelineAndMemoryBlocks) {
     EXPECT_NE(dump.find("\"memory\""), std::string::npos);
     EXPECT_NE(dump.find("\"peak_rss_bytes\""), std::string::npos);
     EXPECT_NE(dump.find("\"pool_workers_active\""), std::string::npos);
+}
+
+/// A wrapped ring must not pass for a measurement: under 8-event lanes a
+/// small legalization drops events, so the run report's timeline block
+/// reads truncated and nulls every figure derived from merged events.
+/// Under default lanes nothing drops and the figures are numbers.
+TEST(Timeline, RunReportMarksATruncatedTimeline) {
+    GenProfile p;
+    p.num_single = 120;
+    p.num_double = 12;
+    p.density = 0.5;
+    p.seed = 7;
+    for (const std::size_t capacity :
+         {std::size_t{8}, Timeline::kDefaultLaneCapacity}) {
+        const bool truncated = capacity == 8;
+        GenResult gen = generate_benchmark(p);
+        SegmentGrid grid = SegmentGrid::build(gen.db);
+        Timeline tl(Timeline::default_max_lanes(), capacity);
+        {
+            obs::ScopedTimeline install(tl);
+            ASSERT_TRUE(legalize_placement(gen.db, grid).success);
+        }
+        EXPECT_EQ(tl.dropped_events() > 0, truncated);
+        obs::RunReportSpec spec;
+        spec.tool = "test_timeline";
+        spec.design = "lanes";
+        spec.timeline = &tl;
+        const std::string dump = obs::make_run_report(spec).dump();
+        EXPECT_NE(dump.find(truncated ? "\"truncated\": true"
+                                      : "\"truncated\": false"),
+                  std::string::npos);
+        for (const char* field :
+             {"\"waves_total\": null", "\"pool_utilization\": null",
+              "\"commit_serial_share\": null", "\"task_us\": null"}) {
+            EXPECT_EQ(dump.find(field) != std::string::npos, truncated)
+                << field;
+        }
+        EXPECT_NE(dump.find("\"dropped_events\": " +
+                            std::to_string(tl.dropped_events()) + ","),
+                  std::string::npos);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 # mrlg CI pipeline: one entry point for every check this repo ships.
 #
 #   1. Release build + full ctest suite (it includes the bench_parallel
-#      thread-sweep smoke and the trace-schema check on its output, and
-#      the mrlg_legalize runs: an end-to-end MRLG_VALIDATE=full
-#      legalization that must pass every in-run audit, the LEF/DEF flag
-#      smoke and the parse-error exits)
+#      thread-sweep smoke and the trace-schema check on its output, the
+#      mrlg_legalize runs: an end-to-end MRLG_VALIDATE=full legalization
+#      that must pass every in-run audit, the LEF/DEF flag smoke and the
+#      parse-error exits, and the mrlg_fuzz smoke at two fixed seeds)
 #   2. Static checks (tools/mrlg_lint.py all): the phase-effect analyzer
 #      proving the mll_plan closure read-only, plus the determinism lint
 #      — one stage, one baseline, one exit code
@@ -20,11 +20,7 @@
 #      (the thread-count determinism properties, incl. the region-parallel
 #      plan/commit pipeline and the lock-free Timeline lanes, with real
 #      worker threads racing)
-#   7. Differential fuzz smoke: mrlg_fuzz with fixed seeds (~10 s); all
-#      oracle batteries must agree, and the whole-design battery runs
-#      again with a 4-thread plan fan-out against the serial reference
-#      loop. MRLG_FUZZ_ITERS scales it up.
-#   8. Coverage: gcovr over a --coverage build running the fast unit
+#   7. Coverage: gcovr over a --coverage build running the fast unit
 #      tier (ctest -L unit); SKIPped when gcovr is not installed.
 #
 # The test suite is partitioned by ctest labels
@@ -166,22 +162,6 @@ else
 fi
 
 # ---------------------------------------------------------------- stage 7
-fuzz_smoke_stage() {
-    # Two fixed seeds, small budget (~10 s): the point is catching oracle
-    # divergences on every CI run, not deep exploration. Opt into longer
-    # campaigns with MRLG_FUZZ_ITERS (iterations per scenario).
-    local seed
-    for seed in 1 20260806; do
-        ./build/tools/mrlg_fuzz --seed "$seed" \
-            --iters "${MRLG_FUZZ_ITERS:-4}" &&
-            ./build/tools/mrlg_fuzz --seed "$seed" --scenario design \
-                --threads 4 --iters "${MRLG_FUZZ_ITERS:-4}" ||
-            return 1
-    done
-}
-run_stage "fuzz-smoke (differential oracles)" fuzz_smoke_stage
-
-# ---------------------------------------------------------------- stage 8
 if command -v gcovr >/dev/null 2>&1; then
     coverage_stage() {
         # Instrumented build of the unit tier only: coverage is a trend
