@@ -9,6 +9,10 @@
 ///   --seed N      generator seed offset (default 0)
 ///   --aligned-only / --relaxed-only
 ///   --skip-ilp    only run MLL (exact solver is ~1-2 orders slower)
+///   --only NAME   run only the benchmark NAME (e.g. superblue12)
+///   --true-ilp    the "ILP" column solves the paper's MIP for each MLL
+///                 call instead of evaluating insertion points exactly
+///                 (orders of magnitude slower; EXPERIMENTS.md §3)
 ///   --csv         emit CSV instead of the aligned table
 
 #include <iostream>

@@ -1,7 +1,6 @@
 #include "db/segment.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "util/assert.hpp"
 
@@ -276,49 +275,6 @@ std::vector<ArenaUsage> SegmentGrid::memory_breakdown() const {
                           row_index_.capacity() * sizeof(std::size_t),
                       row_order_.size()});
     return arenas;
-}
-
-std::string SegmentGrid::audit(const Database& db) const {
-    std::ostringstream err;
-    std::vector<int> appearances(db.num_cells(), 0);
-    for (const Segment& s : segments_) {
-        SiteCoord prev_end = s.span.lo;
-        for (std::size_t i = 0; i < s.cells.size(); ++i) {
-            const Cell& c = db.cell(s.cells[i]);
-            if (!c.placed()) {
-                err << "unplaced cell " << c.name() << " in segment list\n";
-                continue;
-            }
-            appearances[s.cells[i].index()] += 1;
-            if (c.y() > s.y || c.y() + c.height() <= s.y) {
-                err << "cell " << c.name() << " listed on wrong row " << s.y
-                    << "\n";
-            }
-            if (c.x() < s.span.lo || c.x() + c.width() > s.span.hi) {
-                err << "cell " << c.name() << " outside segment span\n";
-            }
-            if (c.region() != s.region) {
-                err << "cell " << c.name() << " in wrong fence region\n";
-            }
-            if (c.x() < prev_end) {
-                err << "overlap/order violation before " << c.name()
-                    << " on row " << s.y << "\n";
-            }
-            prev_end = c.x() + c.width();
-        }
-    }
-    for (std::size_t i = 0; i < db.num_cells(); ++i) {
-        const Cell& c = db.cells()[i];
-        if (c.fixed()) {
-            continue;
-        }
-        const int expected = c.placed() ? c.height() : 0;
-        if (appearances[i] != expected) {
-            err << "cell " << c.name() << " appears in " << appearances[i]
-                << " lists, expected " << expected << "\n";
-        }
-    }
-    return err.str();
 }
 
 }  // namespace mrlg

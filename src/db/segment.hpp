@@ -86,11 +86,6 @@ public:
     std::pair<std::size_t, std::size_t> cells_overlapping(
         const Database& db, const Segment& s, Span xs) const;
 
-    /// Internal-consistency audit: every placed movable cell appears in
-    /// exactly its h covering segments, lists sorted and within span.
-    /// Returns a human-readable error string, or empty when consistent.
-    std::string audit(const Database& db) const;
-
     /// Capacity-based bytes per grid arena (segments + per-segment cell
     /// lists, row index) for the obs memory-telemetry block.
     std::vector<ArenaUsage> memory_breakdown() const;

@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <system_error>
 #include <utility>
 
 #include "db/write_cap.hpp"
+#include "io/text_file.hpp"
 #include "util/geometry.hpp"
 #include "util/str.hpp"
 
@@ -20,129 +19,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
-
-[[noreturn]] void fail_at(const std::string& path, std::size_t line,
-                          const std::string& what) {
-    throw ParseError(path + ":" + std::to_string(line) + ": " + what);
-}
-
-/// One input file, read whole into a buffer sized from the file and
-/// walked line by line in place. Tokens are views into the buffer, so no
-/// line or token is copied.
-class InputFile {
-public:
-    explicit InputFile(const fs::path& path) : path_(path.string()) {
-        std::error_code ec;
-        const std::uintmax_t size = fs::file_size(path, ec);
-        std::ifstream in(path, std::ios::binary);
-        if (ec || !in) {
-            throw ParseError("cannot open " + path_);
-        }
-        buf_ = std::make_unique_for_overwrite<char[]>(size);
-        in.read(buf_.get(), static_cast<std::streamsize>(size));
-        size_ = static_cast<std::size_t>(in.gcount());
-    }
-
-    const std::string& path() const { return path_; }
-    std::size_t line() const { return line_; }
-    /// The current line, '#' comment cut.
-    std::string_view text() const { return text_; }
-
-    /// Advances to the next line that holds a token once its '#' comment
-    /// is cut; false at the end of the file.
-    bool next_line() {
-        while (pos_ < size_) {
-            const char* begin = buf_.get() + pos_;
-            const void* nl = std::memchr(begin, '\n', size_ - pos_);
-            const std::size_t len =
-                nl != nullptr ? static_cast<const char*>(nl) - begin
-                              : size_ - pos_;
-            pos_ += len + 1;
-            ++line_;
-            text_ = std::string_view(begin, len);
-            text_ = text_.substr(0, text_.find('#'));
-            rest_ = text_;
-            skip_space();
-            if (!rest_.empty()) {
-                return true;
-            }
-        }
-        return false;
-    }
-
-    /// The current line's next whitespace-separated token; empty at its
-    /// end.
-    std::string_view token() {
-        skip_space();
-        std::size_t n = 0;
-        while (n < rest_.size() && !is_space(rest_[n])) {
-            ++n;
-        }
-        const std::string_view tok = rest_.substr(0, n);
-        rest_.remove_prefix(n);
-        return tok;
-    }
-
-    [[noreturn]] void fail(const std::string& what) const {
-        fail_at(path_, line_, what);
-    }
-
-    double number(std::string_view tok) const {
-        double v = 0;
-        if (!parse_finite(tok, v)) {
-            fail("bad number '" + std::string(tok) + "'");
-        }
-        return v;
-    }
-
-    /// An integer field: any number with no fractional part.
-    double integer(std::string_view tok) const {
-        const double v = number(tok);
-        if (std::trunc(v) != v) {
-            fail("bad integer '" + std::string(tok) + "'");
-        }
-        return v;
-    }
-
-    /// The count a "NumNodes : n" style header gives, as a pre-sizing hint
-    /// only: 0 when it does not parse, and never more than the file's
-    /// lines, since every node, net and pin has a line of its own.
-    std::size_t count_hint() {
-        std::string_view tok = token();
-        if (tok == ":") {
-            tok = token();
-        }
-        double n = 0;
-        if (!parse_finite(tok, n) || n < 0) {
-            return 0;
-        }
-        if (lines_ == 0) {
-            lines_ = static_cast<std::size_t>(
-                std::count(buf_.get(), buf_.get() + size_, '\n') + 1);
-        }
-        return static_cast<std::size_t>(
-            std::min(n, static_cast<double>(lines_)));
-    }
-
-private:
-    void skip_space() {
-        std::size_t n = 0;
-        while (n < rest_.size() && is_space(rest_[n])) {
-            ++n;
-        }
-        rest_.remove_prefix(n);
-    }
-
-    std::string path_;
-    std::unique_ptr<char[]> buf_;
-    std::size_t size_ = 0;
-    std::size_t pos_ = 0;   ///< Start of the next line.
-    std::size_t line_ = 0;  ///< 1-based number of the current line.
-    std::size_t lines_ = 0;  ///< Lines in the file; counted on first use.
-    std::string_view text_;
-    std::string_view rest_;  ///< The current line's untokenized rest.
-};
+using io_detail::fail_at;
+using io_detail::InputFile;
 
 struct SclRow {
     double coord_y = 0;
@@ -503,16 +381,20 @@ BookshelfReadResult read_bookshelf(const std::string& aux_path) {
 void write_bookshelf(const Database& db, const std::string& dir,
                      const std::string& design, bool use_gp_positions) {
     fs::create_directories(dir);
+    const auto file = [&](const char* ext) {
+        return (fs::path(dir) / (design + ext)).string();
+    };
     const double site_w = db.floorplan().site_w_um();
     const double row_h = db.floorplan().site_h_um();
 
     {
-        std::ofstream aux(fs::path(dir) / (design + ".aux"));
+        std::ofstream aux(file(".aux"));
         aux << "RowBasedPlacement : " << design << ".nodes " << design
             << ".nets " << design << ".pl " << design << ".scl\n";
+        io_detail::close_written(aux, file(".aux"));
     }
     {
-        std::ofstream nodes(fs::path(dir) / (design + ".nodes"));
+        std::ofstream nodes(file(".nodes"));
         nodes << "UCLA nodes 1.0\n";
         std::size_t terminals = 0;
         for (const Cell& c : db.cells()) {
@@ -526,9 +408,10 @@ void write_bookshelf(const Database& db, const std::string& dir,
                   << static_cast<double>(c.height()) * row_h
                   << (c.fixed() ? " terminal" : "") << "\n";
         }
+        io_detail::close_written(nodes, file(".nodes"));
     }
     {
-        std::ofstream pl(fs::path(dir) / (design + ".pl"));
+        std::ofstream pl(file(".pl"));
         pl << "UCLA pl 1.0\n";
         for (const Cell& c : db.cells()) {
             double x;
@@ -543,9 +426,10 @@ void write_bookshelf(const Database& db, const std::string& dir,
             pl << c.name() << ' ' << x * site_w << ' ' << y * row_h
                << " : N" << (c.fixed() ? " /FIXED" : "") << "\n";
         }
+        io_detail::close_written(pl, file(".pl"));
     }
     {
-        std::ofstream nets(fs::path(dir) / (design + ".nets"));
+        std::ofstream nets(file(".nets"));
         nets << "UCLA nets 1.0\n";
         nets << "NumNets : " << db.nets().size() << "\n";
         nets << "NumPins : " << db.pins().size() << "\n";
@@ -564,9 +448,10 @@ void write_bookshelf(const Database& db, const std::string& dir,
                      << "\n";
             }
         }
+        io_detail::close_written(nets, file(".nets"));
     }
     {
-        std::ofstream scl(fs::path(dir) / (design + ".scl"));
+        std::ofstream scl(file(".scl"));
         scl << "UCLA scl 1.0\n";
         scl << "NumRows : " << db.floorplan().num_rows() << "\n";
         for (const Row& r : db.floorplan().rows()) {
@@ -582,6 +467,7 @@ void write_bookshelf(const Database& db, const std::string& dir,
                 << "  NumSites : " << r.num_sites << "\n";
         scl << "End\n";
         }
+        io_detail::close_written(scl, file(".scl"));
     }
 }
 

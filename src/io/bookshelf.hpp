@@ -34,7 +34,8 @@ BookshelfReadResult read_bookshelf(const std::string& aux_path);
 
 /// Writes `db` as <dir>/<design>.aux (+ .nodes/.nets/.pl/.scl).
 /// `use_gp_positions` writes Cell::gp coordinates instead of the legalized
-/// ones for movable cells.
+/// ones for movable cells. Throws std::runtime_error naming the first file
+/// that cannot be written.
 void write_bookshelf(const Database& db, const std::string& dir,
                      const std::string& design,
                      bool use_gp_positions = false);

@@ -4,108 +4,121 @@
 #include <array>
 #include <cmath>
 #include <fstream>
+#include <string_view>
 
-#include "util/assert.hpp"
-#include "util/str.hpp"
 #include "db/write_cap.hpp"
+#include "io/text_file.hpp"
 
 namespace mrlg {
 
 namespace {
 
-[[noreturn]] void fail_in(const std::string& path, const std::string& what) {
-    throw ParseError(path + ": " + what);
-}
+using io_detail::fail_at;
 
-/// Whitespace tokenizer with ';', '(' and ')' as standalone tokens and
-/// '#'-to-end-of-line comments stripped.
-std::vector<std::string> tokenize_file(const std::string& path) {
-    std::ifstream in(path);
-    if (!in) {
-        throw ParseError("cannot open " + path);
-    }
-    std::vector<std::string> tokens;
-    std::string line;
-    while (std::getline(in, line)) {
-        const std::size_t hash = line.find('#');
-        if (hash != std::string::npos) {
-            line.resize(hash);
-        }
-        std::string cur;
-        auto flush = [&] {
-            if (!cur.empty()) {
-                tokens.push_back(cur);
-                cur.clear();
-            }
-        };
-        for (const char c : line) {
-            if (c == ' ' || c == '\t' || c == '\r') {
-                flush();
-            } else if (c == ';' || c == '(' || c == ')') {
-                flush();
-                tokens.push_back(std::string(1, c));
-            } else {
-                cur.push_back(c);
-            }
-        }
-        flush();
-    }
-    return tokens;
-}
+bool is_punct(char c) { return c == ';' || c == '(' || c == ')'; }
 
-/// Cursor over the token stream with checked accessors.
+/// LEF/DEF tokens: an InputFile's whitespace tokens with ';', '(' and ')'
+/// split off as tokens of their own, all views into the file's buffer.
+/// The cursor looks one token ahead, possibly onto a later line; an error
+/// names the line of the token next() returned last.
 class Cursor {
 public:
-    explicit Cursor(const std::string& path)
-        : tokens_(tokenize_file(path)), path_(path) {}
+    explicit Cursor(const std::string& path) : file_(path) { advance(); }
 
-    bool done() const { return pos_ >= tokens_.size(); }
-    const std::string& peek() const {
-        check(!done(), "unexpected end of file");
-        return tokens_[pos_];
+    std::size_t line() const { return line_; }
+    bool done() const { return ahead_.empty(); }
+    std::string_view peek() const {
+        if (done()) {
+            fail("unexpected end of file");
+        }
+        return ahead_;
     }
-    std::string next() {
-        check(!done(), "unexpected end of file");
-        return tokens_[pos_++];
+    std::string_view next() {
+        const std::string_view t = peek();
+        line_ = ahead_line_;
+        advance();
+        return t;
     }
     double next_num() {
-        const std::string t = next();
+        const std::string_view t = next();
         double v = 0;
-        check(parse_finite(t, v), "expected a number, got '" + t + "'");
+        if (!parse_finite(t, v)) {
+            fail("expected a number, got '" + std::string(t) + "'");
+        }
         return v;
     }
-    void expect(const std::string& tok) {
-        const std::string t = next();
-        check(t == tok, "expected '" + tok + "', got '" + t + "'");
+    void expect(std::string_view tok) {
+        const std::string_view t = next();
+        if (t != tok) {
+            fail("expected '" + std::string(tok) + "', got '" +
+                 std::string(t) + "'");
+        }
+    }
+    /// True, once past "END <name>", when `t` is an END closing `name`.
+    bool closes(std::string_view t, std::string_view name) {
+        if (t != "END" || done() || ahead_ != name) {
+            return false;
+        }
+        next();
+        return true;
     }
     /// Skips tokens until (and including) the next ';'.
     void skip_statement() {
         while (!done() && next() != ";") {
         }
     }
-    void check(bool ok, const std::string& msg) const {
-        if (!ok) {
-            fail(msg);
+    /// Reads the rest of a `<name> n ; - … ; … END <name>` section;
+    /// `entry` reads each statement from after its '-'.
+    template <typename Entry>
+    void section(std::string_view name, Entry entry) {
+        next_num();
+        expect(";");
+        while (peek() == "-") {
+            next();
+            entry();
+            skip_statement();
         }
+        expect("END");
+        expect(name);
     }
     [[noreturn]] void fail(const std::string& msg) const {
-        fail_in(path_, "near token " + std::to_string(pos_) + ": " + msg);
+        fail_at(file_.path(), line_, msg);
     }
 
 private:
-    std::vector<std::string> tokens_;
-    std::size_t pos_ = 0;
-    std::string path_;
+    /// Moves the look-ahead to the next token.
+    void advance() {
+        while (word_.empty()) {
+            word_ = file_.token();
+            if (word_.empty() && !file_.next_line()) {
+                ahead_ = {};
+                return;
+            }
+        }
+        std::size_t n = 1;
+        while (!is_punct(word_[0]) && n < word_.size() &&
+               !is_punct(word_[n])) {
+            ++n;
+        }
+        ahead_ = word_.substr(0, n);
+        ahead_line_ = file_.line();
+        word_.remove_prefix(n);
+    }
+
+    io_detail::InputFile file_;
+    std::string_view word_;   ///< The current whitespace token's unsplit rest.
+    std::string_view ahead_;  ///< The look-ahead token; empty at the end.
+    std::size_t ahead_line_ = 0;
+    std::size_t line_ = 0;
 };
 
 /// Simple glob: '*' matches any suffix (the form ISPD GROUPS use).
-bool pattern_matches(const std::string& pattern, const std::string& name) {
+bool pattern_matches(std::string_view pattern, std::string_view name) {
     const std::size_t star = pattern.find('*');
-    if (star == std::string::npos) {
+    if (star == std::string_view::npos) {
         return pattern == name;
     }
-    return name.size() >= star &&
-           name.compare(0, star, pattern, 0, star) == 0;
+    return name.starts_with(pattern.substr(0, star));
 }
 
 bool is_whole(double v) { return std::abs(v - std::round(v)) <= 1e-4; }
@@ -116,27 +129,25 @@ LefLibrary read_lef(const std::string& path) {
     Cursor cur(path);
     LefLibrary lib;
     while (!cur.done()) {
-        const std::string tok = cur.next();
+        const std::string_view tok = cur.next();
         if (tok == "UNITS") {
             // UNITS DATABASE MICRONS <n> ; END UNITS
             while (!cur.done()) {
-                const std::string t = cur.next();
-                if (t == "END" && !cur.done() && cur.peek() == "UNITS") {
-                    cur.next();
+                const std::string_view t = cur.next();
+                if (cur.closes(t, "UNITS")) {
                     break;
                 }
                 if (t == "MICRONS") {
                     lib.dbu_per_micron = cur.next_num();
+                    if (!(lib.dbu_per_micron > 0)) {
+                        cur.fail("UNITS DATABASE MICRONS must be positive");
+                    }
                 }
             }
         } else if (tok == "SITE") {
-            const std::string name = cur.next();
-            while (true) {
-                const std::string t = cur.next();
-                if (t == "END" && cur.peek() == name) {
-                    cur.next();
-                    break;
-                }
+            const std::string_view name = cur.next();
+            for (std::string_view t = cur.next(); !cur.closes(t, name);
+                 t = cur.next()) {
                 if (t == "SIZE") {
                     lib.site_w_um = cur.next_num();
                     cur.expect("BY");
@@ -146,14 +157,10 @@ LefLibrary read_lef(const std::string& path) {
         } else if (tok == "MACRO") {
             LefMacro macro;
             macro.name = cur.next();
-            while (true) {
-                const std::string t = cur.next();
-                // Bare "END" tokens close nested PORT/OBS blocks; the
-                // macro itself closes with "END <name>".
-                if (t == "END" && cur.peek() == macro.name) {
-                    cur.next();
-                    break;
-                }
+            // Bare "END" tokens close nested PORT/OBS blocks; the macro
+            // itself closes with "END <name>".
+            for (std::string_view t = cur.next(); !cur.closes(t, macro.name);
+                 t = cur.next()) {
                 if (t == "SIZE") {
                     macro.w_um = cur.next_num();
                     cur.expect("BY");
@@ -162,12 +169,8 @@ LefLibrary read_lef(const std::string& path) {
                     LefPin pin;
                     pin.name = cur.next();
                     bool have_rect = false;
-                    while (true) {
-                        const std::string pt = cur.next();
-                        if (pt == "END" && cur.peek() == pin.name) {
-                            cur.next();
-                            break;
-                        }
+                    for (std::string_view pt = cur.next();
+                         !cur.closes(pt, pin.name); pt = cur.next()) {
                         if (pt == "RECT" && !have_rect) {
                             const double x1 = cur.next_num();
                             const double y1 = cur.next_num();
@@ -186,7 +189,7 @@ LefLibrary read_lef(const std::string& path) {
         // Unknown top-level tokens are skipped token-by-token.
     }
     if (lib.site_w_um <= 0 || lib.site_h_um <= 0) {
-        fail_in(path, "LEF defines no SITE with a SIZE");
+        throw ParseError(path + ": LEF defines no SITE with a SIZE");
     }
     return lib;
 }
@@ -196,53 +199,63 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
     Cursor cur(path);
     DefReadResult result;
     double dbu = lef.dbu_per_micron;
+    std::size_t units_line = 0;
     const double site_w = lef.site_w_um;
     const double site_h = lef.site_h_um;
 
+    // Each statement is staged with the line it starts on, for the checks
+    // below. Names stay views into the file's buffer until they go into
+    // the Database.
     struct DefRow {
         double x_dbu, y_dbu;
         double num_sites;
+        std::size_t line;
     };
     std::vector<DefRow> rows;
     struct DefComp {
-        std::string inst, macro, status;
+        std::string_view inst, macro;
+        bool fixed = false;
         double x_dbu = 0, y_dbu = 0;
+        std::size_t line = 0;
     };
     std::vector<DefComp> comps;
     struct DefRegion {
-        std::string name;
+        std::string_view name;
         std::vector<std::array<double, 4>> rects;  ///< DBU (x1,y1,x2,y2).
+        std::size_t line = 0;
     };
     std::vector<DefRegion> regions;
     struct DefGroup {
-        std::vector<std::string> patterns;
-        std::string region;
+        std::vector<std::string_view> patterns;
+        std::string_view region;
+        std::size_t line = 0;
     };
     std::vector<DefGroup> groups;
     struct DefNet {
-        std::string name;
-        std::vector<std::pair<std::string, std::string>> pins;
+        std::string_view name;
+        std::vector<std::pair<std::string_view, std::string_view>> pins;
+        std::size_t line = 0;
     };
     std::vector<DefNet> nets;
 
     while (!cur.done()) {
-        const std::string tok = cur.next();
+        const std::string_view tok = cur.next();
         if (tok == "DESIGN" && result.design_name.empty()) {
             result.design_name = cur.next();
             cur.skip_statement();
         } else if (tok == "UNITS") {
+            units_line = cur.line();
             cur.expect("DISTANCE");
             cur.expect("MICRONS");
             dbu = cur.next_num();
             cur.skip_statement();
         } else if (tok == "ROW") {
+            DefRow r{0, 0, 1, cur.line()};
             cur.next();  // row name
             cur.next();  // site name
-            DefRow r{};
             r.x_dbu = cur.next_num();
             r.y_dbu = cur.next_num();
             cur.next();  // orient
-            r.num_sites = 1;
             if (cur.peek() == "DO") {
                 cur.next();
                 r.num_sites = cur.next_num();
@@ -252,35 +265,26 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
             cur.skip_statement();
             rows.push_back(r);
         } else if (tok == "COMPONENTS") {
-            cur.next_num();
-            cur.expect(";");
-            while (cur.peek() == "-") {
-                cur.next();
-                DefComp c;
+            cur.section(tok, [&] {
+                DefComp& c = comps.emplace_back();
+                c.line = cur.line();
                 c.inst = cur.next();
                 c.macro = cur.next();
-                c.status = "UNPLACED";
                 while (cur.peek() != ";") {
-                    const std::string t = cur.next();
+                    const std::string_view t = cur.next();
                     if (t == "PLACED" || t == "FIXED") {
-                        c.status = t;
+                        c.fixed = t == "FIXED";
                         cur.expect("(");
                         c.x_dbu = cur.next_num();
                         c.y_dbu = cur.next_num();
                         cur.expect(")");
                     }
                 }
-                cur.expect(";");
-                comps.push_back(std::move(c));
-            }
-            cur.expect("END");
-            cur.expect("COMPONENTS");
+            });
         } else if (tok == "REGIONS") {
-            cur.next_num();
-            cur.expect(";");
-            while (cur.peek() == "-") {
-                cur.next();
-                DefRegion r;
+            cur.section(tok, [&] {
+                DefRegion& r = regions.emplace_back();
+                r.line = cur.line();
                 r.name = cur.next();
                 while (cur.peek() == "(") {
                     cur.next();
@@ -293,64 +297,46 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
                     cur.expect(")");
                     r.rects.push_back({x1, y1, x2, y2});
                 }
-                cur.skip_statement();
-                regions.push_back(std::move(r));
-            }
-            cur.expect("END");
-            cur.expect("REGIONS");
+            });
         } else if (tok == "GROUPS") {
-            cur.next_num();
-            cur.expect(";");
-            while (cur.peek() == "-") {
-                cur.next();
-                DefGroup g;
+            cur.section(tok, [&] {
+                DefGroup& g = groups.emplace_back();
+                g.line = cur.line();
                 cur.next();  // group name
                 while (cur.peek() != ";") {
-                    const std::string t = cur.next();
-                    if (t == "+") {
-                        if (cur.next() == "REGION") {
-                            g.region = cur.next();
-                        }
-                    } else {
+                    const std::string_view t = cur.next();
+                    if (t != "+") {
                         g.patterns.push_back(t);
+                    } else if (cur.next() == "REGION") {
+                        g.region = cur.next();
                     }
                 }
-                cur.expect(";");
-                groups.push_back(std::move(g));
-            }
-            cur.expect("END");
-            cur.expect("GROUPS");
+            });
         } else if (tok == "NETS") {
-            cur.next_num();
-            cur.expect(";");
-            while (cur.peek() == "-") {
-                cur.next();
-                DefNet n;
+            cur.section(tok, [&] {
+                DefNet& n = nets.emplace_back();
+                n.line = cur.line();
                 n.name = cur.next();
                 while (cur.peek() != ";") {
                     if (cur.next() == "(") {
-                        const std::string inst = cur.next();
-                        const std::string pin = cur.next();
+                        const std::string_view inst = cur.next();
+                        const std::string_view pin = cur.next();
                         cur.expect(")");
                         if (inst != "PIN") {  // die-level I/O pins skipped
                             n.pins.emplace_back(inst, pin);
                         }
                     }
                 }
-                cur.expect(";");
-                nets.push_back(std::move(n));
-            }
-            cur.expect("END");
-            cur.expect("NETS");
+            });
         }
     }
 
     // ---- build the floorplan ------------------------------------------------
     if (rows.empty()) {
-        fail_in(path, "DEF has no ROW statements");
+        throw ParseError(path + ": DEF has no ROW statements");
     }
-    if (!(dbu > 0)) {
-        fail_in(path, "UNITS DISTANCE MICRONS must be positive");
+    if (!(dbu > 0)) {  // read_lef refuses a LEF unit that is not positive
+        fail_at(path, units_line, "UNITS DISTANCE MICRONS must be positive");
     }
     std::sort(rows.begin(), rows.end(),
               [](const DefRow& a, const DefRow& b) {
@@ -362,14 +348,15 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
     Floorplan fp;
     fp.set_site_dims_um(site_w, site_h);
     for (std::size_t i = 0; i < rows.size(); ++i) {
+        const DefRow& r = rows[i];
         const double expect_y = y0 + static_cast<double>(i) * site_h_dbu;
-        if (std::abs(rows[i].y_dbu - expect_y) > 0.5) {
-            fail_in(path, "DEF rows are not contiguous/uniform");
+        if (std::abs(r.y_dbu - expect_y) > 0.5) {
+            fail_at(path, r.line, "DEF rows are not contiguous/uniform");
         }
-        const double origin = rows[i].x_dbu / site_w_dbu;
-        const double n = rows[i].num_sites;
+        const double origin = r.x_dbu / site_w_dbu;
+        const double n = r.num_sites;
         if (std::trunc(n) != n || n < 0 || !fits_coord(origin, n)) {
-            fail_in(path, "ROW origin or DO count out of range");
+            fail_at(path, r.line, "ROW origin or DO count out of range");
         }
         fp.add_row(Row{static_cast<SiteCoord>(i),
                        static_cast<SiteCoord>(std::llround(origin)),
@@ -380,7 +367,8 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
     int next_region = 1;
     for (const DefRegion& r : regions) {
         const int id = next_region++;
-        result.region_ids.emplace(r.name, id);
+        const std::string name(r.name);
+        result.region_ids.emplace(name, id);
         for (const auto& q : r.rects) {
             const double x1 = std::round(q[0] / site_w_dbu);
             const double y1 = std::round((q[1] - y0) / site_h_dbu);
@@ -388,8 +376,9 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
             const double y2 = std::round((q[3] - y0) / site_h_dbu);
             if (!(x2 > x1 && y2 > y1) || !fits_coord(x1, x2 - x1) ||
                 !fits_coord(y1, y2 - y1)) {
-                fail_in(path, "region " + r.name +
-                                  " has an empty or out-of-range rectangle");
+                fail_at(path, r.line, "region " + name +
+                                          " has an empty or out-of-range "
+                                          "rectangle");
             }
             const Rect rect{static_cast<SiteCoord>(x1),
                             static_cast<SiteCoord>(y1),
@@ -397,8 +386,8 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
                             static_cast<SiteCoord>(y2 - y1)};
             for (const Floorplan::Fence& f : fp.fences()) {
                 if (f.region != id && f.rect.overlaps(rect)) {
-                    fail_in(path, "region " + r.name +
-                                      " overlaps another region");
+                    fail_at(path, r.line,
+                            "region " + name + " overlaps another region");
                 }
             }
             fp.add_fence(id, rect);
@@ -409,49 +398,56 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
 
     // Components: the node checks of the Bookshelf reader. Each one adds
     // exactly one cell, in file order, so a component's index in `comps`
-    // is its CellId.
+    // is its CellId, and its LEF macro is `macros` at that index.
     const double num_rows = static_cast<double>(rows.size());
+    std::vector<const LefMacro*> macros;
+    macros.reserve(comps.size());
     for (const DefComp& c : comps) {
-        const LefMacro* macro = lef.find_macro(c.macro);
+        const std::string inst(c.inst);
+        const std::string macro_name(c.macro);
+        const LefMacro* macro = lef.find_macro(macro_name);
         if (macro == nullptr) {
-            fail_in(path, "component " + c.inst +
-                              " references unknown macro " + c.macro);
+            fail_at(path, c.line, "component " + inst +
+                                      " references unknown macro " +
+                                      macro_name);
         }
         const double w = macro->w_um / site_w;
         const double h = macro->h_um / site_h;
         if (!is_whole(w) || !is_whole(h)) {
-            fail_in(path,
-                    "macro " + c.macro + " is not site/row aligned in size");
+            fail_at(path, c.line,
+                    "macro " + macro_name + " is not site/row aligned in size");
         }
         if (!fits_size(w) || !fits_size(h)) {
-            fail_in(path, "macro " + c.macro +
-                              " must be at least one site wide and one row "
-                              "tall, and fit the coordinate range");
+            fail_at(path, c.line, "macro " + macro_name +
+                                      " must be at least one site wide and "
+                                      "one row tall, and fit the coordinate "
+                                      "range");
         }
-        const bool fixed = c.status == "FIXED";
-        if (!fixed && std::round(h) > num_rows) {
-            fail_in(path, "component " + c.inst +
-                              " is movable and taller than the core's " +
-                              std::to_string(rows.size()) + " rows");
+        if (!c.fixed && std::round(h) > num_rows) {
+            fail_at(path, c.line, "component " + inst +
+                                      " is movable and taller than the "
+                                      "core's " +
+                                      std::to_string(rows.size()) + " rows");
         }
-        if (db.find_cell(c.inst).valid()) {
-            fail_in(path, "duplicate component name " + c.inst);
+        if (db.find_cell(inst).valid()) {
+            fail_at(path, c.line, "duplicate component name " + inst);
         }
         const double gx = c.x_dbu / site_w_dbu;
         const double gy = (c.y_dbu - y0) / site_h_dbu;
         if (!fits_coord(gx, w) || !fits_coord(gy, h)) {
-            fail_in(path, "component " + c.inst +
-                              " lies outside the coordinate range");
+            fail_at(path, c.line, "component " + inst +
+                                      " lies outside the coordinate range");
         }
-        Cell cell(c.inst, static_cast<SiteCoord>(std::llround(w)),
+        Cell cell(inst, static_cast<SiteCoord>(std::llround(w)),
                   static_cast<SiteCoord>(std::llround(h)), RailPhase::kEven,
-                  fixed);
+                  c.fixed);
         cell.set_gp(gx, gy);
-        if (fixed) {
+        if (c.fixed) {
             cell.set_pos(static_cast<SiteCoord>(std::llround(gx)),
                          static_cast<SiteCoord>(std::llround(gy)));
         }
         db.add_cell(std::move(cell));
+        macros.push_back(macro);
     }
 
     // Group membership → cell regions. A group without `+ REGION` places
@@ -460,13 +456,14 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
         if (g.region.empty()) {
             continue;
         }
-        const auto rit = result.region_ids.find(g.region);
+        const auto rit = result.region_ids.find(std::string(g.region));
         if (rit == result.region_ids.end()) {
-            fail_in(path, "GROUPS references unknown region " + g.region);
+            fail_at(path, g.line, "GROUPS references unknown region " +
+                                      std::string(g.region));
         }
         for (std::size_t i = 0; i < db.num_cells(); ++i) {
             Cell& cell = db.cell(CellId{static_cast<CellId::underlying>(i)});
-            for (const std::string& pat : g.patterns) {
+            for (const std::string_view pat : g.patterns) {
                 if (pattern_matches(pat, cell.name())) {
                     cell.set_region(rit->second);
                     break;
@@ -477,23 +474,24 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
 
     // Nets.
     for (const DefNet& n : nets) {
-        if (db.find_net(n.name).valid()) {
-            fail_in(path, "duplicate net name " + n.name);
+        const std::string name(n.name);
+        if (db.find_net(name).valid()) {
+            fail_at(path, n.line, "duplicate net name " + name);
         }
-        const NetId net = db.add_net(n.name);
+        const NetId net = db.add_net(name);
         for (const auto& [inst, pin_name] : n.pins) {
             const CellId cid = db.find_cell(inst);
             if (!cid.valid()) {
-                fail_in(path, "NET " + n.name +
-                                  " references unknown component " + inst);
+                fail_at(path, n.line, "NET " + name +
+                                          " references unknown component " +
+                                          std::string(inst));
             }
             // Pin offset from the LEF macro (centre of the cell if the
-            // pin is unknown — robust to trimmed libraries). The component
-            // loop above resolved every macro.
+            // pin is unknown — robust to trimmed libraries).
             double ox = db.cell(cid).width() / 2.0;
             double oy = db.cell(cid).height() / 2.0;
-            const auto& pins = lef.find_macro(comps[cid.index()].macro)->pins;
-            const auto pit = pins.find(pin_name);
+            const auto& pins = macros[cid.index()]->pins;
+            const auto pit = pins.find(std::string(pin_name));
             if (pit != pins.end()) {
                 ox = pit->second.offset_x_um / site_w;
                 oy = pit->second.offset_y_um / site_h;
@@ -509,8 +507,6 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
 void write_def(const Database& db, const LefLibrary& lef,
                const std::string& path, const std::string& design) {
     std::ofstream out(path);
-    MRLG_ASSERT(static_cast<bool>(out), "cannot open DEF for writing: " +
-                                            path);
     const double dbu = lef.dbu_per_micron;
     const double site_w_dbu = lef.site_w_um * dbu;
     const double site_h_dbu = lef.site_h_um * dbu;
@@ -554,6 +550,7 @@ void write_def(const Database& db, const LefLibrary& lef,
         out << " ;\n";
     }
     out << "END NETS\nEND DESIGN\n";
+    io_detail::close_written(out, path);
 }
 
 }  // namespace mrlg

@@ -14,11 +14,14 @@
 /// Geometry is converted to mrlg's site units on load: LEF sizes must be
 /// integral multiples of the site; DEF placements snap from DBU.
 ///
-/// Malformed input throws ParseError (io/parse.hpp), as the Bookshelf
-/// reader does: every number must be a whole finite token, and a
-/// component gets the Bookshelf node checks (a unique name, a size of at
-/// least one site and row in range, a movable cell no taller than the
-/// core, a position in range).
+/// Both files stream through the Bookshelf reader's buffered InputFile
+/// (io/text_file.hpp), so a LEF or DEF may also come from a pipe.
+/// Malformed input throws ParseError (io/parse.hpp) as `<file>:<line>:
+/// <what>`, as the Bookshelf reader does: every number must be a whole
+/// finite token, and a component gets the Bookshelf node checks (a unique
+/// name, a size of at least one site and row in range, a movable cell no
+/// taller than the core, a position in range). Only a LEF with no sized
+/// SITE and a DEF with no ROW fail as `<file>: <what>`.
 
 #include <string>
 #include <unordered_map>
@@ -70,7 +73,8 @@ struct DefReadResult {
 DefReadResult read_def(const std::string& path, const LefLibrary& lef);
 
 /// Writes the current placement as DEF (components PLACED at legalized
-/// positions, or UNPLACED when a movable cell has none).
+/// positions, or UNPLACED when a movable cell has none). Throws
+/// std::runtime_error naming `path` when the file cannot be written.
 void write_def(const Database& db, const LefLibrary& lef,
                const std::string& path, const std::string& design);
 

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "check/audit.hpp"
 #include "eval/legality.hpp"
 #include "obs/trace.hpp"
 #include "io/bookshelf.hpp"
@@ -104,9 +105,10 @@ std::string design_battery(Database& db, SegmentGrid& grid,
         return "legalizer vs serial reference: " + serial;
     }
     const LegalizerStats stats = legalize_placement(db, grid, lopts);
-    const std::string audit = grid.audit(db);
-    if (!audit.empty()) {
-        return "post-legalize grid audit: " + audit;
+    const AuditReport audit =
+        audit_segment_grid(db, grid, AuditLevel::kCheap, false);
+    if (!audit.ok()) {
+        return "post-legalize grid audit: " + audit.to_string();
     }
     LegalityOptions checks;
     checks.require_all_placed = stats.success;

@@ -5,6 +5,7 @@
 #include <optional>
 #include <sstream>
 
+#include "check/audit.hpp"
 #include "check/audit_local.hpp"
 #include "legalize/enumeration.hpp"
 #include "legalize/evaluation.hpp"
@@ -409,9 +410,10 @@ std::string diff_mll_roundtrip(Database& db, SegmentGrid& grid,
         return os.str();
     }
 
-    const std::string grid_audit = grid.audit(db);
-    if (!grid_audit.empty()) {
-        os << "grid audit after commit: " << grid_audit << "; ";
+    const AuditReport grid_audit =
+        audit_segment_grid(db, grid, AuditLevel::kCheap, false);
+    if (!grid_audit.ok()) {
+        os << "grid audit after commit: " << grid_audit.to_string() << "; ";
     }
     LegalityOptions lopts;
     lopts.require_all_placed = false;
@@ -464,9 +466,10 @@ std::string diff_ripup_rollback(Database& db, SegmentGrid& grid,
         os << "rip-up evicted " << r.evicted << " > cap "
            << opts.max_evictions << "; ";
     }
-    const std::string grid_audit = grid.audit(db);
-    if (!grid_audit.empty()) {
-        os << "grid audit after rip-up: " << grid_audit << "; ";
+    const AuditReport grid_audit =
+        audit_segment_grid(db, grid, AuditLevel::kCheap, false);
+    if (!grid_audit.ok()) {
+        os << "grid audit after rip-up: " << grid_audit.to_string() << "; ";
     }
     LegalityOptions lopts;
     lopts.require_all_placed = false;

@@ -1,9 +1,11 @@
 # Runs TOOL with the arguments after "--" and requires exit status STATUS
 # (default 0), a stdout and a stderr that match the regexes STDOUT and
 # STDERR (when given), and every file of the comma-separated list WRITES
-# in OUT_DIR (emptied first, so no earlier run's copy counts).
+# in OUT_DIR (emptied first, so no earlier run's copy counts). Each name
+# of the comma-separated list DIRS is made a directory in OUT_DIR before
+# the run, so that it squats on the name of a file the tool would write.
 #   cmake -DTOOL=<binary> [-DSTATUS=<n>] [-DSTDOUT=<regex>] [-DSTDERR=<regex>]
-#         [-DOUT_DIR=<dir> -DWRITES=<name>,<name>...]
+#         [-DOUT_DIR=<dir> [-DWRITES=<name>,<name>...] [-DDIRS=<name>,...]]
 #         -P expect_run.cmake -- <tool arguments>
 if(NOT DEFINED STATUS)
   set(STATUS 0)
@@ -19,6 +21,10 @@ foreach(i RANGE ${last})
 endforeach()
 if(OUT_DIR)
   file(REMOVE_RECURSE "${OUT_DIR}")
+  string(REPLACE "," ";" dirs "${DIRS}")
+  foreach(name IN LISTS dirs)
+    file(MAKE_DIRECTORY "${OUT_DIR}/${name}")
+  endforeach()
 endif()
 execute_process(COMMAND "${TOOL}" ${args}
   RESULT_VARIABLE status

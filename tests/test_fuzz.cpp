@@ -57,7 +57,7 @@ private:
         const LegalityReport rep = check_legality(db_, grid_, lopts);
         ASSERT_TRUE(rep.legal)
             << (rep.messages.empty() ? "?" : rep.messages[0]);
-        ASSERT_TRUE(grid_.audit(db_).empty());
+        ASSERT_TRUE(segment_lists_consistent(db_, grid_));
         // Rail parity is honoured for even-height placed cells because
         // every op goes through rail-checked paths.
         for (const Cell& c : db_.cells()) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "check/audit.hpp"
 #include "legalize/greedy.hpp"
 #include "util/assert.hpp"
 
@@ -26,6 +27,16 @@ CellId add_unplaced(Database& db, const std::string& name, double gp_x,
     const CellId id = db.add_cell(Cell(name, w, h, phase));
     db.cell(id).set_gp(gp_x, gp_y);
     return id;
+}
+
+::testing::AssertionResult segment_lists_consistent(const Database& db,
+                                                    const SegmentGrid& grid) {
+    const AuditReport r =
+        audit_segment_grid(db, grid, AuditLevel::kCheap, false);
+    if (r.ok()) {
+        return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure() << r.to_string();
 }
 
 Database ripup_starved_design() {

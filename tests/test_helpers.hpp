@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "db/database.hpp"
 #include "db/segment.hpp"
 #include "legalize/local_problem.hpp"
@@ -41,6 +43,12 @@ struct RandomDesign {
 RandomDesign random_legal_design(Rng& rng, SiteCoord rows, SiteCoord sites,
                                  int num_cells, double multi_frac,
                                  SiteCoord max_h = 2);
+
+/// audit_segment_grid at kCheap with the rail checks off: the segment
+/// lists hold each placed cell exactly where it lies. On failure the
+/// assertion prints the audit report.
+::testing::AssertionResult segment_lists_consistent(const Database& db,
+                                                    const SegmentGrid& grid);
 
 /// Extracts a LocalProblem around the window. Convenience for pipeline
 /// stage tests.

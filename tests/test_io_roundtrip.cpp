@@ -15,6 +15,7 @@
 #include "db/segment.hpp"
 #include "io/benchmark_gen.hpp"
 #include "io/bookshelf.hpp"
+#include "io/lefdef.hpp"
 #include "qa/fuzz.hpp"
 #include "test_helpers.hpp"
 
@@ -221,6 +222,32 @@ TEST_F(IoRoundTripTest, ScenarioSidecarNamesReplayBattery) {
     const std::string side = slurp(sub("repro") + "/mll.scenario");
     EXPECT_NE(side.find("scenario"), std::string::npos);
     EXPECT_EQ(qa::replay_repro(aux), "") << aux;
+}
+
+TEST_F(IoRoundTripTest, UnwritableFileIsAnErrorNamingIt) {
+    // A directory squatting on a file's name makes that file unwritable.
+    const GenResult gen = mixed_benchmark(0);
+    for (const std::string ext : {".aux", ".nodes", ".nets", ".pl", ".scl"}) {
+        const fs::path file = dir_ / ("squat" + ext) / ("rt" + ext);
+        fs::create_directories(file);
+        try {
+            write_bookshelf(gen.db, file.parent_path().string(), "rt");
+            ADD_FAILURE() << ext << ": no error";
+        } catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string(e.what()), "cannot write " + file.string());
+        }
+    }
+    LefLibrary lef;
+    lef.site_w_um = 0.2;
+    lef.site_h_um = 1.6;
+    const std::string def = sub("rt.def");
+    fs::create_directories(def);
+    try {
+        write_def(gen.db, lef, def, "rt");
+        ADD_FAILURE() << "DEF: no error";
+    } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()), "cannot write " + def);
+    }
 }
 
 }  // namespace

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
+#include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <thread>
 
 #include "eval/legality.hpp"
 #include "io/lefdef.hpp"
@@ -18,11 +23,28 @@ namespace fs = std::filesystem;
 /// smoke test (tests/CMakeLists.txt) legalizes too.
 const std::string kLefPath = std::string(MRLG_FIXTURE_DIR) + "/top.lef";
 const std::string kDefPath = std::string(MRLG_FIXTURE_DIR) + "/top.def";
+/// top.def with every component over two lines.
+const std::string kSplitDefPath =
+    std::string(MRLG_FIXTURE_DIR) + "/top_split.def";
 
 std::string read_text(const std::string& path) {
     std::ifstream in(path);
     return {std::istreambuf_iterator<char>(in),
             std::istreambuf_iterator<char>()};
+}
+
+/// The line `msg` names when it starts with `<file>:<line>: `, else 0.
+std::size_t line_in(const std::string& msg, const std::string& file) {
+    if (!msg.starts_with(file + ":")) {
+        return 0;
+    }
+    const char* end = msg.data() + msg.size();
+    std::size_t line = 0;
+    const auto [p, ec] =
+        std::from_chars(msg.data() + file.size() + 1, end, line);
+    return ec == std::errc{} && std::string_view(p, end).starts_with(": ")
+               ? line
+               : 0;
 }
 
 class LefDefTest : public ::testing::Test {
@@ -44,22 +66,37 @@ protected:
     }
 
     /// Reads the fixture pair with `from` replaced by `to` in the file
-    /// `path`, and requires a ParseError whose message holds `what`.
+    /// `path`, and requires a ParseError that starts with `<file>:<line>: `
+    /// and holds `what`. With `on_mutated_line` the error must name the
+    /// mutated file and line.
     void expect_parse_error(const std::string& path, const std::string& from,
-                            const std::string& to, const std::string& what) {
+                            const std::string& to, const std::string& what,
+                            bool on_mutated_line = false) {
         std::string lef = read_text(kLefPath);
         std::string def = read_text(kDefPath);
         std::string& text = path == kLefPath ? lef : def;
         const std::size_t at = text.find(from);
         ASSERT_NE(at, std::string::npos) << from;
+        const auto mutated_line = static_cast<std::size_t>(
+            1 + std::count(text.begin(), text.begin() + at, '\n'));
         text.replace(at, from.size(), to);
+        const std::string lef_file = write("t.lef", lef);
+        const std::string def_file = write("t.def", def);
         try {
-            const LefLibrary lib = read_lef(write("t.lef", lef));
-            read_def(write("t.def", def), lib);
+            const LefLibrary lib = read_lef(lef_file);
+            read_def(def_file, lib);
             ADD_FAILURE() << to << ": no ParseError";
         } catch (const ParseError& e) {
-            EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
-                << to << ": " << e.what();
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(what), std::string::npos) << to << ": " << msg;
+            if (on_mutated_line) {
+                EXPECT_EQ(line_in(msg, path == kLefPath ? lef_file : def_file),
+                          mutated_line)
+                    << to << ": " << msg;
+            } else {
+                EXPECT_GT(line_in(msg, lef_file) + line_in(msg, def_file), 0u)
+                    << to << ": " << msg;
+            }
         }
     }
 
@@ -210,22 +247,22 @@ END DESIGN
 
 TEST_F(LefDefTest, TrailingJunkInPositionThrows) {
     expect_parse_error(kDefPath, "( 410 30 )", "( 410xyz 30 )",
-                       "expected a number, got '410xyz'");
+                       "expected a number, got '410xyz'", true);
 }
 
 TEST_F(LefDefTest, NanPositionThrows) {
     expect_parse_error(kDefPath, "( 410 30 )", "( nan 30 )",
-                       "expected a number, got 'nan'");
+                       "expected a number, got 'nan'", true);
 }
 
 TEST_F(LefDefTest, HugeRowCountThrows) {
     expect_parse_error(kDefPath, "core 0 0 N DO 40", "core 0 0 N DO 4e30",
-                       "DO count out of range");
+                       "DO count out of range", true);
 }
 
 TEST_F(LefDefTest, TrailingJunkInMacroSizeThrows) {
     expect_parse_error(kLefPath, "SIZE 0.6 BY", "SIZE 0.6abc BY",
-                       "expected a number, got '0.6abc'");
+                       "expected a number, got '0.6abc'", true);
 }
 
 TEST_F(LefDefTest, DuplicateComponentThrows) {
@@ -258,6 +295,59 @@ TEST_F(LefDefTest, OtherNodeAndRangeChecksThrow) {
                        "GROUPS references unknown region fence9");
     expect_parse_error(kDefPath, "- n2 ( u2 Z )", "- n1 ( u2 Z )",
                        "duplicate net name n1");
+    expect_parse_error(kLefPath, "MICRONS 1000", "MICRONS 0",
+                       "UNITS DATABASE MICRONS must be positive", true);
+}
+
+TEST_F(LefDefTest, WholeFileErrorsNameOnlyTheFile) {
+    const std::string lef = write("nosite.lef", "MACRO INV\nEND INV\n");
+    try {
+        read_lef(lef);
+        ADD_FAILURE() << "no ParseError";
+    } catch (const ParseError& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  lef + ": LEF defines no SITE with a SIZE");
+    }
+    const std::string def = write("norows.def", "DESIGN top ;\n");
+    try {
+        read_def(def, read_lef(kLefPath));
+        ADD_FAILURE() << "no ParseError";
+    } catch (const ParseError& e) {
+        EXPECT_EQ(std::string(e.what()), def + ": DEF has no ROW statements");
+    }
+}
+
+TEST_F(LefDefTest, ComponentsOverTwoLinesLoadTheSameCells) {
+    const LefLibrary lef = read_lef(kLefPath);
+    const DefReadResult a = read_def(kDefPath, lef);
+    const DefReadResult b = read_def(kSplitDefPath, lef);
+    ASSERT_EQ(a.db.num_cells(), b.db.num_cells());
+    for (std::size_t i = 0; i < a.db.num_cells(); ++i) {
+        const Cell& ca = a.db.cells()[i];
+        const Cell& cb = b.db.cells()[i];
+        EXPECT_EQ(ca.name(), cb.name());
+        EXPECT_EQ(ca.width(), cb.width()) << ca.name();
+        EXPECT_EQ(ca.height(), cb.height()) << ca.name();
+        EXPECT_EQ(ca.gp_x(), cb.gp_x()) << ca.name();
+        EXPECT_EQ(ca.gp_y(), cb.gp_y()) << ca.name();
+        EXPECT_EQ(ca.fixed(), cb.fixed()) << ca.name();
+        EXPECT_EQ(ca.placed(), cb.placed()) << ca.name();
+        EXPECT_EQ(ca.region(), cb.region()) << ca.name();
+    }
+    EXPECT_EQ(a.db.nets().size(), b.db.nets().size());
+    EXPECT_EQ(a.db.pins().size(), b.db.pins().size());
+}
+
+TEST_F(LefDefTest, ReadsAPipe) {
+    // A FIFO has no size to read ahead of time: the reader reads it to
+    // its end, as it does a shell's <(cat top.lef).
+    const std::string fifo = (dir_ / "top.lef").string();
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+    const std::jthread writer(
+        [&] { std::ofstream(fifo) << read_text(kLefPath); });
+    const LefLibrary lef = read_lef(fifo);
+    EXPECT_EQ(lef.macros.size(), 2u);
+    EXPECT_NEAR(lef.site_h_um, 1.6, 1e-9);
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ TEST(Mll, ShiftsNeighboursMinimally) {
     ASSERT_TRUE(r.success());
     EXPECT_EQ(r.y, 5);
     EXPECT_TRUE(check_legality(db, grid).legal);
-    EXPECT_TRUE(grid.audit(db).empty());
+    EXPECT_TRUE(segment_lists_consistent(db, grid));
     // All four cells now distinct and ordered on row 5.
     static_cast<void>(a);
     static_cast<void>(b);
@@ -188,7 +188,7 @@ TEST(Mll, Figure5Scenario) {
     lopts.check_rail_alignment = false;
     lopts.require_all_placed = false;
     EXPECT_TRUE(check_legality(db, grid, lopts).legal);
-    EXPECT_TRUE(grid.audit(db).empty());
+    EXPECT_TRUE(segment_lists_consistent(db, grid));
     // Some displacement is unavoidable, but it must be small.
     EXPECT_LE(r.real_cost_um / db.floorplan().site_w_um(), 12.0);
 }
@@ -224,7 +224,7 @@ TEST(Mll, ApproxAndExactBothLegalExactNoWorse) {
             LegalityOptions lopts;
             lopts.require_all_placed = false;
             EXPECT_TRUE(check_legality(dd.db, dd.grid, lopts).legal);
-            EXPECT_TRUE(dd.grid.audit(dd.db).empty());
+            EXPECT_TRUE(segment_lists_consistent(dd.db, dd.grid));
         }
         if (costs[0] >= 0) {
             EXPECT_LE(costs[1], costs[0] + 1e-6) << "trial " << trial;
@@ -252,7 +252,7 @@ TEST(Mll, ManySequentialInsertionsStayLegal) {
             lopts.require_all_placed = false;
             ASSERT_TRUE(check_legality(db, grid, lopts).legal)
                 << "after " << i;
-            ASSERT_TRUE(grid.audit(db).empty());
+            ASSERT_TRUE(segment_lists_consistent(db, grid));
         }
     }
     EXPECT_GT(placed, 140);  // density ~0.35, almost everything fits

@@ -6,31 +6,13 @@
 /// any --threads value. Exit code: 0 when all oracles agree, 1 on a
 /// divergence, 2 on usage errors.
 ///
-/// Usage:
-///   mrlg_fuzz [options]
-///   mrlg_fuzz --replay repro.aux
-///     --seed S          master seed                    (default 1)
-///     --iters N         iterations per scenario        (default 50,
-///                       or the MRLG_FUZZ_ITERS environment variable)
-///     --threads T       worker threads (MLL scans; the legalizer's
-///                       plan fan-out in the design scenario),
-///                       0 = env default (default 0)
-///     --scenario NAME   restrict to one scenario:
-///                       legality|local|mll|ripup|design (default: all)
-///     --out DIR         dump shrunk repros under DIR
-///     --no-shrink       keep failing cases at full size
-///     --no-ilp          skip the MIP cross-check
-///     --max-failures N  stop after N divergences       (default 8)
-///     --report FILE     write the JSON run report (docs/REPORT.md)
-///     --trace FILE      write a Chrome trace-event / Perfetto JSON
-///                       timeline of the campaign's parallel phases
-///     --replay FILE.aux replay a dumped repro instead of fuzzing
+/// Usage: kUsage below, which every usage error prints.
 
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
+#include "cli_args.hpp"
 #include "obs/run_report.hpp"
 #include "qa/fuzz.hpp"
 
@@ -38,37 +20,33 @@ using namespace mrlg;
 
 namespace {
 
-const char* find_arg(int argc, char** argv, const char* key) {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], key) == 0) {
-            return argv[i + 1];
-        }
-    }
-    return nullptr;
-}
-
-bool has_flag(int argc, char** argv, const char* key) {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], key) == 0) {
-            return true;
-        }
-    }
-    return false;
-}
-
-int usage() {
-    std::cerr << "usage: mrlg_fuzz [--seed S] [--iters N] [--threads T]\n"
-                 "       [--scenario legality|local|mll|ripup|design]\n"
-                 "       [--out DIR] [--no-shrink] [--no-ilp]\n"
-                 "       [--max-failures N] [--report FILE] [--trace FILE]\n"
-                 "       | --replay repro.aux\n";
-    return 2;
-}
+constexpr const char* kUsage =
+    "usage: mrlg_fuzz [options] | --replay repro.aux\n"
+    "  --seed S          master seed                    (default 1)\n"
+    "  --iters N         iterations per scenario        (default 50,\n"
+    "                    or the MRLG_FUZZ_ITERS environment variable)\n"
+    "  --threads T       worker threads (MLL scans; the legalizer's\n"
+    "                    plan fan-out in the design scenario),\n"
+    "                    0 = env default (default 0)\n"
+    "  --scenario NAME   restrict to one scenario:\n"
+    "                    legality|local|mll|ripup|design (default: all)\n"
+    "  --out DIR         dump shrunk repros under DIR\n"
+    "  --no-shrink       keep failing cases at full size\n"
+    "  --no-ilp          skip the MIP cross-check\n"
+    "  --max-failures N  stop after N divergences       (default 8)\n"
+    "  --report FILE     write the JSON run report (docs/REPORT.md)\n"
+    "  --trace FILE      write a Chrome trace-event / Perfetto JSON\n"
+    "                    timeline of the campaign's parallel phases\n"
+    "  --replay FILE.aux replay a dumped repro instead of fuzzing\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (const char* aux = find_arg(argc, argv, "--replay")) {
+    const cli::Args args(argc, argv, kUsage, {"--no-shrink", "--no-ilp"},
+                         {"--seed", "--iters", "--threads", "--scenario",
+                          "--out", "--max-failures", "--report", "--trace",
+                          "--replay"});
+    if (const char* aux = args.get("--replay")) {
         try {
             const std::string diff = qa::replay_repro(aux);
             if (diff.empty()) {
@@ -85,34 +63,26 @@ int main(int argc, char** argv) {
 
     qa::FuzzOptions opts;
     if (const char* env = std::getenv("MRLG_FUZZ_ITERS")) {
-        opts.iters = std::atoi(env);
+        opts.iters = args.count_of<int>(env, "MRLG_FUZZ_ITERS");
     }
-    if (const char* s = find_arg(argc, argv, "--seed")) {
-        opts.seed = static_cast<std::uint64_t>(std::atoll(s));
-    }
-    if (const char* s = find_arg(argc, argv, "--iters")) {
-        opts.iters = std::atoi(s);
-    }
-    if (const char* s = find_arg(argc, argv, "--threads")) {
-        opts.num_threads = std::atoi(s);
-    }
-    if (const char* s = find_arg(argc, argv, "--max-failures")) {
-        opts.max_failures = std::atoi(s);
-    }
-    if (const char* s = find_arg(argc, argv, "--out")) {
+    opts.seed = args.count<std::uint64_t>("--seed", opts.seed);
+    opts.iters = args.count<int>("--iters", opts.iters);
+    opts.num_threads = args.count<int>("--threads", opts.num_threads);
+    opts.max_failures = args.count<int>("--max-failures", opts.max_failures);
+    if (const char* s = args.get("--out")) {
         opts.repro_dir = s;
     }
-    if (const char* s = find_arg(argc, argv, "--scenario")) {
+    if (const char* s = args.get("--scenario")) {
         qa::FuzzScenario scen{};
         if (!qa::scenario_from_string(s, scen)) {
-            return usage();
+            args.fail(std::string("unknown scenario '") + s + "'");
         }
         opts.scenarios.push_back(scen);
     }
-    opts.shrink = !has_flag(argc, argv, "--no-shrink");
-    opts.exercise_ilp = !has_flag(argc, argv, "--no-ilp");
+    opts.shrink = !args.has("--no-shrink");
+    opts.exercise_ilp = !args.has("--no-ilp");
     if (opts.iters <= 0) {
-        return usage();
+        args.fail("--iters must be at least 1");
     }
 
     obs::Tracer tracer;
@@ -124,7 +94,7 @@ int main(int argc, char** argv) {
         report = qa::run_fuzz(opts);
     }
     std::cout << "mrlg_fuzz seed " << opts.seed << ": " << report.summary();
-    if (const char* path = find_arg(argc, argv, "--report")) {
+    if (const char* path = args.get("--report")) {
         obs::RunReportSpec spec;
         spec.tool = "mrlg_fuzz";
         spec.design = "fuzz-seed-" + std::to_string(opts.seed);
@@ -135,7 +105,7 @@ int main(int argc, char** argv) {
             return 2;
         }
     }
-    if (const char* path = find_arg(argc, argv, "--trace")) {
+    if (const char* path = args.get("--trace")) {
         if (!obs::write_chrome_trace(
                 path, timeline,
                 "mrlg_fuzz seed " + std::to_string(opts.seed))) {

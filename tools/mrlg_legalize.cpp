@@ -10,40 +10,13 @@
 /// go to stderr. Exit code: 0 on success (all cells placed, result legal),
 /// 1 on failure, 2 on usage, parse or write errors.
 ///
-/// Usage:
-///   mrlg_legalize <design.aux> [options]
-///   mrlg_legalize --lef tech.lef --def design.def [options]
-///   mrlg_legalize --gen [options]
-///     --gen             legalize a synthetic benchmark
-///     --singles N       generator: single-row cells   (default 2000)
-///     --doubles N       generator: double-row cells   (default 200)
-///     --density D       generator: target density     (default 0.6)
-///     --gen-seed S      generator: rng seed           (default 1)
-///     --seed S          legalizer rng seed            (default 1)
-///     --threads T       plan fan-out threads, 0 = MRLG_THREADS (default 0)
-///     --rx N / --ry N   MLL window radii              (default 30 / 5)
-///     --exact           exact insertion-point evaluation ("ILP" config)
-///     --relaxed         drop the power-rail parity constraint
-///     --dp              run the detailed placer afterwards
-///     --swap            then the global same-footprint swap pass
-///     --polish          then the single-row polish pass
-///     --report FILE     write the JSON run report to FILE
-///     --trace FILE      write a Chrome trace-event / Perfetto JSON
-///                       timeline of the parallel pipeline to FILE
-///     --deterministic   counted-tick tracer clock: the report becomes a
-///                       pure function of the execution path (golden mode)
-///     --out DIR         write the legalized design as Bookshelf into DIR,
-///                       and as <design>_legal.def there for LEF/DEF input
-///     --svg FILE        render the result as SVG (gp displacement arrows
-///                       below 5 000 cells)
-///     --quiet           suppress the stdout summary
+/// Usage: kUsage below, which every usage error prints.
 
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
 
+#include "cli_args.hpp"
 #include "db/segment.hpp"
 #include "dp/detailed_placer.hpp"
 #include "dp/row_polish.hpp"
@@ -60,78 +33,72 @@ using namespace mrlg;
 
 namespace {
 
-const char* find_arg(int argc, char** argv, const char* key) {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], key) == 0) {
-            return argv[i + 1];
-        }
-    }
-    return nullptr;
-}
-
-bool has_flag(int argc, char** argv, const char* key) {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], key) == 0) {
-            return true;
-        }
-    }
-    return false;
-}
-
-int usage() {
-    std::cerr
-        << "usage: mrlg_legalize <design.aux> | --lef L --def D | --gen\n"
-           "       [--singles N] [--doubles N] [--density D] [--gen-seed S]\n"
-           "       [--seed S] [--threads T] [--rx N] [--ry N] [--exact]\n"
-           "       [--relaxed] [--dp] [--swap] [--polish] [--report FILE]\n"
-           "       [--trace FILE] [--deterministic] [--out DIR] [--svg FILE]\n"
-           "       [--quiet]\n";
-    return 2;
-}
+constexpr const char* kUsage =
+    "usage: mrlg_legalize <design.aux> | --lef L --def D | --gen [options]\n"
+    "  --gen             legalize a synthetic benchmark\n"
+    "  --singles N       generator: single-row cells   (default 2000)\n"
+    "  --doubles N       generator: double-row cells   (default 200)\n"
+    "  --density D       generator: target density     (default 0.6)\n"
+    "  --gen-seed S      generator: rng seed           (default 1)\n"
+    "  --seed S          legalizer rng seed            (default 1)\n"
+    "  --threads T       plan fan-out threads, 0 = MRLG_THREADS (default 0)\n"
+    "  --rx N / --ry N   MLL window radii              (default 30 / 5)\n"
+    "  --exact           exact insertion-point evaluation (\"ILP\" config)\n"
+    "  --relaxed         drop the power-rail parity constraint\n"
+    "  --dp              run the detailed placer afterwards\n"
+    "  --swap            then the global same-footprint swap pass\n"
+    "  --polish          then the single-row polish pass\n"
+    "  --report FILE     write the JSON run report to FILE\n"
+    "  --trace FILE      write a Chrome trace-event / Perfetto JSON\n"
+    "                    timeline of the parallel pipeline to FILE\n"
+    "  --deterministic   counted-tick tracer clock: the report becomes a\n"
+    "                    pure function of the execution path (golden mode)\n"
+    "  --out DIR         write the legalized design as Bookshelf into DIR,\n"
+    "                    and as <design>_legal.def there for LEF/DEF input\n"
+    "  --svg FILE        render the result as SVG (gp displacement arrows\n"
+    "                    below 5 000 cells)\n"
+    "  --quiet           suppress the stdout summary\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
+    const cli::Args args(
+        argc, argv, kUsage,
+        {"--gen", "--exact", "--relaxed", "--dp", "--swap", "--polish",
+         "--deterministic", "--quiet"},
+        {"--lef", "--def", "--singles", "--doubles", "--density",
+         "--gen-seed", "--seed", "--threads", "--rx", "--ry", "--report",
+         "--trace", "--out", "--svg"},
+        /*positional=*/true);
     Database db;
     std::string design = "design";
     std::optional<LefLibrary> lef;  // LEF/DEF input: kept for DEF output
 
     try {
-        if (has_flag(argc, argv, "--gen")) {
+        if (args.has("--gen")) {
             GenProfile p;
             p.name = "legalize-gen";
-            p.num_single = 2000;
-            p.num_double = 200;
-            p.density = 0.6;
-            if (const char* s = find_arg(argc, argv, "--singles")) {
-                p.num_single = static_cast<std::size_t>(std::atol(s));
-            }
-            if (const char* s = find_arg(argc, argv, "--doubles")) {
-                p.num_double = static_cast<std::size_t>(std::atol(s));
-            }
-            if (const char* s = find_arg(argc, argv, "--density")) {
-                p.density = std::atof(s);
-            }
-            if (const char* s = find_arg(argc, argv, "--gen-seed")) {
-                p.seed = static_cast<std::uint64_t>(std::atoll(s));
-            }
+            p.num_single = args.count<std::size_t>("--singles", 2000);
+            p.num_double = args.count<std::size_t>("--doubles", 200);
+            p.density = args.number("--density", 0.6);
+            p.seed = args.count<std::uint64_t>("--gen-seed", p.seed);
             GenResult gen = generate_benchmark(p);
             db = std::move(gen.db);
             design = p.name;
-        } else if (find_arg(argc, argv, "--lef") != nullptr &&
-                   find_arg(argc, argv, "--def") != nullptr) {
-            lef = read_lef(find_arg(argc, argv, "--lef"));
-            DefReadResult r = read_def(find_arg(argc, argv, "--def"), *lef);
+        } else if (args.has("--lef") && args.has("--def")) {
+            lef = read_lef(args.get("--lef"));
+            DefReadResult r = read_def(args.get("--def"), *lef);
             db = std::move(r.db);
             design = r.design_name;
             db.freeze_fixed_cells();
-        } else if (argc >= 2 && argv[1][0] != '-') {
-            BookshelfReadResult r = read_bookshelf(argv[1]);
+        } else if (args.positional() != nullptr) {
+            BookshelfReadResult r = read_bookshelf(args.positional());
             db = std::move(r.db);
             design = r.design_name;
             db.freeze_fixed_cells();
         } else {
-            return usage();
+            std::cerr << kUsage;
+            return 2;
         }
     } catch (const ParseError& e) {
         std::cerr << "parse error: " << e.what() << "\n";
@@ -139,38 +106,35 @@ int main(int argc, char** argv) {
     }
 
     LegalizerOptions opts;
-    if (const char* s = find_arg(argc, argv, "--seed")) {
-        opts.seed = static_cast<std::uint64_t>(std::atoll(s));
-    }
-    if (const char* s = find_arg(argc, argv, "--threads")) {
-        opts.num_threads = std::atoi(s);
-    }
-    if (const char* s = find_arg(argc, argv, "--rx")) {
-        opts.mll.rx = static_cast<SiteCoord>(std::atol(s));
-    }
-    if (const char* s = find_arg(argc, argv, "--ry")) {
-        opts.mll.ry = static_cast<SiteCoord>(std::atol(s));
-    }
-    opts.mll.exact_evaluation = has_flag(argc, argv, "--exact");
-    opts.mll.check_rail = !has_flag(argc, argv, "--relaxed");
-    const bool quiet = has_flag(argc, argv, "--quiet");
+    opts.seed = args.count<std::uint64_t>("--seed", opts.seed);
+    opts.num_threads = args.count<int>("--threads", opts.num_threads);
+    opts.mll.rx = args.count<SiteCoord>("--rx", opts.mll.rx);
+    opts.mll.ry = args.count<SiteCoord>("--ry", opts.mll.ry);
+    opts.mll.exact_evaluation = args.has("--exact");
+    opts.mll.check_rail = !args.has("--relaxed");
+    const bool quiet = args.has("--quiet");
 
     // One tracer for the whole run; --deterministic swaps in counted
     // ticks so the report is reproducible byte for byte.
     obs::TickClock tick_clock;
     obs::WallClock wall_clock;
-    const bool deterministic = has_flag(argc, argv, "--deterministic");
+    const bool deterministic = args.has("--deterministic");
     obs::Tracer tracer(deterministic
                            ? static_cast<obs::Clock*>(&tick_clock)
                            : static_cast<obs::Clock*>(&wall_clock));
     obs::ScopedTracer install(tracer);
 
     // Wall-clock execution timeline for --trace and the (wall-only)
-    // report `timeline` block. Harmless under --deterministic: the report
-    // excludes it there, and goldens stay byte-identical.
-    const char* trace_path = find_arg(argc, argv, "--trace");
-    obs::Timeline timeline;
-    obs::ScopedTimeline install_timeline(timeline);
+    // report `timeline` block, recorded only when one of them is asked
+    // for. Harmless under --deterministic: the report excludes it there,
+    // and goldens stay byte-identical.
+    const char* report_path = args.get("--report");
+    const char* trace_path = args.get("--trace");
+    std::optional<obs::Timeline> timeline;
+    std::optional<obs::ScopedTimeline> install_timeline;
+    if (report_path != nullptr || trace_path != nullptr) {
+        install_timeline.emplace(timeline.emplace());
+    }
 
     SegmentGrid grid = SegmentGrid::build(db);
     LegalizerStats stats;
@@ -190,7 +154,7 @@ int main(int argc, char** argv) {
             }
             std::cout << "\n";
         }
-        if (has_flag(argc, argv, "--dp")) {
+        if (args.has("--dp")) {
             DetailedPlacementOptions dopts;
             dopts.mll = opts.mll;
             const DetailedPlacementStats d = detailed_place(db, grid, dopts);
@@ -201,7 +165,7 @@ int main(int argc, char** argv) {
                           << " s\n";
             }
         }
-        if (has_flag(argc, argv, "--swap")) {
+        if (args.has("--swap")) {
             const SwapStats ss = swap_pass(db, grid);
             if (!quiet) {
                 std::cout << "  global swap: " << ss.swaps_accepted << "/"
@@ -210,7 +174,7 @@ int main(int argc, char** argv) {
                           << ss.hpwl_after_um * 1e-6 << " m\n";
             }
         }
-        if (has_flag(argc, argv, "--polish")) {
+        if (args.has("--polish")) {
             const RowPolishStats rp = row_polish(db, grid);
             if (!quiet) {
                 std::cout << "  row polish: " << rp.segments_accepted
@@ -227,31 +191,30 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    obs::RunReportSpec spec;
-    spec.tool = "mrlg_legalize";
-    spec.design = design;
-    spec.db = &db;
-    spec.grid = &grid;
-    spec.check_rail = opts.mll.check_rail;
-    spec.num_threads = opts.num_threads;
-    spec.options = &opts;
-    spec.stats = &stats;
-    spec.tracer = &tracer;
-    spec.timeline = &timeline;
-    const obs::Json report = obs::make_run_report(spec);
-    if (const char* path = find_arg(argc, argv, "--report")) {
-        if (!obs::write_json_file(path, report)) {
+    if (report_path != nullptr) {
+        obs::RunReportSpec spec;
+        spec.tool = "mrlg_legalize";
+        spec.design = design;
+        spec.db = &db;
+        spec.grid = &grid;
+        spec.check_rail = opts.mll.check_rail;
+        spec.num_threads = opts.num_threads;
+        spec.options = &opts;
+        spec.stats = &stats;
+        spec.tracer = &tracer;
+        spec.timeline = &*timeline;
+        if (!obs::write_run_report(report_path, spec)) {
             return 2;
         }
     }
     if (trace_path != nullptr) {
-        if (!obs::write_chrome_trace(trace_path, timeline,
+        if (!obs::write_chrome_trace(trace_path, *timeline,
                                      "mrlg_legalize " + design)) {
             return 2;
         }
     }
 
-    if (const char* dir = find_arg(argc, argv, "--out")) {
+    if (const char* dir = args.get("--out")) {
         try {
             write_bookshelf(db, dir, design + "_legal");
             if (lef) {
@@ -264,7 +227,7 @@ int main(int argc, char** argv) {
             return 2;
         }
     }
-    if (const char* path = find_arg(argc, argv, "--svg")) {
+    if (const char* path = args.get("--svg")) {
         SvgOptions sopts;
         sopts.draw_gp_arrows = db.num_cells() < 5000;
         if (!write_svg(db, path, sopts)) {
