@@ -1,8 +1,9 @@
 #pragma once
-/// Shared harness utilities for the experiment benches: flag parsing,
-/// design preparation, one-shot legalization runs with metric collection,
-/// and a minimal JSON emitter for machine-readable benchmark trajectories
-/// (`--json <path>`).
+/// Shared harness of the benches: design reset, checked legalization runs
+/// with metric collection, and the JSON emitter. bench_paper and
+/// bench_parallel parse their flags with tools/cli_args.hpp; `Args` is
+/// left for bench_suite (bench_suite/bench_suite.cpp), which compiles this
+/// file with only src/ and bench/ on its include path.
 
 #include <cstdint>
 #include <memory>
@@ -35,9 +36,7 @@ private:
 
 /// Metrics of one legalization run (one cell of a Table 1 row).
 struct RunMetrics {
-    bool success = false;
     double disp_avg_sites = 0.0;
-    double disp_max_sites = 0.0;
     double dhpwl_pct = 0.0;
     double runtime_s = 0.0;
     double gp_hpwl_m = 0.0;
@@ -58,9 +57,17 @@ using ::mrlg::obs::write_json_file;
 /// Unplaces every movable cell so the same design can be legalized again.
 void reset_placement(Database& db, SegmentGrid& grid);
 
-/// Legalizes `db` (already generated, cells unplaced) and gathers metrics.
-/// Asserts legality of the result (with the run's rail setting).
+/// Unplaces every movable cell, legalizes `db` and gathers metrics. A run
+/// that leaves a cell unplaced or breaks a §2 constraint exits 1 (see
+/// require_legal).
 RunMetrics run_legalization(Database& db, SegmentGrid& grid,
-                            const LegalizerOptions& opts);
+                            const LegalizerOptions& opts,
+                            const std::string& where);
+
+/// Unless every movable cell is placed and the §2 constraints hold (rail
+/// parity only with `check_rail`), prints a FATAL line naming `where` and
+/// the rail mode, and exits 1.
+void require_legal(const Database& db, const SegmentGrid& grid,
+                   bool check_rail, const std::string& where);
 
 }  // namespace mrlg::bench

@@ -23,8 +23,10 @@
 ///   --json PATH    output file (default BENCH_parallel.json)
 ///   --trace PATH   write the last run's Chrome trace-event / Perfetto
 ///                  JSON to PATH
-/// Exit code: 0 when every check passes, 1 when one fails, 2 on usage
-/// errors.
+/// Exit code: 0 when every check passes, 1 when one fails (a run that
+/// leaves a cell unplaced or breaks a §2 constraint fails too), 2 on
+/// usage errors: an unknown flag, design or mode, a number that does not
+/// parse whole, or a thread count below 1.
 
 #include <algorithm>
 #include <cstdlib>
@@ -34,6 +36,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "cli_args.hpp"
 #include "io/profiles.hpp"
 #include "obs/run_report.hpp"
 #include "obs/timeline.hpp"
@@ -53,13 +56,10 @@ namespace {
 /// 26 400 cells. A run that still overflows fails its completeness check.
 constexpr std::size_t kEventsPerCell = 4;
 
-int usage() {
-    std::cerr << "usage: bench_parallel [--design CSV] "
-                 "[--mode approx|exact|both]\n"
-                 "       [--threads CSV] [--scale F] [--seed N]\n"
-                 "       [--json PATH] [--trace PATH]\n";
-    return 2;
-}
+constexpr const char* kUsage =
+    "usage: bench_parallel [--design CSV] [--mode approx|exact|both]\n"
+    "       [--threads CSV] [--scale F] [--seed N]\n"
+    "       [--json PATH] [--trace PATH]\n";
 
 /// The non-empty fields of a comma-separated flag value.
 std::vector<std::string> split_csv(const std::string& csv) {
@@ -150,29 +150,38 @@ Json limiters_json(const std::vector<Limiter>& ranked) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    Args args(argc, argv);
+    const cli::Args args(argc, argv, kUsage, {},
+                         {"--design", "--mode", "--threads", "--scale",
+                          "--seed", "--json", "--trace"});
     set_log_level(LogLevel::kWarn);
-    const std::string json_path =
-        args.get_string("--json", "BENCH_parallel.json");
-    const std::string trace_path = args.get_string("--trace", "");
-    const double scale = args.get_double("--scale", 1.0);
-    const int seed_offset = args.get_int("--seed", 0);
+    const std::string json_path = args.get("--json", "BENCH_parallel.json");
+    const char* trace_path = args.get("--trace");
+    const double scale = args.number("--scale", 1.0);
+    if (scale <= 0.0) {
+        args.fail("--scale needs a number > 0");
+    }
+    const int seed_offset = args.count<int>("--seed", 0);
 
-    std::vector<std::string> designs =
-        split_csv(args.get_string("--design", ""));
+    std::vector<std::string> designs = split_csv(args.get("--design", ""));
     if (designs.empty()) {
         designs = parallel_profile_names();
     }
+    std::vector<GenProfile> profiles(designs.size());
+    for (std::size_t i = 0; i < designs.size(); ++i) {
+        if (!parallel_profile(designs[i], scale, seed_offset, profiles[i])) {
+            args.fail("unknown parallel design profile '" + designs[i] +
+                      "'");
+        }
+    }
     std::vector<int> threads;
-    for (const std::string& tok :
-         split_csv(args.get_string("--threads", "1,2,4,8"))) {
-        const int t = std::atoi(tok.c_str());
-        if (t <= 0) {
-            return usage();
+    for (const std::string& tok : split_csv(args.get("--threads", "1,2,4,8"))) {
+        const int t = args.count_of<int>(tok, "--threads");
+        if (t < 1) {
+            args.fail("--threads needs thread counts >= 1");
         }
         threads.push_back(t);
     }
-    const std::string mode = args.get_string("--mode", "both");
+    const std::string mode = args.get("--mode", "both");
     std::vector<bool> modes;  // true = exact evaluation
     if (mode == "approx" || mode == "both") {
         modes.push_back(false);
@@ -180,8 +189,11 @@ int main(int argc, char** argv) {
     if (mode == "exact" || mode == "both") {
         modes.push_back(true);
     }
-    if (threads.empty() || modes.empty()) {
-        return usage();
+    if (threads.empty()) {
+        args.fail("--threads needs at least one thread count");
+    }
+    if (modes.empty()) {
+        args.fail("unknown --mode '" + mode + "'");
     }
 
     // The last run's timeline outlives the sweep for --trace.
@@ -190,13 +202,8 @@ int main(int argc, char** argv) {
     Json runs = Json::array();
     Json bottlenecks = Json::array();
 
-    for (const std::string& design_name : designs) {
-        GenProfile profile;
-        if (!parallel_profile(design_name, scale, seed_offset, profile)) {
-            std::cerr << "unknown parallel design profile: " << design_name
-                      << "\n";
-            return usage();
-        }
+    for (const GenProfile& profile : profiles) {
+        const std::string& design_name = profile.name;
         GenResult gen = generate_benchmark(profile);
         Database& db = gen.db;
         SegmentGrid grid = SegmentGrid::build(db);
@@ -209,7 +216,6 @@ int main(int argc, char** argv) {
             double baseline_time = 0.0;
             obs::ScheduleReport max_t_sched;
             for (const int t : threads) {
-                reset_placement(db, grid);
                 LegalizerOptions opts;
                 opts.seed = profile.seed;
                 opts.num_threads = t;
@@ -217,10 +223,12 @@ int main(int argc, char** argv) {
                 timeline = std::make_unique<obs::Timeline>(
                     obs::Timeline::default_max_lanes(),
                     kEventsPerCell * num_cells);
+                const std::string where = design_name + " [" + mode_name +
+                                          "] t=" + std::to_string(t);
                 RunMetrics m;
                 {
                     obs::ScopedTimeline install(*timeline);
-                    m = run_legalization(db, grid, opts);
+                    m = run_legalization(db, grid, opts, where);
                 }
                 const auto pos = snapshot(db);
                 if (reference_pos.empty()) {
@@ -292,7 +300,6 @@ int main(int argc, char** argv) {
                         Json::num(static_cast<std::int64_t>(std::min(
                             t, ThreadPool::config().pool_workers + 1))));
                 run.set("legalize_s", Json::num(m.runtime_s));
-                run.set("success", Json::boolean(m.success));
                 run.set("direct", Json::num(m.direct));
                 run.set("mll_successes", Json::num(m.mll));
                 run.set("mll_failures", Json::num(m.mll_failures));
@@ -359,7 +366,7 @@ int main(int argc, char** argv) {
         return 1;
     }
     std::cerr << "wrote " << json_path << "\n";
-    if (!trace_path.empty()) {
+    if (trace_path != nullptr) {
         if (!obs::write_chrome_trace(trace_path, *timeline,
                                      "bench_parallel " + designs.back())) {
             return 1;

@@ -43,24 +43,24 @@ GenResult generate_benchmark(const GenProfile& p) {
     std::int64_t cell_area = 0;
     for (std::size_t i = 0; i < p.num_single; ++i) {
         const SiteCoord w = sample_width(rng, p.single_w_min, p.single_w_max);
-        protos.emplace_back("s" + std::to_string(i), w, 1);
+        protos.emplace_back('s' + std::to_string(i), w, 1);
         cell_area += w;
     }
     for (std::size_t i = 0; i < p.num_double; ++i) {
         const SiteCoord w = sample_width(rng, p.double_w_min, p.double_w_max);
         // All double-height cells share one rail phase, as a real library
         // would (paper §2: even-height cells restricted to alternate rows).
-        protos.emplace_back("d" + std::to_string(i), w, 2, RailPhase::kEven);
+        protos.emplace_back('d' + std::to_string(i), w, 2, RailPhase::kEven);
         cell_area += 2 * w;
     }
     for (std::size_t i = 0; i < p.num_triple; ++i) {
         const SiteCoord w = sample_width(rng, p.double_w_min, p.double_w_max);
-        protos.emplace_back("t" + std::to_string(i), w, 3, RailPhase::kEven);
+        protos.emplace_back('t' + std::to_string(i), w, 3, RailPhase::kEven);
         cell_area += 3 * w;
     }
     for (std::size_t i = 0; i < p.num_quad; ++i) {
         const SiteCoord w = sample_width(rng, p.double_w_min, p.double_w_max);
-        protos.emplace_back("q" + std::to_string(i), w, 4, RailPhase::kEven);
+        protos.emplace_back('q' + std::to_string(i), w, 4, RailPhase::kEven);
         cell_area += 4 * w;
     }
 

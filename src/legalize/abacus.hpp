@@ -8,7 +8,7 @@
 /// shift in one row creates overlap in another — paper §1). This
 /// implementation therefore *requires a single-row-height design*; calling
 /// it on a design with multi-row cells reports failure, reproducing the
-/// motivating claim. Used by bench_baselines.
+/// motivating claim. Used by bench_paper's `baselines` experiment.
 
 #include "db/database.hpp"
 #include "db/segment.hpp"

@@ -4,7 +4,8 @@
 /// are processed once in a chosen order and snapped to the nearest free
 /// legal position; *placed cells never move*. The paper's introduction
 /// argues this class of legalizers suffers high displacement at high
-/// design density — bench_baselines quantifies that claim against MLL.
+/// design density — bench_paper's `baselines` experiment quantifies that
+/// claim against MLL.
 
 #include <cstdint>
 #include <optional>

@@ -43,9 +43,9 @@ std::optional<BaseRowSolution> solve_for_base_row(
         // continuous lets the MIP beat the site-aligned optimum whenever
         // the preferred position is fractional.
         xv[static_cast<std::size_t>(i)] =
-            m.add_var(lo, hi, 0.0, true, "x" + std::to_string(i));
+            m.add_var(lo, hi, 0.0, true, 'x' + std::to_string(i));
         dv[static_cast<std::size_t>(i)] =
-            m.add_var(0.0, 1e9, 1.0, false, "d" + std::to_string(i));
+            m.add_var(0.0, 1e9, 1.0, false, 'd' + std::to_string(i));
         big_m = std::max(big_m, static_cast<double>(hi - lo) +
                                     static_cast<double>(c.w));
     }

@@ -40,8 +40,8 @@ struct MllOptions {
     /// Solve each local problem with the actual MIP formulation (our
     /// simplex + branch & bound, the lpsolve stand-in) instead of
     /// enumeration. Equally optimal, orders of magnitude slower — used to
-    /// reproduce the paper's 185x ILP runtime ratio (bench_table1
-    /// --true-ilp). Takes precedence over exact_evaluation.
+    /// reproduce the paper's 185x ILP runtime ratio (bench_paper's
+    /// `table1_mip` experiment). Takes precedence over exact_evaluation.
     bool use_mip = false;
     std::size_t max_points = 1u << 20;
     /// Invariant-audit level for this attempt. At kFull every extraction

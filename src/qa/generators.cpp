@@ -108,7 +108,7 @@ Database gen_overlapping_case(Rng& rng) {
     const auto add_at = [&](SiteCoord x, SiteCoord y, SiteCoord w,
                             SiteCoord h) {
         assert_grid_write_cap();
-        const CellId id = db.add_cell(Cell("q" + std::to_string(counter++),
+        const CellId id = db.add_cell(Cell('q' + std::to_string(counter++),
                                            w, h, random_phase(rng)));
         Cell& cell = db.cell(id);
         if (with_fence && rng.chance(0.3)) {
@@ -180,7 +180,7 @@ Database gen_packed_case(Rng& rng, int num_targets) {
         }
         const SiteCoord w = static_cast<SiteCoord>(rng.uniform(1, 6));
         const CellId id = db.add_cell(
-            Cell("p" + std::to_string(counter++), w, h, phase));
+            Cell('p' + std::to_string(counter++), w, h, phase));
         db.cell(id).set_gp(
             rng.uniform01() * static_cast<double>(sites - w),
             rng.uniform01() * static_cast<double>(rows - h));
@@ -207,7 +207,7 @@ Database gen_packed_case(Rng& rng, int num_targets) {
         const SiteCoord h =
             rng.chance(0.4) ? static_cast<SiteCoord>(rng.uniform(2, 3)) : 1;
         const SiteCoord w = static_cast<SiteCoord>(rng.uniform(1, 6));
-        const CellId id = db.add_cell(Cell("t" + std::to_string(i), w, h,
+        const CellId id = db.add_cell(Cell('t' + std::to_string(i), w, h,
                                            random_phase(rng)));
         db.cell(id).set_gp(fractional_pref(rng, 0, sites - w),
                            fractional_pref(rng, 0, rows - h));
@@ -228,7 +228,7 @@ Database gen_saturated_case(Rng& rng, int num_targets) {
     while (used < capacity) {
         const SiteCoord w = static_cast<SiteCoord>(rng.uniform(1, 4));
         const CellId id = db.add_cell(
-            Cell("s" + std::to_string(counter++), w, 1, random_phase(rng)));
+            Cell('s' + std::to_string(counter++), w, 1, random_phase(rng)));
         db.cell(id).set_gp(
             rng.uniform01() * static_cast<double>(sites - w),
             rng.uniform01() * static_cast<double>(rows - 1));
@@ -253,7 +253,7 @@ Database gen_saturated_case(Rng& rng, int num_targets) {
     for (int i = 0; i < num_targets; ++i) {
         const SiteCoord h = static_cast<SiteCoord>(rng.uniform(2, 3));
         const SiteCoord w = static_cast<SiteCoord>(rng.uniform(1, 4));
-        const CellId id = db.add_cell(Cell("t" + std::to_string(i), w, h,
+        const CellId id = db.add_cell(Cell('t' + std::to_string(i), w, h,
                                            random_phase(rng)));
         db.cell(id).set_gp(fractional_pref(rng, 0, sites - w),
                            fractional_pref(rng, 0, rows - h));

@@ -79,7 +79,7 @@ std::string cell_name(const Database& db, CellId id) {
 
 std::string pair_names(const Database& db,
                        const std::pair<CellId, CellId>& p) {
-    return "(" + cell_name(db, p.first) + "," + cell_name(db, p.second) +
+    return '(' + cell_name(db, p.first) + "," + cell_name(db, p.second) +
            ")";
 }
 

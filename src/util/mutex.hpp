@@ -61,7 +61,8 @@ public:
     CondVar& operator=(const CondVar&) = delete;
 
     template <typename Pred>
-    void wait(Mutex& mu, MutexLock& lock, Pred pred) MRLG_REQUIRES(mu) {
+    void wait([[maybe_unused]] Mutex& mu, MutexLock& lock, Pred pred)
+        MRLG_REQUIRES(mu) {
         cv_.wait(lock.lk_, std::move(pred));
     }
 

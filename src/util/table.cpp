@@ -68,17 +68,4 @@ void Table::print(std::ostream& os) const {
     }
 }
 
-void Table::print_csv(std::ostream& os) const {
-    auto emit = [&](const std::vector<std::string>& row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            os << row[c] << (c + 1 == row.size() ? "" : ",");
-        }
-        os << '\n';
-    };
-    emit(header_);
-    for (const auto& row : rows_) {
-        emit(row);
-    }
-}
-
 }  // namespace mrlg

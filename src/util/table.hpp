@@ -22,9 +22,6 @@ public:
     /// Render to `os` with a separator line under the header.
     void print(std::ostream& os) const;
 
-    /// Render as comma-separated values (for piping into plotting tools).
-    void print_csv(std::ostream& os) const;
-
 private:
     std::vector<std::string> header_;
     std::vector<std::vector<std::string>> rows_;

@@ -15,7 +15,8 @@
 namespace mrlg::test {
 namespace {
 
-/// End-to-end: generate → legalize → verify, the bench_table1 inner loop.
+/// End-to-end: generate → legalize → verify, the inner loop of bench_paper's
+/// `table1` experiment.
 TEST(Integration, GenerateLegalizeVerify) {
     GenProfile p;
     p.name = "int1";

@@ -216,13 +216,5 @@ TEST(Table, RowArityMismatchAsserts) {
     EXPECT_THROW(t.add_row({"only_one"}), AssertionError);
 }
 
-TEST(Table, Csv) {
-    Table t({"a", "b"});
-    t.add_row({"1", "2"});
-    std::ostringstream os;
-    t.print_csv(os);
-    EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
 }  // namespace
 }  // namespace mrlg::test

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # mrlg CI pipeline: one entry point for every check this repo ships.
 #
-#   1. Release build + full ctest suite (it includes the bench_parallel
-#      thread-sweep smoke and the trace-schema check on its output, the
-#      mrlg_legalize runs: an end-to-end MRLG_VALIDATE=full legalization
-#      that must pass every in-run audit, the LEF/DEF flag smoke and the
-#      parse-error exits, and the mrlg_fuzz smoke at two fixed seeds)
+#   1. Release build with warnings as errors (MRLG_WERROR) + full ctest
+#      suite (it includes the bench_parallel thread-sweep smoke and the
+#      trace-schema check on its output, every bench_paper experiment
+#      scaled down, the five examples, the mrlg_legalize runs: an
+#      end-to-end MRLG_VALIDATE=full legalization that must pass every
+#      in-run audit, the LEF/DEF flag smoke and the parse-error exits,
+#      and the mrlg_fuzz smoke at two fixed seeds)
 #   2. Static checks (tools/mrlg_lint.py all): the phase-effect analyzer
 #      proving the mll_plan closure read-only, plus the determinism lint
 #      — one stage, one baseline, one exit code
@@ -77,7 +79,8 @@ skip_stage() {
 
 # ---------------------------------------------------------------- stage 1
 build_and_test() {
-    cmake -B build -S . -DCMAKE_BUILD_TYPE=Release >/dev/null &&
+    cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DMRLG_WERROR=ON \
+        >/dev/null &&
         cmake --build build -j "$JOBS" &&
         ctest --test-dir build --output-on-failure -j "$JOBS"
 }

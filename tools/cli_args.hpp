@@ -1,9 +1,9 @@
 #pragma once
 /// \file cli_args.hpp
-/// The strict command-line parser of mrlg_legalize and mrlg_fuzz: every
-/// argument must be a known switch, or a known flag and its value, and a
-/// number must parse whole. Anything else prints what is wrong and the
-/// tool's usage, and exits 2.
+/// The strict command-line parser of mrlg_legalize, mrlg_fuzz, bench_paper
+/// and bench_parallel: every argument must be a known switch, or a known
+/// flag and its value, and a number must parse whole. Anything else prints
+/// what is wrong and the tool's usage, and exits 2.
 
 #include <algorithm>
 #include <charconv>
@@ -54,10 +54,11 @@ public:
 
     const char* positional() const { return positional_; }
     bool has(std::string_view flag) const { return values_.contains(flag); }
-    /// The value given to `flag`; nullptr when it is absent.
-    const char* get(std::string_view flag) const {
+    /// The value given to `flag`; `fallback` when it is absent.
+    const char* get(std::string_view flag,
+                    const char* fallback = nullptr) const {
         const auto it = values_.find(flag);
-        return it == values_.end() ? nullptr : it->second;
+        return it == values_.end() ? fallback : it->second;
     }
 
     /// The value of `flag` as a finite number, `fallback` when absent.
