@@ -98,8 +98,7 @@ int main() {
         const double after = hpwl_um(db, PositionSource::kLegalized);
         if (after < before) {
             ++improved;
-        } else if (grid.region_free(db,
-                                    Rect{old_x, old_y, cell.width(),
+        } else if (grid.region_free(Rect{old_x, old_y, cell.width(),
                                          cell.height()},
                                     c)) {
             // Not an improvement and the old slot is still free: undo.

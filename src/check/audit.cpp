@@ -250,11 +250,13 @@ AuditReport audit_segment_grid(const Database& db, const SegmentGrid& grid,
     }
 
     // Per-segment cell lists (§2.1.2): placed movable cells, x-sorted,
-    // overlap-free, inside the span, crossing the row, matching the region.
+    // overlap-free, inside the span, crossing the row, matching the region,
+    // each slot holding its cell's geometry.
     std::vector<int> appearances(db.num_cells(), 0);
     for (const Segment& s : grid.segments()) {
         SiteCoord prev_end = s.span.lo;
-        for (const CellId cid : s.cells) {
+        for (const SegmentSlot& slot : s.cells) {
+            const CellId cid = slot.id;
             if (!cid.valid() || cid.index() >= db.num_cells()) {
                 std::ostringstream os;
                 os << "invalid cell id #" << cid << " in " << seg_str(s);
@@ -272,6 +274,13 @@ AuditReport audit_segment_grid(const Database& db, const SegmentGrid& grid,
                 continue;
             }
             appearances[cid.index()] += 1;
+            if (slot.rect() != c.rect()) {
+                std::ostringstream os;
+                os << "slot of " << who(db, cid) << " in " << seg_str(s)
+                   << " holds " << slot.rect() << ", the cell is at "
+                   << c.rect();
+                r.add("list-geom", os.str());
+            }
             if (c.y() > s.y || c.y() + c.height() <= s.y) {
                 r.add("list-row",
                       who(db, cid) + " does not cross " + seg_str(s));

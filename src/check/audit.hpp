@@ -75,7 +75,8 @@ AuditReport audit_database(const Database& db);
 ///  * per row: segments x-sorted, pairwise disjoint, inside the row span;
 ///  * per segment list: cells placed, movable, x-sorted and overlap-free,
 ///    inside the segment span, crossing the segment's row, matching the
-///    segment's fence region;
+///    segment's fence region, and each slot's copied x, width, row and
+///    height equal to its cell's (list-geom);
 ///  * coverage: every placed movable cell of height h appears in exactly h
 ///    lists (unplaced/fixed cells in zero);
 ///  * power-rail parity and orientation cross-checked against

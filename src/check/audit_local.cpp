@@ -145,9 +145,9 @@ AuditReport audit_local_region(const Database& db, const SegmentGrid& grid,
 
         // Frozen non-local cells act as obstacles: none may intersect the
         // chosen span (their sites would have been subtracted in §2.1.3).
-        const auto [first, last] = grid.cells_overlapping(db, seg, row.span);
+        const auto [first, last] = grid.cells_overlapping(seg, row.span);
         for (std::size_t i = first; i < last; ++i) {
-            const CellId cid = seg.cells[i];
+            const CellId cid = seg.cells[i].id;
             const Cell& c = db.cell(cid);
             const Span xs{c.x(), c.x() + c.width()};
             if (xs.overlaps(row.span) && !is_local(cid)) {
@@ -159,15 +159,30 @@ AuditReport audit_local_region(const Database& db, const SegmentGrid& grid,
         }
     }
 
-    // Every local cell must be listed on each region row it crosses, and
-    // the per-row lists must not mention anyone else.
+    // Every local cell must carry its cell's geometry and be listed on
+    // each region row it crosses, and the per-row lists must not mention
+    // anyone else.
+    const std::vector<Rect>& rects = region.local_rects();
+    if (rects.size() != locals.size()) {
+        std::ostringstream os;
+        os << "local_rects() holds " << rects.size() << " footprints for "
+           << locals.size() << " local cells";
+        r.add("lr-geom", os.str());
+    }
     std::size_t expected_listed = 0;
-    for (const CellId cid : locals) {
+    for (std::size_t i = 0; i < locals.size(); ++i) {
+        const CellId cid = locals[i];
         const Cell& c = db.cell(cid);
         if (!c.placed()) {
             r.add("lr-cell-placed",
                   "unplaced " + lr_who(db, cid) + " in local_cells()");
             continue;
+        }
+        if (i < rects.size() && rects[i] != c.rect()) {
+            std::ostringstream os;
+            os << lr_who(db, cid) << " carries footprint " << rects[i]
+               << ", the cell is at " << c.rect();
+            r.add("lr-geom", os.str());
         }
         for (SiteCoord y = c.y(); y < c.y() + c.height(); ++y) {
             const int k = region.row_index(y);

@@ -26,7 +26,8 @@ namespace mrlg {
 ///  * local cells are placed, x-sorted and overlap-free per row, fully
 ///    inside the window, and listed on every region row they cross;
 ///  * local_cells() is sorted, duplicate-free and equals the union of the
-///    per-row lists;
+///    per-row lists, and each local cell's carried footprint
+///    (local_rects()) equals its cell's (lr-geom);
 ///  * no non-local cell intersects a chosen local span (non-local cells
 ///    are frozen obstacles — their sites must have been subtracted).
 AuditReport audit_local_region(const Database& db, const SegmentGrid& grid,

@@ -60,6 +60,9 @@ public:
         y_ = y;
         placed_ = true;
     }
+    /// Library code moves a placed cell only through SegmentGrid::shift,
+    /// which moves its segment slots too; a direct call leaves the slots
+    /// stale (audit_segment_grid reports list-geom).
     void set_x(SiteCoord x) MRLG_REQUIRES(grid_write_cap()) { x_ = x; }
     void set_orient(Orient o) MRLG_REQUIRES(grid_write_cap()) { orient_ = o; }
     void unplace() MRLG_REQUIRES(grid_write_cap()) { placed_ = false; }

@@ -1,6 +1,7 @@
 #include "db/segment.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "util/assert.hpp"
 
@@ -140,38 +141,34 @@ SegmentId SegmentGrid::containing_segment(SiteCoord y, Span xs,
 }
 
 std::pair<std::size_t, std::size_t> SegmentGrid::cells_overlapping(
-    const Database& db, const Segment& s, Span xs) const {
+    const Segment& s, Span xs) const {
     // First cell whose right edge exceeds xs.lo: candidates start at the
     // predecessor of the first cell with x >= xs.lo (it may stick into xs).
     const auto& list = s.cells;
     auto it = std::lower_bound(
         list.begin(), list.end(), xs.lo,
-        [&](CellId c, SiteCoord x) { return db.cell(c).x() < x; });
+        [](const SegmentSlot& c, SiteCoord x) { return c.x < x; });
     std::size_t first = static_cast<std::size_t>(it - list.begin());
-    if (first > 0) {
-        const Cell& prev = db.cell(list[first - 1]);
-        if (prev.x() + prev.width() > xs.lo) {
-            --first;
-        }
+    if (first > 0 && list[first - 1].x_hi() > xs.lo) {
+        --first;
     }
     std::size_t last = first;
-    while (last < list.size() && db.cell(list[last]).x() < xs.hi) {
+    while (last < list.size() && list[last].x < xs.hi) {
         ++last;
     }
     return {first, last};
 }
 
-bool SegmentGrid::region_free(const Database& db, const Rect& r,
-                              CellId ignore) const {
+bool SegmentGrid::region_free(const Rect& r, CellId ignore) const {
     for (SiteCoord y = r.y; y < r.y_hi(); ++y) {
         for (const SegmentId id : row_segments(y)) {
             const Segment& s = segments_[id.index()];
             if (!s.span.overlaps(r.x_span())) {
                 continue;
             }
-            const auto [first, last] = cells_overlapping(db, s, r.x_span());
+            const auto [first, last] = cells_overlapping(s, r.x_span());
             for (std::size_t i = first; i < last; ++i) {
-                if (s.cells[i] != ignore) {
+                if (s.cells[i].id != ignore) {
                     return false;
                 }
             }
@@ -180,14 +177,13 @@ bool SegmentGrid::region_free(const Database& db, const Rect& r,
     return true;
 }
 
-bool SegmentGrid::placeable(const Database& db, const Rect& r,
-                            CellId ignore, int region) const {
+bool SegmentGrid::placeable(const Rect& r, CellId ignore, int region) const {
     for (SiteCoord y = r.y; y < r.y_hi(); ++y) {
         if (!containing_segment(y, r.x_span(), region).valid()) {
             return false;
         }
     }
-    return region_free(db, r, ignore);
+    return region_free(r, ignore);
 }
 
 void SegmentGrid::place(Database& db, CellId c, SiteCoord x, SiteCoord y) {
@@ -208,12 +204,13 @@ void SegmentGrid::place(Database& db, CellId c, SiteCoord x, SiteCoord y) {
         target_segments.push_back(sid);
     }
     cell.set_pos(x, y);
+    const SegmentSlot slot{c, x, cell.width(), y, cell.height()};
     for (const SegmentId sid : target_segments) {
         auto& list = mutable_segment(sid).cells;
         const auto it = std::lower_bound(
             list.begin(), list.end(), x,
-            [&](CellId other, SiteCoord xv) { return db.cell(other).x() < xv; });
-        list.insert(it, c);
+            [](const SegmentSlot& o, SiteCoord xv) { return o.x < xv; });
+        list.insert(it, slot);
     }
     // Odd-height cells flip to match the row's rail phase; even-height
     // cells keep N (their placement row is what must match).
@@ -241,20 +238,67 @@ void SegmentGrid::remove(Database& db, CellId c) {
     cell.unplace();
 }
 
+void SegmentGrid::shift(Database& db,
+                        std::span<const std::pair<CellId, SiteCoord>> moves) {
+    // Locate every slot on the pre-shift lists, where x order holds.
+    shift_located_.clear();
+    for (const auto& [c, new_x] : moves) {
+        const Cell& cell = db.cell(c);
+        MRLG_ASSERT(cell.placed(),
+                    "cannot shift an unplaced cell: " + cell.name());
+        const Span xs{cell.x(),
+                      static_cast<SiteCoord>(cell.x() + cell.width())};
+        for (SiteCoord row = cell.y(); row < cell.y() + cell.height();
+             ++row) {
+            const SegmentId sid = containing_segment(row, xs, cell.region());
+            MRLG_ASSERT(sid.valid(), "placed cell lost its segment");
+            shift_located_.push_back({sid,
+                                      index_in(db, segments_[sid.index()], c),
+                                      cell.x(), new_x});
+        }
+    }
+    // Write the slots, then check each moved slot against its neighbours
+    // and its segment span (unmoved slots kept their legal places).
+    for (const Located& l : shift_located_) {
+        mutable_segment(l.sid).cells[l.index].x = l.new_x;
+    }
+    const auto keeps_order = [&](const Located& l) {
+        const Segment& s = segments_[l.sid.index()];
+        const SegmentSlot& slot = s.cells[l.index];
+        return slot.x >= s.span.lo && slot.x_hi() <= s.span.hi &&
+               (l.index == 0 || s.cells[l.index - 1].x_hi() <= slot.x) &&
+               (l.index + 1 == s.cells.size() ||
+                slot.x_hi() <= s.cells[l.index + 1].x);
+    };
+    const auto bad = std::find_if_not(shift_located_.begin(),
+                                      shift_located_.end(), keeps_order);
+    if (bad != shift_located_.end()) {
+        for (const Located& l : shift_located_) {
+            mutable_segment(l.sid).cells[l.index].x = l.old_x;
+        }
+        const CellId culprit = segments_[bad->sid.index()].cells[bad->index].id;
+        MRLG_ASSERT(false, "shift would break the x order of segment #" +
+                               std::to_string(bad->sid.value()) +
+                               " at cell " + db.cell(culprit).name());
+    }
+    for (const auto& [c, new_x] : moves) {
+        db.cell(c).set_x(new_x);
+    }
+}
+
 std::size_t SegmentGrid::index_in(const Database& db, const Segment& s,
                                   CellId c) const {
     const Cell& cell = db.cell(c);
     const auto& list = s.cells;
     auto it = std::lower_bound(
         list.begin(), list.end(), cell.x(),
-        [&](CellId other, SiteCoord xv) { return db.cell(other).x() < xv; });
+        [](const SegmentSlot& other, SiteCoord xv) { return other.x < xv; });
     // Several transiently-equal x values are impossible for *placed* cells
     // (lists are overlap-free), but be robust: scan forward for the id.
-    while (it != list.end() && *it != c &&
-           db.cell(*it).x() == cell.x()) {
+    while (it != list.end() && it->id != c && it->x == cell.x()) {
         ++it;
     }
-    MRLG_ASSERT(it != list.end() && *it == c,
+    MRLG_ASSERT(it != list.end() && it->id == c,
                 "cell not found in segment list: " + cell.name());
     return static_cast<std::size_t>(it - list.begin());
 }
@@ -264,7 +308,7 @@ std::vector<ArenaUsage> SegmentGrid::memory_breakdown() const {
     std::size_t list_bytes = 0;
     std::size_t cell_refs = 0;
     for (const Segment& s : segments_) {
-        list_bytes += s.cells.capacity() * sizeof(CellId);
+        list_bytes += s.cells.capacity() * sizeof(SegmentSlot);
         cell_refs += s.cells.size();
     }
     arenas.push_back({"segments", segments_.capacity() * sizeof(Segment),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <utility>
 
 #include "dp/net_cache.hpp"
 #include "util/assert.hpp"
@@ -140,13 +141,9 @@ RowPolishStats row_polish(Database& db, SegmentGrid& grid) {
             if (seg.cells.empty()) {
                 continue;
             }
-            bool has_multi_row = false;
-            for (const CellId c : seg.cells) {
-                if (db.cell(c).height() > 1) {
-                    has_multi_row = true;
-                    break;
-                }
-            }
+            const bool has_multi_row =
+                std::any_of(seg.cells.begin(), seg.cells.end(),
+                            [](const SegmentSlot& sl) { return sl.h > 1; });
             if (has_multi_row) {
                 if (pass == 0) {
                     ++stats.segments_skipped_multirow;
@@ -159,34 +156,35 @@ RowPolishStats row_polish(Database& db, SegmentGrid& grid) {
 
             std::vector<SiteCoord> widths;
             std::vector<double> pref;
-            std::vector<SiteCoord> old_x;
             widths.reserve(seg.cells.size());
-            for (const CellId c : seg.cells) {
-                const Cell& cell = db.cell(c);
-                widths.push_back(cell.width());
-                old_x.push_back(cell.x());
-                const auto p = preferred_x(db, c);
-                pref.push_back(p ? *p : static_cast<double>(cell.x()));
+            for (const SegmentSlot& sl : seg.cells) {
+                widths.push_back(sl.w);
+                const auto p = preferred_x(db, sl.id);
+                pref.push_back(p ? *p : static_cast<double>(sl.x));
             }
             const std::vector<SiteCoord> new_x =
                 solve_fixed_order_row(widths, seg.span, pref);
 
             // Trial-commit and measure the exact delta on affected nets.
-            bool any_move = false;
+            // The fixed-order solution keeps the list's order, as shift
+            // requires.
+            std::vector<std::pair<CellId, SiteCoord>> moves;
+            std::vector<std::pair<CellId, SiteCoord>> undo;
             for (std::size_t i = 0; i < seg.cells.size(); ++i) {
-                if (new_x[i] != old_x[i]) {
-                    db.cell(seg.cells[i]).set_x(new_x[i]);
-                    any_move = true;
+                if (new_x[i] != seg.cells[i].x) {
+                    moves.emplace_back(seg.cells[i].id, new_x[i]);
+                    undo.emplace_back(seg.cells[i].id, seg.cells[i].x);
                 }
             }
-            if (!any_move) {
+            if (moves.empty()) {
                 continue;
             }
+            grid.shift(db, moves);
             // Sorted: the float fold below decides accept/reject, so its
             // order must not depend on hash layout.
             std::vector<NetId> nets;
-            for (const CellId c : seg.cells) {
-                for (const PinId pid : db.cell(c).pins()) {
+            for (const SegmentSlot& sl : seg.cells) {
+                for (const PinId pid : db.cell(sl.id).pins()) {
                     nets.push_back(db.pin(pid).net);
                 }
             }
@@ -203,9 +201,7 @@ RowPolishStats row_polish(Database& db, SegmentGrid& grid) {
                 ++stats.segments_accepted;
                 ++accepted_this_pass;
             } else {
-                for (std::size_t i = 0; i < seg.cells.size(); ++i) {
-                    db.cell(seg.cells[i]).set_x(old_x[i]);
-                }
+                grid.shift(db, undo);
             }
         }
         if (accepted_this_pass == 0) {

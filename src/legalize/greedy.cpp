@@ -51,10 +51,9 @@ std::optional<SiteCoord> nearest_free_x(const Database& db,
             }
             cursor = std::max(cursor, s.hi);
             const auto [first, last] =
-                grid.cells_overlapping(db, seg, Span{x_lo, x_hi});
+                grid.cells_overlapping(seg, Span{x_lo, x_hi});
             for (std::size_t i = first; i < last; ++i) {
-                const Cell& c = db.cell(seg.cells[i]);
-                blocked.push_back(Span{c.x(), c.x() + c.width()});
+                blocked.push_back(Span{seg.cells[i].x, seg.cells[i].x_hi()});
             }
         }
         if (cursor < x_hi) {

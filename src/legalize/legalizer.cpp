@@ -301,8 +301,8 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                             const Cell& cell = plan_db.cell(t.cell);
                             t.direct =
                                 t.rail_ok &&
-                                plan_grid.placeable(plan_db, t.fitted,
-                                                    CellId{}, cell.region());
+                                plan_grid.placeable(t.fitted, CellId{},
+                                                    cell.region());
                             if (!t.direct) {
                                 t.plan = mll_plan(plan_db, plan_grid, t.cell,
                                                   t.px, t.py, mll_opts,
@@ -343,7 +343,7 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                         // loudly, never requeue (mll_commit does the same
                         // for a stale plan).
                         MRLG_ASSERT(
-                            grid.placeable(db, t.fitted, CellId{},
+                            grid.placeable(t.fitted, CellId{},
                                            cell.region()),
                             "region-parallel direct slot of cell " +
                                 std::to_string(t.cell.value()) +

@@ -23,18 +23,20 @@ void LocalProblem::rebuild(const Database& db, const LocalRegion& region,
     site_w_um_ = db.floorplan().site_w_um();
     site_h_um_ = db.floorplan().site_h_um();
 
-    // Cells in local_cells() order; each reserves h slots of the pool.
+    // Cells in local_cells() order, with the geometry the region copied
+    // from the segment slots; each reserves h slots of the pool.
     cells_.clear();
     int pool_size = 0;
-    for (const CellId id : region.local_cells()) {
-        const Cell& c = db.cell(id);
+    const std::vector<CellId>& ids = region.local_cells();
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const Rect& r = region.local_rects()[i];
         LpCell lc;
-        lc.id = id;
-        lc.x = c.x();
-        lc.w = c.width();
-        lc.y = c.y();
-        lc.h = c.height();
-        lc.k0 = region.row_index(c.y());
+        lc.id = ids[i];
+        lc.x = r.x;
+        lc.w = r.w;
+        lc.y = r.y;
+        lc.h = r.h;
+        lc.k0 = region.row_index(r.y);
         MRLG_ASSERT(lc.k0 >= 0, "local cell outside region rows");
         lc.pos0 = pool_size;
         pool_size += static_cast<int>(lc.h);

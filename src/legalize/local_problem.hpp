@@ -11,8 +11,9 @@
 /// LpCell::pos0). Cells, rows and views refer to each other by index only,
 /// so copies and moves are deep and never alias their source.
 ///
-/// Concurrency contract: build() reads the Database/SegmentGrid without
-/// mutating them, and every buffer it fills lives in the LocalProblem or
+/// Concurrency contract: build() reads the region (whose local cells carry
+/// their geometry) and the Database's floorplan without mutating them —
+/// never a Cell — and every buffer it fills lives in the LocalProblem or
 /// the caller-supplied scratch. The legalizer's region-parallel plan phase
 /// relies on this to build many LocalProblems concurrently against the
 /// shared grid — one LocalProblem + scratch per worker thread, never

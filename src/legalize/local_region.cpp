@@ -85,9 +85,10 @@ void extract_local_region(const Database& db, const SegmentGrid& grid,
     const auto uk = [](int k) { return static_cast<std::size_t>(k); };
 
     // Snapshot: one cells_overlapping per row-segment of the window, rows
-    // bottom-up. A multi-row cell's entry links (`canon`) to its entry on
-    // the nearest lower snapshotted row, found by binary search on x —
-    // rows are x-sorted because segments are disjoint and sorted.
+    // bottom-up, copying slots (no Cell is read). A multi-row cell's entry
+    // links (`canon`) to its entry on the nearest lower snapshotted row,
+    // found by binary search on x — rows are x-sorted because segments are
+    // disjoint and sorted.
     s.entries.clear();
     s.slices.clear();
     s.row_entries.clear();
@@ -105,17 +106,14 @@ void extract_local_region(const Database& db, const SegmentGrid& grid,
             if (base.empty()) {
                 continue;
             }
-            const auto [first, last] = grid.cells_overlapping(db, seg, base);
+            const auto [first, last] = grid.cells_overlapping(seg, base);
             LocalRegionScratch::Slice slice{
                 sid, base, static_cast<int>(s.entries.size()), 0};
             for (std::size_t i = first; i < last; ++i) {
-                const CellId c = seg.cells[i];
-                const Cell& cell = db.cell(c);
                 const int self = static_cast<int>(s.entries.size());
-                Entry e{c, cell.x(), cell.width(), cell.y(), cell.height(),
-                        self};
-                const int lowest = static_cast<int>(
-                    std::max<SiteCoord>(cell.y(), y_lo) - y_lo);
+                Entry e{seg.cells[i], self};
+                const int lowest =
+                    static_cast<int>(std::max<SiteCoord>(e.y, y_lo) - y_lo);
                 for (int kk = k - 1; kk >= lowest && e.canon == self; --kk) {
                     const auto row_begin =
                         s.entries.begin() + s.row_entries[uk(kk)];
@@ -124,7 +122,7 @@ void extract_local_region(const Database& db, const SegmentGrid& grid,
                     const auto it = std::lower_bound(
                         row_begin, row_end, e.x,
                         [](const Entry& a, SiteCoord x) { return a.x < x; });
-                    if (it != row_end && it->id == c) {
+                    if (it != row_end && it->id == e.id) {
                         e.canon = it->canon;
                     }
                 }
@@ -258,8 +256,10 @@ void extract_local_region(const Database& db, const SegmentGrid& grid,
     std::sort(s.locals.begin(), s.locals.end());
     s.local_of.resize(s.entries.size());
     for (std::size_t i = 0; i < s.locals.size(); ++i) {
-        s.local_of[uk(s.locals[i].second)] = static_cast<int>(i);
+        const int canon = s.locals[i].second;
+        s.local_of[uk(canon)] = static_cast<int>(i);
         out.local_cells_.push_back(s.locals[i].first);
+        out.local_rects_.push_back(s.entries[uk(canon)].rect());
     }
     for (int& slot : out.row_local_) {
         slot = s.local_of[uk(slot)];

@@ -75,6 +75,9 @@ public:
     /// All distinct local cells, sorted by id (a multi-row cell is listed
     /// once). A local cell's index in this list is its LocalProblem index.
     const std::vector<CellId>& local_cells() const { return local_cells_; }
+    /// Each local cell's footprint as its segment slots recorded it
+    /// (parallel to local_cells()), so LocalProblem never reads a Cell.
+    const std::vector<Rect>& local_rects() const { return local_rects_; }
 
     /// Local row index for absolute row y, or -1 when outside the region.
     int row_index(SiteCoord y) const {
@@ -109,6 +112,7 @@ private:
         row_cells_.clear();
         row_local_.clear();
         local_cells_.clear();
+        local_rects_.clear();
     }
 
     Rect window_;
@@ -117,6 +121,7 @@ private:
     std::vector<CellId> row_cells_;
     std::vector<int> row_local_;
     std::vector<CellId> local_cells_;
+    std::vector<Rect> local_rects_;
 };
 
 /// Reusable buffers for extract_local_region. The legalizer extracts one
@@ -125,15 +130,10 @@ private:
 /// of reallocating it each time. A default-constructed scratch is always
 /// valid. Nothing here is sized by the design — only by the window.
 struct LocalRegionScratch {
-    /// One placed cell on one window row, copied from the grid once per
-    /// extraction so the later passes never re-walk segment lists or read
-    /// the Database.
-    struct Entry {
-        CellId id;
-        SiteCoord x = 0;
-        SiteCoord w = 0;
-        SiteCoord y = 0;
-        SiteCoord h = 0;
+    /// One placed cell on one window row: its segment slot, copied once
+    /// per extraction so the later passes never re-walk segment lists.
+    /// Neither the copy nor anything after it reads a Cell.
+    struct Entry : SegmentSlot {
         /// Entry of the same cell on its lowest snapshotted row: a cell's
         /// per-cell state (blocker mark, local index) lives there.
         int canon = 0;

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "check/audit_local.hpp"
 #include "legalize/evaluation.hpp"
@@ -240,28 +242,31 @@ MllResult mll_commit(Database& db, SegmentGrid& grid, CellId target_cell,
     };
 
     // Validation pass 1: every move base must still hold.
+    std::vector<std::pair<CellId, SiteCoord>> shifts;
+    shifts.reserve(plan.moves.size());
     for (const MllPlan::Move& m : plan.moves) {
         const Cell& c = db.cell(m.id);
         MRLG_ASSERT(c.placed() && c.x() == m.old_x,
                     stale("moved cell " + std::to_string(m.id.value()) +
                           " left its planned base x"));
+        shifts.emplace_back(m.id, m.new_x);
     }
-    // Apply the shifts, then validation pass 2: the target slot must be
-    // free. Shifts restore exactly on failure (set_x only).
-    for (const MllPlan::Move& m : plan.moves) {
-        db.cell(m.id).set_x(m.new_x);
+    // Apply the shifts (a shift that would break a list's order changes
+    // nothing and throws), then validation pass 2: the target slot must be
+    // free. res.moved holds every pre-move x, so one shift reverts them.
+    try {
+        grid.shift(db, shifts);
+    } catch (const AssertionError& e) {
+        MRLG_ASSERT(false, stale(e.what()));
     }
+    MllResult res = mll_result_from_plan(plan);
     const Rect slot{plan.x, plan.y, target.width(), target.height()};
-    const bool slot_free =
-        grid.placeable(db, slot, CellId{}, target.region());
+    const bool slot_free = grid.placeable(slot, CellId{}, target.region());
     if (!slot_free) {
-        for (const MllPlan::Move& m : plan.moves) {
-            db.cell(m.id).set_x(m.old_x);
-        }
+        grid.shift(db, res.moved);
     }
     MRLG_ASSERT(slot_free, stale("its target slot is occupied"));
     grid.place(db, target_cell, plan.x, plan.y);
-    MllResult res = mll_result_from_plan(plan);
     MRLG_OBS_COUNT("mll.commits", 1);
     MRLG_OBS_COUNT("mll.cells_shifted", res.moved.size());
     return res;
@@ -284,9 +289,7 @@ void mll_undo(Database& db, SegmentGrid& grid, CellId target_cell,
     grid.remove(db, target_cell);
     // Restoring x values cannot change any row list's relative order:
     // shifted cells return to positions that were legal before the move.
-    for (const auto& [id, old_x] : result.moved) {
-        db.cell(id).set_x(old_x);
-    }
+    grid.shift(db, result.moved);
 }
 
 }  // namespace mrlg

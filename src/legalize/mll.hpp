@@ -172,8 +172,9 @@ MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
 void count_attempt(const MllPlan& plan);
 
 /// Applies a successful plan: validates it against the live grid (every
-/// move base unchanged, target slot placeable after the shifts), then
-/// shifts the moved cells and registers the target. A stale plan is
+/// move base unchanged, the shifts keeping every list ordered and
+/// overlap-free — SegmentGrid::shift checks that — and the target slot
+/// placeable after them), then registers the target. A stale plan is
 /// unreachable when plans are confined to pairwise-disjoint footprints
 /// (the pipeline's level schedule), so it is a broken invariant: commit
 /// restores any shift it applied and throws AssertionError naming the

@@ -105,15 +105,13 @@ RipupResult ripup_place(Database& db, SegmentGrid& grid, CellId target,
                 for (const SegmentId sid : grid.row_segments(r)) {
                     const Segment& seg = grid.segment(sid);
                     const auto [first, last] =
-                        grid.cells_overlapping(db, seg, fot.x_span());
+                        grid.cells_overlapping(seg, fot.x_span());
                     for (std::size_t i = first; i < last; ++i) {
-                        const CellId v = seg.cells[i];
-                        const Cell& vc = db.cell(v);
-                        if (vc.height() > 1) {
+                        if (seg.cells[i].h > 1) {
                             viable = false;
                             break;
                         }
-                        victims.push_back(v);
+                        victims.push_back(seg.cells[i].id);
                     }
                     if (!viable) {
                         break;
@@ -144,7 +142,7 @@ RipupResult ripup_place(Database& db, SegmentGrid& grid, CellId target,
                 grid.remove(db, v);
                 steps.push_back(std::move(s));
             }
-            MRLG_DCHECK(grid.placeable(db, fot),
+            MRLG_DCHECK(grid.placeable(fot),
                         "footprint still blocked after eviction");
             grid.place(db, target, x, y);
             {

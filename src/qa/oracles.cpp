@@ -531,7 +531,7 @@ LegalizerStats reference_legalize(Database& db, SegmentGrid& grid,
                 nearest_aligned_position(db, c, px, py, mopts.check_rail);
             if ((!mopts.check_rail ||
                  rail_compatible(p.y, cell.height(), cell.rail_phase())) &&
-                grid.placeable(db, Rect{p.x, p.y, cell.width(), cell.height()},
+                grid.placeable(Rect{p.x, p.y, cell.width(), cell.height()},
                                CellId{}, cell.region())) {
                 grid.place(db, c, p.x, p.y);
                 ++stats.direct_placements;

@@ -34,14 +34,15 @@ struct PlacementSnapshot {
     /// One entry per Database cell, in id order.
     std::vector<CellState> cells;
     /// One list per segment, in segment-id order — the grid's bookkeeping,
-    /// including list order (an invariant the transactions must preserve).
-    std::vector<std::vector<CellId>> segment_cells;
+    /// including list order (an invariant the transactions must preserve)
+    /// and every slot's copied geometry.
+    std::vector<std::vector<SegmentSlot>> segment_cells;
 
     friend bool operator==(const PlacementSnapshot&,
                            const PlacementSnapshot&) = default;
 };
 
-/// Captures every cell's placement state and every segment's cell list.
+/// Captures every cell's placement state and every segment's slot list.
 PlacementSnapshot capture_snapshot(const Database& db,
                                    const SegmentGrid& grid);
 

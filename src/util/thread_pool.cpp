@@ -1,9 +1,14 @@
 #include "util/thread_pool.hpp"
 
 #include <atomic>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
 
 #include "util/assert.hpp"
@@ -206,10 +211,19 @@ int ThreadPool::resolve_threads(int requested) {
 
 int ThreadPool::default_threads() {
     if (const char* env = std::getenv("MRLG_THREADS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v > 0) {
-            return static_cast<int>(std::min<long>(v, 256));
+        const std::string_view text = env;
+        std::uint64_t v = 0;
+        const char* end = text.data() + text.size();
+        const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+        if (ec == std::errc::result_out_of_range && ptr == end) {
+            return kMaxThreads;  // more digits than 64 bits hold
         }
+        if (ec != std::errc{} || ptr != end || v == 0) {
+            throw std::invalid_argument(
+                "MRLG_THREADS needs a whole number >= 1, got '" +
+                std::string(text) + "'");
+        }
+        return static_cast<int>(std::min<std::uint64_t>(v, kMaxThreads));
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
@@ -223,9 +237,8 @@ ThreadPoolConfig ThreadPool::config() {
     c.pool_workers = global_pool_workers();
     c.pool_workers_active = g_global_pool_active.load(
         std::memory_order_relaxed);
-    if (const char* env = std::getenv("MRLG_THREADS")) {
-        c.env_override = std::strtol(env, nullptr, 10) > 0;
-    }
+    // default_threads() above parsed the value (or threw on a bad one).
+    c.env_override = std::getenv("MRLG_THREADS") != nullptr;
     return c;
 }
 

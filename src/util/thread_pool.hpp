@@ -11,8 +11,10 @@
 ///
 /// Thread count resolution: an explicit request wins; a request of 0 falls
 /// back to the `MRLG_THREADS` environment variable, then to the hardware
-/// concurrency. `num_threads <= 1` (or a single chunk) runs entirely on
-/// the calling thread without touching the pool.
+/// concurrency. `MRLG_THREADS`, when set, must be a whole number >= 1
+/// (above ThreadPool::kMaxThreads it clamps to that); anything else throws
+/// std::invalid_argument. `num_threads <= 1` (or a single chunk) runs
+/// entirely on the calling thread without touching the pool.
 
 #include <algorithm>
 #include <cstddef>
@@ -34,7 +36,7 @@ struct ThreadPoolConfig {
     /// has been instantiated. Distinct from `pool_workers` (the size the
     /// pool WOULD be built with) so reports can state what really ran.
     int pool_workers_active = -1;
-    bool env_override = false; ///< MRLG_THREADS set to a positive integer.
+    bool env_override = false; ///< MRLG_THREADS set (to a valid value).
 };
 
 class ThreadPool {
@@ -61,12 +63,18 @@ public:
     /// smaller machines.
     static ThreadPool& global();
 
+    /// Largest thread count MRLG_THREADS selects; larger values clamp.
+    static constexpr int kMaxThreads = 256;
+
     /// `requested` when > 0, else default_threads().
     static int resolve_threads(int requested);
 
-    /// MRLG_THREADS environment variable when set to a positive integer,
-    /// else std::thread::hardware_concurrency() (at least 1). Re-read on
-    /// every call (cheap), so tests may override the environment.
+    /// The MRLG_THREADS environment variable when set — parsed whole, so
+    /// it must be a number >= 1, clamped to kMaxThreads; anything else
+    /// (`4x`, `abc`, empty, `0`, `-1`) throws std::invalid_argument naming
+    /// the variable and the text. Unset: std::thread::hardware_concurrency()
+    /// (at least 1). Re-read on every call (cheap), so tests may override
+    /// the environment.
     static int default_threads();
 
     /// Current thread configuration snapshot (see ThreadPoolConfig).

@@ -115,6 +115,17 @@ TEST(AuditCorruption, EscapedSegmentSpanIsCaught) {
     EXPECT_TRUE(r.has("list-span")) << r.to_string();
 }
 
+TEST(AuditCorruption, SlotGeometryDriftIsCaught) {
+    Fixture f = make_fixture();
+    // A direct Cell::set_x bypasses SegmentGrid::shift: b's slot still
+    // says x = 10. The new position is legal, so only the slot check sees
+    // it.
+    f.db.cell(f.b).set_x(12);
+    const AuditReport r = audit_segment_grid(f.db, f.grid);
+    EXPECT_TRUE(r.has("list-geom")) << r.to_string();
+    EXPECT_FALSE(r.has("list-order")) << r.to_string();
+}
+
 TEST(AuditCorruption, UnplacedWhileListedIsCaught) {
     Fixture f = make_fixture();
     f.db.cell(f.b).unplace();
@@ -140,7 +151,9 @@ TEST(AuditCorruption, MissingListEntryIsCaught) {
     const SegmentId seg = f.grid.containing_segment(0, Span{30, 34});
     ASSERT_TRUE(seg.valid());
     auto& cells = f.grid.mutable_cells_for_test(seg);
-    ASSERT_TRUE(std::erase(cells, f.d) == 1);
+    ASSERT_TRUE(std::erase_if(cells, [&](const SegmentSlot& s) {
+                    return s.id == f.d;
+                }) == 1);
     const AuditReport r = audit_segment_grid(f.db, f.grid);
     EXPECT_FALSE(r.ok());
     EXPECT_TRUE(r.has("coverage")) << r.to_string();
@@ -245,6 +258,17 @@ TEST(AuditLocal, CorruptedRegionOffsetsAreCaught) {
     region.mutable_row_for_test(1).begin -= 1;
     const AuditReport r = audit_local_region(f.db, f.grid, region);
     EXPECT_TRUE(r.has("lr-csr")) << r.to_string();
+}
+
+TEST(AuditLocal, StaleCarriedGeometryIsCaught) {
+    Fixture f = make_fixture();
+    const LocalRegion region =
+        extract_local_region(f.db, f.grid, Rect{0, 0, 40, 2});
+    ASSERT_EQ(region.local_rects().size(), region.local_cells().size());
+    // The region copied b at x = 10; the cell has moved since.
+    f.db.cell(f.b).set_x(12);
+    const AuditReport r = audit_local_region(f.db, f.grid, region);
+    EXPECT_TRUE(r.has("lr-geom")) << r.to_string();
 }
 
 TEST(AuditLocal, SwappedRegionLocalIndicesAreCaughtOnlyByTheIndexCheck) {

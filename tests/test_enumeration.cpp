@@ -288,7 +288,7 @@ TEST(Enumeration, SingleRowSequenceEqualsScanline) {
             const Rect r{static_cast<SiteCoord>(rng.uniform(0, sites - w)),
                          static_cast<SiteCoord>(rng.uniform(0, rows - h)), w,
                          h};
-            if (grid.placeable(db, r, CellId{}, 0)) {
+            if (grid.placeable(r, CellId{}, 0)) {
                 add_placed(db, grid, "c" + std::to_string(i), r.x, r.y, w,
                            h);
             }

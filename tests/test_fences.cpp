@@ -84,10 +84,10 @@ TEST(Fences, PlaceRejectsWrongRegion) {
 TEST(Fences, PlaceableRespectsRegion) {
     Database db = fenced_design();
     const SegmentGrid grid = SegmentGrid::build(db);
-    EXPECT_TRUE(grid.placeable(db, Rect{45, 0, 4, 1}, CellId{}, 1));
-    EXPECT_FALSE(grid.placeable(db, Rect{45, 0, 4, 1}, CellId{}, 0));
-    EXPECT_TRUE(grid.placeable(db, Rect{45, 0, 4, 1}));  // kAnyRegion
-    EXPECT_FALSE(grid.placeable(db, Rect{38, 0, 4, 1}, CellId{}, 0));
+    EXPECT_TRUE(grid.placeable(Rect{45, 0, 4, 1}, CellId{}, 1));
+    EXPECT_FALSE(grid.placeable(Rect{45, 0, 4, 1}, CellId{}, 0));
+    EXPECT_TRUE(grid.placeable(Rect{45, 0, 4, 1}));  // kAnyRegion
+    EXPECT_FALSE(grid.placeable(Rect{38, 0, 4, 1}, CellId{}, 0));
     // ^ straddles the fence boundary: contained in no single segment.
 }
 

@@ -164,6 +164,17 @@ TEST(MllCommit, OccupiedTargetSlotIsACheckedFailure) {
     f.expect_checked_failure();
 }
 
+TEST(MllCommit, ShiftOntoANewCellIsACheckedFailure) {
+    StalePlanFixture f;
+    ASSERT_TRUE(f.plan.success());
+    ASSERT_EQ(f.plan.moves.size(), 1u);
+    // The target slot [40, 44) stays free, but b's shift to [44, 64)
+    // would overlap a cell placed at [62, 64) since the plan: the shift
+    // itself must refuse, before anything moves.
+    f.grid.place(f.db, f.filler, 62, 5);
+    f.expect_checked_failure();
+}
+
 TEST(Mll, Figure5Scenario) {
     // The paper's running example (Fig. 5): a 3x2 target inserted into a
     // 4-row local region with cells a, b, c, d, e. We reproduce the

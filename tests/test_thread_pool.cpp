@@ -6,6 +6,7 @@
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -154,8 +155,24 @@ TEST(ThreadPool, DefaultThreadsReadsEnvironment) {
     ASSERT_EQ(setenv("MRLG_THREADS", "3", 1), 0);
     EXPECT_EQ(ThreadPool::default_threads(), 3);
     EXPECT_EQ(ThreadPool::resolve_threads(0), 3);
-    ASSERT_EQ(setenv("MRLG_THREADS", "not-a-number", 1), 0);
-    EXPECT_GE(ThreadPool::default_threads(), 1);  // falls back to hardware
+    ASSERT_EQ(setenv("MRLG_THREADS", "100000", 1), 0);
+    EXPECT_EQ(ThreadPool::default_threads(), ThreadPool::kMaxThreads);
+    // Parsed whole: anything but a number >= 1 is an error naming the
+    // variable and the text, never a silent fallback. Only the parse
+    // runs; no pool is built.
+    for (const char* bad : {"not-a-number", "4x", "", "0", "-1"}) {
+        ASSERT_EQ(setenv("MRLG_THREADS", bad, 1), 0);
+        try {
+            static_cast<void>(ThreadPool::default_threads());
+            ADD_FAILURE() << "MRLG_THREADS='" << bad << "' was accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "MRLG_THREADS needs a whole number >= 1, got '" +
+                          std::string(bad) + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
     ASSERT_EQ(unsetenv("MRLG_THREADS"), 0);
 }
 

@@ -8,6 +8,10 @@
 #      end-to-end MRLG_VALIDATE=full legalization that must pass every
 #      in-run audit, the LEF/DEF flag smoke and the parse-error exits,
 #      and the mrlg_fuzz smoke at two fixed seeds)
+#   1b. Benchmark build: compiles the standalone bench_suite/ package
+#      against this checkout's src/, so an API change that breaks the
+#      benchmark fails here rather than at the next benchmark run. It
+#      builds only; running its ctest waits for its own checks to pass
 #   2. Static checks (tools/mrlg_lint.py all): the phase-effect analyzer
 #      proving the mll_plan closure read-only, plus the determinism lint
 #      — one stage, one baseline, one exit code
@@ -85,6 +89,14 @@ build_and_test() {
         ctest --test-dir build --output-on-failure -j "$JOBS"
 }
 run_stage "build + ctest (Release)" build_and_test
+
+# --------------------------------------------------------------- stage 1b
+bench_build() {
+    cmake -S bench_suite -B build-bench -DCMAKE_BUILD_TYPE=Release \
+        >/dev/null &&
+        cmake --build build-bench -j "$JOBS" --target bench_suite
+}
+run_stage "benchmark build (bench_suite)" bench_build
 
 # ---------------------------------------------------------------- stage 2
 # Phase-effect analysis + determinism lint through the unified CLI.

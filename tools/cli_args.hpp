@@ -2,8 +2,9 @@
 /// \file cli_args.hpp
 /// The strict command-line parser of mrlg_legalize, mrlg_fuzz, bench_paper
 /// and bench_parallel: every argument must be a known switch, or a known
-/// flag and its value, and a number must parse whole. Anything else prints
-/// what is wrong and the tool's usage, and exits 2.
+/// flag and its value, and a number must parse whole; MRLG_THREADS, when
+/// set, must be a whole number >= 1. Anything else prints what is wrong
+/// and the tool's usage, and exits 2.
 
 #include <algorithm>
 #include <charconv>
@@ -14,10 +15,12 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
 #include "io/parse.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mrlg::cli {
 
@@ -26,6 +29,7 @@ public:
     /// Parses argv[1..argc): each of `switches` stands alone, each of
     /// `valued` takes the argument after it. With `positional`, a first
     /// argument that does not start with '-' (a design path) is allowed.
+    /// Then checks MRLG_THREADS (ThreadPool::default_threads).
     Args(int argc, char** argv, const char* usage,
          std::initializer_list<std::string_view> switches,
          std::initializer_list<std::string_view> valued,
@@ -49,6 +53,13 @@ public:
             } else {
                 values_.emplace(arg, argv[++i]);  // the first one counts
             }
+        }
+        // Every thread count of 0 resolves through MRLG_THREADS: a bad
+        // value is a usage error now, not a throw mid-run.
+        try {
+            static_cast<void>(ThreadPool::default_threads());
+        } catch (const std::invalid_argument& e) {
+            fail(e.what());
         }
     }
 
