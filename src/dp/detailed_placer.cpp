@@ -55,7 +55,7 @@ std::optional<std::pair<double, double>> median_target(const Database& db,
 /// every shifted cell. Sorted: the caller folds float deltas over this
 /// list, so its order must not depend on hash layout.
 std::vector<NetId> affected_nets(const Database& db, CellId target,
-                                 const MllResult& r) {
+                                 const MllPlan& r) {
     std::vector<NetId> nets;
     auto add_cell_nets = [&](CellId c) {
         for (const PinId pid : db.cell(c).pins()) {
@@ -63,9 +63,8 @@ std::vector<NetId> affected_nets(const Database& db, CellId target,
         }
     };
     add_cell_nets(target);
-    for (const auto& [id, old_x] : r.moved) {
-        static_cast<void>(old_x);
-        add_cell_nets(id);
+    for (const MllPlan::Move& m : r.moves) {
+        add_cell_nets(m.id);
     }
     std::sort(nets.begin(), nets.end());
     nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
@@ -126,10 +125,10 @@ DetailedPlacementStats detailed_place(Database& db, SegmentGrid& grid,
 
         for (const Candidate& cand : cands) {
             Cell& cell = db.cell(cand.cell);
-            if (!cell.placed()) {
-                continue;  // displaced by an earlier move's shuffle? no —
-                           // MLL never unplaces; defensive only
-            }
+            // Every candidate was placed when collected, and every move
+            // below leaves its cell placed (MLL never unplaces).
+            MRLG_ASSERT(cell.placed(), "detailed placement candidate " +
+                                           cell.name() + " is unplaced");
             // Re-derive the target: earlier accepted moves shift medians.
             const auto med = median_target(db, cand.cell);
             if (!med) {
@@ -140,7 +139,7 @@ DetailedPlacementStats detailed_place(Database& db, SegmentGrid& grid,
 
             ++stats.moves_attempted;
             grid.remove(db, cand.cell);
-            const MllResult r =
+            const MllPlan r =
                 mll_place(db, grid, cand.cell, med->first, med->second,
                           opts.mll);
             if (!r.success()) {

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <fstream>
 #include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "db/write_cap.hpp"
 #include "io/text_file.hpp"
@@ -363,12 +365,13 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
                        static_cast<SiteCoord>(n)});
     }
 
-    // Fence regions.
-    int next_region = 1;
+    // Fence regions, numbered from 1 in file order.
+    DefNames& names = result.names;
+    std::unordered_map<std::string_view, int> region_ids;
     for (const DefRegion& r : regions) {
-        const int id = next_region++;
-        const std::string name(r.name);
-        result.region_ids.emplace(name, id);
+        const std::string& name = names.regions.emplace_back(r.name);
+        const int id = static_cast<int>(names.regions.size());
+        region_ids.emplace(r.name, id);
         for (const auto& q : r.rects) {
             const double x1 = std::round(q[0] / site_w_dbu);
             const double y1 = std::round((q[1] - y0) / site_h_dbu);
@@ -402,6 +405,8 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
     const double num_rows = static_cast<double>(rows.size());
     std::vector<const LefMacro*> macros;
     macros.reserve(comps.size());
+    names.cell_macro.reserve(comps.size());
+    std::unordered_map<std::string_view, std::uint32_t> macro_index;
     for (const DefComp& c : comps) {
         const std::string inst(c.inst);
         const std::string macro_name(c.macro);
@@ -448,25 +453,39 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
         }
         db.add_cell(std::move(cell));
         macros.push_back(macro);
+        const auto [it, fresh] = macro_index.emplace(
+            c.macro, static_cast<std::uint32_t>(names.macros.size()));
+        if (fresh) {
+            names.macros.emplace_back(c.macro);
+        }
+        names.cell_macro.push_back(it->second);
     }
 
-    // Group membership → cell regions. A group without `+ REGION` places
-    // no constraint on its members.
+    // Group membership → cell regions; a later group wins. A group
+    // without `+ REGION` places no constraint on its members. A member
+    // without '*' is a component name (write_def lists every member so),
+    // looked up rather than matched against every cell.
     for (const DefGroup& g : groups) {
         if (g.region.empty()) {
             continue;
         }
-        const auto rit = result.region_ids.find(std::string(g.region));
-        if (rit == result.region_ids.end()) {
+        const auto rit = region_ids.find(g.region);
+        if (rit == region_ids.end()) {
             fail_at(path, g.line, "GROUPS references unknown region " +
                                       std::string(g.region));
         }
-        for (std::size_t i = 0; i < db.num_cells(); ++i) {
-            Cell& cell = db.cell(CellId{static_cast<CellId::underlying>(i)});
-            for (const std::string_view pat : g.patterns) {
+        for (const std::string_view pat : g.patterns) {
+            if (pat.find('*') == std::string_view::npos) {
+                if (const CellId c = db.find_cell(pat); c.valid()) {
+                    db.cell(c).set_region(rit->second);
+                }
+                continue;
+            }
+            for (std::size_t i = 0; i < db.num_cells(); ++i) {
+                Cell& cell =
+                    db.cell(CellId{static_cast<CellId::underlying>(i)});
                 if (pattern_matches(pat, cell.name())) {
                     cell.set_region(rit->second);
-                    break;
                 }
             }
         }
@@ -497,6 +516,7 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
                 oy = pit->second.offset_y_um / site_h;
             }
             db.add_pin(cid, net, ox, oy);
+            names.pins.emplace_back(pin_name);
         }
     }
 
@@ -505,35 +525,99 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
 }
 
 void write_def(const Database& db, const LefLibrary& lef,
-               const std::string& path, const std::string& design) {
+               const std::string& path, const std::string& design,
+               const DefNames& names) {
     std::ofstream out(path);
     const double dbu = lef.dbu_per_micron;
     const double site_w_dbu = lef.site_w_um * dbu;
     const double site_h_dbu = lef.site_h_um * dbu;
+    // DBU of a site x or a row y, rounded: truncating would put a position
+    // one DBU low whenever a site size in DBU is inexact in binary.
+    const auto x_dbu = [&](SiteCoord x) { return std::llround(x * site_w_dbu); };
+    const auto y_dbu = [&](SiteCoord y) { return std::llround(y * site_h_dbu); };
+    const auto put_region = [&](int id) -> std::ostream& {
+        const auto i = static_cast<std::size_t>(id - 1);
+        return i < names.regions.size() ? out << names.regions[i]
+                                         : out << "region" << id;
+    };
     const Rect die = db.floorplan().die();
 
     out << "VERSION 5.8 ;\nDESIGN " << design << " ;\n"
-        << "UNITS DISTANCE MICRONS " << static_cast<long>(dbu) << " ;\n";
-    out << "DIEAREA ( " << static_cast<long>(die.x * site_w_dbu) << " 0 ) ( "
-        << static_cast<long>(die.x_hi() * site_w_dbu) << " "
-        << static_cast<long>(die.h * site_h_dbu) << " ) ;\n";
+        << "UNITS DISTANCE MICRONS " << std::llround(dbu) << " ;\n";
+    out << "DIEAREA ( " << x_dbu(die.x) << " 0 ) ( " << x_dbu(die.x_hi())
+        << " " << y_dbu(die.h) << " ) ;\n";
     for (const Row& r : db.floorplan().rows()) {
-        out << "ROW row_" << r.y << " core "
-            << static_cast<long>(r.x * site_w_dbu) << " "
-            << static_cast<long>(r.y * site_h_dbu) << " N DO "
-            << r.num_sites << " BY 1 STEP "
-            << static_cast<long>(site_w_dbu) << " 0 ;\n";
+        out << "ROW row_" << r.y << " core " << x_dbu(r.x) << " "
+            << y_dbu(r.y) << " N DO " << r.num_sites << " BY 1 STEP "
+            << x_dbu(1) << " 0 ;\n";
     }
-    out << "COMPONENTS " << db.num_cells() << " ;\n";
+
+    // Regions 1..k, each with its fence rectangles and its members, so
+    // that reading the file back numbers them the same.
+    int num_regions = static_cast<int>(names.regions.size());
+    for (const Floorplan::Fence& f : db.floorplan().fences()) {
+        num_regions = std::max(num_regions, f.region);
+    }
     for (const Cell& c : db.cells()) {
-        out << "- " << c.name() << " " << c.name() << "_master + ";
+        num_regions = std::max(num_regions, c.region());
+    }
+    std::vector<std::vector<const Cell*>> members(
+        static_cast<std::size_t>(num_regions) + 1);
+    for (const Cell& c : db.cells()) {
+        if (c.region() > 0) {
+            members[static_cast<std::size_t>(c.region())].push_back(&c);
+        }
+    }
+    if (num_regions > 0) {
+        out << "REGIONS " << num_regions << " ;\n";
+        for (int id = 1; id <= num_regions; ++id) {
+            out << "- ";
+            put_region(id);
+            for (const Floorplan::Fence& f : db.floorplan().fences()) {
+                if (f.region == id) {
+                    out << " ( " << x_dbu(f.rect.x) << " " << y_dbu(f.rect.y)
+                        << " ) ( " << x_dbu(f.rect.x_hi()) << " "
+                        << y_dbu(f.rect.y_hi()) << " )";
+                }
+            }
+            out << " ;\n";
+        }
+        out << "END REGIONS\n";
+        const auto num_groups = std::count_if(
+            members.begin() + 1, members.end(),
+            [](const auto& m) { return !m.empty(); });
+        out << "GROUPS " << num_groups << " ;\n";
+        for (int id = 1; id <= num_regions; ++id) {
+            if (members[static_cast<std::size_t>(id)].empty()) {
+                continue;
+            }
+            out << "- ";
+            put_region(id);
+            for (const Cell* c : members[static_cast<std::size_t>(id)]) {
+                out << "\n  " << c->name();
+            }
+            out << "\n  + REGION ";
+            put_region(id) << " ;\n";
+        }
+        out << "END GROUPS\n";
+    }
+
+    out << "COMPONENTS " << db.num_cells() << " ;\n";
+    for (std::size_t i = 0; i < db.num_cells(); ++i) {
+        const Cell& c = db.cells()[i];
+        out << "- " << c.name() << " ";
+        if (i < names.cell_macro.size()) {
+            out << names.macros[names.cell_macro[i]];
+        } else {
+            out << c.name() << "_master";
+        }
+        out << " + ";
         if (c.fixed()) {
-            out << "FIXED ( " << static_cast<long>(c.x() * site_w_dbu)
-                << " " << static_cast<long>(c.y() * site_h_dbu) << " ) N";
+            out << "FIXED ( " << x_dbu(c.x()) << " " << y_dbu(c.y())
+                << " ) N";
         } else if (c.placed()) {
-            out << "PLACED ( " << static_cast<long>(c.x() * site_w_dbu)
-                << " " << static_cast<long>(c.y() * site_h_dbu) << " ) "
-                << (c.orient() == Orient::kN ? "N" : "FS");
+            out << "PLACED ( " << x_dbu(c.x()) << " " << y_dbu(c.y())
+                << " ) " << (c.orient() == Orient::kN ? "N" : "FS");
         } else {
             out << "UNPLACED";
         }
@@ -544,8 +628,13 @@ void write_def(const Database& db, const LefLibrary& lef,
     for (const Net& n : db.nets()) {
         out << "- " << n.name();
         for (const PinId pid : n.pins()) {
-            out << " ( " << db.cell(db.pin(pid).cell).name() << " p" << pid
-                << " )";
+            out << " ( " << db.cell(db.pin(pid).cell).name() << " ";
+            if (pid.index() < names.pins.size()) {
+                out << names.pins[pid.index()];
+            } else {
+                out << "p" << pid;
+            }
+            out << " )";
         }
         out << " ;\n";
     }

@@ -23,8 +23,10 @@
 /// taller than the core, a position in range). Only a LEF with no sized
 /// SITE and a DEF with no ROW fail as `<file>: <what>`.
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "db/database.hpp"
 #include "io/parse.hpp"
@@ -59,23 +61,38 @@ struct LefLibrary {
 /// Parses the LEF subset. Throws ParseError on malformed input.
 LefLibrary read_lef(const std::string& path);
 
+/// The DEF names a Database has no field for, as read_def found them, so
+/// that write_def can give them back. A cell, pin or region beyond these
+/// lists (a design that came without a LEF, or a cell added later) is
+/// written as `<cell>_master`, `p<pin id>` or `region<id>`.
+struct DefNames {
+    std::vector<std::string> macros;        ///< Distinct LEF macro names.
+    std::vector<std::uint32_t> cell_macro;  ///< CellId → index in macros.
+    std::vector<std::string> pins;          ///< PinId → its DEF pin name.
+    std::vector<std::string> regions;       ///< Region id − 1 → REGION name.
+};
+
 struct DefReadResult {
     Database db;
     std::string design_name;
-    /// DEF group name → mrlg region id (>= 1).
-    std::unordered_map<std::string, int> region_ids;
+    DefNames names;
 };
 
 /// Parses the DEF subset against `lef`. Component positions become gp
 /// positions (and fixed cells are frozen); REGIONS/GROUPS become fence
-/// regions. The caller still runs Database::freeze_fixed_cells(). Throws
-/// ParseError on malformed input.
+/// regions, numbered from 1 in REGIONS order. The caller still runs
+/// Database::freeze_fixed_cells(). Throws ParseError on malformed input.
 DefReadResult read_def(const std::string& path, const LefLibrary& lef);
 
 /// Writes the current placement as DEF (components PLACED at legalized
-/// positions, or UNPLACED when a movable cell has none). Throws
-/// std::runtime_error naming `path` when the file cannot be written.
+/// positions, or UNPLACED when a movable cell has none), with each
+/// component's macro and each net pin named by `names`, one REGION per
+/// fence region and one GROUP listing its members. Read back against the
+/// same `lef`, it gives the same cells, rows, fences and nets, with the
+/// placement as gp positions. Throws std::runtime_error naming `path`
+/// when the file cannot be written.
 void write_def(const Database& db, const LefLibrary& lef,
-               const std::string& path, const std::string& design);
+               const std::string& path, const std::string& design,
+               const DefNames& names = {});
 
 }  // namespace mrlg

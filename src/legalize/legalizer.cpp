@@ -359,7 +359,7 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                     stats.mll_points_evaluated += t.plan.num_points;
                     stats.audits_run += t.plan.audits_run;
                     if (t.plan.success()) {
-                        const MllResult r =
+                        const MllPlan& r =
                             mll_commit(db, grid, t.cell, t.plan);
                         ++stats.mll_successes;
                         MRLG_OBS_OBSERVE("legalize.mll_real_cost_um",

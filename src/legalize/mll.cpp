@@ -166,23 +166,16 @@ MllPlan plan_with(const Database& db, const SegmentGrid& grid,
     return res;
 }
 
-/// Converts a plan (typically a failed one) to the equivalent MllResult.
-MllResult mll_result_from_plan(const MllPlan& plan) {
-    MllResult res;
-    res.status = plan.status;
-    res.x = plan.x;
-    res.y = plan.y;
-    res.est_cost_um = plan.est_cost_um;
-    res.real_cost_um = plan.real_cost_um;
-    res.num_points = plan.num_points;
-    res.num_local_cells = plan.num_local_cells;
-    res.enumeration_truncated = plan.enumeration_truncated;
-    res.audits_run = plan.audits_run;
-    res.moved.reserve(plan.moves.size());
+/// The SegmentGrid::shift moves that take `plan`'s shifted cells to their
+/// new x, or back to their old x.
+std::vector<std::pair<CellId, SiteCoord>> shifts_of(const MllPlan& plan,
+                                                    bool back) {
+    std::vector<std::pair<CellId, SiteCoord>> shifts;
+    shifts.reserve(plan.moves.size());
     for (const MllPlan::Move& m : plan.moves) {
-        res.moved.emplace_back(m.id, m.old_x);
+        shifts.emplace_back(m.id, back ? m.old_x : m.new_x);
     }
-    return res;
+    return shifts;
 }
 
 }  // namespace
@@ -227,8 +220,8 @@ MllPlan mll_plan(const Database& db, const SegmentGrid& grid,
     return plan;
 }
 
-MllResult mll_commit(Database& db, SegmentGrid& grid, CellId target_cell,
-                     const MllPlan& plan) {
+const MllPlan& mll_commit(Database& db, SegmentGrid& grid,
+                          CellId target_cell, const MllPlan& plan) {
     MRLG_ASSERT(plan.success(), "can only commit a successful MLL plan");
     const Cell& target = db.cell(target_cell);
     MRLG_ASSERT(!target.placed(), "MLL commit target must be unplaced");
@@ -242,54 +235,50 @@ MllResult mll_commit(Database& db, SegmentGrid& grid, CellId target_cell,
     };
 
     // Validation pass 1: every move base must still hold.
-    std::vector<std::pair<CellId, SiteCoord>> shifts;
-    shifts.reserve(plan.moves.size());
     for (const MllPlan::Move& m : plan.moves) {
         const Cell& c = db.cell(m.id);
         MRLG_ASSERT(c.placed() && c.x() == m.old_x,
                     stale("moved cell " + std::to_string(m.id.value()) +
                           " left its planned base x"));
-        shifts.emplace_back(m.id, m.new_x);
     }
     // Apply the shifts (a shift that would break a list's order changes
     // nothing and throws), then validation pass 2: the target slot must be
-    // free. res.moved holds every pre-move x, so one shift reverts them.
+    // free. Every move keeps its old x, so one shift reverts them.
     try {
-        grid.shift(db, shifts);
+        grid.shift(db, shifts_of(plan, false));
     } catch (const AssertionError& e) {
         MRLG_ASSERT(false, stale(e.what()));
     }
-    MllResult res = mll_result_from_plan(plan);
     const Rect slot{plan.x, plan.y, target.width(), target.height()};
     const bool slot_free = grid.placeable(slot, CellId{}, target.region());
     if (!slot_free) {
-        grid.shift(db, res.moved);
+        grid.shift(db, shifts_of(plan, true));
     }
     MRLG_ASSERT(slot_free, stale("its target slot is occupied"));
     grid.place(db, target_cell, plan.x, plan.y);
     MRLG_OBS_COUNT("mll.commits", 1);
-    MRLG_OBS_COUNT("mll.cells_shifted", res.moved.size());
-    return res;
+    MRLG_OBS_COUNT("mll.cells_shifted", plan.moves.size());
+    return plan;
 }
 
-MllResult mll_place(Database& db, SegmentGrid& grid, CellId target_cell,
-                    double pref_x, double pref_y, const MllOptions& opts,
-                    MllScratch* scratch) {
-    const MllPlan plan =
+MllPlan mll_place(Database& db, SegmentGrid& grid, CellId target_cell,
+                  double pref_x, double pref_y, const MllOptions& opts,
+                  MllScratch* scratch) {
+    MllPlan plan =
         mll_plan(db, grid, target_cell, pref_x, pref_y, opts, scratch);
-    if (!plan.success()) {
-        return mll_result_from_plan(plan);
+    if (plan.success()) {
+        mll_commit(db, grid, target_cell, plan);
     }
-    return mll_commit(db, grid, target_cell, plan);
+    return plan;
 }
 
 void mll_undo(Database& db, SegmentGrid& grid, CellId target_cell,
-              const MllResult& result) {
-    MRLG_ASSERT(result.success(), "can only undo a successful MLL commit");
+              const MllPlan& plan) {
+    MRLG_ASSERT(plan.success(), "can only undo a successful MLL commit");
     grid.remove(db, target_cell);
     // Restoring x values cannot change any row list's relative order:
     // shifted cells return to positions that were legal before the move.
-    grid.shift(db, result.moved);
+    grid.shift(db, shifts_of(plan, true));
 }
 
 }  // namespace mrlg

@@ -89,39 +89,15 @@ enum class MllStatus {
     kNoRegion,          ///< Window contains no usable rows.
 };
 
-struct MllResult {
-    MllStatus status = MllStatus::kNoRegion;
-    SiteCoord x = 0;  ///< Committed target position (success only).
-    SiteCoord y = 0;
-    double est_cost_um = 0.0;   ///< Evaluator cost of the chosen point.
-    double real_cost_um = 0.0;  ///< Realized displacement cost, microns.
-    std::size_t num_points = 0;  ///< As MllPlan::num_points.
-    std::size_t num_local_cells = 0;
-    bool enumeration_truncated = false;
-    std::uint8_t audits_run = 0;  ///< As MllPlan::audits_run.
-    /// Local cells the commit shifted, with their pre-move x. MLL only
-    /// ever changes x (rows and orders are invariant), so an exact undo is
-    /// "restore these x values and remove the target".
-    std::vector<std::pair<CellId, SiteCoord>> moved;
-
-    bool success() const { return status == MllStatus::kSuccess; }
-};
-
-/// Exactly reverts a successful mll_place: removes the target and restores
-/// every shifted cell. The grid must not have been modified in between.
-void mll_undo(Database& db, SegmentGrid& grid, CellId target_cell,
-              const MllResult& result) MRLG_REQUIRES(grid_write_cap());
-
-/// A fully-computed MLL solution that has not touched the database or the
-/// segment grid. Produced by mll_plan (read-only over db/grid), applied by
-/// mll_commit. Plans carry everything MllResult reports, so a failed plan
-/// converts losslessly into one (as mll_place does).
+/// A fully-computed MLL solution: produced by mll_plan (read-only over
+/// db/grid), applied by mll_commit and, once committed, the record that
+/// mll_undo reverts. mll_place returns it whether or not it succeeded.
 struct MllPlan {
     MllStatus status = MllStatus::kNoRegion;
     SiteCoord x = 0;  ///< Planned target position (success only).
     SiteCoord y = 0;
-    double est_cost_um = 0.0;
-    double real_cost_um = 0.0;
+    double est_cost_um = 0.0;   ///< Evaluator cost of the chosen point.
+    double real_cost_um = 0.0;  ///< Realized displacement cost, microns.
     /// Enumerated insertion points: each one was either scored or
     /// excluded by the cost bound (1 for the MIP path). This is what the
     /// mll.points_evaluated counter sums.
@@ -136,7 +112,8 @@ struct MllPlan {
     /// The enumerated points whose full evaluation ran (<= num_points).
     std::uint32_t num_scored = 0;
     /// One shifted local cell. `old_x` is the position the plan was
-    /// computed against; commit validates it before applying `new_x`.
+    /// computed against; commit validates it before applying `new_x`, and
+    /// undo restores it (MLL changes only x, never a row or an order).
     struct Move {
         CellId id;
         SiteCoord old_x = 0;
@@ -146,6 +123,10 @@ struct MllPlan {
 
     bool success() const { return status == MllStatus::kSuccess; }
 };
+
+/// The plan under its former name, kept only because bench_suite/ names
+/// it; the next change to the benchmark (ROADMAP item 1) drops it.
+using MllResult = MllPlan;
 
 /// The MLL window of paper §3: lower-left (x − Rx, y − Ry), size
 /// (2Rx + w) × (2Ry + h), anchored at the rounded preferred position.
@@ -178,18 +159,25 @@ void count_attempt(const MllPlan& plan);
 /// unreachable when plans are confined to pairwise-disjoint footprints
 /// (the pipeline's level schedule), so it is a broken invariant: commit
 /// restores any shift it applied and throws AssertionError naming the
-/// cell.
-MllResult mll_commit(Database& db, SegmentGrid& grid, CellId target_cell,
-                     const MllPlan& plan) MRLG_REQUIRES(grid_write_cap());
+/// cell. Returns `plan`, now the commit record mll_undo takes.
+const MllPlan& mll_commit(Database& db, SegmentGrid& grid,
+                          CellId target_cell, const MllPlan& plan)
+    MRLG_REQUIRES(grid_write_cap());
+
+/// Exactly reverts a committed plan: removes the target and moves every
+/// shifted cell back to its old_x. The grid must not have been modified
+/// in between.
+void mll_undo(Database& db, SegmentGrid& grid, CellId target_cell,
+              const MllPlan& plan) MRLG_REQUIRES(grid_write_cap());
 
 /// Places `target_cell` (must be unplaced) as close as possible to the
 /// preferred fractional position (pref_x, pref_y), legalizing the local
 /// neighbourhood. Commits on success; leaves everything untouched on
-/// failure. Equivalent to mll_plan immediately followed by mll_commit.
-MllResult mll_place(Database& db, SegmentGrid& grid, CellId target_cell,
-                    double pref_x, double pref_y,
-                    const MllOptions& opts = {},
-                    MllScratch* scratch = nullptr)
+/// failure. Equivalent to mll_plan immediately followed by mll_commit;
+/// returns the plan.
+MllPlan mll_place(Database& db, SegmentGrid& grid, CellId target_cell,
+                  double pref_x, double pref_y, const MllOptions& opts = {},
+                  MllScratch* scratch = nullptr)
     MRLG_REQUIRES(grid_write_cap());
 
 }  // namespace mrlg

@@ -18,7 +18,7 @@ struct Step {
     CellId cell;
     SiteCoord old_x = 0;  ///< kEvict: position the cell was removed from.
     SiteCoord old_y = 0;
-    MllResult mll;        ///< kMll: commit record for mll_undo.
+    MllPlan mll;          ///< kMll: commit record for mll_undo.
 };
 
 void rollback(Database& db, SegmentGrid& grid, std::vector<Step>& steps)
@@ -160,7 +160,7 @@ RipupResult ripup_place(Database& db, SegmentGrid& grid, CellId target,
                 const Cell& vc = db.cell(v);
                 const double vx = vc.gp_x();
                 const double vy = vc.gp_y();
-                MllResult r = mll_place(db, grid, v, vx, vy, opts.mll, scratch);
+                MllPlan r = mll_place(db, grid, v, vx, vy, opts.mll, scratch);
                 if (!r.success()) {
                     all_back = false;
                     break;

@@ -399,7 +399,7 @@ std::string diff_mll_roundtrip(Database& db, SegmentGrid& grid,
                                const MllOptions& opts) {
     GridWriteScope grid_write;
     const PlacementSnapshot before = capture_snapshot(db, grid);
-    const MllResult r = mll_place(db, grid, target, pref_x, pref_y, opts);
+    const MllPlan r = mll_place(db, grid, target, pref_x, pref_y, opts);
     std::ostringstream os;
     if (!r.success()) {
         const std::string diff =
@@ -537,7 +537,7 @@ LegalizerStats reference_legalize(Database& db, SegmentGrid& grid,
                 ++stats.direct_placements;
                 continue;
             }
-            const MllResult r = mll_place(db, grid, c, px, py, mopts, &scratch);
+            const MllPlan r = mll_place(db, grid, c, px, py, mopts, &scratch);
             stats.mll_points_evaluated += r.num_points;
             if (r.success()) {
                 ++stats.mll_successes;

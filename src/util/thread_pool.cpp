@@ -5,13 +5,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 
-#include "util/assert.hpp"
 #include "util/mutex.hpp"
 
 namespace mrlg {
@@ -26,79 +25,101 @@ std::atomic<ThreadPool::ChunkHook> g_chunk_hook{nullptr};
 /// the pool as a side effect of reporting.
 std::atomic<int> g_global_pool_active{-1};
 
-/// State of one parallel region. Heap-shared so a worker that wakes late
-/// (after the region completed and a new one started) still operates on
-/// the counters of the region it was dispatched for, never a newer one.
-struct JobState {
-    const std::function<void(std::size_t)>* fn = nullptr;
-    std::size_t num_chunks = 0;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> completed{0};
-    /// One slot per chunk; slot c is written only by the thread that
-    /// claimed chunk c (disjoint indices), so no lock guards the vector.
-    std::vector<std::exception_ptr> errors;
-    Mutex done_mutex;
-    CondVar done_cv;
-};
-
-/// Pulls chunks until the job is exhausted. Safe to call even when the
-/// job is already complete (the fetch_add immediately overflows).
-void drain(JobState& job) {
-    while (true) {
-        const std::size_t c = job.next.fetch_add(1);
-        if (c >= job.num_chunks) {
-            return;
-        }
-        try {
-            if (ThreadPool::ChunkHook hook =
-                    g_chunk_hook.load(std::memory_order_relaxed);
-                hook != nullptr) {
-                hook(c);
-            }
-            (*job.fn)(c);
-        } catch (...) {
-            job.errors[c] = std::current_exception();
-        }
-        if (job.completed.fetch_add(1) + 1 == job.num_chunks) {
-            // Empty critical section pairs with the waiter's predicate
-            // check so the notification cannot be missed.
-            { MutexLock lk(job.done_mutex); }
-            job.done_cv.notify_all();
-        }
-    }
-}
-
 }  // namespace
 
 struct ThreadPool::Impl {
+    using ChunkFn = std::function<void(std::size_t)>;
+
     Mutex mutex;
-    CondVar work_cv;
+    CondVar work_cv;  ///< Helpers wait here for an open place in the slot.
+    CondVar left_cv;  ///< The slot's owner waits here for helpers to leave.
     std::vector<std::thread> threads;  // written by ctor/dtor thread only
-    std::shared_ptr<JobState> current MRLG_GUARDED_BY(mutex);
-    /// Helpers the current job may still claim.
-    int open_slots MRLG_GUARDED_BY(mutex) = 0;
-    std::uint64_t generation MRLG_GUARDED_BY(mutex) = 0;
+
+    // The one job slot. A run owns it from open() to close(); helpers
+    // enter through its open places and copy the job out under the lock.
+    const ChunkFn* fn MRLG_GUARDED_BY(mutex) = nullptr;  ///< null: free
+    std::size_t num_chunks MRLG_GUARDED_BY(mutex) = 0;
+    std::atomic<std::size_t> next{0};  ///< Next chunk to claim.
+    int open_slots MRLG_GUARDED_BY(mutex) = 0;  ///< Helpers still admitted.
+    int inside MRLG_GUARDED_BY(mutex) = 0;      ///< Helpers draining now.
+    std::size_t failed_chunk MRLG_GUARDED_BY(mutex) = 0;
+    std::exception_ptr failure MRLG_GUARDED_BY(mutex);  ///< failed_chunk's
     bool stop MRLG_GUARDED_BY(mutex) = false;
 
+    /// Fills the slot and admits `helpers`; false when another run holds
+    /// it (a run nested in a chunk, or one from a second thread).
+    bool open(const ChunkFn& chunk_fn, std::size_t chunks, int helpers) {
+        MutexLock lk(mutex);
+        if (fn != nullptr) {
+            return false;
+        }
+        fn = &chunk_fn;
+        num_chunks = chunks;
+        next.store(0);
+        open_slots = helpers;
+        failure = nullptr;
+        return true;
+    }
+
+    /// Claims chunks until none is left. A throwing chunk's exception is
+    /// kept only if no lower-indexed chunk's is.
+    void drain(const ChunkFn& chunk_fn, std::size_t chunks) {
+        for (std::size_t c = next.fetch_add(1); c < chunks;
+             c = next.fetch_add(1)) {
+            try {
+                if (ThreadPool::ChunkHook hook =
+                        g_chunk_hook.load(std::memory_order_relaxed);
+                    hook != nullptr) {
+                    hook(c);
+                }
+                chunk_fn(c);
+            } catch (...) {
+                MutexLock lk(mutex);
+                if (failure == nullptr || c < failed_chunk) {
+                    failed_chunk = c;
+                    failure = std::current_exception();
+                }
+            }
+        }
+    }
+
+    /// Admits no further helper, waits until every helper that entered
+    /// has left (so every chunk has finished), frees the slot and returns
+    /// the lowest-indexed failing chunk's exception, if any.
+    std::exception_ptr close() {
+        MutexLock lk(mutex);
+        open_slots = 0;
+        left_cv.wait(mutex, lk, [&] {
+            mutex.assert_held();
+            return inside == 0;
+        });
+        fn = nullptr;
+        return std::exchange(failure, nullptr);
+    }
+
     void worker_loop() {
-        std::uint64_t seen = 0;
         while (true) {
-            std::shared_ptr<JobState> job;
+            const ChunkFn* job = nullptr;
+            std::size_t chunks = 0;
             {
                 MutexLock lk(mutex);
                 work_cv.wait(mutex, lk, [&] {
                     mutex.assert_held();
-                    return stop || (current != nullptr && open_slots > 0 &&
-                                    generation != seen);
+                    return stop || open_slots > 0;
                 });
                 if (stop) {
                     return;
                 }
-                seen = generation;
                 --open_slots;
-                job = current;
+                ++inside;
+                job = fn;
+                chunks = num_chunks;
             }
-            drain(*job);
+            drain(*job, chunks);
+            MutexLock lk(mutex);
+            if (--inside == 0) {
+                left_cv.notify_one();
+            }
         }
     }
 };
@@ -137,47 +158,18 @@ void ThreadPool::run_chunks(std::size_t num_chunks, int max_threads,
     const int helpers = static_cast<int>(
         std::min({max_helpers, static_cast<std::size_t>(num_workers()),
                   num_chunks - 1}));
-    if (helpers <= 0) {
+    if (helpers <= 0 || !impl_->open(chunk_fn, num_chunks, helpers)) {
         for (std::size_t c = 0; c < num_chunks; ++c) {
             chunk_fn(c);
         }
         return;
     }
-
-    auto job = std::make_shared<JobState>();
-    job->fn = &chunk_fn;
-    job->num_chunks = num_chunks;
-    job->errors.assign(num_chunks, nullptr);
-    {
-        MutexLock lk(impl_->mutex);
-        impl_->current = job;
-        impl_->open_slots = helpers;
-        ++impl_->generation;
+    for (int i = 0; i < helpers; ++i) {
+        impl_->work_cv.notify_one();
     }
-    impl_->work_cv.notify_all();
-
-    drain(*job);  // the calling thread participates
-
-    {
-        MutexLock lk(job->done_mutex);
-        job->done_cv.wait(job->done_mutex, lk, [&] {
-            // completed is atomic; the lock only serializes the sleep
-            // against drain()'s empty critical section above.
-            return job->completed.load() == job->num_chunks;
-        });
-    }
-    {
-        // Retire the job so late wakeups go back to sleep immediately.
-        MutexLock lk(impl_->mutex);
-        if (impl_->current == job) {
-            impl_->current.reset();
-            impl_->open_slots = 0;
-        }
-    }
-    for (std::exception_ptr& e : job->errors) {
-        if (e) {
-            std::rethrow_exception(e);
-        }
+    impl_->drain(chunk_fn, num_chunks);  // the calling thread participates
+    if (std::exception_ptr failure = impl_->close()) {
+        std::rethrow_exception(failure);
     }
 }
 

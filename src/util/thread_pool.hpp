@@ -9,6 +9,11 @@
 /// Any `num_threads` (including 1) therefore produces bit-identical
 /// results; threads only decide which worker executes which chunk.
 ///
+/// The pool has one job slot. A run fills it, wakes one helper per place
+/// it admits, drains chunks beside them and returns once every helper that
+/// entered has left. A run that finds the slot taken (one nested in a
+/// chunk, or one from a second thread) runs its chunks on its own thread.
+///
 /// Thread count resolution: an explicit request wins; a request of 0 falls
 /// back to the `MRLG_THREADS` environment variable, then to the hardware
 /// concurrency. `MRLG_THREADS`, when set, must be a whole number >= 1
@@ -53,8 +58,9 @@ public:
     /// Runs `chunk_fn(c)` for every c in [0, num_chunks) across at most
     /// `max_threads` threads (calling thread included). Blocks until every
     /// chunk has finished. If chunks throw, the exception of the
-    /// lowest-indexed throwing chunk is rethrown (the remaining chunks
-    /// still run — there is no cancellation).
+    /// lowest-indexed throwing chunk is rethrown: on several threads the
+    /// remaining chunks still run (there is no cancellation); on one, the
+    /// first throw ends the run.
     void run_chunks(std::size_t num_chunks, int max_threads,
                     const std::function<void(std::size_t)>& chunk_fn);
 

@@ -12,12 +12,9 @@ struct SegmentGrid {
 struct MllPlan {
     bool ok = false;
 };
-struct MllResult {
-    bool ok = false;
-};
 
-MllResult mll_commit(Database& db, SegmentGrid& grid, int cell,
-                     const MllPlan& plan);
+const MllPlan& mll_commit(Database& db, SegmentGrid& grid, int cell,
+                          const MllPlan& plan);
 
 namespace mrlg_fixture {
 

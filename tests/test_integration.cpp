@@ -137,7 +137,7 @@ TEST(Integration, IncrementalUseCaseGateSizing) {
     const CellId fat = d.db.add_cell(
         Cell("fat", d.db.cell(victim).width() + 2, 1));
     d.db.cell(fat).set_gp(px, py);
-    const MllResult r = mll_place(d.db, d.grid, fat, px, py);
+    const MllPlan r = mll_place(d.db, d.grid, fat, px, py);
     ASSERT_TRUE(r.success());
     LegalityOptions lopts;
     lopts.require_all_placed = false;  // the original victim stays out

@@ -171,24 +171,87 @@ TEST_F(LefDefTest, EndToEndLegalizeFromDef) {
     EXPECT_GE(ff.x(), 20);
 }
 
+/// read → legalize → write_def → read gives the legalized positions (as gp
+/// positions) and the same cells, rows, fences and nets.
 TEST_F(LefDefTest, DefRoundTripThroughWriter) {
     const LefLibrary lef = read_lef(kLefPath);
+    for (const std::string& def : {kDefPath, kSplitDefPath}) {
+        SCOPED_TRACE(def);
+        DefReadResult a = read_def(def, lef);
+        a.db.freeze_fixed_cells();
+        SegmentGrid grid = SegmentGrid::build(a.db);
+        ASSERT_TRUE(legalize_placement(a.db, grid).success);
+        const std::string out = (dir_ / "top_legal.def").string();
+        write_def(a.db, lef, out, "top_legal", a.names);
+        const std::string text = read_text(out);
+        EXPECT_NE(text.find("COMPONENTS 4 ;"), std::string::npos);
+        EXPECT_NE(text.find("FIXED"), std::string::npos);
+        EXPECT_EQ(text.find("UNPLACED"), std::string::npos);
+        DefReadResult b = read_def(out, lef);
+        b.db.freeze_fixed_cells();
+        EXPECT_EQ(b.design_name, "top_legal");
+
+        ASSERT_EQ(a.db.num_cells(), b.db.num_cells());
+        for (std::size_t i = 0; i < a.db.num_cells(); ++i) {
+            const Cell& ca = a.db.cells()[i];
+            const Cell& cb = b.db.cells()[i];
+            EXPECT_EQ(ca.name(), cb.name());
+            EXPECT_EQ(ca.width(), cb.width()) << ca.name();
+            EXPECT_EQ(ca.height(), cb.height()) << ca.name();
+            EXPECT_EQ(ca.fixed(), cb.fixed()) << ca.name();
+            EXPECT_EQ(ca.region(), cb.region()) << ca.name();
+            EXPECT_EQ(cb.gp_x(), ca.x()) << ca.name();
+            EXPECT_EQ(cb.gp_y(), ca.y()) << ca.name();
+        }
+        const Floorplan& fa = a.db.floorplan();
+        const Floorplan& fb = b.db.floorplan();
+        ASSERT_EQ(fa.rows().size(), fb.rows().size());
+        for (std::size_t r = 0; r < fa.rows().size(); ++r) {
+            EXPECT_EQ(fa.rows()[r].y, fb.rows()[r].y);
+            EXPECT_EQ(fa.rows()[r].x, fb.rows()[r].x);
+            EXPECT_EQ(fa.rows()[r].num_sites, fb.rows()[r].num_sites);
+        }
+        ASSERT_EQ(fa.fences().size(), fb.fences().size());
+        for (std::size_t f = 0; f < fa.fences().size(); ++f) {
+            EXPECT_EQ(fa.fences()[f].region, fb.fences()[f].region);
+            EXPECT_EQ(fa.fences()[f].rect, fb.fences()[f].rect);
+        }
+        EXPECT_EQ(fa.blockages(), fb.blockages());
+        ASSERT_EQ(a.db.nets().size(), b.db.nets().size());
+        for (std::size_t n = 0; n < a.db.nets().size(); ++n) {
+            const Net& na = a.db.nets()[n];
+            const Net& nb = b.db.nets()[n];
+            EXPECT_EQ(na.name(), nb.name());
+            ASSERT_EQ(na.pins().size(), nb.pins().size()) << na.name();
+            for (std::size_t k = 0; k < na.pins().size(); ++k) {
+                const Pin& pa = a.db.pin(na.pins()[k]);
+                const Pin& pb = b.db.pin(nb.pins()[k]);
+                EXPECT_EQ(pa.cell, pb.cell) << na.name();
+                EXPECT_EQ(pa.offset_x, pb.offset_x) << na.name();
+                EXPECT_EQ(pa.offset_y, pb.offset_y) << na.name();
+            }
+        }
+        EXPECT_EQ(a.names.macros, b.names.macros);
+        EXPECT_EQ(a.names.cell_macro, b.names.cell_macro);
+        EXPECT_EQ(a.names.pins, b.names.pins);
+        EXPECT_EQ(a.names.regions, b.names.regions);
+    }
+}
+
+/// A design that came without a LEF gets generated macro, pin and region
+/// names.
+TEST_F(LefDefTest, WriterNamesWhatNoDefNamed) {
+    const LefLibrary lef = read_lef(kLefPath);
     DefReadResult r = read_def(kDefPath, lef);
-    r.db.freeze_fixed_cells();
-    SegmentGrid grid = SegmentGrid::build(r.db);
-    ASSERT_TRUE(legalize_placement(r.db, grid).success);
-    const std::string out = write("out.def", "");
-    write_def(r.db, lef, out, "top_legal");
-    // The written DEF re-tokenizes: components placed, rows present.
-    std::ifstream in(out);
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    EXPECT_NE(text.find("DESIGN top_legal ;"), std::string::npos);
-    EXPECT_NE(text.find("COMPONENTS 4 ;"), std::string::npos);
-    EXPECT_NE(text.find("PLACED"), std::string::npos);
-    EXPECT_NE(text.find("FIXED"), std::string::npos);
-    EXPECT_NE(text.find("END DESIGN"), std::string::npos);
-    EXPECT_EQ(text.find("UNPLACED"), std::string::npos);
+    const std::string out = (dir_ / "unnamed.def").string();
+    write_def(r.db, lef, out, "unnamed");
+    const std::string text = read_text(out);
+    EXPECT_NE(text.find("- u1 u1_master + "), std::string::npos) << text;
+    EXPECT_NE(text.find("( u1 p0 )"), std::string::npos) << text;
+    EXPECT_NE(text.find("- region1 ( 4000 0 ) ( 8000 12800 ) ;"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("+ REGION region1 ;"), std::string::npos) << text;
 }
 
 TEST_F(LefDefTest, MissingFileThrows) {

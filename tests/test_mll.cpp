@@ -18,7 +18,7 @@ TEST(Mll, PlacesIntoEmptyRegionAtPreferredSpot) {
     Database db = empty_design(12, 100);
     SegmentGrid grid = SegmentGrid::build(db);
     const CellId t = add_unplaced(db, "t", 40.0, 5.0, 4, 1);
-    const MllResult r = mll_place(db, grid, t, 40.0, 5.0);
+    const MllPlan r = mll_place(db, grid, t, 40.0, 5.0);
     ASSERT_TRUE(r.success());
     EXPECT_EQ(r.x, 40);
     EXPECT_EQ(r.y, 5);
@@ -35,7 +35,7 @@ TEST(Mll, ShiftsNeighboursMinimally) {
     const CellId b = add_placed(db, grid, "b", 40, 5, 4, 1);
     const CellId c = add_placed(db, grid, "c", 44, 5, 4, 1);
     const CellId t = add_unplaced(db, "t", 40.0, 5.0, 4, 1);
-    const MllResult r = mll_place(db, grid, t, 40.0, 5.0);
+    const MllPlan r = mll_place(db, grid, t, 40.0, 5.0);
     ASSERT_TRUE(r.success());
     EXPECT_EQ(r.y, 5);
     EXPECT_TRUE(check_legality(db, grid).legal);
@@ -51,7 +51,7 @@ TEST(Mll, RespectsRailParityForDoubleHeightTarget) {
     SegmentGrid grid = SegmentGrid::build(db);
     const CellId t =
         add_unplaced(db, "t", 40.0, 5.0, 4, 2, RailPhase::kEven);
-    const MllResult r = mll_place(db, grid, t, 40.0, 5.0);
+    const MllPlan r = mll_place(db, grid, t, 40.0, 5.0);
     ASSERT_TRUE(r.success());
     EXPECT_EQ(r.y % 2, 0);  // even parity
     EXPECT_TRUE(check_legality(db, grid).legal);
@@ -64,7 +64,7 @@ TEST(Mll, RelaxedRailAllowsAnyRow) {
         add_unplaced(db, "t", 40.0, 5.0, 4, 2, RailPhase::kEven);
     MllOptions opts;
     opts.check_rail = false;
-    const MllResult r = mll_place(db, grid, t, 40.0, 5.0, opts);
+    const MllPlan r = mll_place(db, grid, t, 40.0, 5.0, opts);
     ASSERT_TRUE(r.success());
     EXPECT_EQ(r.y, 5);  // odd row allowed when relaxed
     LegalityOptions lopts;
@@ -78,7 +78,7 @@ TEST(Mll, FailsWhenRegionFull) {
     add_placed(db, grid, "a", 0, 0, 10, 1);
     add_placed(db, grid, "b", 10, 0, 10, 1);
     const CellId t = add_unplaced(db, "t", 5.0, 0.0, 4, 1);
-    const MllResult r = mll_place(db, grid, t, 5.0, 0.0);
+    const MllPlan r = mll_place(db, grid, t, 5.0, 0.0);
     EXPECT_FALSE(r.success());
     EXPECT_EQ(r.status, MllStatus::kNoInsertionPoint);
     // Abort semantics: nothing changed.
@@ -91,7 +91,7 @@ TEST(Mll, FailsOffDie) {
     Database db = empty_design(4, 50);
     SegmentGrid grid = SegmentGrid::build(db);
     const CellId t = add_unplaced(db, "t", 10.0, 100.0, 4, 1);
-    const MllResult r = mll_place(db, grid, t, 10.0, 100.0);
+    const MllPlan r = mll_place(db, grid, t, 10.0, 100.0);
     EXPECT_FALSE(r.success());
     EXPECT_EQ(r.status, MllStatus::kNoRegion);
 }
@@ -193,7 +193,7 @@ TEST(Mll, Figure5Scenario) {
         add_unplaced(db, "t", 4.0, 1.0, 3, 2, RailPhase::kOdd);
     MllOptions opts;
     opts.check_rail = false;  // the figure ignores parity
-    const MllResult r = mll_place(db, grid, t, 4.0, 1.0, opts);
+    const MllPlan r = mll_place(db, grid, t, 4.0, 1.0, opts);
     ASSERT_TRUE(r.success());
     LegalityOptions lopts;
     lopts.check_rail_alignment = false;
@@ -225,7 +225,7 @@ TEST(Mll, ApproxAndExactBothLegalExactNoWorse) {
                 dd.db, "target", px, py, w, h, phase);
             MllOptions opts;
             opts.exact_evaluation = mode == 1;
-            const MllResult r =
+            const MllPlan r =
                 mll_place(dd.db, dd.grid, t, px, py, opts);
             if (!r.success()) {
                 costs[0] = costs[1] = -1;
@@ -256,7 +256,7 @@ TEST(Mll, ManySequentialInsertionsStayLegal) {
         const double py = static_cast<double>(rng.uniform(0, 8));
         const CellId t = add_unplaced(db, "c" + std::to_string(i), px, py,
                                       w, dbl ? 2 : 1);
-        const MllResult r = mll_place(db, grid, t, px, py);
+        const MllPlan r = mll_place(db, grid, t, px, py);
         placed += r.success() ? 1 : 0;
         if (i % 25 == 0) {
             LegalityOptions lopts;

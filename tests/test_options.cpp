@@ -24,7 +24,7 @@ TEST(Options, MllMaxPointsTruncationIsReported) {
     const CellId t = add_unplaced(db, "t", 200.0, 0.0, 2, 1);
     MllOptions opts;
     opts.max_points = 3;
-    const MllResult r = mll_place(db, grid, t, 200.0, 0.0, opts);
+    const MllPlan r = mll_place(db, grid, t, 200.0, 0.0, opts);
     ASSERT_TRUE(r.success());  // truncated but still places from the cap
     EXPECT_TRUE(r.enumeration_truncated);
     EXPECT_LE(r.num_points, 3u);
@@ -42,7 +42,7 @@ TEST(Options, MllWindowRadiiChangeRegionSize) {
     MllOptions small;
     small.rx = 5;
     small.ry = 0;
-    const MllResult rs = mll_place(db, grid, t, 100.0, 5.0, small);
+    const MllPlan rs = mll_place(db, grid, t, 100.0, 5.0, small);
     ASSERT_TRUE(rs.success());
     const std::size_t small_locals = rs.num_local_cells;
     mll_undo(db, grid, t, rs);
@@ -50,7 +50,7 @@ TEST(Options, MllWindowRadiiChangeRegionSize) {
     MllOptions big;
     big.rx = 90;
     big.ry = 5;
-    const MllResult rb = mll_place(db, grid, t, 100.0, 5.0, big);
+    const MllPlan rb = mll_place(db, grid, t, 100.0, 5.0, big);
     ASSERT_TRUE(rb.success());
     EXPECT_GT(rb.num_local_cells, small_locals);
 }
@@ -120,7 +120,7 @@ TEST(Options, MipWithoutFeasiblePointCountsNoInsertionPoint) {
         opts.use_mip = mip;
         obs::Tracer tracer;
         obs::ScopedTracer install(tracer);
-        const MllResult r = mll_place(db, grid, t, 8.0, 0.0, opts);
+        const MllPlan r = mll_place(db, grid, t, 8.0, 0.0, opts);
         EXPECT_EQ(r.status, MllStatus::kNoInsertionPoint) << "mip=" << mip;
         EXPECT_EQ(tracer.counter("mll.attempts"), 1u) << "mip=" << mip;
         EXPECT_EQ(tracer.counter("mll.no_insertion_point"), 1u)

@@ -44,7 +44,7 @@ TEST_P(MllSweep, InsertionsKeepAllInvariants) {
         MllOptions opts;
         opts.check_rail = c.check_rail;
         opts.exact_evaluation = c.exact_eval;
-        const MllResult r = mll_place(d.db, d.grid, t, px, py, opts);
+        const MllPlan r = mll_place(d.db, d.grid, t, px, py, opts);
         if (!r.success()) {
             // Abort semantics: target untouched.
             EXPECT_FALSE(d.db.cell(t).placed());

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -144,6 +145,72 @@ TEST(ThreadPool, PoolSurvivesAThrowingRegion) {
     std::atomic<int> count{0};
     pool.run_chunks(8, 4, [&](std::size_t) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 8);
+}
+
+/// Set by chunk 5 of LowestIndexedThrowWinsOverEarlierThrow just before
+/// it throws.
+std::atomic<bool> g_chunk5_threw{false};
+
+/// Holds chunk 2 back until chunk 5 has thrown, and a little longer so
+/// that chunk 5's exception is recorded first. Bounded, so a run that gave
+/// both chunks to one thread cannot hang.
+void hold_chunk2_until_chunk5_threw(std::size_t chunk) {
+    if (chunk != 2) {
+        return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!g_chunk5_threw.load() &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+}
+
+TEST(ThreadPool, LowestIndexedThrowWinsOverEarlierThrow) {
+    g_chunk5_threw.store(false);
+    ThreadPool::set_chunk_hook_for_test(&hold_chunk2_until_chunk5_threw);
+    std::string rethrown;
+    try {
+        ThreadPool::global().run_chunks(8, 4, [](std::size_t c) {
+            if (c == 5) {
+                g_chunk5_threw.store(true);
+                throw std::runtime_error("chunk 5");
+            }
+            if (c == 2) {
+                throw std::runtime_error("chunk 2");
+            }
+        });
+    } catch (const std::runtime_error& e) {
+        rethrown = e.what();
+    }
+    ThreadPool::set_chunk_hook_for_test(nullptr);
+    EXPECT_TRUE(g_chunk5_threw.load());
+    EXPECT_EQ(rethrown, "chunk 2");
+}
+
+TEST(ThreadPool, NestedParallelForVisitsEveryPairOnce) {
+    // The inner run finds the pool's slot taken by the outer one and runs
+    // on its own thread; every (outer, inner) pair still runs once.
+    constexpr std::size_t kOuter = 24;
+    constexpr std::size_t kInner = 40;
+    std::vector<std::atomic<int>> hits(kOuter * kInner);
+    for (auto& h : hits) {
+        h.store(0);
+    }
+    parallel_for(kOuter, 1, 4, [&](std::size_t ob, std::size_t oe) {
+        for (std::size_t o = ob; o < oe; ++o) {
+            parallel_for(kInner, 4, 4, [&](std::size_t ib, std::size_t ie) {
+                for (std::size_t i = ib; i < ie; ++i) {
+                    hits[o * kInner + i].fetch_add(1);
+                }
+            });
+        }
+    });
+    for (std::size_t k = 0; k < hits.size(); ++k) {
+        ASSERT_EQ(hits[k].load(), 1) << "outer " << k / kInner << ", inner "
+                                     << k % kInner;
+    }
 }
 
 TEST(ThreadPool, ResolveThreadsPrefersExplicitRequest) {

@@ -97,14 +97,15 @@ TEST(Walkthrough, Stage3IntervalsAndStage4Points) {
 
 TEST(Walkthrough, Stage5CommitAndUndo) {
     Walkthrough w;
-    const MllResult r = mll_place(w.db, w.grid, w.t, 6.0, 0.0);
+    const MllPlan r = mll_place(w.db, w.grid, w.t, 6.0, 0.0);
     ASSERT_TRUE(r.success());
     EXPECT_EQ(r.x, 6);
     EXPECT_EQ(r.y, 0);
     EXPECT_NEAR(r.real_cost_um, 0.20, 1e-9);
-    ASSERT_EQ(r.moved.size(), 1u);
-    EXPECT_EQ(r.moved[0].first, w.m);
-    EXPECT_EQ(r.moved[0].second, 8);
+    ASSERT_EQ(r.moves.size(), 1u);
+    EXPECT_EQ(r.moves[0].id, w.m);
+    EXPECT_EQ(r.moves[0].old_x, 8);
+    EXPECT_EQ(r.moves[0].new_x, 9);
     EXPECT_EQ(w.db.cell(w.m).x(), 9);
     EXPECT_EQ(w.db.cell(w.b).x(), 13);  // untouched
 

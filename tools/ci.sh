@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # mrlg CI pipeline: one entry point for every check this repo ships.
 #
-#   1. Release build with warnings as errors (MRLG_WERROR) + full ctest
-#      suite (it includes the bench_parallel thread-sweep smoke and the
-#      trace-schema check on its output, every bench_paper experiment
-#      scaled down, the five examples, the mrlg_legalize runs: an
-#      end-to-end MRLG_VALIDATE=full legalization that must pass every
-#      in-run audit, the LEF/DEF flag smoke and the parse-error exits,
-#      and the mrlg_fuzz smoke at two fixed seeds)
+#   1. Release build with warnings as errors (MRLG_WERROR; src/, tools/,
+#      bench/ and examples/ build with the warning set, tests/ without)
+#      + full ctest suite (it includes the bench_parallel thread-sweep
+#      smoke and the trace-schema check on its output, every bench_paper
+#      experiment scaled down, the five examples, the mrlg_legalize runs:
+#      an end-to-end MRLG_VALIDATE=full legalization that must pass every
+#      in-run audit, the LEF/DEF flag smoke, a re-run on the DEF it wrote
+#      and the parse-error exits, and the mrlg_fuzz smoke at two fixed
+#      seeds)
 #   1b. Benchmark build: compiles the standalone bench_suite/ package
 #      against this checkout's src/, so an API change that breaks the
 #      benchmark fails here rather than at the next benchmark run. It
@@ -16,16 +18,16 @@
 #      proving the mll_plan closure read-only, plus the determinism lint
 #      — one stage, one baseline, one exit code
 #   2b. Thread-safety annotations: the analyze-effects preset compiles
-#      every TU with clang -Wthread-safety -Werror so the GridWriteCap
-#      capability chain is machine-checked; SKIPped when clang++ is not
-#      installed (the Python analyzer in stage 2 still runs)
+#      every src/ TU with clang -Wthread-safety -Werror so the
+#      GridWriteCap capability chain is machine-checked; SKIPped when
+#      clang++ is not installed (the Python analyzer in stage 2 still runs)
 #   3. clang-tidy over all translation units (MRLG_ANALYZE build)
 #   4. cppcheck over src/ and tools/
 #   5. ASan+UBSan build + full ctest suite (DCHECKs on)
 #   6. TSan build running the `parallel` label tier under MRLG_THREADS=4
-#      (the thread-count determinism properties, incl. the region-parallel
-#      plan/commit pipeline and the lock-free Timeline lanes, with real
-#      worker threads racing)
+#      (the thread pool's own tests and the thread-count determinism
+#      properties, incl. the region-parallel plan/commit pipeline and the
+#      lock-free Timeline lanes, with real worker threads racing)
 #   7. Coverage: gcovr over a --coverage build running the fast unit
 #      tier (ctest -L unit); SKIPped when gcovr is not installed.
 #

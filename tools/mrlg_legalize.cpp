@@ -73,6 +73,7 @@ int main(int argc, char** argv) {
     Database db;
     std::string design = "design";
     std::optional<LefLibrary> lef;  // LEF/DEF input: kept for DEF output
+    DefNames def_names;             // with the DEF's macro and pin names
 
     try {
         if (args.has("--gen")) {
@@ -90,6 +91,7 @@ int main(int argc, char** argv) {
             DefReadResult r = read_def(args.get("--def"), *lef);
             db = std::move(r.db);
             design = r.design_name;
+            def_names = std::move(r.names);
             db.freeze_fixed_cells();
         } else if (args.positional() != nullptr) {
             BookshelfReadResult r = read_bookshelf(args.positional());
@@ -220,7 +222,7 @@ int main(int argc, char** argv) {
             if (lef) {
                 write_def(db, *lef,
                           std::string(dir) + "/" + design + "_legal.def",
-                          design + "_legal");
+                          design + "_legal", def_names);
             }
         } catch (const std::exception& e) {
             std::cerr << "write error: " << e.what() << "\n";
