@@ -10,6 +10,7 @@
 
 #include "db/write_cap.hpp"
 #include "io/text_file.hpp"
+#include "util/assert.hpp"
 
 namespace mrlg {
 
@@ -405,8 +406,7 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
     const double num_rows = static_cast<double>(rows.size());
     std::vector<const LefMacro*> macros;
     macros.reserve(comps.size());
-    names.cell_macro.reserve(comps.size());
-    std::unordered_map<std::string_view, std::uint32_t> macro_index;
+    names.macros.reserve(comps.size());
     for (const DefComp& c : comps) {
         const std::string inst(c.inst);
         const std::string macro_name(c.macro);
@@ -453,12 +453,7 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
         }
         db.add_cell(std::move(cell));
         macros.push_back(macro);
-        const auto [it, fresh] = macro_index.emplace(
-            c.macro, static_cast<std::uint32_t>(names.macros.size()));
-        if (fresh) {
-            names.macros.emplace_back(c.macro);
-        }
-        names.cell_macro.push_back(it->second);
+        names.macros.push_back(macro->name);
     }
 
     // Group membership → cell regions; a later group wins. A group
@@ -492,6 +487,11 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
     }
 
     // Nets.
+    std::size_t num_pins = 0;
+    for (const DefNet& n : nets) {
+        num_pins += n.pins.size();
+    }
+    names.pins.reserve(num_pins);
     for (const DefNet& n : nets) {
         const std::string name(n.name);
         if (db.find_net(name).valid()) {
@@ -527,6 +527,19 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
 void write_def(const Database& db, const LefLibrary& lef,
                const std::string& path, const std::string& design,
                const DefNames& names) {
+    int max_region = 0;
+    for (const Floorplan::Fence& f : db.floorplan().fences()) {
+        max_region = std::max(max_region, f.region);
+    }
+    for (const Cell& c : db.cells()) {
+        max_region = std::max(max_region, c.region());
+    }
+    MRLG_ASSERT(names.macros.size() == db.num_cells() &&
+                    names.pins.size() == db.pins().size() &&
+                    static_cast<std::size_t>(max_region) <=
+                        names.regions.size(),
+                "write_def needs a macro name per cell, a pin name per pin "
+                "and a name per region");
     std::ofstream out(path);
     const double dbu = lef.dbu_per_micron;
     const double site_w_dbu = lef.site_w_um * dbu;
@@ -535,11 +548,6 @@ void write_def(const Database& db, const LefLibrary& lef,
     // one DBU low whenever a site size in DBU is inexact in binary.
     const auto x_dbu = [&](SiteCoord x) { return std::llround(x * site_w_dbu); };
     const auto y_dbu = [&](SiteCoord y) { return std::llround(y * site_h_dbu); };
-    const auto put_region = [&](int id) -> std::ostream& {
-        const auto i = static_cast<std::size_t>(id - 1);
-        return i < names.regions.size() ? out << names.regions[i]
-                                         : out << "region" << id;
-    };
     const Rect die = db.floorplan().die();
 
     out << "VERSION 5.8 ;\nDESIGN " << design << " ;\n"
@@ -552,29 +560,14 @@ void write_def(const Database& db, const LefLibrary& lef,
             << x_dbu(1) << " 0 ;\n";
     }
 
-    // Regions 1..k, each with its fence rectangles and its members, so
-    // that reading the file back numbers them the same.
-    int num_regions = static_cast<int>(names.regions.size());
-    for (const Floorplan::Fence& f : db.floorplan().fences()) {
-        num_regions = std::max(num_regions, f.region);
-    }
-    for (const Cell& c : db.cells()) {
-        num_regions = std::max(num_regions, c.region());
-    }
-    std::vector<std::vector<const Cell*>> members(
-        static_cast<std::size_t>(num_regions) + 1);
-    for (const Cell& c : db.cells()) {
-        if (c.region() > 0) {
-            members[static_cast<std::size_t>(c.region())].push_back(&c);
-        }
-    }
-    if (num_regions > 0) {
-        out << "REGIONS " << num_regions << " ;\n";
-        for (int id = 1; id <= num_regions; ++id) {
-            out << "- ";
-            put_region(id);
+    // Regions 1..k in id order, each with its fence rectangles, so that
+    // reading the file back numbers them the same.
+    if (!names.regions.empty()) {
+        out << "REGIONS " << names.regions.size() << " ;\n";
+        for (std::size_t i = 0; i < names.regions.size(); ++i) {
+            out << "- " << names.regions[i];
             for (const Floorplan::Fence& f : db.floorplan().fences()) {
-                if (f.region == id) {
+                if (static_cast<std::size_t>(f.region) == i + 1) {
                     out << " ( " << x_dbu(f.rect.x) << " " << y_dbu(f.rect.y)
                         << " ) ( " << x_dbu(f.rect.x_hi()) << " "
                         << y_dbu(f.rect.y_hi()) << " )";
@@ -583,35 +576,12 @@ void write_def(const Database& db, const LefLibrary& lef,
             out << " ;\n";
         }
         out << "END REGIONS\n";
-        const auto num_groups = std::count_if(
-            members.begin() + 1, members.end(),
-            [](const auto& m) { return !m.empty(); });
-        out << "GROUPS " << num_groups << " ;\n";
-        for (int id = 1; id <= num_regions; ++id) {
-            if (members[static_cast<std::size_t>(id)].empty()) {
-                continue;
-            }
-            out << "- ";
-            put_region(id);
-            for (const Cell* c : members[static_cast<std::size_t>(id)]) {
-                out << "\n  " << c->name();
-            }
-            out << "\n  + REGION ";
-            put_region(id) << " ;\n";
-        }
-        out << "END GROUPS\n";
     }
 
     out << "COMPONENTS " << db.num_cells() << " ;\n";
     for (std::size_t i = 0; i < db.num_cells(); ++i) {
         const Cell& c = db.cells()[i];
-        out << "- " << c.name() << " ";
-        if (i < names.cell_macro.size()) {
-            out << names.macros[names.cell_macro[i]];
-        } else {
-            out << c.name() << "_master";
-        }
-        out << " + ";
+        out << "- " << c.name() << " " << names.macros[i] << " + ";
         if (c.fixed()) {
             out << "FIXED ( " << x_dbu(c.x()) << " " << y_dbu(c.y())
                 << " ) N";
@@ -628,17 +598,39 @@ void write_def(const Database& db, const LefLibrary& lef,
     for (const Net& n : db.nets()) {
         out << "- " << n.name();
         for (const PinId pid : n.pins()) {
-            out << " ( " << db.cell(db.pin(pid).cell).name() << " ";
-            if (pid.index() < names.pins.size()) {
-                out << names.pins[pid.index()];
-            } else {
-                out << "p" << pid;
-            }
-            out << " )";
+            out << " ( " << db.cell(db.pin(pid).cell).name() << " "
+                << names.pins[pid.index()] << " )";
         }
         out << " ;\n";
     }
-    out << "END NETS\nEND DESIGN\n";
+    out << "END NETS\n";
+
+    // Groups come after the components they list, as DEF wants a name
+    // defined before it is used: one per region that has members.
+    std::vector<std::vector<const Cell*>> members(names.regions.size() + 1);
+    for (const Cell& c : db.cells()) {
+        if (c.region() > 0) {
+            members[static_cast<std::size_t>(c.region())].push_back(&c);
+        }
+    }
+    if (!names.regions.empty()) {
+        const auto num_groups = std::count_if(
+            members.begin() + 1, members.end(),
+            [](const auto& m) { return !m.empty(); });
+        out << "GROUPS " << num_groups << " ;\n";
+        for (std::size_t i = 0; i < names.regions.size(); ++i) {
+            if (members[i + 1].empty()) {
+                continue;
+            }
+            out << "- " << names.regions[i];
+            for (const Cell* c : members[i + 1]) {
+                out << "\n  " << c->name();
+            }
+            out << "\n  + REGION " << names.regions[i] << " ;\n";
+        }
+        out << "END GROUPS\n";
+    }
+    out << "END DESIGN\n";
     io_detail::close_written(out, path);
 }
 

@@ -23,7 +23,6 @@
 /// taller than the core, a position in range). Only a LEF with no sized
 /// SITE and a DEF with no ROW fail as `<file>: <what>`.
 
-#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -62,14 +61,11 @@ struct LefLibrary {
 LefLibrary read_lef(const std::string& path);
 
 /// The DEF names a Database has no field for, as read_def found them, so
-/// that write_def can give them back. A cell, pin or region beyond these
-/// lists (a design that came without a LEF, or a cell added later) is
-/// written as `<cell>_master`, `p<pin id>` or `region<id>`.
+/// that write_def can give them back.
 struct DefNames {
-    std::vector<std::string> macros;        ///< Distinct LEF macro names.
-    std::vector<std::uint32_t> cell_macro;  ///< CellId → index in macros.
-    std::vector<std::string> pins;          ///< PinId → its DEF pin name.
-    std::vector<std::string> regions;       ///< Region id − 1 → REGION name.
+    std::vector<std::string> macros;   ///< CellId → its LEF macro name.
+    std::vector<std::string> pins;     ///< PinId → its DEF pin name.
+    std::vector<std::string> regions;  ///< Region id − 1 → REGION name.
 };
 
 struct DefReadResult {
@@ -87,12 +83,14 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef);
 /// Writes the current placement as DEF (components PLACED at legalized
 /// positions, or UNPLACED when a movable cell has none), with each
 /// component's macro and each net pin named by `names`, one REGION per
-/// fence region and one GROUP listing its members. Read back against the
-/// same `lef`, it gives the same cells, rows, fences and nets, with the
-/// placement as gp positions. Throws std::runtime_error naming `path`
+/// fence region before COMPONENTS and, after NETS, one GROUP listing its
+/// members. Read back against the same `lef`, it gives the same cells,
+/// rows, fences and nets, with the placement as gp positions. `names`
+/// must name every cell's macro, every pin and every region of `db`
+/// (AssertionError otherwise). Throws std::runtime_error naming `path`
 /// when the file cannot be written.
 void write_def(const Database& db, const LefLibrary& lef,
                const std::string& path, const std::string& design,
-               const DefNames& names = {});
+               const DefNames& names);
 
 }  // namespace mrlg

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "db/segment.hpp"
 #include "io/benchmark_gen.hpp"
@@ -240,10 +241,13 @@ TEST_F(IoRoundTripTest, UnwritableFileIsAnErrorNamingIt) {
     LefLibrary lef;
     lef.site_w_um = 0.2;
     lef.site_h_um = 1.6;
+    const DefNames names{std::vector<std::string>(gen.db.num_cells(), "m"),
+                         std::vector<std::string>(gen.db.pins().size(), "p"),
+                         {}};
     const std::string def = sub("rt.def");
     fs::create_directories(def);
     try {
-        write_def(gen.db, lef, def, "rt");
+        write_def(gen.db, lef, def, "rt", names);
         ADD_FAILURE() << "DEF: no error";
     } catch (const std::runtime_error& e) {
         EXPECT_EQ(std::string(e.what()), "cannot write " + def);

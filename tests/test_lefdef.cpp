@@ -12,6 +12,7 @@
 #include "eval/legality.hpp"
 #include "io/lefdef.hpp"
 #include "legalize/legalizer.hpp"
+#include "util/assert.hpp"
 #include "test_helpers.hpp"
 
 namespace mrlg::test {
@@ -187,6 +188,11 @@ TEST_F(LefDefTest, DefRoundTripThroughWriter) {
         EXPECT_NE(text.find("COMPONENTS 4 ;"), std::string::npos);
         EXPECT_NE(text.find("FIXED"), std::string::npos);
         EXPECT_EQ(text.find("UNPLACED"), std::string::npos);
+        EXPECT_NE(text.find("END DESIGN"), std::string::npos);
+        // A GROUP lists components by name, so it comes after them.
+        const std::size_t groups = text.find("\nGROUPS ");
+        ASSERT_NE(groups, std::string::npos);
+        EXPECT_GT(groups, text.find("END COMPONENTS"));
         DefReadResult b = read_def(out, lef);
         b.db.freeze_fixed_cells();
         EXPECT_EQ(b.design_name, "top_legal");
@@ -232,26 +238,22 @@ TEST_F(LefDefTest, DefRoundTripThroughWriter) {
             }
         }
         EXPECT_EQ(a.names.macros, b.names.macros);
-        EXPECT_EQ(a.names.cell_macro, b.names.cell_macro);
         EXPECT_EQ(a.names.pins, b.names.pins);
         EXPECT_EQ(a.names.regions, b.names.regions);
     }
 }
 
-/// A design that came without a LEF gets generated macro, pin and region
-/// names.
-TEST_F(LefDefTest, WriterNamesWhatNoDefNamed) {
+/// write_def has no made-up names: names that do not cover the design
+/// are a caller's error.
+TEST_F(LefDefTest, WriterNeedsANameForEachCellPinAndRegion) {
     const LefLibrary lef = read_lef(kLefPath);
     DefReadResult r = read_def(kDefPath, lef);
     const std::string out = (dir_ / "unnamed.def").string();
-    write_def(r.db, lef, out, "unnamed");
-    const std::string text = read_text(out);
-    EXPECT_NE(text.find("- u1 u1_master + "), std::string::npos) << text;
-    EXPECT_NE(text.find("( u1 p0 )"), std::string::npos) << text;
-    EXPECT_NE(text.find("- region1 ( 4000 0 ) ( 8000 12800 ) ;"),
-              std::string::npos)
-        << text;
-    EXPECT_NE(text.find("+ REGION region1 ;"), std::string::npos) << text;
+    EXPECT_THROW(write_def(r.db, lef, out, "unnamed", DefNames{}),
+                 AssertionError);
+    r.names.regions.clear();
+    EXPECT_THROW(write_def(r.db, lef, out, "unnamed", r.names),
+                 AssertionError);
 }
 
 TEST_F(LefDefTest, MissingFileThrows) {
