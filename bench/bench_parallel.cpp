@@ -1,17 +1,19 @@
 /// bench_parallel — thread-scaling sweep of the legalizer's plan fan-out.
 /// For each synthesized design and evaluation mode, legalizes the same
-/// global placement at each thread count with a wall-clock Timeline
-/// installed. Every run must reproduce the first thread count's placement
-/// bit for bit, and that placement must equal qa::reference_legalize's,
-/// the serial Algorithm 1 loop (the pipeline's serial-equivalence
-/// contract, legalize/pipeline.hpp). Every run's Timeline must be
-/// complete: no dropped events, one wave per LegalizerStats::waves and
-/// one plan task per direct, successful or failed attempt. The JSON
-/// trajectory holds each run's timings, stats and scalar schedule summary
-/// (obs/timeline.hpp), the scaling limiters ranked per design and mode at
-/// the highest thread count, and the real machine configuration —
-/// speedup numbers are meaningless without the hardware_threads that
-/// produced them.
+/// global placement at each thread count kRunsPerConfig (3) times with a
+/// wall-clock Timeline installed, and reports each timing as the median,
+/// min and max of those runs. Every run must reproduce the first run's
+/// placement bit for bit, and that placement must equal
+/// qa::reference_legalize's, the serial Algorithm 1 loop (the pipeline's
+/// serial-equivalence contract, legalize/pipeline.hpp). Every run's
+/// Timeline must be complete: no dropped events, one wave per
+/// LegalizerStats::waves and one plan task per direct, successful or
+/// failed attempt. The JSON trajectory holds, per design, mode and thread
+/// count, the timing's median, min and max, the stats and the median
+/// run's scalar schedule summary (obs/timeline.hpp); the scaling limiters
+/// ranked per design and mode at the highest thread count; and the real
+/// machine configuration — speedup numbers are meaningless without the
+/// hardware_threads that produced them.
 ///
 /// Flags:
 ///   --design CSV   parallel_s | parallel_m | parallel_l, comma separated
@@ -23,15 +25,18 @@
 ///   --json PATH    output file (default BENCH_parallel.json)
 ///   --trace PATH   write the last run's Chrome trace-event / Perfetto
 ///                  JSON to PATH
+/// A median speedup over t=1 above t + 0.25 fails the sweep: no run can
+/// beat linear scaling, so the baseline or the clock would be wrong.
 /// Exit code: 0 when every check passes, 1 when one fails (a run that
 /// leaves a cell unplaced or breaks a §2 constraint fails too), 2 on
 /// usage errors: an unknown flag, design or mode, a number that does not
-/// parse whole, or a thread count below 1.
+/// parse whole or a thread count below 1.
 
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -55,6 +60,10 @@ namespace {
 /// at t=1 all of them land on one lane: parallel_l records 55 201 for
 /// 26 400 cells. A run that still overflows fails its completeness check.
 constexpr std::size_t kEventsPerCell = 4;
+
+/// Runs per design, mode and thread count. Odd, so the median time is one
+/// run's and that run's schedule summary is the one recorded.
+constexpr int kRunsPerConfig = 3;
 
 constexpr const char* kUsage =
     "usage: bench_parallel [--design CSV] [--mode approx|exact|both]\n"
@@ -211,83 +220,112 @@ int main(int argc, char** argv) {
 
         for (const bool exact : modes) {
             const char* mode_name = exact ? "exact" : "approx";
-            // Every run must reproduce the first thread count's placement.
+            // Every run must reproduce the first run's placement.
             std::vector<std::pair<SiteCoord, SiteCoord>> reference_pos;
-            double baseline_time = 0.0;
+            double baseline_time = 0.0;  // median at the first thread count
             obs::ScheduleReport max_t_sched;
-            for (const int t : threads) {
+            for (std::size_t ti = 0; ti < threads.size(); ++ti) {
+                const int t = threads[ti];
                 LegalizerOptions opts;
                 opts.seed = profile.seed;
                 opts.num_threads = t;
                 opts.mll.exact_evaluation = exact;
-                timeline = std::make_unique<obs::Timeline>(
-                    obs::Timeline::default_max_lanes(),
-                    kEventsPerCell * num_cells);
                 const std::string where = design_name + " [" + mode_name +
                                           "] t=" + std::to_string(t);
                 RunMetrics m;
-                {
-                    obs::ScopedTimeline install(*timeline);
-                    m = run_legalization(db, grid, opts, where);
-                }
-                const auto pos = snapshot(db);
-                if (reference_pos.empty()) {
-                    reference_pos = pos;
-                    baseline_time = m.runtime_s;
-                    // Once per design and mode: the serial reference loop
-                    // must land every cell on the same site.
-                    reset_placement(db, grid);
-                    qa::reference_legalize(db, grid, opts);
-                    if (snapshot(db) != reference_pos) {
-                        std::cerr << "FATAL: placement differs from "
-                                     "qa::reference_legalize (design="
-                                  << design_name << " mode=" << mode_name
-                                  << ")\n";
+                std::vector<double> times;
+                std::vector<obs::ScheduleReport> scheds;
+                for (int r = 0; r < kRunsPerConfig; ++r) {
+                    timeline = std::make_unique<obs::Timeline>(
+                        obs::Timeline::default_max_lanes(),
+                        kEventsPerCell * num_cells);
+                    {
+                        obs::ScopedTimeline install(*timeline);
+                        m = run_legalization(db, grid, opts, where);
+                    }
+                    const auto pos = snapshot(db);
+                    if (reference_pos.empty()) {
+                        reference_pos = pos;
+                        // Once per design and mode: the serial reference
+                        // loop must land every cell on the same site.
+                        reset_placement(db, grid);
+                        qa::reference_legalize(db, grid, opts);
+                        if (snapshot(db) != reference_pos) {
+                            std::cerr << "FATAL: placement differs from "
+                                         "qa::reference_legalize (design="
+                                      << design_name << " mode=" << mode_name
+                                      << ")\n";
+                            return 1;
+                        }
+                    }
+                    if (pos != reference_pos) {
+                        std::cerr << "FATAL: run " << r + 1 << " of " << where
+                                  << " diverged from the serial placement\n";
                         return 1;
                     }
+                    const obs::ScheduleReport sched =
+                        obs::derive_schedule_report(*timeline, t);
+                    // The schedule summary must count the whole run, or
+                    // its shares describe a sample.
+                    const std::size_t attempts =
+                        m.direct + m.mll + m.mll_failures;
+                    if (sched.dropped_events != 0 ||
+                        sched.waves_total != m.waves ||
+                        sched.tasks_total != attempts) {
+                        std::cerr << "FATAL: incomplete timeline (run "
+                                  << r + 1 << " of " << where
+                                  << "): dropped_events="
+                                  << sched.dropped_events
+                                  << " waves_total=" << sched.waves_total
+                                  << " of " << m.waves
+                                  << " tasks_total=" << sched.tasks_total
+                                  << " of " << attempts << "\n";
+                        return 1;
+                    }
+                    times.push_back(m.runtime_s);
+                    scheds.push_back(sched);
                 }
-                const bool identical = pos == reference_pos;
+                // The median run is the middle of the runs ordered by time.
+                std::vector<std::size_t> by_time(times.size());
+                std::iota(by_time.begin(), by_time.end(), std::size_t{0});
+                std::sort(by_time.begin(), by_time.end(),
+                          [&](std::size_t a, std::size_t b) {
+                              return times[a] < times[b];
+                          });
+                const std::size_t median_run = by_time[by_time.size() / 2];
+                const double median_s = times[median_run];
+                const double min_s = times[by_time.front()];
+                const double max_s = times[by_time.back()];
+                if (ti == 0) {
+                    baseline_time = median_s;
+                }
                 const double speedup =
-                    m.runtime_s > 0.0 ? baseline_time / m.runtime_s : 0.0;
-                const obs::ScheduleReport sched =
-                    obs::derive_schedule_report(*timeline, t);
-                std::cerr << design_name << " [" << mode_name << "] t=" << t
-                          << ": " << format_fixed(m.runtime_s, 3) << "s"
-                          << " speedup=" << format_fixed(speedup, 2)
+                    median_s > 0.0 ? baseline_time / median_s : 0.0;
+                const obs::ScheduleReport& sched = scheds[median_run];
+                std::cerr << where << ": " << format_fixed(median_s, 3)
+                          << "s (" << format_fixed(min_s, 3) << "-"
+                          << format_fixed(max_s, 3) << ", "
+                          << kRunsPerConfig << " runs) speedup="
+                          << format_fixed(speedup, 2)
                           << " util="
                           << format_fixed(sched.pool_utilization, 2)
                           << " commit="
                           << format_fixed(sched.commit_serial_share, 2)
-                          << (identical ? "" : "  MISMATCH") << "\n";
+                          << "\n";
 
-                // Sanity guard: no run can legitimately beat linear
-                // scaling. A speedup above the thread count (plus
-                // timer-noise slack) means the baseline, the clock, or
-                // the recorded environment is lying — exactly the class
+                // Sanity guard: no configuration can legitimately beat
+                // linear scaling. A median speedup above the thread count
+                // (plus timer-noise slack) means the baseline, the clock,
+                // or the recorded environment is lying — exactly the class
                 // of bug behind a hardware_threads:1 machine reporting
-                // 7 pool workers.
+                // 7 pool workers. Medians keep one run slowed by other
+                // load from tripping it.
                 if (speedup > static_cast<double>(t) + 0.25) {
-                    std::cerr << "FATAL: speedup_vs_t1 "
+                    std::cerr << "FATAL: median speedup_vs_t1 "
                               << format_fixed(speedup, 2)
                               << " exceeds the thread count " << t
                               << " (design=" << design_name
                               << ") - baseline or clock is broken\n";
-                    return 1;
-                }
-                // The schedule summary must count the whole run, or its
-                // shares describe a sample.
-                const std::size_t attempts =
-                    m.direct + m.mll + m.mll_failures;
-                if (sched.dropped_events != 0 ||
-                    sched.waves_total != m.waves ||
-                    sched.tasks_total != attempts) {
-                    std::cerr << "FATAL: incomplete timeline (design="
-                              << design_name << " threads=" << t
-                              << "): dropped_events=" << sched.dropped_events
-                              << " waves_total=" << sched.waves_total
-                              << " of " << m.waves
-                              << " tasks_total=" << sched.tasks_total
-                              << " of " << attempts << "\n";
                     return 1;
                 }
 
@@ -299,7 +337,11 @@ int main(int argc, char** argv) {
                 run.set("threads_effective",
                         Json::num(static_cast<std::int64_t>(std::min(
                             t, ThreadPool::config().pool_workers + 1))));
-                run.set("legalize_s", Json::num(m.runtime_s));
+                Json legalize_s = Json::object();
+                legalize_s.set("median", Json::num(median_s));
+                legalize_s.set("min", Json::num(min_s));
+                legalize_s.set("max", Json::num(max_s));
+                run.set("legalize_s", std::move(legalize_s));
                 run.set("direct", Json::num(m.direct));
                 run.set("mll_successes", Json::num(m.mll));
                 run.set("mll_failures", Json::num(m.mll_failures));
@@ -309,15 +351,9 @@ int main(int argc, char** argv) {
                 run.set("disp_avg_sites", Json::num(m.disp_avg_sites));
                 run.set("dhpwl_pct", Json::num(m.dhpwl_pct));
                 run.set("speedup_vs_t1", Json::num(speedup));
-                run.set("identical_to_serial", Json::boolean(identical));
+                run.set("identical_to_serial", Json::boolean(true));
                 run.set("schedule", obs::schedule_summary_json(sched));
                 runs.push(std::move(run));
-                if (!identical) {
-                    std::cerr << "FATAL: run diverged from the serial "
-                                 "placement (design=" << design_name
-                              << " threads=" << t << ")\n";
-                    return 1;
-                }
                 if (sched.threads >= max_t_sched.threads) {
                     max_t_sched = sched;
                 }
@@ -354,6 +390,8 @@ int main(int argc, char** argv) {
     Json root = Json::object();
     root.set("bench", Json::str("bench_parallel"));
     root.set("scale", Json::num(scale));
+    root.set("runs_per_config",
+             Json::num(static_cast<std::int64_t>(kRunsPerConfig)));
     root.set("seed_offset", Json::num(static_cast<std::int64_t>(seed_offset)));
     root.set("runs", std::move(runs));
     root.set("bottlenecks", std::move(bottlenecks));

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <span>
 
 #include "db/segment.hpp"
 #include "eval/legality.hpp"
@@ -42,15 +43,16 @@ int main() {
     const double sw = db.floorplan().site_w_um();
     const double sh = db.floorplan().site_h_um();
     for (std::size_t i = 0; i < db.nets().size(); ++i) {
-        const Net& net = db.nets()[i];
-        if (net.degree() < 2) {
+        const NetId id{static_cast<NetId::underlying>(i)};
+        const std::span<const PinId> pins = db.net_pins(id);
+        if (pins.size() < 2) {
             continue;
         }
         double xl = 1e18;
         double xh = -1e18;
         double yl = 1e18;
         double yh = -1e18;
-        for (const PinId pid : net.pins()) {
+        for (const PinId pid : pins) {
             const Pin& p = db.pin(pid);
             const Cell& c = db.cell(p.cell);
             xl = std::min(xl, c.x() + p.offset_x);
@@ -58,8 +60,7 @@ int main() {
             yl = std::min(yl, c.y() + p.offset_y);
             yh = std::max(yh, c.y() + p.offset_y);
         }
-        lens.push_back(NetLen{NetId{static_cast<NetId::underlying>(i)},
-                              (xh - xl) * sw + (yh - yl) * sh,
+        lens.push_back(NetLen{id, (xh - xl) * sw + (yh - yl) * sh,
                               (xl + xh) / 2, (yl + yh) / 2});
     }
     std::sort(lens.begin(), lens.end(),
@@ -85,6 +86,7 @@ int main() {
         // Hook the buffer into the net (models the repeater tap).
         db.add_pin(buf, n.id, 1.0, 0.5);
     }
+    db.finalize_pins();  // the HPWL below reads the buffers' pins
 
     LegalityOptions lopts;
     const LegalityReport rep = check_legality(db, grid, lopts);

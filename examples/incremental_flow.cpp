@@ -59,15 +59,14 @@ int main() {
         const CellId c = movable[static_cast<std::size_t>(
             rng.uniform(0, static_cast<std::int64_t>(movable.size()) - 1))];
         Cell& cell = db.cell(c);
-        if (!cell.placed() || cell.pins().empty()) {
+        if (!cell.placed() || db.cell_pins(c).empty()) {
             continue;
         }
         // Median of the other pins of this cell's nets.
         std::vector<double> xs;
         std::vector<double> ys;
-        for (const PinId pid : cell.pins()) {
-            const Net& net = db.net(db.pin(pid).net);
-            for (const PinId qid : net.pins()) {
+        for (const PinId pid : db.cell_pins(c)) {
+            for (const PinId qid : db.net_pins(db.pin(pid).net)) {
                 const Pin& q = db.pin(qid);
                 if (q.cell == c) {
                     continue;

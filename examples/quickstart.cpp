@@ -54,6 +54,7 @@ int main() {
                        db.cell(c).height() / 2.0);
         }
     }
+    db.finalize_pins();  // builds the cell→pins and net→pins lists
 
     SegmentGrid grid = SegmentGrid::build(db);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 
@@ -108,6 +109,70 @@ std::string who(const Database& db, CellId id) {
     return os.str();
 }
 
+/// Checks one CSR pin index (Database::finalize_pins) against pins():
+/// the offsets start at 0, never decrease and end at pins().size(); every
+/// list is ascending and names only pins of its owner; every pin is
+/// listed exactly once. `kind` is "cell" or "net"; all findings are
+/// pin-link.
+template <typename OwnerOf, typename Who>
+void audit_pin_index(const Database& db, const PinIndex& index,
+                     std::size_t num_owners, const char* kind,
+                     OwnerOf owner_of, Who who_owner, AuditReport& r) {
+    const std::vector<Pin>& pins = db.pins();
+    const std::vector<std::uint32_t>& off = index.offsets;
+    if (off.empty()) {
+        if (!pins.empty()) {
+            r.add("pin-link", std::string("no ") + kind +
+                                  " pin index: finalize_pins() never ran");
+        }
+        return;
+    }
+    bool shape_ok = off.front() == 0 && off.size() <= num_owners + 1 &&
+                    off.back() == pins.size() &&
+                    index.ids.size() == pins.size();
+    for (std::size_t o = 0; shape_ok && o + 1 < off.size(); ++o) {
+        shape_ok = off[o] <= off[o + 1];
+    }
+    if (!shape_ok) {
+        std::ostringstream os;
+        os << kind << " pin index offsets (" << off.size() << " for "
+           << num_owners << " owners, ending at " << off.back()
+           << ") do not rise from 0 to the " << pins.size() << " pins";
+        r.add("pin-link", os.str());
+        return;
+    }
+    std::vector<std::uint8_t> listed(pins.size(), 0);
+    for (std::size_t o = 0; o + 1 < off.size(); ++o) {
+        for (std::uint32_t k = off[o]; k < off[o + 1]; ++k) {
+            const PinId pid = index.ids[k];
+            std::ostringstream os;
+            if (!pid.valid() || pid.index() >= pins.size()) {
+                os << who_owner(o) << " lists pin #" << pid
+                   << ", which does not exist";
+            } else if (k > off[o] && !(index.ids[k - 1] < pid)) {
+                os << who_owner(o) << " lists pin #" << pid << " after pin #"
+                   << index.ids[k - 1] << ": not ascending";
+            } else if (owner_of(pins[pid.index()]) != o) {
+                os << who_owner(o) << " lists pin #" << pid
+                   << " of another " << kind;
+            } else if (listed[pid.index()]++ != 0) {
+                os << "pin #" << pid << " listed twice by the " << kind
+                   << " index";
+            } else {
+                continue;
+            }
+            r.add("pin-link", os.str());
+        }
+    }
+    for (std::size_t i = 0; i < pins.size(); ++i) {
+        if (listed[i] == 0) {
+            std::ostringstream os;
+            os << "pin #" << i << " not listed by its " << kind;
+            r.add("pin-link", os.str());
+        }
+    }
+}
+
 std::string seg_str(const Segment& s) {
     std::ostringstream os;
     os << "segment #" << s.id << " row " << s.y << " span " << s.span;
@@ -159,7 +224,8 @@ AuditReport audit_database(const Database& db) {
         }
     }
 
-    // Pins: valid references, cross-linked from both the cell and the net.
+    // Pins: valid references; then both CSR indexes (pin-link).
+    bool refs_ok = true;
     for (std::size_t i = 0; i < db.pins().size(); ++i) {
         const Pin& p = db.pins()[i];
         const bool cell_ok =
@@ -171,24 +237,25 @@ AuditReport audit_database(const Database& db) {
                << (cell_ok ? "" : "an invalid cell ")
                << (net_ok ? "" : "an invalid net");
             r.add("pin-ref", os.str());
-            continue;
+            refs_ok = false;
         }
-        const PinId pid{static_cast<PinId::underlying>(i)};
-        const auto& cell_pins = db.cell(p.cell).pins();
-        if (std::find(cell_pins.begin(), cell_pins.end(), pid) ==
-            cell_pins.end()) {
-            std::ostringstream os;
-            os << "pin #" << i << " not listed by its " << who(db, p.cell);
-            r.add("pin-link", os.str());
-        }
-        const auto& net_pins = db.net(p.net).pins();
-        if (std::find(net_pins.begin(), net_pins.end(), pid) ==
-            net_pins.end()) {
-            std::ostringstream os;
-            os << "pin #" << i << " not listed by its net '"
-               << db.net(p.net).name() << "'";
-            r.add("pin-link", os.str());
-        }
+    }
+    if (refs_ok) {
+        audit_pin_index(
+            db, db.cell_pin_index(), db.num_cells(), "cell",
+            [](const Pin& p) { return p.cell.index(); },
+            [&](std::size_t o) {
+                return who(db, CellId{static_cast<CellId::underlying>(o)});
+            },
+            r);
+        audit_pin_index(
+            db, db.net_pin_index(), db.nets().size(), "net",
+            [](const Pin& p) { return p.net.index(); },
+            [&](std::size_t o) {
+                return "net '" + db.nets()[o].name() + "' (#" +
+                       std::to_string(o) + ")";
+            },
+            r);
     }
 
     // Fences: positive region ids; rects of distinct regions disjoint

@@ -67,8 +67,9 @@ struct AuditReport {
 
 /// Database-level invariants: rows indexed bottom-up (row i at y == i) with
 /// positive widths, positive cell geometry, name lookup consistent and
-/// unambiguous, pins referencing valid cells/nets (and cross-linked both
-/// ways), fences of distinct regions disjoint.
+/// unambiguous, pins referencing valid cells/nets, both pin indexes
+/// (finalize_pins) listing every pin exactly once, ascending, under its
+/// own cell and net (pin-link), fences of distinct regions disjoint.
 AuditReport audit_database(const Database& db);
 
 /// Segment-grid invariants of §2.1.2 against `db`:

@@ -1,10 +1,10 @@
 #pragma once
 /// \file cell.hpp
 /// Movable/fixed standard cell instance. All geometry in site units
-/// (paper §2.1.1): width in site widths, height in whole rows.
+/// (paper §2.1.1): width in site widths, height in whole rows. Its pins
+/// are listed by Database::cell_pins.
 
 #include <string>
-#include <vector>
 
 #include "db/types.hpp"
 #include "db/write_cap.hpp"
@@ -67,12 +67,6 @@ public:
     void set_orient(Orient o) MRLG_REQUIRES(grid_write_cap()) { orient_ = o; }
     void unplace() MRLG_REQUIRES(grid_write_cap()) { placed_ = false; }
 
-    // --- connectivity ------------------------------------------------------
-    const std::vector<PinId>& pins() const { return pins_; }
-    void add_pin(PinId pin) MRLG_REQUIRES(grid_write_cap()) {
-        pins_.push_back(pin);
-    }
-
 private:
     std::string name_;
     SiteCoord w_;
@@ -88,8 +82,6 @@ private:
     SiteCoord x_ = 0;
     SiteCoord y_ = 0;
     Orient orient_ = Orient::kN;
-
-    std::vector<PinId> pins_;
 };
 
 }  // namespace mrlg

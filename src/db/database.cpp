@@ -1,5 +1,7 @@
 #include "db/database.hpp"
 
+#include <cstdint>
+
 #include "util/assert.hpp"
 
 namespace mrlg {
@@ -60,9 +62,47 @@ PinId Database::add_pin(CellId cell_id, NetId net_id, double offset_x,
     check(net_id);
     const PinId id{static_cast<PinId::underlying>(pins_.size())};
     pins_.push_back(Pin{cell_id, net_id, offset_x, offset_y});
-    cells_[cell_id.index()].add_pin(id);
-    nets_[net_id.index()].add_pin(id);
     return id;
+}
+
+namespace {
+
+/// Counts each owner's pins into offsets[owner], turns the counts into
+/// end offsets, then walks the pins backwards placing each at --end: the
+/// offsets end up as starts and every list is ascending. The vectors are
+/// fresh, so they hold exactly their sizes.
+template <typename OwnerOf>
+PinIndex build_pin_index(std::size_t num_owners, const std::vector<Pin>& pins,
+                         OwnerOf owner_of) {
+    MRLG_ASSERT(pins.size() <= UINT32_MAX, "too many pins for the index");
+    PinIndex index;
+    index.offsets.assign(num_owners + 1, 0);
+    for (const Pin& p : pins) {
+        ++index.offsets[owner_of(p)];
+    }
+    std::uint32_t end = 0;
+    for (std::uint32_t& o : index.offsets) {
+        end += o;
+        o = end;
+    }
+    index.ids.resize(pins.size());
+    for (std::size_t i = pins.size(); i-- > 0;) {
+        index.ids[--index.offsets[owner_of(pins[i])]] =
+            PinId{static_cast<PinId::underlying>(i)};
+    }
+    return index;
+}
+
+}  // namespace
+
+void Database::finalize_pins() {
+    cell_pins_ = build_pin_index(cells_.size(), pins_, [](const Pin& p) {
+        return p.cell.index();
+    });
+    net_pins_ = build_pin_index(nets_.size(), pins_, [](const Pin& p) {
+        return p.net.index();
+    });
+    indexed_pins_ = pins_.size();
 }
 
 double Database::density() const {
@@ -115,19 +155,19 @@ std::vector<ArenaUsage> Database::memory_breakdown() const {
     std::size_t cell_bytes = cells_.capacity() * sizeof(Cell);
     for (const Cell& c : cells_) {
         cell_bytes += string_heap_bytes(c.name());
-        cell_bytes += c.pins().capacity() * sizeof(PinId);
     }
     arenas.push_back({"cells", cell_bytes, cells_.size()});
 
     std::size_t net_bytes = nets_.capacity() * sizeof(Net);
     for (const Net& n : nets_) {
         net_bytes += string_heap_bytes(n.name());
-        net_bytes += n.pins().capacity() * sizeof(PinId);
     }
     arenas.push_back({"nets", net_bytes, nets_.size()});
 
-    arenas.push_back(
-        {"pins", pins_.capacity() * sizeof(Pin), pins_.size()});
+    arenas.push_back({"pins",
+                      pins_.capacity() * sizeof(Pin) + cell_pins_.bytes() +
+                          net_pins_.bytes(),
+                      pins_.size()});
 
     std::size_t fp_bytes = fp_.rows().capacity() * sizeof(Row) +
                            fp_.blockages().capacity() * sizeof(Rect) +

@@ -4,7 +4,6 @@
 /// in fractional site units; HPWL is evaluated from pin positions.
 
 #include <string>
-#include <vector>
 
 #include "db/types.hpp"
 
@@ -19,18 +18,15 @@ struct Pin {
     double offset_y = 0.0;
 };
 
+/// A net is its name; its pins are listed by Database::net_pins.
 class Net {
 public:
     explicit Net(std::string name) : name_(std::move(name)) {}
 
     const std::string& name() const { return name_; }
-    const std::vector<PinId>& pins() const { return pins_; }
-    void add_pin(PinId pin) { pins_.push_back(pin); }
-    std::size_t degree() const { return pins_.size(); }
 
 private:
     std::string name_;
-    std::vector<PinId> pins_;
 };
 
 }  // namespace mrlg

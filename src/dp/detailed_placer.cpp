@@ -29,9 +29,8 @@ std::optional<std::pair<double, double>> median_target(const Database& db,
                                                        CellId c) {
     std::vector<double> xs;
     std::vector<double> ys;
-    for (const PinId pid : db.cell(c).pins()) {
-        const Net& net = db.net(db.pin(pid).net);
-        for (const PinId qid : net.pins()) {
+    for (const PinId pid : db.cell_pins(c)) {
+        for (const PinId qid : db.net_pins(db.pin(pid).net)) {
             const Pin& q = db.pin(qid);
             if (q.cell == c) {
                 continue;
@@ -58,7 +57,7 @@ std::vector<NetId> affected_nets(const Database& db, CellId target,
                                  const MllPlan& r) {
     std::vector<NetId> nets;
     auto add_cell_nets = [&](CellId c) {
-        for (const PinId pid : db.cell(c).pins()) {
+        for (const PinId pid : db.cell_pins(c)) {
             nets.push_back(db.pin(pid).net);
         }
     };
@@ -101,7 +100,7 @@ DetailedPlacementStats detailed_place(Database& db, SegmentGrid& grid,
         std::vector<Candidate> cands;
         for (const CellId c : db.movable_cells()) {
             const Cell& cell = db.cell(c);
-            if (!cell.placed() || cell.pins().empty()) {
+            if (!cell.placed() || db.cell_pins(c).empty()) {
                 continue;
             }
             const auto med = median_target(db, c);
@@ -224,7 +223,7 @@ SwapStats swap_pass(Database& db, SegmentGrid& grid, SiteCoord radius) {
     }
     for (const CellId a : db.movable_cells()) {
         const Cell& ca = db.cell(a);
-        if (!ca.placed() || ca.pins().empty()) {
+        if (!ca.placed() || db.cell_pins(a).empty()) {
             continue;
         }
         const auto med = median_target(db, a);
@@ -281,10 +280,10 @@ SwapStats swap_pass(Database& db, SegmentGrid& grid, SiteCoord radius) {
         // Exact delta over both cells' nets, in sorted order so the float
         // fold (and thus the accept decision) is reproducible.
         std::vector<NetId> nets;
-        for (const PinId pid : db.cell(a).pins()) {
+        for (const PinId pid : db.cell_pins(a)) {
             nets.push_back(db.pin(pid).net);
         }
-        for (const PinId pid : db.cell(best).pins()) {
+        for (const PinId pid : db.cell_pins(best)) {
             nets.push_back(db.pin(pid).net);
         }
         std::sort(nets.begin(), nets.end());

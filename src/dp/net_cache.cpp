@@ -22,8 +22,8 @@ double NetHpwlCache::refresh(NetId n) {
 }
 
 double NetHpwlCache::net_hpwl(NetId n) const {
-    const Net& net = db_.net(n);
-    if (net.degree() < 2) {
+    const std::span<const PinId> pins = db_.net_pins(n);
+    if (pins.size() < 2) {
         return 0.0;
     }
     const double sw = db_.floorplan().site_w_um();
@@ -32,7 +32,7 @@ double NetHpwlCache::net_hpwl(NetId n) const {
     double xh = std::numeric_limits<double>::lowest();
     double yl = xl;
     double yh = xh;
-    for (const PinId pid : net.pins()) {
+    for (const PinId pid : pins) {
         const Pin& p = db_.pin(pid);
         const Cell& c = db_.cell(p.cell);
         const double px = static_cast<double>(c.x()) + p.offset_x;

@@ -61,9 +61,8 @@ std::vector<double> pava_l1(const std::vector<double>& q) {
 /// own pins); nullopt when unconnected.
 std::optional<double> preferred_x(const Database& db, CellId c) {
     std::vector<double> xs;
-    for (const PinId pid : db.cell(c).pins()) {
-        const Net& net = db.net(db.pin(pid).net);
-        for (const PinId qid : net.pins()) {
+    for (const PinId pid : db.cell_pins(c)) {
+        for (const PinId qid : db.net_pins(db.pin(pid).net)) {
             const Pin& q = db.pin(qid);
             if (q.cell == c) {
                 continue;
@@ -184,7 +183,7 @@ RowPolishStats row_polish(Database& db, SegmentGrid& grid) {
             // order must not depend on hash layout.
             std::vector<NetId> nets;
             for (const SegmentSlot& sl : seg.cells) {
-                for (const PinId pid : db.cell(sl.id).pins()) {
+                for (const PinId pid : db.cell_pins(sl.id)) {
                     nets.push_back(db.pin(pid).net);
                 }
             }

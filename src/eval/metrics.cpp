@@ -38,22 +38,22 @@ PinPos pin_position(const Database& db, const Pin& pin,
 
 double hpwl_um(const Database& db, PositionSource source, int num_threads) {
     MRLG_OBS_PHASE("eval.hpwl");
-    const std::vector<Net>& nets = db.nets();
     // Fixed grain: chunk boundaries (and thus the floating-point summation
     // order) depend only on the net count, never on the thread count.
     constexpr std::size_t kGrain = 512;
     const auto map = [&](std::size_t begin, std::size_t end) {
         double partial = 0.0;
         for (std::size_t i = begin; i < end; ++i) {
-            const Net& net = nets[i];
-            if (net.degree() < 2) {
+            const std::span<const PinId> pins =
+                db.net_pins(NetId{static_cast<NetId::underlying>(i)});
+            if (pins.size() < 2) {
                 continue;
             }
             double x_lo = std::numeric_limits<double>::max();
             double x_hi = std::numeric_limits<double>::lowest();
             double y_lo = std::numeric_limits<double>::max();
             double y_hi = std::numeric_limits<double>::lowest();
-            for (const PinId pid : net.pins()) {
+            for (const PinId pid : pins) {
                 const PinPos p = pin_position(db, db.pin(pid), source);
                 x_lo = std::min(x_lo, p.x_um);
                 x_hi = std::max(x_hi, p.x_um);
@@ -64,7 +64,7 @@ double hpwl_um(const Database& db, PositionSource source, int num_threads) {
         }
         return partial;
     };
-    return parallel_reduce(nets.size(), kGrain, num_threads, 0.0, map,
+    return parallel_reduce(db.nets().size(), kGrain, num_threads, 0.0, map,
                            [](double acc, double p) { return acc + p; });
 }
 

@@ -152,13 +152,15 @@ QuadraticStats quadratic_place(Database& db, int iterations) {
             std::vector<double> b(n, 0.0);
 
             // B2B net model at current positions.
-            for (const Net& net : db.nets()) {
-                if (net.degree() < 2) {
+            for (std::size_t ni = 0; ni < db.nets().size(); ++ni) {
+                const std::span<const PinId> net_pins =
+                    db.net_pins(NetId{static_cast<NetId::underlying>(ni)});
+                if (net_pins.size() < 2) {
                     continue;
                 }
                 std::vector<PinPos> pins;
-                pins.reserve(net.degree());
-                for (const PinId pid : net.pins()) {
+                pins.reserve(net_pins.size());
+                for (const PinId pid : net_pins) {
                     const Pin& pin = db.pin(pid);
                     const Cell& c = db.cell(pin.cell);
                     const double off =
@@ -259,15 +261,17 @@ QuadraticStats quadratic_place(Database& db, int iterations) {
         const double sw = db.floorplan().site_w_um();
         const double sh = db.floorplan().site_h_um();
         double total = 0.0;
-        for (const Net& net : db.nets()) {
-            if (net.degree() < 2) {
+        for (std::size_t ni = 0; ni < db.nets().size(); ++ni) {
+            const std::span<const PinId> pins =
+                db.net_pins(NetId{static_cast<NetId::underlying>(ni)});
+            if (pins.size() < 2) {
                 continue;
             }
             double xl = std::numeric_limits<double>::max();
             double xh = std::numeric_limits<double>::lowest();
             double yl = xl;
             double yh = xh;
-            for (const PinId pid : net.pins()) {
+            for (const PinId pid : pins) {
                 const Pin& pin = db.pin(pid);
                 const Cell& c = db.cell(pin.cell);
                 const double px =

@@ -229,6 +229,7 @@ GenResult generate_benchmark(const GenProfile& p) {
             db.add_pin(m, net, ox, oy);
         }
     }
+    db.finalize_pins();
 
     // ---- GP = legal + noise; then unplace -----------------------------------
     for (const CellId c : db.movable_cells()) {

@@ -224,8 +224,9 @@ void read_pl(const fs::path& path, const Frame& frame, Database& db)
 }
 
 /// Reads the .nets. Pin lines are resolved NameIndex::kBatch at a time
-/// (Database::find_cells) and added in file order, so pin ids and every
-/// cell's and net's pin order are those of a line-by-line read.
+/// (Database::find_cells) and added in file order, so pin ids, and the
+/// ascending lists finalize_pins builds from them, are those of a
+/// line-by-line read.
 void read_nets(const fs::path& path, const Frame& frame, Database& db)
     MRLG_REQUIRES(grid_write_cap()) {
     InputFile f(path);
@@ -375,6 +376,7 @@ BookshelfReadResult read_bookshelf(const std::string& aux_path) {
     if (!nets_file.empty() && fs::exists(dir / nets_file, ec)) {
         read_nets(dir / nets_file, frame, db);
     }
+    db.finalize_pins();
     return BookshelfReadResult{std::move(db), aux.stem().string()};
 }
 
@@ -433,9 +435,12 @@ void write_bookshelf(const Database& db, const std::string& dir,
         nets << "UCLA nets 1.0\n";
         nets << "NumNets : " << db.nets().size() << "\n";
         nets << "NumPins : " << db.pins().size() << "\n";
-        for (const Net& n : db.nets()) {
-            nets << "NetDegree : " << n.degree() << ' ' << n.name() << "\n";
-            for (const PinId pid : n.pins()) {
+        for (std::size_t i = 0; i < db.nets().size(); ++i) {
+            const NetId n{static_cast<NetId::underlying>(i)};
+            const std::span<const PinId> pins = db.net_pins(n);
+            nets << "NetDegree : " << pins.size() << ' ' << db.net(n).name()
+                 << "\n";
+            for (const PinId pid : pins) {
                 const Pin& p = db.pin(pid);
                 const Cell& c = db.cell(p.cell);
                 const double dx =

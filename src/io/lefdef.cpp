@@ -519,6 +519,7 @@ DefReadResult read_def(const std::string& path, const LefLibrary& lef) {
             names.pins.emplace_back(pin_name);
         }
     }
+    db.finalize_pins();
 
     result.db = std::move(db);
     return result;
@@ -595,9 +596,10 @@ void write_def(const Database& db, const LefLibrary& lef,
     }
     out << "END COMPONENTS\n";
     out << "NETS " << db.nets().size() << " ;\n";
-    for (const Net& n : db.nets()) {
-        out << "- " << n.name();
-        for (const PinId pid : n.pins()) {
+    for (std::size_t i = 0; i < db.nets().size(); ++i) {
+        const NetId n{static_cast<NetId::underlying>(i)};
+        out << "- " << db.net(n).name();
+        for (const PinId pid : db.net_pins(n)) {
             out << " ( " << db.cell(db.pin(pid).cell).name() << " "
                 << names.pins[pid.index()] << " )";
         }

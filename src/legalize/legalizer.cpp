@@ -128,10 +128,12 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
         // The cells to place are queued in input order and only they are
         // ordered. Every order is a stable sort, and a stable sort
         // commutes with filtering, so the queue equals sorting every
-        // movable cell and keeping the unplaced ones. The queue is counted
-        // first and allocated once at its exact size: growing it by
-        // doubling measurably raised the legalizer's peak memory.
-        std::size_t num_unplaced = 0;
+        // movable cell and keeping the unplaced ones. One pass reads each
+        // cell once: it takes the width maximum, unplaces under
+        // unplace_first and queues. The queue is reserved once at the cell
+        // count, the most it can hold, since growing it by doubling
+        // measurably raised the legalizer's peak memory.
+        unplaced.reserve(db.num_cells());
         for (std::size_t i = 0; i < db.num_cells(); ++i) {
             const CellId c{static_cast<CellId::underlying>(i)};
             const Cell& cell = db.cell(c);
@@ -143,13 +145,7 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
             if (cell.placed() && opts.unplace_first) {
                 grid.remove(db, c);
             }
-            num_unplaced += cell.placed() ? 0 : 1;
-        }
-        unplaced.reserve(num_unplaced);
-        for (std::size_t i = 0; i < db.num_cells(); ++i) {
-            const CellId c{static_cast<CellId::underlying>(i)};
-            const Cell& cell = db.cell(c);
-            if (!cell.fixed() && !cell.placed()) {
+            if (!cell.placed()) {
                 unplaced.push_back(c);
             }
         }
@@ -170,6 +166,10 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
     const Span die_x{die.x, static_cast<SiteCoord>(die.x + die.w)};
     FootprintLedger ledger;
     std::vector<PlanTask> tasks;
+    // Wave-local plans: plans[i] holds the plan of the wave's i-th task
+    // from the wave's plan phase to its commit. Grown to the widest wave
+    // so far.
+    std::vector<MllPlan> plans;
     std::vector<std::uint32_t> levels;    // per task, 1-based wave in round
     std::vector<std::size_t> wave_begin;  // wave k: order[begin[k], begin[k+1])
     std::vector<std::size_t> order;       // task indices, wave-major
@@ -269,6 +269,9 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                 wave_begin[level + 1] - wave_begin[level]);
             MRLG_OBS_OBSERVE("legalize.batch_size",
                              static_cast<double>(batch.size()));
+            if (plans.size() < batch.size()) {
+                plans.resize(batch.size());
+            }
 
             {
                 MRLG_OBS_PHASE("plan");
@@ -304,9 +307,10 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                                 plan_grid.placeable(t.fitted, CellId{},
                                                     cell.region());
                             if (!t.direct) {
-                                t.plan = mll_plan(plan_db, plan_grid, t.cell,
-                                                  t.px, t.py, mll_opts,
-                                                  &plan_scratch);
+                                plans[i] = mll_plan(plan_db, plan_grid,
+                                                    t.cell, t.px, t.py,
+                                                    mll_opts, &plan_scratch);
+                                t.num_points = plans[i].num_points;
                             }
                         }
                     });
@@ -355,12 +359,12 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                         audit_grid(AuditLevel::kFull);
                         continue;
                     }
-                    count_attempt(t.plan);  // replayed: plan ran paused
-                    stats.mll_points_evaluated += t.plan.num_points;
-                    stats.audits_run += t.plan.audits_run;
-                    if (t.plan.success()) {
-                        const MllPlan& r =
-                            mll_commit(db, grid, t.cell, t.plan);
+                    const MllPlan& plan = plans[slot];
+                    count_attempt(plan);  // replayed: plan ran paused
+                    stats.mll_points_evaluated += plan.num_points;
+                    stats.audits_run += plan.audits_run;
+                    if (plan.success()) {
+                        const MllPlan& r = mll_commit(db, grid, t.cell, plan);
                         ++stats.mll_successes;
                         MRLG_OBS_OBSERVE("legalize.mll_real_cost_um",
                                          r.real_cost_um);
@@ -372,7 +376,7 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                             std::vector<Rect> writes;
                             writes.push_back(Rect{r.x, r.y, cell.width(),
                                                   cell.height()});
-                            for (const MllPlan::Move& m : t.plan.moves) {
+                            for (const MllPlan::Move& m : plan.moves) {
                                 const Cell& mc = db.cell(m.id);
                                 const SiteCoord lo =
                                     std::min(m.old_x, m.new_x);
@@ -426,9 +430,7 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
         std::size_t expected_points = 0;
         std::vector<CellId> still;
         for (const PlanTask& t : tasks) {
-            if (!t.direct) {
-                expected_points += t.plan.num_points;
-            }
+            expected_points += t.num_points;
             if (t.state == PlanTask::State::kFailed) {
                 still.push_back(t.cell);
             } else {

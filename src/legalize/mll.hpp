@@ -105,8 +105,7 @@ struct MllPlan {
     std::size_t num_local_cells = 0;
     bool enumeration_truncated = false;
     // The next two are narrow so that they fill the padding after the
-    // flag: the pipeline holds one plan per queued cell, so a larger plan
-    // raises the legalizer's peak memory.
+    // flag and keep MllPlan at 80 bytes.
     /// Per-attempt invariant audits run (MllOptions::audit at kFull).
     std::uint8_t audits_run = 0;
     /// The enumerated points whose full evaluation ran (<= num_points).

@@ -12,8 +12,12 @@
 ///      the cell stores its level in those buckets. Wave k is the level-k
 ///      cells, in queue order (one counting sort).
 ///   2. plan — a wave's MLL problems are solved concurrently, read-only
-///      against the wave-start grid (mll_plan, per-thread scratch).
-///   3. commit — plans are applied serially in queue order (mll_commit).
+///      against the wave-start grid (mll_plan, per-thread scratch), into
+///      the round's plan array: the wave's i-th task writes slot i.
+///   3. commit — plans are applied serially in queue order (mll_commit),
+///      each read from its task's slot. A plan lives only from its wave's
+///      plan phase to its commit, so the array is as wide as the widest
+///      wave, not as long as the queue.
 ///      A stale plan or a taken direct slot would mean two overlapping
 ///      footprints shared a wave, so it throws AssertionError naming the
 ///      cell (mll_commit, after restoring the grid) or the cell and wave
@@ -59,7 +63,6 @@
 #include <vector>
 
 #include "legalize/local_region.hpp"
-#include "legalize/mll.hpp"
 
 namespace mrlg {
 
@@ -102,7 +105,7 @@ struct PlanTask {
     bool rail_ok = false;  ///< fitted row passes the rail-parity check.
     AttemptFootprint footprint;
 
-    enum class State {
+    enum class State : std::uint8_t {
         kPending,   ///< Waiting for its wave.
         kPlaced,    ///< Committed (direct, MLL, free slot or rip-up).
         kFailed,    ///< Every attempt failed this round; retry next round.
@@ -111,7 +114,12 @@ struct PlanTask {
 
     /// Plan-phase result (filled by the wave's parallel plan pass).
     bool direct = false;  ///< fitted slot was free; no MLL plan needed.
-    MllPlan plan;
+    /// The MLL plan's num_points (0 when direct), for the round-level
+    /// point accounting. The plan itself is wave-local: it lives in the
+    /// round's per-slot plan array only from its wave's plan phase to its
+    /// commit, so a round holds plans for its widest wave, not for every
+    /// queued cell.
+    std::size_t num_points = 0;
 };
 
 }  // namespace mrlg

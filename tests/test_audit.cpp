@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <utility>
 
 #include "check/audit.hpp"
 #include "check/audit_local.hpp"
@@ -192,6 +194,64 @@ TEST(AuditCorruption, NegativeFenceRegionIsCaught) {
     const AuditReport r = audit_database(f.db);
     EXPECT_FALSE(r.ok());
     EXPECT_TRUE(r.has("cell-region")) << r.to_string();
+}
+
+/// The fixture with a three-pin net n0 (a, b, d) and a two-pin net n1
+/// (a, d), finalized: pins 0-2 on n0, 3-4 on n1; a lists {0, 3}.
+Fixture make_netlist_fixture() {
+    Fixture f = make_fixture();
+    const NetId n0 = f.db.add_net("n0");
+    const NetId n1 = f.db.add_net("n1");
+    f.db.add_pin(f.a, n0, 1.0, 0.5);
+    f.db.add_pin(f.b, n0, 1.0, 0.5);
+    f.db.add_pin(f.d, n0, 1.0, 1.0);
+    f.db.add_pin(f.a, n1, 2.0, 0.5);
+    f.db.add_pin(f.d, n1, 2.0, 1.0);
+    f.db.finalize_pins();
+    return f;
+}
+
+TEST(AuditPinIndex, FinalizedNetlistPasses) {
+    const Fixture f = make_netlist_fixture();
+    const AuditReport r = audit_database(f.db);
+    EXPECT_TRUE(r.ok()) << r.to_string();
+}
+
+TEST(AuditPinIndex, StaleIndexIsCaught) {
+    Fixture f = make_netlist_fixture();
+    f.db.add_pin(f.b, NetId{1}, 1.0, 0.5);
+    const AuditReport r = audit_database(f.db);
+    EXPECT_TRUE(r.has("pin-link")) << r.to_string();
+}
+
+TEST(AuditPinIndex, DecreasingOffsetIsCaught) {
+    Fixture f = make_netlist_fixture();
+    PinIndex& index = f.db.mutable_cell_pin_index_for_test();
+    index.offsets[1] = index.offsets[2] + 1;  // a's list ends past b's
+    const AuditReport r = audit_database(f.db);
+    EXPECT_TRUE(r.has("pin-link")) << r.to_string();
+}
+
+TEST(AuditPinIndex, DescendingListIsCaught) {
+    Fixture f = make_netlist_fixture();
+    PinIndex& index = f.db.mutable_cell_pin_index_for_test();
+    std::swap(index.ids[0], index.ids[1]);  // a lists {3, 0}
+    const AuditReport r = audit_database(f.db);
+    EXPECT_TRUE(r.has("pin-link")) << r.to_string();
+    EXPECT_NE(r.to_string().find("not ascending"), std::string::npos)
+        << r.to_string();
+}
+
+TEST(AuditPinIndex, PinUnderTheWrongCellIsCaught) {
+    Fixture f = make_netlist_fixture();
+    PinIndex& index = f.db.mutable_cell_pin_index_for_test();
+    // The lists are a {0, 3}, b {1}, d {2, 4}: b now lists d's pin #2.
+    index.ids[2] = PinId{2};
+    const AuditReport r = audit_database(f.db);
+    EXPECT_TRUE(r.has("pin-link")) << r.to_string();
+    EXPECT_NE(r.to_string().find("pin #1 not listed by its cell"),
+              std::string::npos)
+        << r.to_string();
 }
 
 TEST(AuditCorruption, ReportIsDeterministic) {

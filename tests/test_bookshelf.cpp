@@ -48,6 +48,7 @@ Database small_design() {
     db.add_pin(db.find_cell("a"), n, 2.0, 0.5);
     db.add_pin(db.find_cell("b"), n, 1.5, 1.0);
     db.add_pin(db.find_cell("pad"), n, 1.0, 0.5);
+    db.finalize_pins();
     return db;
 }
 
@@ -69,11 +70,11 @@ TEST_F(BookshelfTest, RoundTripPreservesDesign) {
     EXPECT_TRUE(pad.fixed());
     EXPECT_EQ(pad.x(), 50);
     ASSERT_EQ(db2.nets().size(), 1u);
-    EXPECT_EQ(db2.nets()[0].degree(), 3u);
+    EXPECT_EQ(db2.net_pins(NetId{0}).size(), 3u);
     EXPECT_EQ(db2.floorplan().num_rows(), 4);
     EXPECT_EQ(db2.floorplan().row(0).num_sites, 60);
     // Pin offsets survive the centre-offset conversion.
-    const Pin& p0 = db2.pin(db2.nets()[0].pins()[0]);
+    const Pin& p0 = db2.pin(db2.net_pins(NetId{0})[0]);
     EXPECT_NEAR(p0.offset_x, 2.0, 1e-6);
     EXPECT_NEAR(p0.offset_y, 0.5, 1e-6);
 }
@@ -200,21 +201,24 @@ std::string dump(const Database& db) {
     for (const Row& r : fp.rows()) {
         os << "row " << r.y << ' ' << r.x << ' ' << r.num_sites << '\n';
     }
-    for (const Cell& c : db.cells()) {
+    for (std::size_t i = 0; i < db.num_cells(); ++i) {
+        const CellId id{static_cast<CellId::underlying>(i)};
+        const Cell& c = db.cell(id);
         os << "cell " << c.name() << ' ' << c.width() << ' ' << c.height()
            << ' ' << c.fixed() << ' ' << bits(c.gp_x()) << ' '
            << bits(c.gp_y()) << ' ' << c.placed();
         if (c.placed()) {
             os << ' ' << c.x() << ' ' << c.y();
         }
-        for (const PinId p : c.pins()) {
+        for (const PinId p : db.cell_pins(id)) {
             os << ' ' << p.value();
         }
         os << '\n';
     }
-    for (const Net& n : db.nets()) {
-        os << "net " << n.name();
-        for (const PinId p : n.pins()) {
+    for (std::size_t i = 0; i < db.nets().size(); ++i) {
+        const NetId id{static_cast<NetId::underlying>(i)};
+        os << "net " << db.net(id).name();
+        for (const PinId p : db.net_pins(id)) {
             os << ' ' << p.value();
         }
         os << '\n';

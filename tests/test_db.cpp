@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -7,6 +9,9 @@
 
 #include "db/database.hpp"
 #include "db/name_index.hpp"
+#include "io/benchmark_gen.hpp"
+#include "io/bookshelf.hpp"
+#include "io/profiles.hpp"
 #include "test_helpers.hpp"
 #include "util/assert.hpp"
 
@@ -100,10 +105,11 @@ TEST(Database, NetsAndPins) {
     const NetId n = db.add_net("n1");
     const PinId p1 = db.add_pin(a, n, 1.0, 0.5);
     const PinId p2 = db.add_pin(b, n, 0.0, 0.5);
-    EXPECT_EQ(db.net(n).degree(), 2u);
+    db.finalize_pins();
+    EXPECT_EQ(db.net_pins(n).size(), 2u);
     EXPECT_EQ(db.pin(p1).cell, a);
     EXPECT_EQ(db.pin(p2).cell, b);
-    EXPECT_EQ(db.cell(a).pins().size(), 1u);
+    EXPECT_EQ(db.cell_pins(a).size(), 1u);
     EXPECT_EQ(db.find_net("n1"), n);
     EXPECT_FALSE(db.find_net("nope").valid());
 }
@@ -301,6 +307,159 @@ TEST(NameIndex, PresizeAvoidsRegrowthAndChangesNoLookup) {
     EXPECT_EQ(db.cell_index().capacity(), capacity);
     EXPECT_EQ(db.find_cell("a"), CellId{0});
     EXPECT_EQ(db.find_cell("c4998"), CellId{4999});
+}
+
+// --- pin indexes (Database::finalize_pins) ----------------------------------
+
+/// Checks every cell's and net's list against a brute-force grouping of
+/// the Pin records: the ascending ids of the records naming it.
+void expect_pin_lists_match_records(const Database& db,
+                                    const std::string& what) {
+    std::vector<std::vector<PinId>> by_cell(db.num_cells());
+    std::vector<std::vector<PinId>> by_net(db.nets().size());
+    for (std::size_t i = 0; i < db.pins().size(); ++i) {
+        const PinId pid{static_cast<PinId::underlying>(i)};
+        by_cell[db.pins()[i].cell.index()].push_back(pid);
+        by_net[db.pins()[i].net.index()].push_back(pid);
+    }
+    for (std::size_t c = 0; c < db.num_cells(); ++c) {
+        const std::span<const PinId> got =
+            db.cell_pins(CellId{static_cast<CellId::underlying>(c)});
+        EXPECT_TRUE(std::ranges::equal(got, by_cell[c]))
+            << what << ": cell #" << c;
+    }
+    for (std::size_t n = 0; n < db.nets().size(); ++n) {
+        const std::span<const PinId> got =
+            db.net_pins(NetId{static_cast<NetId::underlying>(n)});
+        EXPECT_TRUE(std::ranges::equal(got, by_net[n]))
+            << what << ": net #" << n;
+    }
+}
+
+TEST(PinIndex, ListsEqualTheRecordsOfGeneratedAndReproDesigns) {
+    std::size_t generated = 0;
+    for (const Table1Entry& e : table1_benchmarks(0.02)) {
+        if (e.profile.name != "des_perf_1" && e.profile.name != "fft_1") {
+            continue;
+        }
+        for (const std::uint64_t seed : {1u, 2u}) {
+            GenProfile p = e.profile;
+            p.seed = seed;
+            const GenResult gen = generate_benchmark(p);
+            ASSERT_FALSE(gen.db.pins().empty()) << p.name;
+            expect_pin_lists_match_records(
+                gen.db, p.name + " seed " + std::to_string(seed));
+            ++generated;
+        }
+    }
+    EXPECT_EQ(generated, 4u);
+    std::size_t repros = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(MRLG_REPRO_DIR)) {
+        if (entry.path().extension() == ".aux") {
+            const Database db = read_bookshelf(entry.path().string()).db;
+            expect_pin_lists_match_records(db, entry.path().string());
+            ++repros;
+        }
+    }
+    EXPECT_GT(repros, 0u);
+}
+
+TEST(PinIndex, InterleavedAddPinCallsListInCallOrder) {
+    Database db(Floorplan(4, 50));
+    const CellId a = db.add_cell(Cell("a", 2, 1));
+    const CellId b = db.add_cell(Cell("b", 2, 1));
+    const NetId n0 = db.add_net("n0");
+    const NetId n1 = db.add_net("n1");
+    db.add_pin(b, n1, 0.0, 0.0);  // #0
+    db.add_pin(a, n0, 0.0, 0.0);  // #1
+    db.add_pin(b, n0, 0.0, 0.0);  // #2
+    db.add_pin(a, n1, 0.0, 0.0);  // #3
+    db.add_pin(a, n0, 1.0, 0.0);  // #4
+    db.finalize_pins();
+    EXPECT_TRUE(std::ranges::equal(db.cell_pins(a),
+                                   std::vector{PinId{1}, PinId{3}, PinId{4}}));
+    EXPECT_TRUE(std::ranges::equal(db.cell_pins(b),
+                                   std::vector{PinId{0}, PinId{2}}));
+    EXPECT_TRUE(std::ranges::equal(db.net_pins(n0),
+                                   std::vector{PinId{1}, PinId{2}, PinId{4}}));
+    EXPECT_TRUE(std::ranges::equal(db.net_pins(n1),
+                                   std::vector{PinId{0}, PinId{3}}));
+    expect_pin_lists_match_records(db, "interleaved");
+}
+
+TEST(PinIndex, ReadAfterAddPinWithoutFinalizeThrows) {
+    Database db(Floorplan(4, 50));
+    const CellId a = db.add_cell(Cell("a", 2, 1));
+    const CellId b = db.add_cell(Cell("b", 2, 1));
+    const NetId n = db.add_net("n");
+    db.add_pin(a, n, 1.0, 0.5);
+    // Never finalized: every read throws, not only the owners' lists.
+    EXPECT_THROW(db.cell_pins(b), AssertionError);
+    db.finalize_pins();
+    EXPECT_EQ(db.net_pins(n).size(), 1u);
+    db.add_pin(b, n, 1.0, 0.5);
+    try {
+        db.net_pins(n);
+        ADD_FAILURE() << "a stale net list was returned";
+    } catch (const AssertionError& e) {
+        EXPECT_NE(std::string(e.what()).find("finalize_pins"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(db.cell_pins(a), AssertionError);
+    EXPECT_THROW(db.cell_pins(b), AssertionError);
+    db.finalize_pins();
+    EXPECT_EQ(db.net_pins(n).size(), 2u);
+    EXPECT_EQ(db.cell_pins(b).size(), 1u);
+}
+
+TEST(PinIndex, CellOrNetAddedAfterFinalizeReadsEmpty) {
+    Database db(Floorplan(4, 50));
+    const CellId a = db.add_cell(Cell("a", 2, 1));
+    const NetId n = db.add_net("n");
+    db.add_pin(a, n, 1.0, 0.5);
+    db.finalize_pins();
+    const CellId late_cell = db.add_cell(Cell("late", 2, 1));
+    const NetId late_net = db.add_net("late");
+    EXPECT_TRUE(db.cell_pins(late_cell).empty());
+    EXPECT_TRUE(db.net_pins(late_net).empty());
+    EXPECT_EQ(db.cell_pins(a).size(), 1u);
+    EXPECT_EQ(db.net_pins(n).size(), 1u);
+    // A design that never had a pin reads empty without finalize_pins.
+    Database bare(Floorplan(4, 50));
+    const CellId c = bare.add_cell(Cell("c", 2, 1));
+    EXPECT_TRUE(bare.cell_pins(c).empty());
+}
+
+TEST(PinIndex, MemoryBreakdownReportsExactPinBytes) {
+    GenProfile p;
+    p.name = "pins";
+    p.num_single = 400;
+    p.num_double = 40;
+    p.density = 0.5;
+    p.seed = 3;
+    const GenResult gen = generate_benchmark(p);
+    const Database& db = gen.db;
+    ASSERT_FALSE(db.pins().empty());
+    std::size_t pins = 0;
+    for (const ArenaUsage& a : db.memory_breakdown()) {
+        if (a.name == "pins") {
+            pins = a.bytes;
+            EXPECT_EQ(a.entries, db.pins().size());
+        }
+    }
+    // The Pin records plus both indexes: an offset per cell and per net
+    // (plus one each) and every pin id twice.
+    EXPECT_EQ(pins, db.pins().capacity() * sizeof(Pin) +
+                        (db.num_cells() + 1 + db.nets().size() + 1) *
+                            sizeof(std::uint32_t) +
+                        2 * db.pins().size() * sizeof(PinId));
+    EXPECT_EQ(pins, db.pins().capacity() * sizeof(Pin) +
+                        db.cell_pin_index().bytes() +
+                        db.net_pin_index().bytes());
+    EXPECT_EQ(sizeof(PinId), 4u);
+    EXPECT_EQ(sizeof(Net), sizeof(std::string));  // a net is its name
 }
 
 }  // namespace

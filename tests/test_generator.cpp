@@ -86,8 +86,10 @@ TEST(Generator, NetlistIsSpatiallyLocal) {
          die.h * r.db.floorplan().site_h_um()) /
         3.0;
     EXPECT_LT(gp_hpwl, random_est * 0.8);
-    for (const Net& n : r.db.nets()) {
-        EXPECT_GE(n.degree(), 2u);
+    for (std::size_t n = 0; n < r.db.nets().size(); ++n) {
+        EXPECT_GE(r.db.net_pins(NetId{static_cast<NetId::underlying>(n)})
+                      .size(),
+                  2u);
     }
 }
 

@@ -133,6 +133,7 @@ Database clustered_design(Rng& rng, int per_group) {
                  right[static_cast<std::size_t>(i - 1)], n++);
         }
     }
+    db.finalize_pins();
     return db;
 }
 

@@ -76,12 +76,13 @@ void expect_equal_designs(const Database& a, const Database& b) {
     }
     ASSERT_EQ(a.nets().size(), b.nets().size());
     for (std::size_t n = 0; n < a.nets().size(); ++n) {
-        const Net& na = a.nets()[n];
-        const Net& nb = b.nets()[n];
-        ASSERT_EQ(na.degree(), nb.degree()) << na.name();
-        for (std::size_t p = 0; p < na.pins().size(); ++p) {
-            const Pin& pa = a.pin(na.pins()[p]);
-            const Pin& pb = b.pin(nb.pins()[p]);
+        const NetId id{static_cast<NetId::underlying>(n)};
+        const std::span<const PinId> na = a.net_pins(id);
+        const std::span<const PinId> nb = b.net_pins(id);
+        ASSERT_EQ(na.size(), nb.size()) << a.net(id).name();
+        for (std::size_t p = 0; p < na.size(); ++p) {
+            const Pin& pa = a.pin(na[p]);
+            const Pin& pb = b.pin(nb[p]);
             EXPECT_EQ(a.cell(pa.cell).name(), b.cell(pb.cell).name());
             // Pin offsets pass through 6-significant-digit text (default
             // ostream precision), so rounding is ~1e-5 at site scale.

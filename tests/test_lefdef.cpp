@@ -153,9 +153,9 @@ TEST_F(LefDefTest, DefBuildsDatabase) {
 
     // Nets: the die pin entry is skipped, offsets come from LEF pins.
     ASSERT_EQ(db.nets().size(), 2u);
-    EXPECT_EQ(db.nets()[0].degree(), 2u);
-    EXPECT_EQ(db.nets()[1].degree(), 2u);
-    const Pin& z = db.pin(db.nets()[0].pins()[0]);
+    EXPECT_EQ(db.net_pins(NetId{0}).size(), 2u);
+    EXPECT_EQ(db.net_pins(NetId{1}).size(), 2u);
+    const Pin& z = db.pin(db.net_pins(NetId{0})[0]);
     EXPECT_NEAR(z.offset_x, 0.5 / 0.2, 1e-9);
 }
 
@@ -225,16 +225,18 @@ TEST_F(LefDefTest, DefRoundTripThroughWriter) {
         EXPECT_EQ(fa.blockages(), fb.blockages());
         ASSERT_EQ(a.db.nets().size(), b.db.nets().size());
         for (std::size_t n = 0; n < a.db.nets().size(); ++n) {
-            const Net& na = a.db.nets()[n];
-            const Net& nb = b.db.nets()[n];
-            EXPECT_EQ(na.name(), nb.name());
-            ASSERT_EQ(na.pins().size(), nb.pins().size()) << na.name();
-            for (std::size_t k = 0; k < na.pins().size(); ++k) {
-                const Pin& pa = a.db.pin(na.pins()[k]);
-                const Pin& pb = b.db.pin(nb.pins()[k]);
-                EXPECT_EQ(pa.cell, pb.cell) << na.name();
-                EXPECT_EQ(pa.offset_x, pb.offset_x) << na.name();
-                EXPECT_EQ(pa.offset_y, pb.offset_y) << na.name();
+            const NetId id{static_cast<NetId::underlying>(n)};
+            const std::string& name = a.db.net(id).name();
+            EXPECT_EQ(name, b.db.net(id).name());
+            const std::span<const PinId> na = a.db.net_pins(id);
+            const std::span<const PinId> nb = b.db.net_pins(id);
+            ASSERT_EQ(na.size(), nb.size()) << name;
+            for (std::size_t k = 0; k < na.size(); ++k) {
+                const Pin& pa = a.db.pin(na[k]);
+                const Pin& pb = b.db.pin(nb[k]);
+                EXPECT_EQ(pa.cell, pb.cell) << name;
+                EXPECT_EQ(pa.offset_x, pb.offset_x) << name;
+                EXPECT_EQ(pa.offset_y, pb.offset_y) << name;
             }
         }
         EXPECT_EQ(a.names.macros, b.names.macros);

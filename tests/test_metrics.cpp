@@ -16,6 +16,7 @@ struct TwoCellNet {
         const NetId n = db.add_net("n");
         db.add_pin(a, n, 1.0, 0.5);
         db.add_pin(b, n, 1.0, 0.5);
+        db.finalize_pins();
     }
 };
 
@@ -24,6 +25,7 @@ TEST(Hpwl, SinglePinNetIgnored) {
     const CellId a = db.add_cell(Cell("a", 2, 1));
     const NetId n = db.add_net("n");
     db.add_pin(a, n, 0.0, 0.0);
+    db.finalize_pins();
     db.cell(a).set_gp(10, 1);
     EXPECT_EQ(hpwl_um(db, PositionSource::kGlobalPlacement), 0.0);
 }
@@ -70,6 +72,7 @@ TEST(Hpwl, FixedCellsUseFixedPositionForBothSources) {
     const NetId n = db.add_net("n");
     db.add_pin(f, n, 0.0, 0.0);
     db.add_pin(m, n, 0.0, 0.0);
+    db.finalize_pins();
     const double gp = hpwl_um(db, PositionSource::kGlobalPlacement);
     const double lg = hpwl_um(db, PositionSource::kLegalized);
     EXPECT_NEAR(gp, lg, 1e-9);

@@ -42,7 +42,8 @@ SEED_FREE_MUTATORS = {"mll_commit", "mll_undo", "mll_place", "ripup_place"}
 SEED_METHOD_MUTATORS = {
     "place", "remove", "set_x", "set_pos", "set_gp", "set_region",
     "set_orient", "unplace", "add_cell", "add_net", "add_pin",
-    "freeze_fixed_cells", "mutable_cells_for_test", "mutable_segment",
+    "finalize_pins", "freeze_fixed_cells", "mutable_cells_for_test",
+    "mutable_cell_pin_index_for_test", "mutable_segment",
 }
 
 # Accessor names with a const + non-const overload pair: a call is a
