@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 namespace mrlg {
 
@@ -38,13 +39,24 @@ AuditReport audit_local_region(const Database& db, const SegmentGrid& grid,
     r.scope = "local-region";
     const std::vector<CellId>& locals = region.local_cells();
 
-    if (!std::is_sorted(locals.begin(), locals.end()) ||
-        std::adjacent_find(locals.begin(), locals.end()) != locals.end()) {
-        r.add("lr-locals-sorted",
-              "local_cells() not sorted or contains duplicates");
+    // Strictly increasing (x, bottom row): the LocalProblem index order,
+    // and no cell listed twice.
+    for (std::size_t i = 1; i < locals.size(); ++i) {
+        const Cell& a = db.cell(locals[i - 1]);
+        const Cell& b = db.cell(locals[i]);
+        if (std::pair(a.x(), a.y()) >= std::pair(b.x(), b.y())) {
+            r.add("lr-locals-sorted",
+                  lr_who(db, locals[i]) + " at local index " +
+                      std::to_string(i) +
+                      " does not follow its predecessor in (x, bottom "
+                      "row) order");
+            break;
+        }
     }
+    std::vector<CellId> by_id = locals;
+    std::sort(by_id.begin(), by_id.end());
     const auto is_local = [&](CellId c) {
-        return std::binary_search(locals.begin(), locals.end(), c);
+        return std::binary_search(by_id.begin(), by_id.end(), c);
     };
 
     // CSR layout first: every other check reads rows through it.
@@ -378,32 +390,18 @@ AuditReport audit_local_problem(const LocalProblem& lp, bool minmax_filled) {
         }
     }
 
-    // by_x: a permutation of all indices, sorted by (x, index).
-    const std::vector<int>& by_x = lp.by_x();
-    if (static_cast<int>(by_x.size()) != n) {
-        r.add("lp-by-x", "by_x() is not a permutation of the cell indices");
-    } else {
-        std::vector<bool> seen(static_cast<std::size_t>(n), false);
-        bool order_ok = true;
-        for (std::size_t pos = 0; pos < by_x.size(); ++pos) {
-            const int i = by_x[pos];
-            if (i < 0 || i >= n || seen[static_cast<std::size_t>(i)]) {
-                r.add("lp-by-x",
-                      "by_x() is not a permutation of the cell indices");
-                order_ok = false;
-                break;
-            }
-            seen[static_cast<std::size_t>(i)] = true;
-            if (pos > 0) {
-                const LpCell& a = lp.cell(by_x[pos - 1]);
-                const LpCell& b = lp.cell(i);
-                if (a.x > b.x || (a.x == b.x && by_x[pos - 1] > i)) {
-                    order_ok = false;
-                }
-            }
-        }
-        if (!order_ok && !r.has("lp-by-x")) {
-            r.add("lp-by-x", "by_x() not sorted by (x, index)");
+    // The sweeps walk indices as x order: cells strictly increase in
+    // (x, bottom row).
+    for (int i = 1; i < n; ++i) {
+        const LpCell& a = lp.cell(i - 1);
+        const LpCell& b = lp.cell(i);
+        if (std::pair(a.x, a.y) >= std::pair(b.x, b.y)) {
+            std::ostringstream os;
+            os << "lp cell " << i << " at (" << b.x << ", " << b.y
+               << ") does not follow lp cell " << i - 1 << " at (" << a.x
+               << ", " << a.y << ") in (x, bottom row) order";
+            r.add("lp-by-x", os.str());
+            break;
         }
     }
     return r;

@@ -25,9 +25,11 @@ namespace mrlg {
 ///    requested fence region);
 ///  * local cells are placed, x-sorted and overlap-free per row, fully
 ///    inside the window, and listed on every region row they cross;
-///  * local_cells() is sorted, duplicate-free and equals the union of the
-///    per-row lists, and each local cell's carried footprint
-///    (local_rects()) equals its cell's (lr-geom);
+///  * local_cells() strictly increases in (x, bottom row) — the
+///    LocalProblem index order, which also rules out duplicates
+///    (lr-locals-sorted) — and equals the union of the per-row lists, and
+///    each local cell's carried footprint (local_rects()) equals its
+///    cell's (lr-geom);
 ///  * no non-local cell intersects a chosen local span (non-local cells
 ///    are frozen obstacles — their sites must have been subtracted).
 AuditReport audit_local_region(const Database& db, const SegmentGrid& grid,
@@ -37,7 +39,8 @@ AuditReport audit_local_region(const Database& db, const SegmentGrid& grid,
 /// Structural invariants of a built LocalProblem — including its CSR
 /// layout: row slices tile the flat cell array, cells' pos_in_row slots
 /// tile the flat pool in cell order, and every slot is filled and agrees
-/// with the row lists — plus (when
+/// with the row lists; and the cells strictly increasing in (x, bottom
+/// row), the order the sweeps walk (lp-by-x) — plus (when
 /// `minmax_filled`) the §5.1.1 bounds: xl <= x <= xr for every cell, both
 /// packings inside the row spans, and each packing preserving the per-row
 /// cell order without overlap.

@@ -214,12 +214,12 @@ void compute_critical_positions(const LocalProblem& lp,
     cp.xa.assign(n, kSiteCoordMin);
     cp.xb.assign(n, kSiteCoordMax);
 
-    // Push-left thresholds: process cells right-to-left; a cell is pushed
-    // left when its post-insertion right neighbour (or the target) forces
-    // it:  xa_k = x_k + w_k + max over pushers r of (xa_r - x_r),
-    // with the target contributing 0.
-    for (auto it = lp.by_x().rbegin(); it != lp.by_x().rend(); ++it) {
-        const int ci = *it;
+    // Push-left thresholds: process cells right-to-left (descending index
+    // is descending x); a cell is pushed left when its post-insertion
+    // right neighbour (or the target) forces it:
+    // xa_k = x_k + w_k + max over pushers r of (xa_r - x_r), with the
+    // target contributing 0.
+    for (int ci = static_cast<int>(n); ci-- > 0;) {
         const LpCell& c = lp.cell(ci);
         SiteCoord best = kSiteCoordMin;
         bool any = false;
@@ -244,7 +244,7 @@ void compute_critical_positions(const LocalProblem& lp,
 
     // Push-right thresholds, mirrored:  xb_k = x_k + min over pushers l of
     // (xb_l - x_l - w_l), target contributing -target_w.
-    for (const int ci : lp.by_x()) {
+    for (int ci = 0; ci < static_cast<int>(n); ++ci) {
         const LpCell& c = lp.cell(ci);
         SiteCoord best = kSiteCoordMax;
         bool any = false;

@@ -1,8 +1,11 @@
 #include "legalize/ilp_local.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <optional>
+#include <span>
 
 #include "eval/legality.hpp"
 #include "ilp/branch_bound.hpp"
@@ -19,9 +22,13 @@ struct BaseRowSolution {
 };
 
 /// Builds and solves the MIP for one base row, or nullopt when infeasible.
+/// `by_id` lists the local indices in cell-id order: the model adds its
+/// cell variables and displacement rows in that order, so it does not
+/// depend on how the cells are indexed (branch and bound may pick another
+/// of several equal-cost optima from a reordered model).
 std::optional<BaseRowSolution> solve_for_base_row(
     const LocalProblem& lp, const TargetSpec& target, int t,
-    std::size_t& nodes) {
+    std::span<const int> by_id, std::size_t& nodes) {
     ilp::Model m;
     const int n = lp.num_cells();
     const int ht = static_cast<int>(target.h);
@@ -30,7 +37,8 @@ std::optional<BaseRowSolution> solve_for_base_row(
     std::vector<int> xv(static_cast<std::size_t>(n));
     std::vector<int> dv(static_cast<std::size_t>(n));
     double big_m = 1.0;
-    for (int i = 0; i < n; ++i) {
+    for (std::size_t rank = 0; rank < by_id.size(); ++rank) {
+        const int i = by_id[rank];
         const LpCell& c = lp.cell(i);
         SiteCoord lo = kSiteCoordMin;
         SiteCoord hi = kSiteCoordMax;
@@ -43,9 +51,9 @@ std::optional<BaseRowSolution> solve_for_base_row(
         // continuous lets the MIP beat the site-aligned optimum whenever
         // the preferred position is fractional.
         xv[static_cast<std::size_t>(i)] =
-            m.add_var(lo, hi, 0.0, true, 'x' + std::to_string(i));
+            m.add_var(lo, hi, 0.0, true, 'x' + std::to_string(rank));
         dv[static_cast<std::size_t>(i)] =
-            m.add_var(0.0, 1e9, 1.0, false, 'd' + std::to_string(i));
+            m.add_var(0.0, 1e9, 1.0, false, 'd' + std::to_string(rank));
         big_m = std::max(big_m, static_cast<double>(hi - lo) +
                                     static_cast<double>(c.w));
     }
@@ -68,7 +76,7 @@ std::optional<BaseRowSolution> solve_for_base_row(
     big_m *= 4.0;
 
     // Displacement linearization.
-    for (int i = 0; i < n; ++i) {
+    for (const int i : by_id) {
         const double ref = static_cast<double>(lp.cell(i).x);
         m.add_constraint({{dv[static_cast<std::size_t>(i)], 1.0},
                           {xv[static_cast<std::size_t>(i)], -1.0}},
@@ -168,6 +176,11 @@ IlpLocalResult solve_local_ilp(const LocalProblem& lp,
     IlpLocalResult best;
     double best_cost = std::numeric_limits<double>::max();
     const int ht = static_cast<int>(target.h);
+    std::vector<int> by_id(static_cast<std::size_t>(lp.num_cells()));
+    std::iota(by_id.begin(), by_id.end(), 0);
+    std::sort(by_id.begin(), by_id.end(), [&](int a, int b) {
+        return lp.cell(a).id < lp.cell(b).id;
+    });
     for (int t = 0; t + ht <= lp.num_rows(); ++t) {
         bool rows_ok = true;
         for (int k = t; k < t + ht; ++k) {
@@ -189,7 +202,7 @@ IlpLocalResult solve_local_ilp(const LocalProblem& lp,
         if (y_cost >= best_cost) {
             continue;
         }
-        const auto sol = solve_for_base_row(lp, target, t, best.nodes);
+        const auto sol = solve_for_base_row(lp, target, t, by_id, best.nodes);
         if (!sol) {
             continue;
         }

@@ -8,23 +8,21 @@ namespace mrlg {
 
 LocalProblem LocalProblem::build(const Database& db,
                                  const LocalRegion& region,
-                                 LocalProblemScratch* scratch) {
-    // Filled in per-thread buffers that keep their capacity across calls,
+                                 LocalProblemScratch* /*scratch*/) {
+    // Filled in a per-thread buffer that keeps its capacity across calls,
     // then returned as one exactly-sized copy.
-    thread_local LocalProblemScratch own_scratch;
     thread_local LocalProblem filled;
-    filled.rebuild(db, region, scratch != nullptr ? *scratch : own_scratch);
+    filled.rebuild(db, region);
     return filled;
 }
 
-void LocalProblem::rebuild(const Database& db, const LocalRegion& region,
-                           LocalProblemScratch& scratch) {
+void LocalProblem::rebuild(const Database& db, const LocalRegion& region) {
     y0_ = region.y0();
     site_w_um_ = db.floorplan().site_w_um();
     site_h_um_ = db.floorplan().site_h_um();
 
-    // Cells in local_cells() order, with the geometry the region copied
-    // from the segment slots; each reserves h slots of the pool.
+    // Cells in local_cells() order (x order), with the geometry the region
+    // copied from the segment slots; each reserves h slots of the pool.
     cells_.clear();
     int pool_size = 0;
     const std::vector<CellId>& ids = region.local_cells();
@@ -74,23 +72,6 @@ void LocalProblem::rebuild(const Database& db, const LocalRegion& region,
     MRLG_ASSERT(std::find(pos_pool_.begin(), pos_pool_.end(), -1) ==
                     pos_pool_.end(),
                 "local cell missing from a row list");
-
-    // by_x: sort (x, index) keys; the sign bit of x is flipped so unsigned
-    // order matches signed order.
-    std::vector<std::uint64_t>& keys = scratch.by_x_keys;
-    keys.clear();
-    for (int i = 0; i < n; ++i) {
-        const auto ux = static_cast<std::uint32_t>(
-                            cells_[static_cast<std::size_t>(i)].x) ^
-                        0x80000000u;
-        keys.push_back((static_cast<std::uint64_t>(ux) << 32) |
-                       static_cast<std::uint32_t>(i));
-    }
-    std::sort(keys.begin(), keys.end());
-    by_x_.clear();
-    for (const std::uint64_t key : keys) {
-        by_x_.push_back(static_cast<int>(key & 0xffffffffu));
-    }
 }
 
 }  // namespace mrlg

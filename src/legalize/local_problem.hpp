@@ -11,15 +11,18 @@
 /// LpCell::pos0). Cells, rows and views refer to each other by index only,
 /// so copies and moves are deep and never alias their source.
 ///
+/// Cell order: cells are indexed in x order, ties broken by bottom row,
+/// as the region lists them. Every row list is therefore in ascending
+/// index order, so the sweeps of min/max placement, critical positions and realization
+/// walk indices 0..n-1 and back, with no sort.
+///
 /// Concurrency contract: build() reads the region (whose local cells carry
 /// their geometry) and the Database's floorplan without mutating them —
-/// never a Cell — and every buffer it fills lives in the LocalProblem or
-/// the caller-supplied scratch. The legalizer's region-parallel plan phase
-/// relies on this to build many LocalProblems concurrently against the
-/// shared grid — one LocalProblem + scratch per worker thread, never
-/// shared across threads.
+/// never a Cell — and every buffer it fills lives in the LocalProblem. The
+/// legalizer's region-parallel plan phase relies on this to build many
+/// LocalProblems concurrently against the shared grid — one LocalProblem
+/// per worker thread, never shared across threads.
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -29,14 +32,13 @@
 
 namespace mrlg {
 
-/// Reusable buffers for LocalProblem::build (one build per MLL attempt).
-struct LocalProblemScratch {
-    /// (x, index) sort keys for by_x(), packed so one integer sort orders
-    /// them.
-    std::vector<std::uint64_t> by_x_keys;
-};
+/// Empty: LocalProblem::build is a linear copy that needs no buffer. Kept
+/// only because bench_suite/ passes one to build(); the next change to the
+/// benchmark (ROADMAP item 1) drops it.
+struct LocalProblemScratch {};
 
-/// A local cell, indexed 0..num_cells-1 within the problem.
+/// A local cell, indexed 0..num_cells-1 within the problem in x order,
+/// ties broken by bottom row (the order of LocalRegion::local_cells()).
 struct LpCell {
     CellId id;
     SiteCoord x = 0;  ///< Current x (site units).
@@ -70,15 +72,15 @@ public:
         int end = 0;
     };
 
+    /// `scratch` is unused (see LocalProblemScratch).
     MRLG_EFFECT_READONLY
     static LocalProblem build(const Database& db, const LocalRegion& region,
                               LocalProblemScratch* scratch = nullptr);
 
     /// In-place build: refills this problem from `region`, reusing the
-    /// capacity of its arrays and of `scratch` (the MLL hot path).
+    /// capacity of its arrays (the MLL hot path).
     MRLG_EFFECT_READONLY
-    void rebuild(const Database& db, const LocalRegion& region,
-                 LocalProblemScratch& scratch);
+    void rebuild(const Database& db, const LocalRegion& region);
 
     int num_rows() const { return static_cast<int>(rows_.size()); }
     bool has_row(int k) const {
@@ -106,10 +108,6 @@ public:
         return pos_pool_[static_cast<std::size_t>(cell(i).pos0 + j)];
     }
 
-    /// Cell indices sorted by current x ascending (ties by index). Shared
-    /// by min/max placement and realization.
-    const std::vector<int>& by_x() const { return by_x_; }
-
     double site_w_um() const { return site_w_um_; }
     double site_h_um() const { return site_h_um_; }
 
@@ -124,7 +122,6 @@ private:
     std::vector<int> row_cells_;
     std::vector<LpCell> cells_;
     std::vector<int> pos_pool_;
-    std::vector<int> by_x_;
     double site_w_um_ = 1.0;
     double site_h_um_ = 1.0;
 };

@@ -21,26 +21,6 @@ SiteCoord span_distance2(const Span& s, SiteCoord cx2) {
     return 0;
 }
 
-/// Subtracts `cut` from every span in `pieces` (in place). `tmp` is a
-/// caller-provided double-buffer so repeated calls reuse one allocation.
-void subtract(std::vector<Span>& pieces, const Span& cut,
-              std::vector<Span>& tmp) {
-    tmp.clear();
-    for (const Span& p : pieces) {
-        if (!p.overlaps(cut)) {
-            tmp.push_back(p);
-            continue;
-        }
-        if (cut.lo > p.lo) {
-            tmp.push_back(Span{p.lo, cut.lo});
-        }
-        if (cut.hi < p.hi) {
-            tmp.push_back(Span{cut.hi, p.hi});
-        }
-    }
-    pieces.swap(tmp);
-}
-
 /// True when `a` beats the current best piece `b` for centre x `cx2`
 /// (doubled coords): closer, then wider, then smaller lo — so the choice
 /// is deterministic.
@@ -145,38 +125,40 @@ void extract_local_region(const Database& db, const SegmentGrid& grid,
     }
 
     // Per row: the piece (a row-segment's window sites cut by blockers)
-    // closest to the window centre.
+    // closest to the window centre. A slice's entries are x-sorted and
+    // overlap-free, so one sweep yields its pieces in x order: the gaps
+    // between its blocked spans.
     s.picks.assign(uk(height), Pick{});
-    const auto rebuild_row = [&](int k) {
+    const auto pick_row = [&](int k) {
         Pick best;
         for (int si = s.row_slices[uk(k)]; si < s.row_slices[uk(k + 1)];
              ++si) {
             const LocalRegionScratch::Slice& slice = s.slices[uk(si)];
-            s.pieces.clear();
-            s.pieces.push_back(slice.base);
-            for (int i = slice.begin; i < slice.end; ++i) {
-                const Entry& e = s.entries[uk(i)];
-                if (s.blocked[uk(e.canon)] != 0) {
-                    subtract(s.pieces, Span{e.x, e.x + e.w}, s.span_tmp);
-                }
-            }
-            for (const Span& p : s.pieces) {
+            SiteCoord lo = slice.base.lo;
+            const auto offer = [&](SiteCoord hi) {
+                const Span p{lo, hi};
                 if (!p.empty() &&
                     (best.slice < 0 || better_piece(p, best.piece, cx2))) {
                     best = Pick{p, si};
                 }
+            };
+            for (int i = slice.begin; i < slice.end; ++i) {
+                const Entry& e = s.entries[uk(i)];
+                if (s.blocked[uk(e.canon)] != 0) {
+                    offer(e.x);
+                    lo = std::max<SiteCoord>(lo, e.x + e.w);
+                }
             }
+            offer(slice.base.hi);
         }
         s.picks[uk(k)] = best;
     };
     for (int k = 0; k < height; ++k) {
-        rebuild_row(k);
+        pick_row(k);
     }
 
-    // Fixpoint: a cell is local iff every row slice lies inside the chosen
-    // piece of that row. Any cell that overlaps a chosen piece without being
-    // local becomes a blocker; blockers grow monotonically, so this
-    // terminates (each iteration either adds a blocker or stops).
+    // A cell is local iff every row slice lies inside the chosen piece of
+    // that row.
     const auto cell_is_local = [&](const Entry& e) {
         if (s.blocked[uk(e.canon)] != 0) {
             return false;
@@ -195,71 +177,78 @@ void extract_local_region(const Database& db, const SegmentGrid& grid,
         return true;
     };
 
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (int k = 0; k < height && !changed; ++k) {
+    // Fixpoint and emission in one pass: rows bottom-up, each chosen
+    // piece's entries in x order. A local cell lies inside its row's
+    // piece, so it is among them, and joins the row's CSR slice (its slot
+    // holds the canonical entry until the local indices are known) and, on
+    // its bottom row, the local list. The first cell met that overlaps a
+    // piece without being local becomes a blocker: the rows it touches are
+    // re-picked and the pass restarts. Blockers grow monotonically, so
+    // this terminates; a pass that meets no new blocker has emitted the
+    // region.
+    const auto emit_rows = [&] {
+        out.row_cells_.clear();
+        out.row_local_.clear();
+        s.locals.clear();
+        for (int k = 0; k < height; ++k) {
             const Pick& pick = s.picks[uk(k)];
+            LocalRegion::RowHeader& row = out.rows_[uk(k)];
+            row = LocalRegion::RowHeader{};
             if (pick.slice < 0) {
                 continue;
             }
-            const Span piece = pick.piece;
             const LocalRegionScratch::Slice& slice = s.slices[uk(pick.slice)];
+            row.present = true;
+            row.y = y_lo + static_cast<SiteCoord>(k);
+            row.span = pick.piece;
+            row.global_segment = slice.sid;
+            row.begin = static_cast<int>(out.row_cells_.size());
             for (int i = slice.begin; i < slice.end; ++i) {
                 const Entry& e = s.entries[uk(i)];
-                if (!Span{e.x, e.x + e.w}.overlaps(piece) ||
-                    cell_is_local(e) || s.blocked[uk(e.canon)] != 0) {
-                    continue;
+                if (cell_is_local(e)) {
+                    out.row_cells_.push_back(e.id);
+                    out.row_local_.push_back(e.canon);
+                    if (e.y == row.y) {  // count each cell once
+                        s.locals.push_back(e.canon);
+                    }
+                } else if (s.blocked[uk(e.canon)] == 0 &&
+                           Span{e.x, e.x + e.w}.overlaps(pick.piece)) {
+                    s.blocked[uk(e.canon)] = 1;
+                    const SiteCoord lo = std::max<SiteCoord>(e.y, y_lo);
+                    const SiteCoord hi = std::min<SiteCoord>(e.y + e.h, y_hi);
+                    for (SiteCoord y = lo; y < hi; ++y) {
+                        pick_row(static_cast<int>(y - y_lo));
+                    }
+                    return false;
                 }
-                s.blocked[uk(e.canon)] = 1;
-                // Rebuild every window row the blocker touches.
-                const SiteCoord lo = std::max<SiteCoord>(e.y, y_lo);
-                const SiteCoord hi = std::min<SiteCoord>(e.y + e.h, y_hi);
-                for (SiteCoord y = lo; y < hi; ++y) {
-                    rebuild_row(static_cast<int>(y - y_lo));
-                }
-                changed = true;
-                break;
             }
+            row.end = static_cast<int>(out.row_cells_.size());
         }
+        return true;
+    };
+    while (!emit_rows()) {
     }
 
-    // Emit the CSR rows. A local cell lies inside its row's chosen piece,
-    // so it is among the piece's overlapping cells; its canonical entry is
-    // its bottom row's, where it joins the local list. Row slots hold the
-    // canonical entry until the local indices are known.
-    s.locals.clear();
-    for (int k = 0; k < height; ++k) {
-        const Pick& pick = s.picks[uk(k)];
-        if (pick.slice < 0) {
-            continue;
-        }
-        const LocalRegionScratch::Slice& slice = s.slices[uk(pick.slice)];
-        LocalRegion::RowHeader& row = out.rows_[uk(k)];
-        row.present = true;
-        row.y = y_lo + static_cast<SiteCoord>(k);
-        row.span = pick.piece;
-        row.global_segment = slice.sid;
-        row.begin = static_cast<int>(out.row_cells_.size());
-        for (int i = slice.begin; i < slice.end; ++i) {
-            const Entry& e = s.entries[uk(i)];
-            if (cell_is_local(e)) {
-                out.row_cells_.push_back(e.id);
-                out.row_local_.push_back(e.canon);
-                if (e.y == row.y) {  // count each cell once
-                    s.locals.emplace_back(e.id, e.canon);
-                }
-            }
-        }
-        row.end = static_cast<int>(out.row_cells_.size());
+    // Local indices in x order, ties by bottom row: a stable counting sort
+    // on x of the emission order (rows bottom-up, x order within a row).
+    // Local cells lie inside the window, so the buckets span its x range.
+    const SiteCoord x0 = window.x;
+    s.x_start.assign(uk(std::max<SiteCoord>(window.w, 0)) + 1, 0);
+    for (const int canon : s.locals) {
+        ++s.x_start[uk(s.entries[uk(canon)].x - x0) + 1];
     }
-    std::sort(s.locals.begin(), s.locals.end());
+    for (std::size_t b = 1; b < s.x_start.size(); ++b) {
+        s.x_start[b] += s.x_start[b - 1];
+    }
+    out.local_cells_.resize(s.locals.size());
+    out.local_rects_.resize(s.locals.size());
     s.local_of.resize(s.entries.size());
-    for (std::size_t i = 0; i < s.locals.size(); ++i) {
-        const int canon = s.locals[i].second;
-        s.local_of[uk(canon)] = static_cast<int>(i);
-        out.local_cells_.push_back(s.locals[i].first);
-        out.local_rects_.push_back(s.entries[uk(canon)].rect());
+    for (const int canon : s.locals) {
+        const Entry& e = s.entries[uk(canon)];
+        const int i = s.x_start[uk(e.x - x0)]++;
+        s.local_of[uk(canon)] = i;
+        out.local_cells_[uk(i)] = e.id;
+        out.local_rects_[uk(i)] = e.rect();
     }
     for (int& slot : out.row_local_) {
         slot = s.local_of[uk(slot)];

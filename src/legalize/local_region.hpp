@@ -72,8 +72,9 @@ public:
                         std::span<const int>(row_local_.data() + b, n)};
     }
 
-    /// All distinct local cells, sorted by id (a multi-row cell is listed
-    /// once). A local cell's index in this list is its LocalProblem index.
+    /// All distinct local cells (a multi-row cell is listed once) in x
+    /// order, ties broken by bottom row: cells of equal x lie on disjoint
+    /// rows. A local cell's index in this list is its LocalProblem index.
     const std::vector<CellId>& local_cells() const { return local_cells_; }
     /// Each local cell's footprint as its segment slots recorded it
     /// (parallel to local_cells()), so LocalProblem never reads a Cell.
@@ -98,6 +99,10 @@ public:
         return rows_[static_cast<std::size_t>(k)];
     }
     std::vector<int>& mutable_local_pool_for_test() { return row_local_; }
+    std::vector<CellId>& mutable_local_cells_for_test() {
+        return local_cells_;
+    }
+    std::vector<Rect>& mutable_local_rects_for_test() { return local_rects_; }
 
 private:
     friend void extract_local_region(const Database&, const SegmentGrid&,
@@ -159,9 +164,12 @@ struct LocalRegionScratch {
     std::vector<Pick> picks;
     std::vector<std::uint8_t> blocked;  ///< Per entry; read at `canon`.
     std::vector<int> local_of;          ///< Per entry; set at `canon`.
-    std::vector<std::pair<CellId, int>> locals;  ///< (id, canon) pairs.
-    std::vector<Span> pieces;    ///< per-segment piece accumulator.
-    std::vector<Span> span_tmp;  ///< subtract() double-buffer.
+    /// Local cells' canonical entries in emission order: rows bottom-up,
+    /// x order within a row.
+    std::vector<int> locals;
+    /// Counting-sort buckets over the window's x span: the first local
+    /// index of each x (one more slot than the window is wide).
+    std::vector<int> x_start;
 };
 
 /// Conservative bound on everything one legalization attempt (direct
@@ -208,9 +216,12 @@ AttemptFootprint compute_attempt_footprint(const Rect& window,
 /// chosen local segments). A cell of the second kind that overlaps a chosen
 /// local segment must additionally *cut* it (it will not move, so its sites
 /// are unusable). We run the selection to a fixpoint: blockers accumulate
-/// monotonically, so this terminates. All of it runs on a snapshot of the
-/// window's row-segment slices, taken with one
-/// SegmentGrid::cells_overlapping per row-segment.
+/// monotonically, so this terminates. The pass that checks for a new
+/// blocker also emits the rows, and restarts only when it finds one. All
+/// of it runs on a snapshot of the window's row-segment slices, taken with
+/// one SegmentGrid::cells_overlapping per row-segment, and the local
+/// indices come from one counting sort on x: O(local cells + window
+/// width), no comparison sort.
 MRLG_EFFECT_READONLY
 LocalRegion extract_local_region(const Database& db, const SegmentGrid& grid,
                                  const Rect& window, int fence_region = 0,

@@ -8,13 +8,14 @@ namespace mrlg {
 
 void compute_minmax_placement(LocalProblem& lp) {
     auto& cells = lp.mutable_cells();
+    const int n = lp.num_cells();
 
-    // Leftmost: sweep cells in ascending x. A row's frontier (first free
-    // site) is its span start or the packed right edge of the cell's left
-    // neighbour in that row — the last cell of the row the sweep packed,
-    // since row lists are x-ordered. A cell's leftmost x is the max
-    // frontier over the rows it spans.
-    for (const int ci : lp.by_x()) {
+    // Leftmost: sweep cells in ascending x, i.e. ascending index. A row's
+    // frontier (first free site) is its span start or the packed right
+    // edge of the cell's left neighbour in that row — the last cell of the
+    // row the sweep packed, since row lists are x-ordered. A cell's
+    // leftmost x is the max frontier over the rows it spans.
+    for (int ci = 0; ci < n; ++ci) {
         LpCell& c = cells[static_cast<std::size_t>(ci)];
         SiteCoord xl = kSiteCoordMin;
         for (int j = 0; j < c.h; ++j) {
@@ -33,8 +34,7 @@ void compute_minmax_placement(LocalProblem& lp) {
     }
 
     // Rightmost: mirror sweep in descending x.
-    for (auto it = lp.by_x().rbegin(); it != lp.by_x().rend(); ++it) {
-        const int ci = *it;
+    for (int ci = n; ci-- > 0;) {
         LpCell& c = cells[static_cast<std::size_t>(ci)];
         SiteCoord hi = kSiteCoordMax;
         for (int j = 0; j < c.h; ++j) {

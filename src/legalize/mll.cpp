@@ -48,7 +48,7 @@ MllPlan plan_with(const Database& db, const SegmentGrid& grid,
         enforce(audit_local_region(db, grid, region, cell.region()));
     }
     LocalProblem& lp = s.local_problem;
-    lp.rebuild(db, region, s.problem);
+    lp.rebuild(db, region);
     res.num_local_cells = static_cast<std::size_t>(lp.num_cells());
 
     compute_minmax_placement(lp);
@@ -135,9 +135,10 @@ MllPlan plan_with(const Database& db, const SegmentGrid& grid,
                       s.realize_left);
     MRLG_ASSERT(real.ok, "realization failed for an enumerated point");
 
-    // Record the would-be commit: shifted local cells (row lists keep
-    // their order) and the target slot. Nothing is mutated here. Counted
-    // first so the move list is the attempt's only allocation.
+    // Record the would-be commit: shifted local cells in local-index (x)
+    // order, each row list keeping its order, and the target slot. Nothing
+    // is mutated here. Counted first so the move list is the attempt's
+    // only allocation.
     const auto shifted = [&](int i) {
         return real.new_x[static_cast<std::size_t>(i)] != lp.cell(i).x;
     };

@@ -73,7 +73,7 @@ struct MllOptions {
 /// nullptr for one-off calls.
 struct MllScratch {
     LocalRegionScratch region;
-    LocalProblemScratch problem;
+    LocalProblemScratch problem;  ///< Empty; bench_suite/ names it.
     LocalRegion local_region;
     LocalProblem local_problem;
     std::vector<InsertionInterval> intervals;
@@ -118,7 +118,8 @@ struct MllPlan {
         SiteCoord old_x = 0;
         SiteCoord new_x = 0;
     };
-    std::vector<Move> moves;  ///< Shifted cells, row-list order.
+    /// Shifted cells in local-index order: x order, ties by bottom row.
+    std::vector<Move> moves;
 
     bool success() const { return status == MllStatus::kSuccess; }
 };

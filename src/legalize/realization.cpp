@@ -35,14 +35,15 @@ void realize_insertion(const LocalProblem& lp, const InsertionPoint& point,
     r.moved_sites = 0.0;
     const std::size_t n = static_cast<std::size_t>(lp.num_cells());
 
-    // Right side: ascending x. R starts at the current position; pushes
-    // only ever increase it. R lives in r.new_x and is merged in place.
+    // Right side: ascending x (ascending index). R starts at the current
+    // position; pushes only ever increase it. R lives in r.new_x and is
+    // merged in place.
     std::vector<SiteCoord>& R = r.new_x;
     R.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
         R[i] = lp.cell(static_cast<int>(i)).x;
     }
-    for (const int ci : lp.by_x()) {
+    for (int ci = 0; ci < static_cast<int>(n); ++ci) {
         const LpCell& c = lp.cell(ci);
         SiteCoord x = R[static_cast<std::size_t>(ci)];
         for (SiteCoord j = 0; j < c.h; ++j) {
@@ -67,8 +68,7 @@ void realize_insertion(const LocalProblem& lp, const InsertionPoint& point,
     for (std::size_t i = 0; i < n; ++i) {
         L[i] = lp.cell(static_cast<int>(i)).x;
     }
-    for (auto it = lp.by_x().rbegin(); it != lp.by_x().rend(); ++it) {
-        const int ci = *it;
+    for (int ci = static_cast<int>(n); ci-- > 0;) {
         const LpCell& c = lp.cell(ci);
         SiteCoord x = L[static_cast<std::size_t>(ci)];
         for (SiteCoord j = 0; j < c.h; ++j) {

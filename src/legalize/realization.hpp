@@ -9,8 +9,9 @@
 ///     R_k = max(x_k, max over left pushers (R_l + w_l), target: xt + w_t)
 /// and left-side positions in one descending-x sweep
 ///     L_k = min(x_k, min over right pushers (L_r - w_k), target: xt - w_k).
-/// Each cell is finalized exactly once, so the realization is O(|C_W|)
-/// after the (shared, precomputed) x-sort — matching the paper's bound.
+/// Local cells are indexed in x order (local_problem.hpp), so both sweeps
+/// walk indices and each cell is finalized exactly once: the realization
+/// is O(|C_W|), matching the paper's bound.
 
 #include <vector>
 

@@ -345,11 +345,47 @@ TEST(AuditLocal, SwappedRegionLocalIndicesAreCaughtOnlyByTheIndexCheck) {
     EXPECT_EQ(r.issues.size(), 2u) << r.to_string();
 }
 
+TEST(AuditLocal, SwappedLocalCellsAreCaughtOnlyByTheOrderCheck) {
+    Fixture f = make_fixture();
+    LocalRegion region =
+        extract_local_region(f.db, f.grid, Rect{0, 0, 40, 2});
+    ASSERT_EQ(region.local_cells().size(), 3u);
+    // Swap local cells 0 (a) and 2 (d) consistently: ids, carried
+    // footprints and every row slot's local index. Each slot still names
+    // its cell, so only the (x, bottom row) order of local_cells() breaks.
+    std::swap(region.mutable_local_cells_for_test()[0],
+              region.mutable_local_cells_for_test()[2]);
+    std::swap(region.mutable_local_rects_for_test()[0],
+              region.mutable_local_rects_for_test()[2]);
+    for (int& li : region.mutable_local_pool_for_test()) {
+        li = li == 0 ? 2 : li == 2 ? 0 : li;
+    }
+    const AuditReport r = audit_local_region(f.db, f.grid, region);
+    EXPECT_TRUE(r.has("lr-locals-sorted")) << r.to_string();
+    EXPECT_EQ(r.issues.size(), 1u) << r.to_string();
+}
+
+TEST(AuditLocal, OutOfOrderProblemCellIsCaughtOnlyByTheOrderCheck) {
+    Database db = empty_design(2, 100);
+    SegmentGrid grid = SegmentGrid::build(db);
+    add_placed(db, grid, "p", 10, 0, 4, 1);
+    add_placed(db, grid, "q", 20, 1, 4, 1);
+    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 40, 2});
+    ASSERT_EQ(lp.num_cells(), 2);
+    ASSERT_TRUE(audit_local_problem(lp, false).ok());
+    // q, alone on row 1, moves left of p: its row stays legal, but index 1
+    // no longer follows index 0 in x, which the sweeps rely on.
+    lp.mutable_cells()[1].x = 5;
+    const AuditReport r = audit_local_problem(lp, false);
+    EXPECT_TRUE(r.has("lp-by-x")) << r.to_string();
+    EXPECT_EQ(r.issues.size(), 1u) << r.to_string();
+}
+
 TEST(AuditLocal, AliasedPosInRowSlotIsCaughtOnlyByThePoolCheck) {
     Fixture f = make_fixture();
     LocalProblem lp =
         make_local_problem(f.db, f.grid, Rect{0, 0, 40, 2});
-    // Cells a, b, d in id order; d (2 rows) is first on row 1, so its
+    // Cells a, b, d in x order; d (2 rows) is first on row 1, so its
     // second slot holds 0 — the same position a has on row 0.
     ASSERT_EQ(lp.num_cells(), 3);
     const int d = 2;

@@ -10,10 +10,15 @@
 #      in-run audit, the LEF/DEF flag smoke, a re-run on the DEF it wrote
 #      and the parse-error exits, and the mrlg_fuzz smoke at two fixed
 #      seeds)
-#   1b. Benchmark build: compiles the standalone bench_suite/ package
-#      against this checkout's src/, so an API change that breaks the
-#      benchmark fails here rather than at the next benchmark run. It
-#      builds only; running its ctest waits for its own checks to pass
+#   1b. Benchmark build + self-checks: compiles the standalone
+#      bench_suite/ package against this checkout's src/, so an API change
+#      that breaks the benchmark fails here rather than at the next
+#      benchmark run, then runs plarge_exact and eco_stream once. A run
+#      exits non-zero when a self-check fails: among them, on every
+#      sampled MLL attempt, the probe's stage-by-stage choice must equal
+#      mll_plan's, for exact and approximate evaluation. Its ctest, which
+#      adds validate_bench.py, waits for the validator's probe cross-check
+#      to pass (ROADMAP item 1)
 #   2. Static checks (tools/mrlg_lint.py all): the phase-effect analyzer
 #      proving the mll_plan closure read-only, plus the determinism lint
 #      — one stage, one baseline, one exit code
@@ -93,12 +98,15 @@ build_and_test() {
 run_stage "build + ctest (Release)" build_and_test
 
 # --------------------------------------------------------------- stage 1b
-bench_build() {
+bench_build_and_check() {
     cmake -S bench_suite -B build-bench -DCMAKE_BUILD_TYPE=Release \
         >/dev/null &&
-        cmake --build build-bench -j "$JOBS" --target bench_suite
+        cmake --build build-bench -j "$JOBS" --target bench_suite &&
+        build-bench/bench_suite --workload plarge_exact \
+            --workload eco_stream --reps 1 --workdir build-bench/ci-inputs
 }
-run_stage "benchmark build (bench_suite)" bench_build
+run_stage "benchmark build + self-checks (bench_suite)" \
+    bench_build_and_check
 
 # ---------------------------------------------------------------- stage 2
 # Phase-effect analysis + determinism lint through the unified CLI.
