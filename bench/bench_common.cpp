@@ -1,12 +1,24 @@
 #include "bench_common.hpp"
 
 #include <cstdlib>
+#include <ctime>
 #include <iostream>
 
 #include "eval/legality.hpp"
 #include "eval/metrics.hpp"
 
 namespace mrlg::bench {
+
+namespace {
+
+double process_cpu_s() {
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+}  // namespace
 
 Args::Args(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
@@ -66,7 +78,9 @@ RunMetrics run_legalization(Database& db, SegmentGrid& grid,
     RunMetrics m;
     m.gp_hpwl_m = hpwl_m(db, PositionSource::kGlobalPlacement);
 
+    const double cpu_start_s = process_cpu_s();
     const LegalizerStats stats = legalize_placement(db, grid, opts);
+    m.cpu_s = process_cpu_s() - cpu_start_s;
     require_legal(db, grid, opts.mll.check_rail, where);
     m.runtime_s = stats.runtime_s;
     m.direct = stats.direct_placements;

@@ -39,6 +39,9 @@ struct RunMetrics {
     double disp_avg_sites = 0.0;
     double dhpwl_pct = 0.0;
     double runtime_s = 0.0;
+    /// Process CPU time of the legalize_placement call: the work of every
+    /// thread, which preemption by other load does not inflate.
+    double cpu_s = 0.0;
     double gp_hpwl_m = 0.0;
     std::size_t direct = 0;
     std::size_t mll = 0;

@@ -1,15 +1,14 @@
 /// incremental_flow — a full physical-synthesis-style loop exercising the
-/// whole library: quadratic global placement from the netlist → multi-row
-/// legalization → a round of local cell moves with instant legalization
-/// (the detailed-placement style of [11,12] the paper cites) → metrics at
-/// every stage.
+/// whole library: a synthesized design with its netlist and global
+/// placement → multi-row legalization → a round of local cell moves with
+/// instant legalization (the detailed-placement style of [11,12] the paper
+/// cites) → metrics at every stage.
 
 #include <iostream>
 
 #include "db/segment.hpp"
 #include "eval/legality.hpp"
 #include "eval/metrics.hpp"
-#include "gp/quadratic.hpp"
 #include "io/benchmark_gen.hpp"
 #include "legalize/legalizer.hpp"
 #include "legalize/mll.hpp"
@@ -18,7 +17,7 @@
 int main() {
     using namespace mrlg;
 
-    // 1. Design with netlist (generator positions are discarded below).
+    // 1. Design with netlist and the synthesizer's global placement.
     GenProfile profile;
     profile.name = "incremental_flow_demo";
     profile.num_single = 3000;
@@ -27,18 +26,12 @@ int main() {
     GenResult gen = generate_benchmark(profile);
     Database& db = gen.db;
 
-    // 2. Our own global placement from the netlist.
-    const gp::QuadraticStats qstats =
-        gp::quadratic_place(db, /*iterations=*/10);
-    std::cout << "quadratic GP: HPWL "
-              << qstats.hpwl_um * 1e-6 << " m, max bin util "
-              << qstats.final_max_util << "\n";
+    std::cout << "global placement: HPWL "
+              << hpwl_m(db, PositionSource::kGlobalPlacement) << " m\n";
 
-    // 3. Legalize.
+    // 2. Legalize.
     SegmentGrid grid = SegmentGrid::build(db);
-    LegalizerOptions lopts;
-    lopts.max_rounds = 128;
-    const LegalizerStats lstats = legalize_placement(db, grid, lopts);
+    const LegalizerStats lstats = legalize_placement(db, grid);
     std::cout << "legalized in " << lstats.runtime_s << " s, legal: "
               << (check_legality(db, grid).legal ? "yes" : "NO")
               << ", HPWL " << hpwl_m(db, PositionSource::kLegalized)
@@ -47,7 +40,7 @@ int main() {
         return 1;
     }
 
-    // 4. Detailed-placement pass with instant legalization: move each of
+    // 3. Detailed-placement pass with instant legalization: move each of
     //    200 random cells toward the median of its connected pins; each
     //    move is remove + MLL, so the placement is legal at every step.
     Rng rng(7);

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mrlg {
 
@@ -43,14 +42,6 @@ int left_neighbor(const LocalProblem& lp, const InsertionPoint& p, int ci,
         return row_cells[static_cast<std::size_t>(pos - 1)];
     }
     return -1;
-}
-
-/// The calling thread's evaluator buffers: the scan's seed and every
-/// chunk a thread runs reuse them, so steady-state evaluation allocates
-/// nothing. Cleared by each evaluate call before use.
-EvalScratch& thread_eval_scratch() {
-    thread_local EvalScratch scratch;
-    return scratch;
 }
 
 }  // namespace
@@ -320,77 +311,49 @@ PointEvaluator point_evaluator(bool exact) {
 PointScan scan_insertion_points(const LocalProblem& lp,
                                 std::span<const InsertionPoint> points,
                                 const TargetSpec& target, bool exact,
-                                int num_threads) {
+                                EvalScratch& scratch) {
     if (points.empty()) {
         return {};
     }
     const PointEvaluator evaluate = point_evaluator(exact);
     // Every point's bound, and the seed: the first point of least bound.
-    // The buffer is the calling thread's; chunks on other threads read it
-    // through `bound`, never by its thread_local name.
-    thread_local std::vector<double> bounds;
-    bounds.resize(points.size());
+    std::vector<double>& bound = scratch.bounds;
+    bound.resize(points.size());
     std::size_t seed = 0;
     for (std::size_t i = 0; i < points.size(); ++i) {
-        bounds[i] = cost_lower_bound_um(lp, points[i], target);
-        if (bounds[i] < bounds[seed]) {
+        bound[i] = cost_lower_bound_um(lp, points[i], target);
+        if (bound[i] < bound[seed]) {
             seed = i;
         }
     }
-    const std::span<const double> bound(bounds);
-    const Evaluation seed_eval =
-        evaluate(lp, points[seed], target, thread_eval_scratch());
+    const Evaluation seed_eval = evaluate(lp, points[seed], target, scratch);
     const double seed_cost = seed_eval.feasible
                                  ? seed_eval.cost_um
                                  : std::numeric_limits<double>::infinity();
 
-    // A chunk scores its points in index order and keeps the first of
-    // least cost. The winner W is never skipped: bound(W) <= cost(W) <=
-    // the seed's cost, and every point scored before W in its chunk costs
-    // strictly more than W (it precedes W, so it would otherwise win).
-    const auto map = [&](std::size_t begin, std::size_t end) {
-        EvalScratch& scratch = thread_eval_scratch();
-        PointScan best;
-        for (std::size_t i = begin; i < end; ++i) {
-            Evaluation ev;
-            if (i == seed) {
-                ev = seed_eval;
-            } else if (bound[i] > seed_cost ||
-                       (best.found() && bound[i] >= best.eval.cost_um)) {
-                ++best.skipped;
-                continue;
-            } else {
-                ev = evaluate(lp, points[i], target, scratch);
-            }
-            ++best.scored;
-            if (ev.feasible &&
-                (!best.found() || ev.cost_um < best.eval.cost_um)) {
-                best.eval = ev;
-                best.index = i;
-            }
+    // One pass in index order keeps the first point of least cost. The
+    // winner W is never skipped: bound(W) <= cost(W) <= the seed's cost,
+    // and every point scored before W costs strictly more than W (it
+    // precedes W, so it would otherwise win).
+    PointScan best;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        Evaluation ev;
+        if (i == seed) {
+            ev = seed_eval;
+        } else if (bound[i] > seed_cost ||
+                   (best.found() && bound[i] >= best.eval.cost_um)) {
+            ++best.skipped;
+            continue;
+        } else {
+            ev = evaluate(lp, points[i], target, scratch);
         }
-        return best;
-    };
-    // Chunk-local bests combine in ascending chunk order by (cost, index),
-    // which reproduces the serial first-strictly-lower rule exactly.
-    const auto combine = [](PointScan acc, const PointScan& part) {
-        acc.scored += part.scored;
-        acc.skipped += part.skipped;
-        if (part.found() &&
-            (!acc.found() || part.eval.cost_um < acc.eval.cost_um ||
-             (part.eval.cost_um == acc.eval.cost_um &&
-              part.index < acc.index))) {
-            acc.eval = part.eval;
-            acc.index = part.index;
+        ++best.scored;
+        if (ev.feasible && (!best.found() || ev.cost_um < best.eval.cost_um)) {
+            best.eval = ev;
+            best.index = i;
         }
-        return acc;
-    };
-    // Fixed grain: chunk boundaries must not depend on the thread count
-    // (see thread_pool.hpp). Exact evaluation is O(|C_W|) per point, so it
-    // amortizes the dispatch overhead at a finer grain.
-    const std::size_t grain = exact ? 16 : 128;
-    return parallel_reduce(points.size(), grain, num_threads, PointScan{},
-                           map, combine);
+    }
+    return best;
 }
 
 }  // namespace mrlg

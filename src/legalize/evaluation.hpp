@@ -10,15 +10,15 @@
 ///     positions of the <= 2·h_t immediate neighbours only, O(h_t);
 ///   * evaluate_insertion_point_exact  — critical positions of every local
 ///     cell via the push-chain recursion over the neighbour DAG, O(|C_W|).
-/// scan_insertion_points picks MLL's point with either one, fully scoring
-/// only the points that cost_lower_bound_um cannot exclude.
+/// scan_insertion_points picks MLL's point with either one in one serial
+/// pass, fully scoring only the points that cost_lower_bound_um cannot
+/// exclude.
 ///
-/// Concurrency contract: both evaluators are pure functions of the
-/// LocalProblem plus their scratch argument — no globals, no Database
-/// access. They already run concurrently across insertion points of one
-/// problem (PR-1 intra-window parallelism) and, since the plan/commit
-/// pipeline, across whole problems on distinct worker threads; each thread
-/// must bring its own scratch.
+/// Concurrency contract: the evaluators and the scan are pure functions of
+/// the LocalProblem plus their scratch argument — no globals, no Database
+/// access. The legalizer's plan fan-out runs whole problems concurrently
+/// on distinct worker threads (the one parallelism layer); each thread
+/// brings its own scratch.
 
 #include <algorithm>
 #include <cmath>
@@ -59,10 +59,10 @@ struct CriticalPositions {
     std::vector<SiteCoord> xb;  ///< Push-right thresholds (right-side cells).
 };
 
-/// Reusable buffers for the per-candidate evaluation hot path. One scratch
-/// object per thread; the MLL scan keeps a thread_local instance so
-/// steady-state evaluation performs no allocations. A default-constructed
-/// scratch is always valid.
+/// Reusable buffers for the per-candidate evaluation hot path and the
+/// scan. One scratch object per thread; MllScratch holds the one an MLL
+/// attempt uses, so steady-state evaluation performs no allocations. A
+/// default-constructed scratch is always valid.
 struct EvalScratch {
     HingeSet hinges;
     CriticalPositions cp;
@@ -75,6 +75,8 @@ struct EvalScratch {
     std::vector<SiteCoord> cand;
     std::vector<double> a_suffix;
     std::vector<double> b_prefix;
+    // scan_insertion_points: every point's cost bound
+    std::vector<double> bounds;
 };
 
 /// Minimizes the hinge cost over integer x in [lo, hi] (lo <= hi required).
@@ -179,15 +181,13 @@ struct PointScan {
 /// winner of scoring every point in index order. Only points that can
 /// still win are scored (DESIGN.md §2f): the point of smallest
 /// cost_lower_bound_um (first on ties) is scored first as the seed, then
-/// each fixed-size chunk skips a point whose bound is > the seed's cost
-/// or >= the chunk's best so far. Chunks run on up to `num_threads`
-/// threads (0 = the MRLG_THREADS default) and merge by (cost, index), so
-/// the winner, its evaluation and the scored count are the same at every
-/// thread count. scored + skipped == points.size().
+/// one pass in index order skips a point whose bound is > the seed's cost
+/// or >= the best cost so far. Runs on the calling thread in `scratch`.
+/// scored + skipped == points.size().
 MRLG_EFFECT_READONLY
 PointScan scan_insertion_points(const LocalProblem& lp,
                                 std::span<const InsertionPoint> points,
                                 const TargetSpec& target, bool exact,
-                                int num_threads);
+                                EvalScratch& scratch);
 
 }  // namespace mrlg

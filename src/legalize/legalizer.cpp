@@ -93,11 +93,8 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
     // single branch.
     obs::Timeline* const timeline = obs::current_timeline();
 
-    // The run's one set of MLL options, for plans and rip-up alike. Cells
-    // are the unit of parallelism (the plan fan-out), so each attempt
-    // scans its insertion points on one thread.
+    // The run's one set of MLL options, for plans and rip-up alike.
     MllOptions mll_opts = opts.mll;
-    mll_opts.num_threads = 1;
     if (mll_opts.audit < opts.audit) {
         mll_opts.audit = opts.audit;
     }

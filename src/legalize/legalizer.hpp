@@ -48,11 +48,10 @@ struct LegalizerOptions {
     /// Rescues multi-row cells whose paired-row capacity was starved.
     bool enable_ripup = true;
     /// Worker threads for the plan fan-out: each wave's MLL problems are
-    /// planned concurrently (legalize/pipeline.hpp), and every attempt
-    /// scans its insertion points on one thread, whatever mll.num_threads
-    /// says. 0 means the MRLG_THREADS environment default. Results are
-    /// bit-identical for any value (see thread_pool.hpp's determinism
-    /// contract).
+    /// planned concurrently (legalize/pipeline.hpp), and each attempt
+    /// scans its insertion points serially on its worker. 0 means the
+    /// MRLG_THREADS environment default. Results are bit-identical for any
+    /// value (see thread_pool.hpp's determinism contract).
     int num_threads = 0;
     /// Invariant-audit level for the run; defaults to the MRLG_VALIDATE
     /// environment level (off when unset, so production runs pay nothing).

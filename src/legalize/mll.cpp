@@ -108,10 +108,10 @@ MllPlan plan_with(const Database& db, const SegmentGrid& grid,
             MRLG_OBS_PHASE("scan");
             best = scan_insertion_points(lp, enumr.points, target,
                                          opts.exact_evaluation,
-                                         opts.num_threads);
+                                         s.evaluation);
         }
         // Per-point accounting: every enumerated point is either scored or
-        // excluded by the cost bound, under any chunking.
+        // excluded by the cost bound.
         MRLG_ASSERT(best.scored + best.skipped == enumr.points.size(),
                     "scan must score or exclude every enumerated point");
         res.num_points = enumr.points.size();

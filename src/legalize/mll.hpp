@@ -22,6 +22,7 @@
 #include "db/database.hpp"
 #include "db/segment.hpp"
 #include "legalize/enumeration.hpp"
+#include "legalize/evaluation.hpp"
 #include "legalize/local_problem.hpp"
 #include "legalize/local_region.hpp"
 #include "legalize/realization.hpp"
@@ -52,25 +53,21 @@ struct MllOptions {
     /// skip the per-attempt audits (the legalizer still audits the grid
     /// at phase boundaries).
     AuditLevel audit = AuditLevel::kOff;
-    /// Worker threads for the insertion-point evaluation scan. 0 = the
-    /// MRLG_THREADS environment default (hardware concurrency when unset);
-    /// 1 = serial. Any value yields the bit-identical chosen point: the
-    /// scan merges chunk-local bests with the deterministic tie-break
-    /// (cost, point index) that matches the serial first-strictly-better
-    /// rule.
+    /// Read by nothing: the insertion-point scan runs on the calling
+    /// thread. Kept only because bench_suite/bench_suite.cpp assigns it;
+    /// ROADMAP item 1 deletes it together with MllResult and
+    /// LocalProblemScratch.
     int num_threads = 0;
 };
 
 /// The buffers one MLL attempt builds its problem in: the window snapshot,
 /// the CSR region and problem, the intervals, the enumeration queues and
-/// points, and realization's sweep arrays. Each attempt refills them in
-/// place, so they stay at their high-water capacity. The scan's buffers
-/// are not here: it may fan out over pool workers, so each thread keeps
-/// thread_local ones (evaluation.cpp).
-/// With both warm, an attempt allocates nothing but the returned plan's
-/// move list. One scratch per thread (the legalizer keeps a thread_local
-/// one per thread); never share one across threads. Optional — pass
-/// nullptr for one-off calls.
+/// points, the scan's bounds and evaluator buffers, and realization's
+/// sweep arrays. Each attempt refills them in place, so they stay at
+/// their high-water capacity: a warm attempt allocates nothing but the
+/// returned plan's move list. One scratch per thread (the legalizer keeps
+/// a thread_local one per thread); never share one across threads.
+/// Optional — pass nullptr for one-off calls.
 struct MllScratch {
     LocalRegionScratch region;
     LocalProblemScratch problem;  ///< Empty; bench_suite/ names it.
@@ -79,6 +76,7 @@ struct MllScratch {
     std::vector<InsertionInterval> intervals;
     EnumerationScratch enumeration;
     EnumerationResult enumerated;
+    EvalScratch evaluation;
     Realization realization;
     std::vector<SiteCoord> realize_left;
 };

@@ -22,10 +22,10 @@ struct FuzzOptions {
     std::uint64_t seed = 1;
     /// Iterations per scenario battery round-robin.
     int iters = 50;
-    /// Worker threads: the MLL evaluation scans of the mll and ripup
-    /// batteries, and the legalizer's plan fan-out in the design battery
-    /// (0 = MRLG_THREADS env default, 1 = serial). Results are identical
-    /// either way — that is one of the properties under test.
+    /// Worker threads of the legalizer's plan fan-out in the design
+    /// battery (0 = MRLG_THREADS env default, 1 = serial); the other
+    /// batteries run on the calling thread. Results are identical either
+    /// way — that is one of the properties under test.
     int num_threads = 0;
     /// Cross-check the MIP solver on small local problems.
     bool exercise_ilp = true;
@@ -64,6 +64,7 @@ struct FuzzReport {
 /// Runs one oracle battery over an in-memory case. Returns "" when every
 /// oracle agrees, else the first mismatch description. Mutates `db` (the
 /// ripup battery commits successful transactions; others restore state).
+/// `num_threads` sizes the design battery's legalizer (FuzzOptions).
 std::string check_case(Database& db, FuzzScenario scenario,
                        const LocalDiffOptions& lopts = {},
                        int num_threads = 0);

@@ -117,8 +117,9 @@ void diff_pruned_scan(const LocalProblem& lp, const EnumerationResult& er,
                       const TargetSpec& target, bool exact,
                       std::ostringstream& os) {
     const char* name = exact ? "exact" : "approx";
-    const PointScan pruned = scan_insertion_points(lp, er.points, target,
-                                                   exact, /*num_threads=*/1);
+    EvalScratch scratch;
+    const PointScan pruned =
+        scan_insertion_points(lp, er.points, target, exact, scratch);
     if (pruned.scored + pruned.skipped != er.points.size()) {
         os << name << " pruned scan accounted for "
            << pruned.scored + pruned.skipped << " of " << er.points.size()

@@ -1,7 +1,7 @@
 #pragma once
 /// \file thread_pool.hpp
 /// Deterministic parallel execution layer for the read-only hot paths
-/// (MLL candidate scoring, HPWL, legality sweeps).
+/// (the legalizer's per-wave MLL plan fan-out, HPWL, legality sweeps).
 ///
 /// Determinism contract: work is split into chunks whose boundaries depend
 /// only on (n, grain) — never on the thread count — and `parallel_reduce`

@@ -435,8 +435,9 @@ TEST(AuditLocal, OffByOneScanWinnerIsCaught) {
         enumerate_insertion_points(lp, build_insertion_intervals(lp, t.w), t);
     ASSERT_GE(er.points.size(), 2u);
     for (const bool exact : {false, true}) {
+        EvalScratch scratch;
         const PointScan scan =
-            scan_insertion_points(lp, er.points, t, exact, 1);
+            scan_insertion_points(lp, er.points, t, exact, scratch);
         ASSERT_TRUE(scan.found());
         const PointEvaluator evaluate = point_evaluator(exact);
         const AuditReport clean =

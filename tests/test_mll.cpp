@@ -318,7 +318,6 @@ TEST(MllScratch, ReuseAcrossDesignSizesMatchesFreshScratch) {
     RandomDesign small = random_legal_design(rng, 8, 60, 40, 0.3, 6);
     for (const bool exact : {false, true}) {
         MllOptions opts;
-        opts.num_threads = 1;
         opts.exact_evaluation = exact;
         const std::vector<MllPlan> fresh_large =
             plan_every_cell(large, opts, nullptr);

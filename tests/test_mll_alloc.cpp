@@ -135,7 +135,6 @@ class MllAlloc : public ::testing::TestWithParam<bool> {};
 TEST_P(MllAlloc, WarmPlanAllocatesOnlyTheMoveList) {
     AllocDesign d = legalized_design();
     MllOptions opts;
-    opts.num_threads = 1;
     opts.exact_evaluation = GetParam();
     const std::vector<CellId> movable = d.db.movable_cells();
     const std::size_t stride = movable.size() / 120;
@@ -176,9 +175,9 @@ TEST_P(MllAlloc, WarmPlanAllocatesOnlyTheMoveList) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Evaluator, MllAlloc, ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                             return info.param ? std::string("Exact")
-                                               : std::string("Approx");
+                         [](const ::testing::TestParamInfo<bool>& p) {
+                             return p.param ? std::string("Exact")
+                                            : std::string("Approx");
                          });
 
 }  // namespace

@@ -1,12 +1,14 @@
 // The bound-pruned insertion-point scan (evaluation.hpp, DESIGN.md §2f)
 // against the exhaustive serial scan it replaces: the same winner, xt and
-// bit-equal cost at every thread count, and a cost bound that never
-// exceeds the cost it bounds.
+// bit-equal cost, a cost bound that never exceeds the cost it bounds, and
+// one pass that scores only the points that can still win.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "legalize/enumeration.hpp"
@@ -36,6 +38,40 @@ PointScan exhaustive_scan(const LocalProblem& lp,
         }
     }
     return best;
+}
+
+/// The scored count the one-pass rule implies, derived from every point's
+/// evaluation: the seed (first point of least bound) is scored; any other
+/// point is skipped when its bound is above the seed's cost, or at or
+/// above the best cost among the points before it.
+std::size_t one_pass_scored(const LocalProblem& lp,
+                            const std::vector<InsertionPoint>& points,
+                            const TargetSpec& target, bool exact) {
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<std::pair<double, double>> bound_cost;  // (bound, cost)
+    std::size_t seed = 0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const Evaluation ev =
+            exact ? evaluate_insertion_point_exact(lp, points[i], target)
+                  : evaluate_insertion_point_approx(lp, points[i], target);
+        bound_cost.emplace_back(cost_lower_bound_um(lp, points[i], target),
+                                ev.feasible ? ev.cost_um : inf);
+        if (bound_cost[i].first < bound_cost[seed].first) {
+            seed = i;
+        }
+    }
+    const double seed_cost = points.empty() ? inf : bound_cost[seed].second;
+    double best = inf;
+    std::size_t scored = 0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const auto [bound, cost] = bound_cost[i];
+        if (i != seed && (bound > seed_cost || bound >= best)) {
+            continue;
+        }
+        ++scored;
+        best = std::min(best, cost);
+    }
+    return scored;
 }
 
 /// One random local problem with its enumerated points. pref_x and pref_y
@@ -120,9 +156,9 @@ TEST(PointScan, InfeasiblePointHasInfiniteBound) {
 
 TEST(PointScan, PrunedEqualsExhaustiveSerialScan) {
     Rng rng(1402);
-    std::size_t multi_chunk = 0;  // problems spanning several chunks
-    std::size_t pruned = 0;       // problems where the bound skipped points
-    std::size_t tied = 0;         // problems whose least cost is shared
+    EvalScratch scratch;
+    std::size_t pruned = 0;  // problems where the bound skipped points
+    std::size_t tied = 0;    // problems whose least cost is shared
     for (int trial = 0; trial < 240; ++trial) {
         const Case c = random_case(rng);
         const std::vector<InsertionPoint>& points = c.enumerated.points;
@@ -130,29 +166,17 @@ TEST(PointScan, PrunedEqualsExhaustiveSerialScan) {
         for (const bool exact : {false, true}) {
             const PointScan full = exhaustive_scan(c.lp, points, c.target,
                                                    exact);
-            std::size_t scored_serial = 0;
-            for (const int threads : {1, 2, 8}) {
-                const PointScan scan = scan_insertion_points(
-                    c.lp, points, c.target, exact, threads);
-                const std::string where =
-                    "trial " + std::to_string(trial) + " exact " +
-                    std::to_string(exact) + " threads " +
-                    std::to_string(threads);
-                ASSERT_EQ(scan.index, full.index) << where;
-                ASSERT_EQ(scan.scored + scan.skipped, points.size())
-                    << where;
-                if (full.found()) {
-                    EXPECT_EQ(scan.eval.xt, full.eval.xt) << where;
-                    EXPECT_EQ(scan.eval.cost_um, full.eval.cost_um) << where;
-                }
-                if (threads == 1) {
-                    scored_serial = scan.scored;
-                } else {
-                    EXPECT_EQ(scan.scored, scored_serial) << where;
-                }
+            const PointScan scan = scan_insertion_points(
+                c.lp, points, c.target, exact, scratch);
+            const std::string where = "trial " + std::to_string(trial) +
+                                      " exact " + std::to_string(exact);
+            ASSERT_EQ(scan.index, full.index) << where;
+            ASSERT_EQ(scan.scored + scan.skipped, points.size()) << where;
+            if (full.found()) {
+                EXPECT_EQ(scan.eval.xt, full.eval.xt) << where;
+                EXPECT_EQ(scan.eval.cost_um, full.eval.cost_um) << where;
             }
-            pruned += scored_serial < points.size() ? 1 : 0;
-            multi_chunk += points.size() > (exact ? 16u : 128u) ? 1 : 0;
+            pruned += scan.scored < points.size() ? 1 : 0;
             if (full.found()) {
                 std::size_t at_min = 0;
                 for (const InsertionPoint& p : points) {
@@ -168,9 +192,30 @@ TEST(PointScan, PrunedEqualsExhaustiveSerialScan) {
         }
     }
     // The corpus exercises what the exactness argument depends on.
-    EXPECT_GT(multi_chunk, 100u);
     EXPECT_GT(pruned, 300u);
     EXPECT_GT(tied, 40u);
+}
+
+TEST(PointScan, OnePassScoresOnlyPointsThatCanStillWin) {
+    // The same 240 problems: the scan scores exactly the points the rule
+    // admits, with "best so far" taken over the whole pass.
+    Rng rng(1402);
+    EvalScratch scratch;
+    std::size_t long_exact = 0;  // exact problems of more than 16 points
+    for (int trial = 0; trial < 240; ++trial) {
+        const Case c = random_case(rng);
+        const std::vector<InsertionPoint>& points = c.enumerated.points;
+        for (const bool exact : {false, true}) {
+            const PointScan scan = scan_insertion_points(
+                c.lp, points, c.target, exact, scratch);
+            EXPECT_EQ(scan.scored,
+                      one_pass_scored(c.lp, points, c.target, exact))
+                << "trial " << trial << " exact " << exact << ", "
+                << points.size() << " points";
+            long_exact += exact && points.size() > 16 ? 1 : 0;
+        }
+    }
+    EXPECT_GT(long_exact, 100u);
 }
 
 TEST(PointScan, EarlierPointTyingTheSeedStillWins) {
@@ -197,9 +242,10 @@ TEST(PointScan, EarlierPointTyingTheSeedStillWins) {
     EXPECT_EQ(cost_lower_bound_um(lp, er.points[0], t),
               3 * lp.site_w_um());
     EXPECT_EQ(cost_lower_bound_um(lp, er.points[1], t), 0.0);
+    EvalScratch scratch;
     for (const bool exact : {false, true}) {
         const PointScan scan =
-            scan_insertion_points(lp, er.points, t, exact, 1);
+            scan_insertion_points(lp, er.points, t, exact, scratch);
         ASSERT_TRUE(scan.found());
         EXPECT_EQ(scan.index, 0u) << "exact " << exact;
         EXPECT_EQ(scan.eval.xt, 9);
@@ -216,7 +262,8 @@ TEST(PointScan, EmptyAndAllInfeasibleInputs) {
     TargetSpec t;
     t.w = 2;
     t.h = 1;
-    const PointScan none = scan_insertion_points(lp, {}, t, false, 1);
+    EvalScratch scratch;
+    const PointScan none = scan_insertion_points(lp, {}, t, false, scratch);
     EXPECT_FALSE(none.found());
     EXPECT_EQ(none.scored + none.skipped, 0u);
 
@@ -228,7 +275,7 @@ TEST(PointScan, EmptyAndAllInfeasibleInputs) {
     }
     for (const bool exact : {false, true}) {
         const PointScan scan =
-            scan_insertion_points(lp, infeasible, t, exact, 1);
+            scan_insertion_points(lp, infeasible, t, exact, scratch);
         EXPECT_FALSE(scan.found());
         EXPECT_EQ(scan.scored + scan.skipped, infeasible.size());
     }
@@ -243,7 +290,6 @@ TEST(PointScan, PlanCountsEnumeratedAndScoredPoints) {
     for (const bool exact : {false, true}) {
         MllOptions opts;
         opts.exact_evaluation = exact;
-        opts.num_threads = 1;
         const MllPlan plan = mll_plan(d.db, d.grid, t, 60.0, 6.0, opts);
         ASSERT_TRUE(plan.success());
 

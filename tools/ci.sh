@@ -2,7 +2,8 @@
 # mrlg CI pipeline: one entry point for every check this repo ships.
 #
 #   1. Release build with warnings as errors (MRLG_WERROR; src/, tools/,
-#      bench/ and examples/ build with the warning set, tests/ without)
+#      bench/, examples/ and tests/ build with the warning set, tests/
+#      minus -Wrestrict)
 #      + full ctest suite (it includes the bench_parallel thread-sweep
 #      smoke and the trace-schema check on its output, every bench_paper
 #      experiment scaled down, the five examples, the mrlg_legalize runs:

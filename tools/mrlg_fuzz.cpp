@@ -25,8 +25,8 @@ constexpr const char* kUsage =
     "  --seed S          master seed                    (default 1)\n"
     "  --iters N         iterations per scenario        (default 50,\n"
     "                    or the MRLG_FUZZ_ITERS environment variable)\n"
-    "  --threads T       worker threads (MLL scans; the legalizer's\n"
-    "                    plan fan-out in the design scenario),\n"
+    "  --threads T       worker threads of the legalizer's plan\n"
+    "                    fan-out in the design scenario,\n"
     "                    0 = env default (default 0)\n"
     "  --scenario NAME   restrict to one scenario:\n"
     "                    legality|local|mll|ripup|design (default: all)\n"
