@@ -37,7 +37,7 @@
 #include "legalize/enumeration.hpp"
 #include "legalize/greedy.hpp"
 #include "legalize/insertion_interval.hpp"
-#include "legalize/local_region.hpp"
+#include "legalize/local_problem.hpp"
 #include "legalize/minmax_placement.hpp"
 #include "obs/run_report.hpp"
 #include "util/logging.hpp"
@@ -581,11 +581,10 @@ struct Fixture {
                            static_cast<SiteCoord>(r));
             }
         }
-        const LocalRegion region = extract_local_region(
+        lp = extract_local_region(
             db, grid,
             Rect{0, 0, static_cast<SiteCoord>(cells_per_row * 8),
                  static_cast<SiteCoord>(rows)});
-        lp = LocalProblem::build(db, region);
         compute_minmax_placement(lp);
         target.w = 2;
         target.h = static_cast<SiteCoord>(target_h);

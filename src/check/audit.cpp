@@ -5,11 +5,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "eval/legality.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
-#include "util/logging.hpp"
 
 namespace mrlg {
 
@@ -43,9 +44,9 @@ AuditLevel audit_level_from_env() {
     if (v == "full" || v == "2") {
         return AuditLevel::kFull;
     }
-    MRLG_LOG(kWarn) << "MRLG_VALIDATE=" << raw
-                    << " not recognized (want off|cheap|full); auditing off";
-    return AuditLevel::kOff;
+    throw std::invalid_argument(
+        "MRLG_VALIDATE needs off, cheap or full (or 0, 1, 2, none), got '" +
+        std::string(raw) + "'");
 }
 
 bool AuditReport::has(const std::string& check) const {

@@ -31,9 +31,10 @@ enum class AuditLevel { kOff = 0, kCheap = 1, kFull = 2 };
 
 const char* to_string(AuditLevel level);
 
-/// Parses MRLG_VALIDATE (case-insensitive "off" | "cheap" | "full").
-/// Unset or empty means kOff; an unrecognized value logs one warning and
-/// falls back to kOff rather than silently validating at the wrong level.
+/// Parses MRLG_VALIDATE: "off", "cheap" or "full" in any case, or "0",
+/// "1", "2", "none". Unset or empty means kOff. Any other value throws
+/// std::invalid_argument naming the variable and its text, so a run that
+/// asked for audits never runs without them.
 AuditLevel audit_level_from_env();
 
 /// One invariant violation. `check` is a stable machine-readable id

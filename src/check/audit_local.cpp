@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 namespace mrlg {
 
@@ -14,229 +15,81 @@ std::string lr_who(const Database& db, CellId id) {
     return os.str();
 }
 
-/// True when the present rows' [begin, end) slices tile [0, pool_size) in
-/// row order and every absent row's slice is empty.
-template <typename Header>
-bool csr_rows_ok(const std::vector<Header>& rows, std::size_t pool_size) {
+}  // namespace
+
+AuditReport audit_local_region(const Database& db, const SegmentGrid& grid,
+                               const LocalProblem& lp, int fence_region) {
+    AuditReport r;
+    r.scope = "local-region";
+    const int n = lp.num_cells();
+    const Rect& window = lp.window();
+
+    // CSR layout first: every other check reads rows through it. Present
+    // rows' slices tile the row pool in row order; absent rows are empty.
     int next = 0;
-    for (const Header& h : rows) {
-        if (h.begin > h.end || (!h.present && h.begin != h.end) ||
-            (h.present && h.begin != next)) {
-            return false;
-        }
+    bool csr_ok = true;
+    for (const LocalProblem::RowHeader& h : lp.row_headers()) {
+        csr_ok = csr_ok && h.begin <= h.end &&
+                 (h.present ? h.begin == next : h.begin == h.end);
         if (h.present) {
             next = h.end;
         }
     }
-    return static_cast<std::size_t>(next) == pool_size;
-}
+    if (!csr_ok ||
+        static_cast<std::size_t>(next) != lp.row_cell_pool().size()) {
+        r.add("lr-csr",
+              "row headers do not tile the flat cell array in row order");
+        return r;
+    }
 
-}  // namespace
-
-AuditReport audit_local_region(const Database& db, const SegmentGrid& grid,
-                               const LocalRegion& region, int fence_region) {
-    AuditReport r;
-    r.scope = "local-region";
-    const std::vector<CellId>& locals = region.local_cells();
-
-    // Strictly increasing (x, bottom row): the LocalProblem index order,
-    // and no cell listed twice.
-    for (std::size_t i = 1; i < locals.size(); ++i) {
-        const Cell& a = db.cell(locals[i - 1]);
-        const Cell& b = db.cell(locals[i]);
-        if (std::pair(a.x(), a.y()) >= std::pair(b.x(), b.y())) {
-            r.add("lr-locals-sorted",
-                  lr_who(db, locals[i]) + " at local index " +
-                      std::to_string(i) +
-                      " does not follow its predecessor in (x, bottom "
-                      "row) order");
-            break;
+    // The cells on their own and against the Database.
+    std::vector<CellId> by_id;
+    by_id.reserve(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+        const LpCell& c = lp.cell(i);
+        const Rect carried{c.x, c.y, c.w, c.h};
+        by_id.push_back(c.id);
+        if (c.w <= 0 || c.h <= 0) {
+            std::ostringstream os;
+            os << "lp cell " << i << " has non-positive size " << c.w << "x"
+               << c.h;
+            r.add("lr-cell-geometry", os.str());
+        }
+        if (c.y != lp.y0() + static_cast<SiteCoord>(c.k0)) {
+            std::ostringstream os;
+            os << "lp cell " << i << " k0 " << c.k0
+               << " disagrees with its row " << c.y;
+            r.add("lr-cell-row", os.str());
+        }
+        for (SiteCoord j = 0; j < c.h; ++j) {
+            if (!lp.has_row(c.k0 + static_cast<int>(j))) {
+                std::ostringstream os;
+                os << "lp cell " << i << " crosses row "
+                   << c.k0 + static_cast<int>(j)
+                   << " which has no local segment";
+                r.add("lr-cell-rows", os.str());
+            }
+        }
+        if (!window.contains(carried)) {
+            r.add("lr-cell-window",
+                  lr_who(db, c.id) + " not fully inside the window");
+        }
+        const Cell& cell = db.cell(c.id);
+        if (!cell.placed()) {
+            r.add("lr-cell-placed",
+                  "unplaced " + lr_who(db, c.id) + " listed as local");
+        } else if (carried != cell.rect()) {
+            std::ostringstream os;
+            os << lr_who(db, c.id) << " carries footprint " << carried
+               << ", the cell is at " << cell.rect();
+            r.add("lr-geom", os.str());
         }
     }
-    std::vector<CellId> by_id = locals;
     std::sort(by_id.begin(), by_id.end());
     const auto is_local = [&](CellId c) {
         return std::binary_search(by_id.begin(), by_id.end(), c);
     };
 
-    // CSR layout first: every other check reads rows through it.
-    if (!csr_rows_ok(region.row_headers(), region.row_cell_pool().size()) ||
-        region.row_local_pool().size() != region.row_cell_pool().size()) {
-        r.add("lr-csr",
-              "row headers do not tile the flat cell arrays in row order");
-        return r;
-    }
-    for (std::size_t i = 0; i < region.row_cell_pool().size(); ++i) {
-        const int li = region.row_local_pool()[i];
-        if (li < 0 || static_cast<std::size_t>(li) >= locals.size() ||
-            locals[static_cast<std::size_t>(li)] !=
-                region.row_cell_pool()[i]) {
-            std::ostringstream os;
-            os << "row slot " << i << " local index " << li
-               << " does not name " << lr_who(db, region.row_cell_pool()[i]);
-            r.add("lr-local-index", os.str());
-        }
-    }
-
-    std::size_t listed = 0;
-    for (int k = 0; k < region.height(); ++k) {
-        if (!region.has_row(k)) {
-            continue;
-        }
-        const LocalRow row = region.row(k);
-        const SiteCoord y = region.y0() + static_cast<SiteCoord>(k);
-        if (row.y != y) {
-            std::ostringstream os;
-            os << "local row " << k << " claims absolute row " << row.y
-               << ", expected " << y;
-            r.add("lr-row-index", os.str());
-        }
-        if (row.span.empty()) {
-            std::ostringstream os;
-            os << "local row " << k << " has empty span " << row.span;
-            r.add("lr-span", os.str());
-        }
-        if (!region.window().x_span().contains(row.span)) {
-            std::ostringstream os;
-            os << "local row " << k << " span " << row.span
-               << " leaves the window " << region.window().x_span();
-            r.add("lr-span", os.str());
-        }
-        if (!row.global_segment.valid()) {
-            std::ostringstream os;
-            os << "local row " << k << " has no enclosing segment";
-            r.add("lr-segment", os.str());
-            continue;
-        }
-        const Segment& seg = grid.segment(row.global_segment);
-        if (seg.y != row.y || !seg.span.contains(row.span) ||
-            seg.region != fence_region) {
-            std::ostringstream os;
-            os << "local row " << k << " span " << row.span
-               << " not enclosed by segment #" << seg.id << " (row " << seg.y
-               << " span " << seg.span << " region " << seg.region << ")";
-            r.add("lr-segment", os.str());
-        }
-
-        SiteCoord prev_end = row.span.lo;
-        for (const CellId cid : row.cells) {
-            const Cell& c = db.cell(cid);
-            ++listed;
-            if (!c.placed()) {
-                r.add("lr-cell-placed",
-                      "unplaced " + lr_who(db, cid) + " listed as local");
-                continue;
-            }
-            if (c.y() > row.y || c.y() + c.height() <= row.y) {
-                std::ostringstream os;
-                os << lr_who(db, cid) << " does not cross local row " << k;
-                r.add("lr-cell-row", os.str());
-            }
-            if (c.x() < row.span.lo || c.x() + c.width() > row.span.hi) {
-                std::ostringstream os;
-                os << lr_who(db, cid) << " outside local row " << k
-                   << " span " << row.span;
-                r.add("lr-cell-span", os.str());
-            }
-            if (!region.window().contains(c.rect())) {
-                r.add("lr-cell-window",
-                      lr_who(db, cid) + " not fully inside the window");
-            }
-            if (c.x() < prev_end) {
-                r.add("lr-cell-order",
-                      "overlap or order violation before " + lr_who(db, cid) +
-                          " on local row " + std::to_string(k));
-            }
-            prev_end = c.x() + c.width();
-            if (!is_local(cid)) {
-                r.add("lr-locals-list",
-                      lr_who(db, cid) + " listed on a row but missing from "
-                                        "local_cells()");
-            }
-        }
-
-        // Frozen non-local cells act as obstacles: none may intersect the
-        // chosen span (their sites would have been subtracted in §2.1.3).
-        const auto [first, last] = grid.cells_overlapping(seg, row.span);
-        for (std::size_t i = first; i < last; ++i) {
-            const CellId cid = seg.cells[i].id;
-            const Cell& c = db.cell(cid);
-            const Span xs{c.x(), c.x() + c.width()};
-            if (xs.overlaps(row.span) && !is_local(cid)) {
-                std::ostringstream os;
-                os << "non-local " << lr_who(db, cid)
-                   << " intersects local row " << k << " span " << row.span;
-                r.add("lr-nonlocal-free", os.str());
-            }
-        }
-    }
-
-    // Every local cell must carry its cell's geometry and be listed on
-    // each region row it crosses, and the per-row lists must not mention
-    // anyone else.
-    const std::vector<Rect>& rects = region.local_rects();
-    if (rects.size() != locals.size()) {
-        std::ostringstream os;
-        os << "local_rects() holds " << rects.size() << " footprints for "
-           << locals.size() << " local cells";
-        r.add("lr-geom", os.str());
-    }
-    std::size_t expected_listed = 0;
-    for (std::size_t i = 0; i < locals.size(); ++i) {
-        const CellId cid = locals[i];
-        const Cell& c = db.cell(cid);
-        if (!c.placed()) {
-            r.add("lr-cell-placed",
-                  "unplaced " + lr_who(db, cid) + " in local_cells()");
-            continue;
-        }
-        if (i < rects.size() && rects[i] != c.rect()) {
-            std::ostringstream os;
-            os << lr_who(db, cid) << " carries footprint " << rects[i]
-               << ", the cell is at " << c.rect();
-            r.add("lr-geom", os.str());
-        }
-        for (SiteCoord y = c.y(); y < c.y() + c.height(); ++y) {
-            const int k = region.row_index(y);
-            ++expected_listed;
-            if (k < 0 || !region.has_row(k)) {
-                std::ostringstream os;
-                os << lr_who(db, cid) << " crosses row " << y
-                   << " which has no local segment";
-                r.add("lr-cell-rows", os.str());
-                continue;
-            }
-            const std::span<const CellId> cells = region.row(k).cells;
-            if (std::find(cells.begin(), cells.end(), cid) == cells.end()) {
-                std::ostringstream os;
-                os << lr_who(db, cid) << " missing from local row " << k
-                   << "'s cell list";
-                r.add("lr-cell-rows", os.str());
-            }
-        }
-    }
-    if (listed != expected_listed && !r.has("lr-cell-rows") &&
-        !r.has("lr-locals-list")) {
-        std::ostringstream os;
-        os << "row lists hold " << listed << " entries, expected "
-           << expected_listed;
-        r.add("lr-cell-rows", os.str());
-    }
-    return r;
-}
-
-AuditReport audit_local_problem(const LocalProblem& lp, bool minmax_filled) {
-    AuditReport r;
-    r.scope = "local-problem";
-    const int n = lp.num_cells();
-
-    // CSR layout first: every other check reads rows and row positions
-    // through it.
-    if (!csr_rows_ok(lp.row_headers(), lp.row_cell_pool().size())) {
-        r.add("lp-csr",
-              "row headers do not tile the flat cell array in row order");
-        return r;
-    }
     // pos_in_row pool: cell i owns the h slots starting at the sum of the
     // heights before it, and each slot holds the cell's position in that
     // row's list.
@@ -250,7 +103,7 @@ AuditReport audit_local_problem(const LocalProblem& lp, bool minmax_filled) {
     pool_ok = pool_ok &&
               static_cast<std::size_t>(next_slot) == lp.pos_pool().size();
     if (!pool_ok) {
-        r.add("lp-pos-pool", "cells' pos_in_row slots do not tile the pool "
+        r.add("lr-pos-pool", "cells' pos_in_row slots do not tile the pool "
                              "in cell order");
     }
     for (int i = 0; i < n && pool_ok; ++i) {
@@ -264,7 +117,7 @@ AuditReport audit_local_problem(const LocalProblem& lp, bool minmax_filled) {
                 std::ostringstream os;
                 os << "lp cell " << i << " pos_in_row slot " << j
                    << " is unfilled or names another cell";
-                r.add("lp-pos-pool", os.str());
+                r.add("lr-pos-pool", os.str());
             }
         }
     }
@@ -276,122 +129,84 @@ AuditReport audit_local_problem(const LocalProblem& lp, bool minmax_filled) {
         const LpRow row = lp.row(k);
         if (row.y != lp.y0() + static_cast<SiteCoord>(k)) {
             std::ostringstream os;
-            os << "lp row " << k << " claims absolute row " << row.y;
-            r.add("lp-row-index", os.str());
+            os << "local row " << k << " claims absolute row " << row.y
+               << ", expected " << lp.y0() + static_cast<SiteCoord>(k);
+            r.add("lr-row-index", os.str());
         }
-        if (row.span.empty()) {
+        if (row.span.empty() || !window.x_span().contains(row.span)) {
             std::ostringstream os;
-            os << "lp row " << k << " has empty span " << row.span;
-            r.add("lp-row-span", os.str());
+            os << "local row " << k << " span " << row.span
+               << " is empty or leaves the window " << window.x_span();
+            r.add("lr-span", os.str());
         }
         SiteCoord prev_end = row.span.lo;
         for (std::size_t pos = 0; pos < row.cells.size(); ++pos) {
             const int i = row.cells[pos];
             if (i < 0 || i >= n) {
                 std::ostringstream os;
-                os << "lp row " << k << " references invalid cell index "
+                os << "local row " << k << " references invalid cell index "
                    << i;
-                r.add("lp-ref", os.str());
+                r.add("lr-cell-ref", os.str());
                 continue;
             }
             const LpCell& c = lp.cell(i);
             if (c.x < row.span.lo || c.x + c.w > row.span.hi) {
                 std::ostringstream os;
-                os << "lp cell " << i << " outside lp row " << k << " span "
-                   << row.span;
-                r.add("lp-span", os.str());
+                os << "lp cell " << i << " outside local row " << k
+                   << " span " << row.span;
+                r.add("lr-cell-span", os.str());
             }
             if (c.x < prev_end) {
                 std::ostringstream os;
                 os << "overlap or order violation before lp cell " << i
-                   << " on lp row " << k;
-                r.add("lp-order", os.str());
+                   << " on local row " << k;
+                r.add("lr-cell-order", os.str());
             }
             prev_end = c.x + c.w;
             const int j = k - c.k0;
             if (j < 0 || j >= c.h ||
                 (pool_ok && lp.pos_in_row(i, j) != static_cast<int>(pos))) {
                 std::ostringstream os;
-                os << "lp cell " << i << " pos_in_row inconsistent on lp row "
-                   << k;
-                r.add("lp-pos", os.str());
+                os << "lp cell " << i
+                   << " pos_in_row inconsistent on local row " << k;
+                r.add("lr-cell-pos", os.str());
             }
         }
-    }
 
-    for (int i = 0; i < n; ++i) {
-        const LpCell& c = lp.cell(i);
-        if (c.w <= 0 || c.h <= 0) {
+        const SegmentId sid =
+            lp.row_headers()[static_cast<std::size_t>(k)].segment;
+        if (!sid.valid()) {
             std::ostringstream os;
-            os << "lp cell " << i << " has non-positive size " << c.w << "x"
-               << c.h;
-            r.add("lp-cell-geometry", os.str());
+            os << "local row " << k << " has no enclosing segment";
+            r.add("lr-segment", os.str());
+            continue;
         }
-        if (c.y != lp.y0() + static_cast<SiteCoord>(c.k0)) {
+        const Segment& seg = grid.segment(sid);
+        if (seg.y != row.y || !seg.span.contains(row.span) ||
+            seg.region != fence_region) {
             std::ostringstream os;
-            os << "lp cell " << i << " k0 " << c.k0
-               << " disagrees with its row " << c.y;
-            r.add("lp-cell-row", os.str());
+            os << "local row " << k << " span " << row.span
+               << " not enclosed by segment #" << seg.id << " (row " << seg.y
+               << " span " << seg.span << " region " << seg.region << ")";
+            r.add("lr-segment", os.str());
         }
-        for (SiteCoord j = 0; j < c.h; ++j) {
-            if (!lp.has_row(c.k0 + static_cast<int>(j))) {
+        // Frozen non-local cells act as obstacles: none may intersect the
+        // chosen span (their sites would have been subtracted in §2.1.3).
+        const auto [first, last] = grid.cells_overlapping(seg, row.span);
+        for (std::size_t i = first; i < last; ++i) {
+            const SegmentSlot& slot = seg.cells[i];
+            if (Span{slot.x, slot.x_hi()}.overlaps(row.span) &&
+                !is_local(slot.id)) {
                 std::ostringstream os;
-                os << "lp cell " << i << " crosses absent lp row "
-                   << c.k0 + static_cast<int>(j);
-                r.add("lp-cell-rows", os.str());
-            }
-        }
-        if (minmax_filled) {
-            // §5.1.1: the current (legal) position lies between the
-            // leftmost and rightmost packings.
-            if (!(c.xl <= c.x && c.x <= c.xr)) {
-                std::ostringstream os;
-                os << "lp cell " << i << " x " << c.x
-                   << " outside min/max bounds [" << c.xl << ", " << c.xr
-                   << "]";
-                r.add("lp-minmax", os.str());
-            }
-            for (SiteCoord j = 0; j < c.h; ++j) {
-                const int k = c.k0 + static_cast<int>(j);
-                if (!lp.has_row(k)) {
-                    continue;
-                }
-                const Span span = lp.row(k).span;
-                if (c.xl < span.lo || c.xr + c.w > span.hi) {
-                    std::ostringstream os;
-                    os << "lp cell " << i << " packing bounds [" << c.xl
-                       << ", " << c.xr << "] leave lp row " << k << " span "
-                       << span;
-                    r.add("lp-minmax-span", os.str());
-                }
-            }
-        }
-    }
-
-    if (minmax_filled) {
-        // Both packings must preserve each row's cell order without
-        // overlap — they are legal placements by construction (Fig. 6).
-        for (int k = 0; k < lp.num_rows(); ++k) {
-            if (!lp.has_row(k)) {
-                continue;
-            }
-            const std::span<const int> cells = lp.row(k).cells;
-            for (std::size_t pos = 1; pos < cells.size(); ++pos) {
-                const LpCell& a = lp.cell(cells[pos - 1]);
-                const LpCell& b = lp.cell(cells[pos]);
-                if (a.xl + a.w > b.xl || a.xr + a.w > b.xr) {
-                    std::ostringstream os;
-                    os << "packing overlap between lp cells "
-                       << cells[pos - 1] << " and " << cells[pos]
-                       << " on lp row " << k;
-                    r.add("lp-minmax-order", os.str());
-                }
+                os << "non-local " << lr_who(db, slot.id)
+                   << " intersects local row " << k << " span " << row.span;
+                r.add("lr-nonlocal-free", os.str());
             }
         }
     }
 
     // The sweeps walk indices as x order: cells strictly increase in
-    // (x, bottom row).
+    // (x, bottom row), and no cell is listed twice.
     for (int i = 1; i < n; ++i) {
         const LpCell& a = lp.cell(i - 1);
         const LpCell& b = lp.cell(i);
@@ -400,8 +215,57 @@ AuditReport audit_local_problem(const LocalProblem& lp, bool minmax_filled) {
             os << "lp cell " << i << " at (" << b.x << ", " << b.y
                << ") does not follow lp cell " << i - 1 << " at (" << a.x
                << ", " << a.y << ") in (x, bottom row) order";
-            r.add("lp-by-x", os.str());
+            r.add("lr-locals-sorted", os.str());
             break;
+        }
+    }
+    return r;
+}
+
+AuditReport audit_local_problem(const LocalProblem& lp) {
+    AuditReport r;
+    r.scope = "local-problem";
+    for (int i = 0; i < lp.num_cells(); ++i) {
+        const LpCell& c = lp.cell(i);
+        // §5.1.1: the current (legal) position lies between the leftmost
+        // and rightmost packings.
+        if (!(c.xl <= c.x && c.x <= c.xr)) {
+            std::ostringstream os;
+            os << "lp cell " << i << " x " << c.x
+               << " outside min/max bounds [" << c.xl << ", " << c.xr << "]";
+            r.add("lp-minmax", os.str());
+        }
+        for (SiteCoord j = 0; j < c.h; ++j) {
+            const int k = c.k0 + static_cast<int>(j);
+            if (!lp.has_row(k)) {
+                continue;
+            }
+            const Span span = lp.row(k).span;
+            if (c.xl < span.lo || c.xr + c.w > span.hi) {
+                std::ostringstream os;
+                os << "lp cell " << i << " packing bounds [" << c.xl << ", "
+                   << c.xr << "] leave lp row " << k << " span " << span;
+                r.add("lp-minmax-span", os.str());
+            }
+        }
+    }
+
+    // Both packings must preserve each row's cell order without overlap —
+    // they are legal placements by construction (Fig. 6).
+    for (int k = 0; k < lp.num_rows(); ++k) {
+        if (!lp.has_row(k)) {
+            continue;
+        }
+        const std::span<const int> cells = lp.row(k).cells;
+        for (std::size_t pos = 1; pos < cells.size(); ++pos) {
+            const LpCell& a = lp.cell(cells[pos - 1]);
+            const LpCell& b = lp.cell(cells[pos]);
+            if (a.xl + a.w > b.xl || a.xr + a.w > b.xr) {
+                std::ostringstream os;
+                os << "packing overlap between lp cells " << cells[pos - 1]
+                   << " and " << cells[pos] << " on lp row " << k;
+                r.add("lp-minmax-order", os.str());
+            }
         }
     }
     return r;

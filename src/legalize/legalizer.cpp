@@ -100,7 +100,6 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
     }
     RipupOptions ripup_opts;
     ripup_opts.mll = mll_opts;
-    ripup_opts.audit = opts.audit;
 
     // Invariant-audit hook (MRLG_VALIDATE / LegalizerOptions::audit):
     // structural grid audit at phase boundaries, and after every commit

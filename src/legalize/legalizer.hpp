@@ -54,7 +54,8 @@ struct LegalizerOptions {
     /// value (see thread_pool.hpp's determinism contract).
     int num_threads = 0;
     /// Invariant-audit level for the run; defaults to the MRLG_VALIDATE
-    /// environment level (off when unset, so production runs pay nothing).
+    /// environment level (off when unset, so production runs pay nothing;
+    /// a value audit_level_from_env cannot parse throws).
     /// kCheap audits the database and segment grid after setup, after
     /// every retry round, and once more at the end. kFull additionally
     /// audits after every committed placement and every rip-up

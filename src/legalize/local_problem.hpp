@@ -1,44 +1,50 @@
 #pragma once
 /// \file local_problem.hpp
-/// Dense, index-based view of one localized legalization problem. All MLL
-/// stages (min/max placement, interval construction, enumeration,
-/// evaluation, realization) operate on this structure; the Database is only
-/// touched when a chosen solution is committed.
+/// The localized legalization problem of one MLL call (paper §2.1.3): the
+/// window, one local segment per row (the non-blocked, non-local-cell-free
+/// run closest to the window centre) and the local cells on those segments,
+/// which are free to shift in x; every other cell is a frozen obstacle.
+/// extract_local_region fills it from the segment grid, and every MLL stage
+/// (min/max placement, interval construction, enumeration, evaluation,
+/// realization) reads it; the Database is only touched when a chosen
+/// solution is committed.
 ///
-/// Layout: CSR, like LocalRegion. One flat array holds every row's cell
-/// indices back to back (row k's header names its slice), and one flat
-/// pool holds every cell's per-row positions (cell i's h entries start at
-/// LpCell::pos0). Cells, rows and views refer to each other by index only,
-/// so copies and moves are deep and never alias their source.
+/// Layout: CSR. One flat array holds every row's cell indices back to back
+/// (row k's header names its slice), and one flat pool holds every cell's
+/// per-row positions (cell i's h entries start at LpCell::pos0). Cells,
+/// rows and views refer to each other by index only, so copies and moves
+/// are deep and never alias their source.
 ///
-/// Cell order: cells are indexed in x order, ties broken by bottom row,
-/// as the region lists them. Every row list is therefore in ascending
-/// index order, so the sweeps of min/max placement, critical positions and realization
-/// walk indices 0..n-1 and back, with no sort.
+/// Cell order: cells are indexed in x order, ties broken by bottom row.
+/// Every row list is therefore in ascending index order, so the sweeps of
+/// min/max placement, critical positions and realization walk indices
+/// 0..n-1 and back, with no sort.
 ///
-/// Concurrency contract: build() reads the region (whose local cells carry
-/// their geometry) and the Database's floorplan without mutating them —
-/// never a Cell — and every buffer it fills lives in the LocalProblem. The
-/// legalizer's region-parallel plan phase relies on this to build many
-/// LocalProblems concurrently against the shared grid — one LocalProblem
-/// per worker thread, never shared across threads.
+/// Concurrency contract: extraction reads the segment grid (whose slots
+/// carry each cell's geometry) and the Database's floorplan without
+/// mutating them — never a Cell — and every buffer it fills lives in the
+/// LocalProblem or the caller's WindowScratch. The legalizer's
+/// region-parallel plan phase relies on this to extract many problems
+/// concurrently against the shared grid — one LocalProblem per worker
+/// thread, never shared across threads.
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "db/database.hpp"
-#include "legalize/local_region.hpp"
+#include "db/segment.hpp"
 #include "util/annotations.hpp"
 
 namespace mrlg {
 
-/// Empty: LocalProblem::build is a linear copy that needs no buffer. Kept
-/// only because bench_suite/ passes one to build(); the next change to the
-/// benchmark (ROADMAP item 1) drops it.
+/// Shim: empty, and named only because bench_suite/ passes one to
+/// LocalProblem::build; the next change to the benchmark (ROADMAP item 1)
+/// drops it.
 struct LocalProblemScratch {};
 
 /// A local cell, indexed 0..num_cells-1 within the problem in x order,
-/// ties broken by bottom row (the order of LocalRegion::local_cells()).
+/// ties broken by bottom row.
 struct LpCell {
     CellId id;
     SiteCoord x = 0;  ///< Current x (site units).
@@ -60,29 +66,77 @@ struct LpRow {
     std::span<const int> cells;  ///< Local-cell indices, ordered by x.
 };
 
-/// The extracted local problem. Row k corresponds to absolute row y0 + k.
+/// Reusable buffers for extract_local_region: the window snapshot and the
+/// fixpoint's state. The legalizer extracts one problem per MLL attempt
+/// (thousands per run); passing the same scratch to every call keeps them
+/// at their high-water capacity instead of reallocating them each time. A
+/// default-constructed scratch is always valid. Nothing here is sized by
+/// the design — only by the window.
+struct WindowScratch {
+    /// One placed cell on one window row: its segment slot, copied once
+    /// per extraction so the later passes never re-walk segment lists.
+    /// Neither the copy nor anything after it reads a Cell.
+    struct Entry : SegmentSlot {
+        /// Entry of the same cell on its lowest snapshotted row: a cell's
+        /// per-cell state (blocker mark, local index) lives there.
+        int canon = 0;
+    };
+    /// One row-segment of the window: its sites clipped to the window and
+    /// the entries of grid.cells_overlapping(base), in x order.
+    struct Slice {
+        SegmentId sid;
+        Span base;
+        int begin = 0;
+        int end = 0;
+    };
+    /// A row's chosen local piece and the slice it was cut from.
+    struct Pick {
+        Span piece;
+        int slice = -1;  ///< -1: no usable piece on this row.
+    };
+
+    std::vector<Entry> entries;
+    std::vector<Slice> slices;
+    std::vector<int> row_entries;  ///< Per row: first entry; height + 1.
+    std::vector<int> row_slices;   ///< Per row: first slice; height + 1.
+    std::vector<Pick> picks;
+    std::vector<std::uint8_t> blocked;  ///< Per entry; read at `canon`.
+    std::vector<int> local_of;          ///< Per entry; set at `canon`.
+    /// Local cells' canonical entries in emission order: rows bottom-up,
+    /// x order within a row.
+    std::vector<int> locals;
+    /// Counting-sort buckets over the window's x span: the first local
+    /// index of each x (one more slot than the window is wide).
+    std::vector<int> x_start;
+};
+
+/// The extracted local problem. Row k corresponds to absolute row y0 + k;
+/// a row may be absent (no usable segment).
 class LocalProblem {
 public:
-    /// Row k's span and its slice of the flat cell array.
+    /// Row k's local segment and its slice of the flat cell array.
     struct RowHeader {
         bool present = false;
         SiteCoord y = 0;
         Span span;
+        /// Enclosing SegmentGrid segment; only the audit reads it.
+        SegmentId segment;
         int begin = 0;
         int end = 0;
     };
 
-    /// `scratch` is unused (see LocalProblemScratch).
-    MRLG_EFFECT_READONLY
-    static LocalProblem build(const Database& db, const LocalRegion& region,
+    /// Shim: returns a copy of `problem`. Kept only because bench_suite/
+    /// times it as its problem-build stage; ROADMAP item 1 drops it.
+    static LocalProblem build(const Database& db, const LocalProblem& problem,
                               LocalProblemScratch* scratch = nullptr);
 
-    /// In-place build: refills this problem from `region`, reusing the
-    /// capacity of its arrays (the MLL hot path).
-    MRLG_EFFECT_READONLY
-    void rebuild(const Database& db, const LocalRegion& region);
-
+    /// The window as requested; rows outside the die are dropped.
+    const Rect& window() const { return window_; }
+    SiteCoord y0() const { return y0_; }
     int num_rows() const { return static_cast<int>(rows_.size()); }
+    /// Shim: num_rows() under the name bench_suite/ calls; ROADMAP item 1
+    /// drops it.
+    int height() const { return num_rows(); }
     bool has_row(int k) const {
         return k >= 0 && k < num_rows() &&
                rows_[static_cast<std::size_t>(k)].present;
@@ -94,7 +148,6 @@ public:
                          row_cells_.data() + h.begin,
                          static_cast<std::size_t>(h.end - h.begin))};
     }
-    SiteCoord y0() const { return y0_; }
 
     const std::vector<LpCell>& cells() const { return cells_; }
     std::vector<LpCell>& mutable_cells() { return cells_; }
@@ -116,7 +169,20 @@ public:
     const std::vector<int>& row_cell_pool() const { return row_cells_; }
     const std::vector<int>& pos_pool() const { return pos_pool_; }
 
+    /// Fault injection for the audit tests ONLY. Never call from library
+    /// code.
+    RowHeader& mutable_row_for_test(int k) {
+        return rows_[static_cast<std::size_t>(k)];
+    }
+    std::vector<int>& mutable_row_cell_pool_for_test() { return row_cells_; }
+    std::vector<int>& mutable_pos_pool_for_test() { return pos_pool_; }
+
 private:
+    friend void extract_local_region(const Database&, const SegmentGrid&,
+                                     const Rect&, int, WindowScratch&,
+                                     LocalProblem&);
+
+    Rect window_;
     SiteCoord y0_ = 0;
     std::vector<RowHeader> rows_;
     std::vector<int> row_cells_;
@@ -125,5 +191,33 @@ private:
     double site_w_um_ = 1.0;
     double site_h_um_ = 1.0;
 };
+
+/// Extracts the localized problem inside `window` into `out`, reusing the
+/// capacity of `out` and `scratch` (the MLL hot path).
+///
+/// The paper defines non-local cells in two layers (cells not fully inside
+/// W, then cells inside W but not contained in the chosen local segments).
+/// A cell of the second kind that overlaps a chosen local segment must
+/// additionally *cut* it (it will not move, so its sites are unusable). We
+/// run the selection to a fixpoint: blockers accumulate monotonically, so
+/// this terminates. The pass that checks for a new blocker also emits the
+/// rows, and restarts only when it finds one. All of it runs on a snapshot
+/// of the window's row-segment slices, taken with one
+/// SegmentGrid::cells_overlapping per row-segment, and the local indices
+/// come from one counting sort on x: O(local cells + window width), no
+/// comparison sort.
+MRLG_EFFECT_READONLY
+void extract_local_region(const Database& db, const SegmentGrid& grid,
+                          const Rect& window, int fence_region,
+                          WindowScratch& scratch, LocalProblem& out);
+
+/// The same, into per-thread buffers that keep their capacity across
+/// calls, returned as one exactly-sized copy. `scratch`, when given,
+/// replaces the per-thread snapshot buffers; only bench_suite/ passes one
+/// (a shim that ROADMAP item 1 drops).
+MRLG_EFFECT_READONLY
+LocalProblem extract_local_region(const Database& db, const SegmentGrid& grid,
+                                  const Rect& window, int fence_region = 0,
+                                  WindowScratch* scratch = nullptr);
 
 }  // namespace mrlg

@@ -10,7 +10,6 @@
 #include "legalize/evaluation.hpp"
 #include "legalize/ilp_local.hpp"
 #include "legalize/insertion_interval.hpp"
-#include "legalize/local_region.hpp"
 #include "legalize/minmax_placement.hpp"
 #include "legalize/realization.hpp"
 #include "obs/trace.hpp"
@@ -37,24 +36,22 @@ MllPlan plan_with(const Database& db, const SegmentGrid& grid,
     target.pref_y = pref_y;
     target.rail_phase = cell.rail_phase();
 
-    LocalRegion& region = s.local_region;
+    LocalProblem& lp = s.local_problem;
     extract_local_region(db, grid, mll_window(cell, pref_x, pref_y, opts),
-                         cell.region(), s.region, region);
-    if (region.height() == 0) {
+                         cell.region(), s.window, lp);
+    if (lp.num_rows() == 0) {
         return res;
     }
     if (opts.audit >= AuditLevel::kFull) {
         ++res.audits_run;
-        enforce(audit_local_region(db, grid, region, cell.region()));
+        enforce(audit_local_region(db, grid, lp, cell.region()));
     }
-    LocalProblem& lp = s.local_problem;
-    lp.rebuild(db, region);
     res.num_local_cells = static_cast<std::size_t>(lp.num_cells());
 
     compute_minmax_placement(lp);
     if (opts.audit >= AuditLevel::kFull) {
         ++res.audits_run;
-        enforce(audit_local_problem(lp, /*minmax_filled=*/true));
+        enforce(audit_local_problem(lp));
     }
     const std::vector<InsertionInterval>& intervals = s.intervals;
     build_insertion_intervals(lp, target.w, s.intervals);

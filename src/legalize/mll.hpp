@@ -3,7 +3,7 @@
 /// Multi-row Local Legalization (paper §4): insert one unplaced target cell
 /// near a preferred position, shifting local cells minimally in x.
 ///
-/// Pipeline: window → local region extraction → leftmost/rightmost packing
+/// Pipeline: window → local problem extraction → leftmost/rightmost packing
 /// → insertion intervals → enumeration → per-point evaluation (neighbour
 /// approximation by default, exact optionally; only points a cost bound
 /// cannot exclude are scored) → realization of the best point → commit to
@@ -24,7 +24,6 @@
 #include "legalize/enumeration.hpp"
 #include "legalize/evaluation.hpp"
 #include "legalize/local_problem.hpp"
-#include "legalize/local_region.hpp"
 #include "legalize/realization.hpp"
 
 namespace mrlg {
@@ -49,8 +48,9 @@ struct MllOptions {
     /// is checked against the §2.1.3 post-conditions, every min/max
     /// packing against the §5.1.1 bounds, and every bound-pruned scan
     /// against a re-scan of all its points (audit_local.hpp) before the
-    /// result is trusted; violations throw AssertionError. kOff/kCheap
-    /// skip the per-attempt audits (the legalizer still audits the grid
+    /// result is trusted, and rip-up (ripup.hpp) audits the grid after
+    /// each of its transactions; violations throw AssertionError.
+    /// kOff/kCheap skip these audits (the legalizer still audits the grid
     /// at phase boundaries).
     AuditLevel audit = AuditLevel::kOff;
     /// Read by nothing: the insertion-point scan runs on the calling
@@ -61,17 +61,15 @@ struct MllOptions {
 };
 
 /// The buffers one MLL attempt builds its problem in: the window snapshot,
-/// the CSR region and problem, the intervals, the enumeration queues and
-/// points, the scan's bounds and evaluator buffers, and realization's
-/// sweep arrays. Each attempt refills them in place, so they stay at
-/// their high-water capacity: a warm attempt allocates nothing but the
-/// returned plan's move list. One scratch per thread (the legalizer keeps
-/// a thread_local one per thread); never share one across threads.
-/// Optional — pass nullptr for one-off calls.
+/// the CSR problem, the intervals, the enumeration queues and points, the
+/// scan's bounds and evaluator buffers, and realization's sweep arrays.
+/// Each attempt refills them in place, so they stay at their high-water
+/// capacity: a warm attempt allocates nothing but the returned plan's
+/// move list. One scratch per thread (the legalizer keeps a thread_local
+/// one per thread); never share one across threads. Optional — pass
+/// nullptr for one-off calls.
 struct MllScratch {
-    LocalRegionScratch region;
-    LocalProblemScratch problem;  ///< Empty; bench_suite/ names it.
-    LocalRegion local_region;
+    WindowScratch window;
     LocalProblem local_problem;
     std::vector<InsertionInterval> intervals;
     EnumerationScratch enumeration;
@@ -79,6 +77,11 @@ struct MllScratch {
     EvalScratch evaluation;
     Realization realization;
     std::vector<SiteCoord> realize_left;
+    /// Shims, read by nothing here: bench_suite/ passes `&region` to the
+    /// by-value extract_local_region and `&problem` to LocalProblem::build.
+    /// The next change to the benchmark (ROADMAP item 1) drops both.
+    WindowScratch region;
+    LocalProblemScratch problem;
 };
 
 enum class MllStatus {

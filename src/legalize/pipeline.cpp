@@ -4,6 +4,19 @@
 
 namespace mrlg {
 
+AttemptFootprint compute_attempt_footprint(const Rect& window,
+                                           const Rect& fitted,
+                                           SiteCoord max_cell_width) {
+    const SiteCoord pad = std::max<SiteCoord>(max_cell_width - 1, 0);
+    AttemptFootprint fp;
+    fp.rows = Span{std::min(window.y, fitted.y),
+                   std::max(window.y_hi(), fitted.y_hi())};
+    fp.x = Span{static_cast<SiteCoord>(std::min(window.x, fitted.x) - pad),
+                static_cast<SiteCoord>(
+                    std::max(window.x_hi(), fitted.x_hi()) + pad)};
+    return fp;
+}
+
 void FootprintLedger::reset(std::size_t num_rows, Span x_extent) {
     x_extent_ = x_extent;
     num_rows_ = num_rows;

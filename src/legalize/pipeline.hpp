@@ -62,9 +62,47 @@
 #include <cstdint>
 #include <vector>
 
-#include "legalize/local_region.hpp"
+#include "db/types.hpp"
+#include "util/geometry.hpp"
 
 namespace mrlg {
+
+/// Conservative bound on everything one legalization attempt (direct
+/// placement try + MLL plan/commit) may read or write, as row/x spans in
+/// site units. Two attempts whose footprints are disjoint can be planned
+/// against the same frozen grid and committed in either order with
+/// identical results — the invariant behind the level schedule above,
+/// which the FootprintLedger below enforces.
+struct AttemptFootprint {
+    Span rows;  ///< Absolute row range [lo, hi).
+    Span x;     ///< Site range [lo, hi).
+
+    bool overlaps(const AttemptFootprint& o) const {
+        return rows.overlaps(o.rows) && x.overlaps(o.x);
+    }
+};
+
+/// Computes the footprint of an attempt with MLL window `window` and
+/// direct-placement rectangle `fitted` (the nearest_aligned_position slot,
+/// which clamping can push outside the window).
+///
+/// Why this bounds the attempt:
+///  * Rows: extraction reads only segments of rows intersecting `window`
+///    (extract_local_region clips to it) and the direct try reads only
+///    `fitted`'s rows; realization shifts cells whose slices lie in chosen
+///    pieces, i.e. inside the window, and the commit registers the target
+///    inside window ∪ fitted. No read or write leaves hull(window, fitted)
+///    vertically.
+///  * X: every piece is clipped to the window x-span and the direct try is
+///    confined to fitted's x-span, but *reads* include any cell whose
+///    slice overlaps those spans — a cell of width ≤ max_cell_width
+///    overlapping [lo, hi) has its origin in [lo - (max_cell_width - 1),
+///    hi), and its full slice lies in [lo - (max_cell_width - 1),
+///    hi + (max_cell_width - 1)). Padding the hull by max_cell_width - 1
+///    on both sides therefore covers the read set; writes are a subset.
+AttemptFootprint compute_attempt_footprint(const Rect& window,
+                                           const Rect& fitted,
+                                           SiteCoord max_cell_width);
 
 /// Per-bucket wave levels of the footprints claimed so far: per die row,
 /// one level per kBucketSites-wide x bucket. Claims round *outward* to

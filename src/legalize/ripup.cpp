@@ -175,13 +175,13 @@ RipupResult ripup_place(Database& db, SegmentGrid& grid, CellId target,
             if (!all_back) {
                 MRLG_OBS_COUNT("ripup.rollbacks", 1);
                 rollback(db, grid, steps);
-                if (opts.audit >= AuditLevel::kFull) {
+                if (opts.mll.audit >= AuditLevel::kFull) {
                     enforce(audit_segment_grid(db, grid, AuditLevel::kCheap,
                                                opts.mll.check_rail));
                 }
                 continue;
             }
-            if (opts.audit >= AuditLevel::kFull) {
+            if (opts.mll.audit >= AuditLevel::kFull) {
                 enforce(audit_segment_grid(db, grid, AuditLevel::kCheap,
                                            opts.mll.check_rail));
             }

@@ -117,12 +117,7 @@ void Timeline::record(const TimelineEvent& ev) {
 
 void Timeline::span(const char* name, TimelineKey key, std::uint64_t begin_ns,
                     std::uint64_t end_ns) {
-    record({name, TimelineEventKind::kSpan, key, begin_ns, end_ns});
-}
-
-void Timeline::instant(const char* name, TimelineKey key) {
-    const std::uint64_t t = now_ns();
-    record({name, TimelineEventKind::kInstant, key, t, t});
+    record({name, key, begin_ns, end_ns});
 }
 
 std::size_t Timeline::num_lanes() const {
@@ -177,11 +172,7 @@ std::vector<Timeline::MergedEvent> Timeline::merge() const {
             if (ka.task != kb.task) {
                 return ka.task < kb.task;
             }
-            const int c = std::strcmp(a.ev.name, b.ev.name);
-            if (c != 0) {
-                return c < 0;
-            }
-            return static_cast<int>(a.ev.kind) < static_cast<int>(b.ev.kind);
+            return std::strcmp(a.ev.name, b.ev.name) < 0;
         });
     return out;
 }
@@ -201,7 +192,7 @@ ScheduleReport derive_schedule_report(const Timeline& timeline, int threads) {
     std::vector<WaveSchedule> waves;
     for (const Timeline::MergedEvent& me : timeline.merge()) {
         const TimelineEvent& ev = me.ev;
-        if (ev.key.wave == 0 || ev.kind != TimelineEventKind::kSpan) {
+        if (ev.key.wave == 0) {
             continue;
         }
         if (waves.empty() || waves.back().wave != ev.key.wave) {
@@ -360,18 +351,11 @@ Json chrome_trace_json(const Timeline& timeline,
         const TimelineEvent& ev = me.ev;
         Json ej = Json::object();
         ej.set("name", Json::str(ev.name));
-        if (ev.kind == TimelineEventKind::kSpan) {
-            ej.set("ph", Json::str("X"));
-        } else {
-            ej.set("ph", Json::str("i"));
-            ej.set("s", Json::str("t"));
-        }
+        ej.set("ph", Json::str("X"));
         ej.set("ts", Json::num(static_cast<double>(ev.begin_ns - t0) * 1e-3));
-        if (ev.kind == TimelineEventKind::kSpan) {
-            const std::uint64_t dur =
-                ev.end_ns > ev.begin_ns ? ev.end_ns - ev.begin_ns : 0;
-            ej.set("dur", Json::num(static_cast<double>(dur) * 1e-3));
-        }
+        const std::uint64_t dur =
+            ev.end_ns > ev.begin_ns ? ev.end_ns - ev.begin_ns : 0;
+        ej.set("dur", Json::num(static_cast<double>(dur) * 1e-3));
         ej.set("pid", Json::num(1));
         ej.set("tid", Json::num(static_cast<std::size_t>(me.lane) + 1));
         Json args = Json::object();

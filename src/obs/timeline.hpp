@@ -6,8 +6,8 @@
 /// The serial Tracer (obs/trace.hpp) is single-threaded by contract, so
 /// it records *nothing* about what worker threads do during the
 /// region-parallel plan phase. The Timeline fills that hole: every thread
-/// (orchestrator and pool workers alike) appends span and instant events
-/// to its own fixed-capacity ring buffer — no locks, no shared cursors,
+/// (orchestrator and pool workers alike) appends span events to its own
+/// fixed-capacity ring buffer — no locks, no shared cursors,
 /// no contention — and a post-run merge produces one deterministic event
 /// sequence from which scheduling metrics (pool utilization, stragglers,
 /// commit-serialization share) and a Chrome-trace/Perfetto export are
@@ -24,9 +24,9 @@
 ///     by the (deterministic) wave schedule, and `merge()` orders by that key
 ///     — never by timestamp, lane, or registration order — so two runs
 ///     with arbitrarily different thread interleavings merge to the same
-///     ordered sequence of (name, kind, key) tuples.
+///     ordered sequence of (key, name) pairs.
 ///
-/// Thread-safety: `span`/`instant` may be called concurrently from any
+/// Thread-safety: `span` may be called concurrently from any
 /// number of threads. Each thread writes only its own lane (lane indices
 /// are handed out by an atomic counter and cached thread-locally), so the
 /// hot path is: one thread-local lookup, one ring-slot store. `merge()`
@@ -60,16 +60,11 @@ struct TimelineKey {
     std::uint32_t task = 0;
 };
 
-enum class TimelineEventKind : std::uint8_t {
-    kSpan,     ///< [begin_ns, end_ns) duration event.
-    kInstant,  ///< Point event (end_ns == begin_ns).
-};
-
+/// One [begin_ns, end_ns) span.
 struct TimelineEvent {
     /// Static-storage name (string literals only — events do not own or
     /// copy their names; the ring stays trivially copyable).
     const char* name = "";
-    TimelineEventKind kind = TimelineEventKind::kSpan;
     TimelineKey key;
     std::uint64_t begin_ns = 0;
     std::uint64_t end_ns = 0;
@@ -96,11 +91,10 @@ public:
     /// job so a span's two reads bracket exactly the caller's scope.
     std::uint64_t now_ns() const;
 
-    /// Records a completed span / an instant on the calling thread's
-    /// lane. Lock-free; safe from any thread.
+    /// Records a completed span on the calling thread's lane. Lock-free;
+    /// safe from any thread.
     void span(const char* name, TimelineKey key, std::uint64_t begin_ns,
               std::uint64_t end_ns);
-    void instant(const char* name, TimelineKey key);
 
     /// Lanes that have recorded at least one event.
     std::size_t num_lanes() const;
@@ -118,7 +112,7 @@ public:
     };
 
     /// Deterministic post-run merge: all retained events ordered by
-    /// (key.wave, key.slot, key.task, name, kind); events with equal
+    /// (key.wave, key.slot, key.task, name); events with equal
     /// sort keys keep their single-lane recording order (equal-key events
     /// are only ever produced by one thread — a task runs on exactly one
     /// worker). Call only after recording threads have quiesced.
@@ -249,8 +243,8 @@ Json schedule_report_json(const ScheduleReport& report);
 
 /// Serializes the timeline as a Chrome trace-event JSON object
 /// (https://ui.perfetto.dev loads it directly): one `pid`, one `tid` per
-/// lane, `ph:"X"` complete events for spans, `ph:"i"` instants, and
-/// metadata records naming the process and threads. Timestamps are
+/// lane, one `ph:"X"` complete event per span, and metadata records
+/// naming the process and threads. Timestamps are
 /// microseconds relative to the earliest retained event.
 Json chrome_trace_json(const Timeline& timeline,
                        const std::string& process_name);

@@ -14,7 +14,6 @@
 #include "legalize/ilp_local.hpp"
 #include "legalize/insertion_interval.hpp"
 #include "legalize/local_problem.hpp"
-#include "legalize/local_region.hpp"
 #include "legalize/minmax_placement.hpp"
 #include "legalize/realization.hpp"
 #include "qa/snapshot.hpp"
@@ -277,12 +276,10 @@ std::string diff_local_solvers(const Database& db, const SegmentGrid& grid,
     t.pref_y = pref_y;
     t.rail_phase = cell.rail_phase();
 
-    const LocalRegion region =
-        extract_local_region(db, grid, window, cell.region());
-    if (region.height() == 0) {
+    LocalProblem lp = extract_local_region(db, grid, window, cell.region());
+    if (lp.num_rows() == 0) {
         return {};
     }
-    LocalProblem lp = LocalProblem::build(db, region);
     LocalProblem lp_for_exact = lp;  // solve_local_exact mutates its copy
     compute_minmax_placement(lp);
     const std::vector<InsertionInterval> intervals =

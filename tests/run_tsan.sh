@@ -1,26 +1,19 @@
 #!/usr/bin/env sh
-# Builds the whole library and test suite under a sanitizer and runs the
-# full ctest suite with 4 worker threads.
+# Builds the whole library and test suite under ThreadSanitizer with
+# DCHECKs on (the tsan presets of CMakePresets.json, in build-tsan/) and
+# runs the full ctest suite with 4 worker threads (the tsan test preset
+# sets MRLG_THREADS=4). The ASan+UBSan counterpart is the asan presets
+# (tools/ci.sh stage 5).
 #
-# Usage: tests/run_tsan.sh [build-dir]
-#   MRLG_SANITIZE selects the sanitizer(s); default "thread". Commas are
-#   allowed ("address,undefined") and map to a comma-free build dir name.
+# Usage: tests/run_tsan.sh
 set -eu
 
-repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
-sanitizer=${MRLG_SANITIZE:-thread}
-suffix=$(printf '%s' "$sanitizer" | tr ',' '-')
-build_dir=${1:-"$repo_root/build-$suffix"}
+cd "$(dirname -- "$0")/.."
 
-cmake -B "$build_dir" -S "$repo_root" \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DMRLG_SANITIZE="$sanitizer" \
-  -DMRLG_DCHECKS=ON
-cmake --build "$build_dir" -j
-
-# 4 workers exercises the deterministic thread pool's synchronisation;
-# the audit layer runs too so data races in the auditors also surface.
-export MRLG_THREADS=4
+jobs=$(nproc 2>/dev/null || echo 4)
+# The audit layer runs too, so data races in the auditors also surface.
 export MRLG_VALIDATE=cheap
-ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc 2>/dev/null || echo 4)"
-echo "${sanitizer} sanitizer run passed (full suite)"
+cmake --preset tsan
+cmake --build --preset tsan -j "$jobs"
+ctest --preset tsan -j "$jobs"
+echo "thread sanitizer run passed (full suite)"

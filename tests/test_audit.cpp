@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <ostream>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "check/audit.hpp"
 #include "check/audit_local.hpp"
@@ -44,9 +49,12 @@ TEST(AuditLevel, FromEnv) {
         } else {
             ::setenv("MRLG_VALIDATE", value, 1);
         }
-        const AuditLevel got = audit_level_from_env();
-        ::unsetenv("MRLG_VALIDATE");
-        return got;
+        // Unset on the way out, a throw included, so that no later test
+        // reads the value.
+        struct Unset {
+            ~Unset() { ::unsetenv("MRLG_VALIDATE"); }
+        } unset;
+        return audit_level_from_env();
     };
     EXPECT_EQ(with_env(nullptr), AuditLevel::kOff);
     EXPECT_EQ(with_env(""), AuditLevel::kOff);
@@ -55,7 +63,9 @@ TEST(AuditLevel, FromEnv) {
     EXPECT_EQ(with_env("FULL"), AuditLevel::kFull);
     EXPECT_EQ(with_env("1"), AuditLevel::kCheap);
     EXPECT_EQ(with_env("2"), AuditLevel::kFull);
-    EXPECT_EQ(with_env("bogus"), AuditLevel::kOff);
+    EXPECT_EQ(with_env("None"), AuditLevel::kOff);
+    EXPECT_THROW(with_env("bogus"), std::invalid_argument);
+    EXPECT_THROW(with_env("ful"), std::invalid_argument);
 }
 
 TEST(AuditReport, CapsRecordedIssues) {
@@ -267,30 +277,27 @@ TEST(AuditCorruption, ReportIsDeterministic) {
 
 // --- local-region / local-problem auditors -------------------------------
 
+/// The fixture's window: rows 0-1, x [0, 40). Its problem lists a (row 0),
+/// b (row 0) and d (rows 0-1) as cells 0, 1 and 2.
+const Rect kWindow{0, 0, 40, 2};
+
 TEST(AuditLocal, CleanRegionAndProblemPass) {
     Fixture f = make_fixture();
-    const Rect window{0, 0, 40, 2};
-    const LocalRegion region =
-        extract_local_region(f.db, f.grid, window);
-    const AuditReport rr = audit_local_region(f.db, f.grid, region);
+    LocalProblem lp = extract_local_region(f.db, f.grid, kWindow);
+    const AuditReport rr = audit_local_region(f.db, f.grid, lp);
     EXPECT_TRUE(rr.ok()) << rr.to_string();
-
-    LocalProblem lp = make_local_problem(f.db, f.grid, window);
-    const AuditReport before = audit_local_problem(lp, false);
-    EXPECT_TRUE(before.ok()) << before.to_string();
     compute_minmax_placement(lp);
-    const AuditReport after = audit_local_problem(lp, true);
+    const AuditReport after = audit_local_problem(lp);
     EXPECT_TRUE(after.ok()) << after.to_string();
 }
 
 TEST(AuditLocal, CorruptedRegionRowIsCaught) {
     Fixture f = make_fixture();
-    LocalRegion region =
-        extract_local_region(f.db, f.grid, Rect{0, 0, 40, 2});
-    ASSERT_TRUE(region.has_row(0));
+    LocalProblem lp = extract_local_region(f.db, f.grid, kWindow);
+    ASSERT_TRUE(lp.has_row(0));
     // Stretch the chosen local span beyond its enclosing segment.
-    region.mutable_row_for_test(0).span.hi += 500;
-    const AuditReport r = audit_local_region(f.db, f.grid, region);
+    lp.mutable_row_for_test(0).span.hi += 500;
+    const AuditReport r = audit_local_region(f.db, f.grid, lp);
     EXPECT_FALSE(r.ok());
     EXPECT_TRUE(r.has("lr-span") || r.has("lr-segment"))
         << r.to_string();
@@ -298,69 +305,59 @@ TEST(AuditLocal, CorruptedRegionRowIsCaught) {
 
 TEST(AuditLocal, CorruptedProblemCellIsCaught) {
     Fixture f = make_fixture();
-    LocalProblem lp =
-        make_local_problem(f.db, f.grid, Rect{0, 0, 40, 2});
+    LocalProblem lp = extract_local_region(f.db, f.grid, kWindow);
     ASSERT_GT(lp.num_cells(), 0);
     lp.mutable_cells()[0].w = 0;
-    const AuditReport r = audit_local_problem(lp, false);
+    const AuditReport r = audit_local_region(f.db, f.grid, lp);
     EXPECT_FALSE(r.ok());
-    EXPECT_TRUE(r.has("lp-cell-geometry")) << r.to_string();
+    EXPECT_TRUE(r.has("lr-cell-geometry")) << r.to_string();
 }
 
 TEST(AuditLocal, CorruptedRegionOffsetsAreCaught) {
     Fixture f = make_fixture();
-    LocalRegion region =
-        extract_local_region(f.db, f.grid, Rect{0, 0, 40, 2});
-    ASSERT_TRUE(region.has_row(0));
-    ASSERT_TRUE(region.has_row(1));
+    LocalProblem lp = extract_local_region(f.db, f.grid, kWindow);
+    ASSERT_TRUE(lp.has_row(0));
+    ASSERT_TRUE(lp.has_row(1));
     // Row 1's slice starts inside row 0's: the rows no longer tile the
     // flat cell array.
-    region.mutable_row_for_test(1).begin -= 1;
-    const AuditReport r = audit_local_region(f.db, f.grid, region);
+    lp.mutable_row_for_test(1).begin -= 1;
+    const AuditReport r = audit_local_region(f.db, f.grid, lp);
     EXPECT_TRUE(r.has("lr-csr")) << r.to_string();
 }
 
 TEST(AuditLocal, StaleCarriedGeometryIsCaught) {
     Fixture f = make_fixture();
-    const LocalRegion region =
-        extract_local_region(f.db, f.grid, Rect{0, 0, 40, 2});
-    ASSERT_EQ(region.local_rects().size(), region.local_cells().size());
-    // The region copied b at x = 10; the cell has moved since.
+    const LocalProblem lp = extract_local_region(f.db, f.grid, kWindow);
+    // The problem copied b at x = 10; the cell has moved since.
     f.db.cell(f.b).set_x(12);
-    const AuditReport r = audit_local_region(f.db, f.grid, region);
+    const AuditReport r = audit_local_region(f.db, f.grid, lp);
     EXPECT_TRUE(r.has("lr-geom")) << r.to_string();
-}
-
-TEST(AuditLocal, SwappedRegionLocalIndicesAreCaughtOnlyByTheIndexCheck) {
-    Fixture f = make_fixture();
-    LocalRegion region =
-        extract_local_region(f.db, f.grid, Rect{0, 0, 40, 2});
-    ASSERT_GE(region.row(0).cells.size(), 2u);
-    // Swap the local indices of row 0's first two slots. The CellId lists
-    // are untouched, so every check that reads cells by id still passes.
-    std::vector<int>& local = region.mutable_local_pool_for_test();
-    std::swap(local[0], local[1]);
-    const AuditReport r = audit_local_region(f.db, f.grid, region);
-    EXPECT_TRUE(r.has("lr-local-index")) << r.to_string();
-    EXPECT_EQ(r.issues.size(), 2u) << r.to_string();
 }
 
 TEST(AuditLocal, SwappedLocalCellsAreCaughtOnlyByTheOrderCheck) {
     Fixture f = make_fixture();
-    LocalRegion region =
-        extract_local_region(f.db, f.grid, Rect{0, 0, 40, 2});
-    ASSERT_EQ(region.local_cells().size(), 3u);
-    // Swap local cells 0 (a) and 2 (d) consistently: ids, carried
-    // footprints and every row slot's local index. Each slot still names
-    // its cell, so only the (x, bottom row) order of local_cells() breaks.
-    std::swap(region.mutable_local_cells_for_test()[0],
-              region.mutable_local_cells_for_test()[2]);
-    std::swap(region.mutable_local_rects_for_test()[0],
-              region.mutable_local_rects_for_test()[2]);
-    for (int& li : region.mutable_local_pool_for_test()) {
-        li = li == 0 ? 2 : li == 2 ? 0 : li;
+    LocalProblem lp = extract_local_region(f.db, f.grid, kWindow);
+    ASSERT_EQ(lp.num_cells(), 3);
+    // Swap local cells 0 (a) and 2 (d) consistently: the cells with their
+    // pos_in_row slots, and every row slot. Each slot still names its
+    // cell, so only the (x, bottom row) order of the cells breaks.
+    const std::vector<int> swapped = {2, 1, 0};
+    std::vector<LpCell> cells;
+    std::vector<int> pool;
+    for (const int old : swapped) {
+        LpCell c = lp.cell(old);
+        c.pos0 = static_cast<int>(pool.size());
+        for (int j = 0; j < c.h; ++j) {
+            pool.push_back(lp.pos_in_row(old, j));
+        }
+        cells.push_back(c);
     }
-    const AuditReport r = audit_local_region(f.db, f.grid, region);
+    lp.mutable_cells() = cells;
+    lp.mutable_pos_pool_for_test() = pool;
+    for (int& i : lp.mutable_row_cell_pool_for_test()) {
+        i = swapped[static_cast<std::size_t>(i)];
+    }
+    const AuditReport r = audit_local_region(f.db, f.grid, lp);
     EXPECT_TRUE(r.has("lr-locals-sorted")) << r.to_string();
     EXPECT_EQ(r.issues.size(), 1u) << r.to_string();
 }
@@ -369,22 +366,23 @@ TEST(AuditLocal, OutOfOrderProblemCellIsCaughtOnlyByTheOrderCheck) {
     Database db = empty_design(2, 100);
     SegmentGrid grid = SegmentGrid::build(db);
     add_placed(db, grid, "p", 10, 0, 4, 1);
-    add_placed(db, grid, "q", 20, 1, 4, 1);
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 40, 2});
+    const CellId q = add_placed(db, grid, "q", 20, 1, 4, 1);
+    LocalProblem lp = extract_local_region(db, grid, kWindow);
     ASSERT_EQ(lp.num_cells(), 2);
-    ASSERT_TRUE(audit_local_problem(lp, false).ok());
-    // q, alone on row 1, moves left of p: its row stays legal, but index 1
+    ASSERT_TRUE(audit_local_region(db, grid, lp).ok());
+    // q, alone on row 1, moves left of p in the problem and in the
+    // Database: its row stays legal and its footprint current, but index 1
     // no longer follows index 0 in x, which the sweeps rely on.
     lp.mutable_cells()[1].x = 5;
-    const AuditReport r = audit_local_problem(lp, false);
-    EXPECT_TRUE(r.has("lp-by-x")) << r.to_string();
+    db.cell(q).set_x(5);
+    const AuditReport r = audit_local_region(db, grid, lp);
+    EXPECT_TRUE(r.has("lr-locals-sorted")) << r.to_string();
     EXPECT_EQ(r.issues.size(), 1u) << r.to_string();
 }
 
 TEST(AuditLocal, AliasedPosInRowSlotIsCaughtOnlyByThePoolCheck) {
     Fixture f = make_fixture();
-    LocalProblem lp =
-        make_local_problem(f.db, f.grid, Rect{0, 0, 40, 2});
+    LocalProblem lp = extract_local_region(f.db, f.grid, kWindow);
     // Cells a, b, d in x order; d (2 rows) is first on row 1, so its
     // second slot holds 0 — the same position a has on row 0.
     ASSERT_EQ(lp.num_cells(), 3);
@@ -403,28 +401,143 @@ TEST(AuditLocal, AliasedPosInRowSlotIsCaughtOnlyByThePoolCheck) {
     }
     // ...so only the pool-tiling check sees that two cells share a slot
     // and a's own slot is orphaned.
-    const AuditReport r = audit_local_problem(lp, false);
-    EXPECT_TRUE(r.has("lp-pos-pool")) << r.to_string();
+    const AuditReport r = audit_local_region(f.db, f.grid, lp);
+    EXPECT_TRUE(r.has("lr-pos-pool")) << r.to_string();
     EXPECT_EQ(r.issues.size(), 1u) << r.to_string();
 }
 
 TEST(AuditLocal, MinmaxBoundViolationIsCaught) {
     Fixture f = make_fixture();
-    LocalProblem lp =
-        make_local_problem(f.db, f.grid, Rect{0, 0, 40, 2});
+    LocalProblem lp = extract_local_region(f.db, f.grid, kWindow);
     compute_minmax_placement(lp);
     ASSERT_GT(lp.num_cells(), 0);
     // Claim the leftmost feasible x is right of the current x.
     lp.mutable_cells()[0].xl = lp.cells()[0].x + 1;
-    const AuditReport r = audit_local_problem(lp, true);
+    const AuditReport r = audit_local_problem(lp);
     EXPECT_FALSE(r.ok());
     EXPECT_TRUE(r.has("lp-minmax")) << r.to_string();
 }
 
+/// One fault per check tag of the two local audits: `corrupt` breaks a
+/// freshly extracted fixture problem (after min/max placement when
+/// `minmax`) through its mutators, and the audit of that stage must
+/// report `tag`.
+struct LocalFault {
+    const char* tag;
+    bool minmax;
+    void (*corrupt)(Fixture&, LocalProblem&);
+};
+
+std::vector<LocalFault> local_faults() {
+    return {
+        {"lr-csr", false,
+         [](Fixture&, LocalProblem& lp) {
+             lp.mutable_row_for_test(0).end += 1;  // overlaps row 1's slice
+         }},
+        {"lr-pos-pool", false,
+         [](Fixture&, LocalProblem& lp) {
+             lp.mutable_pos_pool_for_test()[0] = 1;  // a's slot names b
+         }},
+        {"lr-row-index", false,
+         [](Fixture&, LocalProblem& lp) {
+             lp.mutable_row_for_test(0).y = 1;
+         }},
+        {"lr-span", false,
+         [](Fixture&, LocalProblem& lp) {
+             Span& span = lp.mutable_row_for_test(1).span;
+             span.hi = span.lo;  // empty
+         }},
+        {"lr-segment", false,
+         [](Fixture&, LocalProblem& lp) {
+             // Row 0 claims row 1's segment.
+             lp.mutable_row_for_test(0).segment = lp.row_headers()[1].segment;
+         }},
+        {"lr-cell-ref", false,
+         [](Fixture&, LocalProblem& lp) {
+             lp.mutable_row_cell_pool_for_test()[0] = 7;  // 3 cells
+         }},
+        {"lr-cell-span", false,
+         [](Fixture&, LocalProblem& lp) {
+             lp.mutable_row_for_test(0).span.hi = 32;  // d ends at 34
+         }},
+        {"lr-cell-order", false,
+         [](Fixture&, LocalProblem& lp) {
+             lp.mutable_cells()[1].x = 3;  // b onto a (0..5)
+         }},
+        {"lr-cell-pos", false,
+         [](Fixture&, LocalProblem& lp) {
+             lp.mutable_cells()[0].k0 = 1;  // row 0 lists a below its rows
+         }},
+        {"lr-cell-geometry", false,
+         [](Fixture&, LocalProblem& lp) { lp.mutable_cells()[2].h = 0; }},
+        {"lr-cell-row", false,
+         [](Fixture&, LocalProblem& lp) { lp.mutable_cells()[1].y = 1; }},
+        {"lr-cell-rows", false,
+         [](Fixture&, LocalProblem& lp) {
+             lp.mutable_cells()[2].h = 3;  // d crosses row 2, outside
+         }},
+        {"lr-cell-window", false,
+         [](Fixture&, LocalProblem& lp) { lp.mutable_cells()[0].x = -1; }},
+        {"lr-cell-placed", false,
+         [](Fixture& f, LocalProblem& lp) {
+             lp.mutable_cells()[1].id = add_unplaced(f.db, "u", 10, 0, 5, 1);
+         }},
+        {"lr-geom", false,
+         [](Fixture&, LocalProblem& lp) { lp.mutable_cells()[1].w = 4; }},
+        {"lr-nonlocal-free", false,
+         [](Fixture& f, LocalProblem& lp) {
+             lp.mutable_cells()[1].id = f.a;  // b's slot is nobody's
+         }},
+        {"lr-locals-sorted", false,
+         [](Fixture&, LocalProblem& lp) {
+             std::swap(lp.mutable_cells()[0], lp.mutable_cells()[1]);
+         }},
+        {"lp-minmax", true,
+         [](Fixture&, LocalProblem& lp) {
+             lp.mutable_cells()[1].xr = lp.cell(1).x - 1;
+         }},
+        {"lp-minmax-span", true,
+         [](Fixture&, LocalProblem& lp) { lp.mutable_cells()[0].xl = -1; }},
+        {"lp-minmax-order", true,
+         [](Fixture&, LocalProblem& lp) {
+             lp.mutable_cells()[0].xr = lp.cell(1).xr;  // a's packing onto b's
+         }},
+    };
+}
+
+/// gtest names each instance by its tag, not by the struct's bytes.
+void PrintTo(const LocalFault& fault, std::ostream* os) { *os << fault.tag; }
+
+class AuditLocalFault : public ::testing::TestWithParam<LocalFault> {};
+
+TEST_P(AuditLocalFault, FiresItsTag) {
+    const LocalFault& fault = GetParam();
+    Fixture f = make_fixture();
+    LocalProblem lp = extract_local_region(f.db, f.grid, kWindow);
+    ASSERT_EQ(lp.num_cells(), 3);
+    ASSERT_TRUE(audit_local_region(f.db, f.grid, lp).ok());
+    if (fault.minmax) {
+        compute_minmax_placement(lp);
+        ASSERT_TRUE(audit_local_problem(lp).ok());
+    }
+    fault.corrupt(f, lp);
+    const AuditReport r = fault.minmax ? audit_local_problem(lp)
+                                       : audit_local_region(f.db, f.grid, lp);
+    EXPECT_TRUE(r.has(fault.tag)) << r.to_string();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AuditLocal, AuditLocalFault, ::testing::ValuesIn(local_faults()),
+    [](const ::testing::TestParamInfo<LocalFault>& param) {
+        std::string name = param.param.tag;
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
+
 TEST(AuditLocal, OffByOneScanWinnerIsCaught) {
     Fixture f = make_fixture();
     LocalProblem lp =
-        make_local_problem(f.db, f.grid, Rect{0, 0, 40, 2});
+        extract_local_region(f.db, f.grid, Rect{0, 0, 40, 2});
     compute_minmax_placement(lp);
     TargetSpec t;
     t.w = 3;

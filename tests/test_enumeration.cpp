@@ -26,7 +26,7 @@ struct Prepared {
 
 Prepared prepare(Database& db, SegmentGrid& grid, const Rect& window,
                  const TargetSpec& target) {
-    Prepared p{make_local_problem(db, grid, window), {}};
+    Prepared p{extract_local_region(db, grid, window), {}};
     compute_minmax_placement(p.lp);
     p.intervals = build_insertion_intervals(p.lp, target.w);
     return p;
@@ -175,7 +175,7 @@ TEST(Enumeration, MatchesNaiveOnRandomRegions) {
             static_cast<SiteCoord>(rng.uniform(1, 5)),
             static_cast<SiteCoord>(rng.uniform(1, 3)),
             rng.chance(0.5) ? RailPhase::kEven : RailPhase::kOdd);
-        LocalProblem lp = make_local_problem(
+        LocalProblem lp = extract_local_region(
             d.db, d.grid,
             Rect{static_cast<SiteCoord>(rng.uniform(0, 60)),
                  static_cast<SiteCoord>(rng.uniform(0, 4)), 40, 5});
@@ -195,7 +195,7 @@ TEST(Enumeration, NoDuplicatesEmitted) {
         RandomDesign d = random_legal_design(rng, 8, 100, 50, 0.3);
         const TargetSpec t = make_target(3, 2);
         LocalProblem lp =
-            make_local_problem(d.db, d.grid, Rect{10, 0, 60, 8});
+            extract_local_region(d.db, d.grid, Rect{10, 0, 60, 8});
         compute_minmax_placement(lp);
         const auto intervals = build_insertion_intervals(lp, t.w);
         const auto res = enumerate_insertion_points(lp, intervals, t);
@@ -207,7 +207,7 @@ TEST(Enumeration, FeasibleRangeAlwaysNonEmptyAndTight) {
     Rng rng(47);
     RandomDesign d = random_legal_design(rng, 8, 100, 55, 0.3);
     const TargetSpec t = make_target(3, 2);
-    LocalProblem lp = make_local_problem(d.db, d.grid, Rect{0, 0, 100, 8});
+    LocalProblem lp = extract_local_region(d.db, d.grid, Rect{0, 0, 100, 8});
     compute_minmax_placement(lp);
     const auto intervals = build_insertion_intervals(lp, t.w);
     const auto res = enumerate_insertion_points(lp, intervals, t);
@@ -297,7 +297,7 @@ TEST(Enumeration, SingleRowSequenceEqualsScanline) {
                           static_cast<SiteCoord>(rng.uniform(-2, rows - 4)),
                           static_cast<SiteCoord>(rng.uniform(20, 80)),
                           static_cast<SiteCoord>(rng.uniform(4, 8))};
-        LocalProblem lp = make_local_problem(db, grid, window);
+        LocalProblem lp = extract_local_region(db, grid, window);
         compute_minmax_placement(lp);
         for (int k = 0; k < lp.num_rows(); ++k) {
             missing_rows += lp.has_row(k) ? 0 : 1;

@@ -98,7 +98,7 @@ TEST(EvalApprox, FreeGapZeroCost) {
     SegmentGrid grid = SegmentGrid::build(db);
     add_placed(db, grid, "a", 0, 0, 5, 1);
     add_placed(db, grid, "b", 50, 0, 5, 1);
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 60, 1});
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 60, 1});
     compute_minmax_placement(lp);
     const TargetSpec t = make_target(4, 1, 20.0, 0.0);
     InsertionPoint p;
@@ -118,7 +118,7 @@ TEST(EvalApprox, CountsNeighbourDisplacement) {
     Database db = empty_design(1, 60);
     SegmentGrid grid = SegmentGrid::build(db);
     add_placed(db, grid, "a", 0, 0, 5, 1);
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 60, 1});
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 60, 1});
     compute_minmax_placement(lp);
     const TargetSpec t = make_target(4, 1, 2.0, 0.0);
     InsertionPoint p;
@@ -137,7 +137,7 @@ TEST(EvalApprox, CountsNeighbourDisplacement) {
 TEST(EvalApprox, YDisplacementIncluded) {
     Database db = empty_design(4, 60);
     SegmentGrid grid = SegmentGrid::build(db);
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 60, 4});
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 60, 4});
     compute_minmax_placement(lp);
     const TargetSpec t = make_target(4, 1, 10.0, 2.6);
     InsertionPoint p;
@@ -161,7 +161,7 @@ TEST(CriticalPositions, ChainOfLeftCells) {
     const CellId a = add_placed(db, grid, "a", 0, 0, 5, 1);
     const CellId b = add_placed(db, grid, "b", 5, 0, 5, 1);
     const CellId c = add_placed(db, grid, "c", 10, 0, 5, 1);
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 60, 1});
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 60, 1});
     compute_minmax_placement(lp);
     InsertionPoint p;
     p.k0 = 0;
@@ -189,7 +189,7 @@ TEST(CriticalPositions, SlackBreaksChains) {
     SegmentGrid grid = SegmentGrid::build(db);
     const CellId a = add_placed(db, grid, "a", 0, 0, 5, 1);
     const CellId c = add_placed(db, grid, "c", 20, 0, 5, 1);
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 60, 1});
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 60, 1});
     compute_minmax_placement(lp);
     InsertionPoint p;
     p.k0 = 0;
@@ -214,7 +214,7 @@ TEST(CriticalPositions, MultiRowPropagatesAcrossRows) {
     SegmentGrid grid = SegmentGrid::build(db);
     const CellId s = add_placed(db, grid, "s", 0, 1, 5, 1);
     const CellId m = add_placed(db, grid, "m", 5, 0, 4, 2);
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 60, 2});
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 60, 2});
     compute_minmax_placement(lp);
     // Single-row target in row 0, right of m.
     InsertionPoint p;
@@ -243,7 +243,7 @@ TEST(EvalExact, CostMatchesRealizedDisplacement) {
     for (int trial = 0; trial < 20; ++trial) {
         RandomDesign d = random_legal_design(rng, 8, 100, 60, 0.3);
         LocalProblem lp =
-            make_local_problem(d.db, d.grid, Rect{10, 0, 70, 8});
+            extract_local_region(d.db, d.grid, Rect{10, 0, 70, 8});
         compute_minmax_placement(lp);
         const TargetSpec t = make_target(
             static_cast<SiteCoord>(rng.uniform(1, 5)),
@@ -279,7 +279,7 @@ TEST(EvalExact, ExactNeverWorseThanApproxChoice) {
     for (int trial = 0; trial < 10; ++trial) {
         RandomDesign d = random_legal_design(rng, 6, 80, 40, 0.3);
         LocalProblem lp =
-            make_local_problem(d.db, d.grid, Rect{0, 0, 80, 6});
+            extract_local_region(d.db, d.grid, Rect{0, 0, 80, 6});
         compute_minmax_placement(lp);
         const TargetSpec t =
             make_target(3, 1, static_cast<double>(rng.uniform(0, 75)),

@@ -77,12 +77,6 @@ RandomDesign random_legal_design(Rng& rng, SiteCoord rows, SiteCoord sites,
     return d;
 }
 
-LocalProblem make_local_problem(const Database& db, const SegmentGrid& grid,
-                                const Rect& window) {
-    const LocalRegion region = extract_local_region(db, grid, window);
-    return LocalProblem::build(db, region);
-}
-
 double brute_force_hinge_min(const std::vector<SiteCoord>& a,
                              const std::vector<SiteCoord>& b, double pref,
                              SiteCoord lo, SiteCoord hi) {

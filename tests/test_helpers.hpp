@@ -9,7 +9,6 @@
 #include "db/database.hpp"
 #include "db/segment.hpp"
 #include "legalize/local_problem.hpp"
-#include "legalize/local_region.hpp"
 #include "util/rng.hpp"
 
 namespace mrlg::test {
@@ -49,11 +48,6 @@ RandomDesign random_legal_design(Rng& rng, SiteCoord rows, SiteCoord sites,
 /// assertion prints the audit report.
 ::testing::AssertionResult segment_lists_consistent(const Database& db,
                                                     const SegmentGrid& grid);
-
-/// Extracts a LocalProblem around the window. Convenience for pipeline
-/// stage tests.
-LocalProblem make_local_problem(const Database& db, const SegmentGrid& grid,
-                                const Rect& window);
 
 /// Brute-force minimal hinge cost by scanning all integer x in [lo, hi]
 /// (reference for minimize_hinge_cost).

@@ -22,7 +22,7 @@ TargetSpec make_target(SiteCoord w, SiteCoord h, double px, double py,
 TEST(IlpLocal, EmptyRowPlacesAtPreference) {
     Database db = empty_design(2, 40);
     SegmentGrid grid = SegmentGrid::build(db);
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 40, 2});
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 40, 2});
     const TargetSpec t = make_target(4, 1, 10.0, 0.0);
     const IlpLocalResult r = solve_local_ilp(lp, t);
     ASSERT_TRUE(r.feasible);
@@ -38,7 +38,7 @@ TEST(IlpLocal, PushesNeighbourWhenTight) {
     Database db = empty_design(1, 12);
     SegmentGrid grid = SegmentGrid::build(db);
     add_placed(db, grid, "a", 0, 0, 5, 1);
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 12, 1});
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 12, 1});
     const TargetSpec t = make_target(4, 1, 0.0, 0.0);
     const IlpLocalResult r = solve_local_ilp(lp, t);
     ASSERT_TRUE(r.feasible);
@@ -48,7 +48,7 @@ TEST(IlpLocal, PushesNeighbourWhenTight) {
 TEST(IlpLocal, RespectsRailParity) {
     Database db = empty_design(4, 40);
     SegmentGrid grid = SegmentGrid::build(db);
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 40, 4});
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 40, 4});
     const TargetSpec t = make_target(4, 2, 10.0, 1.0, RailPhase::kEven);
     const IlpLocalResult r = solve_local_ilp(lp, t);
     ASSERT_TRUE(r.feasible);
@@ -66,7 +66,7 @@ TEST(IlpLocal, InfeasibleWhenRegionFull) {
     SegmentGrid grid = SegmentGrid::build(db);
     add_placed(db, grid, "a", 0, 0, 6, 1);
     add_placed(db, grid, "b", 6, 0, 6, 1);
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 12, 1});
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 12, 1});
     const TargetSpec t = make_target(4, 1, 3.0, 0.0);
     EXPECT_FALSE(solve_local_ilp(lp, t).feasible);
 }
@@ -77,14 +77,14 @@ TEST(IlpLocal, MultiRowConsistencyViaSharedVariable) {
     Database db = empty_design(2, 24);
     SegmentGrid grid = SegmentGrid::build(db);
     add_placed(db, grid, "a", 10, 0, 4, 2);
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 24, 2});
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 24, 2});
     const TargetSpec t = make_target(6, 2, 9.0, 0.0);
     const IlpLocalResult r = solve_local_ilp(lp, t);
     ASSERT_TRUE(r.feasible);
     // Either fully left (x<=?) or fully right of a's final position; with
     // pref 9 the cheapest is pushing a right and sitting left, or sitting
     // right at 14 etc. Cross-validate exact value against the oracle.
-    LocalProblem lp2 = make_local_problem(db, grid, Rect{0, 0, 24, 2});
+    LocalProblem lp2 = extract_local_region(db, grid, Rect{0, 0, 24, 2});
     const ExactLocalSolution ex = solve_local_exact(lp2, t);
     ASSERT_TRUE(ex.feasible);
     EXPECT_NEAR(r.cost_um, ex.cost_um, 1e-6);
@@ -105,9 +105,9 @@ TEST(IlpLocal, MatchesExactOracleRandomized) {
             static_cast<double>(rng.uniform(0, 4)),
             rng.chance(0.5) ? RailPhase::kEven : RailPhase::kOdd);
         LocalProblem lp_ilp =
-            make_local_problem(d.db, d.grid, Rect{0, 0, 40, 6});
+            extract_local_region(d.db, d.grid, Rect{0, 0, 40, 6});
         LocalProblem lp_ex =
-            make_local_problem(d.db, d.grid, Rect{0, 0, 40, 6});
+            extract_local_region(d.db, d.grid, Rect{0, 0, 40, 6});
         const IlpLocalResult ilp_r = solve_local_ilp(lp_ilp, t);
         const ExactLocalSolution ex_r = solve_local_exact(lp_ex, t);
         EXPECT_EQ(ilp_r.feasible, ex_r.feasible) << "trial " << trial;
@@ -128,7 +128,7 @@ TEST(ExactLocal, PicksGloballyBestPoint) {
     add_placed(db, grid, "a", 8, 0, 4, 1);
     add_placed(db, grid, "b", 12, 0, 4, 1);
     // Gap (a,b) needs pushing; left/right of the pair is free.
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 40, 1});
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 40, 1});
     const TargetSpec t = make_target(4, 1, 10.0, 0.0);
     const ExactLocalSolution s = solve_local_exact(lp, t);
     ASSERT_TRUE(s.feasible);

@@ -11,7 +11,7 @@ std::vector<InsertionInterval> intervals_for(Database& db, SegmentGrid& grid,
                                              const Rect& window,
                                              SiteCoord target_w,
                                              LocalProblem* out_lp = nullptr) {
-    LocalProblem lp = make_local_problem(db, grid, window);
+    LocalProblem lp = extract_local_region(db, grid, window);
     compute_minmax_placement(lp);
     auto ivs = build_insertion_intervals(lp, target_w);
     if (out_lp != nullptr) {
@@ -117,7 +117,7 @@ TEST(Intervals, BoundsAreFeasiblePositions) {
     Rng rng(31);
     for (int t = 0; t < 10; ++t) {
         RandomDesign d = random_legal_design(rng, 8, 120, 70, 0.25);
-        LocalProblem lp = make_local_problem(
+        LocalProblem lp = extract_local_region(
             d.db, d.grid, Rect{10, 0, 80, 8});
         compute_minmax_placement(lp);
         const SiteCoord wt = static_cast<SiteCoord>(rng.uniform(1, 6));

@@ -3,75 +3,73 @@
 #include <algorithm>
 #include <utility>
 
+#include "check/audit_local.hpp"
 #include "io/benchmark_gen.hpp"
 #include "legalize/legalizer.hpp"
 #include "legalize/local_problem.hpp"
-#include "legalize/local_region.hpp"
 #include "test_helpers.hpp"
 
 namespace mrlg::test {
 namespace {
 
-bool has_local(const LocalRegion& r, CellId c) {
-    return std::find(r.local_cells().begin(), r.local_cells().end(), c) !=
-           r.local_cells().end();
+/// The local cells' ids in index order.
+std::vector<CellId> local_ids(const LocalProblem& lp) {
+    std::vector<CellId> ids;
+    for (const LpCell& c : lp.cells()) {
+        ids.push_back(c.id);
+    }
+    return ids;
 }
 
-/// The local index order: local_cells() strictly increases in (x, bottom
-/// row), every row slot's local index names that slot's cell, and the
-/// LocalProblem built from the region lists its cells in the same order.
+bool has_local(const LocalProblem& lp, CellId c) {
+    const std::vector<CellId> ids = local_ids(lp);
+    return std::find(ids.begin(), ids.end(), c) != ids.end();
+}
+
+/// The local row of absolute row y (has_row rejects one outside).
+int row_index(const LocalProblem& lp, SiteCoord y) {
+    return static_cast<int>(y - lp.y0());
+}
+
+/// The ids of row k's local cells, in x order.
+std::vector<CellId> row_ids(const LocalProblem& lp, int k) {
+    std::vector<CellId> ids;
+    for (const int i : lp.row(k).cells) {
+        ids.push_back(lp.cell(i).id);
+    }
+    return ids;
+}
+
+/// The local index order: cells strictly increase in (x, bottom row), and
+/// each carries its Database cell's position.
 ::testing::AssertionResult indexed_in_x_order(const Database& db,
-                                              const LocalRegion& r) {
-    const std::vector<CellId>& locals = r.local_cells();
-    for (std::size_t i = 1; i < locals.size(); ++i) {
-        const Cell& a = db.cell(locals[i - 1]);
-        const Cell& b = db.cell(locals[i]);
-        if (std::pair(a.x(), a.y()) >= std::pair(b.x(), b.y())) {
-            return ::testing::AssertionFailure()
-                   << "local " << i << " (" << b.x() << ", " << b.y()
-                   << ") does not follow local " << i - 1 << " (" << a.x()
-                   << ", " << a.y() << ")";
-        }
-    }
-    for (int k = 0; k < r.height(); ++k) {
-        if (!r.has_row(k)) {
-            continue;
-        }
-        const LocalRow row = r.row(k);
-        for (std::size_t j = 0; j < row.cells.size(); ++j) {
-            const int li = row.local[j];
-            if (li < 0 || static_cast<std::size_t>(li) >= locals.size() ||
-                locals[static_cast<std::size_t>(li)] != row.cells[j]) {
-                return ::testing::AssertionFailure()
-                       << "row " << k << " slot " << j << " local index "
-                       << li << " does not name its cell";
-            }
-        }
-    }
-    const LocalProblem lp = LocalProblem::build(db, r);
-    if (static_cast<std::size_t>(lp.num_cells()) != locals.size()) {
-        return ::testing::AssertionFailure()
-               << "LocalProblem has " << lp.num_cells() << " cells, region "
-               << locals.size();
-    }
+                                              const LocalProblem& lp) {
     for (int i = 0; i < lp.num_cells(); ++i) {
         const LpCell& c = lp.cell(i);
         const Cell& cell = db.cell(c.id);
-        if (c.id != locals[static_cast<std::size_t>(i)] ||
-            c.x != cell.x() || c.y != cell.y()) {
+        if (c.x != cell.x() || c.y != cell.y()) {
             return ::testing::AssertionFailure()
-                   << "LocalProblem cell " << i << " is not local " << i;
+                   << "local " << i << " is not at its cell's position";
+        }
+        if (i == 0) {
+            continue;
+        }
+        const LpCell& a = lp.cell(i - 1);
+        if (std::pair(a.x, a.y) >= std::pair(c.x, c.y)) {
+            return ::testing::AssertionFailure()
+                   << "local " << i << " (" << c.x << ", " << c.y
+                   << ") does not follow local " << i - 1 << " (" << a.x
+                   << ", " << a.y << ")";
         }
     }
     return ::testing::AssertionSuccess();
 }
 
 /// Adjacent local cells of equal x (necessarily on disjoint rows).
-int equal_x_pairs(const Database& db, const LocalRegion& r) {
+int equal_x_pairs(const LocalProblem& lp) {
     int ties = 0;
-    const std::vector<CellId>& locals = r.local_cells();
-    for (std::size_t i = 1; i < locals.size(); ++i) {
-        ties += db.cell(locals[i - 1]).x() == db.cell(locals[i]).x() ? 1 : 0;
+    for (int i = 1; i < lp.num_cells(); ++i) {
+        ties += lp.cell(i - 1).x == lp.cell(i).x ? 1 : 0;
     }
     return ties;
 }
@@ -89,29 +87,29 @@ RandomDesign legalized(const GenProfile& p) {
 TEST(LocalRegion, EmptyWindowOnEmptyDie) {
     Database db = empty_design(4, 100);
     const SegmentGrid grid = SegmentGrid::build(db);
-    const LocalRegion r =
+    const LocalProblem r =
         extract_local_region(db, grid, Rect{10, 1, 20, 2});
-    EXPECT_EQ(r.height(), 2);
+    EXPECT_EQ(r.num_rows(), 2);
     EXPECT_TRUE(r.has_row(0));
     EXPECT_TRUE(r.has_row(1));
     EXPECT_EQ(r.row(0).span, (Span{10, 30}));
-    EXPECT_TRUE(r.local_cells().empty());
+    EXPECT_EQ(r.num_cells(), 0);
 }
 
 TEST(LocalRegion, WindowClippedToDie) {
     Database db = empty_design(4, 100);
     const SegmentGrid grid = SegmentGrid::build(db);
-    const LocalRegion r =
+    const LocalProblem r =
         extract_local_region(db, grid, Rect{-10, -2, 30, 10});
     EXPECT_EQ(r.y0(), 0);
-    EXPECT_EQ(r.height(), 4);
+    EXPECT_EQ(r.num_rows(), 4);
     EXPECT_EQ(r.row(0).span, (Span{0, 20}));
 }
 
 TEST(LocalRegion, WindowEntirelyOffDie) {
     Database db = empty_design(4, 100);
     const SegmentGrid grid = SegmentGrid::build(db);
-    EXPECT_EQ(extract_local_region(db, grid, Rect{0, 10, 20, 3}).height(),
+    EXPECT_EQ(extract_local_region(db, grid, Rect{0, 10, 20, 3}).num_rows(),
               0);
 }
 
@@ -119,13 +117,12 @@ TEST(LocalRegion, FullyInsideCellIsLocal) {
     Database db = empty_design(4, 100);
     SegmentGrid grid = SegmentGrid::build(db);
     const CellId a = add_placed(db, grid, "a", 20, 1, 4, 1);
-    const LocalRegion r =
+    const LocalProblem r =
         extract_local_region(db, grid, Rect{10, 0, 30, 3});
     EXPECT_TRUE(has_local(r, a));
-    const int k = r.row_index(1);
+    const int k = row_index(r, 1);
     ASSERT_TRUE(r.has_row(k));
-    ASSERT_EQ(r.row(k).cells.size(), 1u);
-    EXPECT_EQ(r.row(k).cells[0], a);
+    EXPECT_EQ(row_ids(r, k), std::vector<CellId>{a});
 }
 
 TEST(LocalRegion, StraddlingCellIsNonLocalAndCutsRow) {
@@ -133,10 +130,10 @@ TEST(LocalRegion, StraddlingCellIsNonLocalAndCutsRow) {
     SegmentGrid grid = SegmentGrid::build(db);
     // Cell half inside the window's left edge.
     const CellId a = add_placed(db, grid, "a", 5, 1, 10, 1);
-    const LocalRegion r =
+    const LocalProblem r =
         extract_local_region(db, grid, Rect{10, 0, 30, 3});
     EXPECT_FALSE(has_local(r, a));
-    const int k = r.row_index(1);
+    const int k = row_index(r, 1);
     ASSERT_TRUE(r.has_row(k));
     // The local segment starts after the straddler's footprint.
     EXPECT_EQ(r.row(k).span, (Span{15, 40}));
@@ -151,9 +148,9 @@ TEST(LocalRegion, PieceClosestToCenterChosen) {
     add_placed(db, grid, "wall", 20, 2, 6, 2);
     const CellId right = add_placed(db, grid, "r", 30, 2, 4, 1);
     const CellId left = add_placed(db, grid, "l", 12, 2, 4, 1);
-    const LocalRegion r =
+    const LocalProblem r =
         extract_local_region(db, grid, Rect{10, 0, 30, 3});
-    const int k = r.row_index(2);
+    const int k = row_index(r, 2);
     ASSERT_TRUE(r.has_row(k));
     EXPECT_EQ(r.row(k).span, (Span{26, 40}));
     EXPECT_TRUE(has_local(r, right));
@@ -165,7 +162,7 @@ TEST(LocalRegion, BlockageBoundsLocalSegment) {
     Database db = empty_design(2, 100);
     db.floorplan().add_blockage(Rect{40, 0, 10, 2});
     SegmentGrid grid = SegmentGrid::build(db);
-    const LocalRegion r =
+    const LocalProblem r =
         extract_local_region(db, grid, Rect{20, 0, 40, 2});
     // Window x [20,60); centre 40 sits on the blockage; both pieces at
     // distance 0 from the centre — the wider one ([20,40), width 20) wins.
@@ -177,14 +174,13 @@ TEST(LocalRegion, MultiRowCellLocalWhenAllRowsContained) {
     Database db = empty_design(4, 100);
     SegmentGrid grid = SegmentGrid::build(db);
     const CellId m = add_placed(db, grid, "m", 20, 0, 4, 2);
-    const LocalRegion r =
+    const LocalProblem r =
         extract_local_region(db, grid, Rect{10, 0, 30, 3});
     EXPECT_TRUE(has_local(r, m));
-    // Appears in both of its rows' lists, once in local_cells().
-    EXPECT_EQ(r.row(r.row_index(0)).cells.size(), 1u);
-    EXPECT_EQ(r.row(r.row_index(1)).cells.size(), 1u);
-    EXPECT_EQ(std::count(r.local_cells().begin(), r.local_cells().end(), m),
-              1);
+    // Appears in both of its rows' lists, once among the cells.
+    EXPECT_EQ(row_ids(r, row_index(r, 0)), std::vector<CellId>{m});
+    EXPECT_EQ(row_ids(r, row_index(r, 1)), std::vector<CellId>{m});
+    EXPECT_EQ(r.num_cells(), 1);
 }
 
 TEST(LocalRegion, MultiRowCellStickingOutOfWindowIsNonLocal) {
@@ -192,11 +188,11 @@ TEST(LocalRegion, MultiRowCellStickingOutOfWindowIsNonLocal) {
     SegmentGrid grid = SegmentGrid::build(db);
     // Rows 2..3, window covers rows 0..2 only.
     const CellId m = add_placed(db, grid, "m", 20, 2, 4, 2);
-    const LocalRegion r =
+    const LocalProblem r =
         extract_local_region(db, grid, Rect{10, 0, 30, 3});
     EXPECT_FALSE(has_local(r, m));
     // Its footprint cuts row 2's local segment.
-    const int k = r.row_index(2);
+    const int k = row_index(r, 2);
     ASSERT_TRUE(r.has_row(k));
     const Span s = r.row(k).span;
     EXPECT_TRUE(s.hi <= 20 || s.lo >= 24);
@@ -212,11 +208,11 @@ TEST(LocalRegion, CascadingNonLocalFixpoint) {
     add_placed(db, grid, "wall", 40, 3, 4, 2, RailPhase::kOdd);
     // Multi-row cell on rows 2-3 sits in row 3's *left* piece.
     const CellId m = add_placed(db, grid, "m", 32, 2, 4, 2);
-    const LocalRegion r =
+    const LocalProblem r =
         extract_local_region(db, grid, Rect{30, 0, 40, 4});
     EXPECT_FALSE(has_local(r, m));
     // Row 2's local segment must exclude m's sites.
-    const int k2 = r.row_index(2);
+    const int k2 = row_index(r, 2);
     ASSERT_TRUE(r.has_row(k2));
     EXPECT_FALSE(r.row(k2).span.overlaps(Span{32, 36}));
 }
@@ -224,14 +220,14 @@ TEST(LocalRegion, CascadingNonLocalFixpoint) {
 TEST(LocalRegion, CellListsOrderedByX) {
     Rng rng(3);
     RandomDesign d = random_legal_design(rng, 12, 150, 90, 0.3);
-    const LocalRegion r =
+    const LocalProblem r =
         extract_local_region(d.db, d.grid, Rect{30, 2, 70, 8});
-    for (int k = 0; k < r.height(); ++k) {
+    for (int k = 0; k < r.num_rows(); ++k) {
         if (!r.has_row(k)) {
             continue;
         }
         SiteCoord prev = kSiteCoordMin;
-        for (const CellId c : r.row(k).cells) {
+        for (const CellId c : row_ids(r, k)) {
             EXPECT_GE(d.db.cell(c).x(), prev);
             prev = d.db.cell(c).x();
             // Every listed cell is fully inside the local segment.
@@ -251,9 +247,9 @@ TEST(LocalRegion, EqualXCellsOnDisjointRowsOrderedByBottomRow) {
     const CellId c1 = add_placed(db, grid, "c1", 20, 1, 5, 1);
     const CellId d3 = add_placed(db, grid, "d3", 10, 3, 4, 1);
     const CellId d0 = add_placed(db, grid, "d0", 10, 0, 4, 2);
-    const LocalRegion r = extract_local_region(db, grid, Rect{0, 0, 40, 6});
+    const LocalProblem r = extract_local_region(db, grid, Rect{0, 0, 40, 6});
     const std::vector<CellId> expected = {d0, d3, c1, c2, c4};
-    EXPECT_EQ(r.local_cells(), expected);
+    EXPECT_EQ(local_ids(r), expected);
     EXPECT_TRUE(indexed_in_x_order(db, r));
 }
 
@@ -296,15 +292,18 @@ TEST(LocalRegion, LocalIndicesFollowXOrder) {
             const SiteCoord cy =
                 static_cast<SiteCoord>(rng.uniform(area.y, area.y_hi() - 1));
             const Rect window{cx - rx, cy - 5, 2 * rx + 3, 11};
-            const LocalRegion r =
+            const LocalProblem r =
                 extract_local_region(d.db, d.grid, window, region);
             EXPECT_TRUE(indexed_in_x_order(d.db, r))
                 << "window " << window << " region " << region;
-            ties += equal_x_pairs(d.db, r);
-            for (const CellId c : r.local_cells()) {
-                multi_row += d.db.cell(c).height() > 1 ? 1 : 0;
+            const AuditReport audit =
+                audit_local_region(d.db, d.grid, r, region);
+            EXPECT_TRUE(audit.ok()) << audit.to_string();
+            ties += equal_x_pairs(r);
+            for (const LpCell& c : r.cells()) {
+                multi_row += c.h > 1 ? 1 : 0;
             }
-            const bool has_cells = !r.local_cells().empty();
+            const bool has_cells = r.num_cells() > 0;
             clipped += window.x < 0 && has_cells ? 1 : 0;
             wide += rx == 90 && has_cells ? 1 : 0;
             in_fence += region == 1 && has_cells ? 1 : 0;
@@ -324,16 +323,16 @@ TEST(LocalRegion, RandomizedInvariants) {
         RandomDesign d = random_legal_design(rng, 14, 160, 110, 0.3, 3);
         const SiteCoord wx = static_cast<SiteCoord>(rng.uniform(0, 120));
         const SiteCoord wy = static_cast<SiteCoord>(rng.uniform(0, 10));
-        const LocalRegion r = extract_local_region(
+        const LocalProblem r = extract_local_region(
             d.db, d.grid, Rect{wx, wy, 40, 6});
-        for (const CellId c : r.local_cells()) {
-            const Cell& cell = d.db.cell(c);
+        for (const LpCell& c : r.cells()) {
+            const Cell& cell = d.db.cell(c.id);
             // Local cells are completely inside the window...
             EXPECT_TRUE(r.window().contains(cell.rect()));
             // ...and inside the local segment of every row they span.
             for (SiteCoord y = cell.y(); y < cell.y() + cell.height();
                  ++y) {
-                const int k = r.row_index(y);
+                const int k = row_index(r, y);
                 ASSERT_TRUE(r.has_row(k));
                 EXPECT_TRUE(r.row(k).span.contains(
                     Span{cell.x(), cell.x() + cell.width()}));

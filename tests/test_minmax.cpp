@@ -20,7 +20,7 @@ TEST(MinMax, SingleCellFullRange) {
     Database db = empty_design(2, 100);
     SegmentGrid grid = SegmentGrid::build(db);
     const CellId a = add_placed(db, grid, "a", 40, 0, 6, 1);
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 100, 2});
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 100, 2});
     compute_minmax_placement(lp);
     const LpCell& c = lp.cell(lp_index(lp, a));
     EXPECT_EQ(c.xl, 0);
@@ -33,7 +33,7 @@ TEST(MinMax, ChainPacksAgainstWalls) {
     const CellId a = add_placed(db, grid, "a", 10, 0, 5, 1);
     const CellId b = add_placed(db, grid, "b", 20, 0, 5, 1);
     const CellId c = add_placed(db, grid, "c", 30, 0, 5, 1);
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 50, 1});
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 50, 1});
     compute_minmax_placement(lp);
     EXPECT_EQ(lp.cell(lp_index(lp, a)).xl, 0);
     EXPECT_EQ(lp.cell(lp_index(lp, b)).xl, 5);
@@ -51,7 +51,7 @@ TEST(MinMax, MultiRowCellCouplesRows) {
     const CellId a = add_placed(db, grid, "a", 0, 0, 10, 1);   // row 0
     const CellId b = add_placed(db, grid, "b", 2, 1, 5, 1);    // row 1
     const CellId m = add_placed(db, grid, "m", 20, 0, 4, 2);   // rows 0-1
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 60, 2});
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 60, 2});
     compute_minmax_placement(lp);
     // Leftmost: a→0 (10 wide), b→0..? b is only on row 1 → xl=0? No: b's
     // x (2) is after a's x (0) but they share no row; frontier of row 1 is
@@ -72,7 +72,7 @@ TEST(MinMax, SegmentWallsRespected) {
     db.floorplan().add_blockage(Rect{90, 0, 10, 1});
     SegmentGrid grid = SegmentGrid::build(db);
     const CellId a = add_placed(db, grid, "a", 50, 0, 6, 1);
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 100, 1});
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 100, 1});
     compute_minmax_placement(lp);
     EXPECT_EQ(lp.cell(lp_index(lp, a)).xl, 10);
     EXPECT_EQ(lp.cell(lp_index(lp, a)).xr, 84);
@@ -82,7 +82,7 @@ TEST(MinMax, BoundsBracketCurrentPosition) {
     Rng rng(23);
     for (int t = 0; t < 10; ++t) {
         RandomDesign d = random_legal_design(rng, 10, 140, 100, 0.3, 3);
-        LocalProblem lp = make_local_problem(
+        LocalProblem lp = extract_local_region(
             d.db, d.grid,
             Rect{static_cast<SiteCoord>(rng.uniform(0, 90)),
                  static_cast<SiteCoord>(rng.uniform(0, 6)), 45, 6});
@@ -101,7 +101,7 @@ TEST(MinMax, LeftmostPlacementIsLegal) {
     Rng rng(29);
     for (int t = 0; t < 10; ++t) {
         RandomDesign d = random_legal_design(rng, 10, 140, 100, 0.3, 3);
-        LocalProblem lp = make_local_problem(
+        LocalProblem lp = extract_local_region(
             d.db, d.grid,
             Rect{static_cast<SiteCoord>(rng.uniform(0, 90)),
                  static_cast<SiteCoord>(rng.uniform(0, 6)), 45, 6});
@@ -131,7 +131,7 @@ TEST(MinMax, AssertsOnIllegalInput) {
     SegmentGrid grid = SegmentGrid::build(db);
     const CellId a = add_placed(db, grid, "a", 0, 0, 5, 1);
     const CellId b = add_placed(db, grid, "b", 10, 0, 5, 1);
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 20, 1});
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 20, 1});
     // Corrupt: push b onto a behind the problem's back (swap order).
     static_cast<void>(a);
     static_cast<void>(b);

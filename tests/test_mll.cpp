@@ -358,7 +358,7 @@ struct StageOutcome {
 StageOutcome run_stages(LocalProblem lp, const TargetSpec& target) {
     StageOutcome out;
     compute_minmax_placement(lp);
-    EXPECT_TRUE(audit_local_problem(lp, true).ok());
+    EXPECT_TRUE(audit_local_problem(lp).ok());
     const std::vector<InsertionInterval> intervals =
         build_insertion_intervals(lp, target.w);
     out.points = enumerate_insertion_points(lp, intervals, target).points;
@@ -406,17 +406,17 @@ struct LifetimeFixture {
 TEST(MllScratch, CopiedOrMovedProblemOutlivesItsSource) {
     LifetimeFixture f;
     const StageOutcome want = run_stages(
-        make_local_problem(f.d.db, f.d.grid, f.window), f.target);
+        extract_local_region(f.d.db, f.d.grid, f.window), f.target);
     ASSERT_GT(want.points.size(), 10u);
 
     auto copy_src = std::make_unique<LocalProblem>(
-        make_local_problem(f.d.db, f.d.grid, f.window));
+        extract_local_region(f.d.db, f.d.grid, f.window));
     const LocalProblem copied = *copy_src;
     copy_src.reset();
     expect_same_outcome(run_stages(copied, f.target), want);
 
     auto move_src = std::make_unique<LocalProblem>(
-        make_local_problem(f.d.db, f.d.grid, f.window));
+        extract_local_region(f.d.db, f.d.grid, f.window));
     const LocalProblem moved = std::move(*move_src);
     move_src.reset();
     expect_same_outcome(run_stages(moved, f.target), want);
@@ -425,27 +425,23 @@ TEST(MllScratch, CopiedOrMovedProblemOutlivesItsSource) {
 TEST(MllScratch, CopiedOrMovedRegionOutlivesItsSource) {
     LifetimeFixture f;
     const StageOutcome want = run_stages(
-        make_local_problem(f.d.db, f.d.grid, f.window), f.target);
+        extract_local_region(f.d.db, f.d.grid, f.window), f.target);
 
-    // Extracted through a scratch that is refilled right after, so a
-    // region that kept pointing into it would change under us too.
-    LocalRegionScratch scratch;
-    auto copy_src = std::make_unique<LocalRegion>(
-        extract_local_region(f.d.db, f.d.grid, f.window, 0, &scratch));
-    const LocalRegion copied = *copy_src;
-    copy_src.reset();
-    auto move_src = std::make_unique<LocalRegion>(
-        extract_local_region(f.d.db, f.d.grid, f.window, 0, &scratch));
-    const LocalRegion moved = std::move(*move_src);
-    move_src.reset();
-    static_cast<void>(extract_local_region(
-        f.d.db, f.d.grid, Rect{0, 0, 20, 3}, 0, &scratch));
+    // Extracted in place, as mll_plan does, into a problem and through a
+    // scratch that are both refilled right after, so a copy that kept
+    // pointing into either would change under us too.
+    WindowScratch scratch;
+    auto source = std::make_unique<LocalProblem>();
+    extract_local_region(f.d.db, f.d.grid, f.window, 0, scratch, *source);
+    const LocalProblem copied = *source;
+    const LocalProblem moved = std::move(*source);
+    extract_local_region(f.d.db, f.d.grid, Rect{0, 0, 20, 3}, 0, scratch,
+                         *source);
+    source.reset();
 
-    for (const LocalRegion* region : {&copied, &moved}) {
-        EXPECT_TRUE(audit_local_region(f.d.db, f.d.grid, *region).ok());
-        expect_same_outcome(
-            run_stages(LocalProblem::build(f.d.db, *region), f.target),
-            want);
+    for (const LocalProblem* lp : {&copied, &moved}) {
+        EXPECT_TRUE(audit_local_region(f.d.db, f.d.grid, *lp).ok());
+        expect_same_outcome(run_stages(*lp, f.target), want);
     }
 }
 

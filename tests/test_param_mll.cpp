@@ -104,7 +104,7 @@ TEST_P(OracleSweep, OracleIsGlobalMinimum) {
         target.rail_phase = RailPhase::kEven;
 
         LocalProblem lp =
-            make_local_problem(d.db, d.grid, Rect{0, 0, 60, 8});
+            extract_local_region(d.db, d.grid, Rect{0, 0, 60, 8});
         const ExactLocalSolution sol = solve_local_exact(lp, target);
         if (!sol.feasible) {
             continue;

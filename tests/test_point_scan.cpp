@@ -95,7 +95,7 @@ Case random_case(Rng& rng) {
     const Rect window{static_cast<SiteCoord>(rng.uniform(0, sites - wx)),
                       static_cast<SiteCoord>(rng.uniform(0, 3)), wx,
                       static_cast<SiteCoord>(rng.uniform(3, 7))};
-    c.lp = make_local_problem(c.design.db, c.design.grid, window);
+    c.lp = extract_local_region(c.design.db, c.design.grid, window);
     compute_minmax_placement(c.lp);
     c.target.w = static_cast<SiteCoord>(rng.uniform(1, 5));
     c.target.h =
@@ -142,7 +142,7 @@ TEST(PointScan, BoundNeverExceedsCost) {
 TEST(PointScan, InfeasiblePointHasInfiniteBound) {
     Database db = empty_design(2, 40);
     SegmentGrid grid = SegmentGrid::build(db);
-    const LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 40, 2});
+    const LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 40, 2});
     TargetSpec t;
     t.w = 2;
     t.h = 1;
@@ -229,7 +229,7 @@ TEST(PointScan, EarlierPointTyingTheSeedStillWins) {
     SegmentGrid grid = SegmentGrid::build(db);
     add_placed(db, grid, "c1", 11, 0, 4, 1);
     add_placed(db, grid, "c2", 15, 0, 25, 1);
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 40, 1});
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 40, 1});
     compute_minmax_placement(lp);
     TargetSpec t;
     t.w = 2;
@@ -258,7 +258,7 @@ TEST(PointScan, EarlierPointTyingTheSeedStillWins) {
 TEST(PointScan, EmptyAndAllInfeasibleInputs) {
     Database db = empty_design(1, 40);
     SegmentGrid grid = SegmentGrid::build(db);
-    const LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 40, 1});
+    const LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 40, 1});
     TargetSpec t;
     t.w = 2;
     t.h = 1;
@@ -299,7 +299,7 @@ TEST(PointScan, PlanCountsEnumeratedAndScoredPoints) {
         target.h = cell.height();
         target.pref_x = 60.0;
         target.pref_y = 6.0;
-        LocalProblem lp = make_local_problem(
+        LocalProblem lp = extract_local_region(
             d.db, d.grid,
             Rect{60 - opts.rx, 6 - opts.ry,
                  static_cast<SiteCoord>(2 * opts.rx + target.w),

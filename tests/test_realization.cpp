@@ -54,7 +54,7 @@ TEST(Realization, NoPushWhenGapIsWide) {
     SegmentGrid grid = SegmentGrid::build(db);
     const CellId a = add_placed(db, grid, "a", 0, 0, 5, 1);
     const CellId b = add_placed(db, grid, "b", 50, 0, 5, 1);
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 60, 1});
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 60, 1});
     compute_minmax_placement(lp);
     InsertionPoint pt;
     pt.k0 = 0;
@@ -74,7 +74,7 @@ TEST(Realization, PushesLeftChain) {
     SegmentGrid grid = SegmentGrid::build(db);
     const CellId a = add_placed(db, grid, "a", 2, 0, 5, 1);
     const CellId b = add_placed(db, grid, "b", 8, 0, 5, 1);
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 30, 1});
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 30, 1});
     compute_minmax_placement(lp);
     InsertionPoint pt;
     pt.k0 = 0;
@@ -95,7 +95,7 @@ TEST(Realization, PushesRightChain) {
     SegmentGrid grid = SegmentGrid::build(db);
     const CellId a = add_placed(db, grid, "a", 10, 0, 5, 1);
     const CellId b = add_placed(db, grid, "b", 16, 0, 5, 1);
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 30, 1});
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 30, 1});
     compute_minmax_placement(lp);
     InsertionPoint pt;
     pt.k0 = 0;
@@ -118,7 +118,7 @@ TEST(Realization, MultiRowPushCascadesAcrossRows) {
     SegmentGrid grid = SegmentGrid::build(db);
     const CellId m = add_placed(db, grid, "m", 4, 0, 4, 2);
     const CellId s = add_placed(db, grid, "s", 9, 1, 5, 1);
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 30, 2});
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 30, 2});
     compute_minmax_placement(lp);
     // Single-row target left of m in row 0.
     InsertionPoint pt;
@@ -136,7 +136,7 @@ TEST(Realization, MultiRowPushCascadesAcrossRows) {
 TEST(Realization, TargetXOutsideRangeAsserts) {
     Database db = empty_design(1, 20);
     SegmentGrid grid = SegmentGrid::build(db);
-    LocalProblem lp = make_local_problem(db, grid, Rect{0, 0, 20, 1});
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 20, 1});
     compute_minmax_placement(lp);
     InsertionPoint pt;
     pt.k0 = 0;
@@ -153,7 +153,7 @@ TEST(Realization, EveryEnumeratedPointRealizesLegally) {
     for (int trial = 0; trial < 15; ++trial) {
         RandomDesign d = random_legal_design(rng, 8, 90, 55, 0.35, 3);
         LocalProblem lp =
-            make_local_problem(d.db, d.grid, Rect{5, 0, 70, 8});
+            extract_local_region(d.db, d.grid, Rect{5, 0, 70, 8});
         compute_minmax_placement(lp);
         TargetSpec t;
         t.w = static_cast<SiteCoord>(rng.uniform(1, 5));
@@ -180,7 +180,7 @@ TEST(Realization, MovedCostIsMinimal) {
     // critical positions.
     Rng rng(73);
     RandomDesign d = random_legal_design(rng, 6, 80, 45, 0.3);
-    LocalProblem lp = make_local_problem(d.db, d.grid, Rect{0, 0, 80, 6});
+    LocalProblem lp = extract_local_region(d.db, d.grid, Rect{0, 0, 80, 6});
     compute_minmax_placement(lp);
     TargetSpec t;
     t.w = 3;

@@ -14,7 +14,6 @@
 #include "eval/legality.hpp"
 #include "io/benchmark_gen.hpp"
 #include "legalize/legalizer.hpp"
-#include "legalize/local_region.hpp"
 #include "legalize/pipeline.hpp"
 #include "obs/timeline.hpp"
 #include "qa/generators.hpp"

@@ -37,7 +37,6 @@ namespace {
 
 using obs::ScheduleReport;
 using obs::Timeline;
-using obs::TimelineEventKind;
 using obs::TimelineKey;
 
 // ---------------------------------------------------------------------------
@@ -48,19 +47,20 @@ TEST(Timeline, MergeOrdersByStableKeyNotByTimestamp) {
     // Recorded deliberately out of key order, with timestamps *reversed*
     // relative to the key order: the merge must follow the key.
     tl.span("plan.task", {2, 0, 7}, 900, 950);
+    tl.span("queue", {1, 1, 4}, 550, 560);
     tl.span("plan.task", {1, 1, 4}, 500, 600);
-    tl.instant("queue", {1, 1, 4});
     tl.span("plan.task", {1, 0, 9}, 700, 800);
     tl.span("wave", {1, 0, 0}, 100, 200);
 
     const std::vector<Timeline::MergedEvent> merged = tl.merge();
     ASSERT_EQ(merged.size(), 5u);
-    // (1,0,0) wave < (1,0,9) task < (1,1,4) task < instant < (2,0,7).
+    // (1,0,0) wave < (1,0,9) task < (1,1,4) "plan.task" < (1,1,4) "queue"
+    // < (2,0,7): by key, then by name.
     EXPECT_STREQ(merged[0].ev.name, "wave");
     EXPECT_EQ(merged[1].ev.key.task, 9u);
     EXPECT_EQ(merged[2].ev.key.task, 4u);
-    EXPECT_EQ(merged[2].ev.kind, TimelineEventKind::kSpan);
-    EXPECT_EQ(merged[3].ev.kind, TimelineEventKind::kInstant);
+    EXPECT_STREQ(merged[2].ev.name, "plan.task");
+    EXPECT_STREQ(merged[3].ev.name, "queue");
     EXPECT_EQ(merged[4].ev.key.wave, 2u);
     EXPECT_EQ(tl.dropped_events(), 0u);
 }
@@ -141,15 +141,14 @@ TEST(Timeline, ScheduleMetricsMatchTheirDefinitions) {
 // ---------------------------------------------------------------------------
 // Scheduling independence: different forced interleavings, one merge.
 
-using Signature =
-    std::vector<std::tuple<std::string, int, std::uint32_t, std::uint32_t,
-                           std::uint32_t>>;
+using Signature = std::vector<
+    std::tuple<std::string, std::uint32_t, std::uint32_t, std::uint32_t>>;
 
 Signature signature(const Timeline& tl) {
     Signature sig;
     for (const Timeline::MergedEvent& me : tl.merge()) {
-        sig.emplace_back(me.ev.name, static_cast<int>(me.ev.kind),
-                         me.ev.key.wave, me.ev.key.slot, me.ev.key.task);
+        sig.emplace_back(me.ev.name, me.ev.key.wave, me.ev.key.slot,
+                         me.ev.key.task);
     }
     return sig;
 }
@@ -395,14 +394,12 @@ TEST(Timeline, ChromeTraceHasTraceEventShape) {
     Timeline tl;
     tl.span("wave", {1, 0, 0}, 1000, 5000);
     tl.span("plan.task", {1, 0, 2}, 2000, 3000);
-    tl.instant("requeue", {1, 1, 3});
     const std::string dump = obs::chrome_trace_json(tl, "unit").dump();
     EXPECT_NE(dump.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(dump.find("\"displayTimeUnit\""), std::string::npos);
     EXPECT_NE(dump.find("\"process_name\""), std::string::npos);
     EXPECT_NE(dump.find("\"thread_name\""), std::string::npos);
     EXPECT_NE(dump.find("\"ph\": \"X\""), std::string::npos);
-    EXPECT_NE(dump.find("\"ph\": \"i\""), std::string::npos);
     EXPECT_NE(dump.find("\"dropped_events\""), std::string::npos);
     // Timestamps are relative to the earliest event: 1000ns → ts 0.
     EXPECT_NE(dump.find("\"ts\": 0"), std::string::npos);

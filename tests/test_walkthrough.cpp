@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "legalize/enumeration.hpp"
 #include "legalize/evaluation.hpp"
 #include "legalize/insertion_interval.hpp"
@@ -36,10 +38,29 @@ int lp_index(const LocalProblem& lp, CellId id) {
     return -1;
 }
 
+TEST(Walkthrough, Stage1LocalProblem) {
+    Walkthrough w;
+    const LocalProblem lp =
+        extract_local_region(w.db, w.grid, Rect{-24, -5, 63, 12});
+    ASSERT_EQ(lp.num_cells(), 4);
+    EXPECT_EQ(lp.cell(0).id, w.a);  // indices in x order: a, c, m, b
+    EXPECT_EQ(lp.cell(1).id, w.c);
+    EXPECT_EQ(lp.cell(2).id, w.m);
+    EXPECT_EQ(lp.cell(3).id, w.b);
+    const auto row = [&](int k) {
+        return std::vector<int>(lp.row(k).cells.begin(),
+                                lp.row(k).cells.end());
+    };
+    EXPECT_EQ(lp.row(0).span, (Span{0, 20}));
+    EXPECT_EQ(lp.row(1).span, (Span{0, 20}));
+    EXPECT_EQ(row(0), (std::vector<int>{0, 2, 3}));
+    EXPECT_EQ(row(1), (std::vector<int>{1, 2}));
+}
+
 TEST(Walkthrough, Stage2MinMax) {
     Walkthrough w;
     LocalProblem lp =
-        make_local_problem(w.db, w.grid, Rect{-24, -5, 63, 12});
+        extract_local_region(w.db, w.grid, Rect{-24, -5, 63, 12});
     compute_minmax_placement(lp);
     EXPECT_EQ(lp.num_cells(), 4);
     const LpCell& a = lp.cell(lp_index(lp, w.a));
@@ -59,7 +80,7 @@ TEST(Walkthrough, Stage2MinMax) {
 TEST(Walkthrough, Stage3IntervalsAndStage4Points) {
     Walkthrough w;
     LocalProblem lp =
-        make_local_problem(w.db, w.grid, Rect{-24, -5, 63, 12});
+        extract_local_region(w.db, w.grid, Rect{-24, -5, 63, 12});
     compute_minmax_placement(lp);
     const auto ivs = build_insertion_intervals(lp, 3);
     ASSERT_EQ(ivs.size(), 7u);  // 4 gaps row 0, 3 gaps row 1

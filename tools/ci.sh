@@ -27,13 +27,15 @@
 #      every src/ TU with clang -Wthread-safety -Werror so the
 #      GridWriteCap capability chain is machine-checked; SKIPped when
 #      clang++ is not installed (the Python analyzer in stage 2 still runs)
-#   3. clang-tidy over all translation units (MRLG_ANALYZE build)
+#   3. clang-tidy over all translation units (analyze preset: MRLG_ANALYZE
+#      build)
 #   4. cppcheck over src/ and tools/
-#   5. ASan+UBSan build + full ctest suite (DCHECKs on)
-#   6. TSan build running the `parallel` label tier under MRLG_THREADS=4
-#      (the thread pool's own tests and the thread-count determinism
-#      properties, incl. the region-parallel plan/commit pipeline and the
-#      lock-free Timeline lanes, with real worker threads racing)
+#   5. ASan+UBSan build + full ctest suite (asan presets, DCHECKs on)
+#   6. TSan build (tsan presets, DCHECKs on) running the `parallel`
+#      label tier under MRLG_THREADS=4 (the thread pool's own tests and
+#      the thread-count determinism properties, incl. the region-parallel
+#      plan/commit pipeline and the lock-free Timeline lanes, with real
+#      worker threads racing)
 #   7. Coverage: gcovr over a --coverage build running the fast unit
 #      tier (ctest -L unit); SKIPped when gcovr is not installed.
 #
@@ -133,13 +135,12 @@ fi
 # ---------------------------------------------------------------- stage 3
 if command -v clang-tidy >/dev/null 2>&1; then
     tidy_stage() {
-        cmake -B build-analyze -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-            -DMRLG_ANALYZE=ON -DMRLG_WERROR=ON >/dev/null &&
-            cmake --build build-analyze -j "$JOBS"
+        cmake --preset analyze >/dev/null &&
+            cmake --build --preset analyze -j "$JOBS"
     }
-    run_stage "clang-tidy (MRLG_ANALYZE build)" tidy_stage
+    run_stage "clang-tidy (analyze preset)" tidy_stage
 else
-    skip_stage "clang-tidy (MRLG_ANALYZE build)" "clang-tidy not installed"
+    skip_stage "clang-tidy (analyze preset)" "clang-tidy not installed"
 fi
 
 # ---------------------------------------------------------------- stage 4
@@ -160,11 +161,9 @@ if [ "$FAST" = 1 ]; then
     skip_stage "ASan+UBSan ctest" "--fast"
 else
     asan_stage() {
-        cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-            -DMRLG_SANITIZE=address,undefined -DMRLG_DCHECKS=ON \
-            >/dev/null &&
-            cmake --build build-asan -j "$JOBS" &&
-            ctest --test-dir build-asan --output-on-failure -j "$JOBS"
+        cmake --preset asan >/dev/null &&
+            cmake --build --preset asan -j "$JOBS" &&
+            ctest --preset asan -j "$JOBS"
     }
     run_stage "ASan+UBSan ctest" asan_stage
 fi
@@ -175,14 +174,12 @@ if [ "$FAST" = 1 ]; then
 else
     tsan_stage() {
         # The parallel tier's determinism properties compare multi-thread
-        # runs against serial ones; under TSan with MRLG_THREADS=4 they
-        # double as data-race detectors for the plan/commit pipeline's
-        # shared-grid reads.
-        cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-            -DMRLG_SANITIZE=thread -DMRLG_DCHECKS=ON >/dev/null &&
-            cmake --build build-tsan -j "$JOBS" &&
-            MRLG_THREADS=4 ctest --test-dir build-tsan -L parallel \
-                --output-on-failure -j "$JOBS"
+        # runs against serial ones; under TSan with MRLG_THREADS=4 (the
+        # tsan test preset sets it) they double as data-race detectors for
+        # the plan/commit pipeline's shared-grid reads.
+        cmake --preset tsan >/dev/null &&
+            cmake --build --preset tsan -j "$JOBS" &&
+            ctest --preset tsan -L parallel -j "$JOBS"
     }
     run_stage "TSan ctest -L parallel" tsan_stage
 fi

@@ -3,8 +3,8 @@
 /// The strict command-line parser of mrlg_legalize, mrlg_fuzz, bench_paper
 /// and bench_parallel: every argument must be a known switch, or a known
 /// flag and its value, and a number must parse whole; MRLG_THREADS, when
-/// set, must be a whole number >= 1. Anything else prints what is wrong
-/// and the tool's usage, and exits 2.
+/// set, must be a whole number >= 1, and MRLG_VALIDATE an audit level.
+/// Anything else prints what is wrong and the tool's usage, and exits 2.
 
 #include <algorithm>
 #include <charconv>
@@ -19,6 +19,7 @@
 #include <string>
 #include <string_view>
 
+#include "check/audit.hpp"
 #include "io/parse.hpp"
 #include "util/thread_pool.hpp"
 
@@ -29,7 +30,8 @@ public:
     /// Parses argv[1..argc): each of `switches` stands alone, each of
     /// `valued` takes the argument after it. With `positional`, a first
     /// argument that does not start with '-' (a design path) is allowed.
-    /// Then checks MRLG_THREADS (ThreadPool::default_threads).
+    /// Then checks MRLG_THREADS (ThreadPool::default_threads) and
+    /// MRLG_VALIDATE (audit_level_from_env).
     Args(int argc, char** argv, const char* usage,
          std::initializer_list<std::string_view> switches,
          std::initializer_list<std::string_view> valued,
@@ -54,10 +56,12 @@ public:
                 values_.emplace(arg, argv[++i]);  // the first one counts
             }
         }
-        // Every thread count of 0 resolves through MRLG_THREADS: a bad
-        // value is a usage error now, not a throw mid-run.
+        // Every thread count of 0 resolves through MRLG_THREADS, and every
+        // LegalizerOptions reads MRLG_VALIDATE: a bad value is a usage
+        // error now, not a throw mid-run.
         try {
             static_cast<void>(ThreadPool::default_threads());
+            static_cast<void>(audit_level_from_env());
         } catch (const std::invalid_argument& e) {
             fail(e.what());
         }
