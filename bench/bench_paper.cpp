@@ -508,10 +508,7 @@ Sheet detailed(const Ctx& ctx) {
         SegmentGrid grid = SegmentGrid::build(gen.db);
         s.rows.push_back(ctx.repeat(p.name, [&](int) {
             run_legalization(gen.db, grid, {}, ctx.where(p.name));
-            DetailedPlacementOptions dopts;
-            dopts.max_passes = 2;
-            const DetailedPlacementStats dp =
-                detailed_place(gen.db, grid, dopts);
+            const DetailedPlacementStats dp = detailed_place(gen.db, grid);
             const SwapStats sp = swap_pass(gen.db, grid);
             const RowPolishStats rp = row_polish(gen.db, grid);
             require_legal(gen.db, grid, true,

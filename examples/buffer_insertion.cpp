@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <iostream>
 #include <span>
+#include <stdexcept>
 
 #include "db/segment.hpp"
 #include "eval/legality.hpp"
@@ -16,7 +17,7 @@
 #include "legalize/legalizer.hpp"
 #include "legalize/mll.hpp"
 
-int main() {
+int main() try {
     using namespace mrlg;
 
     GenProfile profile;
@@ -101,4 +102,8 @@ int main() {
               << "post-insertion HPWL: "
               << hpwl_m(db, PositionSource::kLegalized) << " m\n";
     return rep.legal && failed == 0 ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+    // A malformed MRLG_THREADS or MRLG_VALIDATE: exit 2, as the tools do.
+    std::cerr << e.what() << '\n';
+    return 2;
 }

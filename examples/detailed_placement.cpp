@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "db/segment.hpp"
 #include "eval/legality.hpp"
@@ -16,7 +17,7 @@
 #include "io/bookshelf.hpp"
 #include "legalize/legalizer.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     using namespace mrlg;
     const std::size_t cells =
         argc > 1 ? static_cast<std::size_t>(std::atol(argv[1])) : 20000;
@@ -81,4 +82,8 @@ int main(int argc, char** argv) {
                   << ".{aux,nodes,nets,pl,scl}\n";
     }
     return legal.legal && stats.success ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+    // A malformed MRLG_THREADS or MRLG_VALIDATE: exit 2, as the tools do.
+    std::cerr << e.what() << '\n';
+    return 2;
 }

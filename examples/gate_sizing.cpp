@@ -6,6 +6,7 @@
 /// stays.
 
 #include <iostream>
+#include <stdexcept>
 
 #include "db/segment.hpp"
 #include "eval/legality.hpp"
@@ -14,7 +15,7 @@
 #include "legalize/mll.hpp"
 #include "util/rng.hpp"
 
-int main() {
+int main() try {
     using namespace mrlg;
 
     // Build and legalize a mid-density design.
@@ -84,4 +85,8 @@ int main() {
                               : 0.0)
               << " site-widths of displacement\n";
     return rep.legal ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+    // A malformed MRLG_THREADS or MRLG_VALIDATE: exit 2, as the tools do.
+    std::cerr << e.what() << '\n';
+    return 2;
 }

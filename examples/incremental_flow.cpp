@@ -5,6 +5,7 @@
 /// cites) → metrics at every stage.
 
 #include <iostream>
+#include <stdexcept>
 
 #include "db/segment.hpp"
 #include "eval/legality.hpp"
@@ -14,7 +15,7 @@
 #include "legalize/mll.hpp"
 #include "util/rng.hpp"
 
-int main() {
+int main() try {
     using namespace mrlg;
 
     // 1. Design with netlist and the synthesizer's global placement.
@@ -108,4 +109,8 @@ int main() {
               << (hpwl_after / hpwl_before - 1.0) * 100 << " %)\n"
               << "final legal: " << (rep.legal ? "yes" : "NO") << "\n";
     return rep.legal && hpwl_after <= hpwl_before * 1.001 ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+    // A malformed MRLG_THREADS or MRLG_VALIDATE: exit 2, as the tools do.
+    std::cerr << e.what() << '\n';
+    return 2;
 }

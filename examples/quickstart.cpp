@@ -3,6 +3,7 @@
 /// multi-row local legalization flow, and print the quality metrics.
 
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "db/database.hpp"
@@ -12,7 +13,7 @@
 #include "legalize/legalizer.hpp"
 #include "util/rng.hpp"
 
-int main() {
+int main() try {
     using namespace mrlg;
 
     // A 20-row x 400-site die.
@@ -74,4 +75,8 @@ int main() {
               << "  HPWL change       : " << hpwl_delta(db) * 100.0
               << " %\n";
     return report.legal && stats.success ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+    // A malformed MRLG_THREADS or MRLG_VALIDATE: exit 2, as the tools do.
+    std::cerr << e.what() << '\n';
+    return 2;
 }

@@ -3,9 +3,7 @@
 /// Auditors for the extracted local problem: window extraction
 /// post-conditions of §2.1.3, the min/max placement bounds of §5.1.1 and
 /// the bound-pruned insertion-point scan. Split from audit.hpp so that
-/// the core auditors do not pull the legalize headers into every client
-/// (mrlg_check uses only inline members of the legalize types, and gets
-/// evaluators as function pointers, so it does not link mrlg_legalize).
+/// the core auditors do not pull the legalize headers into every client.
 
 #include <span>
 

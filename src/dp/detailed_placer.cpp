@@ -23,6 +23,8 @@ constexpr double kMinGainUm = 1e-9;
 /// detailed_place skips cells whose preferred spot is within this many
 /// sites of the current position (saves useless churn).
 constexpr double kMinMoveSites = 1.0;
+/// Improvement passes of detailed_place over all cells.
+constexpr int kMaxPasses = 2;
 
 /// Median of the other pins of the cell's nets; nullopt when unconnected.
 std::optional<std::pair<double, double>> median_target(const Database& db,
@@ -73,7 +75,7 @@ std::vector<NetId> affected_nets(const Database& db, CellId target,
 }  // namespace
 
 DetailedPlacementStats detailed_place(Database& db, SegmentGrid& grid,
-                                      const DetailedPlacementOptions& opts) {
+                                      const MllOptions& opts) {
     GridWriteScope grid_write;
     MRLG_OBS_PHASE("dp.place");
     Timer timer;
@@ -84,7 +86,7 @@ DetailedPlacementStats detailed_place(Database& db, SegmentGrid& grid,
     const double sw = db.floorplan().site_w_um();
     const double sh = db.floorplan().site_h_um();
 
-    for (int pass = 0; pass < opts.max_passes; ++pass) {
+    for (int pass = 0; pass < kMaxPasses; ++pass) {
         MRLG_OBS_PHASE("dp.pass");
         stats.passes = pass + 1;
         std::size_t accepted_this_pass = 0;
@@ -115,12 +117,10 @@ DetailedPlacementStats detailed_place(Database& db, SegmentGrid& grid,
             cands.push_back(Candidate{c, dx * sw + dy * sh, med->first,
                                       med->second});
         }
-        if (opts.gain_ordered) {
-            std::stable_sort(cands.begin(), cands.end(),
-                             [](const Candidate& a, const Candidate& b) {
-                                 return a.gain > b.gain;
-                             });
-        }
+        std::stable_sort(cands.begin(), cands.end(),
+                         [](const Candidate& a, const Candidate& b) {
+                             return a.gain > b.gain;
+                         });
 
         for (const Candidate& cand : cands) {
             Cell& cell = db.cell(cand.cell);
@@ -140,7 +140,7 @@ DetailedPlacementStats detailed_place(Database& db, SegmentGrid& grid,
             grid.remove(db, cand.cell);
             const MllPlan r =
                 mll_place(db, grid, cand.cell, med->first, med->second,
-                          opts.mll);
+                          opts);
             if (!r.success()) {
                 ++stats.mll_failures;
                 grid.place(db, cand.cell, old_x, old_y);

@@ -9,8 +9,10 @@
 /// region is the median of its connected pins (with the cell's own pins
 /// excluded); the cell is moved there via remove → mll_place, the exact
 /// HPWL delta is measured over the affected nets only, and the move is
-/// reverted (exactly, via mll_undo) unless it improves. Multi-row cells
-/// are first-class: MLL handles their row/parity constraints.
+/// reverted (exactly, via mll_undo) unless it improves. Cells go in
+/// descending estimated gain (distance to the median), for at most two
+/// passes over all cells. Multi-row cells are first-class: MLL handles
+/// their row/parity constraints.
 
 #include <cstdint>
 
@@ -19,15 +21,6 @@
 #include "legalize/mll.hpp"
 
 namespace mrlg {
-
-struct DetailedPlacementOptions {
-    MllOptions mll;
-    /// Improvement passes over all cells.
-    int max_passes = 2;
-    /// Process cells in descending estimated gain (distance to median)
-    /// instead of id order.
-    bool gain_ordered = true;
-};
 
 struct DetailedPlacementStats {
     int passes = 0;
@@ -45,12 +38,11 @@ struct DetailedPlacementStats {
     }
 };
 
-/// Optimizes HPWL over all movable, placed cells of `db`. The placement
-/// must be legal on entry; it is legal after every accepted or rejected
-/// move (instant legalization).
+/// Optimizes HPWL over all movable, placed cells of `db`, moving each
+/// through mll_place with `opts`. The placement must be legal on entry; it
+/// is legal after every accepted or rejected move (instant legalization).
 DetailedPlacementStats detailed_place(Database& db, SegmentGrid& grid,
-                                      const DetailedPlacementOptions& opts
-                                      = {});
+                                      const MllOptions& opts = {});
 
 struct SwapStats {
     std::size_t swaps_attempted = 0;

@@ -70,7 +70,7 @@ LegalityReport check_legality(const Database& db, const SegmentGrid& grid,
                 ++rep.num_overlaps;
                 break;
         }
-        if (rep.messages.size() >= opts.max_messages) {
+        if (rep.messages.size() >= kMaxLegalityMessages) {
             return;
         }
         switch (v.kind) {

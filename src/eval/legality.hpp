@@ -17,14 +17,16 @@
 
 namespace mrlg {
 
+/// LegalityReport::messages stops growing at this many violations; the
+/// counters still count them all.
+inline constexpr std::size_t kMaxLegalityMessages = 32;
+
 struct LegalityOptions {
     /// Enforce constraint 4 (power-rail parity). Disabled for the paper's
     /// "Power Line Not Aligned" experiment.
     bool check_rail_alignment = true;
     /// Require every movable cell to be placed.
     bool require_all_placed = true;
-    /// Stop collecting messages after this many violations.
-    std::size_t max_messages = 32;
     /// Record every overlapping cell pair in LegalityReport::overlap_pairs
     /// (uncapped, complete per-row pair enumeration). Off by default —
     /// used by the qa/ differential oracle to compare the sweep against an

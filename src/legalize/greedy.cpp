@@ -175,7 +175,7 @@ GreedyStats greedy_legalize(Database& db, SegmentGrid& grid,
     for (const CellId c : order) {
         const Cell& cell = db.cell(c);
         const auto best = find_nearest_free_position(
-            db, grid, c, cell.gp_x(), cell.gp_y(), opts.check_rail);
+            db, grid, c, cell.gp_x(), cell.gp_y(), /*check_rail=*/true);
         if (best) {
             grid.place(db, c, best->x, best->y);
         } else {

@@ -15,8 +15,8 @@
 
 namespace mrlg {
 
+/// Options of greedy_legalize. It always honours the power-rail parity.
 struct GreedyOptions {
-    bool check_rail = true;
     enum class Order {
         kLeftToRight,    ///< Classic Tetris order (by gp x).
         kAreaDescending, ///< Big cells first — helps multi-row cells fit.

@@ -21,19 +21,6 @@ struct InsertionInterval {
     int gap = 0;  ///< Gap index in row k: between cells[gap-1] and cells[gap].
     SiteCoord lo = 0;  ///< Leftmost feasible target x (inclusive).
     SiteCoord hi = 0;  ///< Rightmost feasible target x (inclusive).
-
-    /// Local-cell index left of the gap, or -1 at the segment wall.
-    int left_cell(const LocalProblem& lp) const {
-        return gap > 0 ? lp.row(k).cells[static_cast<std::size_t>(gap - 1)]
-                       : -1;
-    }
-    /// Local-cell index right of the gap, or -1 at the segment wall.
-    int right_cell(const LocalProblem& lp) const {
-        const std::span<const int> cells = lp.row(k).cells;
-        return gap < static_cast<int>(cells.size())
-                   ? cells[static_cast<std::size_t>(gap)]
-                   : -1;
-    }
 };
 
 /// Builds all non-discarded intervals for a target of width `target_w`.

@@ -122,13 +122,13 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
     {
         MRLG_OBS_PHASE("setup");
         // The cells to place are queued in input order and only they are
-        // ordered. Every order is a stable sort, and a stable sort
-        // commutes with filtering, so the queue equals sorting every
-        // movable cell and keeping the unplaced ones. One pass reads each
-        // cell once: it takes the width maximum, unplaces under
-        // unplace_first and queues. The queue is reserved once at the cell
-        // count, the most it can hold, since growing it by doubling
-        // measurably raised the legalizer's peak memory.
+        // ordered, multi-row cells first (LegalizerOptions). The order is
+        // a stable sort, and a stable sort commutes with filtering, so the
+        // queue equals sorting every movable cell and keeping the unplaced
+        // ones. One pass reads each cell once: it takes the width maximum,
+        // unplaces under unplace_first and queues. The queue is reserved
+        // once at the cell count, the most it can hold, since growing it
+        // by doubling measurably raised the legalizer's peak memory.
         unplaced.reserve(db.num_cells());
         for (std::size_t i = 0; i < db.num_cells(); ++i) {
             const CellId c{static_cast<CellId::underlying>(i)};
@@ -145,13 +145,10 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                 unplaced.push_back(c);
             }
         }
-        if (opts.order == LegalizerOptions::Order::kMultiRowFirst) {
-            std::stable_sort(unplaced.begin(), unplaced.end(),
-                             [&](CellId a, CellId b) {
-                                 return db.cell(a).height() >
-                                        db.cell(b).height();
-                             });
-        }
+        std::stable_sort(unplaced.begin(), unplaced.end(),
+                         [&](CellId a, CellId b) {
+                             return db.cell(a).height() > db.cell(b).height();
+                         });
         audit_grid(AuditLevel::kCheap);  // post-setup pre-condition
     }
 
@@ -443,14 +440,11 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
 
     // Algorithm 1: round 1 tries every cell at its input position (lines
     // 2-7), later rounds at growing random offsets (lines 9-17).
-    for (int round = 1; !unplaced.empty() && round <= opts.max_rounds;
-         ++round) {
+    for (int round = 1; !unplaced.empty() && round <= kMaxRounds; ++round) {
         MRLG_OBS_PHASE("round");
         stats.rounds = round;
         const bool allow_fallback = round >= opts.free_slot_fallback_round;
-        const bool allow_ripup =
-            opts.enable_ripup &&
-            round >= opts.free_slot_fallback_round + 2;
+        const bool allow_ripup = round >= opts.free_slot_fallback_round + 2;
         unplaced =
             run_pipelined_round(round, allow_fallback, allow_ripup, unplaced);
         audit_grid(AuditLevel::kCheap);  // post-round invariants

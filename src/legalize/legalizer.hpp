@@ -16,37 +16,35 @@
 
 namespace mrlg {
 
+/// Bound on retry rounds (Algorithm 1's while-loop runs until empty; we
+/// guard against infeasible inputs). A round whose offsets reach the die
+/// size effectively searches everywhere.
+inline constexpr int kMaxRounds = 64;
+
+/// Options of legalize_placement. Every run queues the cells to place
+/// multi-row cells first, input order within each height: single-row cells
+/// can always squeeze into leftover gaps, but a late multi-row cell can be
+/// starved when earlier single-row cells consume the paired-row capacity
+/// (MLL never moves a placed cell across rows, §4). The paper leaves the
+/// order "arbitrary"; this is the robust arbitrary choice.
 struct LegalizerOptions {
     MllOptions mll;
     std::uint64_t seed = 1;
-    /// Bound on retry rounds (Algorithm 1's while-loop runs until empty;
-    /// we guard against infeasible inputs). A round whose offsets reach
-    /// the die size effectively searches everywhere.
-    int max_rounds = 64;
-    enum class Order {
-        kInputOrder,   ///< Paper: "arbitrary order".
-        /// Multi-row cells first (input order within each group). Single-
-        /// row cells can always squeeze into leftover gaps, but a late
-        /// multi-row cell can be starved when earlier single-row cells
-        /// consume the paired-row capacity (MLL never moves a placed cell
-        /// across rows, §4). The paper leaves the order "arbitrary"; this
-        /// is the robust arbitrary choice, and the default.
-        kMultiRowFirst,
-    };
-    Order order = Order::kMultiRowFirst;
     /// Unplace all movable cells before starting (Algorithm 1 line 1).
+    /// False makes an ECO call: placed cells stay and only the unplaced
+    /// ones are queued.
     bool unplace_first = true;
     /// From this retry round on, a failed MLL attempt additionally falls
     /// back to the nearest completely free slot (deterministic; no cells
     /// moved). Algorithm 1's random offsets alone can keep missing the
     /// few remaining free pockets on very dense designs; the fallback
-    /// bounds the tail. Set past max_rounds to disable.
+    /// bounds the tail. Two rounds later rip-up joins it as the last
+    /// resort: evict single-row cells under a candidate footprint, place
+    /// the target and re-insert the evicted cells (transactional — see
+    /// ripup.hpp). Rip-up rescues a multi-row cell whose paired-row
+    /// capacity was starved, as an ECO call can find it. A value past
+    /// kMaxRounds disables both.
     int free_slot_fallback_round = 6;
-    /// Last resort, two rounds after the free-slot fallback: evict
-    /// single-row cells under a candidate footprint, place the target and
-    /// re-insert the evicted cells (transactional — see ripup.hpp).
-    /// Rescues multi-row cells whose paired-row capacity was starved.
-    bool enable_ripup = true;
     /// Worker threads for the plan fan-out: each wave's MLL problems are
     /// planned concurrently (legalize/pipeline.hpp), and each attempt
     /// scans its insertion points serially on its worker. 0 means the

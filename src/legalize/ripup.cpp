@@ -76,7 +76,7 @@ RipupResult ripup_place(Database& db, SegmentGrid& grid, CellId target,
     int tried = 0;
     for (const SiteCoord y : rows) {
         for (const SiteCoord dx : x_offsets) {
-            if (tried >= opts.max_candidates) {
+            if (tried >= kMaxRipupCandidates) {
                 return res;
             }
             const SiteCoord x = x0 + dx;

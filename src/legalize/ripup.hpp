@@ -18,6 +18,10 @@
 
 namespace mrlg {
 
+/// Candidate footprints one rip-up examines (rows near the preferred row ×
+/// x offsets near the preferred x).
+inline constexpr int kMaxRipupCandidates = 24;
+
 struct RipupOptions {
     /// The re-insertions' MLL options. At `mll.audit` kFull the segment
     /// grid is also audited after every committed transaction and after
@@ -25,9 +29,6 @@ struct RipupOptions {
     /// the audit verifies the grid is at least structurally intact). See
     /// check/audit.hpp.
     MllOptions mll;
-    /// Candidate footprints to examine (rows near the preferred row ×
-    /// x offsets near the preferred x).
-    int max_candidates = 24;
     /// Refuse to evict more than this many cells per candidate.
     std::size_t max_evictions = 8;
 };

@@ -10,24 +10,17 @@ namespace mrlg::obs {
 
 namespace {
 
-const char* to_string(LegalizerOptions::Order order) {
-    switch (order) {
-        case LegalizerOptions::Order::kInputOrder: return "input";
-        case LegalizerOptions::Order::kMultiRowFirst:
-            return "multi_row_first";
-    }
-    return "unknown";
-}
-
 Json options_json(const LegalizerOptions& o, bool check_rail,
                   int num_threads) {
     Json j = Json::object();
     j.set("seed", Json::num(static_cast<std::int64_t>(o.seed)));
     j.set("num_threads", Json::num(num_threads));
-    j.set("order", Json::str(to_string(o.order)));
-    j.set("max_rounds", Json::num(o.max_rounds));
+    // order, max_rounds and enable_ripup are fixed (legalizer.hpp); the
+    // report keeps their keys so schema v3 stays as it is.
+    j.set("order", Json::str("multi_row_first"));
+    j.set("max_rounds", Json::num(kMaxRounds));
     j.set("free_slot_fallback_round", Json::num(o.free_slot_fallback_round));
-    j.set("enable_ripup", Json::boolean(o.enable_ripup));
+    j.set("enable_ripup", Json::boolean(true));
     j.set("audit", Json::str(mrlg::to_string(o.audit)));
     j.set("rx", Json::num(static_cast<std::int64_t>(o.mll.rx)));
     j.set("ry", Json::num(static_cast<std::int64_t>(o.mll.ry)));

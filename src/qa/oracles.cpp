@@ -500,19 +500,16 @@ LegalizerStats reference_legalize(Database& db, SegmentGrid& grid,
         }
     }
     // Multi-row first: taller cells first, input order on ties.
-    if (opts.order == LegalizerOptions::Order::kMultiRowFirst) {
-        std::stable_sort(queue.begin(), queue.end(), [&](CellId a, CellId b) {
-            return db.cell(a).height() > db.cell(b).height();
-        });
-    }
+    std::stable_sort(queue.begin(), queue.end(), [&](CellId a, CellId b) {
+        return db.cell(a).height() > db.cell(b).height();
+    });
 
     const MllOptions& mopts = opts.mll;
     RipupOptions ropts;
     ropts.mll = mopts;
     MllScratch scratch;
     Rng rng(opts.seed);
-    for (int round = 1; !queue.empty() && round <= opts.max_rounds;
-         ++round) {
+    for (int round = 1; !queue.empty() && round <= kMaxRounds; ++round) {
         stats.rounds = round;
         const SiteCoord range_x = mopts.rx * (round - 1);
         const SiteCoord range_y = mopts.ry * (round - 1);
@@ -550,8 +547,7 @@ LegalizerStats reference_legalize(Database& db, SegmentGrid& grid,
             if (slot) {
                 grid.place(db, c, slot->x, slot->y);
                 ++stats.fallback_placements;
-            } else if (opts.enable_ripup &&
-                       round >= opts.free_slot_fallback_round + 2 &&
+            } else if (round >= opts.free_slot_fallback_round + 2 &&
                        ripup_place(db, grid, c, cell.gp_x(), cell.gp_y(),
                                    ropts, &scratch)
                            .success) {

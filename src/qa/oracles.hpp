@@ -109,7 +109,7 @@ std::string diff_ripup_rollback(Database& db, SegmentGrid& grid,
 /// tries every still-unplaced cell once, in queue order, at its jittered
 /// position — the direct slot, then mll_place, then (from
 /// free_slot_fallback_round) the nearest free slot, then (two rounds
-/// later, when enabled) rip-up. legalize_placement's plan/commit waves
+/// later) rip-up. legalize_placement's plan/commit waves
 /// must reproduce it exactly. Fills every LegalizerStats field except
 /// waves, conflict_requeues, audits_run and runtime_s.
 LegalizerStats reference_legalize(Database& db, SegmentGrid& grid,

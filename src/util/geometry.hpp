@@ -35,13 +35,6 @@ inline std::ostream& operator<<(std::ostream& os, const Point& p) {
     return os << '(' << p.x << ',' << p.y << ')';
 }
 
-/// Manhattan distance between two points.
-constexpr SiteCoord manhattan(const Point& a, const Point& b) {
-    const SiteCoord dx = a.x >= b.x ? a.x - b.x : b.x - a.x;
-    const SiteCoord dy = a.y >= b.y ? a.y - b.y : b.y - a.y;
-    return dx + dy;
-}
-
 /// Half-open 1-D interval [lo, hi). Empty when hi <= lo.
 struct Span {
     SiteCoord lo = 0;
@@ -114,11 +107,6 @@ constexpr Rect intersect(const Rect& a, const Rect& b) {
 inline std::ostream& operator<<(std::ostream& os, const Rect& r) {
     return os << "Rect{" << r.x << ',' << r.y << " " << r.w << 'x' << r.h
               << '}';
-}
-
-/// Overlap area of two rectangles (0 when disjoint).
-constexpr std::int64_t overlap_area(const Rect& a, const Rect& b) {
-    return intersect(a, b).area();
 }
 
 }  // namespace mrlg

@@ -36,22 +36,4 @@ std::string format_fixed(double value, int digits) {
     return buf;
 }
 
-std::string format_si(double value) {
-    const char* suffix = "";
-    double v = value;
-    if (v >= 1e9) {
-        v /= 1e9;
-        suffix = "G";
-    } else if (v >= 1e6) {
-        v /= 1e6;
-        suffix = "M";
-    } else if (v >= 1e3) {
-        v /= 1e3;
-        suffix = "k";
-    }
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.2f%s", v, suffix);
-    return buf;
-}
-
 }  // namespace mrlg

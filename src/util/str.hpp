@@ -17,7 +17,4 @@ bool iequals(std::string_view a, std::string_view b);
 /// Format a double with `digits` decimals (locale-independent).
 std::string format_fixed(double value, int digits);
 
-/// Format like "1.23k" / "4.5M" for large counts.
-std::string format_si(double value);
-
 }  // namespace mrlg

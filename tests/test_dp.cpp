@@ -99,8 +99,8 @@ TEST(DetailedPlacer, RelaxedRailRecoversMore) {
     double imp[2];
     for (int mode = 0; mode < 2; ++mode) {
         DpFixture f = legalized_design(29, 700, 0.45);
-        DetailedPlacementOptions opts;
-        opts.mll.check_rail = mode == 0;
+        MllOptions opts;
+        opts.check_rail = mode == 0;
         imp[mode] = detailed_place(f.db, f.grid, opts).improvement_pct();
         LegalityOptions lopts;
         lopts.check_rail_alignment = mode == 0;
@@ -111,26 +111,16 @@ TEST(DetailedPlacer, RelaxedRailRecoversMore) {
 
 TEST(DetailedPlacer, ConvergesWithinPassLimit) {
     DpFixture f = legalized_design(31, 400, 0.4);
-    DetailedPlacementOptions opts;
-    opts.max_passes = 20;
-    const DetailedPlacementStats stats = detailed_place(f.db, f.grid, opts);
-    // Accept-if-improves (exact HPWL delta, min-gain threshold) converges
-    // well before 20 passes on 400 cells.
-    EXPECT_LT(stats.passes, 20);
-    EXPECT_TRUE(check_legality(f.db, f.grid).legal);
-}
-
-TEST(DetailedPlacer, GainOrderingNotWorseThanIdOrder) {
-    double after[2];
-    for (int mode = 0; mode < 2; ++mode) {
-        DpFixture f = legalized_design(37);
-        DetailedPlacementOptions opts;
-        opts.gain_ordered = mode == 1;
-        opts.max_passes = 1;
-        after[mode] = detailed_place(f.db, f.grid, opts).hpwl_after_um;
+    // Each call runs at most two passes and starts where the last one
+    // stopped. Accept-if-improves (exact HPWL delta, min-gain threshold)
+    // converges well before 20 passes on 400 cells: some call within ten
+    // accepts no move.
+    int calls = 1;
+    while (detailed_place(f.db, f.grid).moves_accepted > 0 && calls < 10) {
+        ++calls;
     }
-    // Same pass budget: gain-first should recover at least ~as much.
-    EXPECT_LE(after[1], after[0] * 1.02);
+    EXPECT_LT(calls, 10);
+    EXPECT_TRUE(check_legality(f.db, f.grid).legal);
 }
 
 TEST(SwapPass, SwapsTwoCellsInEachOthersSpot) {

@@ -39,17 +39,17 @@ CellId add_unplaced(Database& db, const std::string& name, double gp_x,
     return ::testing::AssertionFailure() << r.to_string();
 }
 
-Database ripup_starved_design() {
-    Database db = empty_design(4, 40);
+StarvedDesign ripup_starved_design() {
+    StarvedDesign s{empty_design(4, 40), SegmentGrid{}, CellId{}};
+    s.grid = SegmentGrid::build(s.db);
     for (int i = 0; i < 8; ++i) {
-        db.cell(db.add_cell(Cell("r1_" + std::to_string(i), 5, 1)))
-            .set_gp(i * 5.0, 1.0);
-        db.cell(db.add_cell(Cell("r2_" + std::to_string(i), 5, 1)))
-            .set_gp(i * 5.0, 2.0);
+        add_placed(s.db, s.grid, "r1_" + std::to_string(i),
+                   static_cast<SiteCoord>(i * 5), 1, 5, 1);
+        add_placed(s.db, s.grid, "r2_" + std::to_string(i),
+                   static_cast<SiteCoord>(i * 5), 2, 5, 1);
     }
-    db.cell(db.add_cell(Cell("dbl", 4, 2, RailPhase::kOdd)))
-        .set_gp(18.0, 1.0);
-    return db;
+    s.stuck = add_unplaced(s.db, "dbl", 18.0, 1.0, 4, 2, RailPhase::kOdd);
+    return s;
 }
 
 RandomDesign random_legal_design(Rng& rng, SiteCoord rows, SiteCoord sites,

@@ -90,9 +90,7 @@ TEST(Integration, GpCrowdedAtTheCentreNeedsRetryRounds) {
                     cell.gp_y() + 0.97 * (cy - cell.gp_y()));
     }
     SegmentGrid grid = SegmentGrid::build(gen.db);
-    LegalizerOptions opts;
-    opts.max_rounds = 128;
-    const LegalizerStats s = legalize_placement(gen.db, grid, opts);
+    const LegalizerStats s = legalize_placement(gen.db, grid);
     EXPECT_TRUE(s.success) << s.unplaced;
     EXPECT_TRUE(check_legality(gen.db, grid).legal);
     EXPECT_GT(s.rounds, 1);

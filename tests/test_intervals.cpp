@@ -84,16 +84,21 @@ TEST(Intervals, ZeroLengthKept) {
 }
 
 TEST(Intervals, LeftRightCellAccessors) {
+    // An interval's left and right cells are its row's cells gap-1 and
+    // gap; a gap at a segment wall has no cell on that side.
     Database db = empty_design(1, 50);
     SegmentGrid grid = SegmentGrid::build(db);
     const CellId a = add_placed(db, grid, "a", 10, 0, 5, 1);
     LocalProblem lp;
     const auto ivs = intervals_for(db, grid, Rect{0, 0, 50, 1}, 4, &lp);
     ASSERT_EQ(ivs.size(), 2u);
-    EXPECT_EQ(ivs[0].left_cell(lp), -1);
-    EXPECT_EQ(lp.cell(ivs[0].right_cell(lp)).id, a);
-    EXPECT_EQ(lp.cell(ivs[1].left_cell(lp)).id, a);
-    EXPECT_EQ(ivs[1].right_cell(lp), -1);
+    const std::span<const int> cells = lp.row(0).cells;
+    ASSERT_EQ(cells.size(), 1u);
+    EXPECT_EQ(lp.cell(cells[0]).id, a);
+    EXPECT_EQ(ivs[0].k, 0);
+    EXPECT_EQ(ivs[0].gap, 0);  // wall | a
+    EXPECT_EQ(ivs[1].k, 0);
+    EXPECT_EQ(ivs[1].gap, 1);  // a | wall
 }
 
 TEST(Intervals, PerRowCountsWithMultiRowCell) {
@@ -126,14 +131,17 @@ TEST(Intervals, BoundsAreFeasiblePositions) {
             EXPECT_GE(iv.lo, row.span.lo);
             EXPECT_LE(iv.hi + wt, row.span.hi);
             EXPECT_LE(iv.lo, iv.hi);
-            // lo not left of the leftmost-packed left cell's right edge.
-            const int lc = iv.left_cell(lp);
-            if (lc >= 0) {
-                EXPECT_EQ(iv.lo, lp.cell(lc).xl + lp.cell(lc).w);
+            // Gap g lies between row cells g-1 and g: lo is the
+            // leftmost-packed left cell's right edge, hi the
+            // rightmost-packed right cell's left edge minus the width.
+            const auto g = static_cast<std::size_t>(iv.gap);
+            if (g > 0) {
+                const LpCell& lc = lp.cell(row.cells[g - 1]);
+                EXPECT_EQ(iv.lo, lc.xl + lc.w);
             }
-            const int rc = iv.right_cell(lp);
-            if (rc >= 0) {
-                EXPECT_EQ(iv.hi, lp.cell(rc).xr - wt);
+            if (g < row.cells.size()) {
+                const LpCell& rc = lp.cell(row.cells[g]);
+                EXPECT_EQ(iv.hi, rc.xr - wt);
             }
         }
     }

@@ -160,11 +160,9 @@ TEST(Legality, MessageCapRespected) {
     for (int i = 0; i < 50; ++i) {
         db.add_cell(Cell("u" + std::to_string(i), 2, 1));
     }
-    LegalityOptions opts;
-    opts.max_messages = 5;
-    const LegalityReport rep = check_legality(db, grid, opts);
+    const LegalityReport rep = check_legality(db, grid);
     EXPECT_EQ(rep.num_unplaced, 50u);
-    EXPECT_EQ(rep.messages.size(), 5u);
+    EXPECT_EQ(rep.messages.size(), kMaxLegalityMessages);
 }
 
 TEST(PositionLegalForCell, ChecksEverything) {

@@ -149,10 +149,9 @@ TEST(Legalizer, InfeasibleDesignReportsFailure) {
         add_unplaced(db, "c" + std::to_string(i), 5.0, 0.0, 6, 1);
     }
     SegmentGrid grid = SegmentGrid::build(db);
-    LegalizerOptions opts;
-    opts.max_rounds = 5;  // keep the failure fast
-    const LegalizerStats s = legalize_placement(db, grid, opts);
+    const LegalizerStats s = legalize_placement(db, grid);
     EXPECT_FALSE(s.success);
+    EXPECT_EQ(s.rounds, kMaxRounds);
     EXPECT_GT(s.unplaced, 0u);
     // Whatever was placed is still legal.
     LegalityOptions lopts;
@@ -160,17 +159,17 @@ TEST(Legalizer, InfeasibleDesignReportsFailure) {
     EXPECT_TRUE(check_legality(db, grid, lopts).legal);
 }
 
-TEST(Legalizer, OrderingOptionsAllSucceed) {
-    for (const auto order : {LegalizerOptions::Order::kInputOrder,
-                             LegalizerOptions::Order::kMultiRowFirst}) {
-        Rng rng(107);
-        Database db = scattered_design(rng, 10, 120, 100, 15);
-        SegmentGrid grid = SegmentGrid::build(db);
-        LegalizerOptions opts;
-        opts.order = order;
-        EXPECT_TRUE(legalize_placement(db, grid, opts).success);
-        EXPECT_TRUE(check_legality(db, grid).legal);
-    }
+TEST(Legalizer, MultiRowCellsQueueFirst) {
+    // Legalized afresh, the starved design needs no rip-up: the
+    // double-row cell, last in input order, is queued first and takes
+    // rows 1-2 before the single-row cells fill them.
+    StarvedDesign d = ripup_starved_design();
+    const LegalizerStats s = legalize_placement(d.db, d.grid);
+    EXPECT_TRUE(s.success);
+    EXPECT_EQ(s.rounds, 1);
+    EXPECT_EQ(s.ripup_placements, 0u);
+    EXPECT_EQ(d.db.cell(d.stuck).y(), 1);
+    EXPECT_TRUE(check_legality(d.db, d.grid).legal);
 }
 
 TEST(Legalizer, WorksAroundBlockages) {

@@ -9,7 +9,6 @@
 #include "legalize/mll.hpp"
 #include "obs/trace.hpp"
 #include "test_helpers.hpp"
-#include "util/str.hpp"
 
 namespace mrlg::test {
 namespace {
@@ -56,22 +55,23 @@ TEST(Options, MllWindowRadiiChangeRegionSize) {
 }
 
 TEST(Options, LegalizerFallbackCanBeDisabled) {
-    // With fallback and rip-up pushed past max_rounds, a design that needs
-    // them fails — proving the flags gate the mechanisms.
+    // With fallback and rip-up pushed past kMaxRounds, an ECO call that
+    // needs them fails — proving free_slot_fallback_round gates the
+    // mechanisms.
     for (const bool enable : {false, true}) {
-        Database db = ripup_starved_design();
-        SegmentGrid grid = SegmentGrid::build(db);
+        StarvedDesign d = ripup_starved_design();
         LegalizerOptions opts;
-        opts.order = LegalizerOptions::Order::kInputOrder;  // adversarial
-        opts.max_rounds = 12;
-        opts.enable_ripup = enable;
-        // Rows 1-2 fill completely; the double-height cell then depends on
-        // rip-up (free rows 0 and 3 are not paired).
-        const LegalizerStats s = legalize_placement(db, grid, opts);
-        EXPECT_EQ(s.success, enable) << "enable_ripup=" << enable;
-        if (enable) {
-            EXPECT_GE(s.ripup_placements, 1u);
+        opts.unplace_first = false;
+        if (!enable) {
+            opts.free_slot_fallback_round = kMaxRounds + 1;
         }
+        // Rows 1-2 are full; the double-height cell then depends on
+        // rip-up (free rows 0 and 3 are not paired).
+        const LegalizerStats s = legalize_placement(d.db, d.grid, opts);
+        EXPECT_EQ(s.success, enable) << "enable=" << enable;
+        EXPECT_EQ(s.ripup_placements, enable ? 1u : 0u);
+        EXPECT_EQ(s.rounds, enable ? opts.free_slot_fallback_round + 2
+                                   : kMaxRounds);
     }
 }
 
@@ -86,15 +86,13 @@ TEST(Options, MllOutcomeCountersAgreeWithAndWithoutMip) {
     std::vector<std::uint64_t> counts[2];
     std::size_t failures[2] = {0, 0};
     for (const bool mip : {false, true}) {
-        Database db = ripup_starved_design();
-        SegmentGrid grid = SegmentGrid::build(db);
+        StarvedDesign d = ripup_starved_design();
         LegalizerOptions opts;
-        opts.order = LegalizerOptions::Order::kInputOrder;
-        opts.max_rounds = 12;
+        opts.unplace_first = false;  // the ECO call that needs rip-up
         opts.mll.use_mip = mip;
         obs::Tracer tracer;
         obs::ScopedTracer install(tracer);
-        const LegalizerStats s = legalize_placement(db, grid, opts);
+        const LegalizerStats s = legalize_placement(d.db, d.grid, opts);
         EXPECT_TRUE(s.success);
         failures[mip ? 1 : 0] = s.mll_failures;
         for (const char* name : outcomes) {
@@ -129,17 +127,18 @@ TEST(Options, MipWithoutFeasiblePointCountsNoInsertionPoint) {
 }
 
 TEST(Options, LegalizerMaxRoundsBoundsWork) {
+    // Three 5-site cells, one 10-site row: one cell never fits, and the
+    // legalizer gives up after kMaxRounds.
     Database db = empty_design(1, 10);
     for (int i = 0; i < 3; ++i) {
         db.cell(db.add_cell(Cell("c" + std::to_string(i), 5, 1)))
             .set_gp(0.0, 0.0);
     }
     SegmentGrid grid = SegmentGrid::build(db);
-    LegalizerOptions opts;
-    opts.max_rounds = 3;
-    const LegalizerStats s = legalize_placement(db, grid, opts);
+    const LegalizerStats s = legalize_placement(db, grid);
     EXPECT_FALSE(s.success);
-    EXPECT_LE(s.rounds, 3);
+    EXPECT_EQ(s.unplaced, 1u);
+    EXPECT_EQ(s.rounds, kMaxRounds);
 }
 
 TEST(Options, UnplaceFirstFalseKeepsExistingPlacement) {
@@ -163,13 +162,6 @@ TEST(Options, UnplaceFirstFalseKeepsExistingPlacement) {
         moved += d.db.cells()[i].pos() == before[i] ? 0 : 1;
     }
     EXPECT_LT(moved, 10u);
-}
-
-TEST(Options, FormatSiHelper) {
-    EXPECT_EQ(format_si(1234.0), "1.23k");
-    EXPECT_EQ(format_si(2500000.0), "2.50M");
-    EXPECT_EQ(format_si(3.2e9), "3.20G");
-    EXPECT_EQ(format_si(12.0), "12.00");
 }
 
 }  // namespace

@@ -128,7 +128,6 @@ TEST(ParallelDeterminism, LegalityReportIdenticalAcrossThreadCounts) {
 
     LegalityOptions base;
     base.require_all_placed = false;
-    base.max_messages = 1000;
 
     base.num_threads = 1;
     const LegalityReport serial = check_legality(d.db, d.grid, base);

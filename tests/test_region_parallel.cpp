@@ -186,9 +186,11 @@ TEST(LevelSchedule, LevelsEqualGreedyWaveByWavePartition) {
 // ---------------------------------------------------------------------------
 // Whole-flow bit-identity: plan/commit waves vs the serial reference loop.
 
+using Placement = std::vector<std::pair<SiteCoord, SiteCoord>>;
+
 /// Every cell's position; unplaced cells read (-1, -1).
-std::vector<std::pair<SiteCoord, SiteCoord>> positions(const Database& db) {
-    std::vector<std::pair<SiteCoord, SiteCoord>> pos;
+Placement positions(const Database& db) {
+    Placement pos;
     pos.reserve(db.num_cells());
     for (const Cell& c : db.cells()) {
         pos.emplace_back(c.placed() ? c.x() : -1, c.placed() ? c.y() : -1);
@@ -196,22 +198,35 @@ std::vector<std::pair<SiteCoord, SiteCoord>> positions(const Database& db) {
     return pos;
 }
 
-void unplace_all(Database& db, SegmentGrid& grid) {
+/// Puts every movable cell back where `start` (from positions()) has it:
+/// unplaced, or placed at the recorded site. An empty `start` leaves every
+/// movable cell unplaced.
+void restore(Database& db, SegmentGrid& grid, const Placement& start) {
     for (const CellId c : db.movable_cells()) {
         if (db.cell(c).placed()) {
             grid.remove(db, c);
         }
     }
+    if (start.empty()) {
+        return;
+    }
+    for (const CellId c : db.movable_cells()) {
+        const auto [x, y] = start[c.value()];
+        if (y >= 0) {
+            grid.place(db, c, x, y);
+        }
+    }
 }
 
 struct RunOutcome {
-    std::vector<std::pair<SiteCoord, SiteCoord>> pos;
+    Placement pos;
     LegalizerStats stats;
 };
 
+/// One legalizer run from the starting placement `start` (see restore).
 RunOutcome run(Database& db, SegmentGrid& grid, LegalizerOptions opts,
-               int threads) {
-    unplace_all(db, grid);
+               int threads, const Placement& start = {}) {
+    restore(db, grid, start);
     opts.num_threads = threads;
     // Every run records a wall-clock timeline: this test sits in the
     // `parallel` tier that CI re-runs under TSan, so the Timeline's
@@ -225,8 +240,9 @@ RunOutcome run(Database& db, SegmentGrid& grid, LegalizerOptions opts,
 }
 
 RunOutcome run_reference(Database& db, SegmentGrid& grid,
-                         const LegalizerOptions& opts) {
-    unplace_all(db, grid);
+                         const LegalizerOptions& opts,
+                         const Placement& start) {
+    restore(db, grid, start);
     RunOutcome out;
     out.stats = qa::reference_legalize(db, grid, opts);
     out.pos = positions(db);
@@ -282,16 +298,18 @@ const char* golden_name(int flavour) {
                           : "fenced_dense";
 }
 
-/// Runs the legalizer at 1, 2 and 8 threads and the reference loop once;
-/// all must agree. Returns the 1-thread stats so callers can assert that
-/// a case really reaches the fallback or rip-up rounds.
+/// Runs the legalizer at 1, 2 and 8 threads and the reference loop once,
+/// each from the placement `db` holds on entry; all must agree. Returns
+/// the 1-thread stats so callers can assert that a case really reaches
+/// the fallback or rip-up rounds.
 LegalizerStats expect_pipeline_identity(Database& db, SegmentGrid& grid,
                                         const LegalizerOptions& opts,
                                         const std::string& what) {
-    const RunOutcome reference = run_reference(db, grid, opts);
+    const Placement start = positions(db);
+    const RunOutcome reference = run_reference(db, grid, opts, start);
     RunOutcome first;
     for (const int threads : {1, 2, 8}) {
-        const RunOutcome rp = run(db, grid, opts, threads);
+        const RunOutcome rp = run(db, grid, opts, threads, start);
         expect_equal(rp, reference, what);
         EXPECT_GT(rp.stats.waves, 0u) << what;
         if (threads == 1) {
@@ -344,15 +362,51 @@ TEST(RegionParallel, FallbackRoundsBitIdenticalToSerial) {
 }
 
 TEST(RegionParallel, RipupRoundBitIdenticalToSerial) {
-    Database db = ripup_starved_design();
-    SegmentGrid grid = SegmentGrid::build(db);
+    // An ECO call over the placed single-row cells starves the
+    // double-row cell until rip-up places it.
+    StarvedDesign d = ripup_starved_design();
     LegalizerOptions opts = default_options();
-    opts.order = LegalizerOptions::Order::kInputOrder;
-    opts.max_rounds = 12;
+    opts.unplace_first = false;
     const LegalizerStats s =
-        expect_pipeline_identity(db, grid, opts, "ripup_starved");
-    EXPECT_GT(s.ripup_placements, 0u);
+        expect_pipeline_identity(d.db, d.grid, opts, "ripup_starved eco");
+    EXPECT_EQ(s.ripup_placements, 1u);
     EXPECT_TRUE(s.success);
+}
+
+TEST(RegionParallel, EcoCallsBitIdenticalToSerial) {
+    // The ECO flow eco_stream measures: a legal placement, every 7th
+    // movable cell unplaced with its gp moved by ±12 sites, then a
+    // legalize call with unplace_first = false that keeps the rest.
+    for (int flavour = 0; flavour < 3; ++flavour) {
+        // Ten times the golden cell counts (2 800-3 300 cells), so each
+        // call places some 400 cells over tens of waves.
+        GenProfile p = golden_profile(flavour);
+        p.num_single *= 10;
+        p.num_double *= 10;
+        p.num_triple *= 10;
+        p.num_quad *= 10;
+        GenResult gen = generate_benchmark(p);
+        SegmentGrid grid = SegmentGrid::build(gen.db);
+        ASSERT_TRUE(legalize_placement(gen.db, grid, default_options())
+                        .success);
+        const std::vector<CellId> movable = gen.db.movable_cells();
+        for (std::size_t i = 0; i < movable.size(); i += 7) {
+            Cell& cell = gen.db.cell(movable[i]);
+            grid.remove(gen.db, movable[i]);
+            const double dx = (i / 7) % 2 == 0 ? 12.0 : -12.0;
+            cell.set_gp(cell.gp_x() + dx, cell.gp_y());
+        }
+        LegalizerOptions opts = default_options();
+        opts.unplace_first = false;
+        const std::string what = std::string(golden_name(flavour)) + " eco";
+        const LegalizerStats s =
+            expect_pipeline_identity(gen.db, grid, opts, what);
+        EXPECT_EQ(s.num_cells, movable.size()) << what;
+        EXPECT_EQ(s.direct_placements + s.mll_successes +
+                      s.fallback_placements + s.ripup_placements,
+                  (movable.size() + 6) / 7)
+            << what;
+    }
 }
 
 TEST(RegionParallel, FallbackIntoALaterTasksSlotKeepsSerialOrder) {
@@ -381,7 +435,7 @@ TEST(RegionParallel, FallbackIntoALaterTasksSlotKeepsSerialOrder) {
 TEST(RegionParallel, SaturatedDesignsDegradeGracefully) {
     // Adversarial high-density cases (qa fuzz generator): footprints
     // conflict constantly, so waves thin out toward serial order, and
-    // the cells left over run every barrier round up to max_rounds — the
+    // the cells left over run every barrier round up to kMaxRounds — the
     // result must stay bit-identical and the conflicts must be visible in
     // the stats.
     std::size_t total_requeues = 0;
@@ -392,7 +446,7 @@ TEST(RegionParallel, SaturatedDesignsDegradeGracefully) {
         const LegalizerStats s = expect_pipeline_identity(
             db, grid, default_options(),
             "saturated " + std::to_string(seed));
-        EXPECT_EQ(s.rounds, default_options().max_rounds);
+        EXPECT_EQ(s.rounds, kMaxRounds);
         total_requeues += s.conflict_requeues;
     }
     // At ~90% density the schedule must actually be deferring work.

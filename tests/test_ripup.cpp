@@ -8,31 +8,8 @@
 namespace mrlg::test {
 namespace {
 
-/// The deadlock scenario rip-up exists for: single-row cells consume the
-/// interior rows completely, leaving no paired-row capacity for a
-/// double-height cell anywhere, even though total free area is plentiful.
-struct Starved {
-    Database db;
-    SegmentGrid grid;
-    CellId stuck;
-};
-
-Starved starved_design() {
-    Starved s{empty_design(4, 40), SegmentGrid{}, CellId{}};
-    s.grid = SegmentGrid::build(s.db);
-    // Rows 1 and 2 filled to 100% by singles; rows 0 and 3 empty.
-    for (int i = 0; i < 8; ++i) {
-        add_placed(s.db, s.grid, "r1_" + std::to_string(i),
-                   static_cast<SiteCoord>(i * 5), 1, 5, 1);
-        add_placed(s.db, s.grid, "r2_" + std::to_string(i),
-                   static_cast<SiteCoord>(i * 5), 2, 5, 1);
-    }
-    s.stuck = add_unplaced(s.db, "dbl", 18.0, 1.0, 4, 2, RailPhase::kOdd);
-    return s;
-}
-
 TEST(Ripup, RescuesStarvedDoubleHeightCell) {
-    Starved s = starved_design();
+    StarvedDesign s = ripup_starved_design();
     // Plain MLL fails everywhere (rows 1-2 are full; pairs (0,1), (1,2),
     // (2,3) all include a full row; parity restricts to odd base rows).
     const MllPlan m = mll_place(s.db, s.grid, s.stuck, 18.0, 1.0);
@@ -122,9 +99,11 @@ TEST(Ripup, PlacedTargetAsserts) {
 }
 
 TEST(Ripup, LegalizerRescuesAdversarialOrderViaRipup) {
-    // Input order places all singles first (the starvation order).
-    // Algorithm 1 + free-slot fallback alone can deadlock; with rip-up the
-    // legalizer must finish.
+    // The starvation order through an ECO call: the single-row cells are
+    // legalized first, then the double-row cells join an ECO call
+    // (unplace_first = false) that may not move a placed cell across
+    // rows. Algorithm 1 + free-slot fallback alone can deadlock; with
+    // rip-up the legalizer must finish.
     Rng rng(97);
     Database db = empty_design(10, 100);
     for (int i = 0; i < 180; ++i) {
@@ -132,27 +111,35 @@ TEST(Ripup, LegalizerRescuesAdversarialOrderViaRipup) {
         add_unplaced(db, "s" + std::to_string(i),
                      rng.uniform01() * (100 - w), rng.uniform01() * 9, w, 1);
     }
+    SegmentGrid grid = SegmentGrid::build(db);
+    ASSERT_TRUE(legalize_placement(db, grid).success);
     for (int i = 0; i < 10; ++i) {
         const SiteCoord w = static_cast<SiteCoord>(rng.uniform(1, 4));
         add_unplaced(db, "d" + std::to_string(i),
                      rng.uniform01() * (100 - w), rng.uniform01() * 8, w, 2);
     }
-    SegmentGrid grid = SegmentGrid::build(db);
     LegalizerOptions opts;
-    opts.order = LegalizerOptions::Order::kInputOrder;  // adversarial
+    opts.unplace_first = false;
     const LegalizerStats stats = legalize_placement(db, grid, opts);
     EXPECT_TRUE(stats.success) << stats.unplaced << " unplaced";
+    EXPECT_GE(stats.ripup_placements, 1u);
     EXPECT_TRUE(check_legality(db, grid).legal);
 }
 
 TEST(Ripup, CandidateBudgetRespected) {
-    Starved s = starved_design();
-    RipupOptions opts;
-    opts.max_candidates = 0;
-    const RipupResult r =
-        ripup_place(s.db, s.grid, s.stuck, 18.0, 1.0, opts);
+    // Every rail-matching footprint lies on real sites, and every one
+    // covers a double-row cell, which rip-up never evicts: it examines
+    // kMaxRipupCandidates of them and gives up.
+    Database db = empty_design(60, 40);
+    SegmentGrid grid = SegmentGrid::build(db);
+    for (SiteCoord y = 0; y < 60; y += 2) {
+        add_placed(db, grid, "wall" + std::to_string(y), 0, y, 40, 2);
+    }
+    const CellId t = add_unplaced(db, "t", 18.0, 30.0, 4, 2);
+    const RipupResult r = ripup_place(db, grid, t, 18.0, 30.0);
     EXPECT_FALSE(r.success);
-    EXPECT_EQ(r.candidates_tried, 0u);
+    EXPECT_EQ(r.candidates_tried,
+              static_cast<std::size_t>(kMaxRipupCandidates));
 }
 
 }  // namespace

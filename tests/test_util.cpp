@@ -64,18 +64,6 @@ TEST(Rect, ContainsRect) {
     EXPECT_FALSE(r.contains(Rect{8, 8, 4, 4}));
 }
 
-TEST(Rect, OverlapArea) {
-    EXPECT_EQ(overlap_area(Rect{0, 0, 4, 4}, Rect{2, 2, 4, 4}), 4);
-    EXPECT_EQ(overlap_area(Rect{0, 0, 4, 4}, Rect{4, 0, 4, 4}), 0);
-    EXPECT_EQ(overlap_area(Rect{0, 0, 4, 4}, Rect{1, 1, 2, 2}), 4);
-}
-
-TEST(Geometry, Manhattan) {
-    EXPECT_EQ(manhattan(Point{0, 0}, Point{3, 4}), 7);
-    EXPECT_EQ(manhattan(Point{3, 4}, Point{0, 0}), 7);
-    EXPECT_EQ(manhattan(Point{-2, 1}, Point{2, -1}), 6);
-}
-
 // ---------------- assert ----------------
 
 TEST(Assert, ThrowsAssertionError) {

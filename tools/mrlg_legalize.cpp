@@ -157,9 +157,8 @@ int main(int argc, char** argv) {
             std::cout << "\n";
         }
         if (args.has("--dp")) {
-            DetailedPlacementOptions dopts;
-            dopts.mll = opts.mll;
-            const DetailedPlacementStats d = detailed_place(db, grid, dopts);
+            const DetailedPlacementStats d =
+                detailed_place(db, grid, opts.mll);
             if (!quiet) {
                 std::cout << "  detailed placement: " << d.moves_accepted
                           << "/" << d.moves_attempted << " moves, HPWL -"
