@@ -79,16 +79,9 @@ RunMetrics run_legalization(Database& db, SegmentGrid& grid,
     m.gp_hpwl_m = hpwl_m(db, PositionSource::kGlobalPlacement);
 
     const double cpu_start_s = process_cpu_s();
-    const LegalizerStats stats = legalize_placement(db, grid, opts);
+    m.stats = legalize_placement(db, grid, opts);
     m.cpu_s = process_cpu_s() - cpu_start_s;
     require_legal(db, grid, opts.mll.check_rail, where);
-    m.runtime_s = stats.runtime_s;
-    m.direct = stats.direct_placements;
-    m.mll = stats.mll_successes;
-    m.mll_failures = stats.mll_failures;
-    m.points_evaluated = stats.mll_points_evaluated;
-    m.waves = stats.waves;
-    m.conflict_requeues = stats.conflict_requeues;
     m.disp_avg_sites = displacement_stats(db).avg_sites;
     m.dhpwl_pct = hpwl_delta(db) * 100.0;
     return m;

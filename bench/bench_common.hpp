@@ -38,17 +38,11 @@ private:
 struct RunMetrics {
     double disp_avg_sites = 0.0;
     double dhpwl_pct = 0.0;
-    double runtime_s = 0.0;
     /// Process CPU time of the legalize_placement call: the work of every
     /// thread, which preemption by other load does not inflate.
     double cpu_s = 0.0;
     double gp_hpwl_m = 0.0;
-    std::size_t direct = 0;
-    std::size_t mll = 0;
-    std::size_t mll_failures = 0;      ///< Failed MLL attempts (retried).
-    std::size_t points_evaluated = 0;  ///< Insertion points scored by MLL.
-    std::size_t waves = 0;             ///< Plan/commit waves.
-    std::size_t conflict_requeues = 0; ///< Footprint-conflict deferrals.
+    LegalizerStats stats;  ///< The run's own stats, runtime_s included.
 };
 
 /// The JSON emitter lives in the product library now (obs/json.hpp) so

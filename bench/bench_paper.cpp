@@ -193,8 +193,8 @@ Sheet table1_sheet(const Ctx& ctx, std::string title, double base, Ilp ilp,
                     db.num_single_row_cells(), db.num_multi_row_cells(),
                     db.density(),              o.gp_hpwl_m};
                 if (ilp == Ilp::kNone) {
-                    v.insert(v.end(),
-                             {o.disp_avg_sites, o.dhpwl_pct, o.runtime_s});
+                    v.insert(v.end(), {o.disp_avg_sites, o.dhpwl_pct,
+                                       o.stats.runtime_s});
                     return v;
                 }
                 LegalizerOptions exact = ours;
@@ -202,9 +202,9 @@ Sheet table1_sheet(const Ctx& ctx, std::string title, double base, Ilp ilp,
                 exact.mll.use_mip = ilp == Ilp::kMip;
                 const RunMetrics e = run_legalization(
                     db, grid, exact, ctx.where(label + ", ILP"));
-                v.insert(v.end(), {e.disp_avg_sites, o.disp_avg_sites,
-                                   e.dhpwl_pct, o.dhpwl_pct, e.runtime_s,
-                                   o.runtime_s});
+                v.insert(v.end(),
+                         {e.disp_avg_sites, o.disp_avg_sites, e.dhpwl_pct,
+                          o.dhpwl_pct, e.stats.runtime_s, o.stats.runtime_s});
                 return v;
             }));
         }
@@ -287,7 +287,8 @@ Sheet ablation_eval(const Ctx& ctx) {
                 e.disp_avg_sites > 0
                     ? (a.disp_avg_sites / e.disp_avg_sites - 1.0) * 100.0
                     : 0.0,
-                a.runtime_s, e.runtime_s, ratio(e.runtime_s, a.runtime_s)};
+                a.stats.runtime_s, e.stats.runtime_s,
+                ratio(e.stats.runtime_s, a.stats.runtime_s)};
         }));
     }
     const std::vector<Row> rows = s.rows;
@@ -328,7 +329,7 @@ Sheet window_sweep(const Ctx& ctx) {
             const RunMetrics m =
                 run_legalization(gen.db, grid, opts, ctx.where(label));
             return std::vector<Value>{w.rx, w.ry, m.disp_avg_sites,
-                                      m.dhpwl_pct, m.runtime_s};
+                                      m.dhpwl_pct, m.stats.runtime_s};
         }));
     }
     return s;
@@ -370,12 +371,13 @@ Sheet baselines(const Ctx& ctx) {
                 return std::vector<Value>{
                     design, density, baseline, "rejected (multi-row cells)",
                     "-", "-", m.disp_avg_sites, "-", st.runtime_s,
-                    m.runtime_s};
+                    m.stats.runtime_s};
             }
             return std::vector<Value>{
                 design, density, baseline, st.success ? "legal" : "FAILED",
                 st.unplaced, disp, m.disp_avg_sites,
-                ratio(disp, m.disp_avg_sites), st.runtime_s, m.runtime_s};
+                ratio(disp, m.disp_avg_sites), st.runtime_s,
+                m.stats.runtime_s};
         };
         s.rows.push_back(ctx.repeat(label, [&](int) {
             reset_placement(gen.db, grid);
@@ -432,7 +434,7 @@ Sheet heights(const Ctx& ctx) {
             return std::vector<Value>{
                 mix.name,     p.num_single, p.num_double,
                 p.num_triple, p.num_quad,   m.disp_avg_sites,
-                m.dhpwl_pct,  m.runtime_s};
+                m.dhpwl_pct,  m.stats.runtime_s};
         }));
     }
     return s;
@@ -480,7 +482,7 @@ Sheet fences(const Ctx& ctx) {
                            : Value(disp[k] / static_cast<double>(count[k]));
             };
             return std::vector<Value>{frac * 100, m.disp_avg_sites, mean(1),
-                                      mean(0), m.dhpwl_pct, m.runtime_s};
+                                      mean(0), m.dhpwl_pct, m.stats.runtime_s};
         }));
     }
     return s;
@@ -674,8 +676,8 @@ Sheet scaling(const Ctx& ctx) {
                 const RunMetrics m =
                     run_legalization(gen.db, grid, opts, ctx.where(label));
                 return std::vector<Value>{
-                    mode, cells, m.runtime_s,
-                    static_cast<double>(cells) / m.runtime_s};
+                    mode, cells, m.stats.runtime_s,
+                    static_cast<double>(cells) / m.stats.runtime_s};
             }));
         }
     }

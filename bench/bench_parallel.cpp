@@ -19,7 +19,9 @@
 ///   --design CSV   parallel_s | parallel_m | parallel_l, comma separated
 ///                  (default: all three)
 ///   --mode M       approx | exact | both (default both)
-///   --threads CSV  thread counts to sweep (default "1,2,4,8")
+///   --threads CSV  thread counts to sweep, starting at 1: the t=1 runs
+///                  are the baseline of speedup_vs_t1 and of the CPU-time
+///                  guard (default "1,2,4,8")
 ///   --scale F      cell-count scale factor (default 1.0)
 ///   --seed N       generator seed offset (default 0)
 ///   --json PATH    output file (default BENCH_parallel.json)
@@ -33,7 +35,8 @@
 /// Exit code: 0 when every check passes, 1 when one fails (a run that
 /// leaves a cell unplaced or breaks a §2 constraint fails too), 2 on
 /// usage errors: an unknown flag, design or mode, a number that does not
-/// parse whole or a thread count below 1.
+/// parse whole, a thread count below 1 or a --threads list that does not
+/// start at 1.
 
 #include <algorithm>
 #include <cstdlib>
@@ -70,7 +73,7 @@ constexpr int kRunsPerConfig = 3;
 
 constexpr const char* kUsage =
     "usage: bench_parallel [--design CSV] [--mode approx|exact|both]\n"
-    "       [--threads CSV] [--scale F] [--seed N]\n"
+    "       [--threads CSV starting at 1] [--scale F] [--seed N]\n"
     "       [--json PATH] [--trace PATH]\n";
 
 /// The non-empty fields of a comma-separated flag value.
@@ -204,6 +207,10 @@ int main(int argc, char** argv) {
     if (threads.empty()) {
         args.fail("--threads needs at least one thread count");
     }
+    if (threads.front() != 1) {
+        args.fail("--threads must start at 1: the t=1 runs are the baseline "
+                  "of speedup_vs_t1 and of the CPU-time guard");
+    }
     if (modes.empty()) {
         args.fail("unknown --mode '" + mode + "'");
     }
@@ -225,7 +232,7 @@ int main(int argc, char** argv) {
             const char* mode_name = exact ? "exact" : "approx";
             // Every run must reproduce the first run's placement.
             std::vector<std::pair<SiteCoord, SiteCoord>> reference_pos;
-            double baseline_time = 0.0;  // median at the first thread count
+            double baseline_time = 0.0;  // median at t=1
             double baseline_cpu = 0.0;   // its runs' median CPU time
             obs::ScheduleReport max_t_sched;
             for (std::size_t ti = 0; ti < threads.size(); ++ti) {
@@ -273,21 +280,22 @@ int main(int argc, char** argv) {
                     // The schedule summary must count the whole run, or
                     // its shares describe a sample.
                     const std::size_t attempts =
-                        m.direct + m.mll + m.mll_failures;
+                        m.stats.direct_placements + m.stats.mll_successes +
+                        m.stats.mll_failures;
                     if (sched.dropped_events != 0 ||
-                        sched.waves_total != m.waves ||
+                        sched.waves_total != m.stats.waves ||
                         sched.tasks_total != attempts) {
                         std::cerr << "FATAL: incomplete timeline (run "
                                   << r + 1 << " of " << where
                                   << "): dropped_events="
                                   << sched.dropped_events
                                   << " waves_total=" << sched.waves_total
-                                  << " of " << m.waves
+                                  << " of " << m.stats.waves
                                   << " tasks_total=" << sched.tasks_total
                                   << " of " << attempts << "\n";
                         return 1;
                     }
-                    times.push_back(m.runtime_s);
+                    times.push_back(m.stats.runtime_s);
                     cpu_times.push_back(m.cpu_s);
                     scheds.push_back(sched);
                 }
@@ -353,12 +361,14 @@ int main(int argc, char** argv) {
                 legalize_s.set("min", Json::num(min_s));
                 legalize_s.set("max", Json::num(max_s));
                 run.set("legalize_s", std::move(legalize_s));
-                run.set("direct", Json::num(m.direct));
-                run.set("mll_successes", Json::num(m.mll));
-                run.set("mll_failures", Json::num(m.mll_failures));
-                run.set("points_evaluated", Json::num(m.points_evaluated));
-                run.set("waves", Json::num(m.waves));
-                run.set("conflict_requeues", Json::num(m.conflict_requeues));
+                run.set("direct", Json::num(m.stats.direct_placements));
+                run.set("mll_successes", Json::num(m.stats.mll_successes));
+                run.set("mll_failures", Json::num(m.stats.mll_failures));
+                run.set("points_evaluated",
+                        Json::num(m.stats.mll_points_evaluated));
+                run.set("waves", Json::num(m.stats.waves));
+                run.set("conflict_requeues",
+                        Json::num(m.stats.conflict_requeues));
                 run.set("disp_avg_sites", Json::num(m.disp_avg_sites));
                 run.set("dhpwl_pct", Json::num(m.dhpwl_pct));
                 run.set("speedup_vs_t1", Json::num(speedup));

@@ -422,11 +422,10 @@ AuditReport audit_segment_grid(const Database& db, const SegmentGrid& grid,
         // Independent cross-check: eval/legality re-derives overlaps with a
         // per-row sweep that never reads the segment lists, so it catches
         // classes of corruption the list checks above cannot see (and vice
-        // versa). Serial on purpose: audits must not depend on a pool.
+        // versa).
         LegalityOptions lopts;
         lopts.check_rail_alignment = check_rail;
         lopts.require_all_placed = false;
-        lopts.num_threads = 1;
         const LegalityReport lr = check_legality(db, grid, lopts);
         if (!lr.legal) {
             for (const std::string& msg : lr.messages) {

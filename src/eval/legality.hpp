@@ -7,7 +7,8 @@
 ///   4. even-row-height cells on rows of matching power-rail parity.
 /// The checker is independent of SegmentGrid's internal lists (it re-derives
 /// overlaps with a per-row sweep), so it can catch grid bookkeeping bugs;
-/// a separate SegmentGrid::audit() validates the lists themselves.
+/// audit_segment_grid (check/audit.hpp) validates the lists themselves.
+/// It runs on the calling thread.
 
 #include <string>
 #include <vector>
@@ -32,10 +33,9 @@ struct LegalityOptions {
     /// used by the qa/ differential oracle to compare the sweep against an
     /// independent O(n²) reference.
     bool collect_overlap_pairs = false;
-    /// Worker threads for the per-cell checks and the per-row overlap
-    /// sweep. 0 = MRLG_THREADS environment default, 1 = serial. Violations
-    /// are gathered per fixed chunk and merged in chunk order, so counters
-    /// and messages are bit-identical for every thread count.
+    /// Read by nothing: the check runs on the calling thread. Kept only
+    /// because bench_suite/bench_suite.cpp assigns it; ROADMAP item 1
+    /// deletes it.
     int num_threads = 0;
 };
 
@@ -45,6 +45,9 @@ struct LegalityReport {
     std::size_t num_out_of_rows = 0;
     std::size_t num_rail_violations = 0;
     std::size_t num_unplaced = 0;
+    /// The first kMaxLegalityMessages violations: the per-cell checks in
+    /// cell id order (for one cell: unplaced, or outside rows then rail
+    /// parity), then the overlaps row by row, each row in sweep order.
     std::vector<std::string> messages;
     /// All overlapping pairs, (earlier-starting cell, later cell), when
     /// LegalityOptions::collect_overlap_pairs is set — complete within each

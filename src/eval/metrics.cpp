@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "obs/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mrlg {
 
@@ -36,13 +35,17 @@ PinPos pin_position(const Database& db, const Pin& pin,
 
 }  // namespace
 
-double hpwl_um(const Database& db, PositionSource source, int num_threads) {
+double hpwl_um(const Database& db, PositionSource source) {
     MRLG_OBS_PHASE("eval.hpwl");
-    // Fixed grain: chunk boundaries (and thus the floating-point summation
-    // order) depend only on the net count, never on the thread count.
-    constexpr std::size_t kGrain = 512;
-    const auto map = [&](std::size_t begin, std::size_t end) {
-        double partial = 0.0;
+    // Nets are summed in blocks of kBlock, and the block sums are added
+    // in order: the association behind every recorded HPWL. The goldens
+    // have fewer than kBlock nets, so they could not catch a change to it.
+    constexpr std::size_t kBlock = 512;
+    const std::size_t num_nets = db.nets().size();
+    double total = 0.0;
+    for (std::size_t begin = 0; begin < num_nets; begin += kBlock) {
+        const std::size_t end = std::min(num_nets, begin + kBlock);
+        double block = 0.0;
         for (std::size_t i = begin; i < end; ++i) {
             const std::span<const PinId> pins =
                 db.net_pins(NetId{static_cast<NetId::underlying>(i)});
@@ -60,22 +63,19 @@ double hpwl_um(const Database& db, PositionSource source, int num_threads) {
                 y_lo = std::min(y_lo, p.y_um);
                 y_hi = std::max(y_hi, p.y_um);
             }
-            partial += (x_hi - x_lo) + (y_hi - y_lo);
+            block += (x_hi - x_lo) + (y_hi - y_lo);
         }
-        return partial;
-    };
-    return parallel_reduce(db.nets().size(), kGrain, num_threads, 0.0, map,
-                           [](double acc, double p) { return acc + p; });
+        total += block;
+    }
+    return total;
 }
 
-double hpwl_delta(const Database& db, int num_threads) {
-    const double gp =
-        hpwl_um(db, PositionSource::kGlobalPlacement, num_threads);
+double hpwl_delta(const Database& db, int /*num_threads*/) {
+    const double gp = hpwl_um(db, PositionSource::kGlobalPlacement);
     if (gp <= 0.0) {
         return 0.0;
     }
-    const double legal =
-        hpwl_um(db, PositionSource::kLegalized, num_threads);
+    const double legal = hpwl_um(db, PositionSource::kLegalized);
     return (legal - gp) / gp;
 }
 

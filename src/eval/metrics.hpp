@@ -15,20 +15,18 @@ enum class PositionSource {
 
 /// Half-perimeter wirelength in microns, summed over all nets with >= 2
 /// pins. Pins on fixed cells use the fixed position regardless of source.
-/// Parallel reduce over nets; partial sums are always combined in fixed
-/// chunk order, so the result is bit-identical for every `num_threads`
-/// (0 = MRLG_THREADS environment default, 1 = serial).
-double hpwl_um(const Database& db, PositionSource source,
-               int num_threads = 0);
+/// One serial pass over the nets in id order.
+double hpwl_um(const Database& db, PositionSource source);
 
 /// HPWL in metres (the unit of Table 1's "GP HPWL(m)" column).
-inline double hpwl_m(const Database& db, PositionSource source,
-                     int num_threads = 0) {
-    return hpwl_um(db, source, num_threads) * 1e-6;
+inline double hpwl_m(const Database& db, PositionSource source) {
+    return hpwl_um(db, source) * 1e-6;
 }
 
 /// Relative wirelength change of the legalized placement vs the global
 /// placement: (legal - gp) / gp. Matches Table 1's ΔHPWL column.
+/// `num_threads` is read by nothing: kept only because
+/// bench_suite/bench_suite.cpp passes it; ROADMAP item 1 deletes it.
 double hpwl_delta(const Database& db, int num_threads = 0);
 
 struct DisplacementStats {

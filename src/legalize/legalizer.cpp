@@ -282,29 +282,24 @@ LegalizerStats legalize_placement(Database& db, SegmentGrid& grid,
                 const Database& plan_db = db;
                 const SegmentGrid& plan_grid = grid;
                 parallel_for(
-                    batch.size(), /*grain=*/1, opts.num_threads,
-                    [&](std::size_t begin, std::size_t end) {
-                        MllScratch& plan_scratch = thread_mll_scratch();
-                        for (std::size_t i = begin; i < end; ++i) {
-                            // The wall-clock Timeline (NOT the paused
-                            // Tracer) is the one observer workers may
-                            // write: lock-free per-thread lanes.
-                            obs::TimelineSpan task_span(
-                                timeline, "plan.task",
-                                {wave_id, static_cast<std::uint32_t>(i),
-                                 static_cast<std::uint32_t>(batch[i])});
-                            PlanTask& t = tasks[batch[i]];
-                            const Cell& cell = plan_db.cell(t.cell);
-                            t.direct =
-                                t.rail_ok &&
-                                plan_grid.placeable(t.fitted, CellId{},
-                                                    cell.region());
-                            if (!t.direct) {
-                                plans[i] = mll_plan(plan_db, plan_grid,
-                                                    t.cell, t.px, t.py,
-                                                    mll_opts, &plan_scratch);
-                                t.num_points = plans[i].num_points;
-                            }
+                    batch.size(), opts.num_threads, [&](std::size_t i) {
+                        // The wall-clock Timeline (NOT the paused Tracer)
+                        // is the one observer workers may write:
+                        // lock-free per-thread lanes.
+                        obs::TimelineSpan task_span(
+                            timeline, "plan.task",
+                            {wave_id, static_cast<std::uint32_t>(i),
+                             static_cast<std::uint32_t>(batch[i])});
+                        PlanTask& t = tasks[batch[i]];
+                        const Cell& cell = plan_db.cell(t.cell);
+                        t.direct = t.rail_ok &&
+                                   plan_grid.placeable(t.fitted, CellId{},
+                                                       cell.region());
+                        if (!t.direct) {
+                            plans[i] = mll_plan(plan_db, plan_grid, t.cell,
+                                                t.px, t.py, mll_opts,
+                                                &thread_mll_scratch());
+                            t.num_points = plans[i].num_points;
                         }
                     });
             }

@@ -1,5 +1,6 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <cstdint>
@@ -10,6 +11,7 @@
 #include <string_view>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "util/mutex.hpp"
 
@@ -234,25 +236,16 @@ ThreadPoolConfig ThreadPool::config() {
     return c;
 }
 
-void parallel_for(std::size_t n, std::size_t grain, int num_threads,
-                  const std::function<void(std::size_t, std::size_t)>& fn) {
-    const std::size_t g = grain == 0 ? 1 : grain;
-    const std::size_t chunks = num_chunks_for(n, g);
-    if (chunks == 0) {
-        return;
-    }
+void parallel_for(std::size_t n, int num_threads,
+                  const std::function<void(std::size_t)>& fn) {
     const int threads = ThreadPool::resolve_threads(num_threads);
-    if (threads <= 1 || chunks == 1) {
-        for (std::size_t c = 0; c < chunks; ++c) {
-            const std::size_t b = c * g;
-            fn(b, std::min(n, b + g));
+    if (threads <= 1 || n <= 1) {
+        for (std::size_t i = 0; i < n; ++i) {
+            fn(i);
         }
         return;
     }
-    ThreadPool::global().run_chunks(chunks, threads, [&](std::size_t c) {
-        const std::size_t b = c * g;
-        fn(b, std::min(n, b + g));
-    });
+    ThreadPool::global().run_chunks(n, threads, fn);
 }
 
 }  // namespace mrlg

@@ -1,13 +1,16 @@
 #pragma once
 /// \file thread_pool.hpp
-/// Deterministic parallel execution layer for the read-only hot paths
-/// (the legalizer's per-wave MLL plan fan-out, HPWL, legality sweeps).
+/// The worker pool behind the one parallel region of mrlg: the
+/// legalizer's per-wave MLL plan fan-out (legalize/pipeline.hpp). Every
+/// other computation, HPWL and the legality check included, runs on the
+/// calling thread.
 ///
-/// Determinism contract: work is split into chunks whose boundaries depend
-/// only on (n, grain) — never on the thread count — and `parallel_reduce`
-/// combines chunk partials in ascending chunk order on the calling thread.
-/// Any `num_threads` (including 1) therefore produces bit-identical
-/// results; threads only decide which worker executes which chunk.
+/// Determinism contract: `parallel_for` runs each index as its own chunk,
+/// and the fan-out's task i reads only the wave-start state and writes
+/// only its own slot (its task record and plan i). The commit then reads
+/// the slots in queue order on the calling thread. Threads decide only
+/// which worker plans which task, so any `num_threads` (including 1)
+/// produces bit-identical placements and stats.
 ///
 /// The pool has one job slot. A run fills it, wakes one helper per place
 /// it admits, drains chunks beside them and returns once every helper that
@@ -18,14 +21,11 @@
 /// back to the `MRLG_THREADS` environment variable, then to the hardware
 /// concurrency. `MRLG_THREADS`, when set, must be a whole number >= 1
 /// (above ThreadPool::kMaxThreads it clamps to that); anything else throws
-/// std::invalid_argument. `num_threads <= 1` (or a single chunk) runs
-/// entirely on the calling thread without touching the pool.
+/// std::invalid_argument. A resolved count of 1 (or n <= 1) runs entirely
+/// on the calling thread without touching the pool.
 
-#include <algorithm>
 #include <cstddef>
 #include <functional>
-#include <utility>
-#include <vector>
 
 namespace mrlg {
 
@@ -100,51 +100,11 @@ private:
     Impl* impl_;
 };
 
-/// Number of fixed-size chunks covering [0, n). Depends only on (n, grain).
-inline std::size_t num_chunks_for(std::size_t n, std::size_t grain) {
-    const std::size_t g = grain == 0 ? 1 : grain;
-    return (n + g - 1) / g;
-}
-
-/// Runs `fn(begin, end)` over fixed chunks of [0, n) on up to
-/// `num_threads` threads (0 = default). Serial (calling thread, ascending
-/// chunk order) when the effective thread count is 1 or only one chunk
-/// exists. `fn` must tolerate concurrent invocation on distinct chunks.
-void parallel_for(std::size_t n, std::size_t grain, int num_threads,
-                  const std::function<void(std::size_t, std::size_t)>& fn);
-
-/// Deterministic map/reduce over fixed chunks of [0, n):
-/// `map(begin, end) -> T` per chunk (possibly concurrent),
-/// `combine(acc, partial) -> T` in ascending chunk order on the calling
-/// thread. Returns `init` for an empty range. T must be default- and
-/// move-constructible.
-template <typename T, typename MapFn, typename CombineFn>
-T parallel_reduce(std::size_t n, std::size_t grain, int num_threads, T init,
-                  const MapFn& map, const CombineFn& combine) {
-    const std::size_t g = grain == 0 ? 1 : grain;
-    const std::size_t chunks = num_chunks_for(n, g);
-    if (chunks == 0) {
-        return init;
-    }
-    const int threads = ThreadPool::resolve_threads(num_threads);
-    if (threads <= 1 || chunks == 1) {
-        T acc = std::move(init);
-        for (std::size_t c = 0; c < chunks; ++c) {
-            const std::size_t b = c * g;
-            acc = combine(std::move(acc), map(b, std::min(n, b + g)));
-        }
-        return acc;
-    }
-    std::vector<T> partial(chunks);
-    ThreadPool::global().run_chunks(chunks, threads, [&](std::size_t c) {
-        const std::size_t b = c * g;
-        partial[c] = map(b, std::min(n, b + g));
-    });
-    T acc = std::move(init);
-    for (std::size_t c = 0; c < chunks; ++c) {
-        acc = combine(std::move(acc), std::move(partial[c]));
-    }
-    return acc;
-}
+/// Runs `fn(i)` for every i in [0, n) on up to `num_threads` threads
+/// (0 = default), one index per chunk. Runs on the calling thread, in
+/// ascending order, when the resolved count is 1 or n <= 1. `fn` must
+/// tolerate concurrent invocation on distinct indices.
+void parallel_for(std::size_t n, int num_threads,
+                  const std::function<void(std::size_t)>& fn);
 
 }  // namespace mrlg

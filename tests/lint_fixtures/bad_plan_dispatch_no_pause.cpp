@@ -13,11 +13,7 @@ int plan_one(const Database& db, int cell);
 
 void run_plan_wave(const Database& db, int n, int threads) {
     MRLG_OBS_PHASE("plan");
-    parallel_for(n, 1, threads, [&](int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-            plan_one(db, i);
-        }
-    });
+    parallel_for(n, threads, [&](int i) { plan_one(db, i); });
 }
 
 int plan_one(const Database& db, int cell) { return db.cells + cell; }

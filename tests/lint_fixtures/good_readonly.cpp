@@ -36,11 +36,9 @@ int clean_plan(const Database& db, int cell, Scratch* scratch) {
 void run_plan_wave(const Database& db, int n, int threads) {
     MRLG_OBS_PHASE("plan");
     obs::TracerPause pause;
-    parallel_for(n, 1, threads, [&](int begin, int end) {
+    parallel_for(n, threads, [&](int i) {
         Scratch scratch;
-        for (int i = begin; i < end; ++i) {
-            clean_plan(db, i, &scratch);
-        }
+        clean_plan(db, i, &scratch);
     });
 }
 

@@ -144,6 +144,59 @@ TEST(Legality, UnplacedCellsReported) {
     EXPECT_TRUE(check_legality(db, grid, opts).legal);
 }
 
+TEST(Legality, ReportListsEveryViolationInOrder) {
+    // One violation of each kind, the cells added so that id order and
+    // row order disagree: the per-cell checks come first in id order, then
+    // the overlaps row by row.
+    Database db = empty_design(6, 50);
+    db.floorplan().add_blockage(Rect{40, 0, 5, 1});
+    const SegmentGrid grid = SegmentGrid::build(db);
+    const auto add = [&](const char* name, SiteCoord x, SiteCoord y,
+                         SiteCoord w, SiteCoord h) {
+        const CellId c = db.add_cell(Cell(name, w, h, RailPhase::kEven));
+        db.cell(c).set_pos(x, y);  // bypass grid to create the violations
+        return c;
+    };
+    const CellId tall = add("tall", 20, 2, 4, 2);  // rows 2-3
+    add("blk", 41, 0, 3, 1);                       // on the blockage
+    const CellId wide = add("wide", 0, 0, 10, 1);  // row 0, x 0-10
+    add("rail", 30, 1, 4, 2);                      // even phase, odd row
+    db.add_cell(Cell("lost", 3, 1));               // unplaced
+    const CellId a = add("a", 2, 0, 4, 1);         // under wide
+    const CellId b = add("b", 4, 0, 4, 1);         // under wide, overlaps a
+    const CellId top = add("top", 22, 3, 4, 1);    // on tall's upper row
+
+    LegalityOptions opts;
+    opts.collect_overlap_pairs = true;
+    const LegalityReport rep = check_legality(db, grid, opts);
+    EXPECT_FALSE(rep.legal);
+    EXPECT_EQ(rep.num_unplaced, 1u);
+    EXPECT_EQ(rep.num_out_of_rows, 1u);
+    EXPECT_EQ(rep.num_rail_violations, 1u);
+    EXPECT_EQ(rep.num_overlaps, 3u);
+    const std::vector<std::string> messages = {
+        "cell blk outside rows/segments",
+        "cell rail violates power-rail parity",
+        "cell lost is unplaced",
+        "overlap between wide and a",
+        "overlap between wide and b",
+        "overlap between tall and top",
+    };
+    EXPECT_EQ(rep.messages, messages);
+    const std::vector<std::pair<CellId, CellId>> pairs = {
+        {wide, a}, {wide, b}, {a, b}, {tall, top}};
+    EXPECT_EQ(rep.overlap_pairs, pairs);
+
+    opts.require_all_placed = false;
+    const LegalityReport placed_only = check_legality(db, grid, opts);
+    EXPECT_EQ(placed_only.num_unplaced, 0u);
+    std::vector<std::string> without_lost = messages;
+    without_lost.erase(without_lost.begin() + 2);
+    EXPECT_EQ(placed_only.messages, without_lost);
+    EXPECT_EQ(placed_only.num_overlaps, 3u);
+    EXPECT_EQ(placed_only.overlap_pairs, pairs);
+}
+
 TEST(Legality, FixedCellsAreExempt) {
     Database db = empty_design(4, 50);
     Cell macro("macro", 10, 2, RailPhase::kOdd, true);

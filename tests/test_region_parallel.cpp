@@ -331,10 +331,16 @@ LegalizerOptions default_options() {
 
 TEST(RegionParallel, GoldenProfilesBitIdenticalToSerial) {
     for (int flavour = 0; flavour < 3; ++flavour) {
-        GenResult gen = generate_benchmark(golden_profile(flavour));
-        SegmentGrid grid = SegmentGrid::build(gen.db);
-        expect_pipeline_identity(gen.db, grid, default_options(),
-                                 golden_name(flavour));
+        for (const bool exact : {false, true}) {
+            GenResult gen = generate_benchmark(golden_profile(flavour));
+            SegmentGrid grid = SegmentGrid::build(gen.db);
+            LegalizerOptions opts = default_options();
+            opts.mll.exact_evaluation = exact;
+            expect_pipeline_identity(
+                gen.db, grid, opts,
+                std::string(golden_name(flavour)) +
+                    (exact ? " exact" : " approx"));
+        }
     }
 }
 

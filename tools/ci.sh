@@ -32,10 +32,10 @@
 #   4. cppcheck over src/ and tools/
 #   5. ASan+UBSan build + full ctest suite (asan presets, DCHECKs on)
 #   6. TSan build (tsan presets, DCHECKs on) running the `parallel`
-#      label tier under MRLG_THREADS=4 (the thread pool's own tests and
-#      the thread-count determinism properties, incl. the region-parallel
-#      plan/commit pipeline and the lock-free Timeline lanes, with real
-#      worker threads racing)
+#      label tier under MRLG_THREADS=4: the thread pool's own tests, the
+#      region-parallel identity harness (the plan/commit pipeline against
+#      the serial reference loop) and the lock-free Timeline lanes, with
+#      real worker threads racing
 #   7. Coverage: gcovr over a --coverage build running the fast unit
 #      tier (ctest -L unit); SKIPped when gcovr is not installed.
 #
