@@ -1,7 +1,6 @@
 #include "legalize/enumeration.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <cstdlib>
 
 #include "eval/legality.hpp"
@@ -99,36 +98,61 @@ void enumerate_insertion_points(const LocalProblem& lp,
     // A single-row point is one interval on a usable base row. The
     // scanline emits it at the interval's left-endpoint event, and those
     // events are ordered by (lo, interval index); clear and right events
-    // never emit for h_t = 1, and every combination is consistent.
+    // never emit for h_t = 1, and every combination is consistent. A
+    // stable counting sort on lo gives that order, and each interval goes
+    // straight to its slot; slots at or past max_points are dropped.
     result.points.clear();
     result.truncated = false;
-    std::vector<std::uint64_t>& keys = s.single_row_keys;
-    keys.clear();
-    for (std::size_t i = 0; i < intervals.size(); ++i) {
-        const InsertionInterval& iv = intervals[i];
-        if (iv.lo <= iv.hi && base_row_ok(lp, iv.k, target, opts)) {
-            // Biasing lo by 2^31 makes the unsigned key order the signed
-            // order of lo.
-            const std::uint32_t lo_key =
-                static_cast<std::uint32_t>(iv.lo) ^ 0x80000000u;
-            keys.push_back((static_cast<std::uint64_t>(lo_key) << 32) |
-                           static_cast<std::uint32_t>(i));
+    int row = -1;
+    bool row_ok = false;
+    const auto usable = [&](const InsertionInterval& iv) {
+        if (iv.k != row) {
+            row = iv.k;
+            row_ok = base_row_ok(lp, row, target, opts);
+        }
+        return iv.lo <= iv.hi && row_ok;
+    };
+    SiteCoord lo_min = kSiteCoordMax;
+    SiteCoord lo_max = kSiteCoordMin;
+    std::size_t count = 0;
+    for (const InsertionInterval& iv : intervals) {
+        if (usable(iv)) {
+            lo_min = std::min(lo_min, iv.lo);
+            lo_max = std::max(lo_max, iv.lo);
+            ++count;
         }
     }
-    std::sort(keys.begin(), keys.end());
-    for (const std::uint64_t key : keys) {
-        if (result.points.size() >= opts.max_points) {
-            result.truncated = true;
-            return;
+    if (count == 0) {
+        return;
+    }
+    const auto bucket = [&](const InsertionInterval& iv) {
+        return static_cast<std::size_t>(iv.lo - lo_min);
+    };
+    std::vector<int>& start = s.lo_start;
+    start.assign(static_cast<std::size_t>(lo_max - lo_min) + 2, 0);
+    for (const InsertionInterval& iv : intervals) {
+        if (usable(iv)) {
+            ++start[bucket(iv) + 1];
         }
-        const InsertionInterval& iv =
-            intervals[static_cast<std::size_t>(key & 0xffffffffu)];
-        InsertionPoint& p = result.points.emplace_back();
-        p.k0 = iv.k;
-        p.gaps.resize(1);
-        p.gaps[0] = iv.gap;
-        p.lo = iv.lo;
-        p.hi = iv.hi;
+    }
+    for (std::size_t b = 1; b < start.size(); ++b) {
+        start[b] += start[b - 1];
+    }
+    result.truncated = count > opts.max_points;
+    result.points.resize(std::min(count, opts.max_points));
+    for (const InsertionInterval& iv : intervals) {
+        if (!usable(iv)) {
+            continue;
+        }
+        const auto slot = static_cast<std::size_t>(start[bucket(iv)]++);
+        if (slot < result.points.size()) {
+            InsertionPoint& p = result.points[slot];
+            p.k0 = iv.k;
+            p.gaps.resize(1);
+            p.gaps[0] = iv.gap;
+            p.lo = iv.lo;
+            p.hi = iv.hi;
+        }
     }
 }
 

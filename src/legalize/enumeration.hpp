@@ -16,7 +16,8 @@
 ///
 /// A single-row target's points are just its intervals on usable base
 /// rows, so for h_t = 1 they are emitted directly, in the order the
-/// scanline would emit them: by (lo, interval index).
+/// scanline would emit them: by (lo, interval index), which a stable
+/// counting sort on lo gives, as extraction orders its cells by x.
 
 #include <algorithm>
 #include <array>
@@ -115,8 +116,9 @@ struct EnumerationScratch {
     };
     std::vector<int> multi_cells;
     std::vector<Event> events;
-    /// h_t = 1: (lo, interval index) sort keys of the usable intervals.
-    std::vector<std::uint64_t> single_row_keys;
+    /// h_t = 1: counting-sort buckets over the usable intervals' lo range,
+    /// the first output slot of each lo (one more slot than the range).
+    std::vector<int> lo_start;
     /// Q[a][s] for |a - s| < h_t, row-major by a: (2·h_t - 1) per row.
     std::vector<std::vector<int>> queues;
     std::vector<int> combo_gaps;
@@ -124,7 +126,9 @@ struct EnumerationScratch {
 
 /// Enumerates every valid insertion point, at most opts.max_points of
 /// them (truncated = true when more exist): the scanline for h_t >= 2,
-/// the direct single-row emission for h_t = 1. O(#points) after sorting.
+/// O(#points) after its event sort, and for h_t = 1 the direct emission,
+/// a stable counting sort on lo: O(#intervals + lo range), the range
+/// being at most the window's width.
 MRLG_EFFECT_READONLY
 EnumerationResult enumerate_insertion_points(
     const LocalProblem& lp, const std::vector<InsertionInterval>& intervals,

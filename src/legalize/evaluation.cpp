@@ -2,49 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "util/assert.hpp"
 
 namespace mrlg {
-
-namespace {
-
-/// Post-insertion right neighbour of local cell `ci` on local row `k`:
-/// returns the neighbour cell index, or -2 when the neighbour is the
-/// target, or -1 when there is none (segment wall).
-int right_neighbor(const LocalProblem& lp, const InsertionPoint& p, int ci,
-                   int k) {
-    const int pos = lp.pos_in_row(ci, k - lp.cell(ci).k0);
-    const std::span<const int> row_cells = lp.row(k).cells;
-    const bool comb_row =
-        k >= p.k0 && k < p.k0 + static_cast<int>(p.gaps.size());
-    if (comb_row && pos + 1 == p.gaps[static_cast<std::size_t>(k - p.k0)]) {
-        return -2;  // target sits immediately to the right
-    }
-    if (pos + 1 < static_cast<int>(row_cells.size())) {
-        return row_cells[static_cast<std::size_t>(pos + 1)];
-    }
-    return -1;
-}
-
-/// Post-insertion left neighbour; same encoding as right_neighbor.
-int left_neighbor(const LocalProblem& lp, const InsertionPoint& p, int ci,
-                  int k) {
-    const int pos = lp.pos_in_row(ci, k - lp.cell(ci).k0);
-    const std::span<const int> row_cells = lp.row(k).cells;
-    const bool comb_row =
-        k >= p.k0 && k < p.k0 + static_cast<int>(p.gaps.size());
-    if (comb_row && pos == p.gaps[static_cast<std::size_t>(k - p.k0)]) {
-        return -2;  // target sits immediately to the left
-    }
-    if (pos > 0) {
-        return row_cells[static_cast<std::size_t>(pos - 1)];
-    }
-    return -1;
-}
-
-}  // namespace
 
 std::pair<SiteCoord, double> minimize_hinge_cost(const HingeSet& hinges,
                                                  SiteCoord lo, SiteCoord hi) {
@@ -63,61 +26,41 @@ std::pair<SiteCoord, double> minimize_hinge_cost(const HingeSet& hinges,
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
 
-    // Suffix sums of a (for sum of a_i > x), prefix sums of b.
-    std::vector<double>& a_suffix = scratch.a_suffix;
-    a_suffix.assign(a.size() + 1, 0.0);
-    for (std::size_t i = a.size(); i-- > 0;) {
-        a_suffix[i] = a_suffix[i + 1] + static_cast<double>(a[i]);
-    }
-    std::vector<double>& b_prefix = scratch.b_prefix;
-    b_prefix.assign(b.size() + 1, 0.0);
-    for (std::size_t i = 0; i < b.size(); ++i) {
-        b_prefix[i + 1] = b_prefix[i] + static_cast<double>(b[i]);
-    }
-
-    auto cost_at = [&](SiteCoord x) -> double {
-        // sum over a_i > x of (a_i - x)
-        const auto ita = std::upper_bound(a.begin(), a.end(), x);
-        const std::size_t ia = static_cast<std::size_t>(ita - a.begin());
-        const double ca = a_suffix[ia] - static_cast<double>(a.size() - ia) *
-                                             static_cast<double>(x);
-        // sum over b_j < x of (x - b_j)
-        const auto itb = std::lower_bound(b.begin(), b.end(), x);
-        const std::size_t ib = static_cast<std::size_t>(itb - b.begin());
-        const double cb =
-            static_cast<double>(ib) * static_cast<double>(x) - b_prefix[ib];
-        return ca + cb + target_x_distance_sites(x, hinges.pref);
-    };
-
-    // Candidate positions: every breakpoint clamped into [lo, hi].
-    std::vector<SiteCoord>& cand = scratch.cand;
-    cand.clear();
-    cand.push_back(lo);
-    cand.push_back(hi);
-    auto push_clamped = [&](double v) {
-        const double c = std::clamp(v, static_cast<double>(lo),
-                                    static_cast<double>(hi));
-        cand.push_back(static_cast<SiteCoord>(std::floor(c)));
-        cand.push_back(static_cast<SiteCoord>(std::ceil(c)));
-    };
+    // The candidates are lo, hi, every breakpoint clamped into [lo, hi]
+    // and the two integers around the clamped pref. One walk visits them
+    // in ascending order, each once, keeping ka = #{a_i <= x} with the sum
+    // of those a_i and kb = #{b_j < x} with theirs. Every partial sum is
+    // an integer far below 2^53, so the hinge sum converts to a double
+    // exactly and each cost rounds once, when |x - pref| is added.
+    const double pc = std::clamp(hinges.pref, static_cast<double>(lo),
+                                 static_cast<double>(hi));
+    const SiteCoord pref_floor = static_cast<SiteCoord>(std::floor(pc));
+    const SiteCoord pref_ceil = static_cast<SiteCoord>(std::ceil(pc));
+    std::int64_t a_total = 0;
     for (const SiteCoord v : a) {
-        push_clamped(static_cast<double>(v));
+        a_total += v;
     }
-    for (const SiteCoord v : b) {
-        push_clamped(static_cast<double>(v));
-    }
-    push_clamped(hinges.pref);
-    std::sort(cand.begin(), cand.end());
-    cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
+    std::size_t ka = 0;
+    std::size_t kb = 0;
+    std::int64_t a_le = 0;  // sum of a[0..ka)
+    std::int64_t b_lt = 0;  // sum of b[0..kb)
 
     SiteCoord best_x = lo;
     double best_cost = std::numeric_limits<double>::max();
-    for (const SiteCoord x : cand) {
-        if (x < lo || x > hi) {
-            continue;
+    for (SiteCoord x = lo;;) {
+        while (ka < a.size() && a[ka] <= x) {
+            a_le += a[ka++];
         }
-        const double c = cost_at(x);
+        while (kb < b.size() && b[kb] < x) {
+            b_lt += b[kb++];
+        }
+        // sum over a_i > x of (a_i - x), plus sum over b_j < x of (x - b_j)
+        const std::int64_t hinge_sum =
+            (a_total - a_le) -
+            static_cast<std::int64_t>(a.size() - ka) * x +
+            static_cast<std::int64_t>(kb) * x - b_lt;
         const double d_pref = target_x_distance_sites(x, hinges.pref);
+        const double c = static_cast<double>(hinge_sum) + d_pref;
         const double best_d_pref =
             target_x_distance_sites(best_x, hinges.pref);
         if (c < best_cost - 1e-9 ||
@@ -127,6 +70,29 @@ std::pair<SiteCoord, double> minimize_hinge_cost(const HingeSet& hinges,
             best_cost = c;
             best_x = x;
         }
+        if (x == hi) {
+            break;
+        }
+        // The next candidate: the least of hi, the first a_i > x, the
+        // first b_j > x and the pref integers above x (a clamped
+        // breakpoint above x < hi is min(v, hi)).
+        SiteCoord next = hi;
+        if (ka < a.size()) {
+            next = std::min(next, a[ka]);
+        }
+        std::size_t jb = kb;
+        while (jb < b.size() && b[jb] <= x) {
+            ++jb;
+        }
+        if (jb < b.size()) {
+            next = std::min(next, b[jb]);
+        }
+        if (pref_floor > x) {
+            next = std::min(next, pref_floor);
+        } else if (pref_ceil > x) {
+            next = std::min(next, pref_ceil);
+        }
+        x = next;
     }
     return {best_x, best_cost};
 }
@@ -204,60 +170,73 @@ void compute_critical_positions(const LocalProblem& lp,
     const std::size_t n = static_cast<std::size_t>(lp.num_cells());
     cp.xa.assign(n, kSiteCoordMin);
     cp.xb.assign(n, kSiteCoordMax);
+    cp.left_chain.clear();
+    cp.right_chain.clear();
 
-    // Push-left thresholds: process cells right-to-left (descending index
-    // is descending x); a cell is pushed left when its post-insertion
-    // right neighbour (or the target) forces it:
+    // Push-left thresholds, right-to-left along the chains: a cell is
+    // pushed left when its post-insertion right neighbour (or the target)
+    // forces it:
     // xa_k = x_k + w_k + max over pushers r of (xa_r - x_r), with the
-    // target contributing 0.
-    for (int ci = static_cast<int>(n); ci-- > 0;) {
+    // target contributing 0. A visited cell was marked by a pusher, so it
+    // has one; it marks every cell it pushes, its left neighbours.
+    mark_gap_neighbours(lp, point, true, cp.marks);
+    cp.marks.sweep_descending([&](const int ci) {
         const LpCell& c = lp.cell(ci);
         SiteCoord best = kSiteCoordMin;
-        bool any = false;
         for (SiteCoord j = 0; j < c.h; ++j) {
             const int k = c.k0 + j;
-            const int nb = right_neighbor(lp, point, ci, k);
-            if (nb == -2) {
+            const int pos = lp.pos_in_row(ci, j);
+            const std::span<const int> cells = lp.row(k).cells;
+            const int gap = gap_on_row(point, k);
+            if (pos + 1 == gap) {
                 best = std::max<SiteCoord>(best, 0);
-                any = true;
-            } else if (nb >= 0 &&
-                       cp.xa[static_cast<std::size_t>(nb)] != kSiteCoordMin) {
-                best = std::max<SiteCoord>(
-                    best, cp.xa[static_cast<std::size_t>(nb)] -
-                              lp.cell(nb).x);
-                any = true;
+            } else if (pos + 1 < static_cast<int>(cells.size())) {
+                const int r = cells[static_cast<std::size_t>(pos + 1)];
+                if (cp.xa[static_cast<std::size_t>(r)] != kSiteCoordMin) {
+                    best = std::max<SiteCoord>(
+                        best,
+                        cp.xa[static_cast<std::size_t>(r)] - lp.cell(r).x);
+                }
+            }
+            if (pos != gap && pos > 0) {
+                cp.marks.mark(cells[static_cast<std::size_t>(pos - 1)]);
             }
         }
-        if (any) {
-            cp.xa[static_cast<std::size_t>(ci)] = c.x + c.w + best;
-        }
-    }
+        MRLG_DCHECK(best != kSiteCoordMin, "push-chain cell has no pusher");
+        cp.xa[static_cast<std::size_t>(ci)] = c.x + c.w + best;
+        cp.left_chain.push_back(ci);
+    });
 
     // Push-right thresholds, mirrored:  xb_k = x_k + min over pushers l of
     // (xb_l - x_l - w_l), target contributing -target_w.
-    for (int ci = 0; ci < static_cast<int>(n); ++ci) {
+    mark_gap_neighbours(lp, point, false, cp.marks);
+    cp.marks.sweep_ascending([&](const int ci) {
         const LpCell& c = lp.cell(ci);
         SiteCoord best = kSiteCoordMax;
-        bool any = false;
         for (SiteCoord j = 0; j < c.h; ++j) {
             const int k = c.k0 + j;
-            const int nb = left_neighbor(lp, point, ci, k);
-            if (nb == -2) {
+            const int pos = lp.pos_in_row(ci, j);
+            const std::span<const int> cells = lp.row(k).cells;
+            const int gap = gap_on_row(point, k);
+            if (pos == gap) {
                 best = std::min<SiteCoord>(best, -target_w);
-                any = true;
-            } else if (nb >= 0 &&
-                       cp.xb[static_cast<std::size_t>(nb)] != kSiteCoordMax) {
-                const LpCell& l = lp.cell(nb);
-                best = std::min<SiteCoord>(
-                    best,
-                    cp.xb[static_cast<std::size_t>(nb)] - l.x - l.w);
-                any = true;
+            } else if (pos > 0) {
+                const int l = cells[static_cast<std::size_t>(pos - 1)];
+                if (cp.xb[static_cast<std::size_t>(l)] != kSiteCoordMax) {
+                    const LpCell& lc = lp.cell(l);
+                    best = std::min<SiteCoord>(
+                        best,
+                        cp.xb[static_cast<std::size_t>(l)] - lc.x - lc.w);
+                }
+            }
+            if (pos + 1 != gap && pos + 1 < static_cast<int>(cells.size())) {
+                cp.marks.mark(cells[static_cast<std::size_t>(pos + 1)]);
             }
         }
-        if (any) {
-            cp.xb[static_cast<std::size_t>(ci)] = c.x + best;
-        }
-    }
+        MRLG_DCHECK(best != kSiteCoordMax, "push-chain cell has no pusher");
+        cp.xb[static_cast<std::size_t>(ci)] = c.x + best;
+        cp.right_chain.push_back(ci);
+    });
 }
 
 Evaluation evaluate_insertion_point_exact(const LocalProblem& lp,
@@ -281,17 +260,15 @@ Evaluation evaluate_insertion_point_exact(const LocalProblem& lp,
     hinges.a.clear();
     hinges.b.clear();
     hinges.pref = target.pref_x;
-    for (std::size_t i = 0; i < cp.xa.size(); ++i) {
-        const bool has_a = cp.xa[i] != kSiteCoordMin;
-        const bool has_b = cp.xb[i] != kSiteCoordMax;
-        MRLG_ASSERT(!(has_a && has_b),
+    // Only a cell on both chains can be reachable from both directions.
+    for (const int i : cp.right_chain) {
+        MRLG_ASSERT(cp.xa[static_cast<std::size_t>(i)] == kSiteCoordMin,
                     "cell reachable from both push directions — "
                     "inconsistent insertion point");
-        if (has_a) {
-            hinges.a.push_back(cp.xa[i]);
-        } else if (has_b) {
-            hinges.b.push_back(cp.xb[i]);
-        }
+        hinges.b.push_back(cp.xb[static_cast<std::size_t>(i)]);
+    }
+    for (const int i : cp.left_chain) {
+        hinges.a.push_back(cp.xa[static_cast<std::size_t>(i)]);
     }
     const auto [xt, cost_sites] =
         minimize_hinge_cost(hinges, point.lo, point.hi, scratch);

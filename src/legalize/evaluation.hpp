@@ -9,7 +9,10 @@
 ///   * evaluate_insertion_point_approx — the paper's default: critical
 ///     positions of the <= 2·h_t immediate neighbours only, O(h_t);
 ///   * evaluate_insertion_point_exact  — critical positions of every local
-///     cell via the push-chain recursion over the neighbour DAG, O(|C_W|).
+///     cell via the push-chain recursion over the neighbour DAG; only the
+///     cells on the point's push chains (push_chain.hpp) are visited, so
+///     a point costs O(h_t + chain cells · rows per cell) beyond an
+///     O(|C_W|) fill of the two threshold arrays (DESIGN.md §2e).
 /// scan_insertion_points picks MLL's point with either one in one serial
 /// pass, fully scoring only the points that cost_lower_bound_um cannot
 /// exclude.
@@ -29,6 +32,7 @@
 
 #include "legalize/enumeration.hpp"
 #include "legalize/local_problem.hpp"
+#include "legalize/push_chain.hpp"
 #include "legalize/target.hpp"
 #include "util/annotations.hpp"
 
@@ -57,6 +61,11 @@ struct HingeSet {
 struct CriticalPositions {
     std::vector<SiteCoord> xa;  ///< Push-left thresholds (left-side cells).
     std::vector<SiteCoord> xb;  ///< Push-right thresholds (right-side cells).
+    /// The cells with a finite xa, in descending index order, and those
+    /// with a finite xb, ascending: the point's two push chains.
+    std::vector<int> left_chain;
+    std::vector<int> right_chain;
+    PushMarks marks;  ///< The sweeps' work set; empty between calls.
 };
 
 /// Reusable buffers for the per-candidate evaluation hot path and the
@@ -72,16 +81,16 @@ struct EvalScratch {
     // minimize_hinge_cost internals
     std::vector<SiteCoord> a_sorted;
     std::vector<SiteCoord> b_sorted;
-    std::vector<SiteCoord> cand;
-    std::vector<double> a_suffix;
-    std::vector<double> b_prefix;
     // scan_insertion_points: every point's cost bound
     std::vector<double> bounds;
 };
 
 /// Minimizes the hinge cost over integer x in [lo, hi] (lo <= hi required).
 /// Returns (argmin, cost). Cost unit: sites. Ties break toward smaller
-/// |x - pref|, then smaller x — deterministic across platforms.
+/// |x - pref|, then smaller x — deterministic across platforms. The
+/// candidates are lo, hi, every breakpoint clamped into [lo, hi] and the
+/// integers around the clamped pref, visited once in ascending order with
+/// running integer sums: O(m log m) for m hinges, the sort of a and b.
 std::pair<SiteCoord, double> minimize_hinge_cost(const HingeSet& hinges,
                                                  SiteCoord lo, SiteCoord hi);
 std::pair<SiteCoord, double> minimize_hinge_cost(const HingeSet& hinges,
@@ -98,7 +107,8 @@ Evaluation evaluate_insertion_point_approx(const LocalProblem& lp,
                                            const TargetSpec& target,
                                            EvalScratch& scratch);
 
-/// Exact evaluation: critical positions for all local cells.
+/// Exact evaluation: critical positions for all local cells, hinges from
+/// the two push chains.
 MRLG_EFFECT_READONLY
 Evaluation evaluate_insertion_point_exact(const LocalProblem& lp,
                                           const InsertionPoint& point,
@@ -111,7 +121,8 @@ Evaluation evaluate_insertion_point_exact(const LocalProblem& lp,
 CriticalPositions compute_critical_positions(const LocalProblem& lp,
                                              const InsertionPoint& point,
                                              SiteCoord target_w);
-/// In-place variant reusing `cp`'s buffers.
+/// In-place variant reusing `cp`'s buffers. Fills xa and xb for every
+/// cell but visits only the push chains, seeded at the gap's neighbours.
 void compute_critical_positions(const LocalProblem& lp,
                                 const InsertionPoint& point,
                                 SiteCoord target_w, CriticalPositions& cp);

@@ -19,8 +19,10 @@ ExactLocalSolution solve_local_exact(LocalProblem& lp,
     sol.num_points = enumr.points.size();
 
     double best = std::numeric_limits<double>::max();
+    EvalScratch scratch;
     for (const InsertionPoint& p : enumr.points) {
-        const Evaluation ev = evaluate_insertion_point_exact(lp, p, target);
+        const Evaluation ev =
+            evaluate_insertion_point_exact(lp, p, target, scratch);
         if (ev.feasible && ev.cost_um < best) {
             best = ev.cost_um;
             sol.feasible = true;

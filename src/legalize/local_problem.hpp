@@ -16,9 +16,10 @@
 /// are deep and never alias their source.
 ///
 /// Cell order: cells are indexed in x order, ties broken by bottom row.
-/// Every row list is therefore in ascending index order, so the sweeps of
-/// min/max placement, critical positions and realization walk indices
-/// 0..n-1 and back, with no sort.
+/// Every row list is therefore in ascending index order, so min/max
+/// placement walks indices 0..n-1 and back, and critical positions and
+/// realization walk their push chains in index order (push_chain.hpp),
+/// with no sort.
 ///
 /// Concurrency contract: extraction reads the segment grid (whose slots
 /// carry each cell's geometry) and the Database's floorplan without

@@ -89,7 +89,8 @@ MllPlan plan_with(const Database& db, const SegmentGrid& grid,
                     "MIP solution row has no matching insertion interval");
         MRLG_ASSERT(mip_point.lo <= mip_point.hi,
                     "MIP solution has no matching interval range");
-        best_eval = evaluate_insertion_point_exact(lp, mip_point, target);
+        best_eval = evaluate_insertion_point_exact(lp, mip_point, target,
+                                                   s.evaluation);
         MRLG_ASSERT(best_eval.feasible, "MIP point fails exact evaluation");
         best_point = &mip_point;
     } else {
@@ -129,7 +130,7 @@ MllPlan plan_with(const Database& db, const SegmentGrid& grid,
 
     Realization& real = s.realization;
     realize_insertion(lp, *best_point, best_eval.xt, target.w, real,
-                      s.realize_left);
+                      s.realize);
     MRLG_ASSERT(real.ok, "realization failed for an enumerated point");
 
     // Record the would-be commit: shifted local cells in local-index (x)

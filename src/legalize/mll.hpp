@@ -32,8 +32,9 @@ struct MllOptions {
     SiteCoord rx = 30;  ///< Window half-width (paper: Rx = 30).
     SiteCoord ry = 5;   ///< Window half-height (paper: Ry = 5).
     bool check_rail = true;
-    /// Evaluate insertion points exactly (O(|C_W|) each) instead of the
-    /// paper's O(h_t) neighbour approximation. With exact evaluation the
+    /// Evaluate insertion points exactly (each visits the point's push
+    /// chains, DESIGN.md §2e) instead of the paper's O(h_t) neighbour
+    /// approximation. With exact evaluation the
     /// chosen solution is optimal for the local subproblem — this is the
     /// "ILP" configuration of Table 1 (see DESIGN.md substitution notes).
     bool exact_evaluation = false;
@@ -62,7 +63,7 @@ struct MllOptions {
 
 /// The buffers one MLL attempt builds its problem in: the window snapshot,
 /// the CSR problem, the intervals, the enumeration queues and points, the
-/// scan's bounds and evaluator buffers, and realization's sweep arrays.
+/// scan's bounds and evaluator buffers, and realization's sweep buffers.
 /// Each attempt refills them in place, so they stay at their high-water
 /// capacity: a warm attempt allocates nothing but the returned plan's
 /// move list. One scratch per thread (the legalizer keeps a thread_local
@@ -76,7 +77,7 @@ struct MllScratch {
     EnumerationResult enumerated;
     EvalScratch evaluation;
     Realization realization;
-    std::vector<SiteCoord> realize_left;
+    RealizationScratch realize;
     /// Shims, read by nothing here: bench_suite/ passes `&region` to the
     /// by-value extract_local_region and `&problem` to LocalProblem::build.
     /// The next change to the benchmark (ROADMAP item 1) drops both.

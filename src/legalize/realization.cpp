@@ -6,51 +6,46 @@
 
 namespace mrlg {
 
-namespace {
-
-bool is_comb_row(const InsertionPoint& p, int k) {
-    return k >= p.k0 && k < p.k0 + static_cast<int>(p.gaps.size());
-}
-
-}  // namespace
-
 Realization realize_insertion(const LocalProblem& lp,
                               const InsertionPoint& point, SiteCoord xt,
                               SiteCoord target_w) {
     // Filled in per-thread buffers that keep their capacity across calls,
     // then returned as one exactly-sized copy.
     thread_local Realization filled;
-    thread_local std::vector<SiteCoord> left;
-    realize_insertion(lp, point, xt, target_w, filled, left);
+    thread_local RealizationScratch scratch;
+    realize_insertion(lp, point, xt, target_w, filled, scratch);
     return filled;
 }
 
 void realize_insertion(const LocalProblem& lp, const InsertionPoint& point,
                        SiteCoord xt, SiteCoord target_w, Realization& r,
-                       std::vector<SiteCoord>& L) {
+                       RealizationScratch& scratch) {
     MRLG_ASSERT(xt >= point.lo && xt <= point.hi,
                 "target x outside the insertion point's feasible range");
     r.ok = false;
     r.xt = xt;
     r.moved_sites = 0.0;
     const std::size_t n = static_cast<std::size_t>(lp.num_cells());
+    PushMarks& marks = scratch.marks;
 
-    // Right side: ascending x (ascending index). R starts at the current
-    // position; pushes only ever increase it. R lives in r.new_x and is
-    // merged in place.
+    // Right side: ascending x (ascending index) from the cells right of
+    // the gap. R starts at the current position; pushes only ever increase
+    // it. A cell that moved marks each right neighbour it now overlaps;
+    // the rest keep their position, since the local placement is
+    // overlap-free. R lives in r.new_x and is merged in place.
     std::vector<SiteCoord>& R = r.new_x;
     R.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
         R[i] = lp.cell(static_cast<int>(i)).x;
     }
-    for (int ci = 0; ci < static_cast<int>(n); ++ci) {
+    mark_gap_neighbours(lp, point, false, marks);
+    marks.sweep_ascending([&](const int ci) {
         const LpCell& c = lp.cell(ci);
-        SiteCoord x = R[static_cast<std::size_t>(ci)];
+        SiteCoord x = c.x;
         for (SiteCoord j = 0; j < c.h; ++j) {
             const int k = c.k0 + j;
             const int pos = lp.pos_in_row(ci, j);
-            if (is_comb_row(point, k) &&
-                pos == point.gaps[static_cast<std::size_t>(k - point.k0)]) {
+            if (pos == gap_on_row(point, k)) {
                 x = std::max<SiteCoord>(x, xt + target_w);
             } else if (pos > 0) {
                 const int l =
@@ -61,23 +56,36 @@ void realize_insertion(const LocalProblem& lp, const InsertionPoint& point,
             }
         }
         R[static_cast<std::size_t>(ci)] = x;
-    }
+        if (x == c.x) {
+            return;
+        }
+        for (SiteCoord j = 0; j < c.h; ++j) {
+            const std::span<const int> cells = lp.row(c.k0 + j).cells;
+            const int pos = lp.pos_in_row(ci, j);
+            if (pos + 1 < static_cast<int>(cells.size())) {
+                const int rr = cells[static_cast<std::size_t>(pos + 1)];
+                if (x + c.w > lp.cell(rr).x) {
+                    marks.mark(rr);
+                }
+            }
+        }
+    });
 
-    // Left side: descending x.
+    // Left side: descending x from the cells left of the gap, mirrored.
+    std::vector<SiteCoord>& L = scratch.left;
     L.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
         L[i] = lp.cell(static_cast<int>(i)).x;
     }
-    for (int ci = static_cast<int>(n); ci-- > 0;) {
+    mark_gap_neighbours(lp, point, true, marks);
+    marks.sweep_descending([&](const int ci) {
         const LpCell& c = lp.cell(ci);
-        SiteCoord x = L[static_cast<std::size_t>(ci)];
+        SiteCoord x = c.x;
         for (SiteCoord j = 0; j < c.h; ++j) {
             const int k = c.k0 + j;
             const int pos = lp.pos_in_row(ci, j);
             const std::span<const int> row_cells = lp.row(k).cells;
-            if (is_comb_row(point, k) &&
-                pos + 1 ==
-                    point.gaps[static_cast<std::size_t>(k - point.k0)]) {
+            if (pos + 1 == gap_on_row(point, k)) {
                 x = std::min<SiteCoord>(x, xt - c.w);
             } else if (pos + 1 < static_cast<int>(row_cells.size())) {
                 const int rr = row_cells[static_cast<std::size_t>(pos + 1)];
@@ -86,7 +94,21 @@ void realize_insertion(const LocalProblem& lp, const InsertionPoint& point,
             }
         }
         L[static_cast<std::size_t>(ci)] = x;
-    }
+        if (x == c.x) {
+            return;
+        }
+        for (SiteCoord j = 0; j < c.h; ++j) {
+            const std::span<const int> cells = lp.row(c.k0 + j).cells;
+            const int pos = lp.pos_in_row(ci, j);
+            if (pos > 0) {
+                const int l = cells[static_cast<std::size_t>(pos - 1)];
+                const LpCell& lc = lp.cell(l);
+                if (lc.x + lc.w > x) {
+                    marks.mark(l);
+                }
+            }
+        }
+    });
 
     // Merge: a cell may move left or right, never both (valid insertion
     // points have disjoint push sets).

@@ -9,14 +9,17 @@
 ///     R_k = max(x_k, max over left pushers (R_l + w_l), target: xt + w_t)
 /// and left-side positions in one descending-x sweep
 ///     L_k = min(x_k, min over right pushers (L_r - w_k), target: xt - w_k).
-/// Local cells are indexed in x order (local_problem.hpp), so both sweeps
-/// walk indices and each cell is finalized exactly once: the realization
-/// is O(|C_W|), matching the paper's bound.
+/// Both sweeps start at the gap's neighbours and then visit, in index (x)
+/// order, only the cells a moved cell overlaps — Algorithm 2's BFS set
+/// (push_chain.hpp, DESIGN.md §2e) — so each moved cell is finalized
+/// exactly once. Only the initial copy of the positions and the checked
+/// merge touch every local cell.
 
 #include <vector>
 
 #include "legalize/enumeration.hpp"
 #include "legalize/local_problem.hpp"
+#include "legalize/push_chain.hpp"
 #include "util/annotations.hpp"
 
 namespace mrlg {
@@ -30,6 +33,13 @@ struct Realization {
     double moved_sites = 0.0;
 };
 
+/// The in-place variant's buffers: the descending sweep's positions and
+/// the sweeps' work set. Both keep their capacity across calls.
+struct RealizationScratch {
+    std::vector<SiteCoord> left;
+    PushMarks marks;
+};
+
 /// Computes the pushed placement for target position `xt` inside `point`.
 /// Preconditions: compute_minmax_placement has run; point is a valid
 /// enumeration output and xt ∈ [point.lo, point.hi]. Under those
@@ -39,11 +49,10 @@ MRLG_EFFECT_READONLY
 Realization realize_insertion(const LocalProblem& lp,
                               const InsertionPoint& point, SiteCoord xt,
                               SiteCoord target_w);
-/// In-place variant refilling `out`; `left` is the descending sweep's
-/// buffer. Both keep their capacity across calls.
+/// In-place variant refilling `out` and reusing `scratch`.
 MRLG_EFFECT_READONLY
 void realize_insertion(const LocalProblem& lp, const InsertionPoint& point,
                        SiteCoord xt, SiteCoord target_w, Realization& out,
-                       std::vector<SiteCoord>& left);
+                       RealizationScratch& scratch);
 
 }  // namespace mrlg

@@ -94,11 +94,10 @@ struct ScanResult {
 ScanResult scan_points(const LocalProblem& lp, const EnumerationResult& er,
                        const TargetSpec& target, bool exact) {
     ScanResult out;
+    EvalScratch scratch;
+    const PointEvaluator evaluate = point_evaluator(exact);
     for (std::size_t i = 0; i < er.points.size(); ++i) {
-        const Evaluation ev =
-            exact ? evaluate_insertion_point_exact(lp, er.points[i], target)
-                  : evaluate_insertion_point_approx(lp, er.points[i],
-                                                    target);
+        const Evaluation ev = evaluate(lp, er.points[i], target, scratch);
         if (ev.feasible &&
             (!out.feasible || ev.cost_um < out.eval.cost_um)) {
             out.feasible = true;

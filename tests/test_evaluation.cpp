@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "legalize/enumeration.hpp"
 #include "legalize/evaluation.hpp"
 #include "legalize/minmax_placement.hpp"
 #include "legalize/realization.hpp"
@@ -86,8 +90,39 @@ TEST(HingeMin, MatchesBruteForceRandomized) {
         const auto [x, c] = minimize_hinge_cost(h, lo, hi);
         EXPECT_GE(x, lo);
         EXPECT_LE(x, hi);
-        const double ref = brute_force_hinge_min(h.a, h.b, h.pref, lo, hi);
-        EXPECT_NEAR(c, ref, 1e-9) << "trial " << t;
+        const auto [ref_x, ref_c] =
+            brute_force_hinge_min(h.a, h.b, h.pref, lo, hi);
+        EXPECT_EQ(x, ref_x) << "trial " << t;
+        EXPECT_NEAR(c, ref_c, 1e-9) << "trial " << t;
+    }
+}
+
+TEST(HingeMin, BitIdenticalToSortAndSearchReference) {
+    // The merge walk visits the reference's candidates in the same order
+    // with exact integer sums, so (x, cost) agree bit for bit — also with
+    // duplicate breakpoints, integral and half-integral prefs, breakpoints
+    // outside [lo, hi] and one-point ranges.
+    Rng rng(54);
+    for (int t = 0; t < 2000; ++t) {
+        HingeSet h;
+        const int na = static_cast<int>(rng.uniform(0, 12));
+        const int nb = static_cast<int>(rng.uniform(0, 12));
+        for (int i = 0; i < na; ++i) {
+            h.a.push_back(static_cast<SiteCoord>(rng.uniform(-30, 70)));
+        }
+        for (int i = 0; i < nb; ++i) {
+            h.b.push_back(static_cast<SiteCoord>(rng.uniform(-30, 70)));
+        }
+        const double frac = t % 4 == 0   ? 0.0
+                            : t % 4 == 1 ? 0.5
+                                         : rng.uniform01();
+        h.pref = static_cast<double>(rng.uniform(-40, 80)) + frac;
+        const SiteCoord lo = static_cast<SiteCoord>(rng.uniform(-10, 30));
+        const SiteCoord hi =
+            lo + static_cast<SiteCoord>(t % 5 == 0 ? 0 : rng.uniform(0, 50));
+        EXPECT_EQ(minimize_hinge_cost(h, lo, hi),
+                  reference_minimize_hinge_cost(h, lo, hi))
+            << "trial " << t;
     }
 }
 
@@ -232,6 +267,130 @@ TEST(CriticalPositions, MultiRowPropagatesAcrossRows) {
     EXPECT_EQ(cp.xa[static_cast<std::size_t>(idx(m))], 9);
     // s is pushed via m: xa_s = x_s + w_s + (xa_m - x_m) = 0+5+4 = 9.
     EXPECT_EQ(cp.xa[static_cast<std::size_t>(idx(s))], 9);
+}
+
+TEST(EvalExact, PointStraddlingADoubleRowCellIsAnAssertion) {
+    // d spans rows 0-1. The hand-built point puts the gap left of d on
+    // row 0 and right of it on row 1, so d is on both push chains.
+    // Enumeration never emits such a point; the evaluator refuses it.
+    Database db = empty_design(2, 60);
+    SegmentGrid grid = SegmentGrid::build(db);
+    add_placed(db, grid, "a", 0, 0, 5, 1);
+    add_placed(db, grid, "d", 20, 0, 4, 2);
+    add_placed(db, grid, "b", 40, 1, 5, 1);
+    LocalProblem lp = extract_local_region(db, grid, Rect{0, 0, 60, 2});
+    compute_minmax_placement(lp);
+    const TargetSpec t = make_target(3, 2, 22.0, 0.0);
+    InsertionPoint p;
+    p.k0 = 0;
+    p.gaps = {1, 1};  // row 0: between a and d; row 1: between d and b
+    p.lo = 10;
+    p.hi = 30;
+    ASSERT_FALSE(insertion_point_consistent(lp, p));
+    try {
+        (void)evaluate_insertion_point_exact(lp, p, t);
+        FAIL() << "expected AssertionError";
+    } catch (const AssertionError& e) {
+        EXPECT_NE(std::string(e.what()).find("both push directions"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+// ---------------- push chains vs whole-window references ----------------
+
+TEST(PushChain, KernelsBitIdenticalToWholeWindowReferences) {
+    // Random windows from low to high density with cells up to three rows
+    // tall: for every enumerated point, the push-chain critical positions
+    // equal the whole-window sweeps', the exact evaluation equals the
+    // reference hinges fed to the reference minimizer, and realization at
+    // lo, at hi and at the evaluator's choice equals the whole-window
+    // sweeps'. One scratch of each kind serves every call, as in MLL.
+    Rng rng(97);
+    EvalScratch eval_scratch;
+    Realization real;
+    RealizationScratch real_scratch;
+    std::size_t points = 0;
+    std::size_t multi_row_points = 0;
+    std::size_t pushed = 0;
+    const int cells_per_design[] = {12, 30, 50, 70, 85};
+    for (int trial = 0; trial < 40; ++trial) {
+        RandomDesign d = random_legal_design(
+            rng, 8, 90, cells_per_design[trial % 5], 0.35, 3);
+        const Rect window{static_cast<SiteCoord>(rng.uniform(-5, 30)),
+                          static_cast<SiteCoord>(rng.uniform(-1, 2)),
+                          static_cast<SiteCoord>(rng.uniform(30, 90)),
+                          static_cast<SiteCoord>(rng.uniform(4, 9))};
+        LocalProblem lp = extract_local_region(d.db, d.grid, window);
+        compute_minmax_placement(lp);
+        const TargetSpec t = make_target(
+            static_cast<SiteCoord>(rng.uniform(1, 5)),
+            static_cast<SiteCoord>(rng.uniform(1, 3)),
+            static_cast<double>(rng.uniform(0, 85)) + rng.uniform01(),
+            static_cast<double>(rng.uniform(0, 6)),
+            rng.chance(0.5) ? RailPhase::kEven : RailPhase::kOdd);
+        const auto intervals = build_insertion_intervals(lp, t.w);
+        const auto res = enumerate_insertion_points(lp, intervals, t);
+        for (const InsertionPoint& pt : res.points) {
+            ++points;
+            multi_row_points += t.h > 1 ? 1 : 0;
+            const CriticalPositions ref =
+                reference_critical_positions(lp, pt, t.w);
+            compute_critical_positions(lp, pt, t.w, eval_scratch.cp);
+            const CriticalPositions& cp = eval_scratch.cp;
+            EXPECT_EQ(cp.xa, ref.xa) << "trial " << trial;
+            EXPECT_EQ(cp.xb, ref.xb) << "trial " << trial;
+            std::vector<int> left_chain;
+            std::vector<int> right_chain;
+            HingeSet h;
+            h.pref = t.pref_x;
+            for (int i = lp.num_cells(); i-- > 0;) {
+                if (ref.xa[static_cast<std::size_t>(i)] != kSiteCoordMin) {
+                    left_chain.push_back(i);
+                }
+            }
+            for (int i = 0; i < lp.num_cells(); ++i) {
+                const SiteCoord xa = ref.xa[static_cast<std::size_t>(i)];
+                const SiteCoord xb = ref.xb[static_cast<std::size_t>(i)];
+                if (xa != kSiteCoordMin) {
+                    h.a.push_back(xa);
+                } else if (xb != kSiteCoordMax) {
+                    h.b.push_back(xb);
+                    right_chain.push_back(i);
+                }
+            }
+            EXPECT_EQ(cp.left_chain, left_chain) << "trial " << trial;
+            EXPECT_EQ(cp.right_chain, right_chain) << "trial " << trial;
+
+            const auto ref_min = reference_minimize_hinge_cost(h, pt.lo, pt.hi);
+            EXPECT_EQ(minimize_hinge_cost(h, pt.lo, pt.hi, eval_scratch),
+                      ref_min)
+                << "trial " << trial;
+            const Evaluation ev =
+                evaluate_insertion_point_exact(lp, pt, t, eval_scratch);
+            ASSERT_TRUE(ev.feasible);
+            EXPECT_EQ(ev.xt, ref_min.first) << "trial " << trial;
+            EXPECT_EQ(ev.cost_um, point_cost_um(lp, pt, t, ref_min.second))
+                << "trial " << trial;
+
+            for (const SiteCoord x : {pt.lo, pt.hi, ev.xt}) {
+                const Realization want =
+                    reference_realize_insertion(lp, pt, x, t.w);
+                realize_insertion(lp, pt, x, t.w, real, real_scratch);
+                ASSERT_TRUE(real.ok);
+                EXPECT_EQ(real.xt, x);
+                EXPECT_EQ(real.new_x, want.new_x)
+                    << "trial " << trial << " xt " << x;
+                EXPECT_EQ(real.moved_sites, want.moved_sites)
+                    << "trial " << trial << " xt " << x;
+                pushed += real.moved_sites > 0.0 ? 1 : 0;
+            }
+        }
+    }
+    // The sample is not vacuous: multi-row targets and pushes occur.
+    EXPECT_GT(points, 1000u);
+    EXPECT_GT(multi_row_points, 100u);
+    EXPECT_GT(pushed, 500u);
 }
 
 // ---------------- exact vs realization ----------------

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 
 #include "check/audit.hpp"
 #include "legalize/greedy.hpp"
@@ -77,21 +79,275 @@ RandomDesign random_legal_design(Rng& rng, SiteCoord rows, SiteCoord sites,
     return d;
 }
 
-double brute_force_hinge_min(const std::vector<SiteCoord>& a,
-                             const std::vector<SiteCoord>& b, double pref,
-                             SiteCoord lo, SiteCoord hi) {
+std::pair<SiteCoord, double> brute_force_hinge_min(
+    const std::vector<SiteCoord>& a, const std::vector<SiteCoord>& b,
+    double pref, SiteCoord lo, SiteCoord hi) {
+    SiteCoord best_x = lo;
     double best = std::numeric_limits<double>::max();
     for (SiteCoord x = lo; x <= hi; ++x) {
-        double cost = std::abs(static_cast<double>(x) - pref);
+        const double d = std::abs(static_cast<double>(x) - pref);
+        double cost = d;
         for (const SiteCoord av : a) {
             cost += std::max(0, av - x);
         }
         for (const SiteCoord bv : b) {
             cost += std::max(0, x - bv);
         }
-        best = std::min(best, cost);
+        // Ascending x: a full tie keeps the smaller x already held.
+        const double best_d = std::abs(static_cast<double>(best_x) - pref);
+        if (cost < best - 1e-9 ||
+            (std::abs(cost - best) <= 1e-9 && d < best_d - 1e-9)) {
+            best = cost;
+            best_x = x;
+        }
     }
-    return best;
+    return {best_x, best};
+}
+
+namespace {
+
+/// Post-insertion right neighbour of local cell `ci` on local row `k`:
+/// returns the neighbour cell index, or -2 when the neighbour is the
+/// target, or -1 when there is none (segment wall).
+int right_neighbor(const LocalProblem& lp, const InsertionPoint& p, int ci,
+                   int k) {
+    const int pos = lp.pos_in_row(ci, k - lp.cell(ci).k0);
+    const std::span<const int> row_cells = lp.row(k).cells;
+    const bool comb_row =
+        k >= p.k0 && k < p.k0 + static_cast<int>(p.gaps.size());
+    if (comb_row && pos + 1 == p.gaps[static_cast<std::size_t>(k - p.k0)]) {
+        return -2;  // target sits immediately to the right
+    }
+    if (pos + 1 < static_cast<int>(row_cells.size())) {
+        return row_cells[static_cast<std::size_t>(pos + 1)];
+    }
+    return -1;
+}
+
+/// Post-insertion left neighbour; same encoding as right_neighbor.
+int left_neighbor(const LocalProblem& lp, const InsertionPoint& p, int ci,
+                  int k) {
+    const int pos = lp.pos_in_row(ci, k - lp.cell(ci).k0);
+    const std::span<const int> row_cells = lp.row(k).cells;
+    const bool comb_row =
+        k >= p.k0 && k < p.k0 + static_cast<int>(p.gaps.size());
+    if (comb_row && pos == p.gaps[static_cast<std::size_t>(k - p.k0)]) {
+        return -2;  // target sits immediately to the left
+    }
+    if (pos > 0) {
+        return row_cells[static_cast<std::size_t>(pos - 1)];
+    }
+    return -1;
+}
+
+bool is_comb_row(const InsertionPoint& p, int k) {
+    return k >= p.k0 && k < p.k0 + static_cast<int>(p.gaps.size());
+}
+
+}  // namespace
+
+CriticalPositions reference_critical_positions(const LocalProblem& lp,
+                                               const InsertionPoint& point,
+                                               SiteCoord target_w) {
+    CriticalPositions cp;
+    const std::size_t n = static_cast<std::size_t>(lp.num_cells());
+    cp.xa.assign(n, kSiteCoordMin);
+    cp.xb.assign(n, kSiteCoordMax);
+
+    // Push-left thresholds: every cell right-to-left (descending index is
+    // descending x); xa_k = x_k + w_k + max over pushers r of
+    // (xa_r - x_r), with the target contributing 0.
+    for (int ci = static_cast<int>(n); ci-- > 0;) {
+        const LpCell& c = lp.cell(ci);
+        SiteCoord best = kSiteCoordMin;
+        bool any = false;
+        for (SiteCoord j = 0; j < c.h; ++j) {
+            const int nb = right_neighbor(lp, point, ci, c.k0 + j);
+            if (nb == -2) {
+                best = std::max<SiteCoord>(best, 0);
+                any = true;
+            } else if (nb >= 0 &&
+                       cp.xa[static_cast<std::size_t>(nb)] != kSiteCoordMin) {
+                best = std::max<SiteCoord>(
+                    best, cp.xa[static_cast<std::size_t>(nb)] -
+                              lp.cell(nb).x);
+                any = true;
+            }
+        }
+        if (any) {
+            cp.xa[static_cast<std::size_t>(ci)] = c.x + c.w + best;
+        }
+    }
+
+    // Push-right thresholds, mirrored: xb_k = x_k + min over pushers l of
+    // (xb_l - x_l - w_l), the target contributing -target_w.
+    for (int ci = 0; ci < static_cast<int>(n); ++ci) {
+        const LpCell& c = lp.cell(ci);
+        SiteCoord best = kSiteCoordMax;
+        bool any = false;
+        for (SiteCoord j = 0; j < c.h; ++j) {
+            const int nb = left_neighbor(lp, point, ci, c.k0 + j);
+            if (nb == -2) {
+                best = std::min<SiteCoord>(best, -target_w);
+                any = true;
+            } else if (nb >= 0 &&
+                       cp.xb[static_cast<std::size_t>(nb)] != kSiteCoordMax) {
+                const LpCell& l = lp.cell(nb);
+                best = std::min<SiteCoord>(
+                    best,
+                    cp.xb[static_cast<std::size_t>(nb)] - l.x - l.w);
+                any = true;
+            }
+        }
+        if (any) {
+            cp.xb[static_cast<std::size_t>(ci)] = c.x + best;
+        }
+    }
+    return cp;
+}
+
+Realization reference_realize_insertion(const LocalProblem& lp,
+                                        const InsertionPoint& point,
+                                        SiteCoord xt, SiteCoord target_w) {
+    Realization r;
+    r.xt = xt;
+    const std::size_t n = static_cast<std::size_t>(lp.num_cells());
+
+    // Right side: every cell in ascending index (x) order.
+    std::vector<SiteCoord>& R = r.new_x;
+    R.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        R[i] = lp.cell(static_cast<int>(i)).x;
+    }
+    for (int ci = 0; ci < static_cast<int>(n); ++ci) {
+        const LpCell& c = lp.cell(ci);
+        SiteCoord x = R[static_cast<std::size_t>(ci)];
+        for (SiteCoord j = 0; j < c.h; ++j) {
+            const int k = c.k0 + j;
+            const int pos = lp.pos_in_row(ci, j);
+            if (is_comb_row(point, k) &&
+                pos == point.gaps[static_cast<std::size_t>(k - point.k0)]) {
+                x = std::max<SiteCoord>(x, xt + target_w);
+            } else if (pos > 0) {
+                const int l =
+                    lp.row(k).cells[static_cast<std::size_t>(pos - 1)];
+                x = std::max<SiteCoord>(
+                    x, R[static_cast<std::size_t>(l)] + lp.cell(l).w);
+            }
+        }
+        R[static_cast<std::size_t>(ci)] = x;
+    }
+
+    // Left side: every cell in descending order.
+    std::vector<SiteCoord> L(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        L[i] = lp.cell(static_cast<int>(i)).x;
+    }
+    for (int ci = static_cast<int>(n); ci-- > 0;) {
+        const LpCell& c = lp.cell(ci);
+        SiteCoord x = L[static_cast<std::size_t>(ci)];
+        for (SiteCoord j = 0; j < c.h; ++j) {
+            const int k = c.k0 + j;
+            const int pos = lp.pos_in_row(ci, j);
+            const std::span<const int> row_cells = lp.row(k).cells;
+            if (is_comb_row(point, k) &&
+                pos + 1 ==
+                    point.gaps[static_cast<std::size_t>(k - point.k0)]) {
+                x = std::min<SiteCoord>(x, xt - c.w);
+            } else if (pos + 1 < static_cast<int>(row_cells.size())) {
+                const int rr = row_cells[static_cast<std::size_t>(pos + 1)];
+                x = std::min<SiteCoord>(
+                    x, L[static_cast<std::size_t>(rr)] - c.w);
+            }
+        }
+        L[static_cast<std::size_t>(ci)] = x;
+    }
+
+    for (std::size_t i = 0; i < n; ++i) {
+        const LpCell& c = lp.cell(static_cast<int>(i));
+        const bool moved_left = L[i] < c.x;
+        const bool moved_right = R[i] > c.x;
+        MRLG_ASSERT(!(moved_left && moved_right),
+                    "reference: cell pushed in both directions");
+        const SiteCoord nx = moved_left ? L[i] : R[i];
+        MRLG_ASSERT(nx >= c.xl && nx <= c.xr,
+                    "reference: pushed cell left its feasible range");
+        r.new_x[i] = nx;
+        r.moved_sites += static_cast<double>(std::abs(nx - c.x));
+    }
+    r.ok = true;
+    return r;
+}
+
+std::pair<SiteCoord, double> reference_minimize_hinge_cost(
+    const HingeSet& hinges, SiteCoord lo, SiteCoord hi) {
+    MRLG_ASSERT(lo <= hi, "empty feasible range");
+    std::vector<SiteCoord> a = hinges.a;
+    std::vector<SiteCoord> b = hinges.b;
+    std::sort(a.begin(), a.end());
+    std::sort(b.begin(), b.end());
+
+    // Suffix sums of a (for sum of a_i > x), prefix sums of b.
+    std::vector<double> a_suffix(a.size() + 1, 0.0);
+    for (std::size_t i = a.size(); i-- > 0;) {
+        a_suffix[i] = a_suffix[i + 1] + static_cast<double>(a[i]);
+    }
+    std::vector<double> b_prefix(b.size() + 1, 0.0);
+    for (std::size_t i = 0; i < b.size(); ++i) {
+        b_prefix[i + 1] = b_prefix[i] + static_cast<double>(b[i]);
+    }
+
+    auto cost_at = [&](SiteCoord x) -> double {
+        // sum over a_i > x of (a_i - x)
+        const auto ita = std::upper_bound(a.begin(), a.end(), x);
+        const std::size_t ia = static_cast<std::size_t>(ita - a.begin());
+        const double ca = a_suffix[ia] - static_cast<double>(a.size() - ia) *
+                                             static_cast<double>(x);
+        // sum over b_j < x of (x - b_j)
+        const auto itb = std::lower_bound(b.begin(), b.end(), x);
+        const std::size_t ib = static_cast<std::size_t>(itb - b.begin());
+        const double cb =
+            static_cast<double>(ib) * static_cast<double>(x) - b_prefix[ib];
+        return ca + cb + target_x_distance_sites(x, hinges.pref);
+    };
+
+    // Candidate positions: every breakpoint clamped into [lo, hi].
+    std::vector<SiteCoord> cand{lo, hi};
+    auto push_clamped = [&](double v) {
+        const double c = std::clamp(v, static_cast<double>(lo),
+                                    static_cast<double>(hi));
+        cand.push_back(static_cast<SiteCoord>(std::floor(c)));
+        cand.push_back(static_cast<SiteCoord>(std::ceil(c)));
+    };
+    for (const SiteCoord v : a) {
+        push_clamped(static_cast<double>(v));
+    }
+    for (const SiteCoord v : b) {
+        push_clamped(static_cast<double>(v));
+    }
+    push_clamped(hinges.pref);
+    std::sort(cand.begin(), cand.end());
+    cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
+
+    SiteCoord best_x = lo;
+    double best_cost = std::numeric_limits<double>::max();
+    for (const SiteCoord x : cand) {
+        if (x < lo || x > hi) {
+            continue;
+        }
+        const double c = cost_at(x);
+        const double d_pref = target_x_distance_sites(x, hinges.pref);
+        const double best_d_pref =
+            target_x_distance_sites(best_x, hinges.pref);
+        if (c < best_cost - 1e-9 ||
+            (std::abs(c - best_cost) <= 1e-9 &&
+             (d_pref < best_d_pref - 1e-9 ||
+              (std::abs(d_pref - best_d_pref) <= 1e-9 && x < best_x)))) {
+            best_cost = c;
+            best_x = x;
+        }
+    }
+    return {best_x, best_cost};
 }
 
 }  // namespace mrlg::test

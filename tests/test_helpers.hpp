@@ -2,13 +2,17 @@
 /// Shared fixtures: tiny hand-built designs and randomized design factories
 /// used across the test suite.
 
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "db/database.hpp"
 #include "db/segment.hpp"
+#include "legalize/enumeration.hpp"
+#include "legalize/evaluation.hpp"
 #include "legalize/local_problem.hpp"
+#include "legalize/realization.hpp"
 #include "util/rng.hpp"
 
 namespace mrlg::test {
@@ -56,10 +60,24 @@ RandomDesign random_legal_design(Rng& rng, SiteCoord rows, SiteCoord sites,
 ::testing::AssertionResult segment_lists_consistent(const Database& db,
                                                     const SegmentGrid& grid);
 
-/// Brute-force minimal hinge cost by scanning all integer x in [lo, hi]
-/// (reference for minimize_hinge_cost).
-double brute_force_hinge_min(const std::vector<SiteCoord>& a,
-                             const std::vector<SiteCoord>& b, double pref,
-                             SiteCoord lo, SiteCoord hi);
+/// Brute-force hinge minimum by scanning all integer x in [lo, hi]
+/// (reference for minimize_hinge_cost): (argmin, cost) under the same tie
+/// rule, smaller |x − pref| and then smaller x.
+std::pair<SiteCoord, double> brute_force_hinge_min(
+    const std::vector<SiteCoord>& a, const std::vector<SiteCoord>& b,
+    double pref, SiteCoord lo, SiteCoord hi);
+
+/// Whole-window references for the push-chain kernels: the sweeps over
+/// every local cell, and the minimizer that sorts its candidates and
+/// binary-searches each one. The library's kernels must agree with them
+/// bit for bit.
+CriticalPositions reference_critical_positions(const LocalProblem& lp,
+                                               const InsertionPoint& point,
+                                               SiteCoord target_w);
+Realization reference_realize_insertion(const LocalProblem& lp,
+                                        const InsertionPoint& point,
+                                        SiteCoord xt, SiteCoord target_w);
+std::pair<SiteCoord, double> reference_minimize_hinge_cost(
+    const HingeSet& hinges, SiteCoord lo, SiteCoord hi);
 
 }  // namespace mrlg::test

@@ -173,8 +173,10 @@ TEST_P(HingeSweep, MatchesBruteForce) {
         const auto [x, cost] = minimize_hinge_cost(h, lo, hi);
         EXPECT_GE(x, lo);
         EXPECT_LE(x, hi);
-        EXPECT_NEAR(cost, brute_force_hinge_min(h.a, h.b, h.pref, lo, hi),
-                    1e-9);
+        const auto [ref_x, ref_cost] =
+            brute_force_hinge_min(h.a, h.b, h.pref, lo, hi);
+        EXPECT_EQ(x, ref_x);
+        EXPECT_NEAR(cost, ref_cost, 1e-9);
     }
 }
 
