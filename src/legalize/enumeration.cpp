@@ -128,7 +128,7 @@ void enumerate_insertion_points(const LocalProblem& lp,
     const auto bucket = [&](const InsertionInterval& iv) {
         return static_cast<std::size_t>(iv.lo - lo_min);
     };
-    std::vector<int>& start = s.lo_start;
+    std::vector<int>& start = s.bucket_start;
     start.assign(static_cast<std::size_t>(lo_max - lo_min) + 2, 0);
     for (const InsertionInterval& iv : intervals) {
         if (usable(iv)) {
@@ -188,15 +188,12 @@ void enumerate_insertion_points_scanline(
         return s.queues[static_cast<std::size_t>(a * band + (b - a) + ht - 1)];
     };
 
-    std::vector<Event>& events = s.events;
-    events.clear();
-    for (std::size_t i = 0; i < intervals.size(); ++i) {
-        const InsertionInterval& iv = intervals[i];
-        events.push_back(
-            Event{iv.lo, EvType::kLeft, static_cast<int>(i), iv.k});
-        events.push_back(
-            Event{iv.hi, EvType::kRight, static_cast<int>(i), iv.k});
-    }
+    // Events in (x, type, payload) order: generated type-major (clear,
+    // left, right), each type in payload order, then stable-counting-
+    // sorted on x. Only the clear events of one cell at one x, one per
+    // row, keep no order of their own; they clear disjoint queues.
+    std::vector<Event>& unordered = s.unordered_events;
+    unordered.clear();
     // Clear events: one per (multi-row cell, row it occupies), at the
     // left edge of the gap immediately to the cell's right. Emitted for
     // every such gap — including gaps whose interval was discarded for
@@ -204,21 +201,40 @@ void enumerate_insertion_points_scanline(
     for (const int ci : multi_cells) {
         const LpCell& c = lp.cell(ci);
         for (SiteCoord j = 0; j < c.h; ++j) {
-            events.push_back(Event{static_cast<SiteCoord>(c.xl + c.w),
-                                   EvType::kClear, ci, c.k0 + j});
+            unordered.push_back(Event{static_cast<SiteCoord>(c.xl + c.w),
+                                      EvType::kClear, ci, c.k0 + j});
         }
     }
-
-    std::sort(events.begin(), events.end(), [](const Event& a,
-                                               const Event& b) {
-        if (a.x != b.x) {
-            return a.x < b.x;
+    for (std::size_t i = 0; i < intervals.size(); ++i) {
+        const InsertionInterval& iv = intervals[i];
+        unordered.push_back(
+            Event{iv.lo, EvType::kLeft, static_cast<int>(i), iv.k});
+    }
+    for (std::size_t i = 0; i < intervals.size(); ++i) {
+        const InsertionInterval& iv = intervals[i];
+        unordered.push_back(
+            Event{iv.hi, EvType::kRight, static_cast<int>(i), iv.k});
+    }
+    std::vector<Event>& events = s.events;
+    events.resize(unordered.size());
+    if (!unordered.empty()) {
+        const auto [lo_ev, hi_ev] = std::minmax_element(
+            unordered.begin(), unordered.end(),
+            [](const Event& a, const Event& b) { return a.x < b.x; });
+        const SiteCoord x_min = lo_ev->x;
+        std::vector<int>& start = s.bucket_start;
+        start.assign(static_cast<std::size_t>(hi_ev->x - x_min) + 2, 0);
+        for (const Event& ev : unordered) {
+            ++start[static_cast<std::size_t>(ev.x - x_min) + 1];
         }
-        if (a.type != b.type) {
-            return static_cast<int>(a.type) < static_cast<int>(b.type);
+        for (std::size_t b = 1; b < start.size(); ++b) {
+            start[b] += start[b - 1];
         }
-        return a.payload < b.payload;
-    });
+        for (const Event& ev : unordered) {
+            events[static_cast<std::size_t>(
+                start[static_cast<std::size_t>(ev.x - x_min)]++)] = ev;
+        }
+    }
 
     // Recursive cartesian product over the ht-1 partner queues.
     std::vector<int>& combo_gaps = s.combo_gaps;

@@ -104,8 +104,9 @@ struct EnumerationResult {
 };
 
 /// Reusable buffers of the scanline (one enumeration per MLL attempt): the
-/// multi-row cell list, the sorted endpoint events, the Q queues and the
-/// combination being built. A default-constructed scratch is always valid.
+/// multi-row cell list, the endpoint events before and after their sort,
+/// the Q queues and the combination being built. A default-constructed
+/// scratch is always valid.
 struct EnumerationScratch {
     enum class EvType : int { kClear = 0, kLeft = 1, kRight = 2 };
     struct Event {
@@ -115,10 +116,14 @@ struct EnumerationScratch {
         int row;      ///< row a owning the event (kClear: the gap's row)
     };
     std::vector<int> multi_cells;
+    /// Events type-major, each type in payload order, and then in
+    /// (x, type, payload) order.
+    std::vector<Event> unordered_events;
     std::vector<Event> events;
-    /// h_t = 1: counting-sort buckets over the usable intervals' lo range,
-    /// the first output slot of each lo (one more slot than the range).
-    std::vector<int> lo_start;
+    /// Counting-sort buckets, the first output slot of each key (one more
+    /// slot than the key range): h_t = 1 sorts the usable intervals on
+    /// lo, the scanline its events on x.
+    std::vector<int> bucket_start;
     /// Q[a][s] for |a - s| < h_t, row-major by a: (2·h_t - 1) per row.
     std::vector<std::vector<int>> queues;
     std::vector<int> combo_gaps;
@@ -126,9 +131,10 @@ struct EnumerationScratch {
 
 /// Enumerates every valid insertion point, at most opts.max_points of
 /// them (truncated = true when more exist): the scanline for h_t >= 2,
-/// O(#points) after its event sort, and for h_t = 1 the direct emission,
-/// a stable counting sort on lo: O(#intervals + lo range), the range
-/// being at most the window's width.
+/// O(#points) after a stable counting sort of its events on x,
+/// O(#events + x range), and for h_t = 1 the direct emission, a stable
+/// counting sort on lo: O(#intervals + lo range). Both ranges are at most
+/// the window's width plus the target's.
 MRLG_EFFECT_READONLY
 EnumerationResult enumerate_insertion_points(
     const LocalProblem& lp, const std::vector<InsertionInterval>& intervals,

@@ -42,9 +42,41 @@ GreedyStats greedy_legalize(Database& db, SegmentGrid& grid,
 /// Also used by the full legalizer as a deterministic fallback when the
 /// randomized retry rounds of Algorithm 1 keep missing the remaining free
 /// space on very dense designs.
+///
+/// The cost is |x − px|·site_w + |y − py|·site_h. Rows come from
+/// OutwardRows; within a row the search walks the free runs outward from
+/// px and stops on each side once no run there can beat the row's best
+/// or the best cost so far (DESIGN.md §2h). Ties go to the lower row,
+/// then within a row to the smallest |x − px|, the left one first: the
+/// answer of a scan over every free run of every row.
 std::optional<Point> find_nearest_free_position(const Database& db,
                                                 const SegmentGrid& grid,
                                                 CellId cell, double px,
                                                 double py, bool check_rail);
+
+/// The bottom rows a footprint of `height` rows can take on a die of
+/// `num_rows` rows, in ascending |y − py|, the lower row first on a tie.
+/// With `check_rail`, rows whose power-rail parity does not suit `phase`
+/// are skipped. The free-slot search and rip-up read their candidate rows
+/// from it.
+class OutwardRows {
+public:
+    OutwardRows(SiteCoord num_rows, SiteCoord height, double py,
+                bool check_rail, RailPhase phase);
+
+    /// The next row, or nullopt once every row has been given.
+    std::optional<SiteCoord> next();
+
+private:
+    bool usable(SiteCoord y) const;
+
+    SiteCoord height_;
+    SiteCoord max_y_;
+    double py_;
+    bool check_rail_;
+    RailPhase phase_;
+    SiteCoord down_;  ///< Next row at or below py (< 0: none left).
+    SiteCoord up_;    ///< Next row above it (> max_y_: none left).
+};
 
 }  // namespace mrlg

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "check/audit.hpp"
-#include "eval/legality.hpp"
+#include "legalize/greedy.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
 
@@ -53,28 +53,20 @@ RipupResult ripup_place(Database& db, SegmentGrid& grid, CellId target,
     const Floorplan& fp = db.floorplan();
     const SiteCoord h = cell.height();
     const SiteCoord w = cell.width();
-    const SiteCoord max_y = std::max<SiteCoord>(0, fp.num_rows() - h);
     const double sw = fp.site_w_um();
     const double sh = fp.site_h_um();
 
-    // Candidate footprints: rows by |dy| (parity-filtered), a few x
-    // offsets around the preferred x each.
-    std::vector<SiteCoord> rows;
-    for (SiteCoord y = 0; y <= max_y; ++y) {
-        if (!opts.mll.check_rail ||
-            rail_compatible(y, h, cell.rail_phase())) {
-            rows.push_back(y);
-        }
-    }
-    std::sort(rows.begin(), rows.end(), [&](SiteCoord a, SiteCoord b) {
-        return std::abs(static_cast<double>(a) - pref_y) <
-               std::abs(static_cast<double>(b) - pref_y);
-    });
+    // Candidate footprints: rows by |dy| (parity-filtered, as the
+    // free-slot search reads them), a few x offsets around the preferred
+    // x each.
+    OutwardRows rows(fp.num_rows(), h, pref_y, opts.mll.check_rail,
+                     cell.rail_phase());
     const SiteCoord x0 = static_cast<SiteCoord>(std::lround(pref_x));
     const std::vector<SiteCoord> x_offsets = {0, -w, w, -3 * w, 3 * w};
 
     int tried = 0;
-    for (const SiteCoord y : rows) {
+    while (const std::optional<SiteCoord> y_row = rows.next()) {
+        const SiteCoord y = *y_row;
         for (const SiteCoord dx : x_offsets) {
             if (tried >= kMaxRipupCandidates) {
                 return res;

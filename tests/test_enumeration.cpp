@@ -337,5 +337,88 @@ TEST(Enumeration, SingleRowSequenceEqualsScanline) {
     EXPECT_GT(truncated, 0u);
 }
 
+TEST(Enumeration, MultiRowSequenceEqualsSortedReference) {
+    // The scanline counting-sorts its events on x; the emitted sequence
+    // must be the one a std::sort on (x, type, payload) gives, because the
+    // order breaks cost ties. Cells sit on a two-site grid so that many
+    // events share an x (a clear event always shares its x with the left
+    // event of the gap to its cell's right); some cells span three rows.
+    Rng rng(61);
+    std::size_t compared = 0;
+    std::size_t points = 0;
+    std::size_t truncated = 0;
+    std::size_t shared_x = 0;
+    const SiteCoord rows = 8;
+    const SiteCoord sites = 60;
+    for (int trial = 0; trial < 40; ++trial) {
+        Database db = empty_design(rows, sites);
+        if (rng.chance(0.5)) {
+            db.floorplan().add_blockage(
+                Rect{static_cast<SiteCoord>(2 * rng.uniform(0, 24)),
+                     static_cast<SiteCoord>(rng.uniform(0, rows - 1)), 6,
+                     1});
+        }
+        SegmentGrid grid = SegmentGrid::build(db);
+        for (int i = 0; i < 60; ++i) {
+            const SiteCoord w = static_cast<SiteCoord>(2 * rng.uniform(1, 3));
+            const SiteCoord h =
+                rng.chance(0.35) ? static_cast<SiteCoord>(rng.uniform(2, 3))
+                                 : 1;
+            const Rect r{
+                static_cast<SiteCoord>(2 * rng.uniform(0, (sites - w) / 2)),
+                static_cast<SiteCoord>(rng.uniform(0, rows - h)), w, h};
+            if (grid.placeable(r, CellId{}, 0)) {
+                add_placed(db, grid, "c" + std::to_string(i), r.x, r.y, w,
+                           h,
+                           rng.chance(0.5) ? RailPhase::kEven
+                                           : RailPhase::kOdd);
+            }
+        }
+        const Rect window{static_cast<SiteCoord>(rng.uniform(0, 20)),
+                          static_cast<SiteCoord>(rng.uniform(-1, rows - 5)),
+                          static_cast<SiteCoord>(rng.uniform(24, 60)),
+                          static_cast<SiteCoord>(rng.uniform(5, 8))};
+        LocalProblem lp = extract_local_region(db, grid, window);
+        compute_minmax_placement(lp);
+        for (const SiteCoord ht : {2, 3}) {
+            const TargetSpec t = make_target(
+                static_cast<SiteCoord>(rng.uniform(1, 4)), ht,
+                rng.chance(0.5) ? RailPhase::kEven : RailPhase::kOdd);
+            const auto intervals = build_insertion_intervals(lp, t.w);
+            std::set<SiteCoord> los;
+            for (const InsertionInterval& iv : intervals) {
+                shared_x += los.insert(iv.lo).second ? 0 : 1;
+            }
+            for (const bool rail : {true, false}) {
+                EnumerationOptions opts;
+                opts.check_rail = rail;
+                EnumerationScratch warm;
+                for (const std::size_t cap :
+                     {opts.max_points, std::size_t{3}}) {
+                    opts.max_points = cap;
+                    EnumerationResult got;
+                    EnumerationResult want;
+                    enumerate_insertion_points_scanline(lp, intervals, t,
+                                                        opts, warm, got);
+                    reference_enumerate_insertion_points_scanline(
+                        lp, intervals, t, opts, want);
+                    EXPECT_EQ(got.points, want.points)
+                        << "trial " << trial << " h_t " << ht << " cap "
+                        << cap;
+                    EXPECT_EQ(got.truncated, want.truncated)
+                        << "trial " << trial << " h_t " << ht;
+                    points += got.points.size();
+                    truncated += got.truncated ? 1 : 0;
+                    ++compared;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(compared, 320u);
+    EXPECT_GT(points, 500u);
+    EXPECT_GT(truncated, 0u);
+    EXPECT_GT(shared_x, 100u);
+}
+
 }  // namespace
 }  // namespace mrlg::test

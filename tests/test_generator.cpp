@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <set>
+
 #include "eval/metrics.hpp"
 #include "io/benchmark_gen.hpp"
 #include "io/profiles.hpp"
@@ -111,6 +115,97 @@ TEST(Generator, DoubleHeightCellsShareRailPhase) {
         if (c.height() == 2) {
             EXPECT_EQ(c.rail_phase(), RailPhase::kEven);
         }
+    }
+}
+
+/// FNV-1a over what makes a generated design: the site size, rows,
+/// blockages and fences; each cell's size, rail phase, fixed flag, region
+/// and gp bits; each pin's cell, net and offset bits.
+std::uint64_t design_digest(const Database& db) {
+    std::uint64_t h = 14695981039346656037ull;
+    const auto add = [&](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h = (h ^ ((v >> (8 * i)) & 0xffu)) * 1099511628211ull;
+        }
+    };
+    const auto add_real = [&](double v) {
+        add(std::bit_cast<std::uint64_t>(v));
+    };
+    const auto add_rect = [&](const Rect& r) {
+        add(static_cast<std::uint64_t>(r.x));
+        add(static_cast<std::uint64_t>(r.y));
+        add(static_cast<std::uint64_t>(r.w));
+        add(static_cast<std::uint64_t>(r.h));
+    };
+    const Floorplan& fp = db.floorplan();
+    add_real(fp.site_w_um());
+    add_real(fp.site_h_um());
+    for (const Row& row : fp.rows()) {
+        add_rect(Rect{row.x, row.y, row.num_sites, 1});
+    }
+    for (const Rect& b : fp.blockages()) {
+        add_rect(b);
+    }
+    for (const Floorplan::Fence& f : fp.fences()) {
+        add(static_cast<std::uint64_t>(f.region));
+        add_rect(f.rect);
+    }
+    for (const Cell& c : db.cells()) {
+        add(static_cast<std::uint64_t>(c.width()));
+        add(static_cast<std::uint64_t>(c.height()));
+        add(static_cast<std::uint64_t>(c.rail_phase()));
+        add(c.fixed() ? 1 : 0);
+        add(static_cast<std::uint64_t>(c.region()));
+        add_real(c.gp_x());
+        add_real(c.gp_y());
+    }
+    add(db.nets().size());
+    for (const Pin& pin : db.pins()) {
+        add(pin.cell.index());
+        add(pin.net.index());
+        add_real(pin.offset_x);
+        add_real(pin.offset_y);
+    }
+    return h;
+}
+
+TEST(Generator, DesignDigestsPinned) {
+    // bench_suite synthesizes its inputs with this code, so a change to
+    // synthesis (the greedy packing included) would silently change the
+    // benchmark's designs. These digests were taken before the free-slot
+    // search walked outward instead of scanning whole rows.
+    struct Case {
+        const char* what;
+        GenProfile profile;
+        std::uint64_t digest;
+    };
+    std::vector<Case> cases;
+    for (const Table1Entry& e : table1_benchmarks(0.02)) {
+        if (e.profile.name == "des_perf_1") {  // density 0.91
+            cases.push_back({"des_perf_1 at 0.02", e.profile,
+                             5220360341829793964u});
+        }
+        if (e.profile.name == "superblue12") {  // 14 macro blockages
+            cases.push_back({"superblue12 at 0.02", e.profile,
+                             7986181106190921936u});
+        }
+    }
+    GenProfile parallel;
+    ASSERT_TRUE(parallel_profile("parallel_s", 1.0, 0, parallel));
+    cases.push_back({"parallel_s", parallel, 383120252685011428u});
+    GenProfile fenced;
+    fenced.name = "fenced";
+    fenced.num_single = 1800;
+    fenced.num_double = 200;
+    fenced.density = 0.6;
+    fenced.fence_cell_frac = 0.2;
+    fenced.seed = 31;
+    cases.push_back({"fenced", fenced, 8581723930740955193u});
+    ASSERT_EQ(cases.size(), 4u);
+    for (const Case& c : cases) {
+        const GenResult r = generate_benchmark(c.profile);
+        EXPECT_TRUE(r.packed_ok) << c.what;
+        EXPECT_EQ(design_digest(r.db), c.digest) << c.what;
     }
 }
 

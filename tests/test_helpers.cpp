@@ -6,6 +6,7 @@
 #include <span>
 
 #include "check/audit.hpp"
+#include "eval/legality.hpp"
 #include "legalize/greedy.hpp"
 #include "util/assert.hpp"
 
@@ -348,6 +349,287 @@ std::pair<SiteCoord, double> reference_minimize_hinge_cost(
         }
     }
     return {best_x, best_cost};
+}
+
+namespace {
+
+/// Nearest feasible x to px for a (w × h) footprint with bottom row y, or
+/// nullopt: merges the blocked spans of all covered rows and scans every
+/// free gap.
+std::optional<SiteCoord> whole_row_nearest_x(const Database& db,
+                                             const SegmentGrid& grid,
+                                             SiteCoord y, double px,
+                                             SiteCoord w, SiteCoord h,
+                                             int region) {
+    // Usable x range: intersection of covered rows' extents.
+    SiteCoord x_lo = kSiteCoordMin;
+    SiteCoord x_hi = kSiteCoordMax;
+    for (SiteCoord r = y; r < y + h; ++r) {
+        const Row& row = db.floorplan().row(r);
+        x_lo = std::max(x_lo, row.x);
+        x_hi = std::min(x_hi, static_cast<SiteCoord>(row.x + row.num_sites));
+    }
+    if (x_hi - x_lo < w) {
+        return std::nullopt;
+    }
+
+    // Blocked spans: segment gaps (blockages) + placed cells.
+    std::vector<Span> blocked;
+    for (SiteCoord r = y; r < y + h; ++r) {
+        SiteCoord cursor = x_lo;
+        for (const SegmentId sid : grid.row_segments(r)) {
+            const Segment& seg = grid.segment(sid);
+            const Span s = intersect(seg.span, Span{x_lo, x_hi});
+            if (s.empty()) {
+                continue;
+            }
+            if (seg.region != region) {
+                blocked.push_back(s);  // other regions are hard walls
+                continue;
+            }
+            if (s.lo > cursor) {
+                blocked.push_back(Span{cursor, s.lo});
+            }
+            cursor = std::max(cursor, s.hi);
+            const auto [first, last] =
+                grid.cells_overlapping(seg, Span{x_lo, x_hi});
+            for (std::size_t i = first; i < last; ++i) {
+                blocked.push_back(Span{seg.cells[i].x, seg.cells[i].x_hi()});
+            }
+        }
+        if (cursor < x_hi) {
+            blocked.push_back(Span{cursor, x_hi});
+        }
+    }
+    std::sort(blocked.begin(), blocked.end(),
+              [](const Span& a, const Span& b) { return a.lo < b.lo; });
+
+    // Scan free gaps between merged blocked spans.
+    std::optional<SiteCoord> best;
+    double best_d = std::numeric_limits<double>::max();
+    auto consider_gap = [&](SiteCoord lo, SiteCoord hi) {
+        if (hi - lo < w) {
+            return;
+        }
+        const double xc = std::clamp(px, static_cast<double>(lo),
+                                     static_cast<double>(hi - w));
+        const SiteCoord x = std::clamp<SiteCoord>(
+            static_cast<SiteCoord>(std::lround(xc)), lo,
+            static_cast<SiteCoord>(hi - w));
+        const double d = std::abs(static_cast<double>(x) - px);
+        if (d < best_d) {
+            best_d = d;
+            best = x;
+        }
+    };
+    SiteCoord cursor = x_lo;
+    for (const Span& b : blocked) {
+        if (b.lo > cursor) {
+            consider_gap(cursor, b.lo);
+        }
+        cursor = std::max(cursor, b.hi);
+    }
+    if (cursor < x_hi) {
+        consider_gap(cursor, x_hi);
+    }
+    return best;
+}
+
+}  // namespace
+
+std::optional<Point> reference_find_nearest_free_position(
+    const Database& db, const SegmentGrid& grid, CellId cell_id, double px,
+    double py, bool check_rail) {
+    const Cell& cell = db.cell(cell_id);
+    const Floorplan& fp = db.floorplan();
+    const double sw = fp.site_w_um();
+    const double sh = fp.site_h_um();
+    const SiteCoord h = cell.height();
+    const SiteCoord max_y = std::max<SiteCoord>(0, fp.num_rows() - h);
+
+    std::vector<SiteCoord> rows;
+    for (SiteCoord y = 0; y <= max_y; ++y) {
+        if (!check_rail || rail_compatible(y, h, cell.rail_phase())) {
+            rows.push_back(y);
+        }
+    }
+    std::sort(rows.begin(), rows.end(), [&](SiteCoord a, SiteCoord b) {
+        const double da = std::abs(static_cast<double>(a) - py);
+        const double db_ = std::abs(static_cast<double>(b) - py);
+        return da != db_ ? da < db_ : a < b;
+    });
+
+    double best_cost = std::numeric_limits<double>::max();
+    std::optional<Point> best;
+    for (const SiteCoord y : rows) {
+        const double y_cost = std::abs(static_cast<double>(y) - py) * sh;
+        if (y_cost >= best_cost) {
+            break;  // rows sorted by |dy|; nothing further can win
+        }
+        const auto x = whole_row_nearest_x(db, grid, y, px, cell.width(), h,
+                                           cell.region());
+        if (!x) {
+            continue;
+        }
+        const double cost =
+            y_cost + std::abs(static_cast<double>(*x) - px) * sw;
+        if (cost < best_cost) {
+            best_cost = cost;
+            best = Point{*x, y};
+        }
+    }
+    return best;
+}
+
+void reference_enumerate_insertion_points_scanline(
+    const LocalProblem& lp, const std::vector<InsertionInterval>& intervals,
+    const TargetSpec& target, const EnumerationOptions& opts,
+    EnumerationResult& result) {
+    using EvType = EnumerationScratch::EvType;
+    using Event = EnumerationScratch::Event;
+    result.points.clear();
+    result.truncated = false;
+    const int H = lp.num_rows();
+    const int ht = static_cast<int>(target.h);
+    if (H < ht) {
+        return;
+    }
+    std::vector<int> multi_cells;
+    for (int i = 0; i < lp.num_cells(); ++i) {
+        if (lp.cell(i).h > 1) {
+            multi_cells.push_back(i);
+        }
+    }
+    const auto base_row_ok = [&](int t) {
+        for (int k = t; k < t + ht; ++k) {
+            if (!lp.has_row(k)) {
+                return false;
+            }
+        }
+        return !opts.check_rail ||
+               rail_compatible(lp.y0() + t, target.h, target.rail_phase);
+    };
+
+    const int band = 2 * ht - 1;
+    std::vector<std::vector<int>> queues(static_cast<std::size_t>(H * band));
+    const auto Q = [&](int a, int b) -> std::vector<int>& {
+        return queues[static_cast<std::size_t>(a * band + (b - a) + ht - 1)];
+    };
+
+    std::vector<Event> events;
+    for (std::size_t i = 0; i < intervals.size(); ++i) {
+        const InsertionInterval& iv = intervals[i];
+        events.push_back(
+            Event{iv.lo, EvType::kLeft, static_cast<int>(i), iv.k});
+        events.push_back(
+            Event{iv.hi, EvType::kRight, static_cast<int>(i), iv.k});
+    }
+    for (const int ci : multi_cells) {
+        const LpCell& c = lp.cell(ci);
+        for (SiteCoord j = 0; j < c.h; ++j) {
+            events.push_back(Event{static_cast<SiteCoord>(c.xl + c.w),
+                                   EvType::kClear, ci, c.k0 + j});
+        }
+    }
+    std::sort(events.begin(), events.end(),
+              [](const Event& a, const Event& b) {
+                  if (a.x != b.x) {
+                      return a.x < b.x;
+                  }
+                  if (a.type != b.type) {
+                      return static_cast<int>(a.type) <
+                             static_cast<int>(b.type);
+                  }
+                  return a.payload < b.payload;
+              });
+
+    std::vector<int> combo_gaps(static_cast<std::size_t>(ht));
+    auto emit_products = [&](int a, const InsertionInterval& iv, int t,
+                             auto&& self, int k, SiteCoord lo,
+                             SiteCoord hi) -> void {
+        if (result.truncated) {
+            return;
+        }
+        if (k == t + ht) {
+            InsertionPoint p;
+            p.k0 = t;
+            p.gaps.assign(combo_gaps);
+            p.lo = lo;
+            p.hi = hi;
+            if (lo <= hi && insertion_point_consistent(lp, p)) {
+                if (result.points.size() >= opts.max_points) {
+                    result.truncated = true;
+                    return;
+                }
+                result.points.push_back(std::move(p));
+            }
+            return;
+        }
+        if (k == a) {
+            combo_gaps[static_cast<std::size_t>(k - t)] = iv.gap;
+            self(a, iv, t, self, k + 1, lo, hi);
+            return;
+        }
+        for (const int other_idx : Q(a, k)) {
+            const InsertionInterval& ov =
+                intervals[static_cast<std::size_t>(other_idx)];
+            combo_gaps[static_cast<std::size_t>(k - t)] = ov.gap;
+            self(a, iv, t, self, k + 1, std::max(lo, ov.lo),
+                 std::min(hi, ov.hi));
+            if (result.truncated) {
+                return;
+            }
+        }
+    };
+
+    for (const Event& ev : events) {
+        if (result.truncated) {
+            break;
+        }
+        switch (ev.type) {
+            case EvType::kClear: {
+                const LpCell& c = lp.cell(ev.payload);
+                for (SiteCoord j = 0; j < c.h; ++j) {
+                    const int r = c.k0 + j;
+                    if (r != ev.row && std::abs(r - ev.row) < ht) {
+                        Q(ev.row, r).clear();
+                    }
+                }
+                break;
+            }
+            case EvType::kLeft: {
+                const InsertionInterval& iv =
+                    intervals[static_cast<std::size_t>(ev.payload)];
+                const int a = iv.k;
+                for (int t = std::max(0, a - ht + 1);
+                     t <= std::min(H - ht, a); ++t) {
+                    if (base_row_ok(t)) {
+                        emit_products(a, iv, t, emit_products, t, iv.lo,
+                                      iv.hi);
+                    }
+                }
+                for (int r = std::max(0, a - ht + 1);
+                     r <= std::min(H - 1, a + ht - 1); ++r) {
+                    if (r != a) {
+                        Q(r, a).push_back(ev.payload);
+                    }
+                }
+                break;
+            }
+            case EvType::kRight: {
+                const int a = ev.row;
+                for (int r = std::max(0, a - ht + 1);
+                     r <= std::min(H - 1, a + ht - 1); ++r) {
+                    if (r != a) {
+                        std::vector<int>& q = Q(r, a);
+                        q.erase(std::remove(q.begin(), q.end(), ev.payload),
+                                q.end());
+                    }
+                }
+                break;
+            }
+        }
+    }
 }
 
 }  // namespace mrlg::test

@@ -2,6 +2,7 @@
 /// Shared fixtures: tiny hand-built designs and randomized design factories
 /// used across the test suite.
 
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -79,5 +80,21 @@ Realization reference_realize_insertion(const LocalProblem& lp,
                                         SiteCoord xt, SiteCoord target_w);
 std::pair<SiteCoord, double> reference_minimize_hinge_cost(
     const HingeSet& hinges, SiteCoord lo, SiteCoord hi);
+
+/// Whole-row reference for find_nearest_free_position: sorts every usable
+/// row by |y − py| (the lower row first on a tie) and, for each row tried,
+/// gathers and sorts the blocked spans of the whole row, then scans every
+/// free run (smallest |x − px|, the left one first). Stops once a row's
+/// |dy| cost alone reaches the best cost.
+std::optional<Point> reference_find_nearest_free_position(
+    const Database& db, const SegmentGrid& grid, CellId cell, double px,
+    double py, bool check_rail);
+
+/// Reference for the multi-row scanline: its events generated in any
+/// order and std::sort-ed by (x, type, payload) before the sweep.
+void reference_enumerate_insertion_points_scanline(
+    const LocalProblem& lp, const std::vector<InsertionInterval>& intervals,
+    const TargetSpec& target, const EnumerationOptions& opts,
+    EnumerationResult& out);
 
 }  // namespace mrlg::test

@@ -14,10 +14,12 @@
 #   1b. Benchmark build + self-checks: compiles the standalone
 #      bench_suite/ package against this checkout's src/, so an API change
 #      that breaks the benchmark fails here rather than at the next
-#      benchmark run, then runs plarge_exact and eco_stream once. A run
-#      exits non-zero when a self-check fails: among them, on every
-#      sampled MLL attempt, the probe's stage-by-stage choice must equal
-#      mll_plan's, for exact and approximate evaluation. Its ctest, which
+#      benchmark run, then runs plarge_exact, eco_stream and
+#      desperf1_dense once; desperf1_dense's dense tail rounds reach the
+#      free-slot fallback. A run exits non-zero when a self-check fails:
+#      among them, on every sampled MLL attempt, the probe's
+#      stage-by-stage choice must equal mll_plan's, for exact and
+#      approximate evaluation. Its ctest, which
 #      adds validate_bench.py, waits for the validator's probe cross-check
 #      to pass (ROADMAP item 1)
 #   2. Static checks (tools/mrlg_lint.py all): the phase-effect analyzer
@@ -106,7 +108,8 @@ bench_build_and_check() {
         >/dev/null &&
         cmake --build build-bench -j "$JOBS" --target bench_suite &&
         build-bench/bench_suite --workload plarge_exact \
-            --workload eco_stream --reps 1 --workdir build-bench/ci-inputs
+            --workload eco_stream --workload desperf1_dense --reps 1 \
+            --workdir build-bench/ci-inputs
 }
 run_stage "benchmark build + self-checks (bench_suite)" \
     bench_build_and_check
